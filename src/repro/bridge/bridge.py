@@ -119,7 +119,10 @@ class SlaveBridgeAdapter:
     now: int = 0
 
     def __post_init__(self) -> None:
-        self.kernel.reply_handler = self._on_kernel_reply
+        # The backlog's own append, not a bound method of the adapter: a
+        # kernel -> adapter back-reference would make every finished
+        # platform cyclic garbage that waits for a full collection.
+        self.kernel.reply_handler = self._reply_backlog.append
 
     def is_halted(self) -> bool:
         return self.kernel.is_halted()
@@ -130,6 +133,18 @@ class SlaveBridgeAdapter:
         worked |= self._poll_commands()
         worked |= self.kernel.step(now)
         return worked
+
+    def fast_forward(self, now: int, limit: int) -> int:
+        """Apply up to ``limit`` steps at once when they would move no
+        mailbox traffic (empty reply backlog and command mailbox) and
+        the kernel's steps are compute-only
+        (:meth:`PCoreKernel.fast_forward`); returns the steps applied."""
+        if self._reply_backlog or not self.command_box.empty:
+            return 0
+        steps = self.kernel.fast_forward(now, limit)
+        if steps:
+            self.now = now + steps - 1
+        return steps
 
     # -- internals -----------------------------------------------------------
 
@@ -151,9 +166,6 @@ class SlaveBridgeAdapter:
             self.delivered += 1
             moved = True
         return moved
-
-    def _on_kernel_reply(self, result: ServiceResult) -> None:
-        self._reply_backlog.append(result)
 
     def _flush_replies(self) -> bool:
         flushed = False

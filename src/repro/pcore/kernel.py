@@ -183,6 +183,44 @@ class PCoreKernel:
             self.idle_steps += 1
         return worked
 
+    def fast_forward(self, now: int, limit: int) -> int:
+        """Apply up to ``limit`` compute-only steps in one call.
+
+        The steps at ``now, now + 1, ...`` are compute-only while each
+        would only decrement the RUNNING task's ``compute_remaining``:
+        empty inbox, no switch penalty, no higher-priority READY task,
+        no sleeper due and no GC pass with pending items.  The longest
+        such run (at most ``limit``) is applied with exactly the
+        counters, ``now`` and task fields that as many :meth:`step`
+        calls would leave; returns its length, 0 when the next step must
+        run normally.
+        """
+        task = self.scheduler.current
+        if (
+            self.is_halted()
+            or self.inbox
+            or self._switch_penalty
+            or task is None
+            or task.state is not TaskState.RUNNING
+            or self.scheduler.should_preempt()
+        ):
+            return 0
+        steps = min(limit, task.compute_remaining)
+        for other in self.tasks.values():
+            if other.state is TaskState.SLEEPING and other.wakeup_at is not None:
+                steps = min(steps, other.wakeup_at - now)
+        interval = self.config.gc_interval
+        if interval and self.gc.pending:
+            steps = min(steps, interval - 1 - self.steps % interval)
+        if steps <= 0:
+            return 0
+        self.steps += steps
+        self.now = now + steps - 1
+        task.steps_run += steps
+        task.last_progress = self.now
+        task.compute_remaining -= steps
+        return steps
+
     # -- remote interface --------------------------------------------------
 
     def submit(self, request: ServiceRequest) -> None:
@@ -243,8 +281,10 @@ class PCoreKernel:
         )
 
     def live_tasks(self) -> list[TaskControlBlock]:
-        """Tasks that can still run (everything but TERMINATED zombies)."""
-        return [task for task in self.tasks.values() if task.alive]
+        """Tasks that can still run.  :meth:`_terminate` removes a task
+        from ``tasks`` as it marks it TERMINATED, so that is all of
+        them."""
+        return list(self.tasks.values())
 
     def _lookup(self, request: ServiceRequest) -> TaskControlBlock | None:
         if request.target is None:

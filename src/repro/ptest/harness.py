@@ -13,6 +13,18 @@ the paper's structure directly::
 :func:`run_adaptive_test` builds the whole simulated OMAP platform from
 a :class:`~repro.ptest.config.PTestConfig`, runs it, and returns a
 :class:`TestRunResult` with any :class:`~repro.ptest.report.BugReport`.
+
+The drain phase (after the last reply, without ``restart_patterns``)
+fast-forwards: compute-only ticks are applied in batches
+(:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`), each ending by the
+next detector sweep tick and by ``max_ticks``.  Sweeps and stop checks
+therefore land on the same ticks as when stepping.  No check could fire
+inside a batch: the tick is not a sweep tick, a task is RUNNING (so the
+kernel has not halted and not every task is SUSPENDED), and nothing is
+outstanding.  The batch's last tick runs the checks like any stepped
+tick; the starvation window reads ``last_progress``, which the batch
+sets exactly, and the hang window reads command issue times, which it
+leaves alone.
 """
 
 from __future__ import annotations
@@ -279,11 +291,19 @@ class AdaptiveTest:
                 # Let the slave drain: leftover tasks may still wedge
                 # (a blocked consumer only ages past the progress window
                 # well after the last command was issued).
-                drain_budget = config.max_ticks - ticks
-                for _ in range(drain_budget):
-                    soc.step()
-                    ticks += 1
-                    if ticks % config.detector_interval == 0:
+                interval = config.detector_interval
+                while ticks < config.max_ticks:
+                    # A compute-only stretch ends by the next sweep tick
+                    # and the budget; the checks below then run on its
+                    # last tick, and could not fire on the ones before
+                    # it (module docstring).
+                    stop = min(config.max_ticks, ticks - ticks % interval + interval)
+                    advanced = soc.fast_forward(stop - ticks)
+                    if not advanced:
+                        soc.step()
+                        advanced = 1
+                    ticks += advanced
+                    if ticks % interval == 0:
                         detector.sweep(soc.now)
                         if detector.triggered:
                             break

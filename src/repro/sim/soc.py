@@ -8,6 +8,18 @@ then due timed events fire.  Because every step is an explicit call,
 any interleaving of master and slave activity is a deterministic,
 replayable schedule — the property pTest's merger exploits.
 
+:meth:`DualCoreSoC.fast_forward` applies a run of ticks in one call
+where that is exact.  A tick may be batched only when the master is
+halted, the slave takes one step per tick, no timed event comes due,
+and the slave's step is *compute-only*: no mailbox traffic, and in the
+kernel an empty inbox, no switch penalty, no higher-priority READY
+task, no sleeper due and no GC pass with pending items
+(:meth:`~repro.pcore.kernel.PCoreKernel.fast_forward`).  Such a tick
+changes only the clock, ``ticks_run``, the slave's ``now`` and step
+count, and the running task's ``steps_run``, ``last_progress`` and
+``compute_remaining``; the batch leaves each exactly as stepping
+would.  Every other tick goes through :meth:`DualCoreSoC.step`.
+
 Defaults model the OMAP5912 OSK of the paper's evaluation: both cores at
 192 MHz (1:1 step ratio), four mailboxes, 250 KB shared SRAM.
 """
@@ -116,6 +128,28 @@ class DualCoreSoC:
         self.scheduler.fire_due()
         self.ticks_run += 1
         return worked
+
+    def fast_forward(self, limit: int) -> int:
+        """Advance up to ``limit`` ticks in one call where that is exact
+        (module docstring).  The slave core must offer
+        ``fast_forward(now, limit)``, as
+        :class:`~repro.bridge.bridge.SlaveBridgeAdapter` does.  Returns
+        the ticks advanced; 0 means the next tick must go through
+        :meth:`step`."""
+        if (
+            self.master is None
+            or self.slave is None
+            or not self.master.is_halted()
+            or self.config.slave_steps_per_tick != 1
+        ):
+            return 0
+        due = self.scheduler.next_due()
+        if due is not None:
+            limit = min(limit, due - self.clock.now - 1)
+        ticks = self.slave.fast_forward(self.clock.now, limit)
+        self.clock.advance(ticks)
+        self.ticks_run += ticks
+        return ticks
 
     def run(
         self,

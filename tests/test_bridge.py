@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from repro.pcore.services import (
     ServiceStatus,
 )
 from repro.sim.mailbox import MailboxBank
+from repro.workloads.registry import build_scenario, scenario_names
 
 
 class TestProtocolCodec:
@@ -181,3 +184,18 @@ class TestBridgeEndpoints:
         assert not slave.is_halted()
         kernel.panic("x")
         assert slave.is_halted()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_finished_run_leaves_no_cyclic_garbage(name):
+    """A kernel -> adapter back-reference once made every finished
+    platform (kernel, tracer, TCBs, task generators, ...) a reference
+    cycle that only a full collection frees."""
+    build_scenario(name, 1).run()  # warm the per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        build_scenario(name, 0).run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
