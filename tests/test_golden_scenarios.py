@@ -8,6 +8,11 @@ tracer's event count and its 60-event tail.  Large values are stored as
 SHA-256 hashes.  The fixture pins the simulator's observable behaviour,
 so tick-loop optimisations must leave every digest bit-identical.
 
+The same cells also run through the pool workers' entry point
+(``make_batch_table`` + ``run_table_batch``, in process, one
+same-variant batch per scenario from a cold worker cache) and must
+match the bare digests on every field a result carries.
+
 Regenerate only for a deliberate behaviour change::
 
     PYTHONPATH=src python tests/test_golden_scenarios.py --write
@@ -22,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.workloads.registry import build_scenario, scenario_names
+from repro.ptest.pool import clear_worker_cache, make_batch_table, run_table_batch
+from repro.workloads.registry import build_scenario, scenario_names, scenario_ref
 
 FIXTURE = Path(__file__).with_name("data") / "golden_scenarios.json"
 
@@ -34,12 +40,8 @@ def _sha256(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cell_digest(name: str, seed: int) -> dict:
-    """One bare run of scenario ``name`` reduced to its golden digest."""
-    test = build_scenario(name, seed)
-    result = test.run()
-    # RandomTester wraps its own AdaptiveTest and exposes no tracer.
-    tracer = getattr(test, "tracer", None)
+def result_digest(result) -> dict:
+    """The digest fields a ``TestRunResult`` carries by itself."""
     report = result.report
     return {
         "ticks": result.ticks,
@@ -53,11 +55,20 @@ def cell_digest(name: str, seed: int) -> dict:
         "merged_length": result.merged_length,
         "patterns_sha256": _sha256(result.patterns),
         "report_sha256": _sha256(report.to_dict()) if report else None,
-        "trace_recorded": tracer.recorded if tracer is not None else None,
-        "trace_tail_sha256": (
-            _sha256(tracer.dump(tracer.tail(60))) if tracer is not None else None
-        ),
     }
+
+
+def cell_digest(name: str, seed: int) -> dict:
+    """One bare run of scenario ``name`` reduced to its golden digest."""
+    test = build_scenario(name, seed)
+    digest = result_digest(test.run())
+    # RandomTester wraps its own AdaptiveTest and exposes no tracer.
+    tracer = getattr(test, "tracer", None)
+    digest["trace_recorded"] = tracer.recorded if tracer is not None else None
+    digest["trace_tail_sha256"] = (
+        _sha256(tracer.dump(tracer.tail(60))) if tracer is not None else None
+    )
+    return digest
 
 
 def compute_fixture() -> dict:
@@ -80,6 +91,21 @@ def test_scenario_matches_golden(name):
     expected = _golden()[name]
     for seed in SEEDS:
         assert cell_digest(name, seed) == expected[str(seed)], (name, seed)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_worker_batch_matches_golden(name):
+    expected = _golden()[name]
+    table, jobs = make_batch_table([scenario_ref(name)] * len(SEEDS), SEEDS)
+    clear_worker_cache()
+    try:
+        results = run_table_batch(table, jobs)
+    finally:
+        clear_worker_cache()
+    for seed, result in zip(SEEDS, results):
+        want = expected[str(seed)]
+        got = result_digest(result)
+        assert got == {key: want[key] for key in got}, (name, seed)
 
 
 if __name__ == "__main__":
