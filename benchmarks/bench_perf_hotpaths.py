@@ -65,19 +65,14 @@ from repro.automata.reference import LegacySampler, networkx_cycle_tids
 from repro.automata.sampling import PatternSampler
 from repro.pcore.kernel import KernelConfig, PCoreKernel
 from repro.pcore.programs import Acquire, Compute, Exit
-from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
+from repro.pcore.services import ServiceCode
 from repro.pcore.testkit import create_task, run_service
 from repro.ptest.campaign import Campaign
 from repro.ptest.chaos import ChaosSpec
-from repro.ptest.committer import Committer
 from repro.ptest.executor import CellExecutor, WorkCell
-from repro.ptest.merger import PatternMerger
-from repro.ptest.patterns import MergedPattern, TestPattern
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import WorkerPool, shutdown_pools
-from repro.ptest.recording import ProcessStateRecorder
 from repro.ptest.waitgraph import IncrementalWaitForGraph
-from repro.sim.trace import Tracer
 from repro.workloads.registry import scenario_ref
 
 OUT_PATH = Path(__file__).parent / "out" / "bench_perf_hotpaths.json"
@@ -202,346 +197,6 @@ def bench_sampling_batch(quick: bool) -> dict:
     }
 
 
-# -- layer 1c: array-plane sample→merge ----------------------------------------
-
-
-def bench_merge_batch(quick: bool) -> dict:
-    """Eager scalar sample→merge vs the end-to-end array plane.
-
-    The tentpole claim of the array-native pattern plane: a campaign
-    cell's whole sample→merge round trip — draw ``per_cell`` patterns,
-    wrap them as ``TestPattern``\\ s, interleave them with a seeded
-    :class:`PatternMerger` — without materialising per-symbol Python
-    objects.  The scalar leg is the pre-array pipeline (per-cell
-    ``PatternSampler`` walks, eager tuples, ``use_numpy=False``
-    merging into eager ``PatternCommand`` lists); the array leg draws
-    ``BatchSampler.sample_batch`` id arrays, wraps rows via
-    ``TestPattern.from_ids`` and merges through the vectorized gather,
-    with command materialisation deferred (and excluded from the timed
-    window — the committer pays it later, round-robin of the saving).
-    Both legs run through :meth:`PatternMerger.merge_batch`.
-
-    As in the other paired sections: one untimed warm-up pass per leg
-    per rep (fills draw-block buffers; continues both legs' RNG
-    streams identically), the reported speedup is the best *paired*
-    within-rep ratio, and bit-identity of warm-up and timed outputs —
-    commands, op, sources — is asserted outside the timed windows.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    cells = 512 if quick else 1024
-    per_cell = 4
-    reps = 3 if quick else 5
-    op, chunk, merge_seed = "cyclic", 3, 1234
-    seeds = [(1 << 41) + 1313 * index for index in range(cells)]
-    skipped_numpy = numpy_or_none() is None
-
-    def scalar_pass(samplers, merger) -> list:
-        groups = []
-        for sampler in samplers:
-            group = []
-            for pattern_id in range(per_cell):
-                drawn = sampler.sample(size)
-                group.append(
-                    TestPattern(
-                        pattern_id=pattern_id,
-                        symbols=drawn.symbols,
-                        states=drawn.states,
-                        log_probability=drawn.log_probability,
-                    )
-                )
-            groups.append(group)
-        return merger.merge_batch(groups)
-
-    def array_pass(batch_sampler, merger) -> list:
-        draws = [batch_sampler.sample_batch(size) for _ in range(per_cell)]
-        groups = []
-        for cell in range(cells):
-            group = []
-            for pattern_id, batch in enumerate(draws):
-                row = batch.row(cell)
-                if row is None:
-                    # No-numpy fallback: materialised patterns.
-                    drawn = batch.pattern(cell)
-                    group.append(
-                        TestPattern(
-                            pattern_id=pattern_id,
-                            symbols=drawn.symbols,
-                            states=drawn.states,
-                            log_probability=drawn.log_probability,
-                        )
-                    )
-                else:
-                    group.append(
-                        TestPattern.from_ids(
-                            pattern_id=pattern_id,
-                            symbol_ids=row.symbol_ids,
-                            alphabet=row.alphabet,
-                            state_ids=row.state_ids,
-                            log_probability=row.log_probability,
-                        )
-                    )
-            groups.append(group)
-        return merger.merge_batch(groups)
-
-    best_ratio = 0.0
-    scalar_rate = array_rate = 0.0
-    for _ in range(reps):
-        samplers = [
-            PatternSampler(pfa, seed=seed, on_final="restart")
-            for seed in seeds
-        ]
-        scalar_merger = PatternMerger(
-            op=op, seed=merge_seed, chunk=chunk, use_numpy=False
-        )
-        scalar_warm = scalar_pass(samplers, scalar_merger)
-        start = time.perf_counter()
-        scalar_merged = scalar_pass(samplers, scalar_merger)
-        scalar_elapsed = time.perf_counter() - start
-
-        batch_sampler = BatchSampler(pfa, seeds, on_final="restart")
-        array_merger = PatternMerger(op=op, seed=merge_seed, chunk=chunk)
-        array_warm = array_pass(batch_sampler, array_merger)
-        start = time.perf_counter()
-        array_merged = array_pass(batch_sampler, array_merger)
-        array_elapsed = time.perf_counter() - start
-
-        # Correctness guard, outside the timed windows: both passes of
-        # every cell must interleave identically (command lists, op,
-        # source patterns — array-side materialisation happens here).
-        assert array_warm == scalar_warm, (
-            "array sample→merge diverged from the scalar plane (pass 1)"
-        )
-        assert array_merged == scalar_merged, (
-            "array sample→merge diverged from the scalar plane (pass 2)"
-        )
-        if scalar_elapsed / array_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / array_elapsed
-            scalar_rate = cells / scalar_elapsed
-            array_rate = cells / array_elapsed
-    return {
-        "pattern_size": size,
-        "cells": cells,
-        "patterns_per_merge": per_cell,
-        "merge_op": op,
-        "scalar_merges_per_sec": round(scalar_rate, 1),
-        "array_merges_per_sec": round(array_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy both legs run the same scalar plane — the
-        # ratio is meaningless, so the CI floor skips (same convention
-        # as sampling_batch).
-        "skipped_numpy": skipped_numpy,
-    }
-
-
-# -- layer 1c: the commit loop -------------------------------------------------
-
-
-class _EchoBridge:
-    """Minimal ``BridgeMaster`` stand-in for timing the commit loop.
-
-    Every issued request is bound a sequence number and answered ``OK``
-    on the *next* :meth:`pump` — the committer pumps before it issues,
-    so replies land one step after issue, modelling the mailbox round
-    trip without the simulated cores in the timed window.  ``TC``
-    replies carry a fresh tid, so pair bindings (task creation, target
-    learning, TD/TY teardown) evolve exactly as in a real run.
-    """
-
-    def __init__(self) -> None:
-        self.now = 0
-        self.outstanding: dict = {}
-        self._inbox: list = []
-        self._next_seq = 1
-        self._next_tid = 1
-
-    def issue(self, request):
-        sequence = self._next_seq
-        self._next_seq += 1
-        # Attach the sequence in place (the real slave stamps it on
-        # decode); cheaper than dataclasses.replace, and the stub's
-        # overhead is identical dead weight in both timed legs.
-        object.__setattr__(request, "sequence", sequence)
-        self.outstanding[sequence] = request
-        self._inbox.append(request)
-        return sequence
-
-    def pump(self) -> list:
-        if not self._inbox:
-            return []
-        arrived = []
-        for bound in self._inbox:
-            value = None
-            if bound.service is ServiceCode.TC:
-                value = self._next_tid
-                self._next_tid += 1
-            del self.outstanding[bound.sequence]
-            arrived.append(
-                ServiceResult(
-                    request=bound,
-                    status=ServiceStatus.OK,
-                    value=value,
-                    completed_at=self.now,
-                )
-            )
-        self._inbox = []
-        return arrived
-
-
-def bench_commit_loop(quick: bool) -> dict:
-    """PatternCommand-expansion commit walk vs the column walk.
-
-    The consumer half of the array plane: an array-built
-    :class:`MergedPattern` reaches the committer as id columns, and the
-    column walk executes it by cursor — one bulk ``tolist()`` at
-    construction, list indexing per step, symbol→service resolved once
-    per alphabet — without ever creating a ``PatternCommand``.  The
-    scalar leg is the bit-identical fallback the committer keeps for
-    eager merges (the only kind the no-numpy merger produces): expand
-    the same merge's command list, then walk it per-command.  The
-    expansion is timed with the walk because that is what executing an
-    eager merge costs each round; both legs then drive the same echo
-    bridge (replies next step, fresh tids on TC), so the measured
-    difference is exactly the commit loop's per-command overhead.
-
-    Conventions as elsewhere: per rep both legs walk freshly-built but
-    identically-seeded merges, the reported speedup is the best paired
-    within-rep ratio, and bit-identity — results, state records, traces
-    — is asserted outside the timed windows, where the column leg must
-    also finish with ``commands`` still unmaterialised.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    per_merge = 8
-    merges = 20 if quick else 60
-    # More reps than the other sections: the per-command delta this
-    # measures is small enough that scheduler noise in one window can
-    # swallow it, and the best-paired-ratio estimator only stabilises
-    # upward with extra samples.
-    reps = 6 if quick else 8
-    op, chunk, merge_seed = "cyclic", 3, 99
-    skipped_numpy = numpy_or_none() is None
-
-    def build(slot: int) -> MergedPattern:
-        """One merge per call — array-built with numpy, eager without
-        (both legs then walk the same eager plane and the floor skips)."""
-        seeds = [(1 << 40) + 7919 * slot + index for index in range(per_merge)]
-        batch = BatchSampler(pfa, seeds, on_final="restart").sample_batch(size)
-        patterns = []
-        for pattern_id in range(per_merge):
-            row = batch.row(pattern_id)
-            if row is None:
-                drawn = batch.pattern(pattern_id)
-                patterns.append(
-                    TestPattern(
-                        pattern_id=pattern_id,
-                        symbols=drawn.symbols,
-                        states=drawn.states,
-                        log_probability=drawn.log_probability,
-                    )
-                )
-            else:
-                patterns.append(
-                    TestPattern.from_ids(
-                        pattern_id=pattern_id,
-                        symbol_ids=row.symbol_ids,
-                        alphabet=row.alphabet,
-                        state_ids=row.state_ids,
-                        log_probability=row.log_probability,
-                    )
-                )
-        merger = PatternMerger(op=op, seed=merge_seed, chunk=chunk)
-        return merger.merge(patterns)
-
-    def drive(merged, recorder=None, tracer=None) -> Committer:
-        committer = Committer(
-            bridge=_EchoBridge(),
-            merged=merged,
-            recorder=recorder,
-            tracer=tracer,
-            lockstep=False,
-        )
-        now = 0
-        while not committer.is_halted():
-            committer.step(now)
-            now += 1
-        return committer
-
-    total_commands = 0
-    best_ratio = 0.0
-    scalar_rate = column_rate = 0.0
-    for _ in range(reps):
-        scalar_src = [build(slot) for slot in range(merges)]
-        column_src = [build(slot) for slot in range(merges)]
-        total_commands = sum(len(merged) for merged in column_src)
-
-        start = time.perf_counter()
-        for merged in scalar_src:
-            # The fallback plane: command expansion + per-command walk.
-            eager = MergedPattern(
-                commands=merged.commands, op=merged.op, sources=merged.sources
-            )
-            drive(eager)
-        scalar_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for merged in column_src:
-            drive(merged)
-        column_elapsed = time.perf_counter() - start
-
-        if scalar_elapsed / column_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / column_elapsed
-            scalar_rate = total_commands / scalar_elapsed
-            column_rate = total_commands / column_elapsed
-
-    # Correctness guard, outside the timed windows: one fresh pair of
-    # identically-seeded merges, full observability on — results,
-    # Definition-2 records and traces must match command for command,
-    # and the column leg must never have expanded its command list.
-    column_merged = build(0)
-    eager_merged = build(0)
-    eager_merged = MergedPattern(
-        commands=eager_merged.commands,
-        op=eager_merged.op,
-        sources=eager_merged.sources,
-    )
-    scalar_recorder, column_recorder = (
-        ProcessStateRecorder(),
-        ProcessStateRecorder(),
-    )
-    scalar_tracer, column_tracer = Tracer(), Tracer()
-    scalar_run = drive(eager_merged, scalar_recorder, scalar_tracer)
-    column_run = drive(column_merged, column_recorder, column_tracer)
-    assert column_run.results == scalar_run.results, (
-        "column commit loop diverged from the PatternCommand walk"
-    )
-    assert column_run.issued == scalar_run.issued
-    assert column_recorder.snapshot() == scalar_recorder.snapshot(), (
-        "column commit loop recorded different Definition-2 state"
-    )
-    assert column_tracer.dump() == scalar_tracer.dump(), (
-        "column commit loop traced differently"
-    )
-    if not skipped_numpy:
-        assert column_merged._commands is None, (
-            "column walk materialised the command list"
-        )
-    return {
-        "pattern_size": size,
-        "patterns_per_merge": per_merge,
-        "merges": merges,
-        "commands_timed": total_commands,
-        "merge_op": op,
-        "scalar_commands_per_sec": round(scalar_rate, 1),
-        "column_commands_per_sec": round(column_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy both legs walk the same eager plane — the
-        # ratio is meaningless, so the CI floor skips (same convention
-        # as sampling_batch/merge_batch).
-        "skipped_numpy": skipped_numpy,
-    }
-
-
 def _traced_peak_kib(task) -> float:
     """Peak tracemalloc allocation of ``task()``, in KiB."""
     tracemalloc.start()
@@ -562,50 +217,6 @@ def _sampling_batch_memory_pass() -> None:
     sampler = BatchSampler(pfa, seeds, on_final="restart")
     sampler.sample(100)  # warm-up fills the draw-block buffers
     sampler.sample(100)
-
-
-def _merge_batch_memory_pass() -> None:
-    """One steady-state array sample→merge pass (the merge_batch shape
-    at reduced width), commands left unmaterialised — the allocation
-    profile of the end-to-end array plane."""
-    pfa = pcore_pfa()
-    cells = 256
-    seeds = [(1 << 41) + 1313 * index for index in range(cells)]
-    sampler = BatchSampler(pfa, seeds, on_final="restart")
-    merger = PatternMerger(op="cyclic", seed=1234, chunk=3)
-
-    def one_pass() -> None:
-        draws = [sampler.sample_batch(100) for _ in range(4)]
-        groups = []
-        for cell in range(cells):
-            group = []
-            for pattern_id, batch in enumerate(draws):
-                row = batch.row(cell)
-                if row is None:
-                    drawn = batch.pattern(cell)
-                    group.append(
-                        TestPattern(
-                            pattern_id=pattern_id,
-                            symbols=drawn.symbols,
-                            states=drawn.states,
-                            log_probability=drawn.log_probability,
-                        )
-                    )
-                else:
-                    group.append(
-                        TestPattern.from_ids(
-                            pattern_id=pattern_id,
-                            symbol_ids=row.symbol_ids,
-                            alphabet=row.alphabet,
-                            state_ids=row.state_ids,
-                            log_probability=row.log_probability,
-                        )
-                    )
-            groups.append(group)
-        merger.merge_batch(groups)
-
-    one_pass()  # warm-up
-    one_pass()
 
 
 # -- layer 2: campaigns --------------------------------------------------------
@@ -1333,21 +944,17 @@ def main(argv: list[str] | None = None) -> int:
             # None = absent or disabled via REPRO_NO_NUMPY; the batch
             # sections fall back to scalar (and skip their floors) then.
             "numpy": getattr(numpy_or_none(), "__version__", None),
-            # Peak allocation (KiB) of one representative batch-path
-            # pass per array-plane section — the memory half of the
-            # slots/array-backing story; honest in no-numpy mode too
-            # (the passes then profile the scalar fallback).
+            # Peak allocation (KiB) of one representative batch-sampling
+            # pass; honest in no-numpy mode too (the pass then profiles
+            # the scalar fallback).
             "tracemalloc_peak_kib": {
                 "sampling_batch": _traced_peak_kib(
                     _sampling_batch_memory_pass
                 ),
-                "merge_batch": _traced_peak_kib(_merge_batch_memory_pass),
             },
         },
         "sampling": bench_sampling(args.quick),
         "sampling_batch": bench_sampling_batch(args.quick),
-        "merge_batch": bench_merge_batch(args.quick),
-        "commit_loop": bench_commit_loop(args.quick),
         "campaign": bench_campaign(args.quick, args.workers),
         "campaign_batched": bench_campaign_batched(args.quick, args.workers),
         "faults": bench_faults(args.quick, args.workers),
@@ -1374,22 +981,6 @@ def main(argv: list[str] | None = None) -> int:
             None
             if results["sampling_batch"]["skipped_numpy"]
             else results["sampling_batch"]["speedup"] >= 2.0
-        ),
-        # The array plane's end-to-end claim: sample→merge without
-        # per-symbol Python objects must beat the eager pipeline.
-        "merge_batch_ci_floor": 1.5,
-        "merge_batch_floor_met": (
-            None
-            if results["merge_batch"]["skipped_numpy"]
-            else results["merge_batch"]["speedup"] >= 1.5
-        ),
-        # The consumer half of that claim: executing an array merge by
-        # cursor must beat expanding and walking its command list.
-        "commit_loop_ci_floor": 1.3,
-        "commit_loop_floor_met": (
-            None
-            if results["commit_loop"]["skipped_numpy"]
-            else results["commit_loop"]["speedup"] >= 1.3
         ),
         "campaign_speedup_target": 2.0,
         "campaign_speedup_met": (
@@ -1577,30 +1168,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{sampling_batch['batch_patterns_per_sec']:>10.0f} patterns/s  "
         f"({sampling_batch['speedup']}x at cells="
         f"{sampling_batch['cells']}){numpy_note}"
-    )
-    merge_batch = results["merge_batch"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if merge_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-mrg: {merge_batch['scalar_merges_per_sec']:>10.0f} -> "
-        f"{merge_batch['array_merges_per_sec']:>10.0f} merges/s    "
-        f"({merge_batch['speedup']}x at cells={merge_batch['cells']})"
-        f"{numpy_note}"
-    )
-    commit_loop = results["commit_loop"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if commit_loop["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"commit:    {commit_loop['scalar_commands_per_sec']:>10.0f} -> "
-        f"{commit_loop['column_commands_per_sec']:>10.0f} commands/s  "
-        f"({commit_loop['speedup']}x over {commit_loop['merges']} merges)"
-        f"{numpy_note}"
     )
     numpy_note = (
         "  [floor skipped: no numpy]"

@@ -7,9 +7,7 @@ Demonstrates the numpy fast path introduced for campaign-scale runs:
    result is *bit-identical* to independent ``PatternSampler`` walks —
    verified here pattern by pattern, on the fast path and the scalar
    fallback alike.
-2. A ``Campaign`` run with ``batch_sampling`` on/off produces identical
-   summary rows (the fast path only changes worker-side throughput).
-3. Recorded wait-for-graph deltas (``record_wait_deltas=True``) replay
+2. Recorded wait-for-graph deltas (``record_wait_deltas=True``) replay
    through the batched deadlock screen, re-confirming the reported
    cycle offline.
 

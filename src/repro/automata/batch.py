@@ -50,8 +50,11 @@ numpy fast path or the scalar fallback ran.  The fallback (numpy
 absent, or the ``REPRO_NO_NUMPY`` environment variable set) simply
 holds the scalar samplers; the library core stays stdlib-only.
 
-The array-native pattern plane
-------------------------------
+Array-shaped draws
+------------------
+
+Campaign cells sample through the scalar ``PatternSampler``; nothing in
+the harness or the worker pool drives this module.
 
 :meth:`BatchSampler.sample_batch` is the array-shaped entry point: it
 returns a :class:`PatternBatch` holding the whole draw as flat ragged
@@ -59,10 +62,8 @@ arrays — per-cell symbol *ids* (the alphabet interned once per
 :class:`~repro.automata.compiled.CompiledPFA` via
 ``interned_alphabet()``, cached like the packed rows), state paths,
 log-probabilities and restart counts — instead of N materialised
-:class:`~repro.automata.sampling.SampledPattern` objects.  Downstream
-array consumers (``repro.ptest.patterns.TestPattern.from_ids``, the
-vectorized merger) keep working on those ids end to end; anything that
-wants objects calls :meth:`PatternBatch.patterns` /
+:class:`~repro.automata.sampling.SampledPattern` objects.  Anything
+that wants objects calls :meth:`PatternBatch.patterns` /
 :meth:`PatternBatch.pattern`, which materialise lazily and
 bit-identically to what :meth:`BatchSampler.sample` always returned
 (``sample`` itself is now just ``sample_batch(size).patterns()``).
@@ -116,7 +117,7 @@ def require_numpy(context: str) -> Any:
     """The numpy module, or :class:`~repro.errors.ConfigError`.
 
     The explicit-request guard: a caller that *asked* for the batch
-    path (``batch_sampling=True``, ``use_numpy=True``) gets a
+    path (``use_numpy=True``) gets a
     configuration error naming the fix, not an ``ImportError`` deep
     inside a worker process.
     """
@@ -221,9 +222,7 @@ class PackedPFA:
     symbol_ids: Any  # int64[num_states, max_arcs]
     symbol_table: Any  # object[num_symbols] of str
     #: The same table as a plain tuple — ``CompiledPFA.interned_alphabet()``
-    #: order, shared (by identity) with every PatternBatch row so the
-    #: array-backed pattern types downstream can compare alphabets with
-    #: an ``is`` check.
+    #: order, shared (by identity) with every PatternBatch row.
     alphabet: tuple[str, ...]
     #: Derived lookups for the hot loop: per-state absorbing/multi-arc
     #: masks (one ``take`` instead of gather-plus-compare per step) ...
@@ -280,9 +279,8 @@ def packed_rows(compiled: CompiledPFA) -> PackedPFA:
     targets = np.zeros((num_states, max_arcs), dtype=np.int64)
     log_probs = np.zeros((num_states, max_arcs), dtype=np.float64)
     symbol_ids = np.zeros((num_states, max_arcs), dtype=np.int64)
-    # One interning shared with the whole array plane: ids here agree
-    # with every PatternBatch row and array-backed TestPattern built
-    # over this automaton.
+    # One interning per automaton: ids here agree with every
+    # PatternBatch row built over it.
     alphabet, table_index = compiled.interned_alphabet()
     for state in range(num_states):
         row_symbols = compiled.symbols[state]
@@ -369,9 +367,7 @@ class PatternBatch:
     Array mode (the vectorized sampler's output) keeps the whole draw
     as flat ragged arrays — symbol ids + per-cell begin/end offsets,
     state paths likewise, per-cell log-probabilities and restart
-    counts — so downstream array consumers (the vectorized merger, the
-    array-backed ``TestPattern``) never materialise per-symbol Python
-    objects.  :meth:`patterns`/:meth:`pattern` materialise
+    counts.  :meth:`patterns`/:meth:`pattern` materialise
     :class:`~repro.automata.sampling.SampledPattern` views lazily and
     bit-identically to the scalar sampler's output; :meth:`row` hands
     out the zero-copy array slice for one cell.

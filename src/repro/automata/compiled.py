@@ -107,9 +107,8 @@ class CompiledPFA:
         Symbols are numbered in first-appearance order scanning states
         ascending and each state's arcs in row order — the exact order
         :func:`repro.automata.batch.packed_rows` interns its symbol
-        table, so ids agree between the packed arrays, every
-        :class:`~repro.automata.batch.PatternBatch` row, and the
-        array-backed pattern types downstream.  Returns
+        table, so ids agree between the packed arrays and every
+        :class:`~repro.automata.batch.PatternBatch` row.  Returns
         ``(symbols, index)`` where ``symbols[i]`` and
         ``index[symbol]`` are inverse; built once and cached on the
         instance like the packed rows (and likewise excluded from

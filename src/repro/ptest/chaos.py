@@ -173,8 +173,6 @@ def run_chaos_batch(
     attempt: int,
     table: Sequence["ScenarioBuilder"],
     jobs: Sequence[tuple[int, int]],
-    batch_sampling: bool | None = None,
-    merge_batch: bool | None = None,
 ) -> list["TestRunResult"]:
     """Worker-side entry point: inject, then run the batch normally.
 
@@ -207,4 +205,4 @@ def run_chaos_batch(
                     f"chaos poison cell seed={seed} (injected, not a "
                     "workload bug)"
                 )
-    return run_table_batch(table, jobs, batch_sampling, merge_batch)
+    return run_table_batch(table, jobs)

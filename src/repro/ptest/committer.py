@@ -12,27 +12,6 @@ master threads) a command whose pair still has an unanswered command
 stalls the sequence until the reply arrives; in fire-and-forget mode
 only mailbox backpressure throttles issue.
 
-The column walk
----------------
-
-An array-built :class:`~repro.ptest.patterns.MergedPattern` carries the
-interleaving as parallel ``pattern_ids``/``symbol_ids`` columns over a
-shared interned alphabet.  The committer walks those columns directly
-by cursor — one bulk ``tolist()`` conversion at construction (native
-Python ints, so traces stay bit-identical), then plain list indexing
-per step, with the symbol→:class:`~repro.pcore.services.ServiceCode`
-binding resolved **once per alphabet** (a process-wide memo shared by
-every committer over the same automaton) instead of once per command.
-No per-symbol :class:`~repro.ptest.patterns.PatternCommand` object is
-ever created on this path; ``merged.commands`` stays unmaterialised
-for the whole run, stall/retry and ``done`` included.
-
-Eager merged patterns (scalar merges — the only kind produced under
-``REPRO_NO_NUMPY`` — and parsed replay descriptions) take the classic
-:class:`PatternCommand` walk, which is the bit-identical reference:
-same issue order, same requests, same traces, same errors at the same
-steps.
-
 Symbol -> request binding per pair:
 
 * ``TC`` creates the pair's task with a fresh priority from the pair's
@@ -50,34 +29,13 @@ from dataclasses import dataclass, field
 
 from repro.bridge.bridge import BridgeMaster
 from repro.errors import ConfigError
-from repro.pcore.services import (
-    ServiceCode,
-    ServiceRequest,
-    ServiceResult,
-    ServiceStatus,
-)
-from repro.ptest.patterns import MergedPattern, _as_list
+from repro.pcore.services import ServiceCode, ServiceRequest, ServiceResult
+from repro.ptest.patterns import MergedPattern, PatternCommand
 from repro.ptest.recording import ProcessStateRecorder
 from repro.sim.trace import CATEGORY_COMMAND, Tracer
 
 #: Width of each pair's private priority band (TCH rotates inside it).
 PRIORITY_BAND = 32
-
-#: Per-alphabet symbol→service binding tables, resolved lazily (an
-#: unknown symbol raises at the step that reaches it, exactly like the
-#: per-command lookup) and shared process-wide: every committer walking
-#: merges over one interned alphabet resolves each service once, total.
-_SERVICE_BINDINGS: dict[tuple[str, ...], list[ServiceCode | None]] = {}
-
-
-def _service_binding(
-    alphabet: tuple[str, ...],
-) -> list[ServiceCode | None]:
-    table = _SERVICE_BINDINGS.get(alphabet)
-    if table is None:
-        table = [None] * len(alphabet)
-        _SERVICE_BINDINGS[alphabet] = table
-    return table
 
 
 @dataclass
@@ -137,37 +95,12 @@ class Committer:
     bindings: dict[int, PairBinding] = field(default_factory=dict)
     _seq_to_pair: dict[int, int] = field(default_factory=dict)
     _stalled_request: ServiceRequest | None = None
-    #: ``(pattern_id, symbol, position)`` of the stalled step — plain
-    #: cursor state, never a materialised ``PatternCommand``.
-    _stalled_step: tuple[int, str, int] | None = None
+    _stalled_command: PatternCommand | None = None
     _noise_remaining: int = 0
     _noise_rng: "random.Random" = field(init=False, repr=False)
-    #: Column walk state (``None`` triggers the PatternCommand walk):
-    #: the merge's id columns as native-int lists plus the shared
-    #: lazily-resolved symbol→service table.
-    _col_pattern_ids: list[int] | None = field(init=False, repr=False)
-    _col_symbol_ids: list[int] | None = field(init=False, repr=False)
-    _col_alphabet: tuple[str, ...] | None = field(init=False, repr=False)
-    _col_services: list[ServiceCode | None] | None = field(
-        init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         self._noise_rng = random.Random(self.noise_seed)
-        pattern_ids = self.merged.pattern_ids
-        if pattern_ids is not None:
-            # Array-built merge: one bulk conversion to Python ints
-            # (tolist is vectorized and yields native ints, keeping
-            # traces bit-identical), then every step is list indexing.
-            self._col_pattern_ids = _as_list(pattern_ids)
-            self._col_symbol_ids = _as_list(self.merged.symbol_ids)
-            self._col_alphabet = self.merged.alphabet
-            self._col_services = _service_binding(self._col_alphabet)
-        else:
-            self._col_pattern_ids = None
-            self._col_symbol_ids = None
-            self._col_alphabet = None
-            self._col_services = None
         for pattern in self.merged.sources:
             pair_id = pattern.pattern_id
             program = self.program
@@ -191,7 +124,7 @@ class Committer:
     @property
     def done(self) -> bool:
         """All commands issued and (in lockstep mode) all replies seen."""
-        if self.cursor < len(self.merged) or self._stalled_request:
+        if self.cursor < len(self.merged.commands) or self._stalled_request:
             return False
         if self.lockstep:
             return all(
@@ -242,91 +175,67 @@ class Committer:
         if self._noise_remaining > 0:
             self._noise_remaining -= 1
             return False
-        step, request = self._next_request()
-        if request is None or step is None:
+        command, request = self._next_request()
+        if request is None or command is None:
             return False
-        pattern_id, symbol, position = step
         sequence = self.bridge.issue(request)
         if sequence is None:  # mailbox full: keep the request for retry
             self.stall_events += 1
             self._stalled_request = request
-            self._stalled_step = step
+            self._stalled_command = command
             return False
         self._stalled_request = None
-        self._stalled_step = None
+        self._stalled_command = None
         if self.noise_ticks > 0:
             self._noise_remaining = self._noise_rng.randint(0, self.noise_ticks)
-        binding = self.bindings[pattern_id]
+        binding = self.bindings[command.pattern_id]
         binding.outstanding_seq = sequence
         binding.issued += 1
         self.issued += 1
-        self._seq_to_pair[sequence] = pattern_id
+        self._seq_to_pair[sequence] = command.pattern_id
         if self.recorder is not None:
-            self.recorder.note_issue(pattern_id, binding.master_state())
+            self.recorder.note_issue(command.pattern_id, binding.master_state())
         if self.tracer is not None:
             self.tracer.record(
                 self.now,
                 self.name,
                 CATEGORY_COMMAND,
                 event="commit",
-                symbol=symbol,
-                pair=pattern_id,
+                symbol=command.symbol,
+                pair=command.pattern_id,
                 seq=sequence,
-                position=position,
+                position=command.position,
             )
         return True
 
     def _next_request(
         self,
-    ) -> tuple[tuple[int, str, int] | None, ServiceRequest | None]:
-        """The cursor's ``((pattern_id, symbol, position), request)``,
-        advancing the cursor — or ``(None, None)`` when nothing can
-        issue this step (exhausted, lockstep wait, tid wait)."""
-        if self._stalled_request is not None and self._stalled_step is not None:
-            return self._stalled_step, self._stalled_request
-        position = self.cursor
-        if position >= len(self.merged):
+    ) -> tuple[PatternCommand | None, ServiceRequest | None]:
+        """The cursor's command and request, advancing the cursor — or
+        ``(None, None)`` when nothing can issue this step (exhausted,
+        lockstep wait, tid wait)."""
+        if self._stalled_request is not None and self._stalled_command is not None:
+            return self._stalled_command, self._stalled_request
+        if self.cursor >= len(self.merged.commands):
             return None, None
-        if self._col_pattern_ids is not None:
-            pattern_id = self._col_pattern_ids[position]
-            symbol = self._col_alphabet[self._col_symbol_ids[position]]
-        else:
-            command = self.merged.commands[position]
-            pattern_id = command.pattern_id
-            symbol = command.symbol
-        binding = self.bindings[pattern_id]
+        command = self.merged.commands[self.cursor]
+        binding = self.bindings[command.pattern_id]
         if self.lockstep and binding.outstanding_seq is not None:
             return None, None  # wait for the pair's previous reply
-        request = self._build_request(position, symbol, binding)
+        request = self._build_request(command, binding)
         if request is None:
             return None, None  # target tid not known yet
         self.cursor += 1
-        return (pattern_id, symbol, position), request
+        return command, request
 
-    def _resolve_service(self, position: int, symbol: str) -> ServiceCode:
-        """Symbol→service for the step at ``position``; memoized per
-        alphabet entry on the column walk, so a merge over *k* distinct
-        services costs *k* enum lookups no matter how long it is.  The
-        unknown-symbol :class:`ConfigError` fires at the step that
-        reaches the symbol, exactly like the per-command lookup."""
-        services = self._col_services
-        if services is not None:
-            symbol_id = self._col_symbol_ids[position]
-            service = services[symbol_id]
-            if service is not None:
-                return service
+    def _build_request(
+        self, command: PatternCommand, binding: PairBinding
+    ) -> ServiceRequest | None:
+        symbol = command.symbol
         try:
             service = ServiceCode.from_abbreviation(symbol)
         except KeyError:
             raise ConfigError(f"pattern symbol {symbol!r} is not a service")
-        if services is not None:
-            services[symbol_id] = service
-        return service
-
-    def _build_request(
-        self, position: int, symbol: str, binding: PairBinding
-    ) -> ServiceRequest | None:
-        service = self._resolve_service(position, symbol)
         if service is ServiceCode.TC:
             return ServiceRequest(
                 service=service,

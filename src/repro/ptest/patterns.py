@@ -1,4 +1,4 @@
-"""Test-pattern data types — tuple API outside, id arrays inside.
+"""Test-pattern data types.
 
 A :class:`TestPattern` is one PFA walk destined for one master-thread /
 slave-task pair.  The merger turns *n* of them into a
@@ -7,39 +7,19 @@ whose provenance (pattern id, per-pattern sequence number) is preserved
 — the recorder needs it for Definition 2's SN and delta-S fields, and
 bug reports need it to say *which* interleaving triggered the anomaly.
 
-Both container types are **array-backed**: alongside the classic eager
-constructors (``TestPattern(pattern_id=..., symbols=...)``) they accept
-interned symbol-id arrays (:meth:`TestPattern.from_ids`,
-:meth:`MergedPattern.from_arrays`) produced by the batch sampler and the
-vectorized merger, and materialise the public tuple/command views
-*lazily* — ``symbols``, ``states`` and ``commands`` are computed on
-first access and cached, ``__len__`` is O(1) either way, and equality,
-hashing, ``repr`` and pickling always go through the materialised
-values, so an array-backed instance is indistinguishable from (and
-compares equal to) an eagerly-built one.  Pickles carry only plain
-tuples/lists — the wire format is numpy-free and unchanged.
-
-The classes are hand-rolled ``__slots__`` types rather than dataclasses
-because lazy caching needs internal mutation behind a frozen public
-surface; they reproduce the dataclass surface (keyword construction,
-``eq``/``hash``/``repr``, :class:`dataclasses.FrozenInstanceError` on
-assignment for the frozen ones) byte for byte.
+All three are slotted dataclasses holding plain tuples and lists, so
+they pickle as such across the pool boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.errors import ConfigError
 
 
-def _as_list(ids: Any) -> list:
-    """Python ints/list from an id array (numpy or plain sequence)."""
-    tolist = getattr(ids, "tolist", None)
-    return tolist() if tolist is not None else list(ids)
-
-
+@dataclass(frozen=True, slots=True)
 class TestPattern:
     """One generated pattern: services for a single slave task.
 
@@ -53,161 +33,22 @@ class TestPattern:
         The PFA state path that produced the symbols.
     log_probability:
         Log-probability of the generating walk.
-
-    Array-backed instances (:meth:`from_ids`) defer building the
-    ``symbols``/``states`` tuples until something reads them; the
-    merger consumes :attr:`symbol_ids` directly, so a sample→merge
-    round trip on the array plane never materialises them at all.
     """
 
-    __slots__ = (
-        "pattern_id",
-        "log_probability",
-        "_symbols",
-        "_states",
-        "_symbol_ids",
-        "_state_ids",
-        "_alphabet",
-        "_length",
-    )
+    pattern_id: int
+    symbols: tuple[str, ...]
+    states: tuple[int, ...] = ()
+    log_probability: float = 0.0
 
     #: Not a pytest test class despite the ``Test`` prefix.
     __test__ = False
 
-    def __init__(
-        self,
-        pattern_id: int,
-        symbols: tuple[str, ...],
-        states: tuple[int, ...] = (),
-        log_probability: float = 0.0,
-    ) -> None:
-        if pattern_id < 0:
-            raise ConfigError(f"pattern_id must be >= 0, got {pattern_id}")
-        fill = object.__setattr__
-        fill(self, "pattern_id", pattern_id)
-        fill(self, "log_probability", log_probability)
-        fill(self, "_symbols", symbols)
-        fill(self, "_states", states)
-        fill(self, "_symbol_ids", None)
-        fill(self, "_state_ids", None)
-        fill(self, "_alphabet", None)
-        fill(self, "_length", len(symbols))
-
-    @classmethod
-    def from_ids(
-        cls,
-        pattern_id: int,
-        symbol_ids: Any,
-        alphabet: tuple[str, ...],
-        state_ids: Any = None,
-        log_probability: float = 0.0,
-    ) -> "TestPattern":
-        """Array-backed construction: ``symbol_ids`` index ``alphabet``
-        (the compiled automaton's interned symbol table); ``state_ids``
-        is the optional state path.  Tuple views materialise lazily."""
-        if pattern_id < 0:
-            raise ConfigError(f"pattern_id must be >= 0, got {pattern_id}")
-        pattern = object.__new__(cls)
-        fill = object.__setattr__
-        fill(pattern, "pattern_id", pattern_id)
-        fill(pattern, "log_probability", log_probability)
-        fill(pattern, "_symbols", None)
-        fill(pattern, "_states", None if state_ids is not None else ())
-        fill(pattern, "_symbol_ids", symbol_ids)
-        fill(pattern, "_state_ids", state_ids)
-        fill(pattern, "_alphabet", alphabet)
-        fill(pattern, "_length", len(symbol_ids))
-        return pattern
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        value = self._symbols
-        if value is None:
-            alphabet = self._alphabet
-            value = tuple(
-                map(alphabet.__getitem__, _as_list(self._symbol_ids))
-            )
-            object.__setattr__(self, "_symbols", value)
-        return value
-
-    @property
-    def states(self) -> tuple[int, ...]:
-        value = self._states
-        if value is None:
-            value = tuple(_as_list(self._state_ids))
-            object.__setattr__(self, "_states", value)
-        return value
-
-    @property
-    def symbol_ids(self) -> Any:
-        """The interned id array, or ``None`` for eager instances.
-        The vectorized merger's zero-materialisation input."""
-        return self._symbol_ids
-
-    @property
-    def alphabet(self) -> tuple[str, ...] | None:
-        """The id table :attr:`symbol_ids` indexes (``None`` when
-        eager).  Shared by identity across one automaton's patterns, so
-        the merger can test alphabet agreement with ``is``."""
-        return self._alphabet
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __post_init__(self) -> None:
+        if self.pattern_id < 0:
+            raise ConfigError(f"pattern_id must be >= 0, got {self.pattern_id}")
 
     def __len__(self) -> int:
-        return self._length
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TestPattern:
-            return NotImplemented
-        return (
-            self.pattern_id,
-            self.symbols,
-            self.states,
-            self.log_probability,
-        ) == (
-            other.pattern_id,
-            other.symbols,
-            other.states,
-            other.log_probability,
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.pattern_id, self.symbols, self.states, self.log_probability)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"TestPattern(pattern_id={self.pattern_id!r}, "
-            f"symbols={self.symbols!r}, states={self.states!r}, "
-            f"log_probability={self.log_probability!r})"
-        )
-
-    def __getstate__(self) -> tuple:
-        # Materialised tuples only: the wire format stays numpy-free
-        # and identical to the historical eager dataclass pickles.
-        return (
-            self.pattern_id,
-            self.symbols,
-            self.states,
-            self.log_probability,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        pattern_id, symbols, states, log_probability = state
-        fill = object.__setattr__
-        fill(self, "pattern_id", pattern_id)
-        fill(self, "log_probability", log_probability)
-        fill(self, "_symbols", symbols)
-        fill(self, "_states", states)
-        fill(self, "_symbol_ids", None)
-        fill(self, "_state_ids", None)
-        fill(self, "_alphabet", None)
-        fill(self, "_length", len(symbols))
+        return len(self.symbols)
 
     def subsequence_after(self, sequence_number: int) -> tuple[str, ...]:
         """Definition 2's delta-S: what remains after ``sequence_number``
@@ -238,159 +79,23 @@ class PatternCommand:
         return f"{self.symbol}[p{self.pattern_id}#{self.sequence_in_pattern}]"
 
 
+@dataclass(slots=True)
 class MergedPattern:
-    """The merger's output: an interleaving of the input patterns.
+    """The merger's output: an interleaving of the input patterns."""
 
-    Array-backed instances (:meth:`from_arrays`, the vectorized
-    merger's product) hold the interleaving as parallel id/sequence
-    arrays and build the :attr:`commands` list — one
-    :class:`PatternCommand` per symbol — only when something iterates
-    it (the committer, ``describe``, ``validate``); ``__len__`` is
-    O(1) either way.
-    """
-
-    __slots__ = (
-        "op",
-        "sources",
-        "_commands",
-        "_length",
-        "_pattern_ids",
-        "_sequences",
-        "_symbol_ids",
-        "_alphabet",
-    )
-
-    def __init__(
-        self,
-        commands: list[PatternCommand],
-        op: str,
-        sources: list[TestPattern] | None = None,
-    ) -> None:
-        self.op = op
-        self.sources = [] if sources is None else sources
-        self._commands = commands
-        self._length = len(commands)
-        self._pattern_ids = None
-        self._sequences = None
-        self._symbol_ids = None
-        self._alphabet = None
-
-    @classmethod
-    def from_arrays(
-        cls,
-        op: str,
-        sources: list[TestPattern],
-        pattern_ids: Any,
-        sequences: Any,
-        symbol_ids: Any,
-        alphabet: tuple[str, ...],
-    ) -> "MergedPattern":
-        """Array-backed construction: position ``i`` of the merge is
-        ``alphabet[symbol_ids[i]]``, drawn from pattern
-        ``pattern_ids[i]`` as its ``sequences[i]``-th symbol (1-based).
-        The command list materialises lazily."""
-        merged = object.__new__(cls)
-        merged.op = op
-        merged.sources = sources
-        merged._commands = None
-        merged._length = len(pattern_ids)
-        merged._pattern_ids = pattern_ids
-        merged._sequences = sequences
-        merged._symbol_ids = symbol_ids
-        merged._alphabet = alphabet
-        return merged
-
-    @property
-    def pattern_ids(self) -> Any:
-        """Source-pattern id per merge position (``None`` when eager).
-
-        Together with :attr:`sequences`/:attr:`symbol_ids` this is the
-        zero-copy column view of the interleaving — what the committer
-        walks by cursor and the recorder indexes into, so executing an
-        array-built merge never expands :attr:`commands`."""
-        return self._pattern_ids
-
-    @property
-    def sequences(self) -> Any:
-        """1-based within-pattern sequence number per merge position
-        (``None`` when eager) — Definition 2's SN column."""
-        return self._sequences
-
-    @property
-    def symbol_ids(self) -> Any:
-        """Interned symbol id per merge position (``None`` when eager);
-        ids index :attr:`alphabet`."""
-        return self._symbol_ids
-
-    @property
-    def alphabet(self) -> tuple[str, ...] | None:
-        """The id table :attr:`symbol_ids` indexes (``None`` when
-        eager).  Shared by identity with the source patterns' alphabet
-        on the batch-sampling plane, so one symbol→service binding
-        serves every merge over the same automaton."""
-        return self._alphabet
-
-    @property
-    def commands(self) -> list[PatternCommand]:
-        value = self._commands
-        if value is None:
-            alphabet = self._alphabet
-            value = [
-                PatternCommand(
-                    symbol=alphabet[symbol_id],
-                    pattern_id=pattern_id,
-                    sequence_in_pattern=sequence,
-                    position=position,
-                )
-                for position, (symbol_id, pattern_id, sequence) in enumerate(
-                    zip(
-                        _as_list(self._symbol_ids),
-                        _as_list(self._pattern_ids),
-                        _as_list(self._sequences),
-                    )
-                )
-            ]
-            self._commands = value
-        return value
+    commands: list[PatternCommand]
+    op: str
+    sources: list[TestPattern] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.commands)
 
     def __iter__(self) -> Iterator[PatternCommand]:
         return iter(self.commands)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not MergedPattern:
-            return NotImplemented
-        return (self.commands, self.op, self.sources) == (
-            other.commands,
-            other.op,
-            other.sources,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MergedPattern(commands={self.commands!r}, op={self.op!r}, "
-            f"sources={self.sources!r})"
-        )
-
-    def __getstate__(self) -> tuple:
-        # Materialise before pickling: merged patterns cross process
-        # boundaries rarely (replay refs carry descriptions instead),
-        # but when they do the payload must not drag numpy arrays.
-        return (self.commands, self.op, self.sources)
-
-    def __setstate__(self, state: tuple) -> None:
-        commands, op, sources = state
-        self.__init__(commands, op, sources)
-
     def per_pattern_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        if self._commands is None:
-            for pattern_id in _as_list(self._pattern_ids):
-                counts[pattern_id] = counts.get(pattern_id, 0) + 1
-            return counts
-        for command in self._commands:
+        for command in self.commands:
             counts[command.pattern_id] = counts.get(command.pattern_id, 0) + 1
         return counts
 

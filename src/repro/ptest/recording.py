@@ -14,21 +14,17 @@ The recorder keeps one live record per master-thread/slave-task pair
 (the paper assumes a one-to-one correspondence) and snapshots them for
 bug reports — exactly the Fig. 4 presentation.
 
-Column-backed records
----------------------
+Lazy records
+------------
 
-On the array plane a pair's :class:`~repro.ptest.patterns.TestPattern`
-is a lazy view over interned id arrays, and a :class:`StateRecord` is
-column-backed to match: :meth:`StateRecord.from_pattern` (what
-:meth:`ProcessStateRecorder.record` builds) stores only the source
-pattern and SN — TP is the pattern's id row and delta-S is the offset
-``SN`` into it — and materialises the ``pattern``/``remaining`` symbol
-tuples lazily, on first read.  Snapshotting therefore costs O(pairs)
-regardless of pattern size and never forces a lazy pattern's tuples;
-only rendering a :class:`~repro.ptest.report.BugReport` (``describe``,
-``to_dict``, pickling across the pool boundary) materialises them.
-Eagerly-constructed records (the classic keyword form) are unchanged
-and compare equal to lazy ones over the same values.
+:meth:`StateRecord.from_pattern` (what :meth:`ProcessStateRecorder.record`
+builds) stores only the source pattern and SN — delta-S is the offset
+``SN`` into TP — and slices the ``remaining`` tuple on first read.
+Snapshotting therefore costs O(pairs) regardless of pattern size; only
+rendering a :class:`~repro.ptest.report.BugReport` (``describe``,
+``to_dict``, pickling across the pool boundary) builds the tuples.
+Eagerly-constructed records (the classic keyword form) compare equal
+to lazy ones over the same values.
 
 :meth:`ProcessStateRecorder.snapshot_columns` exposes the same data as
 parallel columns (pair ids, SNs, remaining counts) for batched

@@ -1,8 +1,8 @@
 """`CampaignSpec`: one serializable description of a campaign.
 
 PRs 2-9 grew the execution knobs — ``workers``, ``batch_size``,
-``batch_sampling``, ``merge_batch``, ``cell_timeout``, ``quarantine``,
-``checkpoint``/``resume``, policy/pipeline schedules — and threaded
+``cell_timeout``, ``quarantine``, ``checkpoint``/``resume``,
+policy/pipeline schedules — and threaded
 them as near-duplicate kwargs through :class:`~repro.ptest.campaign.
 Campaign`, :class:`~repro.ptest.adaptive.AdaptiveCampaign` and three
 CLI subcommands.  This module collapses that plumbing into one frozen,
@@ -14,10 +14,13 @@ CLI (``repro run|campaign|adapt``), the server (``repro serve``) and
 Validation lives in exactly one place — :meth:`CampaignSpec.validate`,
 run from ``__post_init__`` — so contradictory knob combinations
 (``resume`` without ``checkpoint``, a checkpoint on a plain campaign,
-``policy`` and ``pipeline`` together, ``merge_batch=True`` with batch
-sampling explicitly off, batch knobs without numpy) are rejected with
-actionable messages before any pool is touched, identically whether
-the spec arrived from CLI flags, a ``--spec file.json``, or a socket.
+``policy`` and ``pipeline`` together) are rejected with actionable
+messages before any pool is touched, identically whether the spec
+arrived from CLI flags, a ``--spec file.json``, or a socket.
+
+Spec files may still carry the removed ``batch_sampling`` and
+``merge_batch`` knobs: they must be booleans or null, and are ignored
+(stored as ``None``), so older files load and run unchanged.
 
 **Determinism.**  :class:`RoundResult` values carry only frozen
 dataclasses of JSON-safe scalars (Python floats survive a JSON
@@ -97,6 +100,7 @@ class CampaignSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     workers: int = 1
     batch_size: int | None = None
+    # Ignored, always None; kept only because perfbench/traced.py reads them.
     batch_sampling: bool | None = None
     merge_batch: bool | None = None
     cell_timeout: float | None = None
@@ -127,6 +131,11 @@ class CampaignSpec:
             ),
         )
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for name in ("batch_sampling", "merge_batch"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_type(name, value, (bool,), "a boolean or null")
+            object.__setattr__(self, name, None)
         self.validate()
 
     # -- validation --------------------------------------------------
@@ -198,25 +207,6 @@ class CampaignSpec:
                 raise ConfigError(
                     f"grid parameter {key!r} has no values to sweep"
                 )
-        # Explicit batch requests are checked here, before any pool or
-        # worker exists, with the same ConfigError the executor raises —
-        # plus the one combination the executor only *silently* honours:
-        # merge batching rides the batch-sampling plan, so demanding it
-        # while turning sampling off can never take effect.
-        if self.batch_sampling is True or self.merge_batch is True:
-            from repro.automata.batch import require_numpy
-
-            if self.batch_sampling is True:
-                require_numpy("CampaignSpec(batch_sampling=True)")
-            if self.merge_batch is True:
-                require_numpy("CampaignSpec(merge_batch=True)")
-        if self.merge_batch is True and self.batch_sampling is False:
-            raise ConfigError(
-                "merge_batch=True needs batch sampling: worker-side "
-                "batched merges ride the vectorized sampling plan, so "
-                "batch_sampling=False would silently disable them; "
-                "drop one of the two settings"
-            )
         if self.mode == "run":
             if len(self.seeds) != 1:
                 raise ConfigError(
@@ -321,8 +311,6 @@ class CampaignSpec:
         for name in (
             "workers",
             "batch_size",
-            "batch_sampling",
-            "merge_batch",
             "cell_timeout",
             "quarantine",
             "capture_per_variant",
@@ -523,8 +511,6 @@ def _execute_campaign(
         seeds=spec.seeds,
         workers=spec.workers,
         batch_size=spec.batch_size,
-        batch_sampling=spec.batch_sampling,
-        merge_batch=spec.merge_batch,
         keep_results=False,
         cell_timeout=spec.cell_timeout,
         quarantine=spec.quarantine,

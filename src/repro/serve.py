@@ -7,7 +7,7 @@ worker count per server process), and the worker-side scenario/PFA/
 merged-pattern caches persist with them.
 
 **Protocol.**  Stdlib ``asyncio.start_server``; each line is one JSON
-object.  Client → server operations:
+object of at most :data:`MAX_LINE_BYTES`.  Client → server operations:
 
 ``{"op": "run", "id": ..., "spec": {...}, "stream_cells": bool}``
     Execute a :class:`~repro.ptest.spec.CampaignSpec`.  The server
@@ -62,6 +62,12 @@ from repro.ptest.pool import pool_telemetry
 from repro.ptest.spec import CampaignSpec, execute_spec, round_to_dict
 
 PROTOCOL_VERSION = 1
+
+#: Longest request line the server reads, newline included.  asyncio's
+#: default 64 KiB stream limit would refuse a campaign spec of ~10,000
+#: seeds; a longer line gets a ``protocol`` error frame, then the
+#: connection closes (its framing is lost).
+MAX_LINE_BYTES = 1 << 20
 
 
 @dataclass
@@ -118,7 +124,7 @@ class CampaignServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -181,7 +187,26 @@ class CampaignServer:
         conn_tasks: list[asyncio.Task] = []
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    frames.put_nowait(
+                        _error_frame(
+                            None,
+                            "protocol",
+                            None,
+                            f"request line exceeds {MAX_LINE_BYTES} bytes; "
+                            "closing the connection",
+                        )
+                    )
+                    # Read the rest of the line before closing, so the
+                    # client finishes sending and gets the error frame
+                    # instead of a reset.
+                    while True:
+                        chunk = await reader.read(1 << 16)
+                        if not chunk or b"\n" in chunk:
+                            break
+                    break
                 if not line:
                     break
                 if not line.strip():

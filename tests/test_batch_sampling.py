@@ -10,7 +10,8 @@ fallback alike.  These tests sweep that promise over seed classes
 plumbing around it: the cached :func:`packed_rows` packing, the
 ``REPRO_NO_NUMPY`` escape hatch, the explicit-request
 :class:`ConfigError`, the shared-batch generator bridge, and campaign
-rows staying identical at every ``batch_sampling`` setting.
+rows staying identical at every batch size.  Campaign sampling has one
+path, so ``Campaign``/``CellExecutor`` take no sampling knob.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from repro.automata.compiled import CompiledPFA
 from repro.automata.sampling import PatternSampler
 from repro.errors import ConfigError
 from repro.ptest.campaign import Campaign
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor
 from repro.ptest.generator import SharedPatternBatch
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import shutdown_pools
-from repro.workloads.registry import scenario_ref
 
 #: One seed per interesting RNG-seeding class: zero, small positive,
 #: small negative (single 32-bit word, CPython-side draws), the 2**32
@@ -172,24 +172,17 @@ class TestScalarFallback:
         with pytest.raises(ConfigError, match=NO_NUMPY_ENV):
             require_numpy("test context")
 
-    def test_executor_rejects_explicit_batch_request(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        executor = CellExecutor(workers=2, batch_sampling=True)
-        builders = {"spin": scenario_ref("clean_spin", tasks=2)}
-        cells = [WorkCell(variant="spin", seed=0)]
-        with pytest.raises(
-            ConfigError, match=r"CellExecutor\(batch_sampling=True\)"
-        ):
-            executor.run_cells(builders, cells)
+    def test_executor_rejects_explicit_batch_request(self):
+        with pytest.raises(TypeError, match="batch_sampling"):
+            CellExecutor(workers=2, batch_sampling=True)
+        with pytest.raises(TypeError, match="merge_batch"):
+            CellExecutor(workers=2, merge_batch=True)
 
-    def test_campaign_rejects_explicit_batch_request(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        campaign = Campaign(
-            seeds=(0, 1), workers=2, batch_sampling=True
-        )
-        campaign.add_scenario("spin", "clean_spin", tasks=2)
-        with pytest.raises(ConfigError, match="requires numpy"):
-            campaign.run()
+    def test_campaign_rejects_explicit_batch_request(self):
+        with pytest.raises(TypeError, match="batch_sampling"):
+            Campaign(seeds=(0, 1), workers=2, batch_sampling=True)
+        with pytest.raises(TypeError, match="merge_batch"):
+            Campaign(seeds=(0, 1), workers=2, merge_batch=True)
 
 
 @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
@@ -238,17 +231,6 @@ class TestPackedRows:
 
 
 class TestSharedBatchBridge:
-    def test_stream_matches_guard(self, compiled):
-        shared = SharedPatternBatch(
-            pfa=compiled, seeds=(2**40, 2**40 + 1), size=6
-        )
-        stream = shared.stream(0)
-        assert stream.matches(shared.sampler.compiled, 2**40)
-        assert not stream.matches(shared.sampler.compiled, 2**40 + 1)
-        other = CompiledPFA.from_pfa(pcore_pfa())
-        assert not stream.matches(other, 2**40)
-        assert not stream.matches(None, 2**40)
-
     def test_size_mismatch_is_rejected(self, compiled):
         shared = SharedPatternBatch(pfa=compiled, seeds=(1, 2), size=6)
         with pytest.raises(
@@ -307,11 +289,9 @@ class TestCampaignBitIdentity:
         yield
         shutdown_pools()
 
-    def _campaign(self, workers, batch_sampling=None):
+    def _campaign(self, workers, batch_size=None):
         campaign = Campaign(
-            seeds=(0, 1, 2),
-            workers=workers,
-            batch_sampling=batch_sampling,
+            seeds=(0, 1, 2), workers=workers, batch_size=batch_size
         )
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
         campaign.add_scenario("phil", "philosophers", op="cyclic")
@@ -320,14 +300,11 @@ class TestCampaignBitIdentity:
     def test_rows_identical_at_every_batch_setting(self):
         baseline = self._campaign(workers=1)
         rows = baseline.run()
-        configs = [(2, None), (2, False)]
-        if numpy_available():
-            configs.append((2, True))
-        for workers, batch_sampling in configs:
-            campaign = self._campaign(workers, batch_sampling)
+        for workers, batch_size in [(2, None), (2, 1), (2, 3)]:
+            campaign = self._campaign(workers, batch_size)
             assert campaign.run() == rows, (
                 f"rows diverged at workers={workers}, "
-                f"batch_sampling={batch_sampling}"
+                f"batch_size={batch_size}"
             )
             for variant in baseline.results:
                 expected = baseline.results[variant]

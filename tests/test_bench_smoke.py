@@ -59,24 +59,6 @@ class TestCiFloors:
             f"batch sampling speedup regressed: {speedup}x < {floor}x"
         )
 
-    def test_merge_batch_floor(self, report):
-        if report["merge_batch"]["skipped_numpy"]:
-            pytest.skip("no numpy: array merge is the scalar fallback")
-        speedup = report["merge_batch"]["speedup"]
-        floor = report["criteria"]["merge_batch_ci_floor"]
-        assert speedup >= floor, (
-            f"array sample→merge speedup regressed: {speedup}x < {floor}x"
-        )
-
-    def test_commit_loop_floor(self, report):
-        if report["commit_loop"]["skipped_numpy"]:
-            pytest.skip("no numpy: both legs walk the eager plane")
-        speedup = report["commit_loop"]["speedup"]
-        floor = report["criteria"]["commit_loop_ci_floor"]
-        assert speedup >= floor, (
-            f"column commit loop speedup regressed: {speedup}x < {floor}x"
-        )
-
     def test_detector_batch_floor(self, report):
         if report["detector_batch"]["skipped_numpy"]:
             pytest.skip("no numpy: batch path is the scalar fallback")

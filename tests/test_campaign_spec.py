@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.automata.batch import numpy_available
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import Campaign
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
 from repro.ptest.spec import (
@@ -211,21 +210,29 @@ def test_round_result_wire_codec_round_trips():
             {"scenario": "x", "mode": "adapt", "pipeline": "grid_zoom"},
             "unbounded",
         ),
-        (
-            {
-                "scenario": "x",
-                "merge_batch": True,
-                "batch_sampling": False,
-            },
-            "silently disable"
-            if numpy_available()
-            else "needs numpy|numpy",
-        ),
     ],
 )
 def test_validate_rejects(kwargs, match):
     with pytest.raises((ReproError, ValueError), match=match):
         CampaignSpec(**kwargs)
+
+
+def test_spec_files_with_removed_batch_knobs_still_load():
+    """Spec files written before the batch knobs went away carry
+    ``batch_sampling``/``merge_batch``; they load, ignore both, and run
+    exactly as the same spec without them."""
+    plain = {"scenario": "clean_spin", "params": {"tasks": 2}, "seeds": [0, 1]}
+    old = dict(plain, batch_sampling=True, merge_batch=False)
+    spec = CampaignSpec.from_json(json.dumps(old))
+    bare = CampaignSpec.from_json(json.dumps(plain))
+    assert spec == bare
+    assert (spec.batch_sampling, spec.merge_batch) == (None, None)
+    assert "batch_sampling" not in spec.to_dict()
+    assert CampaignSpec.from_json(spec.to_json()) == spec
+    assert execute_spec(spec).rounds == execute_spec(bare).rounds
+    for name in ("batch_sampling", "merge_batch"):
+        with pytest.raises(ConfigError, match=name):
+            CampaignSpec(scenario="x", **{name: "yes"})
 
 
 def test_validate_runs_on_from_json_too():

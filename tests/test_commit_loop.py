@@ -1,39 +1,35 @@
-"""The array-native commit loop's bit-identity contract.
+"""The commit loop's contract, from merged pattern to rows.
 
-:class:`~repro.ptest.committer.Committer` promises that walking an
-array-built :class:`~repro.ptest.patterns.MergedPattern` by column
-cursor produces *exactly* the run the classic
-:class:`~repro.ptest.patterns.PatternCommand` walk produces — same
-requests in the same order, same replies, same state records, same
-traces, same stall/retry behaviour — while never materialising the
-command list.  These tests sweep that promise over the op × lockstep ×
-noise × mailbox-stall matrix against a deterministic echo bridge, in
-both numpy and ``REPRO_NO_NUMPY`` modes, then cover the satellites
-around it: the recorder's no-materialisation hot path, the worker-side
-:class:`~repro.ptest.generator.SharedMergeBatch` dispatch (rounds
-bit-identical to per-cell merges under any consumption interleaving),
-and end-to-end campaign/table row identity with ``merge_batch`` on,
-off and auto.
+:class:`~repro.ptest.committer.Committer` walks a
+:class:`~repro.ptest.patterns.MergedPattern` command by command.  These
+tests hold that one walk to its contract over the op × lockstep ×
+noise × mailbox-stall matrix against a deterministic echo bridge:
+commands issue exactly once, in merged order; lockstep pairs never
+have two commands in flight; a full mailbox stalls and retries the
+same command.  Then the pieces around it: the recorder's lazy records,
+per-cell merges over a shared lockstep sampler, and rows that stay
+identical whatever the worker entry point's trailing knobs, the worker
+count, the batch size or ``REPRO_NO_NUMPY`` say — no field or
+parameter selects a pattern path any more.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import pytest
 
-from repro.automata.batch import (
-    NO_NUMPY_ENV,
-    BatchSampler,
-    numpy_available,
-)
+from repro.automata.batch import NO_NUMPY_ENV
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
 from repro.ptest.campaign import Campaign
+from repro.ptest.chaos import run_chaos_batch
 from repro.ptest.committer import Committer
-from repro.ptest.executor import CellExecutor, WorkCell
-from repro.ptest.generator import SharedMergeBatch, SharedPatternBatch
+from repro.ptest.executor import CellExecutor
+from repro.ptest.generator import PatternGenerator, SharedPatternBatch
+from repro.ptest.harness import AdaptiveTest
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
 from repro.ptest.pcore_model import pcore_pfa
@@ -45,11 +41,7 @@ from repro.ptest.pool import (
 )
 from repro.ptest.recording import ProcessStateRecorder, StateRecord
 from repro.sim.trace import Tracer
-from repro.workloads.registry import scenario_ref
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="needs numpy for array-built merges"
-)
+from repro.workloads.registry import build_scenario, scenario_ref
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +56,8 @@ class EchoBridge:
     extra pumps (0 = next step, like the real mailbox round trip); TC
     replies carry fresh tids so pair bindings evolve as in a real run.
     ``capacity`` bounds the in-flight mailbox, so a small value forces
-    the committer's stall/retry path.
+    the committer's stall/retry path.  ``max_in_flight`` records the
+    most commands any one pair ever had unanswered.
     """
 
     def __init__(
@@ -74,6 +67,7 @@ class EchoBridge:
         self.reply_delay = reply_delay
         self.now = 0
         self.outstanding: dict = {}
+        self.max_in_flight = 0
         self._pending: list = []  # [age, bound request]
         self._next_seq = 1
         self._next_tid = 1
@@ -89,6 +83,12 @@ class EchoBridge:
         bound = replace(request, sequence=sequence)
         self.outstanding[sequence] = bound
         self._pending.append([0, bound])
+        in_flight = sum(
+            1
+            for other in self.outstanding.values()
+            if other.issuer == request.issuer
+        )
+        self.max_in_flight = max(self.max_in_flight, in_flight)
         return sequence
 
     def pump(self) -> list:
@@ -126,35 +126,13 @@ def build_merged(
     chunk: int = 3,
     merge_seed: int = 77,
 ) -> MergedPattern:
-    """One deterministic merge per ``(op, slot)`` — array-built with
-    numpy, eager (scalar-sampled, scalar-merged) without."""
-    seeds = [(1 << 40) + 7919 * slot + index for index in range(per_merge)]
-    batch = BatchSampler(compiled, seeds, on_final="restart").sample_batch(
-        size
-    )
-    patterns = []
-    for pattern_id in range(per_merge):
-        row = batch.row(pattern_id)
-        if row is None:
-            drawn = batch.pattern(pattern_id)
-            patterns.append(
-                TestPattern(
-                    pattern_id=pattern_id,
-                    symbols=drawn.symbols,
-                    states=drawn.states,
-                    log_probability=drawn.log_probability,
-                )
-            )
-        else:
-            patterns.append(
-                TestPattern.from_ids(
-                    pattern_id=pattern_id,
-                    symbol_ids=row.symbol_ids,
-                    alphabet=row.alphabet,
-                    state_ids=row.state_ids,
-                    log_probability=row.log_probability,
-                )
-            )
+    """One deterministic merge per ``(op, slot)``."""
+    patterns = [
+        PatternGenerator.from_pfa(
+            compiled, seed=(1 << 40) + 7919 * slot + index, on_final="restart"
+        ).generate(size, pattern_id=index)
+        for index in range(per_merge)
+    ]
     return PatternMerger(op=op, seed=merge_seed, chunk=chunk).merge(patterns)
 
 
@@ -183,47 +161,56 @@ def drive(
     return committer
 
 
-def assert_runs_identical(column_merged, eager_merged, **drive_kw):
-    """Drive both walks and assert every observable is bit-identical;
-    the column walk must finish with ``commands`` unmaterialised."""
-    runs = {}
-    for label, merged in (
-        ("column", column_merged),
-        ("command", eager_merged),
-    ):
+def commits(tracer: Tracer) -> list[tuple[str, int, int]]:
+    """``(symbol, pair, position)`` of every commit event, in order."""
+    return [
+        (event.payload["symbol"], event.payload["pair"], event.payload["position"])
+        for event in tracer.events
+        if event.payload.get("event") == "commit"
+    ]
+
+
+def expected_commits(merged: MergedPattern) -> list[tuple[str, int, int]]:
+    return [(c.symbol, c.pattern_id, c.position) for c in merged.commands]
+
+
+def assert_walk_contract(merged, lockstep=True, **drive_kw) -> Committer:
+    """Drive ``merged`` and check the walk's contract; a second drive
+    must reproduce the first exactly."""
+    runs = []
+    for _ in range(2):
         recorder = ProcessStateRecorder()
         tracer = Tracer()
         committer = drive(
-            merged, recorder=recorder, tracer=tracer, **drive_kw
+            merged, recorder=recorder, tracer=tracer, lockstep=lockstep, **drive_kw
         )
-        runs[label] = (committer, recorder, tracer)
-    column, column_rec, column_tr = runs["column"]
-    command, command_rec, command_tr = runs["command"]
-    assert column.results == command.results
-    assert column.error_results == command.error_results
-    assert (
-        column.issued,
-        column.cursor,
-        column.steps,
-        column.stall_events,
-    ) == (
-        command.issued,
-        command.cursor,
-        command.steps,
-        command.stall_events,
+        runs.append((committer, recorder, tracer))
+    (committer, recorder, tracer), (again, again_rec, again_tr) = runs
+    assert commits(tracer) == expected_commits(merged)
+    assert committer.issued == committer.cursor == len(merged)
+    assert len(committer.results) == len(merged)
+    assert committer.error_results == []
+    if lockstep:
+        assert committer.bridge.max_in_flight == 1
+    sources = merged.sources
+    assert recorder.snapshot_columns() == (
+        [pattern.pattern_id for pattern in sources],
+        [len(pattern) for pattern in sources],
+        [0] * len(sources),
     )
-    assert column_rec.snapshot_columns() == command_rec.snapshot_columns()
-    assert column_rec.snapshot() == command_rec.snapshot()
-    assert column_tr.dump() == command_tr.dump()
-    assert column_merged._commands is None, (
-        "column walk materialised the command list"
+    assert again.results == committer.results
+    assert (again.steps, again.stall_events) == (
+        committer.steps,
+        committer.stall_events,
     )
-    return column
+    assert again_rec.snapshot() == recorder.snapshot()
+    assert again_tr.dump() == tracer.dump()
+    return committer
 
 
-@requires_numpy
 class TestColumnWalkEquivalence:
-    """Array-merged column walk vs the PatternCommand reference walk."""
+    """The one commit walk across the op × lockstep × noise × mailbox
+    matrix."""
 
     @pytest.mark.parametrize("op", ["round_robin", "cyclic"])
     @pytest.mark.parametrize(
@@ -232,135 +219,116 @@ class TestColumnWalkEquivalence:
     @pytest.mark.parametrize("noise_ticks", [0, 3], ids=["quiet", "noisy"])
     @pytest.mark.parametrize(
         "bridge_kw",
-        [{}, {"capacity": 1, "reply_delay": 1}],
+        [{"reply_delay": 1}, {"capacity": 1, "reply_delay": 1}],
         ids=["roomy-mailbox", "stalling-mailbox"],
     )
     def test_matrix(self, compiled, op, lockstep, noise_ticks, bridge_kw):
-        column = build_merged(compiled, op, slot=5)
-        twin = build_merged(compiled, op, slot=5)
-        assert column.pattern_ids is not None
-        eager = MergedPattern(
-            commands=twin.commands, op=twin.op, sources=twin.sources
-        )
-        committer = assert_runs_identical(
-            column,
-            eager,
+        merged = build_merged(compiled, op, slot=5)
+        committer = assert_walk_contract(
+            merged,
             bridge_kw=bridge_kw,
             lockstep=lockstep,
             noise_ticks=noise_ticks,
         )
-        if bridge_kw and noise_ticks == 0:
+        if "capacity" not in bridge_kw:
+            assert committer.stall_events == 0
+            if op == "cyclic" and not lockstep and noise_ticks == 0:
+                # Replies lag issue and cyclic issues runs of one pair,
+                # so without lockstep a pair has several commands in
+                # flight: the lockstep check above is not vacuous.
+                assert committer.bridge.max_in_flight > 1
+        elif noise_ticks == 0:
             # The tight mailbox must actually exercise stall/retry.
             assert committer.stall_events > 0
 
-    def test_fallback_walk_matches_under_env_mask(
-        self, compiled, monkeypatch
-    ):
-        """`REPRO_NO_NUMPY` runs sample, merge and commit on the scalar
-        plane — the whole pipeline must still be bit-identical."""
-        column = build_merged(compiled, "cyclic", slot=9)
-        assert column.pattern_ids is not None
+    def test_fallback_walk_matches_under_env_mask(self, monkeypatch):
+        """`REPRO_NO_NUMPY` changes nothing from sampling to report: a
+        deadlocking and a crashing scenario run identically masked."""
+        cells = [("philosophers", 3), ("quicksort_stress", 0)]
+
+        def run_all():
+            runs = []
+            for name, seed in cells:
+                test = build_scenario(name, seed)
+                runs.append((test.run(), test.tracer.dump()))
+            return runs
+
+        unmasked = run_all()
         monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        fallback = build_merged(compiled, "cyclic", slot=9)
-        assert fallback.pattern_ids is None
-        assert_runs_identical(column, fallback, lockstep=False)
+        assert run_all() == unmasked
+        assert all(result.found_bug for result, _trace in unmasked)
 
 
 class TestHandBuiltColumns:
-    """Column walks over hand-built ``from_arrays`` merges — plain-list
-    columns, so these run (and exercise the cursor walk) even on the
-    no-numpy CI leg."""
+    """Walks over hand-built merges with known commit sequences."""
 
     ALPHABET = ("TC", "TS", "TR", "TD")
 
-    def _hand_built(self) -> tuple[MergedPattern, MergedPattern]:
-        ids = list(range(len(self.ALPHABET)))
-        pattern_ids = [0, 1, 0, 1, 0, 1, 0, 1]
-        symbol_ids = [0, 0, 1, 1, 2, 2, 3, 3]
-        sequences = [1, 1, 2, 2, 3, 3, 4, 4]
-
-        def sources():
-            return [
-                TestPattern.from_ids(
-                    pattern_id=pair, symbol_ids=ids, alphabet=self.ALPHABET
-                )
-                for pair in (0, 1)
-            ]
-
-        column = MergedPattern.from_arrays(
-            op="round_robin",
-            sources=sources(),
-            pattern_ids=pattern_ids,
-            sequences=sequences,
-            symbol_ids=symbol_ids,
-            alphabet=self.ALPHABET,
-        )
+    def _hand_built(self) -> MergedPattern:
+        sources = [
+            TestPattern(pattern_id=pair, symbols=self.ALPHABET)
+            for pair in (0, 1)
+        ]
         commands = [
             PatternCommand(
-                symbol=self.ALPHABET[symbol_id],
-                pattern_id=pattern_id,
-                sequence_in_pattern=sequence,
+                symbol=self.ALPHABET[position // 2],
+                pattern_id=position % 2,
+                sequence_in_pattern=position // 2 + 1,
                 position=position,
             )
-            for position, (pattern_id, sequence, symbol_id) in enumerate(
-                zip(pattern_ids, sequences, symbol_ids)
-            )
+            for position in range(8)
         ]
-        eager = MergedPattern(
-            commands=commands, op="round_robin", sources=sources()
+        merged = MergedPattern(
+            commands=commands, op="round_robin", sources=sources
         )
-        return column, eager
+        merged.validate()
+        return merged
 
     @pytest.mark.parametrize(
         "lockstep", [True, False], ids=["lockstep", "fire-and-forget"]
     )
     def test_walks_match(self, lockstep):
-        column, eager = self._hand_built()
-        assert_runs_identical(column, eager, lockstep=lockstep)
+        merged = self._hand_built()
+        committer = assert_walk_contract(
+            merged, lockstep=lockstep, bridge_kw={"reply_delay": 1}
+        )
+        assert [r.request.service.name for r in committer.results] == [
+            "TC", "TC", "TS", "TS", "TR", "TR", "TD", "TD"
+        ]
 
     def test_stall_retry_and_done_never_materialise(self):
-        """Satellite regression: a full run including mailbox stalls —
-        stalled-step retry and the ``done`` check included — reads only
-        cursor state, never the command list or the source tuples."""
-        column, eager = self._hand_built()
-        committer = assert_runs_identical(
-            column,
-            eager,
+        """A full mailbox stalls the walk on one command, which is
+        retried until it issues; ``done`` turns true only once the last
+        command has issued (and, in lockstep mode, been answered)."""
+        merged = self._hand_built()
+        committer = assert_walk_contract(
+            merged,
             bridge_kw={"capacity": 1, "reply_delay": 1},
             lockstep=False,
         )
         assert committer.stall_events > 0
-        assert column._commands is None
-        # A fresh run driven alone (the record-equality comparison
-        # above materialises tuples through StateRecord.__eq__): a
-        # clean stall-and-retry run touches neither the command list
-        # nor any source pattern's symbol tuple.
-        fresh, _ = self._hand_built()
-        recorder = ProcessStateRecorder()
-        drive(
-            fresh,
-            bridge_kw={"capacity": 1, "reply_delay": 1},
-            lockstep=False,
-            recorder=recorder,
+        stepping = Committer(
+            bridge=EchoBridge(capacity=1, reply_delay=1),
+            merged=merged,
+            lockstep=True,
         )
-        assert recorder.snapshot_columns()[2] == [0, 0]
-        assert fresh._commands is None
-        assert all(
-            source._symbols is None for source in fresh.sources
-        ), "a clean run materialised a source pattern's symbol tuple"
+        now = 0
+        while not stepping.done:
+            assert stepping.issued < len(merged) or stepping.bridge.outstanding
+            stepping.step(now)
+            now += 1
+        assert stepping.issued == len(merged)
+        assert not stepping.bridge.outstanding
 
     def test_unknown_symbol_raises_at_the_step_reached(self):
-        alphabet = ("TC", "XQ")
-        source = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1], alphabet=alphabet
-        )
-        merged = MergedPattern.from_arrays(
+        source = TestPattern(pattern_id=0, symbols=("TC", "XQ"))
+        merged = MergedPattern(
+            commands=[
+                PatternCommand("TC", 0, 1, 0),
+                PatternCommand("XQ", 0, 2, 1),
+            ],
             op="round_robin",
             sources=[source],
-            pattern_ids=[0, 0],
-            sequences=[1, 2],
-            symbol_ids=[0, 1],
-            alphabet=alphabet,
         )
         committer = Committer(
             bridge=EchoBridge(), merged=merged, lockstep=False
@@ -374,15 +342,13 @@ class TestHandBuiltColumns:
 
 
 class TestRecorderLaziness:
-    """Satellite regression: the snapshot hot path must not re-
-    materialise tuples on lazy array-backed patterns."""
+    """Regression: the snapshot hot path keeps the pattern and SN, and
+    slices no tuples until a record is read."""
 
     ALPHABET = ("TC", "TS", "TR", "TD")
 
     def test_recording_stays_on_the_id_plane(self):
-        pattern = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1, 2, 3], alphabet=self.ALPHABET
-        )
+        pattern = TestPattern(pattern_id=0, symbols=self.ALPHABET)
         recorder = ProcessStateRecorder()
         recorder.register_pair(pattern)
         recorder.note_issue(0, "m0.1")
@@ -390,18 +356,13 @@ class TestRecorderLaziness:
         record = recorder.record(0)
         snapshot = recorder.snapshot()
         assert recorder.snapshot_columns() == ([0], [1], [3])
-        assert pattern._symbols is None, (
-            "record()/snapshot() forced the pattern's symbol tuple"
-        )
         assert record._pattern is None and record._remaining is None
         assert all(
             r._pattern is None and r._remaining is None for r in snapshot
         )
 
     def test_lazy_record_equals_its_eager_twin(self):
-        pattern = TestPattern.from_ids(
-            pattern_id=0, symbol_ids=[0, 1, 2, 3], alphabet=self.ALPHABET
-        )
+        pattern = TestPattern(pattern_id=0, symbols=self.ALPHABET)
         recorder = ProcessStateRecorder()
         recorder.register_pair(pattern)
         recorder.note_issue(0, "m0.1")
@@ -423,87 +384,73 @@ class TestRecorderLaziness:
         assert record.remaining == ("TS", "TR", "TD")
 
 
+def own_merges(compiled, seed, merger_seed, rounds, count, size, op, chunk):
+    """A cell's rounds from its own generator and merger."""
+    generator = PatternGenerator.from_pfa(compiled, seed=seed)
+    merger = PatternMerger(op=op, seed=merger_seed, chunk=chunk)
+    return [
+        merger.merge(generator.generate_batch(count, size))
+        for _ in range(rounds)
+    ]
+
+
 class TestSharedMergeBatch:
-    """The worker-side cross-cell merge dispatch."""
+    """Per-cell merges over a shared lockstep sampler: each cell's
+    rounds equal its own generate+merge, however the cells interleave."""
 
     def test_interleaved_cells_match_their_own_merges(self, compiled):
         seeds = (2**40 + 5, 11, -(2**35))
         merger_seeds = (301, 302, 303)
         size, count, op, chunk = 8, 3, "cyclic", 2
         shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=size)
-        merges = SharedMergeBatch(
-            shared=shared,
-            merger_seeds=merger_seeds,
-            op=op,
-            chunk=chunk,
-            pattern_count=count,
-        )
-        streams = [merges.stream(cell) for cell in range(len(seeds))]
-        # Reference: each cell samples its own stream and merges its
-        # own rounds under its own merger seed.
-        reference = SharedPatternBatch(pfa=compiled, seeds=seeds, size=size)
-        ref_streams = [reference.stream(cell) for cell in range(len(seeds))]
+        streams = [shared.stream(cell) for cell in range(len(seeds))]
         order = [0, 0, 2, 1, 0, 1, 2]
         expected = {
-            cell: [
-                PatternMerger(
-                    op=op, seed=merger_seeds[cell], chunk=chunk
-                ).merge(ref_streams[cell].generate_batch(count, size))
-                for _ in range(order.count(cell))
-            ]
+            cell: own_merges(
+                compiled,
+                seeds[cell],
+                merger_seeds[cell],
+                order.count(cell),
+                count,
+                size,
+                op,
+                chunk,
+            )
             for cell in range(len(seeds))
         }
         progress = {cell: 0 for cell in range(len(seeds))}
-        # Drain in a deliberately unfair order: each cell's merges must
-        # equal its own generate+merge sequence regardless.
+        # Drain in a deliberately unfair order.
         for cell in order:
-            merged = streams[cell].next_merged()
+            merger = PatternMerger(op=op, seed=merger_seeds[cell], chunk=chunk)
+            merged = merger.merge(streams[cell].generate_batch(count, size))
             want = expected[cell][progress[cell]]
             assert merged == want
             assert merged.describe() == want.describe()
             progress[cell] += 1
-        assert [stream.rounds for stream in streams] == [
-            order.count(cell) for cell in range(len(seeds))
+        assert [stream.generated for stream in streams] == [
+            count * order.count(cell) for cell in range(len(seeds))
         ]
 
     def test_prime_premerges_without_changing_output(self, compiled):
         seeds = (2**40 + 5, 11)
-
-        def fresh():
-            return SharedMergeBatch(
-                shared=SharedPatternBatch(pfa=compiled, seeds=seeds, size=6),
-                merger_seeds=(41, 42),
-                op="round_robin",
-                chunk=1,
-                pattern_count=2,
+        shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=6)
+        shared.prime(4)
+        for cell, seed in enumerate(seeds):
+            merger = PatternMerger(op="round_robin", seed=41 + cell, chunk=1)
+            stream = shared.stream(cell)
+            got = [merger.merge(stream.generate_batch(2, 6)) for _ in range(3)]
+            assert got == own_merges(
+                compiled, seed, 41 + cell, 3, 2, 6, "round_robin", 1
             )
-
-        primed, lazy = fresh(), fresh()
-        primed.prime(2)
-        for cell in range(len(seeds)):
-            for _ in range(3):
-                assert primed.next_merged(cell) == lazy.next_merged(cell)
 
     def test_validation(self, compiled):
         shared = SharedPatternBatch(pfa=compiled, seeds=(1, 2), size=4)
-        with pytest.raises(ConfigError, match="pattern count must be >= 1"):
-            SharedMergeBatch(
-                shared=shared,
-                merger_seeds=(1, 2),
-                op="round_robin",
-                chunk=1,
-                pattern_count=0,
-            )
-        with pytest.raises(
-            ConfigError, match="2 cells but 3 merger seeds"
-        ):
-            SharedMergeBatch(
-                shared=shared,
-                merger_seeds=(1, 2, 3),
-                op="round_robin",
-                chunk=1,
-                pattern_count=1,
-            )
+        generator = PatternGenerator.from_pfa(compiled, seed=1)
+        for source in (shared.stream(0), generator):
+            with pytest.raises(ConfigError, match="pattern count must be >= 1"):
+                source.generate_batch(0, 4)
+            with pytest.raises(ConfigError, match="pattern size must be >= 1"):
+                source.generate(0)
 
     def test_merge_batch_seed_count_mismatch(self):
         merger = PatternMerger(op="round_robin", seed=1, chunk=1)
@@ -511,52 +458,25 @@ class TestSharedMergeBatch:
         with pytest.raises(ConfigError, match="1 groups but 2 seeds"):
             merger.merge_batch([group], seeds=(5, 6))
 
-    def test_stream_matches_guard(self, compiled):
-        shared = SharedPatternBatch(pfa=compiled, seeds=(21, 22), size=5)
-        merges = SharedMergeBatch(
-            shared=shared,
-            merger_seeds=(7, 8),
-            op="cyclic",
-            chunk=2,
-            pattern_count=3,
-        )
-        stream = merges.stream(0)
-        good = PatternMerger(op="cyclic", seed=7, chunk=2)
-        pfa = shared.sampler.compiled
-        assert stream.matches(pfa, 21, good, 3, 5)
-        # Every parameter that feeds the merge must agree.
-        assert not stream.matches(pfa, 22, good, 3, 5)
-        other = CompiledPFA.from_pfa(pcore_pfa())
-        assert not stream.matches(other, 21, good, 3, 5)
-        assert not stream.matches(pfa, 21, replace(good, seed=8), 3, 5)
-        assert not stream.matches(
-            pfa, 21, replace(good, op="round_robin"), 3, 5
-        )
-        assert not stream.matches(pfa, 21, replace(good, chunk=3), 3, 5)
-        assert not stream.matches(pfa, 21, good, 2, 5)
-        assert not stream.matches(pfa, 21, good, 3, 6)
-
     def test_harness_ignores_mismatched_merge_stream(self, compiled):
+        """The harness takes no generator or merge stream: neither is a
+        field, and an attribute of that name changes nothing."""
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         plain = ref(5).run()
+        for name in ("generator_override", "merge_override"):
+            with pytest.raises(TypeError, match=name):
+                AdaptiveTest(config=ref(5).config, **{name: None})
         test = ref(5)
-        merges = SharedMergeBatch(
-            shared=SharedPatternBatch(pfa=compiled, seeds=(5,), size=4),
-            merger_seeds=(6,),
-            op="round_robin",
-            chunk=1,
-            pattern_count=1,
-        )
-        stream = merges.stream(0)
+        stream = SharedPatternBatch(pfa=compiled, seeds=(5,), size=4).stream(0)
+        test.generator_override = stream
         test.merge_override = stream
-        # The guard rejects the foreign automaton; the run falls back
-        # to its own generate+merge, bit-identically, consuming nothing.
         assert test.run() == plain
-        assert stream.rounds == 0
+        assert stream.generated == 0
 
 
 class TestWorkerMergeBatch:
-    """`run_table_batch`'s merge_batch knob, in process."""
+    """`run_table_batch` in process: its two trailing knobs are
+    accepted and ignored."""
 
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
@@ -573,11 +493,8 @@ class TestWorkerMergeBatch:
 
     def test_rows_identical_across_merge_batch_settings(self):
         table, jobs = self._table()
-        baseline = run_table_batch(table, jobs, None, False)
-        settings = [False, None]
-        if numpy_available():
-            settings.append(True)
-        for merge_batch in settings:
+        baseline = run_table_batch(table, jobs)
+        for merge_batch in (False, None, True):
             clear_worker_cache()
             assert run_table_batch(table, jobs, None, merge_batch) == (
                 baseline
@@ -585,33 +502,22 @@ class TestWorkerMergeBatch:
 
     def test_sampling_off_disables_merge_batching(self):
         table, jobs = self._table()
-        sampling_off = run_table_batch(table, jobs, False, None)
-        clear_worker_cache()
-        assert sampling_off == run_table_batch(table, jobs, None, False)
+        baseline = run_table_batch(table, jobs)
+        for knobs in ((False, None), (False, True), (True, False)):
+            clear_worker_cache()
+            assert run_table_batch(table, jobs, *knobs) == baseline, knobs
 
-    def test_explicit_merge_batch_requires_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        table, jobs = self._table()
-        with pytest.raises(
-            ConfigError, match=r"run_table_batch\(merge_batch=True\)"
-        ):
-            run_table_batch(table, jobs, None, True)
+    def test_executor_rejects_explicit_merge_batch(self):
+        with pytest.raises(TypeError, match="merge_batch"):
+            CellExecutor(workers=2, merge_batch=True)
+        assert list(inspect.signature(run_chaos_batch).parameters) == [
+            "spec",
+            "attempt",
+            "table",
+            "jobs",
+        ]
 
-    def test_executor_rejects_explicit_merge_batch(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        executor = CellExecutor(workers=2, merge_batch=True)
-        builders = {"spin": scenario_ref("clean_spin", tasks=2)}
-        cells = [WorkCell(variant="spin", seed=0)]
-        with pytest.raises(
-            ConfigError, match=r"CellExecutor\(merge_batch=True\)"
-        ):
-            executor.run_cells(builders, cells)
-
-    @requires_numpy
     def test_rows_identical_with_numpy_masked(self, monkeypatch):
-        """End to end across the whole pipeline: scalar sampling,
-        scalar merges and the committer's fallback walk must reproduce
-        the array plane's rows bit for bit."""
         table, jobs = self._table()
         unmasked = run_table_batch(table, jobs)
         clear_worker_cache()
@@ -626,25 +532,23 @@ class TestCampaignMergeBatchIdentity:
         yield
         shutdown_pools()
 
-    def _campaign(self, workers, merge_batch=None):
-        campaign = Campaign(
-            seeds=(0, 1, 2), workers=workers, merge_batch=merge_batch
-        )
+    def _campaign(self, workers, batch_size=None):
+        campaign = Campaign(seeds=(0, 1, 2), workers=workers, batch_size=batch_size)
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
-        campaign.add_scenario("phil", "philosophers", op="cyclic")
+        campaign.add_grid(
+            "phil", "philosophers", {"op": ["cyclic", "random", "round_robin"]}
+        )
         return campaign
 
     def test_rows_identical_at_every_merge_setting(self):
-        baseline = self._campaign(workers=1, merge_batch=False)
+        """Every merge op, serial or pooled at any batch size: the same
+        rows, detections and anomaly kinds."""
+        baseline = self._campaign(workers=1)
         rows = baseline.run()
-        configs = [(2, None), (2, False)]
-        if numpy_available():
-            configs.append((2, True))
-        for workers, merge_batch in configs:
-            campaign = self._campaign(workers, merge_batch)
+        for workers, batch_size in [(2, None), (2, 1)]:
+            campaign = self._campaign(workers, batch_size)
             assert campaign.run() == rows, (
-                f"rows diverged at workers={workers}, "
-                f"merge_batch={merge_batch}"
+                f"rows diverged at workers={workers}, batch_size={batch_size}"
             )
             for variant in baseline.results:
                 expected = baseline.results[variant]

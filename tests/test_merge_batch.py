@@ -1,33 +1,28 @@
-"""The array-native merge plane's bit-identity contract.
+"""The merger's contract over the op × chunk × ragged-length matrix.
 
-:class:`~repro.ptest.merger.PatternMerger` promises that the array
-assembly path (numpy present) produces *exactly* the merge the scalar
-reference loop produces — same commands, same errors, same RNG draw
-order for the stochastic ops — for every registered op, built-in or
-custom.  These tests sweep that promise over the full op × chunk ×
-ragged-length matrix (empty and singleton patterns included) in three
-modes (``use_numpy=True``, ``use_numpy=False``, and the
-``REPRO_NO_NUMPY`` environment kill switch), then cover the data types
-underneath: lazy array-backed :class:`TestPattern` /
-:class:`MergedPattern` (O(1) length, frozen surface, numpy-free
-pickles), the zero-copy interned-alphabet path from
-:class:`~repro.automata.batch.PatternBatch` rows, and the
-:meth:`merge_batch` fresh-RNG-per-group contract.
+:class:`~repro.ptest.merger.PatternMerger` has one merge path.  These
+tests hold it to a reference model written out below, op by op — the
+documented order of each built-in op, including the stochastic ops'
+one-draw-per-symbol RNG order against a fresh ``random.Random(seed)``
+— over every op × chunk × ragged-length case (empty and singleton
+patterns included), with numpy visible and masked by
+``REPRO_NO_NUMPY`` (the ``auto``/``scalar`` ids; the merger must not
+care).  Then the data types underneath: the frozen dataclass surface
+of :class:`TestPattern` / :class:`MergedPattern` (eq/hash/repr,
+``FrozenInstanceError``, ``len``, pickles of plain tuples), patterns
+drawn through :class:`~repro.ptest.generator.SharedPatternBatch`, and
+:meth:`PatternMerger.merge_batch`.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.automata.batch import (
-    NO_NUMPY_ENV,
-    BatchSampler,
-    numpy_available,
-    packed_rows,
-)
+from repro.automata.batch import NO_NUMPY_ENV
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.ptest.generator import PatternGenerator, SharedPatternBatch
@@ -58,7 +53,7 @@ MERGE_SEED = 97
 
 
 def make_patterns(lengths) -> list[TestPattern]:
-    """Eager patterns with deterministic, per-pattern-distinct symbols."""
+    """Patterns with deterministic, per-pattern-distinct symbols."""
     return [
         TestPattern(
             pattern_id=i,
@@ -71,6 +66,62 @@ def make_patterns(lengths) -> list[TestPattern]:
     ]
 
 
+def reference_order(op, lengths, rng, chunk) -> list[int]:
+    """Pattern ids in emission order, by each built-in op's rule."""
+    left = list(lengths)
+    longest = max(lengths)
+    order: list[int] = []
+    if op == "round_robin":
+        for rank in range(longest):
+            order += [k for k, n in enumerate(lengths) if n > rank]
+    elif op == "cyclic":
+        for start in range(0, longest, chunk):
+            for k, n in enumerate(lengths):
+                order += [k] * max(0, min(chunk, n - start))
+    elif op == "burst":
+        for k, n in enumerate(lengths):
+            order += [k] * n
+    elif op == "random":
+        live = [k for k, n in enumerate(lengths) if n]
+        while live:
+            k = rng.choice(live)
+            order.append(k)
+            left[k] -= 1
+            if not left[k]:
+                live.remove(k)
+    elif op == "weighted":
+        while any(left):
+            pick = rng.random() * sum(left)
+            cumulative = 0.0
+            for k, n in enumerate(left):
+                cumulative += n
+                if n and pick < cumulative:
+                    break
+            order.append(k)
+            left[k] -= 1
+    else:  # pragma: no cover - guards the parametrisation
+        raise AssertionError(op)
+    return order
+
+
+def assemble(patterns, order) -> list[PatternCommand]:
+    """The command list an emission order stands for."""
+    taken = {pattern.pattern_id: 0 for pattern in patterns}
+    by_id = {pattern.pattern_id: pattern for pattern in patterns}
+    commands = []
+    for position, pattern_id in enumerate(order):
+        taken[pattern_id] += 1
+        commands.append(
+            PatternCommand(
+                symbol=by_id[pattern_id].symbols[taken[pattern_id] - 1],
+                pattern_id=pattern_id,
+                sequence_in_pattern=taken[pattern_id],
+                position=position,
+            )
+        )
+    return commands
+
+
 def merged_equal(a: MergedPattern, b: MergedPattern) -> None:
     assert a == b
     assert a.commands == b.commands
@@ -78,6 +129,26 @@ def merged_equal(a: MergedPattern, b: MergedPattern) -> None:
     assert a.describe() == b.describe()
     a.validate()
     b.validate()
+
+
+def assert_matches_reference(op, chunk, lengths, expected, monkeypatch):
+    """The merge equals ``expected`` commands, numpy visible or masked."""
+    results = []
+    for masked in (False, True):
+        if masked:
+            monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        results.append(
+            PatternMerger(op=op, seed=MERGE_SEED, chunk=chunk).merge(
+                make_patterns(lengths)
+            )
+        )
+        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
+    visible, masked_result = results
+    assert visible.commands == expected
+    assert visible.op == op
+    assert visible.sources == make_patterns(lengths)
+    assert len(visible) == sum(lengths)
+    merged_equal(visible, masked_result)
 
 
 def _order_reversed_burst(patterns, rng, chunk):
@@ -90,8 +161,7 @@ def _order_reversed_burst(patterns, rng, chunk):
 
 
 def _order_rng_shuffled(patterns, rng, chunk):
-    """Custom stochastic op: a round-robin order shuffled in place —
-    consumes RNG draws, so the array path must replay them exactly."""
+    """Custom stochastic op: a round-robin order shuffled in place."""
     del chunk
     order = []
     for pattern in patterns:
@@ -115,27 +185,11 @@ def compiled() -> CompiledPFA:
     return CompiledPFA.from_pfa(pcore_pfa())
 
 
-def assert_all_modes_match(op, chunk, lengths, monkeypatch):
-    """Scalar loop is the reference; the array path and the env-masked
-    path must reproduce it bit for bit."""
-    patterns = make_patterns(lengths)
-    scalar = PatternMerger(
-        op=op, seed=MERGE_SEED, chunk=chunk, use_numpy=False
-    ).merge(make_patterns(lengths))
-    if numpy_available():
-        arrays = PatternMerger(
-            op=op, seed=MERGE_SEED, chunk=chunk, use_numpy=True
-        ).merge(patterns)
-        # Genuinely array-backed: nothing materialised yet.
-        assert arrays._commands is None
-        assert len(arrays) == len(scalar)
-        merged_equal(arrays, scalar)
-    monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    masked = PatternMerger(op=op, seed=MERGE_SEED, chunk=chunk).merge(
-        make_patterns(lengths)
-    )
-    monkeypatch.delenv(NO_NUMPY_ENV)
-    merged_equal(masked, scalar)
+def set_mask(monkeypatch, masked: bool) -> None:
+    if masked:
+        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+    else:
+        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
 
 
 class TestEquivalenceMatrix:
@@ -143,61 +197,56 @@ class TestEquivalenceMatrix:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("op", sorted(MERGE_OPS))
     def test_builtin_ops(self, op, chunk, lengths, monkeypatch):
-        assert_all_modes_match(op, chunk, lengths, monkeypatch)
+        order = reference_order(op, lengths, random.Random(MERGE_SEED), chunk)
+        expected = assemble(make_patterns(lengths), order)
+        assert_matches_reference(op, chunk, lengths, expected, monkeypatch)
 
     @pytest.mark.parametrize("lengths", LENGTH_SETS)
     @pytest.mark.parametrize("which", [0, 1])
     def test_custom_ops_route_through_array_assembly(
         self, custom_ops, which, lengths, monkeypatch
     ):
-        assert_all_modes_match(custom_ops[which], 2, lengths, monkeypatch)
+        """Custom ops assemble like built-ins: their order, drawn from
+        a fresh ``Random(seed)``, becomes the command list."""
+        op = custom_ops[which]
+        patterns = make_patterns(lengths)
+        order = MERGE_OPS[op](patterns, random.Random(MERGE_SEED), 2)
+        expected = assemble(patterns, order)
+        assert_matches_reference(op, 2, lengths, expected, monkeypatch)
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     @pytest.mark.parametrize("op", ["round_robin", "cyclic", "burst"])
     def test_array_backed_inputs_merge_identically(self, compiled, op):
-        """The zero-copy plane: patterns built from a PatternBatch's id
-        rows (shared interned alphabet) merge to the same result as
-        their eager twins."""
+        """Patterns drawn through a shared lockstep batch equal the
+        scalar generator's and merge to the same result."""
         seeds = (11, 12, 13, 14)
         shared = SharedPatternBatch(compiled, seeds, size=9)
-        array_backed = [
+        batched = [
             shared.stream(cell).generate(9, pattern_id=cell)
             for cell in range(len(seeds))
         ]
-        eager = [
+        scalar = [
             PatternGenerator.from_pfa(compiled, seed=seed).generate(
                 9, pattern_id=cell
             )
             for cell, seed in enumerate(seeds)
         ]
-        assert array_backed == eager
-        table = packed_rows(compiled).alphabet
-        for pattern in array_backed:
-            assert pattern.alphabet is table
-            assert pattern.symbol_ids is not None
+        assert batched == scalar
         merger = PatternMerger(op=op, seed=MERGE_SEED, chunk=3)
-        merged_equal(
-            merger.merge(array_backed),
-            PatternMerger(
-                op=op, seed=MERGE_SEED, chunk=3, use_numpy=False
-            ).merge(eager),
-        )
+        merged_equal(merger.merge(batched), merger.merge(scalar))
+
+
+MASK_IDS = dict(argnames="masked", argvalues=[True, False], ids=["scalar", "auto"])
 
 
 class TestArrayPathErrors:
-    def test_explicit_numpy_request_raises_when_masked(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        merger = PatternMerger(use_numpy=True)
-        with pytest.raises(ConfigError, match="requires numpy"):
-            merger.merge(make_patterns((2, 2)))
+    """Merge errors, raised the same with numpy visible or masked."""
 
-    @pytest.mark.parametrize(
-        "use_numpy", [False, None], ids=["scalar", "auto"]
-    )
+    @pytest.mark.parametrize(**MASK_IDS)
     def test_over_consuming_op_raises_on_both_paths(
-        self, custom_ops, use_numpy
+        self, custom_ops, masked, monkeypatch
     ):
         del custom_ops
+        set_mask(monkeypatch, masked)
 
         def greedy(patterns, rng, chunk):
             del rng, chunk
@@ -205,49 +254,48 @@ class TestArrayPathErrors:
 
         register_merge_op("greedy_test", greedy)
         try:
-            merger = PatternMerger(op="greedy_test", use_numpy=use_numpy)
+            merger = PatternMerger(op="greedy_test")
             with pytest.raises(ConfigError, match="over-consumed"):
                 merger.merge(make_patterns((3,)))
         finally:
             MERGE_OPS.pop("greedy_test", None)
 
-    @pytest.mark.parametrize(
-        "use_numpy", [False, None], ids=["scalar", "auto"]
-    )
-    def test_under_consuming_op_raises_on_both_paths(self, use_numpy):
+    @pytest.mark.parametrize(**MASK_IDS)
+    def test_under_consuming_op_raises_on_both_paths(self, masked, monkeypatch):
+        set_mask(monkeypatch, masked)
+
         def lazy(patterns, rng, chunk):
             del rng, chunk
             return [patterns[0].pattern_id] * (len(patterns[0]) - 1)
 
         register_merge_op("lazy_test", lazy)
         try:
-            merger = PatternMerger(op="lazy_test", use_numpy=use_numpy)
+            merger = PatternMerger(op="lazy_test")
             with pytest.raises(ConfigError, match="only merged"):
                 merger.merge(make_patterns((3,)))
         finally:
             MERGE_OPS.pop("lazy_test", None)
 
-    @pytest.mark.parametrize(
-        "use_numpy", [False, None], ids=["scalar", "auto"]
-    )
-    def test_unknown_id_in_order_raises_on_both_paths(self, use_numpy):
+    @pytest.mark.parametrize(**MASK_IDS)
+    def test_unknown_id_in_order_raises_on_both_paths(self, masked, monkeypatch):
+        set_mask(monkeypatch, masked)
+
         def rogue(patterns, rng, chunk):
             del rng, chunk
             return [999] * len(patterns[0])
 
         register_merge_op("rogue_test", rogue)
         try:
-            merger = PatternMerger(op="rogue_test", use_numpy=use_numpy)
+            merger = PatternMerger(op="rogue_test")
             with pytest.raises(KeyError):
                 merger.merge(make_patterns((2,)))
         finally:
             MERGE_OPS.pop("rogue_test", None)
 
-    @pytest.mark.parametrize(
-        "use_numpy", [False, None], ids=["scalar", "auto"]
-    )
-    def test_cyclic_chunk_validation_on_both_paths(self, use_numpy):
-        merger = PatternMerger(op="cyclic", chunk=0, use_numpy=use_numpy)
+    @pytest.mark.parametrize(**MASK_IDS)
+    def test_cyclic_chunk_validation_on_both_paths(self, masked, monkeypatch):
+        set_mask(monkeypatch, masked)
+        merger = PatternMerger(op="cyclic", chunk=0)
         with pytest.raises(ConfigError, match="chunk must be >= 1"):
             merger.merge(make_patterns((2, 2)))
 
@@ -261,97 +309,85 @@ class TestArrayPathErrors:
 
 
 class TestTestPatternArrayBacked:
-    def _twins(self):
-        eager = TestPattern(
+    """:class:`TestPattern`'s frozen dataclass surface."""
+
+    def _pattern(self):
+        return TestPattern(
             pattern_id=3,
             symbols=("TC", "TS", "TC"),
             states=(0, 1, 2),
             log_probability=-1.25,
         )
-        lazy = TestPattern.from_ids(
-            pattern_id=3,
-            symbol_ids=[0, 1, 0],
-            alphabet=("TC", "TS"),
-            state_ids=[0, 1, 2],
-            log_probability=-1.25,
-        )
-        return eager, lazy
 
     def test_lazy_materialisation_and_o1_len(self):
-        eager, lazy = self._twins()
-        assert lazy._symbols is None
-        assert len(lazy) == 3
-        assert lazy._symbols is None  # len() did not materialise
-        assert lazy.symbols == eager.symbols
-        assert lazy._symbols is not None  # cached after first read
-        assert lazy.states == eager.states
+        symbols = ("TC", "TS", "TC")
+        pattern = TestPattern(pattern_id=3, symbols=symbols)
+        assert pattern.symbols is symbols
+        assert pattern.states == ()
+        assert len(pattern) == 3
+        assert len(TestPattern(pattern_id=0, symbols=())) == 0
 
     def test_eq_hash_repr_match_eager_twin(self):
-        eager, lazy = self._twins()
-        assert lazy == eager
-        assert hash(lazy) == hash(eager)
-        assert repr(lazy) == repr(eager)
-        assert lazy.describe() == eager.describe()
-        assert lazy.subsequence_after(1) == eager.subsequence_after(1)
+        pattern = self._pattern()
+        twin = TestPattern(3, ("TC", "TS", "TC"), (0, 1, 2), -1.25)
+        assert pattern == twin
+        assert hash(pattern) == hash(twin)
+        assert repr(pattern) == (
+            "TestPattern(pattern_id=3, symbols=('TC', 'TS', 'TC'), "
+            "states=(0, 1, 2), log_probability=-1.25)"
+        )
+        assert pattern != TestPattern(4, ("TC", "TS", "TC"), (0, 1, 2), -1.25)
+        assert pattern.describe() == "TC->TS->TC"
+        assert pattern.subsequence_after(1) == ("TS", "TC")
 
     def test_pickle_is_numpy_free_and_round_trips(self):
-        eager, lazy = self._twins()
-        clone = pickle.loads(pickle.dumps(lazy))
-        assert clone == eager
-        assert clone.symbol_ids is None  # wire format is eager tuples
-        assert clone.alphabet is None
+        pattern = self._pattern()
+        payload = pickle.dumps(pattern)
+        assert b"numpy" not in payload
+        assert pickle.loads(payload) == pattern
+        # Earlier releases pickled the four fields as a tuple.
+        legacy = TestPattern.__new__(TestPattern)
+        legacy.__setstate__((3, ("TC", "TS", "TC"), (0, 1, 2), -1.25))
+        assert legacy == pattern
 
     def test_frozen_surface(self):
-        _, lazy = self._twins()
-        with pytest.raises(Exception) as excinfo:
-            lazy.pattern_id = 9
-        assert "cannot assign" in str(excinfo.value)
-        with pytest.raises(Exception):
-            del lazy.pattern_id
+        pattern = self._pattern()
+        with pytest.raises(FrozenInstanceError, match="cannot assign"):
+            pattern.pattern_id = 9
+        with pytest.raises(FrozenInstanceError):
+            del pattern.pattern_id
 
     def test_negative_id_rejected_by_both_constructors(self):
         with pytest.raises(ConfigError, match=">= 0"):
             TestPattern(pattern_id=-1, symbols=("TC",))
         with pytest.raises(ConfigError, match=">= 0"):
-            TestPattern.from_ids(
-                pattern_id=-1, symbol_ids=[0], alphabet=("TC",)
-            )
+            TestPattern(-1, ("TC",))
 
 
 class TestMergedPatternArrayBacked:
+    """:class:`MergedPattern`'s dataclass surface."""
+
     def _merged(self):
-        sources = make_patterns((2, 1))
-        eager = PatternMerger(use_numpy=False).merge(
-            make_patterns((2, 1))
-        )
-        lazy = MergedPattern.from_arrays(
-            op="round_robin",
-            sources=sources,
-            pattern_ids=[c.pattern_id for c in eager.commands],
-            sequences=[c.sequence_in_pattern for c in eager.commands],
-            symbol_ids=[ALPHABET.index(c.symbol) for c in eager.commands],
-            alphabet=ALPHABET,
-        )
-        return eager, lazy
+        return PatternMerger().merge(make_patterns((2, 1)))
 
     def test_len_and_counts_without_materialising(self):
-        eager, lazy = self._merged()
-        assert len(lazy) == len(eager)
-        assert lazy.per_pattern_counts() == eager.per_pattern_counts()
-        assert lazy._commands is None
-        assert list(lazy) == eager.commands
-        assert lazy._commands is not None
+        merged = self._merged()
+        assert len(merged) == len(merged.commands) == 3
+        assert merged.per_pattern_counts() == {0: 2, 1: 1}
+        assert list(merged) == merged.commands
 
     def test_validate_eq_and_pickle(self):
-        eager, lazy = self._merged()
-        lazy.validate()
-        assert lazy == eager
-        clone = pickle.loads(pickle.dumps(lazy))
-        assert clone == eager
-        assert clone._commands is not None  # wire format is commands
-        assert all(
-            isinstance(c, PatternCommand) for c in clone.commands
+        merged = self._merged()
+        merged.validate()
+        twin = MergedPattern(
+            commands=list(merged.commands),
+            op="round_robin",
+            sources=make_patterns((2, 1)),
         )
+        assert merged == twin
+        clone = pickle.loads(pickle.dumps(merged))
+        assert clone == merged
+        assert all(isinstance(c, PatternCommand) for c in clone.commands)
 
 
 class TestMergeBatch:
@@ -386,17 +422,13 @@ class TestMergeBatch:
 
 
 def test_rng_contract_documented_ops_consume_identically():
-    """The RNG-order contract itself: a stochastic scalar order run
-    against a fresh Random(seed) leaves the RNG in the same state the
-    array path's replay does — proven by the next draw agreeing."""
-    if not numpy_available():
-        pytest.skip("needs numpy to compare against the array path")
-    patterns = make_patterns((3, 5, 2))
+    """The stochastic ops draw exactly what the reference model draws:
+    after both, the next draw from each RNG agrees."""
+    lengths = (3, 5, 2)
+    patterns = make_patterns(lengths)
     for op in ("random", "weighted"):
-        rng_scalar = random.Random(MERGE_SEED)
-        MERGE_OPS[op](patterns, rng_scalar, 2)
-        # The array path runs the same order function with the same
-        # fresh RNG; merge() then never draws again.
-        rng_array = random.Random(MERGE_SEED)
-        MERGE_OPS[op](patterns, rng_array, 2)
-        assert rng_scalar.random() == rng_array.random()
+        rng_op = random.Random(MERGE_SEED)
+        order = MERGE_OPS[op](patterns, rng_op, 2)
+        rng_ref = random.Random(MERGE_SEED)
+        assert order == reference_order(op, lengths, rng_ref, 2)
+        assert rng_op.random() == rng_ref.random()

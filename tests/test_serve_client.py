@@ -26,7 +26,7 @@ import pytest
 from repro.client import Client, ServerError
 from repro.ptest.pool import shutdown_pools
 from repro.ptest.spec import CampaignSpec, execute_spec
-from repro.serve import start_server_thread
+from repro.serve import MAX_LINE_BYTES, start_server_thread
 from repro.workloads.registry import REGISTRY, build_scenario
 
 
@@ -245,6 +245,31 @@ def test_malformed_json_keeps_connection_alive(server):
         # Same connection still serves well-formed requests.
         sock.sendall(json.dumps({"op": "ping", "id": "p1"}).encode() + b"\n")
         assert json.loads(reader.readline())["type"] == "pong"
+
+
+def test_oversized_frames_end_in_an_error_frame(server, caplog):
+    """Lines up to MAX_LINE_BYTES are served; a longer one gets one
+    protocol error frame, then the connection closes cleanly."""
+    with Client(*server.address) as client:
+        client._send({"op": "ping", "id": "p1", "pad": "x" * 100_000})
+        assert client._recv()["type"] == "pong"
+        # A 20,000-seed spec (~129 KB) is over asyncio's default limit.
+        wide = CampaignSpec(scenario="no_such_scenario", seeds=range(20_000))
+        assert len(wide.to_json()) > 1 << 16
+        with pytest.raises(ServerError) as excinfo:
+            client.run(wide)
+        assert excinfo.value.kind == "config"
+    seeds = range(MAX_LINE_BYTES // 6)
+    spec = CampaignSpec(scenario="philosophers", seeds=seeds)
+    assert len(spec.to_json()) > MAX_LINE_BYTES
+    with Client(*server.address) as client:
+        with pytest.raises(ServerError) as excinfo:
+            client.run(spec)
+        assert excinfo.value.kind == "protocol"
+        assert str(MAX_LINE_BYTES) in str(excinfo.value)
+    with Client(*server.address) as client:
+        assert client.ping()
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_quarantined_cells_survive_the_wire(server):
