@@ -74,7 +74,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 from repro.automata.compiled import CompiledPFA
 from repro.automata.pfa import PFA
@@ -222,7 +222,7 @@ class PackedPFA:
     symbol_ids: Any  # int64[num_states, max_arcs]
     symbol_table: Any  # object[num_symbols] of str
     #: The same table as a plain tuple — ``CompiledPFA.interned_alphabet()``
-    #: order, shared (by identity) with every PatternBatch row.
+    #: order, shared (by identity) with every PatternBatch it draws.
     alphabet: tuple[str, ...]
     #: Derived lookups for the hot loop: per-state absorbing/multi-arc
     #: masks (one ``take`` instead of gather-plus-compare per step) ...
@@ -344,22 +344,6 @@ _SET_LOG_PROBABILITY = SampledPattern.log_probability.__set__
 _SET_RESTARTS = SampledPattern.restarts.__set__
 
 
-class PatternRow(NamedTuple):
-    """One cell's slice of a :class:`PatternBatch`, still as arrays.
-
-    ``symbol_ids`` indexes ``alphabet`` (the compiled automaton's
-    interned symbol table); ``state_ids`` is the walk's state path
-    including restart re-entries.  Both are views into the batch's
-    flat arrays — zero-copy, valid as long as the batch is referenced.
-    """
-
-    symbol_ids: Any  # int64[length] view
-    state_ids: Any  # int64[path_length] view
-    log_probability: float
-    restarts: int
-    alphabet: tuple[str, ...]
-
-
 class PatternBatch:
     """One lockstep draw held as arrays: the array-native form of a
     ``list[SampledPattern]``.
@@ -369,12 +353,10 @@ class PatternBatch:
     state paths likewise, per-cell log-probabilities and restart
     counts.  :meth:`patterns`/:meth:`pattern` materialise
     :class:`~repro.automata.sampling.SampledPattern` views lazily and
-    bit-identically to the scalar sampler's output; :meth:`row` hands
-    out the zero-copy array slice for one cell.
+    bit-identically to the scalar sampler's output.
 
     Scalar mode (:meth:`from_patterns`, the no-numpy fallback) wraps
-    already-materialised patterns; :meth:`row` then returns ``None``
-    and callers fall back to :meth:`pattern`.
+    already-materialised patterns.
     """
 
     __slots__ = (
@@ -442,26 +424,6 @@ class PatternBatch:
         if self._patterns is not None:
             return len(self._patterns)
         return len(self._id_begins)
-
-    @property
-    def is_array(self) -> bool:
-        """Whether per-cell id arrays exist (:meth:`row` works)."""
-        return self._ids is not None
-
-    def row(self, cell: int) -> PatternRow | None:
-        """Cell ``cell``'s draw as zero-copy array views, or ``None``
-        in scalar mode (callers then take :meth:`pattern` instead)."""
-        if self._ids is None:
-            return None
-        return PatternRow(
-            symbol_ids=self._ids[self._id_begins[cell]:self._id_ends[cell]],
-            state_ids=self._states[
-                self._state_begins[cell]:self._state_ends[cell]
-            ],
-            log_probability=float(self._log_probs[cell]),
-            restarts=int(self._restarts[cell]),
-            alphabet=self.alphabet,
-        )
 
     def pattern(self, cell: int) -> SampledPattern:
         """Cell ``cell``'s draw as a materialised pattern, equal to the

@@ -153,7 +153,7 @@ class PatternGenerator:
         return self.pfa.walk_probability(tuple(symbols)) > 0.0
 
 
-# Unwired: kept only because perfbench/traced.py imports BatchPatternStream.
+# Unwired; perfbench/traced.py imports BatchPatternStream (drop at re-cut).
 @dataclass
 class SharedPatternBatch:
     """One lockstep sampler feeding many cells' pattern streams.

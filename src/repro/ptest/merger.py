@@ -222,7 +222,7 @@ class PatternMerger:
         merged.validate()
         return merged
 
-    # Unused; kept only because perfbench/traced.py wraps it (drop at re-cut).
+    # Unused; perfbench/traced.py wraps it (drop at re-cut).
     def merge_batch(
         self,
         pattern_groups: Sequence[Sequence[TestPattern]],

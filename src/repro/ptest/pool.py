@@ -560,7 +560,7 @@ def _check_ref_payload(builder: Any) -> None:
 def run_table_batch(
     table: Sequence["ScenarioBuilder"],
     jobs: Sequence[tuple[int, int]],
-    # Ignored; kept only because perfbench/traced.py passes them.
+    # Ignored; perfbench/traced.py passes them (drop at re-cut).
     batch_sampling: bool | None = None,
     merge_batch: bool | None = None,
 ) -> list["TestRunResult"]:

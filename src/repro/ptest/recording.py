@@ -89,9 +89,9 @@ class StateRecord:
         source: TestPattern,
         sequence_number: int,
     ) -> "StateRecord":
-        """Column-backed construction: TP/delta-S are ``source``'s id
-        row and the offset ``sequence_number`` into it; the symbol
-        tuples materialise only when read (a bug report rendering)."""
+        """Lazy construction: TP is ``source`` and delta-S the offset
+        ``sequence_number`` into it; the symbol tuples are built only
+        when read (a bug report rendering)."""
         record = object.__new__(cls)
         fill = object.__setattr__
         fill(record, "pair_id", pair_id)
@@ -232,9 +232,8 @@ class ProcessStateRecorder:
         return self._tracking(pair_id).slave_tid
 
     def record(self, pair_id: int) -> StateRecord:
-        """Snapshot the pair's current five-tuple — column-backed: the
-        record keeps the pattern and SN, not materialised tuples, so
-        snapshotting never forces a lazy pattern's symbols."""
+        """Snapshot the pair's current five-tuple — lazily: the record
+        keeps the pattern and SN, and slices no tuple until read."""
         tracking = self._tracking(pair_id)
         return StateRecord.from_pattern(
             pair_id=pair_id,

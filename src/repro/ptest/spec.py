@@ -100,7 +100,7 @@ class CampaignSpec:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     workers: int = 1
     batch_size: int | None = None
-    # Ignored, always None; kept only because perfbench/traced.py reads them.
+    # Ignored, always None; perfbench/traced.py reads them (drop at re-cut).
     batch_sampling: bool | None = None
     merge_batch: bool | None = None
     cell_timeout: float | None = None
