@@ -1,7 +1,9 @@
 #!/usr/bin/env python
-"""Performance baseline for the three hot-path layers.
+"""Performance baseline for the hot paths, one section per layer.
 
-Times, on this machine:
+Every section times the one path a campaign runs against a legacy or
+unbatched baseline; there are no numpy twins to compare.  Times, on
+this machine:
 
 1. **Compiled sampling** — patterns/sec of the legacy dict-walking
    sampler (faithfully re-implemented here, per-step re-sort included)
@@ -55,12 +57,10 @@ import os
 import platform
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.automata.batch import BatchSampler, numpy_or_none
 from repro.automata.reference import LegacySampler, networkx_cycle_tids
 from repro.automata.sampling import PatternSampler
 from repro.pcore.kernel import KernelConfig, PCoreKernel
@@ -121,102 +121,6 @@ def bench_sampling(quick: bool) -> dict:
         "compiled_patterns_per_sec": round(compiled, 1),
         "speedup": round(compiled / legacy, 2),
     }
-
-
-# -- layer 1b: batched sampling ------------------------------------------------
-
-
-def bench_sampling_batch(quick: bool) -> dict:
-    """Scalar per-cell walks vs one vectorized lockstep batch.
-
-    The baseline is the *compiled* scalar path (layer 1's winner): N
-    independent ``PatternSampler(seed=...)`` walks.  The batch draws
-    the same N patterns in one ``BatchSampler.sample`` call.  Restart
-    mode, 100 symbols, 4096 cells — the vectorized win grows with
-    batch width, and per-cell fixed costs dominate below ~1k cells, so
-    quick mode keeps the full width and trims repetitions instead.
-    Multi-word seeds route every cell through the ``RandomState`` fast
-    path, which is what campaign-scale sha256-derived seeds look like.
-    Each rep makes one *untimed* warm-up draw per path before the timed
-    draw: the batch path's first call fills its per-cell draw-block
-    buffers (a one-time cost a campaign amortises over its many draws
-    per cell), so the timed call is the steady state both paths run at
-    campaign scale.  Bit-identity is asserted over warm-up and timed
-    draws alike.  The reported speedup is the best *paired* ratio —
-    each rep times the two paths back to back and the ratio is taken
-    within the rep — because on a busy single-core box load drift is
-    time-correlated, and cross-rep ratios (best batch over best
-    scalar from different moments) mix load conditions the paired
-    measurement cancels.
-    """
-    pfa = pcore_pfa()
-    size = 100
-    cells = 4096
-    reps = 5 if quick else 8
-    seeds = [(1 << 40) + 977 * index for index in range(cells)]
-    skipped_numpy = numpy_or_none() is None
-
-    best_ratio = 0.0
-    scalar_rate = batch_rate = 0.0
-    for _ in range(reps):
-        samplers = [
-            PatternSampler(pfa, seed=seed, on_final="restart")
-            for seed in seeds
-        ]
-        scalar_warm = [sampler.sample(size) for sampler in samplers]
-        start = time.perf_counter()
-        scalar_patterns = [sampler.sample(size) for sampler in samplers]
-        scalar_elapsed = time.perf_counter() - start
-        batch = BatchSampler(pfa, seeds, on_final="restart")
-        batch_warm = batch.sample(size)
-        start = time.perf_counter()
-        batch_patterns = batch.sample(size)
-        batch_elapsed = time.perf_counter() - start
-        # Correctness guard: both draws of the whole batch must be
-        # bit-identical to the scalar walks.
-        assert batch_warm == scalar_warm, (
-            "batch sampling diverged from the scalar walks (draw 1)"
-        )
-        assert batch_patterns == scalar_patterns, (
-            "batch sampling diverged from the scalar walks (draw 2)"
-        )
-        if scalar_elapsed / batch_elapsed > best_ratio:
-            best_ratio = scalar_elapsed / batch_elapsed
-            scalar_rate = cells / scalar_elapsed
-            batch_rate = cells / batch_elapsed
-    return {
-        "pattern_size": size,
-        "cells": cells,
-        "scalar_patterns_per_sec": round(scalar_rate, 1),
-        "batch_patterns_per_sec": round(batch_rate, 1),
-        "speedup": round(best_ratio, 2),
-        # Without numpy the batch *is* the scalar loop (bit-identical
-        # fallback) — the ratio is meaningless, so the CI floor skips,
-        # mirroring the skipped_parallel_floor convention.
-        "skipped_numpy": skipped_numpy,
-    }
-
-
-def _traced_peak_kib(task) -> float:
-    """Peak tracemalloc allocation of ``task()``, in KiB."""
-    tracemalloc.start()
-    try:
-        task()
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return round(peak / 1024.0, 1)
-
-
-def _sampling_batch_memory_pass() -> None:
-    """One steady-state materialised batch draw (the sampling_batch
-    shape at reduced width): what a campaign round allocates per
-    lockstep draw, slotted patterns included."""
-    pfa = pcore_pfa()
-    seeds = [(1 << 40) + 977 * index for index in range(1024)]
-    sampler = BatchSampler(pfa, seeds, on_final="restart")
-    sampler.sample(100)  # warm-up fills the draw-block buffers
-    sampler.sample(100)
 
 
 # -- layer 2: campaigns --------------------------------------------------------
@@ -847,69 +751,6 @@ def bench_detector(quick: bool) -> dict:
     }
 
 
-# -- layer 3b: batched detection -----------------------------------------------
-
-
-def bench_detector_batch(quick: bool) -> dict:
-    """Per-snapshot cycle search vs one batched screen-and-confirm.
-
-    The workload models a campaign audit: ~1000 recorded wait-graph
-    snapshots, most of them acyclic (chains and fans of various sizes),
-    a few percent holding the real deadlock cycle captured from a
-    wedged kernel.  The baseline runs the scalar
-    :func:`find_cycle_edges` per snapshot; the batch path screens all
-    snapshots with one vectorized Kahn peel and confirms only the
-    cyclic survivors through the very same scalar search.
-    """
-    from repro.ptest.batchdetect import find_cycles_batch
-    from repro.ptest.waitgraph import find_cycle_edges
-
-    kernel = _deadlocked_kernel()
-    cycle_edges = tuple(
-        (waiter, owner) for waiter, owner, _ in kernel.wait_for_edges()
-    )
-    snapshots: list[tuple[tuple[int, int], ...]] = []
-    for index in range(1_000):
-        if index % 20 == 0:  # 5% cyclic, like a detecting campaign
-            snapshots.append(cycle_edges)
-        else:  # acyclic chain + fan, varying size and node ids
-            base = index % 7
-            chain = [
-                (base + hop, base + hop + 1) for hop in range(2 + index % 5)
-            ]
-            chain.extend((base, base + 10 + hop) for hop in range(index % 3))
-            snapshots.append(tuple(chain))
-    reps = 3 if quick else 6
-    skipped_numpy = numpy_or_none() is None
-
-    scalar_best = batch_best = 0.0
-    scalar_cycles = batch_cycles = None
-    for _ in range(reps):
-        start = time.perf_counter()
-        scalar_cycles = [find_cycle_edges(edges) for edges in snapshots]
-        scalar_best = max(
-            scalar_best, len(snapshots) / (time.perf_counter() - start)
-        )
-        start = time.perf_counter()
-        batch_cycles = find_cycles_batch(snapshots)
-        batch_best = max(
-            batch_best, len(snapshots) / (time.perf_counter() - start)
-        )
-    # Correctness guard: same first cycle (edge order included) per
-    # snapshot — the screen is exact and the confirm is the baseline.
-    assert batch_cycles == scalar_cycles, (
-        "batched cycle detection diverged from the per-snapshot search"
-    )
-    return {
-        "snapshots": len(snapshots),
-        "cyclic_snapshots": sum(1 for c in scalar_cycles if c),
-        "scalar_snapshots_per_sec": round(scalar_best, 1),
-        "batch_snapshots_per_sec": round(batch_best, 1),
-        "speedup": round(batch_best / scalar_best, 2),
-        "skipped_numpy": skipped_numpy,
-    }
-
-
 # -- entry point ---------------------------------------------------------------
 
 
@@ -941,20 +782,8 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "cpu_count": os.cpu_count(),
-            # None = absent or disabled via REPRO_NO_NUMPY; the batch
-            # sections fall back to scalar (and skip their floors) then.
-            "numpy": getattr(numpy_or_none(), "__version__", None),
-            # Peak allocation (KiB) of one representative batch-sampling
-            # pass; honest in no-numpy mode too (the pass then profiles
-            # the scalar fallback).
-            "tracemalloc_peak_kib": {
-                "sampling_batch": _traced_peak_kib(
-                    _sampling_batch_memory_pass
-                ),
-            },
         },
         "sampling": bench_sampling(args.quick),
-        "sampling_batch": bench_sampling_batch(args.quick),
         "campaign": bench_campaign(args.quick, args.workers),
         "campaign_batched": bench_campaign_batched(args.quick, args.workers),
         "faults": bench_faults(args.quick, args.workers),
@@ -963,7 +792,6 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline": bench_pipeline(args.quick, args.workers),
         "serve": bench_serve(args.quick, args.workers),
         "detector": bench_detector(args.quick),
-        "detector_batch": bench_detector_batch(args.quick),
     }
     single_core = os.cpu_count() == 1
     # Targets are the PR-1 acceptance goals; floors are what CI
@@ -973,15 +801,6 @@ def main(argv: list[str] | None = None) -> int:
         "sampling_speedup_target": 5.0,
         "sampling_speedup_met": results["sampling"]["speedup"] >= 5.0,
         "sampling_ci_floor": 3.0,
-        # The batch tier stacks on the compiled scalar path; without
-        # numpy it degenerates (bit-identically) to that path, so the
-        # floor skips there — like skipped_parallel_floor on one core.
-        "sampling_batch_ci_floor": 2.0,
-        "sampling_batch_floor_met": (
-            None
-            if results["sampling_batch"]["skipped_numpy"]
-            else results["sampling_batch"]["speedup"] >= 2.0
-        ),
         "campaign_speedup_target": 2.0,
         "campaign_speedup_met": (
             None
@@ -1046,12 +865,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "detector_ci_floor": 5.0,
         "detector_floor_met": results["detector"]["speedup"] >= 5.0,
-        "detector_batch_ci_floor": 1.5,
-        "detector_batch_floor_met": (
-            None
-            if results["detector_batch"]["skipped_numpy"]
-            else results["detector_batch"]["speedup"] >= 1.5
-        ),
         "note": (
             "campaign/pool speedups need >= workers physical cores; "
             f"this machine has {os.cpu_count()}"
@@ -1155,30 +968,6 @@ def main(argv: list[str] | None = None) -> int:
         f"detector:  {detector['rebuild_sweeps_per_sec']:>10.0f} -> "
         f"{detector['incremental_sweeps_per_sec']:>10.0f} sweeps/s   "
         f"({detector['speedup']}x)"
-    )
-    sampling_batch = results["sampling_batch"]
-    detector_batch = results["detector_batch"]
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if sampling_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-smp: {sampling_batch['scalar_patterns_per_sec']:>10.0f} -> "
-        f"{sampling_batch['batch_patterns_per_sec']:>10.0f} patterns/s  "
-        f"({sampling_batch['speedup']}x at cells="
-        f"{sampling_batch['cells']}){numpy_note}"
-    )
-    numpy_note = (
-        "  [floor skipped: no numpy]"
-        if detector_batch["skipped_numpy"]
-        else ""
-    )
-    print(
-        f"batch-det: {detector_batch['scalar_snapshots_per_sec']:>10.0f} -> "
-        f"{detector_batch['batch_snapshots_per_sec']:>10.0f} snapshots/s "
-        f"({detector_batch['speedup']}x, "
-        f"{detector_batch['cyclic_snapshots']} cyclic){numpy_note}"
     )
     print(f"json: {args.out}")
     return 0

@@ -9,6 +9,9 @@ sequences ... A potential deadlock situation was also discovered."
 This script compares merge policies on the buggy workload (cyclic
 acquisition order) and shows the ordered-acquisition control staying
 clean, then prints the Definition 2 state records of the deadlocked run.
+Finally it reruns that case recording its wait-for-graph deltas
+(``record_wait_deltas=True``) and re-confirms the reported cycle offline
+with ``audit_deadlocks``.
 
 Run:  python examples/deadlock_hunt.py
 """
@@ -16,11 +19,12 @@ Run:  python examples/deadlock_hunt.py
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ptest.detector import AnomalyKind
+from repro.ptest.detector import AnomalyKind, BugDetector, audit_deadlocks
 from repro.workloads.scenarios import philosophers_case2
 
 OPS = ("cyclic", "round_robin", "random", "burst")
@@ -59,6 +63,27 @@ def main() -> None:
             print(f"  {record.describe()}")
         print("\nwait-for cycle:")
         print(f"  {sample_report.primary.description}")
+
+    # Replay the recorded wait-graph deltas through the cycle search.
+    test = philosophers_case2(seed=0, op="cyclic")
+    test.config = replace(test.config, record_wait_deltas=True)
+    result = test.run()
+    print(
+        f"\nrecorded run: {result.summary().split(':')[0]}, "
+        f"{len(result.wait_deltas)} wait-graph delta(s) recorded"
+    )
+    snapshots = [edges for _tick, edges in result.wait_deltas]
+    for (tick, _edges), tids in zip(
+        result.wait_deltas, BugDetector.sweep_batch(snapshots)
+    ):
+        shown = "acyclic" if tids is None else f"cycle tids={tids}"
+        print(f"  tick {tick}: {shown}")
+    audit = audit_deadlocks([result])
+    print(
+        f"audit: {audit.confirmed}/{audit.runs} reported deadlock(s) "
+        f"re-confirmed from recorded deltas "
+        f"(consistent={audit.consistent})"
+    )
 
 
 if __name__ == "__main__":

@@ -101,44 +101,6 @@ class CompiledPFA:
     def arc_count(self, state: int) -> int:
         return self.rows[state][0]
 
-    def interned_alphabet(self) -> tuple[tuple[str, ...], dict[str, int]]:
-        """The automaton's symbol alphabet interned to integer ids.
-
-        Symbols are numbered in first-appearance order scanning states
-        ascending and each state's arcs in row order — the exact order
-        :func:`repro.automata.batch.packed_rows` interns its symbol
-        table, so ids agree between the packed arrays and every
-        :class:`~repro.automata.batch.PatternBatch` row.  Returns
-        ``(symbols, index)`` where ``symbols[i]`` and
-        ``index[symbol]`` are inverse; built once and cached on the
-        instance like the packed rows (and likewise excluded from
-        pickles — it is pure derived data).
-        """
-        cached = self.__dict__.get("_alphabet")
-        if cached is None:
-            index: dict[str, int] = {}
-            for row in self.symbols:
-                for symbol in row:
-                    if symbol not in index:
-                        index[symbol] = len(index)
-            cached = (tuple(index), index)
-            object.__setattr__(self, "_alphabet", cached)
-        return cached
-
-    def __getstate__(self) -> dict:
-        # The batch sampler caches its padded numpy packing on the
-        # instance (see repro.automata.batch.packed_rows), and
-        # interned_alphabet its id table; both are derived data (and
-        # the packing is numpy arrays besides), so pickles — worker
-        # dispatch, result payloads — carry only the real fields.
-        state = dict(self.__dict__)
-        state.pop("_packed_rows", None)
-        state.pop("_alphabet", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def transition(self, state: int, index: int) -> Transition:
         """Materialise arc ``index`` of ``state`` as a :class:`Transition`
         (compatibility shim for callers of the legacy ``_choose``)."""

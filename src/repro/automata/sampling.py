@@ -19,11 +19,6 @@ instead of re-sorting transition dicts on every step.  Seeded output is
 bit-for-bit identical to the legacy dict-walking sampler: the RNG is
 consumed once per multi-arc state, and the cumulative rows are built by
 the same left-to-right float additions the legacy linear scan performed.
-
-This walk is also the scalar *reference* for the vectorized
-:class:`~repro.automata.batch.BatchSampler`, which advances many seeded
-walks in lockstep and must reproduce this sampler's output bit for bit
-(see that module's lockstep-front RNG-order contract).
 """
 
 from __future__ import annotations
@@ -50,10 +45,7 @@ class SampledPattern:
     (sum over chosen transitions), comparable across equal-length walks.
 
     Slotted: campaigns materialise one of these per pattern per round,
-    so dropping the per-instance ``__dict__`` is a real memory win (the
-    bench's ``tracemalloc`` figures track it).  The batch sampler's
-    fast construction path writes through the slot descriptors (see
-    ``repro.automata.batch.PatternBatch``).
+    so dropping the per-instance ``__dict__`` saves memory.
     """
 
     symbols: tuple[str, ...]
@@ -104,8 +96,8 @@ class PatternSampler:
     def _choose(self, state: int) -> Transition:
         """``MakeChoice`` of Algorithm 2: roulette-wheel selection.
 
-        Kept for API compatibility and the ``sample_to_final`` walk; the
-        batch hot path inlines the same index arithmetic.
+        Kept for API compatibility and the ``sample_to_final`` walk;
+        :meth:`sample` inlines the same index arithmetic.
         """
         return self._compiled.transition(state, self._choose_index(state))
 

@@ -90,7 +90,8 @@ class PTestConfig:
     master_steps_per_tick: int = 1
     #: Record wait-for-graph deltas during detector sweeps; the
     #: snapshots land on ``TestRunResult.wait_deltas`` and feed the
-    #: batched deadlock re-check (:mod:`repro.ptest.batchdetect`).
+    #: offline deadlock re-check
+    #: (:func:`repro.ptest.detector.audit_deadlocks`).
     record_wait_deltas: bool = False
 
     def __post_init__(self) -> None:

@@ -24,19 +24,22 @@ same observational model (sampled, concurrent monitoring) without host
 processes.  Wait-for cycles are tracked by an incrementally maintained
 :class:`~repro.ptest.waitgraph.IncrementalWaitForGraph`: mutex
 ``version`` counters tell a sweep which resources' edges moved, and the
-cycle search itself runs only when some edge actually changed.
+cycle search itself runs only when some edge actually changed.  Runs
+that record their wait-graph deltas can be re-checked offline with
+:func:`audit_deadlocks`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.bridge.bridge import BridgeMaster
 from repro.pcore.kernel import PCoreKernel
 from repro.pcore.tcb import TaskState
 from repro.ptest.recording import ProcessStateRecorder
-from repro.ptest.waitgraph import IncrementalWaitForGraph
+from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
 from repro.sim.trace import CATEGORY_DETECTOR, Tracer
 
 
@@ -77,7 +80,7 @@ class DetectorConfig:
     deadlock_confirmations: int = 2
     #: Record a ``(tick, edge-set)`` snapshot on every sweep whose
     #: wait-graph refresh actually changed edges.  The recorded deltas
-    #: feed the batched re-check of :mod:`repro.ptest.batchdetect`.
+    #: feed the offline re-check of :func:`audit_deadlocks`.
     record_wait_deltas: bool = False
 
 
@@ -100,8 +103,8 @@ class BugDetector:
     _reported: set[tuple] = field(default_factory=set)
     #: ``(tick, edges)`` per changed sweep, when
     #: ``config.record_wait_deltas`` is set.  Edges are stored in the
-    #: exact order the scalar cycle search consumes them, so replaying
-    #: a delta through :meth:`sweep_batch` reproduces its cycle.
+    #: exact order the cycle search consumes them, so replaying a delta
+    #: through :meth:`sweep_batch` reproduces its cycle.
     wait_deltas: list[tuple[int, tuple[tuple[int, int], ...]]] = field(
         default_factory=list
     )
@@ -161,21 +164,18 @@ class BugDetector:
 
     @staticmethod
     def sweep_batch(
-        snapshots: "list[tuple[tuple[int, int], ...]]",
-        *,
-        use_numpy: bool | None = None,
+        snapshots: "Iterable[tuple[tuple[int, int], ...]]",
     ) -> "list[tuple[int, ...] | None]":
-        """Check many recorded wait-graph snapshots in one batched pass.
+        """Check many recorded wait-graph snapshots in one call.
 
         Returns each snapshot's sorted cycle-member tids (the same
         reduction :meth:`_check_deadlock` applies before debouncing) or
-        ``None``.  Vectorized screen + scalar confirm — see
-        :mod:`repro.ptest.batchdetect`; falls back to the per-snapshot
-        scalar search without numpy, bit-identically.
+        ``None``, from :func:`find_cycle_edges` run per snapshot.
         """
-        from repro.ptest.batchdetect import cycle_tids_batch
-
-        return cycle_tids_batch(snapshots, use_numpy=use_numpy)
+        return [
+            tuple(sorted({edge[0] for edge in cycle})) if cycle else None
+            for cycle in map(find_cycle_edges, snapshots)
+        ]
 
     def _check_deadlock(self, now: int) -> list[Anomaly]:
         if (
@@ -280,3 +280,55 @@ class BugDetector:
                 ),
             ),
         )
+
+
+@dataclass
+class DeadlockAudit:
+    """Outcome of re-checking recorded wait-graph deltas offline.
+
+    ``confirmed`` counts runs whose reported deadlock's task set was
+    re-found as a cycle in at least one recorded snapshot;
+    ``unsupported`` lists ``(run_index, tids)`` for reported deadlocks
+    no recorded snapshot supports (an inconsistency worth failing on).
+    ``cyclic_without_report`` counts runs where some snapshot held a
+    cycle but no deadlock was reported — legitimate under the
+    detector's confirmation debounce, so informational only.
+    """
+
+    runs: int = 0
+    snapshots: int = 0
+    confirmed: int = 0
+    cyclic_without_report: int = 0
+    unsupported: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+
+    @property
+    def consistent(self) -> bool:
+        return not self.unsupported
+
+
+def audit_deadlocks(results: Iterable) -> DeadlockAudit:
+    """Cross-check runs' reported deadlocks against their recorded
+    wait-graph deltas.
+
+    Each result must carry ``wait_deltas`` (runs executed with
+    ``record_wait_deltas=True``) and ``anomalies``.  Every recorded
+    snapshot goes back through :meth:`BugDetector.sweep_batch`.
+    """
+    audit = DeadlockAudit()
+    for index, result in enumerate(results):
+        snapshots = [edges for _tick, edges in getattr(result, "wait_deltas", ())]
+        audit.runs += 1
+        audit.snapshots += len(snapshots)
+        found = set(BugDetector.sweep_batch(snapshots)) - {None}
+        reported = {
+            anomaly.tids
+            for anomaly in result.anomalies
+            if anomaly.kind is AnomalyKind.DEADLOCK
+        }
+        if reported and reported <= found:
+            audit.confirmed += 1
+        elif found and not reported:
+            audit.cyclic_without_report += 1
+        for tids in sorted(reported - found):
+            audit.unsupported.append((index, tids))
+    return audit

@@ -78,12 +78,14 @@ identically to the parallel path.
 
 from __future__ import annotations
 
+import math
 import pickle
 import warnings
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from threading import TIMEOUT_MAX
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -93,7 +95,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.errors import WatchdogTimeout
+from repro.errors import ConfigError, WatchdogTimeout
 from repro.ptest.chaos import ChaosSpec, run_chaos_batch
 from repro.ptest.pool import WorkerPool, get_pool, make_batch_table, run_table_batch
 
@@ -375,10 +377,16 @@ class CellExecutor:
         if requested is not None and requested < 1:
             # Reject on every path, not just when the pool would run.
             raise ValueError(f"batch_size must be >= 1, got {requested}")
-        if self.cell_timeout is not None and self.cell_timeout <= 0:
-            raise ValueError(
-                f"cell_timeout must be > 0, got {self.cell_timeout}"
-            )
+        if self.cell_timeout is not None:
+            if self.cell_timeout <= 0:
+                raise ValueError(
+                    f"cell_timeout must be > 0, got {self.cell_timeout}"
+                )
+            if not self.cell_timeout < math.inf:  # NaN compares false too
+                raise ConfigError(
+                    f"cell_timeout must be a finite number of seconds, "
+                    f"got {self.cell_timeout}"
+                )
         self.last_batch_size = None
         self.batches_submitted = 0
         self.last_pool_id = None
@@ -590,7 +598,9 @@ class CellExecutor:
         def deadline_for(batch: list[WorkCell]) -> float | None:
             if self.cell_timeout is None:
                 return None
-            return self.cell_timeout * max(1, len(batch))
+            # Huge finite budgets would overflow the lock wait inside
+            # Future.result; past TIMEOUT_MAX they all mean "forever".
+            return min(self.cell_timeout * max(1, len(batch)), TIMEOUT_MAX)
 
         def screen(group: list[WorkCell]) -> None:
             """Bisect ``group`` in isolation down to its poison cells.

@@ -19,18 +19,16 @@ Distributions can be given three ways:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from repro.automata.batch import BatchSampler
 from repro.automata.compiled import CompiledPFA
 from repro.automata.dfa import DFA, minimize_dfa, nfa_to_dfa
 from repro.automata.distributions import TransitionDistribution
 from repro.automata.nfa import regex_to_nfa
 from repro.automata.pfa import PFA, build_pfa
 from repro.automata.regex_parser import parse_regex
-from repro.automata.sampling import OnFinal, PatternSampler, SampledPattern
+from repro.automata.sampling import OnFinal, PatternSampler
 from repro.errors import ConfigError, DistributionError
 from repro.ptest.patterns import TestPattern
 
@@ -153,90 +151,7 @@ class PatternGenerator:
         return self.pfa.walk_probability(tuple(symbols)) > 0.0
 
 
-# Unwired; perfbench/traced.py imports BatchPatternStream (drop at re-cut).
-@dataclass
-class SharedPatternBatch:
-    """One lockstep sampler feeding many cells' pattern streams.
-
-    A batch of same-variant cells shares one
-    :class:`~repro.automata.batch.BatchSampler` over the variant's
-    compiled automaton, with one column per cell (seeded with that
-    cell's own generator seed).  Each cell's patterns are staged in a
-    per-cell FIFO: whenever a cell needs a pattern its queue does not
-    hold, one lockstep ``sample(size)`` advances *every* cell by one
-    pattern.  Per-cell draw order is the scalar order, so the queue a
-    cell drains equals what its own ``PatternSampler(seed)`` would
-    produce, however the cells interleave.  ``size`` is fixed per
-    batch; :meth:`next_pattern` rejects a mismatching request.
-    """
-
-    pfa: PFA | CompiledPFA
-    seeds: Sequence[int | None]
-    size: int
-    on_final: OnFinal = "stop"
-    sampler: BatchSampler = field(init=False, repr=False)
-    _queues: list[deque] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ConfigError(
-                f"pattern size must be >= 1, got {self.size}"
-            )
-        self.sampler = BatchSampler(self.pfa, self.seeds, on_final=self.on_final)
-        self._queues = [deque() for _ in self.seeds]
-
-    def prime(self, rounds: int) -> None:
-        """Pre-draw ``rounds`` patterns per cell."""
-        for _ in range(rounds):
-            self._advance()
-
-    def _advance(self) -> None:
-        batch = self.sampler.sample_batch(self.size)
-        for queue in self._queues:
-            queue.append(batch)
-
-    def next_pattern(self, cell: int, size: int) -> SampledPattern:
-        """Cell ``cell``'s next pattern."""
-        if size != self.size:
-            raise ConfigError(
-                f"shared pattern batch was built for size {self.size}, "
-                f"cell requested {size}"
-            )
-        queue = self._queues[cell]
-        if not queue:
-            self._advance()
-        return queue.popleft().pattern(cell)
-
-    def stream(self, cell: int) -> "BatchPatternStream":
-        """Cell ``cell``'s generator-shaped view of this batch."""
-        return BatchPatternStream(shared=self, cell=cell)
-
-
-@dataclass
+# Never instantiated; perfbench/traced.py wraps vars(cls) (drop at re-cut).
 class BatchPatternStream:
-    """One cell's :class:`PatternGenerator`-shaped view of a
-    :class:`SharedPatternBatch`: :meth:`generate` and
-    :meth:`generate_batch` with the generator's validation errors, and
-    the ``generated`` counter."""
-
-    shared: SharedPatternBatch
-    cell: int
-    generated: int = 0
-
-    def generate(self, size: int, pattern_id: int = 0) -> TestPattern:
-        if size < 1:
-            raise ConfigError(f"pattern size must be >= 1, got {size}")
-        sampled = self.shared.next_pattern(self.cell, size)
-        self.generated += 1
-        return TestPattern(
-            pattern_id=pattern_id,
-            symbols=sampled.symbols,
-            states=sampled.states,
-            log_probability=sampled.log_probability,
-        )
-
-    # Defined here, not inherited: perfbench/traced.py wraps vars(cls).
     def generate_batch(self, count: int, size: int) -> list[TestPattern]:
-        if count < 1:
-            raise ConfigError(f"pattern count must be >= 1, got {count}")
-        return [self.generate(size, pattern_id=i) for i in range(count)]
+        raise NotImplementedError

@@ -39,7 +39,7 @@ functions below must keep it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from repro.errors import ConfigError
@@ -224,23 +224,9 @@ class PatternMerger:
 
     # Unused; perfbench/traced.py wraps it (drop at re-cut).
     def merge_batch(
-        self,
-        pattern_groups: Sequence[Sequence[TestPattern]],
-        seeds: Sequence[int | None] | None = None,
+        self, pattern_groups: Sequence[Sequence[TestPattern]]
     ) -> list[MergedPattern]:
-        """Merge each group as :meth:`merge` would; ``seeds`` (when
-        given) overrides the merge seed per group."""
-        if seeds is None:
-            return [self.merge(list(group)) for group in pattern_groups]
-        if len(seeds) != len(pattern_groups):
-            raise ConfigError(
-                f"merge_batch got {len(pattern_groups)} groups but "
-                f"{len(seeds)} seeds"
-            )
-        return [
-            replace(self, seed=seed).merge(list(group))
-            for group, seed in zip(pattern_groups, seeds)
-        ]
+        return [self.merge(list(group)) for group in pattern_groups]
 
     def merge_symbols(
         self, symbol_lists: Sequence[Sequence[str]]

@@ -25,11 +25,6 @@ rendering a :class:`~repro.ptest.report.BugReport` (``describe``,
 ``to_dict``, pickling across the pool boundary) builds the tuples.
 Eagerly-constructed records (the classic keyword form) compare equal
 to lazy ones over the same values.
-
-:meth:`ProcessStateRecorder.snapshot_columns` exposes the same data as
-parallel columns (pair ids, SNs, remaining counts) for batched
-screening — :func:`repro.ptest.batchdetect.screen_pending_pairs`
-consumes it directly, no records or tuples in between.
 """
 
 from __future__ import annotations
@@ -155,8 +150,8 @@ class StateRecord:
 
     def __getstate__(self) -> tuple:
         # Records cross the pool boundary inside bug reports:
-        # materialise so the wire format stays numpy-free and identical
-        # to the historical eager dataclass pickles.
+        # materialise so the wire format stays identical to the
+        # historical eager dataclass pickles.
         return (
             self.pair_id,
             self.master_state,
@@ -247,28 +242,6 @@ class ProcessStateRecorder:
         """Records for every pair, ordered by pair id (the bug-report
         dump)."""
         return [self.record(pair_id) for pair_id in self.pairs()]
-
-    def snapshot_columns(
-        self,
-    ) -> tuple[list[int], list[int], list[int]]:
-        """The snapshot as parallel ``(pair_ids, sequence_numbers,
-        remaining_counts)`` columns, ordered by pair id.
-
-        O(pairs) with no record objects and no symbol tuples — the
-        remaining count is ``len(pattern) - SN`` straight off the
-        pattern's O(1) length.  This is what the batched screen of
-        :func:`repro.ptest.batchdetect.screen_pending_pairs` consumes.
-        """
-        pair_ids: list[int] = []
-        sequence_numbers: list[int] = []
-        remaining_counts: list[int] = []
-        for pair_id in self.pairs():
-            tracking = self._pairs[pair_id]
-            issued = tracking.issued
-            pair_ids.append(pair_id)
-            sequence_numbers.append(issued)
-            remaining_counts.append(max(0, len(tracking.pattern) - issued))
-        return pair_ids, sequence_numbers, remaining_counts
 
     def _tracking(self, pair_id: int) -> _PairTracking:
         try:

@@ -32,6 +32,7 @@ directly, at any ``(concurrent clients, workers, batch_size)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterable, Mapping
 
@@ -181,6 +182,18 @@ class CampaignSpec:
                 raise ConfigError(
                     f"cell_timeout must be > 0 seconds, got {self.cell_timeout}"
                 )
+            if not self.cell_timeout < math.inf:  # NaN compares false too
+                raise ConfigError(
+                    f"cell_timeout must be a finite number of seconds, "
+                    f"got {self.cell_timeout}"
+                )
+        for name, hint in (
+            ("policy", "a policy name"),
+            ("pipeline", "a pipeline string such as 'grid_zoom:2,replay:1'"),
+            ("checkpoint", "a file path"),
+        ):
+            if getattr(self, name) is not None:
+                _check_type(name, getattr(self, name), (str,), hint)
         _check_type("quarantine", self.quarantine, (bool,), "a boolean")
         _check_type("resume", self.resume, (bool,), "a boolean")
         _check_type("prewarm", self.prewarm, (bool,), "a boolean")

@@ -32,12 +32,10 @@ def find_cycle_edges(
     the same edge set always yields the same cycle.  Iterative
     three-colour DFS — no recursion, no external graph library.
 
-    This is the *scalar confirm reference* for the batched sweep: the
-    vectorized screen of :mod:`repro.ptest.batchdetect` only decides
-    *whether* a snapshot is cyclic (an exact property — the Kahn peel
-    removes every node iff the graph is acyclic) and hands each cyclic
-    survivor back to this function, so batch results carry the very
-    same first cycle the per-run search would have returned.
+    The live sweep, :meth:`~repro.ptest.detector.BugDetector.sweep_batch`
+    and :func:`~repro.ptest.detector.audit_deadlocks` all search through
+    this one function, so a replayed snapshot yields the very cycle the
+    live sweep found.
     """
     successors: dict[int, list[int]] = {}
     for source, target in edges:
@@ -156,8 +154,9 @@ class IncrementalWaitForGraph:
     def snapshot(self) -> tuple[tuple[int, int], ...]:
         """The current flat ``(waiter, owner)`` edge set, in the exact
         order :meth:`find_cycle` feeds :func:`find_cycle_edges` — so a
-        recorded snapshot replayed through the batched sweep reproduces
-        the scalar search's cycle bit for bit."""
+        recorded snapshot replayed through
+        :meth:`~repro.ptest.detector.BugDetector.sweep_batch` reproduces
+        the live sweep's cycle bit for bit."""
         return tuple(
             edge
             for edges in self._edges_by_resource.values()

@@ -1,34 +1,35 @@
-"""Batched deadlock detection: screen + confirm vs the scalar search.
+"""Replaying recorded wait-for snapshots through the cycle search.
 
-:func:`~repro.ptest.batchdetect.find_cycles_batch` promises exactly
-``[find_cycle_edges(edges) for edges in edge_sets]`` — the vectorized
-Kahn peel only rules out the acyclic majority faster, and cyclic
-survivors are confirmed by the very scalar search the sweep would have
-run.  These tests sweep that promise over seeded random digraphs and
-the degenerate shapes (empty sets, self-loops, disjoint multi-cycles),
+:meth:`~repro.ptest.detector.BugDetector.sweep_batch` promises, for
+every snapshot, the sorted waiter tids of ``find_cycle_edges(edges)``
+(or ``None``) — the reduction the live sweep applies before it
+debounces and reports.  These tests hold that promise over seeded
+random digraphs (cyclicity cross-checked against networkx) and the
+degenerate shapes (empty sets, self-loops, disjoint multi-cycles),
 then cover the recording path end to end: ``record_wait_deltas``
 snapshots taken during a real deadlocking run, the snapshot-order
-contract, :meth:`BugDetector.sweep_batch`, and the campaign-level
-:func:`audit_deadlocks` consistency verdicts.
+contract, and the :func:`audit_deadlocks` consistency verdicts — for
+one run and for every registered scenario.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, replace
 
+import networkx as nx
 import pytest
 
-from repro.automata.batch import NO_NUMPY_ENV, numpy_available
-from repro.errors import ConfigError
-from repro.ptest.batchdetect import (
+from repro.ptest.detector import (
+    Anomaly,
+    AnomalyKind,
+    BugDetector,
     DeadlockAudit,
     audit_deadlocks,
-    cycle_tids_batch,
-    find_cycles_batch,
 )
-from repro.ptest.detector import Anomaly, AnomalyKind, BugDetector
 from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
+from repro.workloads.registry import build_scenario, scenario_names
 from repro.workloads.scenarios import philosophers_case2
 
 
@@ -46,15 +47,25 @@ def random_edge_sets(seed: int, count: int) -> list[list[tuple[int, int]]]:
     return sets
 
 
+def cycle_tids(edges) -> tuple[int, ...] | None:
+    """The per-snapshot reduction, spelled out."""
+    cycle = find_cycle_edges(edges)
+    return tuple(sorted({edge[0] for edge in cycle})) if cycle else None
+
+
 class TestFindCyclesBatch:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
     def test_matches_scalar_on_random_digraphs(self, seed):
         sets = random_edge_sets(seed, 120)
-        expected = [find_cycle_edges(edges) for edges in sets]
-        assert find_cycles_batch(sets) == expected
-        # The screen must find work in both directions to mean much.
-        assert any(cycle is not None for cycle in expected)
-        assert any(cycle is None for cycle in expected)
+        tids = BugDetector.sweep_batch(sets)
+        assert tids == [cycle_tids(edges) for edges in sets]
+        for edges, found in zip(sets, tids):
+            assert (found is not None) == (
+                not nx.is_directed_acyclic_graph(nx.DiGraph(edges))
+            )
+        # The sets must hold both outcomes to mean much.
+        assert any(found is not None for found in tids)
+        assert any(found is None for found in tids)
 
     def test_degenerate_shapes(self):
         sets = [
@@ -65,32 +76,29 @@ class TestFindCyclesBatch:
             [(2, 1), (1, 2), (0, 1)],  # tail feeding a cycle
             [(-4, -3), (-3, -4)],  # negative node ids
         ]
-        expected = [find_cycle_edges(edges) for edges in sets]
-        assert find_cycles_batch(sets) == expected
-        assert expected[0] is None
-        assert expected[1] == [(3, 3)]
-        assert expected[2] is None
+        assert find_cycle_edges(sets[0]) is None
+        assert find_cycle_edges(sets[1]) == [(3, 3)]
+        assert find_cycle_edges(sets[2]) is None
+        assert BugDetector.sweep_batch(sets) == [
+            None,
+            (3,),
+            None,
+            (0, 1),
+            (1, 2),
+            (-4, -3),
+        ]
 
     def test_empty_batch_and_all_empty_sets(self):
-        assert find_cycles_batch([]) == []
-        assert find_cycles_batch([[], [], []]) == [None, None, None]
+        assert BugDetector.sweep_batch([]) == []
+        assert BugDetector.sweep_batch([[], [], []]) == [None, None, None]
 
-    def test_scalar_fallback_is_identical(self):
+    def test_scalar_fallback_is_identical(self, monkeypatch):
+        # `import numpy` fails from here on: the search is stdlib-only.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         sets = random_edge_sets(42, 60)
-        assert find_cycles_batch(sets, use_numpy=False) == (
-            find_cycles_batch(sets)
-        )
-
-    def test_env_var_falls_back_bit_identically(self, monkeypatch):
-        sets = random_edge_sets(43, 60)
-        expected = find_cycles_batch(sets)
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert find_cycles_batch(sets) == expected
-
-    def test_explicit_request_raises_without_numpy(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        with pytest.raises(ConfigError, match="find_cycles_batch"):
-            find_cycles_batch([[(0, 1)]], use_numpy=True)
+        assert BugDetector.sweep_batch(sets) == [
+            cycle_tids(edges) for edges in sets
+        ]
 
     def test_cycle_tids_reduction(self):
         sets = [
@@ -98,10 +106,9 @@ class TestFindCyclesBatch:
             [(7, 3), (3, 7), (1, 7)],
             [(5, 5)],
         ]
-        assert cycle_tids_batch(sets) == [None, (3, 7), (5,)]
-        assert cycle_tids_batch(sets, use_numpy=False) == (
-            cycle_tids_batch(sets)
-        )
+        assert BugDetector.sweep_batch(sets) == [None, (3, 7), (5,)]
+        # Generators work too: snapshots are consumed once, in order.
+        assert BugDetector.sweep_batch(iter(sets)) == [None, (3, 7), (5,)]
 
 
 class TestSnapshotContract:
@@ -117,7 +124,7 @@ class TestSnapshotContract:
         snapshot = graph.snapshot()
         assert snapshot == ((1, 2), (2, 1), (3, 1))
         assert find_cycle_edges(snapshot) == graph.find_cycle()
-        assert find_cycles_batch([snapshot]) == [graph.find_cycle()]
+        assert BugDetector.sweep_batch([snapshot]) == [(1, 2)]
 
 
 @dataclass
@@ -177,7 +184,8 @@ class TestAuditDeadlocks:
         audit = audit_deadlocks([_FakeResult(anomalies=[])])
         assert audit == DeadlockAudit(runs=1, snapshots=0)
 
-    def test_scalar_fallback_audit_is_identical(self):
+    def test_scalar_fallback_audit_is_identical(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
         results = [
             _FakeResult(
                 anomalies=[_deadlock_anomaly((1, 2))],
@@ -188,9 +196,11 @@ class TestAuditDeadlocks:
                 wait_deltas=((5, ((0, 1), (1, 2))),),
             ),
         ]
-        assert audit_deadlocks(results, use_numpy=False) == (
-            audit_deadlocks(results)
+        assert audit_deadlocks(results) == DeadlockAudit(
+            runs=2, snapshots=2, confirmed=1
         )
+        # Any iterable of results, consumed once.
+        assert audit_deadlocks(iter(results)) == audit_deadlocks(results)
 
 
 class TestEndToEndRecording:
@@ -229,7 +239,7 @@ class TestEndToEndRecording:
     def test_sweep_batch_replays_the_recorded_deltas(self, deadlocked_run):
         snapshots = [edges for _tick, edges in deadlocked_run.wait_deltas]
         tids = BugDetector.sweep_batch(snapshots)
-        assert tids == cycle_tids_batch(snapshots)
+        assert tids == [cycle_tids(edges) for edges in snapshots]
         reported = {
             anomaly.tids
             for anomaly in deadlocked_run.anomalies
@@ -237,7 +247,33 @@ class TestEndToEndRecording:
         }
         found = {cycle for cycle in tids if cycle is not None}
         assert reported <= found
-        if numpy_available():
-            assert BugDetector.sweep_batch(
-                snapshots, use_numpy=False
-            ) == tids
+
+
+class TestAuditCoverage:
+    def test_every_scenario_audits_consistent(self):
+        """Every registered scenario × seeds 0-7, recording deltas:
+        the audit is consistent everywhere and re-confirms exactly the
+        runs that reported a deadlock."""
+        confirmed, snapshots = {}, {}
+        for name in scenario_names():
+            results = []
+            for seed in range(8):
+                test = build_scenario(name, seed)
+                test.config = replace(test.config, record_wait_deltas=True)
+                results.append(test.run())
+            audit = audit_deadlocks(results)
+            assert audit.runs == 8
+            assert audit.consistent, (name, audit.unsupported)
+            deadlocked = sum(
+                any(a.kind is AnomalyKind.DEADLOCK for a in result.anomalies)
+                for result in results
+            )
+            assert audit.confirmed == deadlocked, name
+            confirmed[name] = audit.confirmed
+            snapshots[name] = audit.snapshots
+        assert confirmed["philosophers"] == 8
+        assert sum(confirmed.values()) == confirmed["philosophers"]
+        # Lock-using clean scenarios record acyclic snapshots, so the
+        # audit is not vacuous beyond the deadlocking case.
+        assert snapshots["priority_inversion"] > 0
+        assert snapshots["readers_writers"] > 0

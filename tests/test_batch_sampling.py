@@ -1,46 +1,43 @@
-"""The vectorized batch sampler's bit-identity contract.
+"""Seeded sampling's per-seed stream contract.
 
-:class:`~repro.automata.batch.BatchSampler` promises that cell ``i``
-of every draw equals ``PatternSampler(pfa, seed=seeds[i])`` having
-drawn the same sequence — symbols, states, log-probability and
-restarts all compare equal — on the numpy fast path and the scalar
-fallback alike.  These tests sweep that promise over seed classes
-(single-word, multi-word, negative, word-boundary), sizes, both
-``on_final`` modes and multi-round continuations, then cover the
-plumbing around it: the cached :func:`packed_rows` packing, the
-``REPRO_NO_NUMPY`` escape hatch, the explicit-request
-:class:`ConfigError`, the shared-batch generator bridge, and campaign
-rows staying identical at every batch size.  Campaign sampling has one
-path, so ``Campaign``/``CellExecutor`` take no sampling knob.
+:class:`~repro.automata.sampling.PatternSampler` is the one pattern
+walk.  A sampler seeded with ``seed`` draws exactly what the frozen
+dict-walking reference (:class:`~repro.automata.reference.
+LegacySampler`) draws with the same seed — symbols, states,
+log-probability and restarts all compare equal, round after round.
+These tests sweep that promise over seed classes (single-word,
+multi-word, negative, word-boundary), sizes, both ``on_final`` modes
+and multi-round continuations, then cover the plumbing around it: the
+compiled rows and their pickles, many interleaved generators sharing
+one compiled automaton, and campaign rows staying identical at every
+batch size.  Campaign sampling has one path, so ``Campaign``/
+``CellExecutor`` take no sampling knob and a spec's leftover knob is
+ignored.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
+from dataclasses import fields
+from itertools import accumulate
 
 import pytest
 
-from repro.automata.batch import (
-    NO_NUMPY_ENV,
-    BatchSampler,
-    numpy_available,
-    numpy_or_none,
-    packed_rows,
-    require_numpy,
-)
 from repro.automata.compiled import CompiledPFA
+from repro.automata.reference import LegacySampler
 from repro.automata.sampling import PatternSampler
 from repro.errors import ConfigError
 from repro.ptest.campaign import Campaign
 from repro.ptest.executor import CellExecutor
-from repro.ptest.generator import SharedPatternBatch
+from repro.ptest.generator import PatternGenerator
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import shutdown_pools
+from repro.ptest.spec import CampaignSpec
 
 #: One seed per interesting RNG-seeding class: zero, small positive,
-#: small negative (single 32-bit word, CPython-side draws), the 2**32
-#: word boundary, a two-word value, a negative multi-word value and a
-#: three-word value (numpy ``RandomState`` draws where available).
+#: small negative (a single 32-bit word), the 2**32 word boundary, a
+#: two-word value, a negative multi-word value and a three-word value.
 SEED_MATRIX = (
     0,
     1,
@@ -58,75 +55,86 @@ def compiled() -> CompiledPFA:
     return CompiledPFA.from_pfa(pcore_pfa())
 
 
-def assert_patterns_equal(actual, expected):
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got.symbols == want.symbols
-        assert got.states == want.states
-        assert got.log_probability == want.log_probability
-        assert got.restarts == want.restarts
+def as_tuple(pattern) -> tuple:
+    """A sampled pattern in :meth:`LegacySampler.sample`'s shape."""
+    return (
+        pattern.symbols,
+        pattern.states,
+        pattern.log_probability,
+        pattern.restarts,
+    )
+
+
+def assert_matches_legacy(drawn, references, size):
+    """Each drawn pattern equals its reference walk's next draw."""
+    assert [as_tuple(p) for p in drawn] == [
+        reference.sample(size) for reference in references
+    ]
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("on_final", ["stop", "restart"])
     @pytest.mark.parametrize("size", [1, 2, 7, 40])
     def test_matches_scalar_walks(self, compiled, on_final, size):
-        scalars = [
+        samplers = [
             PatternSampler(compiled, seed=seed, on_final=on_final)
             for seed in SEED_MATRIX
         ]
-        batch = BatchSampler(compiled, SEED_MATRIX, on_final=on_final)
+        references = [
+            LegacySampler(compiled.source, seed, on_final=on_final)
+            for seed in SEED_MATRIX
+        ]
         for _ in range(3):
-            assert_patterns_equal(
-                batch.sample(size),
-                [sampler.sample(size) for sampler in scalars],
+            assert_matches_legacy(
+                [sampler.sample(size) for sampler in samplers],
+                references,
+                size,
             )
 
     @pytest.mark.parametrize("on_final", ["stop", "restart"])
-    def test_sample_many_continues_per_cell_streams(
-        self, compiled, on_final
-    ):
-        seeds = SEED_MATRIX[:4]
-        scalars = [
-            PatternSampler(compiled, seed=seed, on_final=on_final)
-            for seed in seeds
-        ]
-        batch = BatchSampler(compiled, seeds, on_final=on_final)
-        many = batch.sample_many(6, 8)
-        assert len(many) == len(seeds)
-        for cell, sampler in enumerate(scalars):
-            assert_patterns_equal(many[cell], sampler.sample_many(6, 8))
-        # The streams keep continuing after sample_many, too.
-        assert_patterns_equal(
-            batch.sample(5), [sampler.sample(5) for sampler in scalars]
-        )
+    def test_sample_many_continues_per_cell_streams(self, compiled, on_final):
+        for seed in SEED_MATRIX[:4]:
+            sampler = PatternSampler(compiled, seed=seed, on_final=on_final)
+            reference = LegacySampler(compiled.source, seed, on_final=on_final)
+            many = sampler.sample_many(6, 8)
+            assert len(many) == 6
+            assert_matches_legacy(many, [reference] * 6, 8)
+            # The stream keeps continuing after sample_many, too.
+            assert_matches_legacy([sampler.sample(5)], [reference], 5)
 
     def test_varying_sizes_across_rounds(self, compiled):
         seeds = (2**40 + 1, 3, -(2**33))
-        scalars = [PatternSampler(compiled, seed=seed) for seed in seeds]
-        batch = BatchSampler(compiled, seeds)
+        samplers = [PatternSampler(compiled, seed=seed) for seed in seeds]
+        references = [LegacySampler(compiled.source, seed) for seed in seeds]
         for size in (1, 12, 3, 40, 2):
-            assert_patterns_equal(
-                batch.sample(size),
-                [sampler.sample(size) for sampler in scalars],
+            assert_matches_legacy(
+                [sampler.sample(size) for sampler in samplers],
+                references,
+                size,
             )
 
     def test_accepts_plain_pfa_and_compiles_once(self):
         pfa = pcore_pfa()
-        batch = BatchSampler(pfa, (7, 8))
-        scalar = PatternSampler(batch.compiled, seed=7)
-        assert_patterns_equal([batch.sample(9)[0]], [scalar.sample(9)])
+        sampler = PatternSampler(pfa, seed=7)
+        assert sampler.pfa is pfa
+        assert isinstance(sampler.compiled, CompiledPFA)
+        assert sampler.compiled is sampler.compiled
+        shared = PatternSampler(sampler.compiled, seed=7)
+        assert shared.compiled is sampler.compiled
+        assert shared.pfa is pfa
+        for _ in range(3):
+            assert as_tuple(sampler.sample(9)) == as_tuple(shared.sample(9))
 
     def test_none_seeds_run_but_are_not_replayable(self, compiled):
-        # None cells get fresh entropy (exactly like the scalar
-        # sampler's seed=None): nothing to compare bit-for-bit, but the
-        # walks must still be valid prefix walks, and the *seeded*
-        # cells in the same batch must stay on their scalar streams.
-        batch = BatchSampler(compiled, (None, 2**40 + 9, None))
-        scalar = PatternSampler(compiled, seed=2**40 + 9)
+        # seed=None gets fresh entropy: nothing to compare bit-for-bit,
+        # but the walks must still be valid prefix walks, and a seeded
+        # sampler drawing alongside must stay on its reference stream.
+        unseeded = [PatternSampler(compiled, seed=None) for _ in range(2)]
+        seeded = PatternSampler(compiled, seed=2**40 + 9)
+        reference = LegacySampler(compiled.source, 2**40 + 9)
         for _ in range(2):
-            drawn = batch.sample(10)
-            assert_patterns_equal([drawn[1]], [scalar.sample(10)])
+            drawn = [sampler.sample(10) for sampler in unseeded]
+            assert_matches_legacy([seeded.sample(10)], [reference], 10)
             for pattern in drawn:
                 assert 1 <= len(pattern.symbols) <= 10
                 walk = compiled.source.walk_probability(pattern.symbols)
@@ -134,43 +142,14 @@ class TestBitIdentity:
 
 
 class TestScalarFallback:
-    def test_env_var_forces_scalar_path(self, compiled, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        assert numpy_or_none() is None
-        assert not numpy_available()
-        batch = BatchSampler(compiled, SEED_MATRIX)
-        assert batch.used_numpy is False
-        scalars = [
-            PatternSampler(compiled, seed=seed) for seed in SEED_MATRIX
-        ]
-        assert_patterns_equal(
-            batch.sample(11), [sampler.sample(11) for sampler in scalars]
-        )
-
-    def test_env_var_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv(NO_NUMPY_ENV, "0")
-        # "0" and "" are the documented falsy values for the kill
-        # switch; whether numpy then loads depends on the machine.
-        assert numpy_available() == (numpy_or_none() is not None)
-
-    def test_use_numpy_false_forces_fallback(self, compiled):
-        batch = BatchSampler(compiled, (5, 2**40), use_numpy=False)
-        assert batch.used_numpy is False
-        scalars = [
-            PatternSampler(compiled, seed=seed) for seed in (5, 2**40)
-        ]
-        assert_patterns_equal(
-            batch.sample(9), [sampler.sample(9) for sampler in scalars]
-        )
-
-    def test_explicit_request_raises_config_error(
-        self, compiled, monkeypatch
-    ):
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-        with pytest.raises(ConfigError, match="requires numpy"):
-            BatchSampler(compiled, (1, 2), use_numpy=True)
-        with pytest.raises(ConfigError, match=NO_NUMPY_ENV):
-            require_numpy("test context")
+    def test_explicit_request_raises_config_error(self):
+        """A spec may still name the removed knobs: a boolean is
+        ignored, anything else is a :class:`ConfigError`."""
+        plain = CampaignSpec(scenario="clean_spin")
+        for name in ("batch_sampling", "merge_batch"):
+            assert CampaignSpec(scenario="clean_spin", **{name: True}) == plain
+            with pytest.raises(ConfigError, match=f"{name} must be"):
+                CampaignSpec(scenario="clean_spin", **{name: "yes"})
 
     def test_executor_rejects_explicit_batch_request(self):
         with pytest.raises(TypeError, match="batch_sampling"):
@@ -185,44 +164,38 @@ class TestScalarFallback:
             Campaign(seeds=(0, 1), workers=2, merge_batch=True)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 class TestPackedRows:
-    def test_cached_on_the_compiled_instance(self, compiled):
-        assert packed_rows(compiled) is packed_rows(compiled)
-        assert compiled.__dict__["_packed_rows"] is packed_rows(compiled)
+    def test_packing_mirrors_the_compiled_rows(self, compiled):
+        """Every compiled row is the source state's symbol-sorted arcs,
+        with cumulative sums built left to right and cached logs."""
+        pfa = compiled.source
+        assert compiled.num_states == pfa.num_states
+        assert compiled.start == pfa.start
+        for state in range(compiled.num_states):
+            arcs = pfa.outgoing(state)
+            probabilities = tuple(arc.probability for arc in arcs)
+            assert compiled.arc_count(state) == len(arcs)
+            assert compiled.is_absorbing(state) == (not arcs)
+            assert compiled.symbols[state] == tuple(arc.symbol for arc in arcs)
+            assert compiled.targets[state] == tuple(arc.target for arc in arcs)
+            assert compiled.cumulative[state] == tuple(accumulate(probabilities))
+            assert compiled.log_probs[state] == tuple(
+                math.log(p) for p in probabilities
+            )
 
     def test_pickle_excludes_the_packing(self, compiled):
-        packed_rows(compiled)
+        """A pickle carries exactly the declared fields (no derived
+        cache rides along) and the clone walks identically."""
         clone = pickle.loads(pickle.dumps(compiled))
-        assert "_packed_rows" not in clone.__dict__
-        assert clone.symbols == compiled.symbols
-        assert clone.cumulative == compiled.cumulative
-
-    def test_packing_mirrors_the_compiled_rows(self, compiled):
-        np = numpy_or_none()
-        packed = packed_rows(compiled)
-        assert packed.num_states == compiled.num_states
-        assert packed.start == compiled.start
-        for state in range(compiled.num_states):
-            count = compiled.arc_count(state)
-            assert packed.arc_count[state] == count
-            assert bool(packed.is_absorbing[state]) == (
-                compiled.is_absorbing(state)
-            )
-            assert packed.multi_step[state] == (1 if count > 1 else 0)
-            row = packed.cumulative[state]
-            assert row[:count].tolist() == list(compiled.cumulative[state])
-            assert np.isinf(row[count:]).all()
-        # The restart fusion: chosen arc -> post-redirect state in one
-        # take, with absorbing states redirected to start.
-        redirected = packed.restart_redirect[packed.flat_targets]
-        assert (packed.restart_targets == redirected).all()
+        assert set(vars(clone)) == {field.name for field in fields(CompiledPFA)}
+        assert clone == compiled
+        assert as_tuple(PatternSampler(clone, seed=3).sample(12)) == as_tuple(
+            PatternSampler(compiled, seed=3).sample(12)
+        )
 
     def test_fused_rows_match_per_state_accessors(self, compiled):
         for state in range(compiled.num_states):
-            count, symbols, targets, cumulative, log_probs = (
-                compiled.rows[state]
-            )
+            count, symbols, targets, cumulative, log_probs = compiled.rows[state]
             assert count == len(compiled.symbols[state])
             assert symbols == compiled.symbols[state]
             assert targets == compiled.targets[state]
@@ -231,55 +204,26 @@ class TestPackedRows:
 
 
 class TestSharedBatchBridge:
-    def test_size_mismatch_is_rejected(self, compiled):
-        shared = SharedPatternBatch(pfa=compiled, seeds=(1, 2), size=6)
-        with pytest.raises(
-            ConfigError, match="built for size 6, cell requested 7"
-        ):
-            shared.next_pattern(0, 7)
-        with pytest.raises(ConfigError, match="size must be >= 1"):
-            SharedPatternBatch(pfa=compiled, seeds=(1,), size=0)
-
-    def test_interleaved_cells_stay_on_their_scalar_streams(
-        self, compiled
-    ):
+    def test_interleaved_cells_stay_on_their_scalar_streams(self, compiled):
+        """Generators sharing one compiled automaton keep independent
+        streams, however their draws interleave."""
         seeds = (2**40 + 5, 11, -(2**35))
-        shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=8)
-        streams = [shared.stream(cell) for cell in range(len(seeds))]
-        scalars = [PatternSampler(compiled, seed=seed) for seed in seeds]
+        generators = [
+            PatternGenerator.from_pfa(compiled, seed=seed) for seed in seeds
+        ]
+        references = [LegacySampler(compiled.source, seed) for seed in seeds]
         # Drain the cells in a deliberately unfair order: cell 0 far
-        # ahead, then cell 2, then cell 1 catching up.  Each cell's
-        # sequence must equal its own scalar sampler's regardless.
+        # ahead, then cell 2, then cell 1 catching up.
         order = [0, 0, 0, 2, 1, 0, 2, 2, 1, 1]
-        expected = {
-            cell: [
-                scalars[cell].sample(8) for _ in range(order.count(cell))
-            ]
-            for cell in range(len(seeds))
-        }
-        progress = {cell: 0 for cell in range(len(seeds))}
         for cell in order:
-            pattern = streams[cell].generate(8, pattern_id=progress[cell])
-            want = expected[cell][progress[cell]]
-            assert pattern.symbols == want.symbols
-            assert pattern.states == want.states
-            assert pattern.log_probability == want.log_probability
-            progress[cell] += 1
-        assert [stream.generated for stream in streams] == [
+            pattern = generators[cell].generate(8, pattern_id=cell)
+            symbols, states, log_probability, _ = references[cell].sample(8)
+            assert pattern.symbols == symbols
+            assert pattern.states == states
+            assert pattern.log_probability == log_probability
+        assert [generator.generated for generator in generators] == [
             order.count(cell) for cell in range(len(seeds))
         ]
-
-    def test_prime_predraws_without_changing_output(self, compiled):
-        seeds = (2**40 + 5, 11)
-        primed = SharedPatternBatch(pfa=compiled, seeds=seeds, size=8)
-        primed.prime(3)
-        lazy = SharedPatternBatch(pfa=compiled, seeds=seeds, size=8)
-        for cell in range(len(seeds)):
-            for _ in range(3):
-                drawn = primed.next_pattern(cell, 8)
-                other = lazy.next_pattern(cell, 8)
-                assert drawn.symbols == other.symbols
-                assert drawn.log_probability == other.log_probability
 
 
 class TestCampaignBitIdentity:
@@ -290,9 +234,7 @@ class TestCampaignBitIdentity:
         shutdown_pools()
 
     def _campaign(self, workers, batch_size=None):
-        campaign = Campaign(
-            seeds=(0, 1, 2), workers=workers, batch_size=batch_size
-        )
+        campaign = Campaign(seeds=(0, 1, 2), workers=workers, batch_size=batch_size)
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
         campaign.add_scenario("phil", "philosophers", op="cyclic")
         return campaign
@@ -303,18 +245,15 @@ class TestCampaignBitIdentity:
         for workers, batch_size in [(2, None), (2, 1), (2, 3)]:
             campaign = self._campaign(workers, batch_size)
             assert campaign.run() == rows, (
-                f"rows diverged at workers={workers}, "
-                f"batch_size={batch_size}"
+                f"rows diverged at workers={workers}, batch_size={batch_size}"
             )
             for variant in baseline.results:
                 expected = baseline.results[variant]
                 actual = campaign.results[variant]
-                assert [r.patterns for r in actual] == [
-                    r.patterns for r in expected
-                ]
+                assert [r.patterns for r in actual] == [r.patterns for r in expected]
                 assert [r.found_bug for r in actual] == [
                     r.found_bug for r in expected
                 ]
-                assert [
-                    [a.kind for a in r.anomalies] for r in actual
-                ] == [[a.kind for a in r.anomalies] for r in expected]
+                assert [[a.kind for a in r.anomalies] for r in actual] == [
+                    [a.kind for a in r.anomalies] for r in expected
+                ]

@@ -50,24 +50,6 @@ class TestCiFloors:
             f"sampling speedup regressed: {speedup}x < {floor}x"
         )
 
-    def test_sampling_batch_floor(self, report):
-        if report["sampling_batch"]["skipped_numpy"]:
-            pytest.skip("no numpy: batch path is the scalar fallback")
-        speedup = report["sampling_batch"]["speedup"]
-        floor = report["criteria"]["sampling_batch_ci_floor"]
-        assert speedup >= floor, (
-            f"batch sampling speedup regressed: {speedup}x < {floor}x"
-        )
-
-    def test_detector_batch_floor(self, report):
-        if report["detector_batch"]["skipped_numpy"]:
-            pytest.skip("no numpy: batch path is the scalar fallback")
-        speedup = report["detector_batch"]["speedup"]
-        floor = report["criteria"]["detector_batch_ci_floor"]
-        assert speedup >= floor, (
-            f"batched detection speedup regressed: {speedup}x < {floor}x"
-        )
-
     def test_detector_floor(self, report):
         speedup = report["detector"]["speedup"]
         floor = report["criteria"]["detector_ci_floor"]

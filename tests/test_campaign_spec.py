@@ -15,9 +15,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import Campaign
@@ -210,11 +212,60 @@ def test_round_result_wire_codec_round_trips():
             {"scenario": "x", "mode": "adapt", "pipeline": "grid_zoom"},
             "unbounded",
         ),
+        ({"scenario": "x", "mode": "adapt", "pipeline": 5}, "pipeline must be"),
+        ({"scenario": "x", "mode": "adapt", "policy": [1]}, "policy must be"),
+        ({"scenario": "x", "mode": "adapt", "checkpoint": 5}, "checkpoint must be"),
+        ({"scenario": "x", "cell_timeout": float("nan")}, "must be a finite"),
+        ({"scenario": "x", "cell_timeout": float("inf")}, "must be a finite"),
     ],
 )
 def test_validate_rejects(kwargs, match):
     with pytest.raises((ReproError, ValueError), match=match):
         CampaignSpec(**kwargs)
+
+
+def test_huge_finite_cell_timeout_means_no_deadline():
+    """A finite budget past the lock-wait limit waits like no budget
+    rather than overflowing inside ``Future.result``."""
+    spec = CampaignSpec(
+        scenario="clean_spin", params=(("tasks", 2),), seeds=(0, 1), workers=2
+    )
+    huge = replace(spec, cell_timeout=1e300)
+    assert execute_spec(huge).rounds == execute_spec(spec).rounds
+
+
+#: Arbitrary JSON, plus the strings that reach deeper validation
+#: (policy names, pipeline spellings, scenario names, file paths).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(
+        ["grid_zoom", "replay", "grid_zoom:2,replay:1", "replay:0", "ck.json"]
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+SPEC_FIELDS = sorted(f.name for f in fields(CampaignSpec) if f.name != "mode")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["campaign", "adapt"]),
+    payload=st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES, max_size=6),
+)
+def test_from_dict_returns_a_spec_or_raises_config_error(mode, payload):
+    """Whatever JSON a spec file or socket carries, ``from_dict`` either
+    builds a spec or raises :class:`ConfigError` — nothing else."""
+    payload = {"scenario": "philosophers", **payload, "mode": mode}
+    try:
+        spec = CampaignSpec.from_dict(payload)
+    except ConfigError:
+        return
+    assert spec.mode == mode
 
 
 def test_spec_files_with_removed_batch_knobs_still_load():

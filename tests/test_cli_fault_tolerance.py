@@ -46,6 +46,12 @@ class TestExecutorFailureExitCode:
         assert main(["campaign", "philosophers", "--cell-timeout", "0.5"]) == 3
         assert "executor failure: WatchdogTimeout" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cell_timeout_exits_2(self, capsys, value):
+        argv = ["campaign", "philosophers", "--seeds", "4", "--workers", "2"]
+        assert main(argv + ["--cell-timeout", value]) == 2
+        assert "cell_timeout must be a finite number" in capsys.readouterr().out
+
     def test_hint_suppressed_when_quarantine_already_on(self, capsys, monkeypatch):
         def _boom(self, sink=None):
             raise BrokenProcessPool("boom")

@@ -7,20 +7,21 @@ noise × mailbox-stall matrix against a deterministic echo bridge:
 commands issue exactly once, in merged order; lockstep pairs never
 have two commands in flight; a full mailbox stalls and retries the
 same command.  Then the pieces around it: the recorder's lazy records,
-per-cell merges over a shared lockstep sampler, and rows that stay
-identical whatever the worker entry point's trailing knobs, the worker
-count, the batch size or ``REPRO_NO_NUMPY`` say — no field or
-parameter selects a pattern path any more.
+per-cell generate+merge streams that interleave without interfering,
+and rows that stay identical whatever the worker entry point's
+trailing knobs, the worker count or the batch size say, and with
+``import numpy`` blocked — no field or parameter selects a pattern
+path.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.automata.batch import NO_NUMPY_ENV
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
@@ -28,7 +29,7 @@ from repro.ptest.campaign import Campaign
 from repro.ptest.chaos import run_chaos_batch
 from repro.ptest.committer import Committer
 from repro.ptest.executor import CellExecutor
-from repro.ptest.generator import PatternGenerator, SharedPatternBatch
+from repro.ptest.generator import PatternGenerator
 from repro.ptest.harness import AdaptiveTest
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
@@ -193,11 +194,10 @@ def assert_walk_contract(merged, lockstep=True, **drive_kw) -> Committer:
     if lockstep:
         assert committer.bridge.max_in_flight == 1
     sources = merged.sources
-    assert recorder.snapshot_columns() == (
-        [pattern.pattern_id for pattern in sources],
-        [len(pattern) for pattern in sources],
-        [0] * len(sources),
-    )
+    assert [
+        (record.pair_id, record.sequence_number, record.remaining)
+        for record in recorder.snapshot()
+    ] == [(pattern.pattern_id, len(pattern), ()) for pattern in sources]
     assert again.results == committer.results
     assert (again.steps, again.stall_events) == (
         committer.steps,
@@ -242,8 +242,9 @@ class TestColumnWalkEquivalence:
             assert committer.stall_events > 0
 
     def test_fallback_walk_matches_under_env_mask(self, monkeypatch):
-        """`REPRO_NO_NUMPY` changes nothing from sampling to report: a
-        deadlocking and a crashing scenario run identically masked."""
+        """With ``import numpy`` blocked nothing changes from sampling
+        to report: a deadlocking and a crashing scenario run
+        identically."""
         cells = [("philosophers", 3), ("quicksort_stress", 0)]
 
         def run_all():
@@ -254,7 +255,7 @@ class TestColumnWalkEquivalence:
             return runs
 
         unmasked = run_all()
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert run_all() == unmasked
         assert all(result.found_bug for result, _trace in unmasked)
 
@@ -355,11 +356,13 @@ class TestRecorderLaziness:
         recorder.note_slave_state(0, "s:ready", tid=3)
         record = recorder.record(0)
         snapshot = recorder.snapshot()
-        assert recorder.snapshot_columns() == ([0], [1], [3])
         assert record._pattern is None and record._remaining is None
         assert all(
             r._pattern is None and r._remaining is None for r in snapshot
         )
+        assert [(r.pair_id, r.sequence_number) for r in snapshot] == [(0, 1)]
+        assert snapshot[0]._remaining is None  # ids and SN slice nothing
+        assert snapshot[0].remaining == ("TS", "TR", "TD")
 
     def test_lazy_record_equals_its_eager_twin(self):
         pattern = TestPattern(pattern_id=0, symbols=self.ALPHABET)
@@ -395,15 +398,17 @@ def own_merges(compiled, seed, merger_seed, rounds, count, size, op, chunk):
 
 
 class TestSharedMergeBatch:
-    """Per-cell merges over a shared lockstep sampler: each cell's
-    rounds equal its own generate+merge, however the cells interleave."""
+    """Per-cell generate+merge streams over one shared compiled
+    automaton: each cell's rounds equal its own generate+merge, however
+    the cells interleave."""
 
     def test_interleaved_cells_match_their_own_merges(self, compiled):
         seeds = (2**40 + 5, 11, -(2**35))
         merger_seeds = (301, 302, 303)
         size, count, op, chunk = 8, 3, "cyclic", 2
-        shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=size)
-        streams = [shared.stream(cell) for cell in range(len(seeds))]
+        generators = [
+            PatternGenerator.from_pfa(compiled, seed=seed) for seed in seeds
+        ]
         order = [0, 0, 2, 1, 0, 1, 2]
         expected = {
             cell: own_merges(
@@ -422,41 +427,21 @@ class TestSharedMergeBatch:
         # Drain in a deliberately unfair order.
         for cell in order:
             merger = PatternMerger(op=op, seed=merger_seeds[cell], chunk=chunk)
-            merged = merger.merge(streams[cell].generate_batch(count, size))
+            merged = merger.merge(generators[cell].generate_batch(count, size))
             want = expected[cell][progress[cell]]
             assert merged == want
             assert merged.describe() == want.describe()
             progress[cell] += 1
-        assert [stream.generated for stream in streams] == [
+        assert [generator.generated for generator in generators] == [
             count * order.count(cell) for cell in range(len(seeds))
         ]
 
-    def test_prime_premerges_without_changing_output(self, compiled):
-        seeds = (2**40 + 5, 11)
-        shared = SharedPatternBatch(pfa=compiled, seeds=seeds, size=6)
-        shared.prime(4)
-        for cell, seed in enumerate(seeds):
-            merger = PatternMerger(op="round_robin", seed=41 + cell, chunk=1)
-            stream = shared.stream(cell)
-            got = [merger.merge(stream.generate_batch(2, 6)) for _ in range(3)]
-            assert got == own_merges(
-                compiled, seed, 41 + cell, 3, 2, 6, "round_robin", 1
-            )
-
     def test_validation(self, compiled):
-        shared = SharedPatternBatch(pfa=compiled, seeds=(1, 2), size=4)
         generator = PatternGenerator.from_pfa(compiled, seed=1)
-        for source in (shared.stream(0), generator):
-            with pytest.raises(ConfigError, match="pattern count must be >= 1"):
-                source.generate_batch(0, 4)
-            with pytest.raises(ConfigError, match="pattern size must be >= 1"):
-                source.generate(0)
-
-    def test_merge_batch_seed_count_mismatch(self):
-        merger = PatternMerger(op="round_robin", seed=1, chunk=1)
-        group = [TestPattern(pattern_id=0, symbols=("TC",))]
-        with pytest.raises(ConfigError, match="1 groups but 2 seeds"):
-            merger.merge_batch([group], seeds=(5, 6))
+        with pytest.raises(ConfigError, match="pattern count must be >= 1"):
+            generator.generate_batch(0, 4)
+        with pytest.raises(ConfigError, match="pattern size must be >= 1"):
+            generator.generate(0)
 
     def test_harness_ignores_mismatched_merge_stream(self, compiled):
         """The harness takes no generator or merge stream: neither is a
@@ -467,7 +452,7 @@ class TestSharedMergeBatch:
             with pytest.raises(TypeError, match=name):
                 AdaptiveTest(config=ref(5).config, **{name: None})
         test = ref(5)
-        stream = SharedPatternBatch(pfa=compiled, seeds=(5,), size=4).stream(0)
+        stream = PatternGenerator.from_pfa(compiled, seed=5)
         test.generator_override = stream
         test.merge_override = stream
         assert test.run() == plain
@@ -521,7 +506,8 @@ class TestWorkerMergeBatch:
         table, jobs = self._table()
         unmasked = run_table_batch(table, jobs)
         clear_worker_cache()
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        # From here on `import numpy` fails: the cell path never needs it.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         assert run_table_batch(table, jobs) == unmasked
 
 

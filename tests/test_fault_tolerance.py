@@ -332,6 +332,10 @@ class TestWatchdog:
         executor = CellExecutor(workers=1, cell_timeout=0.0)
         with pytest.raises(ValueError, match="cell_timeout"):
             executor.run_cells({}, [])
+        for value in (float("nan"), float("inf")):
+            executor = CellExecutor(workers=1, cell_timeout=value)
+            with pytest.raises(ConfigError, match="cell_timeout must be a finite"):
+                executor.run_cells({}, [])
 
     def test_no_deadline_means_no_watchdog(self):
         # cell_timeout=None is the pre-watchdog behaviour: futures are

@@ -5,12 +5,12 @@ tests hold it to a reference model written out below, op by op — the
 documented order of each built-in op, including the stochastic ops'
 one-draw-per-symbol RNG order against a fresh ``random.Random(seed)``
 — over every op × chunk × ragged-length case (empty and singleton
-patterns included), with numpy visible and masked by
-``REPRO_NO_NUMPY`` (the ``auto``/``scalar`` ids; the merger must not
-care).  Then the data types underneath: the frozen dataclass surface
-of :class:`TestPattern` / :class:`MergedPattern` (eq/hash/repr,
+patterns included), with numpy importable and with ``import numpy``
+blocked (the ``auto``/``scalar`` ids; the merger is stdlib-only and
+must not care).  Then the data types underneath: the frozen dataclass
+surface of :class:`TestPattern` / :class:`MergedPattern` (eq/hash/repr,
 ``FrozenInstanceError``, ``len``, pickles of plain tuples), patterns
-drawn through :class:`~repro.ptest.generator.SharedPatternBatch`, and
+drawn through :class:`~repro.ptest.generator.PatternGenerator`, and
 :meth:`PatternMerger.merge_batch`.
 """
 
@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.automata.batch import NO_NUMPY_ENV
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
-from repro.ptest.generator import PatternGenerator, SharedPatternBatch
+from repro.ptest.generator import PatternGenerator
 from repro.ptest.merger import (
     MERGE_OPS,
     PatternMerger,
@@ -132,17 +132,15 @@ def merged_equal(a: MergedPattern, b: MergedPattern) -> None:
 
 
 def assert_matches_reference(op, chunk, lengths, expected, monkeypatch):
-    """The merge equals ``expected`` commands, numpy visible or masked."""
+    """The merge equals ``expected`` commands, numpy importable or not."""
     results = []
     for masked in (False, True):
-        if masked:
-            monkeypatch.setenv(NO_NUMPY_ENV, "1")
+        set_mask(monkeypatch, masked)
         results.append(
             PatternMerger(op=op, seed=MERGE_SEED, chunk=chunk).merge(
                 make_patterns(lengths)
             )
         )
-        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
     visible, masked_result = results
     assert visible.commands == expected
     assert visible.op == op
@@ -186,10 +184,9 @@ def compiled() -> CompiledPFA:
 
 
 def set_mask(monkeypatch, masked: bool) -> None:
+    """With ``masked``, ``import numpy`` fails for the rest of the test."""
     if masked:
-        monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    else:
-        monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
+        monkeypatch.setitem(sys.modules, "numpy", None)
 
 
 class TestEquivalenceMatrix:
@@ -216,30 +213,34 @@ class TestEquivalenceMatrix:
 
     @pytest.mark.parametrize("op", ["round_robin", "cyclic", "burst"])
     def test_array_backed_inputs_merge_identically(self, compiled, op):
-        """Patterns drawn through a shared lockstep batch equal the
-        scalar generator's and merge to the same result."""
+        """Generated patterns equal their keyword-built twins and merge
+        to the same result."""
         seeds = (11, 12, 13, 14)
-        shared = SharedPatternBatch(compiled, seeds, size=9)
-        batched = [
-            shared.stream(cell).generate(9, pattern_id=cell)
-            for cell in range(len(seeds))
-        ]
-        scalar = [
+        generated = [
             PatternGenerator.from_pfa(compiled, seed=seed).generate(
                 9, pattern_id=cell
             )
             for cell, seed in enumerate(seeds)
         ]
-        assert batched == scalar
+        twins = [
+            TestPattern(
+                pattern_id=pattern.pattern_id,
+                symbols=tuple(pattern.symbols),
+                states=tuple(pattern.states),
+                log_probability=pattern.log_probability,
+            )
+            for pattern in generated
+        ]
+        assert generated == twins
         merger = PatternMerger(op=op, seed=MERGE_SEED, chunk=3)
-        merged_equal(merger.merge(batched), merger.merge(scalar))
+        merged_equal(merger.merge(generated), merger.merge(twins))
 
 
 MASK_IDS = dict(argnames="masked", argvalues=[True, False], ids=["scalar", "auto"])
 
 
 class TestArrayPathErrors:
-    """Merge errors, raised the same with numpy visible or masked."""
+    """Merge errors, raised the same whether numpy imports or not."""
 
     @pytest.mark.parametrize(**MASK_IDS)
     def test_over_consuming_op_raises_on_both_paths(

@@ -235,6 +235,30 @@ def test_invalid_spec_payload_is_config_error_frame(server):
     assert "workers" in frame["message"]
 
 
+@pytest.mark.parametrize(
+    "field",
+    [{"pipeline": 5}, {"policy": [1]}, {"checkpoint": 5}],
+    ids=["pipeline", "policy", "checkpoint"],
+)
+def test_mistyped_spec_fields_get_one_config_error_frame(server, field):
+    (name,) = field
+    spec = {"scenario": "philosophers", "mode": "adapt", **field}
+    with socket.create_connection(server.address, timeout=10) as sock:
+        reader = sock.makefile("rb")
+        request = {"op": "run", "id": "r1", "spec": spec}
+        sock.sendall(json.dumps(request).encode() + b"\n")
+        frame = json.loads(reader.readline())
+        assert (frame["type"], frame["id"], frame["kind"]) == (
+            "error",
+            "r1",
+            "config",
+        )
+        assert f"{name} must be" in frame["message"]
+        # Exactly one frame: the next line answers the next request.
+        sock.sendall(json.dumps({"op": "ping", "id": "p1"}).encode() + b"\n")
+        assert json.loads(reader.readline())["type"] == "pong"
+
+
 def test_malformed_json_keeps_connection_alive(server):
     with socket.create_connection(server.address, timeout=30) as sock:
         reader = sock.makefile("rb")
