@@ -118,7 +118,6 @@ class TestBitIdentity:
         sampler = PatternSampler(pfa, seed=7)
         assert sampler.pfa is pfa
         assert isinstance(sampler.compiled, CompiledPFA)
-        assert sampler.compiled is sampler.compiled
         shared = PatternSampler(sampler.compiled, seed=7)
         assert shared.compiled is sampler.compiled
         assert shared.pfa is pfa
