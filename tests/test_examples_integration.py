@@ -67,6 +67,16 @@ def test_pipeline_sweep():
     assert "prewarmed 4 ref(s)" in output
 
 
+def test_batch_sampling():
+    # deadlock_hunt.py ends by recording the deadlocked run's wait-graph
+    # deltas and sweeping them as one batch (BugDetector.sweep_batch),
+    # then re-confirming the reported cycle with audit_deadlocks.
+    output = run_example("deadlock_hunt.py")
+    assert "wait-graph delta(s) recorded" in output
+    assert "cycle tids=" in output
+    assert "re-confirmed from recorded deltas (consistent=True)" in output
+
+
 @pytest.mark.slow
 def test_stress_pcore():
     output = run_example("stress_pcore.py", "1")
@@ -80,8 +90,6 @@ def test_deadlock_hunt():
     assert "cyclic" in output
     assert "CLEAN" in output
     assert "CP0" in output  # state records printed
-    assert "wait-graph delta(s) recorded" in output
-    assert "re-confirmed from recorded deltas (consistent=True)" in output
 
 
 @pytest.mark.slow
