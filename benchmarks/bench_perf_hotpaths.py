@@ -25,13 +25,7 @@ this machine:
    round (pool spawn inside the timed window) vs. the mean warm round
    2+ — certifying, via pool telemetry, that refinement rounds never
    pay pool spawn (``pool.spawns`` stays 1 however many rounds run).
-6. **Composed pipelines + pre-warming** — round-start latency (round
-   dispatch to first delivered result) of a staged
-   :class:`PolicyPipeline` whose rounds each introduce brand-new refs,
-   with cross-round worker-cache pre-warming off vs on; the composed
-   schedule must hold ``pool.spawns == 1`` and pre-warming must never
-   start a round slower than cold.
-7. **Deadlock detection** — detector sweeps/sec of the legacy
+6. **Deadlock detection** — detector sweeps/sec of the legacy
    networkx-rebuild check vs. the incremental wait-for graph, in the
    steady state where mutex ownership is not changing (the common case
    between interleavings).
@@ -413,156 +407,6 @@ def bench_adaptive(quick: bool, workers: int) -> dict:
     }
 
 
-# -- layer 2e: composed pipelines + pre-warming --------------------------------
-
-
-class _ShiftedSpinGrid:
-    """Bench policy: a fresh ``clean_spin`` grid every round.
-
-    Pure in ``observation.index`` (the adaptive determinism contract),
-    and deliberately adversarial for caching: every round's variants
-    carry *new* cache keys, so each round pays scenario resolution and
-    PFA compilation somewhere — inside the round when cold, overlapped
-    with round setup when pre-warmed.  ``base`` offsets the step grid
-    so two composed stages emit disjoint key ranges.
-    """
-
-    def __init__(self, base: int):
-        self.base = base
-
-    def refine(self, observation):
-        from repro.ptest.campaign import grid_variants
-
-        start = self.base + 10 * (observation.index + 1)
-        return grid_variants(
-            "spin",
-            "clean_spin",
-            {"total_steps": [start, start + 2, start + 4]},
-            tasks=2,
-        )
-
-
-def bench_pipeline(quick: bool, workers: int) -> dict:
-    """Round-start latency of a composed pipeline, prewarmed vs cold.
-
-    Runs a two-stage :class:`PolicyPipeline` (each stage a
-    :class:`_ShiftedSpinGrid`, so every round introduces brand-new
-    refs) twice on fresh pools: once with cross-round pre-warming
-    disabled (round N+1's workers resolve/compile inside the round)
-    and once enabled (refs ship to workers the moment the policy
-    refines).  The metric is *round-start latency* — dispatch of a
-    warm round to its first delivered result — meaned over rounds 2+.
-    Pre-warming must never lose (CI floor: prewarmed >= cold on
-    multi-core) and the whole composed schedule must ride one pool
-    spawn, prewarm traffic included.
-    """
-    from repro.ptest.adaptive import AdaptiveCampaign
-    from repro.ptest.pipeline import PipelineStage, PolicyPipeline
-
-    rounds = 4
-    seeds = tuple(range(8 if quick else 24))
-    steps = 40 if quick else 80
-    reps = 3
-
-    class _TimedPipeline(PolicyPipeline):
-        """Pipeline plus a round-boundary timestamp per refinement."""
-
-        def __init__(self, stages, times):
-            super().__init__(stages)
-            self._times = times
-
-        def refine(self, observation):
-            refined = super().refine(observation)
-            self._times.append(time.perf_counter())
-            return refined
-
-    class _AcceptTimes:
-        """Sink recording each delivery's timestamp, in order."""
-
-        def __init__(self):
-            self.times: list[float] = []
-
-        def accept(self, cell, result):
-            self.times.append(time.perf_counter())
-
-    def run_once(prewarm: bool) -> tuple[list[float], object, int]:
-        refine_times: list[float] = []
-        pipeline = _TimedPipeline(
-            (
-                PipelineStage(_ShiftedSpinGrid(steps), rounds=2),
-                PipelineStage(_ShiftedSpinGrid(steps + 1000), rounds=2),
-            ),
-            refine_times,
-        )
-        sink = _AcceptTimes()
-        with WorkerPool(workers) as pool:
-            campaign = AdaptiveCampaign(
-                seeds=seeds,
-                rounds=rounds,
-                policy=pipeline,
-                workers=workers,
-                pool=pool,
-                prewarm=prewarm,
-            )
-            campaign.add_grid(
-                "spin",
-                "clean_spin",
-                {"total_steps": [steps, steps + 2, steps + 4]},
-                tasks=2,
-            )
-            start = time.perf_counter()
-            result = campaign.run(sink=sink)
-            spawns = pool.spawns
-        # Segment the accept stream into rounds (cells per round =
-        # variants x seeds) and pair each round's first delivery with
-        # its start: the run start for round 1, the policy's refine
-        # return for every later round.
-        starts = [start, *refine_times]
-        latencies = []
-        cursor = 0
-        for index, observation in enumerate(result.rounds):
-            latencies.append(sink.times[cursor] - starts[index])
-            cursor += len(observation.variants) * len(seeds)
-        return latencies, result, spawns
-
-    cold_best = prewarmed_best = float("inf")
-    cold_result = prewarmed_result = None
-    spawn_counts = set()
-    # Interleave the reps so machine-load drift hits both paths alike.
-    for _ in range(reps):
-        latencies, cold_result, spawns = run_once(prewarm=False)
-        spawn_counts.add(spawns)
-        cold_best = min(cold_best, sum(latencies[1:]) / (rounds - 1))
-        latencies, prewarmed_result, spawns = run_once(prewarm=True)
-        spawn_counts.add(spawns)
-        prewarmed_best = min(
-            prewarmed_best, sum(latencies[1:]) / (rounds - 1)
-        )
-    # Correctness guard: pre-warming must not change any round's rows.
-    # (Spawn counts are *reported*, not asserted — the no-respawn gate
-    # lives in the criteria block so a regression fails the CI check
-    # with the telemetry in hand instead of dying mid-bench.)
-    assert [o.rows for o in cold_result.rounds] == [
-        o.rows for o in prewarmed_result.rounds
-    ], "prewarmed pipeline rounds diverged from cold rounds"
-    assert prewarmed_result.prewarmed_refs > 0
-    assert cold_result.prewarmed_refs == 0
-    return {
-        "rounds": rounds,
-        "cells_per_round": 3 * len(seeds),
-        "workers": workers,
-        "stages": "shift:2 -> shift:2",
-        "prewarmed_refs": prewarmed_result.prewarmed_refs,
-        "cold_round_start_ms": round(cold_best * 1_000, 3),
-        "prewarmed_round_start_ms": round(prewarmed_best * 1_000, 3),
-        "speedup": round(cold_best / prewarmed_best, 2),
-        "pool_spawns": max(spawn_counts),
-        # One core serialises prewarm tasks and round batches, so the
-        # overlap the ratio measures cannot exist; raw numbers stay.
-        "skipped_parallel_floor": os.cpu_count() == 1,
-    }
-
-
 # -- layer 2f: campaign-as-a-service -------------------------------------------
 
 
@@ -789,7 +633,6 @@ def main(argv: list[str] | None = None) -> int:
         "faults": bench_faults(args.quick, args.workers),
         "pool": bench_pool(args.quick, args.workers),
         "adaptive": bench_adaptive(args.quick, args.workers),
-        "pipeline": bench_pipeline(args.quick, args.workers),
         "serve": bench_serve(args.quick, args.workers),
         "detector": bench_detector(args.quick),
     }
@@ -840,21 +683,6 @@ def main(argv: list[str] | None = None) -> int:
             results["adaptive"]["pool_spawns"] == 1
             and results["adaptive"]["pool_stable"]
         ),
-        # Cross-round pre-warming moves scenario resolution and PFA
-        # compilation out of a round's first batches, so a prewarmed
-        # round must start at least as fast as a cold one (parity is
-        # the floor; the overlap win rides on top).  Meaningless where
-        # one core serialises the overlap — skipped there, like pool.
-        "pipeline_prewarm_ci_floor": 1.0,
-        "pipeline_prewarm_floor_met": (
-            None
-            if single_core
-            else results["pipeline"]["speedup"] >= 1.0
-        ),
-        # The composed schedule's spawn floor is exact everywhere.
-        "pipeline_no_respawn_met": (
-            results["pipeline"]["pool_spawns"] == 1
-        ),
         # A warm-server request must clearly beat paying interpreter
         # start + imports + pool spawn per campaign (the serve claim);
         # skipped where one core makes concurrent clients contend with
@@ -875,13 +703,12 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     shutdown_pools()  # deterministic teardown of the shared warm pool
 
-    sampling, campaign, batched, pool, adaptive, pipeline, detector = (
+    sampling, campaign, batched, pool, adaptive, detector = (
         results["sampling"],
         results["campaign"],
         results["campaign_batched"],
         results["pool"],
         results["adaptive"],
-        results["pipeline"],
         results["detector"],
     )
     print("== perf hot paths ==")
@@ -938,17 +765,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{adaptive['warm_rounds_per_sec']:>10.2f} rounds/s    "
         f"({adaptive['speedup']}x warm vs cold, "
         f"pool_spawns={adaptive['pool_spawns']}){adaptive_note}"
-    )
-    pipeline_note = (
-        "  [floor skipped: 1 core]"
-        if pipeline["skipped_parallel_floor"]
-        else ""
-    )
-    print(
-        f"pipeline:  {pipeline['cold_round_start_ms']:>10.3f} -> "
-        f"{pipeline['prewarmed_round_start_ms']:>10.3f} ms/round-start "
-        f"({pipeline['speedup']}x prewarmed vs cold, "
-        f"pool_spawns={pipeline['pool_spawns']}){pipeline_note}"
     )
     serve = results["serve"]
     serve_note = (

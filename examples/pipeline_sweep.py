@@ -10,12 +10,11 @@ merged-pattern replay cells across every seed.
 
 The :class:`PolicyPipeline` is itself a ``RefinePolicy``, so the
 engine, the warm worker pool and the determinism contract are exactly
-those of a single-policy adaptive campaign.  Between rounds the
-campaign pre-warms the pool: each refined round's new refs (the zoomed
-grid, then the replay cells) ship to the workers while the parent is
-still setting the round up, so no round's first batch pays scenario
-resolution or automaton compilation.  Watch ``pool_id`` stay constant
-and the prewarmed-refs counter grow.
+those of a single-policy adaptive campaign.  Each refined round's new
+refs (the zoomed grid, then the replay cells) reach the workers with
+that round's first batches, which resolve and compile them once per
+worker.  Watch ``pool_id`` stay constant: the whole schedule runs on
+one pool spawn.
 
 Run:  python examples/pipeline_sweep.py
 """
@@ -78,7 +77,7 @@ def main() -> None:
             )
     print(
         f"\npool stable across the composed schedule: {result.pool_stable}"
-        f"; prewarmed {result.prewarmed_refs} ref(s) between rounds"
+        f"; {len(result.rounds)} round(s) on one pool"
         + ("  (stopped early)" if result.stopped_early else "")
     )
     shutdown_pools()

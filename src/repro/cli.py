@@ -222,7 +222,6 @@ def _build_spec(args: argparse.Namespace, mode: str):
             pipeline=args.pipeline,
             rounds=args.rounds,
             max_sources=args.max_sources,
-            prewarm=not args.no_prewarm,
             checkpoint=getattr(args, "checkpoint", None),
             resume=getattr(args, "resume", False),
         )
@@ -262,11 +261,6 @@ def _print_adapt_outcome(spec, outcome) -> None:
         f"{outcome.schedule}, {len(outcome.rounds)}/{outcome.rounds_budget} "
         f"round(s), workers={spec.workers}"
         + (" [stopped early]" if outcome.stopped_early else "")
-        + (
-            f" [prewarmed {outcome.prewarmed_refs} ref(s)]"
-            if outcome.prewarmed_refs
-            else ""
-        )
         + (
             f" [resumed {outcome.resumed_rounds} round(s) from checkpoint]"
             if outcome.resumed_rounds
@@ -719,13 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         "latest round's detections to the next stage (mutually "
         "exclusive with --policy; only the final stage may omit "
         ":rounds, capped by --rounds)",
-    )
-    adapt_p.add_argument(
-        "--no-prewarm",
-        action="store_true",
-        help="disable cross-round worker-cache pre-warming (results "
-        "are identical either way; useful for benchmarking round-start "
-        "cost)",
     )
     adapt_p.add_argument(
         "--max-sources",

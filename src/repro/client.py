@@ -11,7 +11,10 @@ serve bit-identity contract, exercised end to end by
 Server-reported failures surface as :class:`ServerError` carrying the
 structured frame's kind (``config`` / ``executor`` / ``protocol``),
 the CLI-equivalent exit code, and any hint — so embedders branch on
-the same taxonomy whether the campaign ran locally or remotely.
+the same taxonomy whether the campaign ran locally or remotely.  A
+broken transport raises it too, never a raw socket exception: kind
+``connect`` for a refused, reset or closed connection, ``timeout`` for
+a read that outlived ``timeout``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NoReturn
 
 from repro.errors import ReproError
 from repro.ptest.campaign import CampaignRow, DetectionSample
@@ -78,7 +81,6 @@ class RemoteOutcome:
     rounds: tuple[RoundResult, ...]
     stopped_early: bool = False
     pool_ids: tuple[int | None, ...] = ()
-    prewarmed_refs: int = 0
     resumed_rounds: int = 0
     rounds_budget: int = 0
     schedule: str = ""
@@ -172,15 +174,40 @@ class Client:
 
     def _send(self, payload: dict[str, Any]) -> None:
         self.connect()
-        self._sock.sendall(json.dumps(payload).encode() + b"\n")
+        try:
+            self._sock.sendall(json.dumps(payload).encode() + b"\n")
+        except OSError as error:
+            self._lost("sending a request", error)
 
     def _recv(self) -> dict[str, Any]:
-        line = self._file.readline()
+        try:
+            line = self._file.readline()
+        except OSError as error:  # socket timeouts included
+            self._lost("waiting for a reply", error)
         if not line:
             raise ServerError(
                 "server closed the connection mid-request", kind="connect"
             )
         return json.loads(line)
+
+    def _lost(self, action: str, error: OSError) -> NoReturn:
+        """Close the broken connection and raise its classified error.
+
+        A read that timed out leaves the stream mid-frame, so the
+        connection cannot be reused either way.
+        """
+        self.close()
+        if isinstance(error, TimeoutError):
+            raise ServerError(
+                f"no reply from repro server at {self.host}:{self.port} "
+                f"within the {self.timeout}s read timeout",
+                kind="timeout",
+            ) from None
+        raise ServerError(
+            f"lost the connection to repro server at {self.host}:"
+            f"{self.port} while {action} ({type(error).__name__}: {error})",
+            kind="connect",
+        ) from None
 
     def _next_id(self) -> str:
         self._request_seq += 1
@@ -267,7 +294,6 @@ class Client:
                     rounds=tuple(rounds),
                     stopped_early=frame.get("stopped_early", False),
                     pool_ids=tuple(frame.get("pool_ids", ())),
-                    prewarmed_refs=frame.get("prewarmed_refs", 0),
                     resumed_rounds=frame.get("resumed_rounds", 0),
                     rounds_budget=frame.get("rounds_budget", len(rounds)),
                     schedule=frame.get("schedule", ""),

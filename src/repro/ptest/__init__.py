@@ -28,8 +28,7 @@ the simulated OMAP platform:
 * :mod:`repro.ptest.pipeline` — composable refinement schedules:
   ``PolicyPipeline`` stages existing policies (zoom for N rounds, then
   replay once detections plateau) and is itself a ``RefinePolicy``,
-  with cross-round pre-warming keeping the pool's caches hot between
-  stages.
+  so composed schedules run on the same warm pool.
 * :mod:`repro.ptest.spec` — the frozen, JSON-serializable
   ``CampaignSpec`` request schema and ``execute_spec``, the single
   execution entry point shared by the CLI subcommands, ``repro serve``
@@ -85,14 +84,12 @@ from repro.ptest.executor import (
     ResultSink,
     WorkCell,
     run_cell,
-    run_cell_batch,
 )
 from repro.ptest.pool import (
     WorkerPool,
     close_pool,
     get_pool,
     make_batch_table,
-    prewarm_table,
     run_table_batch,
     shutdown_pools,
 )
@@ -167,12 +164,10 @@ __all__ = [
     "ResultSink",
     "WorkCell",
     "run_cell",
-    "run_cell_batch",
     "WorkerPool",
     "close_pool",
     "get_pool",
     "make_batch_table",
-    "prewarm_table",
     "run_table_batch",
     "shutdown_pools",
     "IncrementalWaitForGraph",

@@ -35,16 +35,14 @@ Policies compose into staged schedules (zoom for three rounds, then
 replay once detections plateau) via
 :class:`~repro.ptest.pipeline.PolicyPipeline` — itself a
 :class:`RefinePolicy`, so composed schedules run through this engine
-unchanged.  Between rounds the campaign *pre-warms* the worker pool:
-the refined round's distinct refs ship to the workers the moment the
-policy emits them (see :meth:`~repro.ptest.pool.WorkerPool.prewarm`),
-so cross-round scenario resolution and automaton compilation overlap
-round setup instead of serialising into the next round's first batches.
+unchanged.  Each round is one generate → merge → commit → detect pass
+over its cells; a refined round's new refs are resolved and compiled by
+the workers inside that round's first batches, exactly as a plain
+campaign's are.
 
 **Determinism contract.**  For a fixed seed set and policy, the
 round-by-round variant sets and every round's rows are bit-identical at
-any ``(workers, batch_size, warm/cold, prewarm on/off)`` execution
-configuration:
+any ``(workers, batch_size, warm/cold)`` execution configuration:
 campaign rows already are, detection samples are captured in submission
 order, and every built-in policy is a pure function of its
 :class:`RoundObservation` (stochastic re-merging derives its RNG seeds
@@ -433,10 +431,6 @@ class AdaptiveResult:
     rounds: list[RoundObservation]
     #: True when the policy ended the campaign before ``rounds`` ran.
     stopped_early: bool
-    #: Distinct cache keys shipped to workers ahead of rounds 2+ (0 on
-    #: serial runs, or with pre-warming disabled) — perf telemetry
-    #: only, never part of the determinism fingerprint.
-    prewarmed_refs: int = 0
     #: Rounds replayed from a checkpoint instead of executed (0 on a
     #: straight-through run) — telemetry, never part of the results.
     resumed_rounds: int = 0
@@ -554,14 +548,6 @@ class AdaptiveCampaign:
     #: A missing checkpoint file starts fresh; a mismatched one raises
     #: :class:`~repro.errors.CheckpointError`.
     resume: bool = False
-    #: Ship each refined round's distinct refs to the workers (via
-    #: :meth:`~repro.ptest.pool.WorkerPool.prewarm`) as soon as the
-    #: policy emits them, so round N+1's scenario resolution and PFA
-    #: compilation happen while the parent is still setting the round
-    #: up.  Results are bit-identical on or off (the worker cache is
-    #: equality-checked before reuse); disable to measure cold
-    #: round-start cost, or when rounds rarely introduce new refs.
-    prewarm: bool = True
     #: Incremental round delivery: called with each
     #: :class:`RoundObservation` the moment it lands — executed *and*
     #: checkpoint-replayed rounds alike, before the policy refines it —
@@ -632,7 +618,6 @@ class AdaptiveCampaign:
         current: dict[str, ScenarioBuilder] = dict(self.variants)
         observations: list[RoundObservation] = []
         stopped_early = False
-        prewarmed_refs = 0
         resumed_rounds = 0
         if self.resume and store is not None and store.exists():
             # Replay completed rounds from disk: every stored
@@ -643,7 +628,6 @@ class AdaptiveCampaign:
             # (the determinism contract), which is why no policy state
             # needs persisting.
             payload = store.load(fingerprint)
-            prewarmed_refs = payload["prewarmed_refs"]
             for observation in payload["observations"]:
                 if len(observations) >= self.rounds:
                     break  # budget shrank below the stored progress
@@ -658,16 +642,6 @@ class AdaptiveCampaign:
                     stopped_early = True
                     break
                 current = dict(refined)
-            if (
-                not stopped_early
-                and len(observations) < self.rounds
-                and observations
-                and self.prewarm
-                and pool is not None
-            ):
-                # The upcoming round's refs would already be warm in an
-                # uninterrupted run; re-ship them without re-counting.
-                pool.prewarm(current.values())
         for index in range(len(observations), self.rounds):
             if stopped_early:
                 break
@@ -711,7 +685,6 @@ class AdaptiveCampaign:
                 store.save(
                     fingerprint=fingerprint,
                     observations=observations,
-                    prewarmed_refs=prewarmed_refs,
                     stopped_early=False,
                     finished=final,
                 )
@@ -724,23 +697,13 @@ class AdaptiveCampaign:
                     store.save(
                         fingerprint=fingerprint,
                         observations=observations,
-                        prewarmed_refs=prewarmed_refs,
                         stopped_early=True,
                         finished=True,
                     )
                 break
             current = dict(refined)
-            if self.prewarm and pool is not None:
-                # Cross-round pre-warming: the next round's variants
-                # are known the moment the policy returns, so their
-                # distinct refs go to the workers now — resolution and
-                # PFA compilation overlap the parent-side round setup
-                # below instead of serialising into the round's first
-                # batches.  Fire-and-forget; results cannot change.
-                prewarmed_refs += pool.prewarm(current.values())
         return AdaptiveResult(
             rounds=observations,
             stopped_early=stopped_early,
-            prewarmed_refs=prewarmed_refs,
             resumed_rounds=resumed_rounds,
         )

@@ -93,14 +93,16 @@ class CampaignCheckpoint:
     """Atomic load/save of one adaptive campaign's round progress.
 
     The payload is a plain dict —
-    ``{"version", "fingerprint", "observations", "prewarmed_refs",
-    "stopped_early", "finished"}`` — pickled because observations carry
+    ``{"version", "fingerprint", "observations", "stopped_early",
+    "finished"}`` — pickled because observations carry
     :class:`~repro.workloads.registry.ScenarioRef` /
     :class:`~repro.ptest.replay.ReplayRef` variants (the same values
     the worker-pool wire format ships).  Variants that cannot pickle
     cannot checkpoint, exactly as they cannot parallelise; the save
     raises :class:`~repro.errors.CheckpointError` naming the problem
-    up front.
+    up front.  Other keys are ignored on load: checkpoints written
+    while adaptive campaigns still pre-warmed their pools carry that
+    counter too, and resume unchanged.
     """
 
     def __init__(self, path: str | Path):
@@ -151,7 +153,6 @@ class CampaignCheckpoint:
         *,
         fingerprint: str,
         observations: "list[RoundObservation]",
-        prewarmed_refs: int,
         stopped_early: bool,
         finished: bool,
     ) -> None:
@@ -160,7 +161,6 @@ class CampaignCheckpoint:
             "version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
             "observations": list(observations),
-            "prewarmed_refs": prewarmed_refs,
             "stopped_early": stopped_early,
             "finished": finished,
         }

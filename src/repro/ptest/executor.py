@@ -26,10 +26,11 @@ execution model:
   (``pool=``) or the process-wide shared pool for the requested worker
   count (:func:`~repro.ptest.pool.get_pool`) — so back-to-back
   ``run_cells`` / ``Campaign.run`` calls reuse warm worker processes
-  (and their scenario caches) instead of paying pool startup every
-  time.  A pool broken by a dying worker is respawned and the affected
-  batches resubmitted; only a batch that keeps killing its worker
-  propagates the failure.
+  (and their scenario caches, which a worker fills when a batch first
+  names a ref) instead of paying pool startup every time.  A pool
+  broken by a dying worker is respawned and the affected batches
+  resubmitted; only a batch that keeps killing its worker propagates
+  the failure.
 * **Batching.**  Cells are grouped into per-worker batches
   (``batch_size``; ``None`` picks a heuristic from the cell count and
   worker count), amortising pickle/submission overhead that dominates
@@ -147,22 +148,6 @@ class CollectSink:
 def run_cell(builder: ScenarioBuilder, seed: int) -> "TestRunResult":
     """Build and run one cell (module-level so it pickles to workers)."""
     return builder(seed).run()
-
-
-def run_cell_batch(
-    jobs: Sequence[tuple[ScenarioBuilder, int]],
-) -> list["TestRunResult"]:
-    """Run a batch of (builder, seed) jobs; one pool submission's work.
-
-    The *legacy, uncached* batch form, kept for external callers: the
-    executor itself now ships batches via
-    :func:`~repro.ptest.pool.make_batch_table` /
-    :func:`~repro.ptest.pool.run_table_batch` (deduped builders,
-    worker-side scenario/PFA caches).  This plain loop stays free of
-    side effects — it never touches the process-global worker cache,
-    so calling it in a parent process leaves nothing to invalidate.
-    """
-    return [builder(seed).run() for builder, seed in jobs]
 
 
 def _picklable(value: object) -> bool:
@@ -454,45 +439,6 @@ class CellExecutor:
                 completed=len(cells) - len(quarantined),
             )
         return results
-
-    def prewarm(
-        self,
-        builders: Mapping[str, ScenarioBuilder] | Sequence[ScenarioBuilder],
-        wait: bool = False,
-    ) -> int:
-        """Warm the worker caches for an upcoming :meth:`run_cells`.
-
-        Resolves the same pool the next parallel run would use (the
-        explicit ``pool=`` or the shared pool for ``workers``) and
-        ships the distinct portable refs among ``builders`` to it via
-        :meth:`~repro.ptest.pool.WorkerPool.prewarm`, so workers
-        resolve scenarios and compile pattern automata *now* — while
-        the caller is still assembling cells — instead of inside the
-        run's first batches.  Adaptive campaigns call this between
-        rounds; embedders that know their next sweep can do the same.
-
-        Best-effort and result-neutral (see the pool method); a no-op
-        returning 0 on the serial path (``workers``/pool resolve to 1),
-        where no worker caches exist to warm.
-        """
-        effective_workers = self.workers
-        if effective_workers is None:
-            effective_workers = (
-                self.pool.workers if self.pool is not None else 1
-            )
-        if effective_workers <= 1:
-            return 0
-        pool = (
-            self.pool
-            if self.pool is not None
-            else get_pool(effective_workers)
-        )
-        values = (
-            builders.values()
-            if isinstance(builders, Mapping)
-            else builders
-        )
-        return pool.prewarm(values, wait=wait)
 
     def _portable(self, builders: Mapping[str, ScenarioBuilder]) -> bool:
         """Whether every builder can be shipped to a worker process."""

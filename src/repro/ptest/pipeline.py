@@ -53,7 +53,7 @@ interleavings once detections plateau::
 stage is active, what it has observed); given the same observation
 sequence it emits the same variants, so the adaptive campaign's
 bit-identical-rounds contract extends to composed schedules at any
-``(workers, batch_size, warm/cold, prewarm on/off)`` configuration.
+``(workers, batch_size, warm/cold)`` configuration.
 The progress state resets whenever a round-0 observation arrives, so
 one pipeline instance can drive consecutive runs; stage conditions are
 pure functions of the history handed to them and hold no state at all.
@@ -205,8 +205,8 @@ class PolicyPipeline:
 
     Satisfies the :class:`~repro.ptest.adaptive.RefinePolicy` protocol,
     so it drives an :class:`~repro.ptest.adaptive.AdaptiveCampaign`
-    exactly like a single policy does — rounds, warm-pool reuse,
-    pre-warming and telemetry all unchanged.  See the module docstring
+    exactly like a single policy does — rounds, warm-pool reuse and
+    telemetry all unchanged.  See the module docstring
     for stage-transition semantics and a worked example.
 
     ``stage_log`` records, per consumed observation, which stage's

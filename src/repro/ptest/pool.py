@@ -33,11 +33,13 @@ it:
   :class:`~repro.automata.compiled.CompiledPFA` of the scenario's
   pattern automaton.  N seeds of the same variant therefore pay
   registry resolution, parameter validation and PFA compilation once
-  per worker instead of N times.  The cache never changes results: the
-  compiled automaton is only substituted after an equality check
-  against the PFA the fresh test actually built (a builder whose PFA
-  varied — by seed, say — would simply recompile), and compiled
-  sampling is bit-identical to the uncompiled walk by construction.
+  per worker instead of N times.  A worker fills an entry in one place
+  only: the first cell of its key inside :func:`run_table_batch`.  The
+  cache never changes results: the compiled automaton is only
+  substituted after an equality check against the PFA the fresh test
+  actually built (a builder whose PFA varied — by seed, say — would
+  simply recompile), and compiled sampling is bit-identical to the
+  uncompiled walk by construction.
 
   Merged-pattern replay cells (:class:`~repro.ptest.replay.ReplayRef`,
   what the adaptive campaign's ``ReplayFocus`` policy emits) ride the
@@ -62,7 +64,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
@@ -71,7 +73,6 @@ from repro.ptest.harness import AdaptiveTest
 if TYPE_CHECKING:
     from repro.ptest.executor import ScenarioBuilder
     from repro.ptest.harness import TestRunResult
-    from repro.workloads.registry import ScenarioRef
 
 #: Monotonic id source for pool spawns (process-local); lets callers
 #: observe "same warm pool" vs "respawned" without poking internals.
@@ -117,7 +118,6 @@ class WorkerPool:
         self._executor: ProcessPoolExecutor | None = None
         self._pool_id: int | None = None
         self._spawns = 0
-        self._prewarmed_refs = 0
         self._closed = False
         self._lock = threading.Lock()
         self._registry_version: int | None = None
@@ -131,11 +131,6 @@ class WorkerPool:
     def spawns(self) -> int:
         """How many executors this pool has created (respawns included)."""
         return self._spawns
-
-    @property
-    def prewarmed_refs(self) -> int:
-        """Distinct cache keys shipped by :meth:`prewarm` so far."""
-        return self._prewarmed_refs
 
     @property
     def closed(self) -> bool:
@@ -270,67 +265,6 @@ class WorkerPool:
         """
         return self.submit(_pong).result() is True
 
-    def prewarm(
-        self, builders: Iterable[Any], wait: bool = False
-    ) -> int:
-        """Ship upcoming builders' cache keys to the workers, ahead of
-        the batches that will need them.
-
-        The cross-round warming lever: an adaptive campaign knows the
-        *next* round's variants as soon as its policy refines, so it
-        ships the distinct portable refs here (one deduped table, the
-        batch wire format minus the seeds) and every worker resolves,
-        validates and compiles them — via :func:`prewarm_table`, into
-        the same per-process cache real batches read — while the parent
-        is still building the next round's campaign.  Round N+1's first
-        cells then start against hot caches instead of paying
-        resolution/compilation inside the round.
-
-        Strictly best-effort and advisory: entries without a
-        ``cache_key``, refs bound to a custom registry, and unpicklable
-        payloads are skipped (the real dispatch raises its usual
-        explicit errors for those), worker-side resolution failures are
-        swallowed (ditto), and nothing here can change any cell's
-        result — the worker cache is equality-checked before reuse.
-        One prewarm task is submitted per worker process, but the
-        executor's shared call queue does not pin tasks to processes,
-        so coverage is best-effort too: an eager worker may drain
-        several tasks while a slow-forking sibling gets none, and a
-        worker left cold simply pays resolution inside its first real
-        batch, exactly as it would have without pre-warming.  With
-        ``wait=False`` (the default) the tasks run concurrently with
-        whatever the caller does next.  Returns how many distinct cache
-        keys were shipped (0 = nothing warmable, nothing submitted).
-        """
-        table: list[Any] = []
-        seen: set[tuple] = set()
-        for builder in builders:
-            key = getattr(builder, "cache_key", None)
-            if key is None or key in seen:
-                continue
-            try:
-                pickle.dumps(builder)
-            except Exception:
-                continue  # real dispatch raises the explicit ConfigError
-            seen.add(key)
-            table.append(builder)
-        if not table:
-            return 0
-        futures = [
-            self.submit(prewarm_table, tuple(table))
-            for _ in range(self.workers)
-        ]
-        self._prewarmed_refs += len(table)
-        for future in futures:
-            if wait:
-                try:
-                    future.result()
-                except Exception:
-                    pass  # advisory: the round's own dispatch reports
-            else:
-                future.add_done_callback(_consume_prewarm_outcome)
-        return len(table)
-
     def close(self, wait: bool = True) -> None:
         """Shut the pool down; further submissions raise.
 
@@ -374,21 +308,6 @@ def _pong() -> bool:
     return True
 
 
-def _consume_prewarm_outcome(future: Future) -> None:
-    """Drain a fire-and-forget prewarm future's outcome.
-
-    Prewarming is advisory, so its failures (a worker death, a stale
-    registry) are not errors here — the round's real submissions hit
-    the same condition and report it through the executor's existing
-    respawn/resubmit machinery.  Consuming the exception just keeps the
-    interpreter from logging "exception was never retrieved" noise.
-    """
-    try:
-        future.result()
-    except Exception:
-        pass
-
-
 # -- shared pools --------------------------------------------------------------
 
 _SHARED: dict[int, WorkerPool] = {}
@@ -424,10 +343,10 @@ def pool_telemetry() -> list[dict[str, Any]]:
     """Observability snapshot of every registered shared pool.
 
     One JSON-safe mapping per pool — worker width, live ``pool_id``
-    (``None`` while cold), ``spawns`` count and prewarmed-ref total —
-    for status endpoints (``repro serve``) and dashboards.  ``spawns``
-    staying at 1 per width is how a server process certifies the
-    one-pool-per-worker-count invariant.
+    (``None`` while cold) and ``spawns`` count — for status endpoints
+    (``repro serve``) and dashboards.  ``spawns`` staying at 1 per
+    width is how a server process certifies the one-pool-per-worker-
+    count invariant.
     """
     with _SHARED_LOCK:
         pools = sorted(_SHARED.items())
@@ -436,7 +355,6 @@ def pool_telemetry() -> list[dict[str, Any]]:
             "workers": workers,
             "pool_id": pool.pool_id,
             "spawns": pool.spawns,
-            "prewarmed_refs": pool.prewarmed_refs,
             "closed": pool.closed,
         }
         for workers, pool in pools
@@ -583,65 +501,13 @@ def run_table_batch(
     results = []
     for position, seed in jobs:
         builder = table[position]
-        if isinstance(builder, ScenarioRef) and builder.registry is None:
-            results.append(_run_cached_ref(builder, seed))
-        elif isinstance(builder, ReplayRef) and builder.portable:
-            results.append(_run_cached_replay(builder, seed))
+        if (isinstance(builder, ScenarioRef) and builder.registry is None) or (
+            isinstance(builder, ReplayRef) and builder.portable
+        ):
+            results.append(_run_cached(builder, seed))
         else:
             results.append(builder(seed).run())
     return results
-
-
-#: Seed used to build the throwaway test instance a prewarm compiles
-#: its PFA from.  Any value works: the cached compilation is reused
-#: only after a source-PFA equality check, so a seed-dependent
-#: automaton simply recompiles on first real use.
-PREWARM_SEED = 0
-
-
-def prewarm_table(table: Sequence["ScenarioBuilder"]) -> int:
-    """Worker-side entry point: populate this process's cache for a
-    table of upcoming builders, running nothing.
-
-    The cache-building half of :func:`run_table_batch` on its own: for
-    each portable :class:`~repro.workloads.registry.ScenarioRef` /
-    :class:`~repro.ptest.replay.ReplayRef` in ``table``, resolve the
-    registry builder, validate its parameters, parse any merged
-    pattern, and compile the scenario's pattern automaton — so the
-    first real batch that needs the entry finds it hot.  Advisory by
-    design: unresolvable entries are skipped (real dispatch raises the
-    informative error), and nothing here can change a later result —
-    the entries built are exactly the ones :func:`run_table_batch`
-    would have built on first contact.  Returns how many entries are
-    warm (pre-existing ones included).
-    """
-    from repro.ptest.replay import ReplayRef
-    from repro.workloads.registry import ScenarioRef
-
-    warmed = 0
-    for builder in table:
-        try:
-            if isinstance(builder, ScenarioRef) and builder.registry is None:
-                entry = _cache_entry(
-                    builder.cache_key,
-                    lambda ref=builder: _resolved_entry(ref),
-                )
-            elif isinstance(builder, ReplayRef) and builder.portable:
-                entry = _cache_entry(
-                    builder.cache_key,
-                    lambda ref=builder: _resolved_entry(
-                        ref.scenario, merged=ref.merged()
-                    ),
-                )
-            else:
-                continue
-            _prime_compiled_pfa(
-                entry.builder(PREWARM_SEED, **entry.params), entry
-            )
-            warmed += 1
-        except Exception:
-            continue  # the round's own dispatch surfaces the error
-    return warmed
 
 
 @dataclass
@@ -672,57 +538,45 @@ _WORKER_CACHE: dict[tuple, _CacheEntry] = {}
 MAX_WORKER_CACHE_ENTRIES = 512
 
 
-def _cache_entry(cache_key: tuple, factory: Callable[[], _CacheEntry]) -> _CacheEntry:
-    """Fetch-or-build one worker-cache slot (FIFO-capped)."""
-    entry = _WORKER_CACHE.get(cache_key)
-    if entry is None:
-        entry = factory()
-        while len(_WORKER_CACHE) >= MAX_WORKER_CACHE_ENTRIES:
-            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
-        _WORKER_CACHE[cache_key] = entry
-    else:
-        entry.hits += 1
-    return entry
+def _run_cached(ref: Any, seed: int) -> "TestRunResult":
+    """Run one cell of a portable ref through this process's cache.
 
-
-def _resolved_entry(ref: "ScenarioRef", merged: Any = None) -> _CacheEntry:
+    The one place a worker fills its cache: the first cell of a
+    ``ref.cache_key`` resolves the registry builder, validates its
+    parameters and, for a :class:`~repro.ptest.replay.ReplayRef`,
+    parses the merged pattern (a replay slot is keyed by the replay
+    ref, distinct from the plain entry of its base scenario);
+    :func:`_prime_compiled_pfa` adds the compiled automaton.  Later
+    cells of the key reuse all of it.
+    """
+    from repro.ptest.replay import ReplayRef
     from repro.workloads.registry import REGISTRY
 
-    spec = REGISTRY.get(ref.name)
-    return _CacheEntry(
-        builder=spec.builder,
-        params=spec.validate(dict(ref.params)),
-        merged=merged,
-    )
-
-
-def _run_cached_ref(ref: "ScenarioRef", seed: int) -> "TestRunResult":
-    entry = _cache_entry(ref.cache_key, lambda: _resolved_entry(ref))
+    replay = isinstance(ref, ReplayRef)
+    entry = _WORKER_CACHE.get(ref.cache_key)
+    if entry is None:
+        merged = ref.merged() if replay else None
+        base = ref.scenario if replay else ref
+        spec = REGISTRY.get(base.name)
+        entry = _CacheEntry(
+            builder=spec.builder,
+            params=spec.validate(dict(base.params)),
+            merged=merged,
+        )
+        while len(_WORKER_CACHE) >= MAX_WORKER_CACHE_ENTRIES:
+            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
+        _WORKER_CACHE[ref.cache_key] = entry
+    else:
+        entry.hits += 1
     test = entry.builder(seed, **entry.params)
-    _prime_compiled_pfa(test, entry)
-    return test.run()
-
-
-def _run_cached_replay(ref: Any, seed: int) -> "TestRunResult":
-    """Run one replay cell through the worker cache.
-
-    The cache slot holds the base scenario's resolved builder/params
-    *and* the parsed merged pattern, keyed by the replay ref's own
-    ``cache_key`` — distinct from (and coexisting with) the plain
-    scenario entry for the same base ref.
-    """
-    entry = _cache_entry(
-        ref.cache_key,
-        lambda: _resolved_entry(ref.scenario, merged=ref.merged()),
-    )
-    test = entry.builder(seed, **entry.params)
-    if not isinstance(test, AdaptiveTest):
+    if replay and not isinstance(test, AdaptiveTest):
         raise ConfigError(
             f"replay cell {ref.describe()} built "
             f"{type(test).__name__}, not an AdaptiveTest"
         )
     _prime_compiled_pfa(test, entry)
-    test.merged_override = entry.merged
+    if replay:
+        test.merged_override = entry.merged
     return test.run()
 
 

@@ -12,157 +12,30 @@ A record is the five-tuple ``(qm, qs, TP, SN, delta_S)``:
 
 The recorder keeps one live record per master-thread/slave-task pair
 (the paper assumes a one-to-one correspondence) and snapshots them for
-bug reports — exactly the Fig. 4 presentation.
-
-Lazy records
-------------
-
-:meth:`StateRecord.from_pattern` (what :meth:`ProcessStateRecorder.record`
-builds) stores only the source pattern and SN — delta-S is the offset
-``SN`` into TP — and slices the ``remaining`` tuple on first read.
-Snapshotting therefore costs O(pairs) regardless of pattern size; only
-rendering a :class:`~repro.ptest.report.BugReport` (``describe``,
-``to_dict``, pickling across the pool boundary) builds the tuples.
-Eagerly-constructed records (the classic keyword form) compare equal
-to lazy ones over the same values.
+bug reports — exactly the Fig. 4 presentation.  A snapshot only happens
+when a run ends in a detection, so each record is a plain value holding
+its five tuple fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.errors import DetectorError
 from repro.pcore.tcb import TaskState
 from repro.ptest.patterns import TestPattern
 
 
+@dataclass(frozen=True, slots=True)
 class StateRecord:
-    """One CP record (Fig. 4).
+    """One CP record (Fig. 4)."""
 
-    A hand-rolled frozen ``__slots__`` type (same surface as the former
-    frozen dataclass: keyword/positional construction, ``eq``/``hash``/
-    ``repr``, :class:`dataclasses.FrozenInstanceError` on assignment)
-    so the :meth:`from_pattern` form can defer the ``pattern`` and
-    ``remaining`` tuples behind the public fields.
-    """
-
-    __slots__ = (
-        "pair_id",
-        "master_state",
-        "slave_state",
-        "sequence_number",
-        "_pattern",
-        "_remaining",
-        "_source",
-    )
-
-    def __init__(
-        self,
-        pair_id: int,
-        master_state: str,
-        slave_state: str,
-        pattern: tuple[str, ...],
-        sequence_number: int,
-        remaining: tuple[str, ...],
-    ) -> None:
-        fill = object.__setattr__
-        fill(self, "pair_id", pair_id)
-        fill(self, "master_state", master_state)
-        fill(self, "slave_state", slave_state)
-        fill(self, "sequence_number", sequence_number)
-        fill(self, "_pattern", pattern)
-        fill(self, "_remaining", remaining)
-        fill(self, "_source", None)
-
-    @classmethod
-    def from_pattern(
-        cls,
-        pair_id: int,
-        master_state: str,
-        slave_state: str,
-        source: TestPattern,
-        sequence_number: int,
-    ) -> "StateRecord":
-        """Lazy construction: TP is ``source`` and delta-S the offset
-        ``sequence_number`` into it; the symbol tuples are built only
-        when read (a bug report rendering)."""
-        record = object.__new__(cls)
-        fill = object.__setattr__
-        fill(record, "pair_id", pair_id)
-        fill(record, "master_state", master_state)
-        fill(record, "slave_state", slave_state)
-        fill(record, "sequence_number", sequence_number)
-        fill(record, "_pattern", None)
-        fill(record, "_remaining", None)
-        fill(record, "_source", source)
-        return record
-
-    @property
-    def pattern(self) -> tuple[str, ...]:
-        value = self._pattern
-        if value is None:
-            value = self._source.symbols
-            object.__setattr__(self, "_pattern", value)
-        return value
-
-    @property
-    def remaining(self) -> tuple[str, ...]:
-        value = self._remaining
-        if value is None:
-            value = self._source.subsequence_after(self.sequence_number)
-            object.__setattr__(self, "_remaining", value)
-        return value
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _astuple(self) -> tuple:
-        return (
-            self.pair_id,
-            self.master_state,
-            self.slave_state,
-            self.pattern,
-            self.sequence_number,
-            self.remaining,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not StateRecord:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            f"StateRecord(pair_id={self.pair_id!r}, "
-            f"master_state={self.master_state!r}, "
-            f"slave_state={self.slave_state!r}, "
-            f"pattern={self.pattern!r}, "
-            f"sequence_number={self.sequence_number!r}, "
-            f"remaining={self.remaining!r})"
-        )
-
-    def __getstate__(self) -> tuple:
-        # Records cross the pool boundary inside bug reports:
-        # materialise so the wire format stays identical to the
-        # historical eager dataclass pickles.
-        return (
-            self.pair_id,
-            self.master_state,
-            self.slave_state,
-            self.pattern,
-            self.sequence_number,
-            self.remaining,
-        )
-
-    def __setstate__(self, state: tuple) -> None:
-        self.__init__(*state)
+    pair_id: int
+    master_state: str
+    slave_state: str
+    pattern: tuple[str, ...]
+    sequence_number: int
+    remaining: tuple[str, ...]
 
     def describe(self) -> str:
         """Render in the paper's notation, e.g.
@@ -227,15 +100,15 @@ class ProcessStateRecorder:
         return self._tracking(pair_id).slave_tid
 
     def record(self, pair_id: int) -> StateRecord:
-        """Snapshot the pair's current five-tuple — lazily: the record
-        keeps the pattern and SN, and slices no tuple until read."""
+        """Snapshot the pair's current five-tuple."""
         tracking = self._tracking(pair_id)
-        return StateRecord.from_pattern(
+        return StateRecord(
             pair_id=pair_id,
             master_state=tracking.master_state,
             slave_state=tracking.slave_state,
-            source=tracking.pattern,
+            pattern=tracking.pattern.symbols,
             sequence_number=tracking.issued,
+            remaining=tracking.pattern.subsequence_after(tracking.issued),
         )
 
     def snapshot(self) -> list[StateRecord]:

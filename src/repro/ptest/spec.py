@@ -18,9 +18,10 @@ run from ``__post_init__`` — so contradictory knob combinations
 messages before any pool is touched, identically whether the spec
 arrived from CLI flags, a ``--spec file.json``, or a socket.
 
-Spec files may still carry the removed ``batch_sampling`` and
-``merge_batch`` knobs: they must be booleans or null, and are ignored
-(stored as ``None``), so older files load and run unchanged.
+Spec files and server requests may still carry removed knobs, and
+load and run unchanged: ``batch_sampling`` and ``merge_batch`` must be
+booleans or null and are stored as ``None``; ``prewarm`` must be a
+boolean and is dropped by :meth:`CampaignSpec.from_dict`.
 
 **Determinism.**  :class:`RoundResult` values carry only frozen
 dataclasses of JSON-safe scalars (Python floats survive a JSON
@@ -112,7 +113,6 @@ class CampaignSpec:
     pipeline: str | None = None
     rounds: int | None = None
     max_sources: int | None = None
-    prewarm: bool = True
     checkpoint: str | None = None
     resume: bool = False
 
@@ -196,7 +196,6 @@ class CampaignSpec:
                 _check_type(name, getattr(self, name), (str,), hint)
         _check_type("quarantine", self.quarantine, (bool,), "a boolean")
         _check_type("resume", self.resume, (bool,), "a boolean")
-        _check_type("prewarm", self.prewarm, (bool,), "a boolean")
         _check_type(
             "capture_per_variant",
             self.capture_per_variant,
@@ -331,7 +330,6 @@ class CampaignSpec:
             "pipeline",
             "rounds",
             "max_sources",
-            "prewarm",
             "checkpoint",
             "resume",
         ):
@@ -348,13 +346,19 @@ class CampaignSpec:
                 f"{type(payload).__name__}"
             )
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - known - {"prewarm"})
         if unknown:
             raise ConfigError(
                 f"unknown campaign spec field(s) {unknown}; "
                 f"known fields: {', '.join(sorted(known))}"
             )
+        if "scenario" not in payload:
+            raise ConfigError(
+                "campaign spec is missing the required field 'scenario'"
+            )
         data = dict(payload)
+        if "prewarm" in data:
+            _check_type("prewarm", data.pop("prewarm"), (bool,), "a boolean")
         if "params" in data:
             if not isinstance(data["params"], Mapping):
                 raise ConfigError(
@@ -436,7 +440,6 @@ class SpecOutcome:
     #: ``rounds`` (``None`` entries for serial rounds).  Process-local:
     #: never part of the bit-identity payload.
     pool_ids: tuple[int | None, ...] = ()
-    prewarmed_refs: int = 0
     resumed_rounds: int = 0
     #: The resolved round budget (adapt mode; ``None`` otherwise).
     rounds_budget: int | None = None
@@ -584,7 +587,6 @@ def _execute_adapt(
         workers=spec.workers,
         batch_size=spec.batch_size,
         capture_per_variant=spec.capture_per_variant,
-        prewarm=spec.prewarm,
         cell_timeout=spec.cell_timeout,
         quarantine=spec.quarantine,
         checkpoint=spec.checkpoint,
@@ -619,7 +621,6 @@ def _execute_adapt(
         rounds=tuple(round_results),
         stopped_early=result.stopped_early,
         pool_ids=result.pool_ids,
-        prewarmed_refs=result.prewarmed_refs,
         resumed_rounds=result.resumed_rounds,
         rounds_budget=rounds,
         schedule=schedule,

@@ -327,7 +327,7 @@ class CampaignServer:
         if request_id is None:
             request_id = f"r{self._request_seq}"
         try:
-            spec = CampaignSpec.from_dict(message.get("spec") or {})
+            spec = CampaignSpec.from_dict(message.get("spec"))
         except ConfigError as error:
             frames.put_nowait(_error_frame(request_id, "config", 2, str(error)))
             return
@@ -385,7 +385,6 @@ class CampaignServer:
                 "rounds": len(outcome.rounds),
                 "stopped_early": outcome.stopped_early,
                 "pool_ids": list(outcome.pool_ids),
-                "prewarmed_refs": outcome.prewarmed_refs,
                 "resumed_rounds": outcome.resumed_rounds,
                 "rounds_budget": outcome.rounds_budget,
                 "total_detections": outcome.total_detections,

@@ -95,24 +95,6 @@ class TestCiFloors:
             f"pool_stable={adaptive['pool_stable']}"
         )
 
-    def test_pipeline_schedule_never_respawns(self, report):
-        assert report["criteria"]["pipeline_no_respawn_met"], (
-            f"composed pipeline respawned its pool: "
-            f"spawns={report['pipeline']['pool_spawns']}"
-        )
-
-    def test_pipeline_prewarm_floor(self, report):
-        if report["pipeline"]["skipped_parallel_floor"]:
-            pytest.skip(
-                "single-core machine: prewarm overlap cannot exist"
-            )
-        speedup = report["pipeline"]["speedup"]
-        floor = report["criteria"]["pipeline_prewarm_ci_floor"]
-        assert speedup >= floor, (
-            f"prewarmed round-start regressed vs cold: "
-            f"{speedup}x < {floor}x"
-        )
-
     def test_serve_floor(self, report):
         # The bit-identity of served rows is asserted inside the bench
         # itself on any hardware; the warm-vs-cold-process ratio needs

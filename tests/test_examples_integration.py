@@ -64,7 +64,6 @@ def test_pipeline_sweep():
     assert "stage=replay" in output
     assert "replay[phil[" in output
     assert "pool stable across the composed schedule: True" in output
-    assert "prewarmed 4 ref(s)" in output
 
 
 def test_batch_sampling():

@@ -1,13 +1,11 @@
-"""Tests for composed refinement pipelines and cross-round pre-warming.
+"""Tests for composed refinement pipelines.
 
 Covers :mod:`repro.ptest.pipeline` (stage scheduling, stop conditions,
-spec parsing, CLI integration) and the pre-warming path
-(:meth:`WorkerPool.prewarm` / :meth:`CellExecutor.prewarm` /
-:func:`prewarm_table` / ``AdaptiveCampaign(prewarm=...)``), including
-the PR-5 acceptance matrix: a ``GridZoom -> ReplayFocus`` pipeline
-yields bit-identical round-by-round variants, rows and detections at
-any ``(workers, batch_size, warm/cold, prewarm on/off)`` configuration,
-with one pool spawn across the whole composed schedule.
+spec parsing, CLI integration), including the acceptance matrix: a
+``GridZoom -> ReplayFocus`` pipeline yields bit-identical
+round-by-round variants, rows and detections at any ``(workers,
+batch_size, warm/cold)`` configuration, with one pool spawn across the
+whole composed schedule.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from repro.ptest.adaptive import (
     ReplayFocus,
     RoundObservation,
 )
-from repro.ptest.campaign import CampaignRow, DetectionSample, grid_variants
-from repro.ptest.executor import CellExecutor
+from repro.ptest.campaign import CampaignRow, DetectionSample
 from repro.ptest.pipeline import (
     PipelineStage,
     Plateau,
@@ -33,15 +30,9 @@ from repro.ptest.pipeline import (
     Until,
     parse_pipeline,
 )
-from repro.ptest.pool import (
-    WorkerPool,
-    clear_worker_cache,
-    prewarm_table,
-    shutdown_pools,
-    worker_cache_info,
-)
-from repro.ptest.replay import ReplayRef, replay_ref
-from repro.workloads.registry import ScenarioRegistry, scenario_ref
+from repro.ptest.pool import WorkerPool, shutdown_pools
+from repro.ptest.replay import ReplayRef
+from repro.workloads.registry import scenario_ref
 
 
 @pytest.fixture(autouse=True)
@@ -384,154 +375,6 @@ class TestParsePipeline:
             parse_pipeline("grid_zoom,replay:2")
 
 
-# -- pre-warming ----------------------------------------------------------------
-
-
-class TestPrewarmTable:
-    def test_populates_worker_cache_in_process(self):
-        clear_worker_cache()
-        try:
-            spin = scenario_ref("clean_spin", tasks=2, total_steps=40)
-            replay = replay_ref(
-                scenario_ref("philosophers", chunk=1), SAMPLE_DESCRIPTION
-            )
-            assert prewarm_table((spin, replay)) == 2
-            info = worker_cache_info()
-            assert info["entries"] == 2
-            assert spin.cache_key in info["keys"]
-            assert replay.cache_key in info["keys"]
-            # The expensive artifacts are built, not just reserved.
-            assert info["compilations"][spin.cache_key] == 1
-        finally:
-            clear_worker_cache()
-
-    def test_unwarmable_entries_skipped(self):
-        clear_worker_cache()
-        try:
-            registry = ScenarioRegistry()
-            registry.register("local_spin", lambda seed, tasks=2: None)
-            bound = registry.ref("local_spin", tasks=2)
-            unknown = object()
-            assert prewarm_table((bound, unknown)) == 0
-            assert worker_cache_info()["entries"] == 0
-        finally:
-            clear_worker_cache()
-
-    def test_resolution_failure_is_swallowed(self):
-        clear_worker_cache()
-        try:
-            # Forged ref naming a scenario the registry does not have:
-            # prewarm skips it; the real dispatch path reports it.
-            ghost = scenario_ref("clean_spin", total_steps=40)
-            object.__setattr__(ghost, "name", "no_such_scenario")
-            assert prewarm_table((ghost,)) == 0
-        finally:
-            clear_worker_cache()
-
-
-class TestWorkerPoolPrewarm:
-    def test_ships_distinct_keys_and_warms_workers(self):
-        spin = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        duplicate = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        other = scenario_ref("clean_spin", tasks=2, total_steps=50)
-        with WorkerPool(1) as pool:
-            assert pool.prewarm([spin, duplicate, other], wait=True) == 2
-            assert pool.prewarmed_refs == 2
-            info = pool.submit(worker_cache_info).result()
-            assert spin.cache_key in info["keys"]
-            assert other.cache_key in info["keys"]
-            assert pool.spawns == 1
-
-    def test_prewarmed_round_runs_identically(self):
-        ref = scenario_ref("philosophers", chunk=1)
-        cells_seeds = (0, 1)
-        with WorkerPool(2) as pool:
-            executor = CellExecutor(pool=pool)
-            from repro.ptest.executor import WorkCell
-
-            cells = [WorkCell("phil", seed) for seed in cells_seeds]
-            cold = executor.run_cells({"phil": ref}, cells)
-        with WorkerPool(2) as pool:
-            pool.prewarm([ref], wait=True)
-            executor = CellExecutor(pool=pool)
-            from repro.ptest.executor import WorkCell
-
-            cells = [WorkCell("phil", seed) for seed in cells_seeds]
-            warm = executor.run_cells({"phil": ref}, cells)
-        assert [r.ticks for r in cold] == [r.ticks for r in warm]
-        assert [r.found_bug for r in cold] == [r.found_bug for r in warm]
-
-    def test_nothing_warmable_submits_nothing(self):
-        with WorkerPool(2) as pool:
-            assert pool.prewarm([lambda seed: None, object()]) == 0
-            assert pool.prewarmed_refs == 0
-            assert pool.pool_id is None  # never even spawned
-
-    def test_unpicklable_payload_skipped(self):
-        registry = ScenarioRegistry()
-        registry.register("local_spin", lambda seed, tasks=2: None)
-        bound = registry.ref("local_spin", tasks=2)
-        with WorkerPool(2) as pool:
-            assert pool.prewarm([bound]) == 0
-            assert pool.pool_id is None
-
-
-class TestCellExecutorPrewarm:
-    def test_serial_prewarm_is_a_noop(self):
-        ref = scenario_ref("clean_spin", total_steps=40)
-        assert CellExecutor(workers=1).prewarm({"spin": ref}) == 0
-        assert CellExecutor().prewarm([ref]) == 0
-
-    def test_one_wide_pool_resolves_serial_noop(self):
-        # A 1-wide pool means run_cells would take the in-process path,
-        # which never reads worker caches — nothing to warm.
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        with WorkerPool(1) as pool:
-            assert CellExecutor(pool=pool).prewarm([ref]) == 0
-            assert pool.prewarmed_refs == 0
-
-    def test_explicit_pool_prewarm(self):
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        with WorkerPool(2) as pool:
-            executor = CellExecutor(pool=pool)
-            assert executor.prewarm({"spin": ref}, wait=True) == 1
-            assert pool.prewarmed_refs == 1
-            assert pool.spawns == 1
-
-    def test_shared_pool_prewarm(self):
-        from repro.ptest.pool import get_pool
-
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        executor = CellExecutor(workers=2)
-        assert executor.prewarm([ref], wait=True) == 1
-        assert get_pool(2).prewarmed_refs == 1
-
-
-class TestAdaptivePrewarmTelemetry:
-    def adaptive(self, **kwargs):
-        campaign = AdaptiveCampaign(
-            seeds=(0, 1), rounds=2, policy=Repeat(), **kwargs
-        )
-        campaign.add_scenario("phil", "philosophers", chunk=1)
-        return campaign
-
-    def test_parallel_rounds_prewarm_by_default(self):
-        with WorkerPool(2) as pool:
-            result = self.adaptive(pool=pool).run()
-        assert result.prewarmed_refs == 1  # one ref, one transition
-        assert result.pool_stable
-
-    def test_prewarm_disabled_ships_nothing(self):
-        with WorkerPool(2) as pool:
-            result = self.adaptive(pool=pool, prewarm=False).run()
-            assert pool.prewarmed_refs == 0
-        assert result.prewarmed_refs == 0
-
-    def test_serial_rounds_never_prewarm(self):
-        result = self.adaptive().run()
-        assert result.prewarmed_refs == 0
-
-
 # -- the acceptance matrix ------------------------------------------------------
 
 
@@ -548,9 +391,7 @@ def zoom_then_replay() -> PolicyPipeline:
     )
 
 
-def pipeline_campaign(
-    workers=None, batch_size=None, pool=None, prewarm=True
-) -> AdaptiveCampaign:
+def pipeline_campaign(workers=None, batch_size=None, pool=None) -> AdaptiveCampaign:
     campaign = AdaptiveCampaign(
         seeds=(0, 1),
         rounds=4,
@@ -558,7 +399,6 @@ def pipeline_campaign(
         workers=workers,
         batch_size=batch_size,
         pool=pool,
-        prewarm=prewarm,
     )
     campaign.add_grid("phil", "philosophers", {"chunk": [1, 2]})
     return campaign
@@ -602,48 +442,35 @@ class TestComposedPipelineThroughEngine:
 
 
 class TestPipelinePrewarmDeterminismMatrix:
-    """PR-5 acceptance: GridZoom -> ReplayFocus composed rounds are
-    bit-identical at any (workers, batch_size, warm/cold, prewarm
-    on/off), with one pool spawn per composed schedule."""
+    """GridZoom -> ReplayFocus composed rounds are bit-identical at any
+    (workers, batch_size, warm/cold), with one pool spawn per composed
+    schedule."""
 
     def test_rounds_identical_across_all_configurations(self):
         reference = pipeline_campaign(workers=1).run()
         baseline = fingerprint(reference)
         assert len(reference.rounds) == 4  # full composed schedule ran
-        for prewarm in (False, True):
-            for batch_size in (1, None):
-                serial = pipeline_campaign(
-                    workers=1, batch_size=batch_size, prewarm=prewarm
+        for batch_size in (1, None):
+            serial = pipeline_campaign(workers=1, batch_size=batch_size).run()
+            assert fingerprint(serial) == baseline, (
+                f"serial batch_size={batch_size}"
+            )
+            with WorkerPool(2) as pool:
+                cold = pipeline_campaign(
+                    workers=None, batch_size=batch_size, pool=pool
                 ).run()
-                assert fingerprint(serial) == baseline, (
-                    f"serial batch_size={batch_size} prewarm={prewarm}"
-                )
-                with WorkerPool(2) as pool:
-                    cold = pipeline_campaign(
-                        workers=None,
-                        batch_size=batch_size,
-                        pool=pool,
-                        prewarm=prewarm,
-                    ).run()
-                    warm = pipeline_campaign(
-                        workers=None,
-                        batch_size=batch_size,
-                        pool=pool,
-                        prewarm=prewarm,
-                    ).run()
-                    spawns = pool.spawns
-                assert fingerprint(cold) == baseline, (
-                    f"cold pool batch_size={batch_size} prewarm={prewarm}"
-                )
-                assert fingerprint(warm) == baseline, (
-                    f"warm pool batch_size={batch_size} prewarm={prewarm}"
-                )
-                # Two composed schedules back to back: still one spawn.
-                assert spawns == 1
-                if prewarm:
-                    assert cold.prewarmed_refs > 0
-                else:
-                    assert cold.prewarmed_refs == 0
+                warm = pipeline_campaign(
+                    workers=None, batch_size=batch_size, pool=pool
+                ).run()
+                spawns = pool.spawns
+            assert fingerprint(cold) == baseline, (
+                f"cold pool batch_size={batch_size}"
+            )
+            assert fingerprint(warm) == baseline, (
+                f"warm pool batch_size={batch_size}"
+            )
+            # Two composed schedules back to back: still one spawn.
+            assert spawns == 1
 
     def test_explicit_worker_counts_agree_too(self):
         reference = fingerprint(pipeline_campaign(workers=1).run())
@@ -681,25 +508,6 @@ class TestPipelineCli:
         assert "stage=grid_zoom" in output
         assert "stage=replay" in output
         assert "replay[" in output
-
-    def test_adapt_pipeline_no_prewarm_flag(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "adapt",
-                    "philosophers",
-                    "--seeds",
-                    "2",
-                    "--pipeline",
-                    "repeat:2",
-                    "--no-prewarm",
-                ]
-            )
-            == 0
-        )
-        assert "prewarmed" not in capsys.readouterr().out
 
     def test_adapt_pipeline_unknown_policy_clean_error(self, capsys):
         from repro.cli import main

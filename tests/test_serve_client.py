@@ -235,17 +235,26 @@ def test_invalid_spec_payload_is_config_error_frame(server):
     assert "workers" in frame["message"]
 
 
+def _adapt_spec(**field):
+    return {"spec": {"scenario": "philosophers", "mode": "adapt", **field}}
+
+
 @pytest.mark.parametrize(
-    "field",
-    [{"pipeline": 5}, {"policy": [1]}, {"checkpoint": 5}],
-    ids=["pipeline", "policy", "checkpoint"],
+    ("request_", "message"),
+    [
+        (_adapt_spec(pipeline=5), "pipeline must be"),
+        (_adapt_spec(policy=[1]), "policy must be"),
+        (_adapt_spec(checkpoint=5), "checkpoint must be"),
+        ({}, "must be a JSON object"),
+        ({"spec": {}}, "'scenario'"),
+        ({"spec": []}, "must be a JSON object, got list"),
+    ],
+    ids=["pipeline", "policy", "checkpoint", "no-spec", "empty-spec", "list-spec"],
 )
-def test_mistyped_spec_fields_get_one_config_error_frame(server, field):
-    (name,) = field
-    spec = {"scenario": "philosophers", "mode": "adapt", **field}
+def test_mistyped_spec_fields_get_one_config_error_frame(server, request_, message):
     with socket.create_connection(server.address, timeout=10) as sock:
         reader = sock.makefile("rb")
-        request = {"op": "run", "id": "r1", "spec": spec}
+        request = {"op": "run", "id": "r1", **request_}
         sock.sendall(json.dumps(request).encode() + b"\n")
         frame = json.loads(reader.readline())
         assert (frame["type"], frame["id"], frame["kind"]) == (
@@ -253,7 +262,7 @@ def test_mistyped_spec_fields_get_one_config_error_frame(server, field):
             "r1",
             "config",
         )
-        assert f"{name} must be" in frame["message"]
+        assert message in frame["message"]
         # Exactly one frame: the next line answers the next request.
         sock.sendall(json.dumps({"op": "ping", "id": "p1"}).encode() + b"\n")
         assert json.loads(reader.readline())["type"] == "pong"
@@ -294,6 +303,39 @@ def test_oversized_frames_end_in_an_error_frame(server, caplog):
     with Client(*server.address) as client:
         assert client.ping()
     assert "Unhandled exception" not in caplog.text
+
+
+@pytest.fixture()
+def slow_scenario():
+    name = _register(
+        "serve_slow_timeout",
+        lambda seed: _Slow(build_scenario("clean_spin", seed, tasks=2)),
+    )
+    yield name
+    _unregister(name)
+
+
+def test_read_timeout_is_a_server_error(slow_scenario, server):
+    spec = CampaignSpec(scenario=slow_scenario, seeds=(0,))
+    with Client(*server.address, timeout=0.2) as client:
+        with pytest.raises(ServerError) as excinfo:
+            client.run(spec)
+    assert excinfo.value.kind == "timeout"
+    assert "0.2s read timeout" in str(excinfo.value)
+
+
+def test_submit_read_timeout_exits_2_without_traceback(
+    slow_scenario, server, capsys
+):
+    from repro.cli import main
+
+    host, port = server.address
+    argv = ["submit", slow_scenario, "--seeds", "1", "--host", host]
+    argv += ["--port", str(port), "--timeout", "0.2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "no reply from repro server" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_quarantined_cells_survive_the_wire(server):

@@ -428,7 +428,6 @@ class TestCli:
             param=None,
             grid=None,
             keep_pool=False,
-            no_prewarm=False,
         )
         assert _cmd_adapt(args) == 2
         output = capsys.readouterr().out

@@ -287,33 +287,18 @@ class TestShutdownRobustness:
 
 class TestPrewarmRespawnRace:
     def test_prewarm_after_worker_death_respawns_then_runs(self):
-        # A worker died and nobody called notify_broken yet: prewarm's
-        # submissions hit the broken executor and must ride the
+        # A worker died and nobody called notify_broken: the campaign's
+        # first submissions hit the broken executor and must ride the
         # submit-time respawn instead of wedging or surfacing the break.
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         with WorkerPool(2) as pool:
             assert pool.ping()
+            first = pool.pool_id
             with pytest.raises(BrokenProcessPool):
                 pool.submit(_exit_worker).result()
-            assert pool.prewarm([ref], wait=True) == 1
             campaign = _spin_campaign(workers=2, pool=pool)
-            assert campaign.run()[0].runs == 3
-
-    def test_prewarm_concurrent_with_worker_death(self):
-        # Fire-and-forget prewarm racing an in-flight worker kill:
-        # whichever order the pool observes them in, the death must
-        # stay contained (prewarm is advisory) and the next campaign
-        # must run to completion on a respawned pool.
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        with WorkerPool(2) as pool:
-            assert pool.ping()
-            doomed = pool.submit(_exit_worker)
-            pool.prewarm([ref])
-            with pytest.raises(BrokenProcessPool):
-                doomed.result()
-            pool.notify_broken()
-            campaign = _spin_campaign(workers=2, pool=pool)
-            assert campaign.run()[0].runs == 3
+            assert campaign.run() == _spin_campaign().run()
+            assert pool.pool_id != first
+            assert pool.spawns == 2
 
 
 class TestLateRegistration:
@@ -436,21 +421,6 @@ class TestBatchTable:
             assert refs[0].cache_key not in set(info["keys"])
         finally:
             clear_worker_cache()
-
-    def test_legacy_run_cell_batch_matches_table_path_without_caching(self):
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        try:
-            from repro.ptest.executor import run_cell_batch
-
-            clear_worker_cache()
-            legacy = run_cell_batch([(ref, 0), (ref, 1)])
-            # The legacy form is side-effect-free in the calling
-            # process — only the table path populates the cache.
-            assert worker_cache_info()["entries"] == 0
-            table = run_table_batch((ref,), ((0, 0), (0, 1)))
-            assert [r.ticks for r in legacy] == [r.ticks for r in table]
-        finally:
-            clear_worker_cache()  # table path ran in-process
 
     def test_equal_refs_collapse_to_one_table_entry(self):
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
