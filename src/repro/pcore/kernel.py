@@ -2,7 +2,9 @@
 
 Each :meth:`PCoreKernel.step` performs (in order):
 
-1. wake due sleepers,
+1. wake due sleepers (skipped outright while no task is SLEEPING: the
+   kernel keeps the set of sleeping tids wherever a task enters or
+   leaves that state),
 2. run the garbage collector when its interval elapses,
 3. process **one** pending remote service request (commands interleave
    with task execution at step granularity — the interleaving pTest's
@@ -52,6 +54,8 @@ from repro.pcore.programs import (
 )
 from repro.pcore.scheduler import PriorityScheduler
 from repro.pcore.services import (
+    SERVICE_NAMES,
+    STATUS_LABELS,
     ServiceCode,
     ServiceRequest,
     ServiceResult,
@@ -138,6 +142,9 @@ class PCoreKernel:
     _pending_send: dict[int, object] = field(default_factory=dict)
     #: Messages of senders parked on a full queue, completed at wake.
     _parked_sends: dict[int, tuple[str, int]] = field(default_factory=dict)
+    #: Tids of the SLEEPING tasks (``_wake_sleepers`` skips its scan
+    #: while this is empty).
+    _sleepers: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         self.memory = KernelMemory(capacity=self.config.memory_bytes)
@@ -231,9 +238,9 @@ class PCoreKernel:
         self.completed.append(result)
         self._trace(
             CATEGORY_SERVICE,
-            service=result.request.service.name,
+            service=SERVICE_NAMES[result.request.service],
             target=result.request.target,
-            status=result.status.value,
+            status=STATUS_LABELS[result.status],
             value=result.value,
         )
         if self.reply_handler is not None:
@@ -253,15 +260,7 @@ class PCoreKernel:
         """Validate and apply one Table I service."""
         if self.is_halted():
             return self._result(request, ServiceStatus.KERNEL_DOWN)
-        handlers = {
-            ServiceCode.TC: self._svc_create,
-            ServiceCode.TD: self._svc_delete,
-            ServiceCode.TS: self._svc_suspend,
-            ServiceCode.TR: self._svc_resume,
-            ServiceCode.TCH: self._svc_chanprio,
-            ServiceCode.TY: self._svc_yield,
-        }
-        result = handlers[request.service](request)
+        result = _SERVICE_HANDLERS[request.service](self, request)
         self.stats.note(result)
         return result
 
@@ -390,6 +389,7 @@ class PCoreKernel:
             self.scheduler.remove(task)
         elif task.state is TaskState.SLEEPING:
             task.wakeup_at = None
+            self._sleepers.discard(task.tid)
         task.transition(TaskState.SUSPENDED)
         self._trace(CATEGORY_TASK, event="suspend", tid=task.tid)
         return self._result(request, ServiceStatus.OK, value=task.tid)
@@ -522,6 +522,7 @@ class PCoreKernel:
         kills.
         """
         self._detach_everywhere(task)
+        self._sleepers.discard(task.tid)
         task.transition(TaskState.TERMINATED)
         task.terminated_at = self.now
         self.tasks.pop(task.tid, None)
@@ -605,6 +606,8 @@ class PCoreKernel:
         self.scheduler.enqueue(task)
 
     def _wake_sleepers(self) -> None:
+        if not self._sleepers:
+            return
         for task in self.tasks.values():
             if (
                 task.state is TaskState.SLEEPING
@@ -612,6 +615,7 @@ class PCoreKernel:
                 and task.wakeup_at <= self.now
             ):
                 task.wakeup_at = None
+                self._sleepers.discard(task.tid)
                 task.transition(TaskState.READY)
                 self.scheduler.enqueue(task)
 
@@ -675,6 +679,7 @@ class PCoreKernel:
         elif isinstance(syscall, Sleep):
             task.wakeup_at = self.now + syscall.ticks
             task.transition(TaskState.SLEEPING)
+            self._sleepers.add(task.tid)
             self.scheduler.yield_current()
         elif isinstance(syscall, Acquire):
             resource = self._resource(syscall.resource)
@@ -789,3 +794,15 @@ class PCoreKernel:
     def _trace(self, category: str, **payload: object) -> None:
         if self.tracer is not None:
             self.tracer.record(self.now, self.name, category, **payload)
+
+
+#: Table I service -> handler, built once rather than as a dict of
+#: bound methods on every request.
+_SERVICE_HANDLERS = {
+    ServiceCode.TC: PCoreKernel._svc_create,
+    ServiceCode.TD: PCoreKernel._svc_delete,
+    ServiceCode.TS: PCoreKernel._svc_suspend,
+    ServiceCode.TR: PCoreKernel._svc_resume,
+    ServiceCode.TCH: PCoreKernel._svc_chanprio,
+    ServiceCode.TY: PCoreKernel._svc_yield,
+}

@@ -6,14 +6,25 @@ priority-ordered list; preemption happens whenever a higher-priority
 task becomes READY while a lower one is RUNNING.  Equal priorities never
 occur for live tasks (the kernel enforces uniqueness), but the scheduler
 breaks hypothetical ties FIFO for robustness.
+
+The ready list is always sorted by descending priority: ``enqueue``
+bisect-inserts to the right of every task of equal or higher priority
+(the order an append plus a stable sort would give), and nothing else
+adds to the list or reorders it.  The kernel re-enqueues a READY task
+whose priority changes.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.errors import KernelError
 from repro.pcore.tcb import TaskControlBlock, TaskState
+
+
+def _descending_priority(task: TaskControlBlock) -> int:
+    return -task.priority
 
 
 @dataclass
@@ -31,17 +42,18 @@ class PriorityScheduler:
     preemptions: int = 0
 
     def enqueue(self, task: TaskControlBlock) -> None:
-        """Add a READY task to the ready structure."""
+        """Add a READY task to the ready structure, keeping it sorted
+        (bisect insertion after every task of equal or higher priority).
+
+        A task already queued is rejected; TCBs compare by identity, so
+        this membership check costs one pointer comparison per entry."""
         if task.state is not TaskState.READY:
             raise KernelError(
                 f"cannot enqueue task {task.tid} in state {task.state.value}"
             )
         if task in self._ready:
             raise KernelError(f"task {task.tid} already queued")
-        self._ready.append(task)
-        # Stable sort keeps FIFO order among (hypothetical) equal
-        # priorities while ordering by descending priority.
-        self._ready.sort(key=lambda t: -t.priority)
+        insort(self._ready, task, key=_descending_priority)
 
     def remove(self, task: TaskControlBlock) -> None:
         """Drop a task from the ready structure (suspend/delete paths)."""

@@ -46,6 +46,11 @@ SERVICE_ABBREVIATIONS: dict[str, str] = {
     code.name: code.value for code in ServiceCode
 }
 
+#: Service -> its abbreviation.  The per-request paths (reply trace,
+#: :class:`ServiceStats`) read labels here: ``Enum.name`` is a
+#: Python-level descriptor.
+SERVICE_NAMES: dict[ServiceCode, str] = {code: code.name for code in ServiceCode}
+
 
 class ServiceStatus(enum.Enum):
     """Outcome of a service invocation."""
@@ -65,6 +70,13 @@ class ServiceStatus(enum.Enum):
     NO_RUNNING_TASK = "no_running_task"
     #: The kernel has panicked; no services are possible.
     KERNEL_DOWN = "kernel_down"
+
+
+#: Status -> its label (the enum value), precomputed like
+#: :data:`SERVICE_NAMES`.
+STATUS_LABELS: dict[ServiceStatus, str] = {
+    status: status.value for status in ServiceStatus
+}
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,7 @@ class ServiceStats:
     failed: dict[str, int] = field(default_factory=dict)
 
     def note(self, result: ServiceResult) -> None:
-        name = result.request.service.name
+        name = SERVICE_NAMES[result.request.service]
         self.invoked[name] = self.invoked.get(name, 0) + 1
         bucket = self.succeeded if result.ok else self.failed
         bucket[name] = bucket.get(name, 0) + 1

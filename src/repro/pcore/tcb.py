@@ -4,12 +4,16 @@ A pCore task ("a thread in the POSIX standard" per the paper) is created
 with a unique priority by a remote thread and moves through the states
 below.  The detector reads these states directly — they are the ``qs``
 field of the Definition 2 record.
+
+A :class:`TaskControlBlock` compares (and hashes) by identity: two TCBs
+with equal fields are still two tasks.  Ready-queue membership and
+removal therefore cost a pointer comparison, not a field-by-field one.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator
 
 from repro.errors import ServiceError
@@ -64,9 +68,9 @@ LEGAL_TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskControlBlock:
-    """Bookkeeping for one pCore task.
+    """Bookkeeping for one pCore task (compared by identity).
 
     Attributes
     ----------

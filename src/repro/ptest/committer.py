@@ -37,6 +37,9 @@ from repro.sim.trace import CATEGORY_COMMAND, Tracer
 #: Width of each pair's private priority band (TCH rotates inside it).
 PRIORITY_BAND = 32
 
+#: Pattern symbol -> service, built once for the per-command lookup.
+_SERVICES_BY_SYMBOL: dict[str, ServiceCode] = {code.name: code for code in ServiceCode}
+
 
 @dataclass
 class PairBinding:
@@ -232,9 +235,8 @@ class Committer:
         self, command: PatternCommand, binding: PairBinding
     ) -> ServiceRequest | None:
         symbol = command.symbol
-        try:
-            service = ServiceCode.from_abbreviation(symbol)
-        except KeyError:
+        service = _SERVICES_BY_SYMBOL.get(symbol)
+        if service is None:
             raise ConfigError(f"pattern symbol {symbol!r} is not a service")
         if service is ServiceCode.TC:
             return ServiceRequest(

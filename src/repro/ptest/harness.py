@@ -213,6 +213,7 @@ class AdaptiveTest:
             all_patterns.extend(p.symbols for p in patterns)
             merged_length = len(merged)
             recorder = ProcessStateRecorder()
+            written: dict[int, tuple[int, TaskState | str]] = {}
             committer = Committer(
                 bridge=bridge_master,
                 merged=merged,
@@ -230,7 +231,7 @@ class AdaptiveTest:
             while ticks < config.max_ticks:
                 soc.step()
                 ticks += 1
-                self._update_recorder(recorder, committer, kernel)
+                self._update_recorder(recorder, committer, kernel, written)
                 if ticks % config.detector_interval == 0:
                     detector.sweep(soc.now)
                     if detector.triggered:
@@ -317,17 +318,30 @@ class AdaptiveTest:
         recorder: ProcessStateRecorder | None,
         committer: Committer,
         kernel: PCoreKernel,
+        written: dict[int, tuple[int, TaskState | str]],
     ) -> None:
+        """Record each bound pair's slave state, writing only on change.
+
+        A pair's ``(tid, state)`` (``"s:gone"`` once its task is gone)
+        goes to :meth:`ProcessStateRecorder.note_slave_state` only when
+        it differs from the last one written, kept in ``written`` (empty
+        with each round's fresh recorder).  This is exact: that call
+        only overwrites the pair's slave state and tid, and nothing else
+        writes them, so skipping the write of values the recorder
+        already holds leaves it as a write on every tick would.
+        """
         if recorder is None:
             return
+        tasks = kernel.tasks
         for pair_id, binding in committer.bindings.items():
-            if binding.tid is None:
+            tid = binding.tid
+            if tid is None:
                 continue
-            task = kernel.tasks.get(binding.tid)
-            if task is not None:
-                recorder.note_slave_state(pair_id, task.state, tid=binding.tid)
-            else:
-                recorder.note_slave_state(pair_id, "s:gone", tid=binding.tid)
+            task = tasks.get(tid)
+            observed = (tid, task.state if task is not None else "s:gone")
+            if written.get(pair_id) != observed:
+                written[pair_id] = observed
+                recorder.note_slave_state(pair_id, observed[1], tid=tid)
 
 
 def run_adaptive_test(

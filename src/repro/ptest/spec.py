@@ -388,7 +388,8 @@ class CampaignSpec:
     def from_json(cls, text: str) -> "CampaignSpec":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:
+            # RecursionError: nesting too deep for the decoder.
             raise ConfigError(f"campaign spec is not valid JSON: {error}")
         return cls.from_dict(payload)
 

@@ -215,8 +215,9 @@ class CampaignServer:
                     message = json.loads(line)
                     if not isinstance(message, dict):
                         raise ValueError("expected a JSON object")
-                except (json.JSONDecodeError, ValueError) as error:
-                    # Malformed input is recoverable on a line-framed
+                except (json.JSONDecodeError, ValueError, RecursionError) as error:
+                    # Malformed input (RecursionError: nesting too deep
+                    # for the decoder) is recoverable on a line-framed
                     # protocol: report it and keep the connection.
                     frames.put_nowait(
                         _error_frame(

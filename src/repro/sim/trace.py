@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
+
+from repro.errors import SimulationError
 
 #: Well-known categories; free-form strings are allowed too.
 CATEGORY_COMMAND = "command"
@@ -50,8 +53,8 @@ class Tracer:
     Parameters
     ----------
     capacity:
-        Ring size; the oldest events are discarded beyond it.  Large
-        enough by default to hold a whole stress-test run.
+        Ring size, at least 1; the oldest events are discarded beyond
+        it.  Large enough by default to hold a whole stress-test run.
     enabled_categories:
         When non-empty, only these categories are recorded.
     """
@@ -62,17 +65,24 @@ class Tracer:
     recorded: int = 0
     discarded: int = 0
 
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise SimulationError(f"tracer capacity must be >= 1, got {self.capacity}")
+
     def record(
         self, time: int, core: str, category: str, **payload: object
     ) -> None:
-        """Append an event (cheap no-op when the category is filtered)."""
+        """Append an event (cheap no-op when the category is filtered).
+
+        ``payload`` is already a fresh dict per call, so the event keeps
+        it as is."""
         if self.enabled_categories and category not in self.enabled_categories:
             return
         if len(self.events) >= self.capacity:
             self.events.popleft()
             self.discarded += 1
         self.events.append(
-            TraceEvent(time=time, core=core, category=category, payload=dict(payload))
+            TraceEvent(time=time, core=core, category=category, payload=payload)
         )
         self.recorded += 1
 
@@ -98,7 +108,9 @@ class Tracer:
         """The most recent ``count`` events (for bug-report dumps)."""
         if count <= 0:
             return []
-        return list(self.events)[-count:]
+        newest = list(islice(reversed(self.events), count))
+        newest.reverse()
+        return newest
 
     def dump(self, events: Iterable[TraceEvent] | None = None) -> list[dict]:
         """Serialise events to plain dicts."""

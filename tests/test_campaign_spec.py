@@ -116,8 +116,10 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_from_json_rejects_malformed_json():
-    with pytest.raises(ReproError, match="not valid JSON"):
-        CampaignSpec.from_json("{nope")
+    # The second text nests deeper than the JSON decoder's recursion limit.
+    for text in ("{nope", "[" * 200_000):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            CampaignSpec.from_json(text)
 
 
 def test_with_seeds():
@@ -424,6 +426,15 @@ def test_cli_spec_mode_mismatch_is_config_error(tmp_path):
     assert result.returncode == 2
     assert "mode 'adapt'" in result.stdout
     assert "repro submit" in result.stdout
+
+
+def test_cli_spec_nested_too_deeply_is_config_error(tmp_path):
+    spec_file = tmp_path / "deep.json"
+    spec_file.write_text("[" * 200_000)
+    result = _repro("campaign", "--spec", str(spec_file))
+    assert result.returncode == 2
+    assert "not valid JSON" in result.stdout
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 def test_cli_spec_and_scenario_together_is_config_error(tmp_path):

@@ -59,6 +59,11 @@ class TestTCB:
         task.transition(TaskState.TERMINATED)
         assert not task.alive
 
+    def test_tcbs_compare_by_identity(self):
+        task, twin = make_task(1, 5), make_task(1, 5)
+        assert task == task and task != twin
+        assert len({task, twin}) == 2
+
 
 class TestPriorityScheduler:
     def test_dispatch_order_by_priority(self):
@@ -111,6 +116,23 @@ class TestPriorityScheduler:
         scheduler.enqueue(make_task(1, 1))
         scheduler.enqueue(make_task(2, 2))
         assert len(scheduler) == 2
+
+    def test_equal_priorities_dispatch_fifo(self):
+        scheduler = PriorityScheduler()
+        for tid, priority in ((1, 5), (2, 9), (3, 5), (4, 1), (5, 5), (6, 9)):
+            scheduler.enqueue(make_task(tid, priority))
+        assert [task.tid for task in scheduler.ready_tasks()] == [2, 6, 1, 3, 5, 4]
+        assert [scheduler.dispatch().tid for _ in range(6)] == [2, 6, 1, 3, 5, 4]
+
+    def test_equal_field_tcbs_are_two_entries(self):
+        scheduler = PriorityScheduler()
+        first, second = make_task(1, 5), make_task(1, 5)
+        scheduler.enqueue(first)
+        scheduler.enqueue(second)
+        assert len(scheduler) == 2
+        scheduler.remove(second)
+        (left,) = scheduler.ready_tasks()
+        assert left is first
 
 
 class TestKernelMemory:

@@ -268,16 +268,22 @@ def test_mistyped_spec_fields_get_one_config_error_frame(server, request_, messa
         assert json.loads(reader.readline())["type"] == "pong"
 
 
-def test_malformed_json_keeps_connection_alive(server):
+def test_malformed_json_keeps_connection_alive(server, caplog):
+    # The second line nests deeper than the JSON decoder's recursion
+    # limit, well under MAX_LINE_BYTES.
+    deep = b"[" * 200_000
     with socket.create_connection(server.address, timeout=30) as sock:
         reader = sock.makefile("rb")
-        sock.sendall(b"{this is not json\n")
-        frame = json.loads(reader.readline())
-        assert frame["type"] == "error"
-        assert frame["kind"] == "protocol"
-        # Same connection still serves well-formed requests.
-        sock.sendall(json.dumps({"op": "ping", "id": "p1"}).encode() + b"\n")
-        assert json.loads(reader.readline())["type"] == "pong"
+        for index, line in enumerate((b"{this is not json", deep)):
+            sock.sendall(line + b"\n")
+            frame = json.loads(reader.readline())
+            assert frame["type"] == "error"
+            assert frame["kind"] == "protocol"
+            # Same connection still serves well-formed requests.
+            ping = {"op": "ping", "id": f"p{index}"}
+            sock.sendall(json.dumps(ping).encode() + b"\n")
+            assert json.loads(reader.readline())["type"] == "pong"
+    assert "Unhandled exception" not in caplog.text
 
 
 def test_oversized_frames_end_in_an_error_frame(server, caplog):

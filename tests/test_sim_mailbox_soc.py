@@ -178,11 +178,14 @@ class TestTracer:
         assert len(tracer.filter(since=2)) == 2
 
     def test_ring_discards_oldest(self):
-        tracer = Tracer(capacity=2)
-        for index in range(5):
-            tracer.record(index, "x", "c", i=index)
-        assert tracer.discarded == 3
-        assert [e.payload["i"] for e in tracer.events] == [3, 4]
+        for capacity in (1, 2):
+            tracer = Tracer(capacity=capacity)
+            for index in range(5):
+                tracer.record(index, "x", "c", i=index)
+            assert (tracer.recorded, tracer.discarded) == (5, 5 - capacity)
+            kept = [e.payload["i"] for e in tracer.events]
+            assert kept == [3, 4][-capacity:]
+            assert tracer.tail(50) == list(tracer.events)
 
     def test_category_filtering_at_record_time(self):
         tracer = Tracer(enabled_categories=frozenset({"task"}))
@@ -199,6 +202,19 @@ class TestTracer:
         dumped = tracer.dump(tail)
         assert dumped[0]["i"] == 7
         assert dumped[0]["category"] == "c"
+
+    def test_tail_bounds(self):
+        tracer = Tracer()
+        assert tracer.tail(5) == []
+        for index in range(4):
+            tracer.record(index, "x", "c", i=index)
+        assert tracer.tail(0) == tracer.tail(-2) == []
+        assert tracer.tail(4) == tracer.tail(50) == list(tracer.events)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_rejected(self, capacity):
+        with pytest.raises(SimulationError, match="capacity"):
+            Tracer(capacity=capacity)
 
     def test_describe_is_single_line(self):
         event = TraceEvent(time=5, core="slave", category="task", payload={"tid": 1})
