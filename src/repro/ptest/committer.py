@@ -97,6 +97,8 @@ class Committer:
     error_results: list[ServiceResult] = field(default_factory=list)
     bindings: dict[int, PairBinding] = field(default_factory=dict)
     _seq_to_pair: dict[int, int] = field(default_factory=dict)
+    #: Bindings whose ``outstanding_seq`` is set: pairs awaiting a reply.
+    _awaiting: int = 0
     _stalled_request: ServiceRequest | None = None
     _stalled_command: PatternCommand | None = None
     _noise_remaining: int = 0
@@ -129,12 +131,7 @@ class Committer:
         """All commands issued and (in lockstep mode) all replies seen."""
         if self.cursor < len(self.merged.commands) or self._stalled_request:
             return False
-        if self.lockstep:
-            return all(
-                binding.outstanding_seq is None
-                for binding in self.bindings.values()
-            )
-        return True
+        return not (self.lockstep and self._awaiting)
 
     def step(self, now: int) -> bool:
         self.now = now
@@ -157,6 +154,7 @@ class Committer:
             binding = self.bindings[pair_id]
             if binding.outstanding_seq == sequence:
                 binding.outstanding_seq = None
+                self._awaiting -= 1
             binding.completed += 1
             if not result.ok:
                 binding.errors += 1
@@ -192,6 +190,8 @@ class Committer:
         if self.noise_ticks > 0:
             self._noise_remaining = self._noise_rng.randint(0, self.noise_ticks)
         binding = self.bindings[command.pattern_id]
+        if binding.outstanding_seq is None:
+            self._awaiting += 1
         binding.outstanding_seq = sequence
         binding.issued += 1
         self.issued += 1

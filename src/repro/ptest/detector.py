@@ -27,6 +27,10 @@ processes.  Wait-for cycles are tracked by an incrementally maintained
 cycle search itself runs only when some edge actually changed.  Runs
 that record their wait-graph deltas can be re-checked offline with
 :func:`audit_deadlocks`.
+
+Each sweep also computes its *alarm* (:attr:`BugDetector.alarm`), the
+first tick at which a later sweep could report, so that the harness can
+skip the sweep ticks before it while the slave only computes.
 """
 
 from __future__ import annotations
@@ -86,7 +90,23 @@ class DetectorConfig:
 
 @dataclass
 class BugDetector:
-    """Sampled monitor over the kernel, bridge and state records."""
+    """Sampled monitor over the kernel, bridge and state records.
+
+    Each :meth:`sweep` sets :attr:`alarm`: the first tick at which a
+    later sweep could report, provided that until then only the running
+    task's progress fields change (what a compute-only batch does).
+    It is the next tick while the kernel is halted, while a wait-for
+    cycle awaits its confirming sweep, or while a command is
+    unanswered.  Otherwise it is the first tick at which one of the
+    tasks the starvation monitor watches would exceed the progress
+    window, and ``None`` when it watches none.  The running task is one
+    of them; its ``last_progress`` only moves later, so including it
+    can only make the alarm early.
+
+    ``sweeps`` counts sweep ticks: the sweeps run, plus those a caller
+    skipped because they fell before the alarm (the harness's drain
+    adds them), so it equals the count of a run that sweeps them all.
+    """
 
     kernel: PCoreKernel
     bridge: BridgeMaster
@@ -95,6 +115,9 @@ class BugDetector:
     tracer: Tracer | None = None
     anomalies: list[Anomaly] = field(default_factory=list)
     sweeps: int = 0
+    #: The last sweep's alarm (class docstring); ``None`` before the
+    #: first sweep and when no later sweep could report.
+    alarm: int | None = None
     waitgraph: IncrementalWaitForGraph = field(
         default_factory=IncrementalWaitForGraph
     )
@@ -129,6 +152,8 @@ class BugDetector:
         found.extend(self._check_deadlock(now))
         found.extend(self._check_starvation(now))
         found.extend(self._check_hang(now))
+        if self.kernel.is_halted() or self._last_cycle or self.bridge.issue_times:
+            self.alarm = now + 1
         for anomaly in found:
             self.anomalies.append(anomaly)
             if self.tracer is not None:
@@ -219,12 +244,19 @@ class BugDetector:
         )
 
     def _check_starvation(self, now: int) -> list[Anomaly]:
+        """Report starved tasks; sets :attr:`alarm` from the oldest
+        progress among the tasks it watches."""
         found: list[Anomaly] = []
+        window = self.config.progress_window
+        oldest: int | None = None
         for task in self.kernel.live_tasks():
             if task.state in (TaskState.SUSPENDED, TaskState.SLEEPING):
                 continue  # waiting there is intended, not starvation
-            age = now - task.last_progress
-            if age <= self.config.progress_window:
+            last_progress = task.last_progress
+            if oldest is None or last_progress < oldest:
+                oldest = last_progress
+            age = now - last_progress
+            if age <= window:
                 continue
             found.extend(
                 self._emit_once(
@@ -240,6 +272,7 @@ class BugDetector:
                     ),
                 )
             )
+        self.alarm = None if oldest is None else oldest + window + 1
         return found
 
     def wait_for_dot(self) -> str:

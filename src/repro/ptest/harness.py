@@ -16,15 +16,26 @@ a :class:`~repro.ptest.config.PTestConfig`, runs it, and returns a
 
 The drain phase (after the last reply, without ``restart_patterns``)
 fast-forwards: compute-only ticks are applied in batches
-(:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`), each ending by the
-next detector sweep tick and by ``max_ticks``.  Sweeps and stop checks
-therefore land on the same ticks as when stepping.  No check could fire
-inside a batch: the tick is not a sweep tick, a task is RUNNING (so the
-kernel has not halted and not every task is SUSPENDED), and nothing is
-outstanding.  The batch's last tick runs the checks like any stepped
-tick; the starvation window reads ``last_progress``, which the batch
-sets exactly, and the hang window reads command issue times, which it
-leaves alone.
+(:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`).  A batch that starts
+on the tick of a detector sweep ends at the first sweep tick at or
+after that sweep's alarm (``BugDetector.alarm``), or at ``max_ticks``;
+any other batch ends by the next sweep tick and ``max_ticks``.  The
+kernel bounds every batch further (the end of a compute, a sleeper's
+wake, a GC pass with pending items, a timed event).
+
+The sweep ticks a batch crosses are skipped, and none of them could
+have reported.  Between a sweep and the next stepped tick, a batch
+changes only the running task's progress fields.  The kernel cannot
+halt inside a batch, and a batch needs a halted master, so no command
+is outstanding: no crash and no hang can start.  No mutex changes
+hands, so the wait-for graph stays as the sweep left it: a cycle could
+only be one that sweep saw, and then its alarm is the next tick.  What
+remains is a waiting task's age crossing the progress window, and the
+alarm is the first tick at which that can happen.  The skipped sweeps
+still count in ``BugDetector.sweeps``.  No stop check could fire inside
+a batch either: a task is RUNNING, so the kernel has not halted and not
+every task is SUSPENDED.  The batch's last tick runs the checks due on
+it like any stepped tick, and every tick is swept at most once.
 """
 
 from __future__ import annotations
@@ -194,6 +205,7 @@ class AdaptiveTest:
 
         rounds = 0
         ticks = 0
+        swept_at: int | None = None
         issued_total = 0
         all_patterns: list[tuple[str, ...]] = []
         committer: Committer | None = None
@@ -234,6 +246,7 @@ class AdaptiveTest:
                 self._update_recorder(recorder, committer, kernel, written)
                 if ticks % config.detector_interval == 0:
                     detector.sweep(soc.now)
+                    swept_at = ticks
                     if detector.triggered:
                         break
                 if committer.done and not bridge_master.outstanding:
@@ -247,22 +260,33 @@ class AdaptiveTest:
                 # well after the last command was issued).
                 interval = config.detector_interval
                 while ticks < config.max_ticks:
-                    # A compute-only stretch ends by the next sweep tick
-                    # and the budget; the checks below then run on its
-                    # last tick, and could not fire on the ones before
-                    # it (module docstring).
-                    stop = min(config.max_ticks, ticks - ticks % interval + interval)
-                    advanced = soc.fast_forward(stop - ticks)
-                    if not advanced:
+                    # A compute-only batch ends by the next sweep tick,
+                    # or by the alarm's if a sweep ran on this tick; the
+                    # sweeps it crosses could not report (module
+                    # docstring).
+                    stop = ticks - ticks % interval + interval
+                    if swept_at == ticks:
+                        alarm = detector.alarm
+                        if alarm is None:
+                            stop = config.max_ticks
+                        else:
+                            stop = max(stop, -(-alarm // interval) * interval)
+                    advanced = soc.fast_forward(min(config.max_ticks, stop) - ticks)
+                    if advanced:
+                        end = ticks + advanced
+                        detector.sweeps += (end - 1) // interval - ticks // interval
+                        ticks = end
+                    else:
                         soc.step()
-                        advanced = 1
-                    ticks += advanced
+                        ticks += 1
                     if ticks % interval == 0:
                         detector.sweep(soc.now)
+                        swept_at = ticks
                         if detector.triggered:
                             break
+                    if advanced:
+                        continue  # a task is RUNNING: no stop check fires
                     if kernel.is_halted():
-                        detector.sweep(soc.now)
                         break
                     if not bridge_master.outstanding and all(
                         task.state is TaskState.SUSPENDED
@@ -271,7 +295,8 @@ class AdaptiveTest:
                         # Nothing left that can move: every surviving
                         # task is parked by a pattern that ended in TS.
                         break
-                detector.sweep(soc.now)
+                if swept_at != ticks:
+                    detector.sweep(soc.now)
                 break
 
         report = None

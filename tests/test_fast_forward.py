@@ -2,26 +2,39 @@
 
 ``PCoreKernel.fast_forward`` batches the steps that would only decrement
 the running task's ``compute_remaining``; ``DualCoreSoC.fast_forward``
-batches the ticks of such steps while the master is halted, and the
-harness drain loop caps each batch at the next detector sweep and the
-tick budget.  The kernel and SoC tests below check each cap against a
-twin that takes the same steps one by one.  The harness tests run a
-scenario twice — once as shipped, once with ``DualCoreSoC.fast_forward``
-replaced by a stub that advances 0 ticks (the stepwise reference) — and
-compare the run result, the kernel counters, every task's fields, the
-kernel state at every detector sweep and the whole trace.
+batches the ticks of such steps while the master is halted.  The kernel
+and SoC tests below check each of their bounds against a twin that
+takes the same steps one by one.
+
+The harness drain loop ends a batch at the first sweep tick at or after
+the last sweep's alarm, or at the tick budget, and skips the sweep
+ticks it crosses.  The harness tests run a scenario twice — once as
+shipped, once with ``DualCoreSoC.fast_forward`` replaced by a stub that
+advances 0 ticks (the stepwise reference) — and compare the run result,
+the kernel counters, every task's fields, the whole trace and the
+detector's sweep count.  The fast run's sweeps must be an ordered
+subsequence of the reference's, with equal kernel and detector state at
+each; every reference sweep the fast run skipped must have reported
+nothing and changed none of the detector's anomalies, cycle streak,
+last cycle, wait-graph counters and recorded deltas.  Hand-written cases
+put a starvation report and a deadlock's confirming sweep inside what
+would otherwise be one long batch; a hypothesis test checks generated
+runs the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bridge.bridge import build_bridge
 from repro.pcore.kernel import KernelConfig, PCoreKernel
-from repro.pcore.programs import Compute, Exit, Sleep
+from repro.pcore.programs import Acquire, Compute, Exit, Release, Sleep, YieldCpu
 from repro.pcore.services import ServiceCode, ServiceRequest
 from repro.pcore.tcb import TaskState
 from repro.pcore.testkit import create_task, run_service
@@ -286,12 +299,36 @@ class _RecordingTasks(dict):
         super().__setitem__(tid, task)
 
 
+class _Sweep(NamedTuple):
+    """One ``BugDetector.sweep`` call as the comparison sees it."""
+
+    tick: int
+    kernel: tuple
+    found: list
+    #: :func:`_detector_state` before and after the sweep.
+    before: tuple
+    after: tuple
+
+
+def _detector_state(detector: BugDetector) -> tuple:
+    """What a sweep that reports nothing must leave as it found it."""
+    return (
+        tuple(detector.anomalies),
+        detector._cycle_streak,
+        detector._last_cycle,
+        detector.waitgraph.rescans,
+        detector.waitgraph.searches,
+        tuple(detector.wait_deltas),
+    )
+
+
 def _run(build, stepwise: bool) -> tuple[dict, int]:
     """Run a fresh ``build()``; returns what the equivalence compares
     and the ticks fast-forwarded.  ``stepwise`` swaps in a
     ``DualCoreSoC.fast_forward`` that advances 0 ticks."""
     seen: list = []
     kernels: list = []
+    detectors: dict = {}
     sweeps: list = []
     skipped: list = []
     fast_forward = DualCoreSoC.fast_forward
@@ -303,8 +340,11 @@ def _run(build, stepwise: bool) -> tuple[dict, int]:
         return ticks
 
     def recording_sweep(self, now):
-        sweeps.append((now, _kernel_state(self.kernel)))
-        return sweep(self, now)
+        detectors[id(self)] = self
+        kernel, before = _kernel_state(self.kernel), _detector_state(self)
+        found = sweep(self, now)
+        sweeps.append(_Sweep(now, kernel, found, before, _detector_state(self)))
+        return found
 
     test = build()
     original_setup = test.setup
@@ -321,14 +361,35 @@ def _run(build, stepwise: bool) -> tuple[dict, int]:
         patch.setattr(BugDetector, "sweep", recording_sweep)
         result = test.run()
     (kernel,) = kernels
+    (detector,) = detectors.values()
     observed = {
         "result": result,
         "kernel": _kernel_state(kernel),
         "tasks": [_task_state(task) for task in seen],
-        "sweeps": sweeps,
         "trace": test.tracer.dump(),
+        "sweeps": sweeps,
+        "sweep_count": detector.sweeps,
     }
     return observed, sum(skipped)
+
+
+def _assert_matches_reference(fast: dict, reference: dict) -> None:
+    """``fast`` equals the stepwise ``reference`` but for the sweeps it
+    skipped, each of which reported nothing and changed nothing."""
+    for key in ("result", "kernel", "tasks", "trace", "sweep_count"):
+        assert fast[key] == reference[key], key
+    for sweeps in (fast["sweeps"], reference["sweeps"]):
+        ticks = [sweep.tick for sweep in sweeps]
+        assert ticks == sorted(set(ticks)), "a tick was swept twice"
+    # Both lists are ordered by tick, so a subset of ticks is an
+    # ordered subsequence.
+    kept = {sweep.tick: sweep for sweep in fast["sweeps"]}
+    assert kept.keys() <= {sweep.tick for sweep in reference["sweeps"]}
+    for sweep in reference["sweeps"]:
+        if sweep.tick in kept:
+            assert kept[sweep.tick] == sweep, sweep.tick
+        else:
+            assert not sweep.found and sweep.after == sweep.before, sweep.tick
 
 
 def _variant(name: str, params=None, kernel=None, **config) -> AdaptiveTest:
@@ -388,6 +449,16 @@ def _gc_test() -> AdaptiveTest:
     )
 
 
+def _philosophers_beside_a_cruncher(**config) -> AdaptiveTest:
+    """The philosophers deadlock while a priority-0 task, created at
+    setup, computes 5,000 units: their cycle forms, and waits for its
+    confirming sweep, while that task runs."""
+    test = _variant("philosophers", **config)
+    test.programs = {**test.programs, "cruncher": _program(Compute(5_000))}
+    test.setup = partial(create_task, priority=0, program="cruncher")
+    return test
+
+
 #: Case -> (builder, the anomaly kind the run must report).
 CASES = {
     "sleeper_wakes_high": (partial(_sleeper_test, "high"), None),
@@ -421,6 +492,30 @@ CASES = {
         partial(_variant, "philosophers"),
         AnomalyKind.DEADLOCK,
     ),
+    # The waiters starve while the hog computes: the starvation bound
+    # must end what would otherwise be one batch to the hog's end.
+    "starvation_inside_a_batch": (
+        partial(_variant, "priority_inversion", progress_window=500),
+        AnomalyKind.STARVATION,
+    ),
+    "starvation_inside_a_batch_interval_5": (
+        partial(
+            _variant,
+            "priority_inversion",
+            progress_window=777,
+            detector_interval=5,
+        ),
+        AnomalyKind.STARVATION,
+    ),
+    # The cycle's confirming sweep falls inside a batch of the cruncher.
+    "deadlock_beside_a_cruncher": (
+        _philosophers_beside_a_cruncher,
+        AnomalyKind.DEADLOCK,
+    ),
+    "deadlock_beside_a_cruncher_wait_deltas": (
+        partial(_philosophers_beside_a_cruncher, record_wait_deltas=True),
+        AnomalyKind.DEADLOCK,
+    ),
 }
 
 
@@ -430,9 +525,17 @@ def test_fast_path_matches_stepwise_reference(case):
     fast, skipped = _run(build, stepwise=False)
     reference, stepped = _run(build, stepwise=True)
     assert skipped > 0 and stepped == 0
-    assert fast == reference
+    _assert_matches_reference(fast, reference)
     report = fast["result"].report
     assert (report.primary.kind if report else None) is kind
+
+
+def test_sweeps_are_skipped():
+    """The batches cross sweep ticks that the stepwise run sweeps."""
+    build, _ = CASES["starvation_inside_a_batch"]
+    fast, _ = _run(build, stepwise=False)
+    reference, _ = _run(build, stepwise=True)
+    assert len(fast["sweeps"]) < len(reference["sweeps"]) // 4
 
 
 def test_budget_ends_inside_a_stretch():
@@ -441,6 +544,23 @@ def test_budget_ends_inside_a_stretch():
     assert fast["result"].ticks == 1_003
     # The hog is still mid-compute when the budget runs out.
     assert any(task[5] > 0 for task in fast["kernel"][-1])
+
+
+@pytest.mark.parametrize(
+    "max_ticks, found_at", [(192, None), (193, 193), (None, 200)]
+)
+def test_a_tick_is_swept_once(max_ticks, found_at):
+    """The philosophers' cycle is first seen by the sweep at 192, so a
+    budget ending there must not confirm it by sweeping 192 again; a
+    final sweep at 193, or the sweep at 200, does."""
+    config = {} if max_ticks is None else {"max_ticks": max_ticks}
+    build = partial(_variant, "philosophers", **config)
+    for stepwise in (False, True):
+        observed, _ = _run(build, stepwise=stepwise)
+        assert [
+            (anomaly.kind, anomaly.detected_at)
+            for anomaly in observed["result"].anomalies
+        ] == ([] if found_at is None else [(AnomalyKind.DEADLOCK, found_at)])
 
 
 def test_two_slave_steps_per_tick_fall_back_to_stepping(monkeypatch):
@@ -460,8 +580,91 @@ def test_live_tasks_are_exactly_the_task_table():
     observed, _ = _run(partial(_variant, "quicksort_stress"), stepwise=False)
     states = [task[2] for task in observed["tasks"]]
     assert states.count(TaskState.TERMINATED) > 10
-    for _, kernel in observed["sweeps"]:
-        assert all(task[2] is not TaskState.TERMINATED for task in kernel[-1])
+    for sweep in observed["sweeps"]:
+        assert all(task[2] is not TaskState.TERMINATED for task in sweep.kernel[-1])
     assert len(observed["kernel"][-1]) == len(states) - states.count(
         TaskState.TERMINATED
     )
+
+
+# -- generated runs ----------------------------------------------------------
+
+MUTEXES = ("m0", "m1")
+
+#: One critical section: take one or both mutexes (in either order),
+#: compute, release in reverse.
+_SECTION = st.tuples(
+    st.lists(st.sampled_from(MUTEXES), min_size=1, max_size=2, unique=True),
+    st.integers(1, 100),
+).map(
+    lambda section: (
+        *(Acquire(name) for name in section[0]),
+        Compute(section[1]),
+        *(Release(name) for name in reversed(section[0])),
+    )
+)
+_STEP = st.one_of(
+    st.integers(1, 300).map(lambda units: (Compute(units),)),
+    st.integers(1, 200).map(lambda ticks: (Sleep(ticks),)),
+    st.just((YieldCpu(),)),
+    _SECTION,
+)
+_SYSCALLS = st.lists(_STEP, min_size=1, max_size=5).map(
+    lambda steps: tuple(syscall for step in steps for syscall in step)
+)
+
+
+def _generated_test(
+    bodies,
+    background: bool,
+    interval: int,
+    window: int,
+    max_ticks: int,
+    deltas: bool,
+) -> AdaptiveTest:
+    """One task per body.  With ``background`` (and two bodies or more)
+    the first runs at priority 0 from a task created at setup, so it
+    computes under the others from tick 0; every other body runs in the
+    task of a pair's ``TC``."""
+    names = tuple(f"p{index}" for index in range(len(bodies)))
+    background = background and len(names) > 1
+    pairs = names[1:] if background else names
+    return AdaptiveTest(
+        config=PTestConfig(
+            pattern_count=len(pairs),
+            pattern_size=1,
+            program=pairs[0],
+            pair_programs=pairs,
+            max_ticks=max_ticks,
+            detector_interval=interval,
+            progress_window=window,
+            record_wait_deltas=deltas,
+        ),
+        programs={
+            name: _program(*body) for name, body in zip(names, bodies)
+        },
+        pfa=lifecycle_pfa(("TC",)),
+        setup=(
+            partial(create_task, priority=0, program=names[0]) if background else None
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bodies=st.lists(_SYSCALLS, min_size=1, max_size=4),
+    background=st.booleans(),
+    interval=st.integers(1, 9),
+    window=st.integers(5, 400),
+    max_ticks=st.integers(50, 3_000),
+    deltas=st.booleans(),
+)
+def test_generated_runs_match_stepwise_reference(
+    bodies, background, interval, window, max_ticks, deltas
+):
+    build = partial(
+        _generated_test, bodies, background, interval, window, max_ticks, deltas
+    )
+    fast, _ = _run(build, stepwise=False)
+    reference, _ = _run(build, stepwise=True)
+    _assert_matches_reference(fast, reference)

@@ -13,6 +13,12 @@ The same cells also run through the pool workers' entry point
 same-variant batch per scenario from a cold worker cache) and must
 match the bare digests on every field a result carries.
 
+``--write`` records the fast path, so a bug in the harness drain's
+fast-forward could be written into the fixture.  The fixture must
+therefore also match the stepwise reference: every cell run again with
+``DualCoreSoC.fast_forward`` advancing 0 ticks, so that every tick is
+stepped and every sweep tick swept.
+
 Regenerate only for a deliberate behaviour change::
 
     PYTHONPATH=src python tests/test_golden_scenarios.py --write
@@ -28,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from repro.ptest.pool import clear_worker_cache, make_batch_table, run_table_batch
+from repro.sim.soc import DualCoreSoC
 from repro.workloads.registry import build_scenario, scenario_names, scenario_ref
 
 FIXTURE = Path(__file__).with_name("data") / "golden_scenarios.json"
@@ -106,6 +113,14 @@ def test_worker_batch_matches_golden(name):
         want = expected[str(seed)]
         got = result_digest(result)
         assert got == {key: want[key] for key in got}, (name, seed)
+
+
+def test_stepwise_reference_matches_golden(monkeypatch):
+    monkeypatch.setattr(DualCoreSoC, "fast_forward", lambda self, limit: 0)
+    golden = _golden()
+    for name in scenario_names():
+        for seed in SEEDS:
+            assert cell_digest(name, seed) == golden[name][str(seed)], (name, seed)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ on every tick:
   unchanged state, a task gone, unbound) and scenario variants run
   against the per-tick writer (the reference), comparing every round's
   recorder and the run result.
+* ``Committer.done`` reads a count of the pairs awaiting a reply.  The
+  same scenario variants check, after every committer step, that the
+  count and ``done`` equal a scan of every binding (the reference).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.pcore.services import ServiceCode, ServiceRequest
 from repro.pcore.tcb import TaskState
 from repro.pcore.testkit import create_task
 from repro.ptest import harness
+from repro.ptest.committer import Committer
 from repro.ptest.harness import AdaptiveTest
 from repro.ptest.patterns import TestPattern
 from repro.ptest.recording import ProcessStateRecorder
@@ -242,3 +246,43 @@ def test_recorder_matches_per_tick_writes(scenario, variant, seed):
     if result.report is not None:
         assert result.report.state_records == reference.report.state_records
     assert 0 < writes <= reference_writes
+
+
+# -- committer ---------------------------------------------------------------
+
+
+def _full_scan_done(committer: Committer) -> bool:
+    """The reference: scan every binding for an unanswered command."""
+    if committer.cursor < len(committer.merged.commands) or committer._stalled_request:
+        return False
+    if committer.lockstep:
+        return all(
+            binding.outstanding_seq is None
+            for binding in committer.bindings.values()
+        )
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_done_matches_the_full_scan(scenario, variant, seed):
+    seen = set()
+    step = Committer.step
+
+    def checking_step(self, now):
+        worked = step(self, now)
+        awaiting = sum(
+            binding.outstanding_seq is not None
+            for binding in self.bindings.values()
+        )
+        assert (self._awaiting, self.done) == (awaiting, _full_scan_done(self))
+        seen.add(self.done)
+        return worked
+
+    test = build_scenario(scenario, seed)
+    test.config = replace(test.config, **VARIANTS[variant])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Committer, "step", checking_step)
+        test.run()
+    assert seen == {False, True}
