@@ -12,6 +12,14 @@ Each :meth:`PCoreKernel.step` performs (in order):
 4. dispatch and execute one scheduling step of the highest-priority
    READY task.
 
+Two calls stand in for runs of steps.  :meth:`PCoreKernel.fast_forward`
+applies a compute-only run (steps that only count down the RUNNING
+task's ``compute_remaining``) at once.  :meth:`PCoreKernel.run_steps`
+takes up to a given number of steps, each compute-only run through
+``fast_forward`` and every other step through :meth:`PCoreKernel.step`,
+and returns early after a step on which the kernel halted or
+:meth:`PCoreKernel.parked` holds (every live task SUSPENDED).
+
 Crash semantics (test case 1): pCore sizes its internal memory so that
 ``max_tasks`` TCBs and stacks always fit.  If an allocation fails while
 the live-task count is under the limit, the kernel's accounting has been
@@ -227,6 +235,38 @@ class PCoreKernel:
         task.last_progress = self.now
         task.compute_remaining -= steps
         return steps
+
+    def run_steps(self, now: int, limit: int) -> int:
+        """Take up to ``limit`` steps at ``now, now + 1, ...``; returns
+        how many were taken.
+
+        Before each step the compute-only run from there is applied
+        through :meth:`fast_forward`; a run shorter than the steps left
+        ends where its next step is not compute-only, so that step goes
+        through :meth:`step`.  The call returns after a step on which
+        the kernel halted or is :meth:`parked`.
+        """
+        taken = 0
+        while taken < limit:
+            taken += self.fast_forward(now + taken, limit - taken)
+            if taken == limit:
+                break
+            self.step(now + taken)
+            taken += 1
+            if self.panic_reason is not None or self.parked():
+                break
+        return taken
+
+    def parked(self) -> bool:
+        """Whether every live task is SUSPENDED (or none is live).
+
+        A current or READY task answers ``False`` without a scan: the
+        scheduler's current task is the RUNNING one, and its ready list
+        holds only READY tasks."""
+        scheduler = self.scheduler
+        if scheduler.current is not None or len(scheduler):
+            return False
+        return all(task.state is TaskState.SUSPENDED for task in self.tasks.values())
 
     # -- remote interface --------------------------------------------------
 

@@ -15,27 +15,53 @@ a :class:`~repro.ptest.config.PTestConfig`, runs it, and returns a
 :class:`TestRunResult` with any :class:`~repro.ptest.report.BugReport`.
 
 The drain phase (after the last reply, without ``restart_patterns``)
-fast-forwards: compute-only ticks are applied in batches
-(:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`).  A batch that starts
-on the tick of a detector sweep ends at the first sweep tick at or
-after that sweep's alarm (``BugDetector.alarm``), or at ``max_ticks``;
-any other batch ends by the next sweep tick and ``max_ticks``.  The
-kernel bounds every batch further (the end of a compute, a sleeper's
-wake, a GC pass with pending items, a timed event).
+applies runs of ticks at once, in two ways.
 
-The sweep ticks a batch crosses are skipped, and none of them could
-have reported.  Between a sweep and the next stepped tick, a batch
-changes only the running task's progress fields.  The kernel cannot
-halt inside a batch, and a batch needs a halted master, so no command
-is outstanding: no crash and no hang can start.  No mutex changes
-hands, so the wait-for graph stays as the sweep left it: a cycle could
-only be one that sweep saw, and then its alarm is the next tick.  What
-remains is a waiting task's age crossing the progress window, and the
-alarm is the first tick at which that can happen.  The skipped sweeps
-still count in ``BugDetector.sweeps``.  No stop check could fire inside
-a batch either: a task is RUNNING, so the kernel has not halted and not
-every task is SUSPENDED.  The batch's last tick runs the checks due on
-it like any stepped tick, and every tick is swept at most once.
+* **Alarm-extended batches.**  On the tick of a detector sweep, a run of
+  compute-only ticks is applied in one batch
+  (:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`) that ends at the
+  first sweep tick at or after that sweep's alarm
+  (``BugDetector.alarm``), or at ``max_ticks``.  The kernel bounds it
+  further (the end of a compute, a sleeper's wake, a GC pass with
+  pending items, a timed event).
+* **Stretches up to the next sweep tick.**  Every other tick is part of
+  a stretch in which the slave kernel runs alone
+  (:meth:`~repro.sim.soc.DualCoreSoC.run_slave`): compute-only runs in
+  one call, every other tick through ``PCoreKernel.step``.  A stretch
+  ends by the next sweep tick and ``max_ticks``, and early after a step
+  on which the kernel halted or every live task is SUSPENDED
+  (``PCoreKernel.parked``).
+
+A stretch is exact.  The drain starts only once the committer is done
+with nothing outstanding, and nothing refills the command mailbox, the
+adapter's reply backlog or the kernel inbox until the run ends: no
+command is issued and no reply can arise.  With the master halted, a
+``DualCoreSoC.step`` is then only the adapter's empty flush and poll,
+the kernel step, the clock, a ``fire_due`` with nothing due and
+``ticks_run``, and a stretch ends before the next timed event.  The
+drain's stop checks (kernel halted; every live task SUSPENDED) can only
+turn true on a stepped tick, and a stretch returns exactly there.  A
+stretch never passes the next sweep tick, so every sweep it reaches
+runs as it would tick by tick.
+
+The sweep ticks an alarm-extended batch crosses are skipped, and none
+of them could have reported.  Between a sweep and the next stepped tick,
+a batch changes only the running task's progress fields.  The kernel
+cannot halt inside a batch, and a batch needs a halted master, so no
+command is outstanding: no crash and no hang can start.  No mutex
+changes hands, so the wait-for graph stays as the sweep left it: a cycle
+could only be one that sweep saw, and then its alarm is the next tick.
+What remains is a waiting task's age crossing the progress window, and
+the alarm is the first tick at which that can happen.  The skipped
+sweeps still count in ``BugDetector.sweeps``.  No stop check could fire
+inside a batch either: a task is RUNNING, so the kernel has not halted
+and not every task is SUSPENDED.  The last tick of a batch or a stretch
+runs the checks due on it like any stepped tick, and every tick is swept
+at most once.
+
+The drain does not record the Definition 2 slave states tick by tick:
+no reply arrives in it, so no pair's binding changes, and the recorder
+is brought up to date once, before a bug report is built.
 """
 
 from __future__ import annotations
@@ -260,40 +286,34 @@ class AdaptiveTest:
                 # well after the last command was issued).
                 interval = config.detector_interval
                 while ticks < config.max_ticks:
-                    # A compute-only batch ends by the next sweep tick,
-                    # or by the alarm's if a sweep ran on this tick; the
-                    # sweeps it crosses could not report (module
-                    # docstring).
-                    stop = ticks - ticks % interval + interval
+                    # The slave runs alone up to the next sweep tick; on
+                    # a swept tick a compute-only batch may run on to
+                    # the alarm's sweep tick, and the sweeps it crosses
+                    # could not report (module docstring).
+                    next_sweep = ticks - ticks % interval + interval
+                    advanced = 0
                     if swept_at == ticks:
                         alarm = detector.alarm
-                        if alarm is None:
-                            stop = config.max_ticks
-                        else:
-                            stop = max(stop, -(-alarm // interval) * interval)
-                    advanced = soc.fast_forward(min(config.max_ticks, stop) - ticks)
+                        stop = config.max_ticks
+                        if alarm is not None:
+                            stop = max(next_sweep, -(-alarm // interval) * interval)
+                        advanced = soc.fast_forward(min(config.max_ticks, stop) - ticks)
                     if advanced:
                         end = ticks + advanced
                         detector.sweeps += (end - 1) // interval - ticks // interval
                         ticks = end
                     else:
-                        soc.step()
-                        ticks += 1
+                        limit = min(config.max_ticks, next_sweep) - ticks
+                        ticks += soc.run_slave(limit)
                     if ticks % interval == 0:
                         detector.sweep(soc.now)
                         swept_at = ticks
                         if detector.triggered:
                             break
-                    if advanced:
-                        continue  # a task is RUNNING: no stop check fires
-                    if kernel.is_halted():
-                        break
-                    if not bridge_master.outstanding and all(
-                        task.state is TaskState.SUSPENDED
-                        for task in kernel.live_tasks()
-                    ):
-                        # Nothing left that can move: every surviving
-                        # task is parked by a pattern that ended in TS.
+                    if kernel.is_halted() or kernel.parked():
+                        # Nothing left that can move: the kernel is down,
+                        # or every surviving task is parked by a pattern
+                        # that ended in TS.
                         break
                 if swept_at != ticks:
                     detector.sweep(soc.now)
@@ -301,6 +321,9 @@ class AdaptiveTest:
 
         report = None
         if detector.triggered and committer is not None:
+            # The drain leaves the records to this one update (module
+            # docstring).
+            self._update_recorder(recorder, committer, kernel, written)
             # "it terminates the current job and helps users reproduce
             # the bugs": stop and dump.
             report = BugReport(

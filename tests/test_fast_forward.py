@@ -1,29 +1,41 @@
-"""Compute-only stretches applied in one call must equal stepping them.
+"""Runs of steps applied in one call must equal stepping them.
 
 ``PCoreKernel.fast_forward`` batches the steps that would only decrement
 the running task's ``compute_remaining``; ``DualCoreSoC.fast_forward``
-batches the ticks of such steps while the master is halted.  The kernel
-and SoC tests below check each of their bounds against a twin that
-takes the same steps one by one.
+batches the ticks of such steps while the master is halted.
+``PCoreKernel.run_steps`` takes a run of steps, each compute-only run
+through ``fast_forward`` and every other step through ``step``, and
+returns after a step on which the kernel halted or parked;
+``DualCoreSoC.run_slave`` lets the kernel run so while the master is
+halted and the bridge is quiet, and otherwise steps one tick.  The
+kernel and SoC tests below check each of their bounds against a twin
+that takes the same steps one by one.
 
-The harness drain loop ends a batch at the first sweep tick at or after
-the last sweep's alarm, or at the tick budget, and skips the sweep
-ticks it crosses.  The harness tests run a scenario twice — once as
-shipped, once with ``DualCoreSoC.fast_forward`` replaced by a stub that
-advances 0 ticks (the stepwise reference) — and compare the run result,
+The harness drain loop lets the slave run alone up to the next sweep
+tick; a compute-only batch that starts on a swept tick ends at the first
+sweep tick at or after that sweep's alarm, or at the tick budget, and
+skips the sweep ticks it crosses.  The harness tests run a scenario
+twice — once as shipped, once with ``DualCoreSoC.fast_forward``
+replaced by a stub that advances 0 ticks and ``DualCoreSoC.run_slave``
+by one that steps one tick (the stepwise reference, which must take
+every tick through ``DualCoreSoC.step``) — and compare the run result,
 the kernel counters, every task's fields, the whole trace and the
 detector's sweep count.  The fast run's sweeps must be an ordered
 subsequence of the reference's, with equal kernel and detector state at
 each; every reference sweep the fast run skipped must have reported
 nothing and changed none of the detector's anomalies, cycle streak,
-last cycle, wait-graph counters and recorded deltas.  Hand-written cases
-put a starvation report and a deadlock's confirming sweep inside what
-would otherwise be one long batch; a hypothesis test checks generated
-runs the same way.
+last cycle, wait-graph counters and recorded deltas.  A third run, whose
+``run_slave`` decides one tick at a time (a compute-only batch, else one
+step), must equal the fast run in everything, down to the number of
+``PCoreKernel.step`` calls.  Hand-written cases put a starvation report,
+a deadlock's confirming sweep and a kernel panic inside what would
+otherwise be one long run; a hypothesis test checks generated runs the
+same way (``REPRO_DRAIN_EXAMPLES`` sets its example count, default 60).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
@@ -208,6 +220,135 @@ class TestKernelFastForward:
         assert _fast_forward_against_steps(build, limit=1_000) == 0
 
 
+#: Not a syscall: the kernel panics on it (``KernelError``).
+NOT_A_SYSCALL = "not a syscall"
+
+
+def _counting_steps(core) -> list:
+    """Record the arguments of each later ``core.step`` call in the
+    returned list."""
+    calls: list = []
+    step = core.step
+
+    def counting_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    core.step = counting_step
+    return calls
+
+
+def _run_steps_against_steps(build, limit: int) -> int:
+    """Run one ``build()`` for up to ``limit`` steps through
+    ``run_steps`` and step a twin tick by tick, stopping after a step on
+    which it halted or parked; both must agree then and after 60 more
+    steps.  A third ``build()`` tries a compute-only batch before every
+    step, as the drain loop did tick by tick: ``run_steps`` must make
+    exactly its ``step`` calls.  Returns the steps taken."""
+    fast, slow, batched = build(), build(), build()
+    now = fast.now + 1
+    fast_calls, batched_calls = _counting_steps(fast), _counting_steps(batched)
+    taken = fast.run_steps(now, limit)
+    stepped = 0
+    while stepped < limit:
+        slow.step(now + stepped)
+        stepped += 1
+        if slow.is_halted() or slow.parked():
+            break
+    assert taken == stepped
+    assert _kernel_state(fast) == _kernel_state(slow)
+    done = 0
+    while done < limit:
+        advanced = batched.fast_forward(now + done, limit - done)
+        if advanced:
+            done += advanced
+            continue
+        batched.step(now + done)
+        done += 1
+        if batched.is_halted() or batched.parked():
+            break
+    assert done == taken
+    assert fast_calls == batched_calls
+    for tick in range(now + taken, now + taken + 60):
+        fast.step(tick)
+        slow.step(tick)
+    assert _kernel_state(fast) == _kernel_state(slow)
+    return taken
+
+
+class TestKernelRunSteps:
+    def test_limit_ends_the_run(self):
+        build = partial(_kernel, [(1, [Compute(100)])], steps=2)
+        assert _run_steps_against_steps(build, limit=10) == 10
+        assert _run_steps_against_steps(build, limit=98) == 98
+        # One step past the compute resumes the program.
+        assert _run_steps_against_steps(build, limit=99) == 99
+
+    def test_returns_when_no_task_is_left(self):
+        # 98 units left; the step after them exits the only task.
+        build = partial(_kernel, [(1, [Compute(100)])], steps=2)
+        assert _run_steps_against_steps(build, limit=1_000) == 99
+
+    def test_returns_on_a_halt(self):
+        # 20 units left after step 0; step 21 yields no syscall.
+        build = partial(_kernel, [(1, [Compute(21), NOT_A_SYSCALL])], steps=1)
+        assert _run_steps_against_steps(build, limit=1_000) == 21
+        kernel = build()
+        kernel.run_steps(kernel.now + 1, 1_000)
+        assert kernel.is_halted()
+
+    def test_returns_when_parked(self):
+        def build():
+            kernel = _kernel(
+                [(1, [Compute(50)]), (2, [Sleep(300), Compute(5)])], steps=3
+            )
+            run_service(kernel, ServiceCode.TS, target=2)
+            return kernel
+
+        # Tid 1 has 48 units left, then exits: tid 2, suspended while
+        # sleeping, is the only live task.
+        assert _run_steps_against_steps(build, limit=1_000) == 49
+
+    def test_idle_steps_are_taken_inside_the_run(self):
+        # Asleep until 40, then 10 units and the exit.
+        build = partial(_kernel, [(1, [Sleep(40), Compute(10)])], steps=1)
+        assert _run_steps_against_steps(build, limit=1_000) == 50
+
+    def test_a_deadlock_runs_to_the_limit(self):
+        # Each task takes one mutex, sleeps, and waits for the other's:
+        # from step 13 on, nothing runs and nothing is parked.
+        build = partial(
+            _kernel,
+            [
+                (1, [Acquire("m0"), Sleep(10), Acquire("m1")]),
+                (2, [Acquire("m1"), Sleep(5), Acquire("m0")]),
+            ],
+            steps=1,
+        )
+        assert _run_steps_against_steps(build, limit=300) == 300
+
+    @pytest.mark.parametrize("context_switch_cost", [0, 2])
+    def test_runs_sleepers_and_gc_passes_inside_one_run(self, context_switch_cost):
+        def build():
+            kernel = _kernel(
+                [
+                    (1, [Compute(300)]),
+                    (2, [Sleep(20), Compute(5), Sleep(30), Compute(5)]),
+                    (3, [Compute(50)]),
+                ],
+                steps=5,
+                buggy_gc=True,
+                context_switch_cost=context_switch_cost,
+            )
+            # Killed mid-flight: a pending item, so each collector pass
+            # (steps 32, 64, ...) must be stepped.
+            run_service(kernel, ServiceCode.TD, target=3)
+            return kernel
+
+        assert build().gc.pending
+        assert _run_steps_against_steps(build, limit=250) == 250
+
+
 # -- SoC ---------------------------------------------------------------------
 
 
@@ -284,6 +425,89 @@ class TestSoCFastForward:
         assert soc.fast_forward(100) == 0
 
 
+class TestSoCRunSlave:
+    def test_slave_runs_alone_until_it_parks(self):
+        fast, fast_kernel, _ = _soc()
+        slow, slow_kernel, _ = _soc()
+        stepped = _counting_steps(fast)
+        # 498 units left at tick 2; the step at 500 exits the only task.
+        assert fast.run_slave(1_000) == 499
+        assert stepped == []
+        while not slow_kernel.parked():
+            slow.step()
+        assert (fast.now, fast.ticks_run) == (slow.now, slow.ticks_run) == (501, 501)
+        assert fast.slave.now == slow.slave.now == 500
+        assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
+
+    def test_limit_ends_the_run(self):
+        fast, fast_kernel, _ = _soc()
+        slow, slow_kernel, _ = _soc()
+        assert fast.run_slave(30) == 30
+        for _ in range(30):
+            slow.step()
+        assert (fast.now, fast.ticks_run, fast.slave.now) == (32, 32, 31)
+        assert (slow.now, slow.ticks_run, slow.slave.now) == (32, 32, 31)
+        assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
+
+    @pytest.mark.parametrize(
+        "blocker",
+        [
+            "live_master",
+            "command",
+            "reply",
+            "kernel_inbox",
+            "two_slave_steps_per_tick",
+            "event_next_tick",
+            "halted_kernel",
+        ],
+    )
+    def test_one_step_unless_quiet(self, blocker):
+        soc, kernel, bridge = _soc(
+            slave_steps_per_tick=2 if blocker == "two_slave_steps_per_tick" else 1
+        )
+        request = ServiceRequest(service=ServiceCode.TCH, target=1, priority=7)
+        if blocker == "live_master":
+            soc.master.is_halted = lambda: False
+            soc.master.step = lambda now: False
+        elif blocker == "command":
+            bridge.issue(request)
+        elif blocker == "reply":
+            # A full reply mailbox holds the next reply in the backlog.
+            for _ in range(soc.config.mailbox_capacity):
+                soc.mailboxes["dsp2arm_reply"].post(MailboxMessage(word=0))
+            bridge.issue(request)
+            soc.step()
+            assert soc.slave._reply_backlog
+        elif blocker == "kernel_inbox":
+            kernel.submit(request)
+        elif blocker == "event_next_tick":
+            soc.scheduler.schedule_at(soc.now + 1, lambda: None)
+        elif blocker == "halted_kernel":
+            kernel.panic("test")
+        stepped = _counting_steps(soc)
+        now = soc.now
+        assert soc.run_slave(100) == 1
+        assert (stepped, soc.now) == ([()], now + 1)
+
+    def test_never_passes_a_timed_event(self):
+        fired = []
+        socs = [_soc()[:2], _soc()[:2]]
+        for soc, kernel in socs:
+            soc.scheduler.schedule_at(
+                soc.now + 5,
+                lambda soc=soc, kernel=kernel: fired.append((soc.now, kernel.steps)),
+            )
+        (fast, fast_kernel), (slow, slow_kernel) = socs
+        stepped = _counting_steps(fast)
+        assert fast.run_slave(100) == 4
+        assert fast.run_slave(100) == 1
+        assert stepped == [()]
+        for _ in range(5):
+            slow.step()
+        assert fired[0] == fired[1] == (7, 7)
+        assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
+
+
 # -- harness -----------------------------------------------------------------
 
 
@@ -322,22 +546,45 @@ def _detector_state(detector: BugDetector) -> tuple:
     )
 
 
-def _run(build, stepwise: bool) -> tuple[dict, int]:
+def _step_one_tick(soc: DualCoreSoC, limit: int) -> int:
+    """A ``DualCoreSoC.run_slave`` that steps one tick."""
+    del limit
+    soc.step()
+    return 1
+
+
+def _batch_or_step_one_tick(soc: DualCoreSoC, limit: int) -> int:
+    """A ``DualCoreSoC.run_slave`` that decides one tick at a time, as
+    the drain did before the slave ran alone: a compute-only batch if
+    there is one, else one step."""
+    return soc.fast_forward(limit) or _step_one_tick(soc, limit)
+
+
+def _run(build, stepwise: bool, per_tick_drain: bool = False) -> tuple[dict, int]:
     """Run a fresh ``build()``; returns what the equivalence compares
-    and the ticks fast-forwarded.  ``stepwise`` swaps in a
-    ``DualCoreSoC.fast_forward`` that advances 0 ticks."""
+    and the ticks not taken through ``DualCoreSoC.step``.  ``stepwise``
+    swaps in a ``DualCoreSoC.fast_forward`` that advances 0 ticks and a
+    ``DualCoreSoC.run_slave`` that steps one tick, so the reference
+    steps every tick; ``per_tick_drain`` swaps in
+    :func:`_batch_or_step_one_tick` as ``run_slave``.  ``observed``
+    counts the ``PCoreKernel.step`` calls."""
     seen: list = []
     kernels: list = []
     detectors: dict = {}
     sweeps: list = []
-    skipped: list = []
-    fast_forward = DualCoreSoC.fast_forward
+    soc_steps: list = []
+    kernel_steps: list = []
+    soc_step = DualCoreSoC.step
+    kernel_step = PCoreKernel.step
     sweep = BugDetector.sweep
 
-    def counting_fast_forward(self, limit):
-        ticks = 0 if stepwise else fast_forward(self, limit)
-        skipped.append(ticks)
-        return ticks
+    def counting_soc_step(self):
+        soc_steps.append(self.now)
+        return soc_step(self)
+
+    def counting_kernel_step(self, now):
+        kernel_steps.append(now)
+        return kernel_step(self, now)
 
     def recording_sweep(self, now):
         detectors[id(self)] = self
@@ -357,8 +604,14 @@ def _run(build, stepwise: bool) -> tuple[dict, int]:
 
     test.setup = setup
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DualCoreSoC, "fast_forward", counting_fast_forward)
+        patch.setattr(DualCoreSoC, "step", counting_soc_step)
+        patch.setattr(PCoreKernel, "step", counting_kernel_step)
         patch.setattr(BugDetector, "sweep", recording_sweep)
+        if stepwise:
+            patch.setattr(DualCoreSoC, "fast_forward", lambda self, limit: 0)
+            patch.setattr(DualCoreSoC, "run_slave", _step_one_tick)
+        elif per_tick_drain:
+            patch.setattr(DualCoreSoC, "run_slave", _batch_or_step_one_tick)
         result = test.run()
     (kernel,) = kernels
     (detector,) = detectors.values()
@@ -369,8 +622,9 @@ def _run(build, stepwise: bool) -> tuple[dict, int]:
         "trace": test.tracer.dump(),
         "sweeps": sweeps,
         "sweep_count": detector.sweeps,
+        "kernel_steps": len(kernel_steps),
     }
-    return observed, sum(skipped)
+    return observed, result.ticks - len(soc_steps)
 
 
 def _assert_matches_reference(fast: dict, reference: dict) -> None:
@@ -449,6 +703,17 @@ def _gc_test() -> AdaptiveTest:
     )
 
 
+def _panic_test() -> AdaptiveTest:
+    """One pair whose task computes 21 units from tick 0 and then yields
+    a value that is no syscall: the kernel panics in the drain, on the
+    step at tick 21, between two sweep ticks."""
+    return AdaptiveTest(
+        config=PTestConfig(pattern_count=1, pattern_size=1, program="crasher"),
+        programs={"crasher": _program(Compute(21), NOT_A_SYSCALL)},
+        pfa=lifecycle_pfa(("TC",)),
+    )
+
+
 def _philosophers_beside_a_cruncher(**config) -> AdaptiveTest:
     """The philosophers deadlock while a priority-0 task, created at
     setup, computes 5,000 units: their cycle forms, and waits for its
@@ -516,6 +781,9 @@ CASES = {
         partial(_philosophers_beside_a_cruncher, record_wait_deltas=True),
         AnomalyKind.DEADLOCK,
     ),
+    # The run must end on the tick after the panic, not at the next
+    # sweep tick.
+    "kernel_panic_in_the_drain": (_panic_test, AnomalyKind.CRASH),
 }
 
 
@@ -526,8 +794,16 @@ def test_fast_path_matches_stepwise_reference(case):
     reference, stepped = _run(build, stepwise=True)
     assert skipped > 0 and stepped == 0
     _assert_matches_reference(fast, reference)
+    assert fast == _run(build, stepwise=False, per_tick_drain=True)[0]
     report = fast["result"].report
     assert (report.primary.kind if report else None) is kind
+
+
+def test_a_panic_ends_the_drain_on_its_tick():
+    fast, _ = _run(_panic_test, stepwise=False)
+    result = fast["result"]
+    assert result.ticks == 22
+    assert [anomaly.describe()[:10] for anomaly in result.anomalies] == ["[22] crash"]
 
 
 def test_sweeps_are_skipped():
@@ -614,6 +890,11 @@ _SYSCALLS = st.lists(_STEP, min_size=1, max_size=5).map(
 )
 
 
+#: Generated runs per test run; a test-only variable, so CI can run the
+#: drain's broadest exactness check deeper than tier-1 does.
+DRAIN_EXAMPLES = int(os.environ.get("REPRO_DRAIN_EXAMPLES", "60"))
+
+
 def _generated_test(
     bodies,
     background: bool,
@@ -621,18 +902,25 @@ def _generated_test(
     window: int,
     max_ticks: int,
     deltas: bool,
+    crash: bool,
+    suspend: bool,
 ) -> AdaptiveTest:
     """One task per body.  With ``background`` (and two bodies or more)
     the first runs at priority 0 from a task created at setup, so it
     computes under the others from tick 0; every other body runs in the
-    task of a pair's ``TC``."""
+    task of a pair's ``TC``, which ``suspend`` follows with a ``TS``.
+    With ``crash`` the last body ends in a value that is no syscall, so
+    the kernel panics there."""
     names = tuple(f"p{index}" for index in range(len(bodies)))
     background = background and len(names) > 1
     pairs = names[1:] if background else names
+    if crash:
+        bodies = [*bodies[:-1], (*bodies[-1], NOT_A_SYSCALL)]
+    symbols = ("TC", "TS") if suspend else ("TC",)
     return AdaptiveTest(
         config=PTestConfig(
             pattern_count=len(pairs),
-            pattern_size=1,
+            pattern_size=len(symbols),
             program=pairs[0],
             pair_programs=pairs,
             max_ticks=max_ticks,
@@ -643,14 +931,14 @@ def _generated_test(
         programs={
             name: _program(*body) for name, body in zip(names, bodies)
         },
-        pfa=lifecycle_pfa(("TC",)),
+        pfa=lifecycle_pfa(symbols),
         setup=(
             partial(create_task, priority=0, program=names[0]) if background else None
         ),
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=DRAIN_EXAMPLES, deadline=None)
 @given(
     bodies=st.lists(_SYSCALLS, min_size=1, max_size=4),
     background=st.booleans(),
@@ -658,13 +946,25 @@ def _generated_test(
     window=st.integers(5, 400),
     max_ticks=st.integers(50, 3_000),
     deltas=st.booleans(),
+    crash=st.booleans(),
+    suspend=st.booleans(),
 )
 def test_generated_runs_match_stepwise_reference(
-    bodies, background, interval, window, max_ticks, deltas
+    bodies, background, interval, window, max_ticks, deltas, crash, suspend
 ):
     build = partial(
-        _generated_test, bodies, background, interval, window, max_ticks, deltas
+        _generated_test,
+        bodies,
+        background,
+        interval,
+        window,
+        max_ticks,
+        deltas,
+        crash,
+        suspend,
     )
     fast, _ = _run(build, stepwise=False)
-    reference, _ = _run(build, stepwise=True)
+    reference, stepped = _run(build, stepwise=True)
+    assert stepped == 0
     _assert_matches_reference(fast, reference)
+    assert fast == _run(build, stepwise=False, per_tick_drain=True)[0]

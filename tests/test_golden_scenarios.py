@@ -16,8 +16,10 @@ match the bare digests on every field a result carries.
 ``--write`` records the fast path, so a bug in the harness drain's
 fast-forward could be written into the fixture.  The fixture must
 therefore also match the stepwise reference: every cell run again with
-``DualCoreSoC.fast_forward`` advancing 0 ticks, so that every tick is
-stepped and every sweep tick swept.
+``DualCoreSoC.fast_forward`` advancing 0 ticks and
+``DualCoreSoC.run_slave`` taking one ``DualCoreSoC.step`` per call, so
+that every tick is stepped (one ``step`` call per tick the run reports)
+and every sweep tick swept.
 
 Regenerate only for a deliberate behaviour change::
 
@@ -116,11 +118,28 @@ def test_worker_batch_matches_golden(name):
 
 
 def test_stepwise_reference_matches_golden(monkeypatch):
+    stepped: list = []
+    step = DualCoreSoC.step
+
+    def counting_step(self):
+        stepped.append(self.now)
+        return step(self)
+
+    def step_one_tick(self, limit):
+        del limit
+        self.step()
+        return 1
+
+    monkeypatch.setattr(DualCoreSoC, "step", counting_step)
     monkeypatch.setattr(DualCoreSoC, "fast_forward", lambda self, limit: 0)
+    monkeypatch.setattr(DualCoreSoC, "run_slave", step_one_tick)
     golden = _golden()
     for name in scenario_names():
         for seed in SEEDS:
-            assert cell_digest(name, seed) == golden[name][str(seed)], (name, seed)
+            stepped.clear()
+            digest = cell_digest(name, seed)
+            assert digest == golden[name][str(seed)], (name, seed)
+            assert len(stepped) == digest["ticks"], (name, seed)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ own invariants, whatever the order:
 * live tasks have unique tids and unique priorities,
 * the ready queue holds exactly the READY tasks, sorted by priority,
 * at most one task is RUNNING, and it is the scheduler's current,
+* ``parked()`` (which answers from the scheduler while a task is
+  current or READY) equals a scan for every live task SUSPENDED,
 * memory accounting: allocated + free == capacity, never negative,
 * with the correct GC, memory is fully reclaimed once all tasks die,
 * the kernel only panics when the buggy GC is enabled,
@@ -123,6 +125,13 @@ class KernelMachine(RuleBasedStateMachine):
         if running:
             current = self.kernel.scheduler.current
             assert current is not None and current.tid == running[0].tid
+
+    @invariant()
+    def parked_equals_the_scan(self) -> None:
+        live = self.kernel.live_tasks()
+        assert self.kernel.parked() == all(
+            task.state is TaskState.SUSPENDED for task in live
+        )
 
     @invariant()
     def memory_accounting_consistent(self) -> None:

@@ -422,13 +422,14 @@ def test_new_requests_rejected_while_draining():
     try:
         slow = CampaignSpec(scenario="serve_slow_reject", seeds=(0,))
         accepted = threading.Event()
-        thread = threading.Thread(
-            target=lambda: [
-                accepted.set()
-                for frame in Client(*handle.address).stream(slow)
-                if frame["type"] == "accepted"
-            ]
-        )
+
+        def stream_slow() -> None:
+            with Client(*handle.address) as streamer:
+                for frame in streamer.stream(slow):
+                    if frame["type"] == "accepted":
+                        accepted.set()
+
+        thread = threading.Thread(target=stream_slow)
         thread.start()
         assert accepted.wait(30)
         with Client(*handle.address) as client:

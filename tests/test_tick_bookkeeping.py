@@ -13,7 +13,9 @@ on every tick:
   when its ``(tid, state)`` changed.  A scripted pair (a new tid in an
   unchanged state, a task gone, unbound) and scenario variants run
   against the per-tick writer (the reference), comparing every round's
-  recorder and the run result.
+  recorder and the run result.  The drain does not call it tick by
+  tick, but once before a report is built: a report found in the drain
+  must record the slave states its own task dump shows.
 * ``Committer.done`` reads a count of the pairs awaiting a reply.  The
   same scenario variants check, after every committer step, that the
   count and ``done`` equal a scan of every binding (the reference).
@@ -21,6 +23,7 @@ on every tick:
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -246,6 +249,39 @@ def test_recorder_matches_per_tick_writes(scenario, variant, seed):
     if result.report is not None:
         assert result.report.state_records == reference.report.state_records
     assert 0 < writes <= reference_writes
+
+
+#: Faulty runs whose detection comes in the drain, after the last reply.
+DRAIN_DETECTIONS = {
+    "philosophers": {},
+    "barrier": {"faulty": True},
+    "producer_consumer": {"faulty": True},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(DRAIN_DETECTIONS))
+def test_drain_report_records_the_slave_states_at_detection(scenario):
+    """Each record's slave state is its task's state in the report's own
+    task dump, or ``s:gone`` once the task is gone — not the state it
+    had on the last command tick."""
+    for seed in range(8):
+        test = build_scenario(scenario, seed, **DRAIN_DETECTIONS[scenario])
+        result, rounds, _ = _recorded_run(test, per_tick=False)
+        report = result.report
+        assert report is not None, seed
+        dumped = dict(
+            re.match(r"tid=(\d+) .* state=(\S+) ", entry).groups()
+            for entry in report.task_dump
+        )
+        _, tids = rounds[-1]
+        assert len(tids) == len(report.state_records)
+        for record, tid in zip(report.state_records, tids):
+            assert tid is not None, (seed, record)
+            assert record.slave_state == dumped.get(str(tid), "s:gone"), (
+                seed,
+                record.describe(),
+                report.task_dump,
+            )
 
 
 # -- committer ---------------------------------------------------------------
