@@ -21,7 +21,13 @@ therefore also match the stepwise reference: every cell run again with
 that every tick is stepped (one ``step`` call per tick the run reports)
 and every sweep tick swept.
 
-Regenerate only for a deliberate behaviour change::
+The variants fixture pins the round loop off its default path: every
+scenario that builds an ``AdaptiveTest`` under each config change of
+:data:`VARIANTS` (fire-and-forget commits, issue noise, restarts, an
+off-grid budget, other sweep intervals, a faster master) for
+:data:`VARIANT_SEEDS`, digested like the golden cells.
+
+Regenerate both fixtures only for a deliberate behaviour change::
 
     PYTHONPATH=src python tests/test_golden_scenarios.py --write
 """
@@ -31,17 +37,47 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.ptest.harness import AdaptiveTest
 from repro.ptest.pool import clear_worker_cache, make_batch_table, run_table_batch
 from repro.sim.soc import DualCoreSoC
 from repro.workloads.registry import build_scenario, scenario_names, scenario_ref
 
 FIXTURE = Path(__file__).with_name("data") / "golden_scenarios.json"
+VARIANTS_FIXTURE = FIXTURE.with_name("golden_variants.json")
 
 SEEDS = tuple(range(8))
+VARIANT_SEEDS = tuple(range(4))
+
+#: Config changes, by name, that take the round loop off its default
+#: path.
+VARIANTS = {
+    "lockstep=False": {"lockstep": False},
+    "noise_ticks=3": {"noise_ticks": 3},
+    "restart_patterns=True,max_ticks=2000": {
+        "restart_patterns": True,
+        "max_ticks": 2_000,
+    },
+    "restart_patterns=True,max_ticks=1997": {
+        "restart_patterns": True,
+        "max_ticks": 1_997,
+    },
+    "detector_interval=3": {"detector_interval": 3},
+    "max_ticks=997": {"max_ticks": 997},
+    "detector_interval=1,progress_window=50": {
+        "detector_interval": 1,
+        "progress_window": 50,
+    },
+    "master_steps_per_tick=2": {"master_steps_per_tick": 2},
+}
+
+#: Budgets for variants that set none (``quicksort_stress`` runs
+#: 200,000 ticks by default).
+VARIANT_BUDGETS = {"quicksort_stress": 4_000}
 
 
 def _sha256(value) -> str:
@@ -67,9 +103,15 @@ def result_digest(result) -> dict:
     }
 
 
-def cell_digest(name: str, seed: int) -> dict:
-    """One bare run of scenario ``name`` reduced to its golden digest."""
+def cell_digest(name: str, seed: int, variant: str | None = None) -> dict:
+    """One bare run of scenario ``name`` reduced to its golden digest;
+    ``variant`` names a :data:`VARIANTS` config change to apply."""
     test = build_scenario(name, seed)
+    if variant is not None:
+        config = VARIANTS[variant]
+        if "max_ticks" not in config and name in VARIANT_BUDGETS:
+            config = {**config, "max_ticks": VARIANT_BUDGETS[name]}
+        test.config = replace(test.config, **config)
     digest = result_digest(test.run())
     # RandomTester wraps its own AdaptiveTest and exposes no tracer.
     tracer = getattr(test, "tracer", None)
@@ -87,8 +129,30 @@ def compute_fixture() -> dict:
     }
 
 
-def _golden() -> dict:
-    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+def variant_scenarios() -> list[str]:
+    """The registered scenarios that build an ``AdaptiveTest``, whose
+    config a variant can change."""
+    return [
+        name
+        for name in scenario_names()
+        if isinstance(build_scenario(name, 0), AdaptiveTest)
+    ]
+
+
+def compute_variants_fixture() -> dict:
+    return {
+        name: {
+            variant: {
+                str(seed): cell_digest(name, seed, variant) for seed in VARIANT_SEEDS
+            }
+            for variant in VARIANTS
+        }
+        for name in variant_scenarios()
+    }
+
+
+def _golden(fixture: Path = FIXTURE) -> dict:
+    return json.loads(fixture.read_text(encoding="utf-8"))
 
 
 def test_fixture_covers_every_registered_scenario():
@@ -100,6 +164,25 @@ def test_scenario_matches_golden(name):
     expected = _golden()[name]
     for seed in SEEDS:
         assert cell_digest(name, seed) == expected[str(seed)], (name, seed)
+
+
+def test_variants_fixture_covers_every_adaptive_scenario():
+    golden = _golden(VARIANTS_FIXTURE)
+    assert sorted(golden) == variant_scenarios()
+    for name, variants in golden.items():
+        assert sorted(variants) == sorted(VARIANTS), name
+
+
+@pytest.mark.parametrize("name", variant_scenarios())
+def test_variants_match_golden(name):
+    expected = _golden(VARIANTS_FIXTURE)[name]
+    for variant in VARIANTS:
+        for seed in VARIANT_SEEDS:
+            assert cell_digest(name, seed, variant) == expected[variant][str(seed)], (
+                name,
+                variant,
+                seed,
+            )
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -146,8 +229,12 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(
-        json.dumps(compute_fixture(), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {FIXTURE}")
+    for path, compute in (
+        (FIXTURE, compute_fixture),
+        (VARIANTS_FIXTURE, compute_variants_fixture),
+    ):
+        path.write_text(
+            json.dumps(compute(), indent=1, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {path}")
