@@ -6,9 +6,8 @@ from the reply mailbox.  :class:`SlaveBridgeAdapter` wraps the pCore
 kernel into a :class:`repro.sim.soc.Core`: each step it moves arrived
 commands into the kernel inbox, steps the kernel, and flushes kernel
 replies back through the reply mailbox (retrying when that mailbox is
-full).  While it has nothing to move, a run of steps can go to the
-kernel in one call (:meth:`SlaveBridgeAdapter.fast_forward`,
-:meth:`SlaveBridgeAdapter.run_alone`).
+full).  While it has nothing to move, a run of steps goes to the kernel
+in one call (:meth:`SlaveBridgeAdapter.run_alone`).
 
 When the slave kernel panics, outstanding and future commands never get
 replies — the silence the bug detector's crash monitor keys on.
@@ -107,11 +106,10 @@ class SlaveBridgeAdapter:
 
     :meth:`step` flushes the reply backlog, polls the command mailbox
     and steps the kernel.  With an empty backlog and command mailbox the
-    flush and the poll find nothing, so a step is one kernel step.
-    :meth:`fast_forward` then hands a compute-only run to the kernel.
-    With an empty kernel inbox as well no reply can arise, so the next
-    step's flush finds nothing either, and :meth:`run_alone` hands the
-    kernel any run of steps (:meth:`PCoreKernel.run_steps`).
+    flush and the poll find nothing, so a step is one kernel step.  With
+    an empty kernel inbox as well no reply can arise, so the next step's
+    flush finds nothing either, and :meth:`run_alone` hands the kernel
+    any run of steps (:meth:`PCoreKernel.run_steps`).
     """
 
     kernel: PCoreKernel
@@ -145,22 +143,14 @@ class SlaveBridgeAdapter:
         worked |= self.kernel.step(now)
         return worked
 
-    def fast_forward(self, now: int, limit: int) -> int:
-        """Apply up to ``limit`` steps at once when they would move no
-        mailbox traffic (empty reply backlog and command mailbox) and
-        the kernel's steps are compute-only
-        (:meth:`PCoreKernel.fast_forward`); returns the steps applied."""
-        if self._reply_backlog or not self.command_box.empty:
-            return 0
-        return self._took(now, self.kernel.fast_forward(now, limit))
-
-    def run_alone(self, now: int, limit: int) -> int:
+    def run_alone(self, now: int, limit: int, reach: int | None = None) -> int:
         """Take up to ``limit`` steps through
-        :meth:`PCoreKernel.run_steps` while the adapter has nothing to
-        move: an empty reply backlog, command mailbox and kernel inbox
-        (so no reply can arise) and a live kernel.  Each such step is
-        exactly :meth:`step`, whose flush and poll would find nothing.
-        Returns the steps taken, 0 when the next one must go through
+        :meth:`PCoreKernel.run_steps`, whose first compute-only run may
+        go on to ``reach``, while the adapter has nothing to move: an
+        empty reply backlog, command mailbox and kernel inbox (so no
+        reply can arise) and a live kernel.  Each such step is exactly
+        :meth:`step`, whose flush and poll would find nothing.  Returns
+        the steps taken, 0 when the next one must go through
         :meth:`step`."""
         kernel = self.kernel
         if (
@@ -170,16 +160,12 @@ class SlaveBridgeAdapter:
             or kernel.is_halted()
         ):
             return 0
-        return self._took(now, kernel.run_steps(now, limit))
-
-    # -- internals -----------------------------------------------------------
-
-    def _took(self, now: int, steps: int) -> int:
-        """Leave ``now`` as the last of ``steps`` steps from ``now``
-        would; returns ``steps``."""
+        steps = kernel.run_steps(now, limit, reach)
         if steps:
             self.now = now + steps - 1
         return steps
+
+    # -- internals -----------------------------------------------------------
 
     def _poll_commands(self) -> bool:
         moved = False

@@ -18,7 +18,9 @@ task's ``compute_remaining``) at once.  :meth:`PCoreKernel.run_steps`
 takes up to a given number of steps, each compute-only run through
 ``fast_forward`` and every other step through :meth:`PCoreKernel.step`,
 and returns early after a step on which the kernel halted or
-:meth:`PCoreKernel.parked` holds (every live task SUSPENDED).
+:meth:`PCoreKernel.parked` holds (every live task SUSPENDED).  Its first
+compute-only run may go on past that number, to a second bound, and then
+ends the call.
 
 Crash semantics (test case 1): pCore sizes its internal memory so that
 ``max_tasks`` TCBs and stacks always fit.  If an allocation fails while
@@ -236,25 +238,26 @@ class PCoreKernel:
         task.compute_remaining -= steps
         return steps
 
-    def run_steps(self, now: int, limit: int) -> int:
+    def run_steps(self, now: int, limit: int, reach: int | None = None) -> int:
         """Take up to ``limit`` steps at ``now, now + 1, ...``; returns
         how many were taken.
 
-        Before each step the compute-only run from there is applied
-        through :meth:`fast_forward`; a run shorter than the steps left
-        ends where its next step is not compute-only, so that step goes
-        through :meth:`step`.  The call returns after a step on which
-        the kernel halted or is :meth:`parked`.
+        The compute-only run from ``now`` is applied first through
+        :meth:`fast_forward`, and may go on to ``reach`` steps (at least
+        ``limit``; default ``limit``): a run that passes ``limit`` ends
+        the call.  After that no step passes ``limit``: each step goes
+        through :meth:`step`, and the compute-only run after it through
+        :meth:`fast_forward`, since a run ends where its next step is
+        not compute-only.  The call returns after a step on which the
+        kernel halted or is :meth:`parked`.
         """
-        taken = 0
+        taken = self.fast_forward(now, limit if reach is None else reach)
         while taken < limit:
-            taken += self.fast_forward(now + taken, limit - taken)
-            if taken == limit:
-                break
             self.step(now + taken)
             taken += 1
             if self.panic_reason is not None or self.parked():
                 break
+            taken += self.fast_forward(now + taken, limit - taken)
         return taken
 
     def parked(self) -> bool:

@@ -14,23 +14,27 @@ the paper's structure directly::
 a :class:`~repro.ptest.config.PTestConfig`, runs it, and returns a
 :class:`TestRunResult` with any :class:`~repro.ptest.report.BugReport`.
 
-The drain phase (after the last reply, without ``restart_patterns``)
-applies runs of ticks at once, in two ways.
+Each round runs one tick loop in two phases, with one sweep block for
+both: the detector sweeps every ``detector_interval``-th tick.  Until the
+round's last reply, every tick is one ``DualCoreSoC.step`` and the
+Definition 2 slave states are recorded.  That reply ends the round when
+``restart_patterns`` is set (the next round starts at once); otherwise
+the drain starts, in which the slave keeps running with the detector
+watching.  The drain advances by one
+:meth:`~repro.sim.soc.DualCoreSoC.run_slave` call per iteration, in
+which the slave kernel runs alone: compute-only runs in one call, every
+other tick through ``PCoreKernel.step``.
 
-* **Alarm-extended batches.**  On the tick of a detector sweep, a run of
-  compute-only ticks is applied in one batch
-  (:meth:`~repro.sim.soc.DualCoreSoC.fast_forward`) that ends at the
-  first sweep tick at or after that sweep's alarm
-  (``BugDetector.alarm``), or at ``max_ticks``.  The kernel bounds it
-  further (the end of a compute, a sleeper's wake, a GC pass with
-  pending items, a timed event).
-* **Stretches up to the next sweep tick.**  Every other tick is part of
-  a stretch in which the slave kernel runs alone
-  (:meth:`~repro.sim.soc.DualCoreSoC.run_slave`): compute-only runs in
-  one call, every other tick through ``PCoreKernel.step``.  A stretch
-  ends by the next sweep tick and ``max_ticks``, and early after a step
-  on which the kernel halted or every live task is SUSPENDED
-  (``PCoreKernel.parked``).
+* **Stretches.**  A call ends by the next sweep tick and ``max_ticks``,
+  and early after a step on which the kernel halted or every live task
+  is SUSPENDED (``PCoreKernel.parked``).
+* **Alarm-extended runs.**  On the tick of a sweep, the call's first
+  compute-only run may go on to the first sweep tick at or after that
+  sweep's alarm (``BugDetector.alarm``), or to ``max_ticks``.  The
+  kernel bounds it further (the end of a compute, a sleeper's wake, a GC
+  pass with pending items, a timed event).  A run that passes the next
+  sweep tick ends the call; one that stops short of it goes on as a
+  stretch.
 
 A stretch is exact.  The drain starts only once the committer is done
 with nothing outstanding, and nothing refills the command mailbox, the
@@ -38,26 +42,31 @@ adapter's reply backlog or the kernel inbox until the run ends: no
 command is issued and no reply can arise.  With the master halted, a
 ``DualCoreSoC.step`` is then only the adapter's empty flush and poll,
 the kernel step, the clock, a ``fire_due`` with nothing due and
-``ticks_run``, and a stretch ends before the next timed event.  The
+``ticks_run``, and a call ends before the next timed event.  The
 drain's stop checks (kernel halted; every live task SUSPENDED) can only
 turn true on a stepped tick, and a stretch returns exactly there.  A
 stretch never passes the next sweep tick, so every sweep it reaches
-runs as it would tick by tick.
+runs as it would tick by tick.  An alarm-extended run that stops short
+of the next sweep tick leaves a task RUNNING, so no sweep and no stop
+check could fire before the stretch that goes on from there.
 
-The sweep ticks an alarm-extended batch crosses are skipped, and none
-of them could have reported.  Between a sweep and the next stepped tick,
-a batch changes only the running task's progress fields.  The kernel
-cannot halt inside a batch, and a batch needs a halted master, so no
-command is outstanding: no crash and no hang can start.  No mutex
-changes hands, so the wait-for graph stays as the sweep left it: a cycle
-could only be one that sweep saw, and then its alarm is the next tick.
-What remains is a waiting task's age crossing the progress window, and
-the alarm is the first tick at which that can happen.  The skipped
-sweeps still count in ``BugDetector.sweeps``.  No stop check could fire
-inside a batch either: a task is RUNNING, so the kernel has not halted
-and not every task is SUSPENDED.  The last tick of a batch or a stretch
-runs the checks due on it like any stepped tick, and every tick is swept
-at most once.
+The sweep ticks an alarm-extended run crosses are skipped, and none of
+them could have reported.  Between a sweep and the next stepped tick,
+the run changes only the running task's progress fields.  The kernel
+cannot halt inside it, and it needs a halted master, so no command is
+outstanding: no crash and no hang can start.  No mutex changes hands, so
+the wait-for graph stays as the sweep left it: a cycle could only be one
+that sweep saw, and then its alarm is the next tick.  What remains is a
+waiting task's age crossing the progress window, and the alarm is the
+first tick at which that can happen.  The skipped sweeps still count in
+``BugDetector.sweeps``.  No stop check could fire inside the run either:
+a task is RUNNING, so the kernel has not halted and not every task is
+SUSPENDED.  The last tick of a call runs the checks due on it like any
+stepped tick.
+
+A drain-mode run that ends on a tick no sweep has seen, with nothing
+reported, sweeps that tick once more (the final sweep), so every tick
+is swept at most once.
 
 The drain does not record the Definition 2 slave states tick by tick:
 no reply arrives in it, so no pair's binding changes, and the recorder
@@ -232,6 +241,7 @@ class AdaptiveTest:
         rounds = 0
         ticks = 0
         swept_at: int | None = None
+        interval = config.detector_interval
         issued_total = 0
         all_patterns: list[tuple[str, ...]] = []
         committer: Committer | None = None
@@ -266,58 +276,57 @@ class AdaptiveTest:
             soc.attach(master=committer, slave=slave_core)
             rounds += 1
 
+            # One tick loop per round: the committer's ticks, then the
+            # drain (module docstring).
+            draining = False
             while ticks < config.max_ticks:
-                soc.step()
-                ticks += 1
-                self._update_recorder(recorder, committer, kernel, written)
-                if ticks % config.detector_interval == 0:
+                if draining:
+                    # Up to the next sweep tick; from a swept tick, a
+                    # compute-only run may go on to the alarm's sweep
+                    # tick, and the sweeps it crosses, which could not
+                    # report, still count.
+                    next_sweep = ticks - ticks % interval + interval
+                    reach = next_sweep
+                    if swept_at == ticks:
+                        alarm = detector.alarm
+                        reach = (
+                            config.max_ticks
+                            if alarm is None
+                            else max(next_sweep, -(-alarm // interval) * interval)
+                        )
+                    start = ticks
+                    ticks += soc.run_slave(
+                        min(config.max_ticks, next_sweep) - ticks,
+                        min(config.max_ticks, reach) - ticks,
+                    )
+                    detector.sweeps += (ticks - 1) // interval - start // interval
+                else:
+                    soc.step()
+                    ticks += 1
+                    self._update_recorder(recorder, committer, kernel, written)
+                if ticks % interval == 0:
                     detector.sweep(soc.now)
                     swept_at = ticks
                     if detector.triggered:
                         break
-                if committer.done and not bridge_master.outstanding:
-                    break
-            issued_total += committer.issued
-            if detector.triggered:
-                break
-            if not config.restart_patterns:
-                # Let the slave drain: leftover tasks may still wedge
-                # (a blocked consumer only ages past the progress window
-                # well after the last command was issued).
-                interval = config.detector_interval
-                while ticks < config.max_ticks:
-                    # The slave runs alone up to the next sweep tick; on
-                    # a swept tick a compute-only batch may run on to
-                    # the alarm's sweep tick, and the sweeps it crosses
-                    # could not report (module docstring).
-                    next_sweep = ticks - ticks % interval + interval
-                    advanced = 0
-                    if swept_at == ticks:
-                        alarm = detector.alarm
-                        stop = config.max_ticks
-                        if alarm is not None:
-                            stop = max(next_sweep, -(-alarm // interval) * interval)
-                        advanced = soc.fast_forward(min(config.max_ticks, stop) - ticks)
-                    if advanced:
-                        end = ticks + advanced
-                        detector.sweeps += (end - 1) // interval - ticks // interval
-                        ticks = end
-                    else:
-                        limit = min(config.max_ticks, next_sweep) - ticks
-                        ticks += soc.run_slave(limit)
-                    if ticks % interval == 0:
-                        detector.sweep(soc.now)
-                        swept_at = ticks
-                        if detector.triggered:
-                            break
+                if draining:
                     if kernel.is_halted() or kernel.parked():
                         # Nothing left that can move: the kernel is down,
                         # or every surviving task is parked by a pattern
                         # that ended in TS.
                         break
-                if swept_at != ticks:
-                    detector.sweep(soc.now)
+                elif committer.done and not bridge_master.outstanding:
+                    if config.restart_patterns:
+                        break
+                    # Let the slave drain: leftover tasks may still wedge
+                    # (a blocked consumer only ages past the progress
+                    # window well after the last command was issued).
+                    draining = True
+            issued_total += committer.issued
+            if detector.triggered or draining:
                 break
+        if not (config.restart_patterns or detector.triggered or swept_at == ticks):
+            detector.sweep(soc.now)
 
         report = None
         if detector.triggered and committer is not None:

@@ -8,30 +8,25 @@ then due timed events fire.  Because every step is an explicit call,
 any interleaving of master and slave activity is a deterministic,
 replayable schedule — the property pTest's merger exploits.
 
-Two calls apply a run of ticks at once where that is exact.  Both need
-the master halted, the slave taking one step per tick and no timed
-event coming due before the run ends; with the master halted, a tick of
-:meth:`DualCoreSoC.step` is then one slave step, the clock, an empty
-``fire_due`` and ``ticks_run``.
-
-* :meth:`DualCoreSoC.fast_forward` applies a run of *compute-only*
-  ticks: no mailbox traffic, and in the kernel an empty inbox, no
-  switch penalty, no higher-priority READY task, no sleeper due and no
-  GC pass with pending items
-  (:meth:`~repro.pcore.kernel.PCoreKernel.fast_forward`).  Such a tick
-  changes only the clock, ``ticks_run``, the slave's ``now`` and step
-  count, and the running task's ``steps_run``, ``last_progress`` and
-  ``compute_remaining``; the batch leaves each exactly as stepping
-  would.
-* :meth:`DualCoreSoC.run_slave` lets the slave run alone for a run of
-  ticks while the bridge is quiet: no reply backlog, an empty command
-  mailbox and an empty kernel inbox
-  (:meth:`~repro.bridge.bridge.SlaveBridgeAdapter.run_alone`).  The
-  kernel takes each compute-only run at once and steps every other
-  tick (:meth:`~repro.pcore.kernel.PCoreKernel.run_steps`), and the
-  run ends early after a step on which the kernel halted or parked.
-  When the slave cannot run alone, ``run_slave`` takes one
-  :meth:`DualCoreSoC.step`.
+:meth:`DualCoreSoC.run_slave` applies a run of ticks at once where that
+is exact.  It needs the master halted, the slave taking one step per
+tick and a quiet bridge: no reply backlog, an empty command mailbox and
+an empty kernel inbox
+(:meth:`~repro.bridge.bridge.SlaveBridgeAdapter.run_alone`).  A tick of
+:meth:`DualCoreSoC.step` is then one slave step, the clock, ``ticks_run``
+and a ``fire_due`` that finds nothing, as the run ends before the next
+timed event.  So the slave runs alone: the kernel takes each
+compute-only run at once, steps every other tick
+(:meth:`~repro.pcore.kernel.PCoreKernel.run_steps`) and ends the run
+early after a step on which it halted or parked.  A compute-only tick
+changes only the clock, ``ticks_run``, the slave's ``now`` and step
+count and the running task's ``steps_run``, ``last_progress`` and
+``compute_remaining``
+(:meth:`~repro.pcore.kernel.PCoreKernel.fast_forward` lists when a step
+is compute-only); a run of them leaves each exactly as stepping would.
+The first compute-only run may go on past the call's tick bound, to a
+second bound, and then ends the call.  When the slave cannot run alone,
+``run_slave`` takes one :meth:`DualCoreSoC.step`.
 
 Defaults model the OMAP5912 OSK of the paper's evaluation: both cores at
 192 MHz (1:1 step ratio), four mailboxes, 250 KB shared SRAM.
@@ -142,51 +137,34 @@ class DualCoreSoC:
         self.ticks_run += 1
         return worked
 
-    def fast_forward(self, limit: int) -> int:
-        """Advance up to ``limit`` compute-only ticks in one call (module
-        docstring).  The slave core must offer ``fast_forward(now,
-        limit)``, as :class:`~repro.bridge.bridge.SlaveBridgeAdapter`
-        does.  Returns the ticks advanced; 0 means the next tick must go
-        through :meth:`step`."""
-        limit = self._slave_alone_limit(limit)
-        if limit <= 0:
-            return 0
-        return self._advance(self.slave.fast_forward(self.clock.now, limit))
-
-    def run_slave(self, limit: int) -> int:
+    def run_slave(self, limit: int, reach: int | None = None) -> int:
         """Advance up to ``limit`` ticks, at least one, letting the slave
-        run alone where that is exact (module docstring).  The slave core
-        must offer ``run_alone(now, limit)``, as
+        run alone where that is exact (module docstring); the slave's
+        first compute-only run may go on to ``reach`` ticks (at least
+        ``limit``; default ``limit``), and a run that passes ``limit``
+        ends the call.  Both bounds are cut before the next timed event.
+        The slave core must offer ``run_alone(now, limit, reach)``, as
         :class:`~repro.bridge.bridge.SlaveBridgeAdapter` does, returning
         early after a step on which it halted or parked.  When the slave
         cannot run alone, one :meth:`step` is taken.  Returns the ticks
         advanced."""
-        limit = self._slave_alone_limit(limit)
-        ticks = self.slave.run_alone(self.clock.now, limit) if limit > 0 else 0
-        if ticks:
-            return self._advance(ticks)
-        self.step()
-        return 1
-
-    def _slave_alone_limit(self, limit: int) -> int:
-        """``limit`` cut to the ticks before the next timed event comes
-        due, or 0 unless the master is halted and the slave takes one
-        step per tick."""
+        ticks = 0
         if (
-            self.master is None
-            or self.slave is None
-            or not self.master.is_halted()
-            or self.config.slave_steps_per_tick != 1
+            self.master is not None
+            and self.slave is not None
+            and self.master.is_halted()
+            and self.config.slave_steps_per_tick == 1
         ):
-            return 0
-        due = self.scheduler.next_due()
-        if due is not None:
-            limit = min(limit, due - self.clock.now - 1)
-        return limit
-
-    def _advance(self, ticks: int) -> int:
-        """Move the clock and ``ticks_run`` past ``ticks`` ticks the
-        slave ran alone; returns ``ticks``."""
+            reach = limit if reach is None else reach
+            due = self.scheduler.next_due()
+            if due is not None:
+                limit = min(limit, due - self.clock.now - 1)
+                reach = min(reach, due - self.clock.now - 1)
+            if limit > 0:
+                ticks = self.slave.run_alone(self.clock.now, limit, reach)
+        if not ticks:
+            self.step()
+            return 1
         self.clock.advance(ticks)
         self.ticks_run += ticks
         return ticks

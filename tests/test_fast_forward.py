@@ -1,36 +1,38 @@
 """Runs of steps applied in one call must equal stepping them.
 
 ``PCoreKernel.fast_forward`` batches the steps that would only decrement
-the running task's ``compute_remaining``; ``DualCoreSoC.fast_forward``
-batches the ticks of such steps while the master is halted.
-``PCoreKernel.run_steps`` takes a run of steps, each compute-only run
-through ``fast_forward`` and every other step through ``step``, and
-returns after a step on which the kernel halted or parked;
+the running task's ``compute_remaining``.  ``PCoreKernel.run_steps``
+takes a run of steps, each compute-only run through ``fast_forward``
+and every other step through ``step``, and returns after a step on
+which the kernel halted or parked; its first compute-only run may go on
+past its step bound to a second one, ``reach``, and then ends the call.
 ``DualCoreSoC.run_slave`` lets the kernel run so while the master is
-halted and the bridge is quiet, and otherwise steps one tick.  The
-kernel and SoC tests below check each of their bounds against a twin
-that takes the same steps one by one.
+halted and the bridge is quiet, with both bounds cut before the next
+timed event, and otherwise steps one tick.  The kernel and SoC tests
+below check each of their bounds against a twin that takes the same
+steps one by one.
 
-The harness drain loop lets the slave run alone up to the next sweep
-tick; a compute-only batch that starts on a swept tick ends at the first
-sweep tick at or after that sweep's alarm, or at the tick budget, and
-skips the sweep ticks it crosses.  The harness tests run a scenario
-twice — once as shipped, once with ``DualCoreSoC.fast_forward``
-replaced by a stub that advances 0 ticks and ``DualCoreSoC.run_slave``
-by one that steps one tick (the stepwise reference, which must take
-every tick through ``DualCoreSoC.step``) — and compare the run result,
-the kernel counters, every task's fields, the whole trace and the
-detector's sweep count.  The fast run's sweeps must be an ordered
+The harness drain makes one ``run_slave`` call per iteration: the slave
+runs alone up to the next sweep tick, and on a swept tick its first
+compute-only run may go on to the first sweep tick at or after that
+sweep's alarm, or to the tick budget, skipping the sweep ticks it
+crosses.  ``run_slave`` is the one stub point.  The harness tests run a
+scenario twice — once as shipped, once with ``DualCoreSoC.run_slave``
+replaced by a stub that steps one tick (the stepwise reference, which
+must take every tick through ``DualCoreSoC.step``) — and compare the run
+result, the kernel counters, every task's fields, the whole trace and
+the detector's sweep count.  The fast run's sweeps must be an ordered
 subsequence of the reference's, with equal kernel and detector state at
 each; every reference sweep the fast run skipped must have reported
 nothing and changed none of the detector's anomalies, cycle streak,
 last cycle, wait-graph counters and recorded deltas.  A third run, whose
-``run_slave`` decides one tick at a time (a compute-only batch, else one
-step), must equal the fast run in everything, down to the number of
-``PCoreKernel.step`` calls.  Hand-written cases put a starvation report,
-a deadlock's confirming sweep and a kernel panic inside what would
-otherwise be one long run; a hypothesis test checks generated runs the
-same way (``REPRO_DRAIN_EXAMPLES`` sets its example count, default 60).
+``run_slave`` is the real one limited to one tick (a compute-only run
+on to ``reach``, else one step), must equal the fast run in everything,
+down to the number of ``PCoreKernel.step`` calls.  Hand-written cases
+put a starvation report, a deadlock's confirming sweep and a kernel
+panic inside what would otherwise be one long run; a hypothesis test
+checks generated runs the same way (``REPRO_DRAIN_EXAMPLES`` sets its
+example count, default 60).
 """
 
 from __future__ import annotations
@@ -238,26 +240,30 @@ def _counting_steps(core) -> list:
     return calls
 
 
-def _run_steps_against_steps(build, limit: int) -> int:
+def _run_steps_against_steps(build, limit: int, reach: int | None = None) -> int:
     """Run one ``build()`` for up to ``limit`` steps through
-    ``run_steps`` and step a twin tick by tick, stopping after a step on
-    which it halted or parked; both must agree then and after 60 more
-    steps.  A third ``build()`` tries a compute-only batch before every
-    step, as the drain loop did tick by tick: ``run_steps`` must make
-    exactly its ``step`` calls.  Returns the steps taken."""
+    ``run_steps`` (``reach`` passed on) and step a twin tick by tick up
+    to ``limit``, or as far as the call went when its first compute-only
+    run passed ``limit``, stopping after a step on which it halted or
+    parked.  Both must agree then and after 60 more steps, and no step
+    of the run may pass ``limit``.  A third ``build()`` tries a
+    compute-only batch before every step, as the drain loop did tick by
+    tick: ``run_steps`` must make exactly its ``step`` calls.  Returns
+    the steps taken."""
     fast, slow, batched = build(), build(), build()
     now = fast.now + 1
     fast_calls, batched_calls = _counting_steps(fast), _counting_steps(batched)
-    taken = fast.run_steps(now, limit)
+    taken = fast.run_steps(now, limit, reach)
+    assert all(tick < now + limit for (tick,) in fast_calls)
     stepped = 0
-    while stepped < limit:
+    while stepped < max(limit, taken):
         slow.step(now + stepped)
         stepped += 1
         if slow.is_halted() or slow.parked():
             break
     assert taken == stepped
     assert _kernel_state(fast) == _kernel_state(slow)
-    done = 0
+    done = batched.fast_forward(now, limit if reach is None else reach)
     while done < limit:
         advanced = batched.fast_forward(now + done, limit - done)
         if advanced:
@@ -327,6 +333,29 @@ class TestKernelRunSteps:
         )
         assert _run_steps_against_steps(build, limit=300) == 300
 
+    def test_a_first_run_past_the_limit_ends_the_call(self):
+        build = partial(_kernel, [(1, [Compute(100)])], steps=2)
+        assert _run_steps_against_steps(build, limit=10, reach=50) == 50
+        assert _run_steps_against_steps(build, limit=10, reach=1_000) == 98
+
+    def test_a_first_run_short_of_the_limit_steps_on_to_it(self):
+        # 98 units left; the step after them starts Compute(50), whose
+        # run the limit cuts.
+        build = partial(_kernel, [(1, [Compute(100), Compute(50)])], steps=2)
+        assert _run_steps_against_steps(build, limit=120, reach=1_000) == 120
+
+    @pytest.mark.parametrize("limit", [19, 20, 25, 31, 45, 52, 60])
+    def test_no_step_passes_the_limit(self, limit):
+        # From tick 1: a run of 19, steps at 20-30 (the sleep), a run of
+        # 19, steps at 50 (the yield) and 51, a run of 19.  The limits
+        # end the first run, fall on steps and cut later runs.
+        build = partial(
+            _kernel,
+            [(1, [Compute(20), Sleep(10), Compute(20), YieldCpu(), Compute(20)])],
+            steps=1,
+        )
+        assert _run_steps_against_steps(build, limit=limit, reach=1_000) == limit
+
     @pytest.mark.parametrize("context_switch_cost", [0, 2])
     def test_runs_sleepers_and_gc_passes_inside_one_run(self, context_switch_cost):
         def build():
@@ -376,10 +405,14 @@ def _soc(slave_steps_per_tick: int = 1):
 
 
 class TestSoCFastForward:
+    """``run_slave``'s first compute-only run, on to its ``reach``."""
+
     def test_advances_clock_ticks_and_slave(self):
         fast, fast_kernel, _ = _soc()
         slow, slow_kernel, _ = _soc()
-        assert fast.fast_forward(100) == 100
+        stepped = _counting_steps(fast)
+        assert fast.run_slave(1, 100) == 100
+        assert stepped == []
         for _ in range(100):
             slow.step()
         assert (fast.now, fast.ticks_run) == (slow.now, slow.ticks_run) == (102, 102)
@@ -395,7 +428,7 @@ class TestSoCFastForward:
                 lambda soc=soc, kernel=kernel: fired.append((soc.now, kernel.steps)),
             )
         (fast, fast_kernel), (slow, slow_kernel) = socs
-        assert fast.fast_forward(100) == 4
+        assert fast.run_slave(1, 100) == 4
         fast.step()
         for _ in range(5):
             slow.step()
@@ -413,16 +446,23 @@ class TestSoCFastForward:
         if traffic == "reply":
             soc.step()
             assert soc.slave._reply_backlog
-        assert soc.fast_forward(100) == 0
+        stepped = _counting_steps(soc)
+        assert soc.run_slave(1, 100) == 1
+        assert stepped == [()]
 
     def test_two_slave_steps_per_tick_are_stepped(self):
         soc, _, _ = _soc(slave_steps_per_tick=2)
-        assert soc.fast_forward(100) == 0
+        stepped = _counting_steps(soc)
+        assert soc.run_slave(1, 100) == 1
+        assert stepped == [()]
 
     def test_live_master_is_stepped(self):
         soc, _, _ = _soc()
         soc.master.is_halted = lambda: False
-        assert soc.fast_forward(100) == 0
+        soc.master.step = lambda now: False
+        stepped = _counting_steps(soc)
+        assert soc.run_slave(1, 100) == 1
+        assert stepped == [()]
 
 
 class TestSoCRunSlave:
@@ -546,28 +586,33 @@ def _detector_state(detector: BugDetector) -> tuple:
     )
 
 
-def _step_one_tick(soc: DualCoreSoC, limit: int) -> int:
+def _step_one_tick(soc: DualCoreSoC, limit: int, reach: int | None = None) -> int:
     """A ``DualCoreSoC.run_slave`` that steps one tick."""
-    del limit
+    del limit, reach
     soc.step()
     return 1
 
 
-def _batch_or_step_one_tick(soc: DualCoreSoC, limit: int) -> int:
+_run_slave = DualCoreSoC.run_slave
+
+
+def _batch_or_step_one_tick(
+    soc: DualCoreSoC, limit: int, reach: int | None = None
+) -> int:
     """A ``DualCoreSoC.run_slave`` that decides one tick at a time, as
-    the drain did before the slave ran alone: a compute-only batch if
-    there is one, else one step."""
-    return soc.fast_forward(limit) or _step_one_tick(soc, limit)
+    the drain did before the slave ran alone: a compute-only run (on to
+    ``reach``) if there is one, else one step."""
+    del limit
+    return _run_slave(soc, 1, reach)
 
 
 def _run(build, stepwise: bool, per_tick_drain: bool = False) -> tuple[dict, int]:
     """Run a fresh ``build()``; returns what the equivalence compares
     and the ticks not taken through ``DualCoreSoC.step``.  ``stepwise``
-    swaps in a ``DualCoreSoC.fast_forward`` that advances 0 ticks and a
-    ``DualCoreSoC.run_slave`` that steps one tick, so the reference
-    steps every tick; ``per_tick_drain`` swaps in
-    :func:`_batch_or_step_one_tick` as ``run_slave``.  ``observed``
-    counts the ``PCoreKernel.step`` calls."""
+    swaps in a ``DualCoreSoC.run_slave`` that steps one tick, so the
+    reference steps every tick; ``per_tick_drain`` swaps in
+    :func:`_batch_or_step_one_tick`.  ``observed`` counts the
+    ``PCoreKernel.step`` calls."""
     seen: list = []
     kernels: list = []
     detectors: dict = {}
@@ -608,7 +653,6 @@ def _run(build, stepwise: bool, per_tick_drain: bool = False) -> tuple[dict, int
         patch.setattr(PCoreKernel, "step", counting_kernel_step)
         patch.setattr(BugDetector, "sweep", recording_sweep)
         if stepwise:
-            patch.setattr(DualCoreSoC, "fast_forward", lambda self, limit: 0)
             patch.setattr(DualCoreSoC, "run_slave", _step_one_tick)
         elif per_tick_drain:
             patch.setattr(DualCoreSoC, "run_slave", _batch_or_step_one_tick)

@@ -14,12 +14,11 @@ same-variant batch per scenario from a cold worker cache) and must
 match the bare digests on every field a result carries.
 
 ``--write`` records the fast path, so a bug in the harness drain's
-fast-forward could be written into the fixture.  The fixture must
+runs of ticks could be written into the fixture.  The fixture must
 therefore also match the stepwise reference: every cell run again with
-``DualCoreSoC.fast_forward`` advancing 0 ticks and
-``DualCoreSoC.run_slave`` taking one ``DualCoreSoC.step`` per call, so
-that every tick is stepped (one ``step`` call per tick the run reports)
-and every sweep tick swept.
+``DualCoreSoC.run_slave``, the drain's one call, taking one
+``DualCoreSoC.step`` per call, so that every tick is stepped (one
+``step`` call per tick the run reports) and every sweep tick swept.
 
 The variants fixture pins the round loop off its default path: every
 scenario that builds an ``AdaptiveTest`` under each config change of
@@ -208,13 +207,12 @@ def test_stepwise_reference_matches_golden(monkeypatch):
         stepped.append(self.now)
         return step(self)
 
-    def step_one_tick(self, limit):
-        del limit
+    def step_one_tick(self, limit, reach=None):
+        del limit, reach
         self.step()
         return 1
 
     monkeypatch.setattr(DualCoreSoC, "step", counting_step)
-    monkeypatch.setattr(DualCoreSoC, "fast_forward", lambda self, limit: 0)
     monkeypatch.setattr(DualCoreSoC, "run_slave", step_one_tick)
     golden = _golden()
     for name in scenario_names():
