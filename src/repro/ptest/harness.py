@@ -64,8 +64,9 @@ a task is RUNNING, so the kernel has not halted and not every task is
 SUSPENDED.  The last tick of a call runs the checks due on it like any
 stepped tick.
 
-A drain-mode run that ends on a tick no sweep has seen, with nothing
-reported, sweeps that tick once more (the final sweep), so every tick
+A run that ends on a tick no sweep has seen, with nothing reported,
+sweeps that tick once more (the final sweep), in either mode: an anomaly
+that arose after the last sweep tick is still reported, and every tick
 is swept at most once.
 
 The drain does not record the Definition 2 slave states tick by tick:
@@ -325,7 +326,7 @@ class AdaptiveTest:
             issued_total += committer.issued
             if detector.triggered or draining:
                 break
-        if not (config.restart_patterns or detector.triggered or swept_at == ticks):
+        if not (detector.triggered or swept_at == ticks):
             detector.sweep(soc.now)
 
         report = None

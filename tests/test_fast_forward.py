@@ -883,6 +883,23 @@ def test_a_tick_is_swept_once(max_ticks, found_at):
         ] == ([] if found_at is None else [(AnomalyKind.DEADLOCK, found_at)])
 
 
+@pytest.mark.parametrize("max_ticks", [574, 575, 576])
+def test_a_restart_run_sweeps_its_last_tick(max_ticks):
+    """quicksort_stress (seed 0, ``restart_patterns``) panics its slave
+    kernel at tick 573.  A budget that ends off the sweep grid, at 574
+    or 575, must still sweep its last tick and report the crash there,
+    as the sweep at 576 does."""
+    observed, _ = _run(
+        partial(_variant, "quicksort_stress", max_ticks=max_ticks), stepwise=False
+    )
+    ticks = [sweep.tick for sweep in observed["sweeps"]]
+    assert ticks == sorted(set(ticks)), "a tick was swept twice"
+    assert [
+        (anomaly.kind, anomaly.detected_at)
+        for anomaly in observed["result"].anomalies
+    ] == [(AnomalyKind.CRASH, max_ticks)]
+
+
 def test_two_slave_steps_per_tick_fall_back_to_stepping(monkeypatch):
     monkeypatch.setattr(
         harness, "SoCConfig", partial(SoCConfig, slave_steps_per_tick=2)
