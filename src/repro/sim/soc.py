@@ -28,8 +28,9 @@ The first compute-only run may go on past the call's tick bound, to a
 second bound, and then ends the call.  When the slave cannot run alone,
 ``run_slave`` takes one :meth:`DualCoreSoC.step`.
 
-Defaults model the OMAP5912 OSK of the paper's evaluation: both cores at
-192 MHz (1:1 step ratio), four mailboxes, 250 KB shared SRAM.
+Defaults model the OMAP5912 OSK of the paper's evaluation: an ARM926
+master and a C55x DSP slave, both at 192 MHz (1:1 step ratio), four
+mailboxes, 250 KB shared SRAM.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class Core(Protocol):
 class SoCConfig:
     """Static platform parameters (OMAP5912 OSK defaults)."""
 
-    master_name: str = "arm926"
-    slave_name: str = "c55x"
-    master_clock_mhz: int = 192
-    slave_clock_mhz: int = 192
     sram_bytes: int = OMAP5912_SRAM_BYTES
     mailbox_capacity: int = 4
     mailbox_policy: OverflowPolicy = OverflowPolicy.REJECT
