@@ -255,7 +255,7 @@ class PCoreKernel:
         while taken < limit:
             self.step(now + taken)
             taken += 1
-            if self.panic_reason is not None or self.parked():
+            if taken == limit or self.panic_reason is not None or self.parked():
                 break
             taken += self.fast_forward(now + taken, limit - taken)
         return taken

@@ -290,11 +290,9 @@ class AdaptiveTest:
                     reach = next_sweep
                     if swept_at == ticks:
                         alarm = detector.alarm
-                        reach = (
-                            config.max_ticks
-                            if alarm is None
-                            else max(next_sweep, -(-alarm // interval) * interval)
-                        )
+                        reach = config.max_ticks
+                        if alarm is not None:
+                            reach = max(next_sweep, -(-alarm // interval) * interval)
                     start = ticks
                     ticks += soc.run_slave(
                         min(config.max_ticks, next_sweep) - ticks,
