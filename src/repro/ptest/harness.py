@@ -14,13 +14,13 @@ the paper's structure directly::
 a :class:`~repro.ptest.config.PTestConfig`, runs it, and returns a
 :class:`TestRunResult` with any :class:`~repro.ptest.report.BugReport`.
 
-Each round runs one tick loop in two phases, with one sweep block for
-both: the detector sweeps every ``detector_interval``-th tick.  Until the
-round's last reply, every tick is one ``DualCoreSoC.step`` and the
-Definition 2 slave states are recorded.  That reply ends the round when
-``restart_patterns`` is set (the next round starts at once); otherwise
-the drain starts, in which the slave keeps running with the detector
-watching.  The drain advances by one
+Each round runs one tick loop in two phases, and one sweep block serves
+both: the loop sweeps each ``detector_interval``-th tick it lands on.
+Until the round's last reply, every tick is one ``DualCoreSoC.step``
+and the Definition 2 slave states are recorded.  That reply ends the
+round when ``restart_patterns`` is set (the next round starts at once);
+otherwise the drain starts, in which the slave keeps running with the
+detector watching.  The drain advances by one
 :meth:`~repro.sim.soc.DualCoreSoC.run_slave` call per iteration, in
 which the slave kernel runs alone: compute-only runs in one call, every
 other tick through ``PCoreKernel.step``.

@@ -405,7 +405,8 @@ def _soc(slave_steps_per_tick: int = 1):
 
 
 class TestSoCFastForward:
-    """``run_slave``'s first compute-only run, on to its ``reach``."""
+    """``run_slave``'s first compute-only run, on to its ``reach``, and
+    the one step taken when the slave cannot run alone."""
 
     def test_advances_clock_ticks_and_slave(self):
         fast, fast_kernel, _ = _soc()
