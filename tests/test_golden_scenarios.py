@@ -177,11 +177,8 @@ def test_variants_match_golden(name):
     expected = _golden(VARIANTS_FIXTURE)[name]
     for variant in VARIANTS:
         for seed in VARIANT_SEEDS:
-            assert cell_digest(name, seed, variant) == expected[variant][str(seed)], (
-                name,
-                variant,
-                seed,
-            )
+            got = cell_digest(name, seed, variant)
+            assert got == expected[variant][str(seed)], (name, variant, seed)
 
 
 @pytest.mark.parametrize("name", scenario_names())
