@@ -32,23 +32,21 @@ other tick through ``PCoreKernel.step``.
   compute-only run may go on to the first sweep tick at or after that
   sweep's alarm (``BugDetector.alarm``), or to ``max_ticks``.  The
   kernel bounds it further (the end of a compute, a sleeper's wake, a GC
-  pass with pending items, a timed event).  A run that passes the next
-  sweep tick ends the call; one that stops short of it goes on as a
-  stretch.
+  pass with pending items).  A run that passes the next sweep tick ends
+  the call; one that stops short of it goes on as a stretch.
 
 A stretch is exact.  The drain starts only once the committer is done
 with nothing outstanding, and nothing refills the command mailbox, the
 adapter's reply backlog or the kernel inbox until the run ends: no
 command is issued and no reply can arise.  With the master halted, a
 ``DualCoreSoC.step`` is then only the adapter's empty flush and poll,
-the kernel step, the clock, a ``fire_due`` with nothing due and
-``ticks_run``, and a call ends before the next timed event.  The
-drain's stop checks (kernel halted; every live task SUSPENDED) can only
-turn true on a stepped tick, and a stretch returns exactly there.  A
-stretch never passes the next sweep tick, so every sweep it reaches
-runs as it would tick by tick.  An alarm-extended run that stops short
-of the next sweep tick leaves a task RUNNING, so no sweep and no stop
-check could fire before the stretch that goes on from there.
+the kernel step and the clock.  The drain's stop checks (kernel
+halted; every live task SUSPENDED) can only turn true on a stepped
+tick, and a stretch returns exactly there.  A stretch never passes the
+next sweep tick, so every sweep it reaches runs as it would tick by
+tick.  An alarm-extended run that stops short of the next sweep tick
+leaves a task RUNNING, so no sweep and no stop check could fire before
+the stretch that goes on from there.
 
 The sweep ticks an alarm-extended run crosses are skipped, and none of
 them could have reported.  Between a sweep and the next stepped tick,
@@ -209,7 +207,6 @@ class AdaptiveTest:
 
         soc = DualCoreSoC(
             config=SoCConfig(
-                seed=config.seed,
                 mailbox_capacity=config.mailbox_capacity,
                 master_steps_per_tick=config.master_steps_per_tick,
             ),

@@ -2,31 +2,19 @@
 
 The OMAP5912 gives software four mailbox registers for ARM<->DSP event
 exchange; the pCore Bridge builds its command/reply protocol on top of
-them.  A :class:`Mailbox` here is a bounded FIFO of small messages with a
-configurable overflow policy; a :class:`MailboxBank` groups four of them
+them.  A :class:`Mailbox` here is a bounded FIFO of small messages that
+refuses a post when full; a :class:`MailboxBank` groups four of them
 and assigns directions the way the bridge uses them (two per direction:
 command and reply channels).
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import MailboxError
-
-
-class OverflowPolicy(enum.Enum):
-    """What a full mailbox does with a new message."""
-
-    #: Refuse the post; the sender sees ``False`` and may retry later.
-    REJECT = "reject"
-    #: Silently drop the new message (models lossy interrupt coalescing).
-    DROP = "drop"
-    #: Raise :class:`MailboxError`; useful in tests to catch overruns.
-    RAISE = "raise"
 
 
 @dataclass(frozen=True)
@@ -58,13 +46,10 @@ class Mailbox:
     capacity:
         Maximum queued messages; the OMAP's hardware FIFO depth is tiny,
         so the default is 4.
-    policy:
-        Overflow behaviour (see :class:`OverflowPolicy`).
     """
 
     name: str
     capacity: int = 4
-    policy: OverflowPolicy = OverflowPolicy.REJECT
     _queue: deque[MailboxMessage] = field(default_factory=deque, repr=False)
     posted: int = 0
     dropped: int = 0
@@ -76,13 +61,10 @@ class Mailbox:
             raise MailboxError(f"capacity must be >= 1, got {self.capacity}")
 
     def post(self, message: MailboxMessage) -> bool:
-        """Enqueue a message; returns ``False`` if rejected when full."""
+        """Enqueue a message; returns ``False`` if rejected when full
+        (the sender may retry later)."""
         if len(self._queue) >= self.capacity:
-            if self.policy is OverflowPolicy.RAISE:
-                raise MailboxError(f"mailbox {self.name} overflow")
             self.dropped += 1
-            if self.policy is OverflowPolicy.DROP:
-                return True  # sender believes it succeeded: lossy channel
             return False
         self._queue.append(message)
         self.posted += 1
@@ -139,15 +121,11 @@ class MailboxBank:
     mailboxes: dict[str, Mailbox]
 
     @classmethod
-    def omap5912(
-        cls,
-        capacity: int = 4,
-        policy: OverflowPolicy = OverflowPolicy.REJECT,
-    ) -> "MailboxBank":
+    def omap5912(cls, capacity: int = 4) -> "MailboxBank":
         """Build the bank with the conventional four roles."""
         return cls(
             mailboxes={
-                role: Mailbox(name=role, capacity=capacity, policy=policy)
+                role: Mailbox(name=role, capacity=capacity)
                 for role in DEFAULT_MAILBOX_ROLES
             }
         )

@@ -37,7 +37,7 @@ from repro.pcore.kernel import KernelConfig, PCoreKernel
 from repro.pcore.programs import Exit, MemRead, MemWrite, Syscall, TaskContext, YieldCpu
 from repro.pcore.services import ServiceCode, ServiceRequest
 from repro.ptest.detector import BugDetector, DetectorConfig
-from repro.sim.soc import DualCoreSoC, SoCConfig
+from repro.sim.soc import DualCoreSoC
 
 #: Shared-memory cells (u16): the flags and "reached line d/i" markers.
 X_ADDR = 0x0C00
@@ -125,7 +125,7 @@ def run_fig1(
     progress_window: int = 300,
 ) -> Fig1Result:
     """Run the Fig. 1 system under the given resume order."""
-    soc = DualCoreSoC(config=SoCConfig(seed=7))
+    soc = DualCoreSoC()
     kernel = PCoreKernel(
         config=KernelConfig(), shared_memory=soc.sram, tracer=soc.tracer
     )

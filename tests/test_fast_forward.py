@@ -7,8 +7,7 @@ and every other step through ``step``, and returns after a step on
 which the kernel halted or parked; its first compute-only run may go on
 past its step bound to a second one, ``reach``, and then ends the call.
 ``DualCoreSoC.run_slave`` lets the kernel run so while the master is
-halted and the bridge is quiet, with both bounds cut before the next
-timed event, and otherwise steps one tick.  The kernel and SoC tests
+halted and the bridge is quiet, and otherwise steps one tick.  The kernel and SoC tests
 below check each of their bounds against a twin that takes the same
 steps one by one.
 
@@ -52,12 +51,11 @@ from repro.pcore.programs import Acquire, Compute, Exit, Release, Sleep, YieldCp
 from repro.pcore.services import ServiceCode, ServiceRequest
 from repro.pcore.tcb import TaskState
 from repro.pcore.testkit import create_task, run_service
-from repro.ptest import harness
 from repro.ptest.config import PTestConfig
 from repro.ptest.detector import AnomalyKind, BugDetector
 from repro.ptest.harness import AdaptiveTest
 from repro.sim.mailbox import MailboxMessage
-from repro.sim.soc import DualCoreSoC, SoCConfig
+from repro.sim.soc import DualCoreSoC
 from repro.workloads.registry import build_scenario
 from repro.workloads.scenarios import lifecycle_pfa
 
@@ -391,11 +389,11 @@ class _HaltedMaster:
         return True
 
 
-def _soc(slave_steps_per_tick: int = 1):
+def _soc():
     """``(soc, kernel, bridge master)``: a SoC whose slave kernel
     computes 500 units behind the bridge, two ticks in, with a halted
     master core."""
-    soc = DualCoreSoC(config=SoCConfig(slave_steps_per_tick=slave_steps_per_tick))
+    soc = DualCoreSoC()
     kernel = _kernel([(1, [Compute(500)])], steps=0)
     bridge, slave = build_bridge(soc.mailboxes, kernel)
     soc.attach(_HaltedMaster(), slave)
@@ -416,24 +414,8 @@ class TestSoCFastForward:
         assert stepped == []
         for _ in range(100):
             slow.step()
-        assert (fast.now, fast.ticks_run) == (slow.now, slow.ticks_run) == (102, 102)
+        assert fast.now == slow.now == 102
         assert fast.slave.now == slow.slave.now == 101
-        assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
-
-    def test_timed_event_ends_the_run(self):
-        fired = []
-        socs = [_soc()[:2], _soc()[:2]]
-        for soc, kernel in socs:
-            soc.scheduler.schedule_at(
-                soc.now + 5,
-                lambda soc=soc, kernel=kernel: fired.append((soc.now, kernel.steps)),
-            )
-        (fast, fast_kernel), (slow, slow_kernel) = socs
-        assert fast.run_slave(1, 100) == 4
-        fast.step()
-        for _ in range(5):
-            slow.step()
-        assert fired[0] == fired[1] == (7, 7)
         assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
 
     @pytest.mark.parametrize("traffic", ["command", "reply"])
@@ -447,12 +429,6 @@ class TestSoCFastForward:
         if traffic == "reply":
             soc.step()
             assert soc.slave._reply_backlog
-        stepped = _counting_steps(soc)
-        assert soc.run_slave(1, 100) == 1
-        assert stepped == [()]
-
-    def test_two_slave_steps_per_tick_are_stepped(self):
-        soc, _, _ = _soc(slave_steps_per_tick=2)
         stepped = _counting_steps(soc)
         assert soc.run_slave(1, 100) == 1
         assert stepped == [()]
@@ -476,7 +452,7 @@ class TestSoCRunSlave:
         assert stepped == []
         while not slow_kernel.parked():
             slow.step()
-        assert (fast.now, fast.ticks_run) == (slow.now, slow.ticks_run) == (501, 501)
+        assert fast.now == slow.now == 501
         assert fast.slave.now == slow.slave.now == 500
         assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
 
@@ -486,8 +462,8 @@ class TestSoCRunSlave:
         assert fast.run_slave(30) == 30
         for _ in range(30):
             slow.step()
-        assert (fast.now, fast.ticks_run, fast.slave.now) == (32, 32, 31)
-        assert (slow.now, slow.ticks_run, slow.slave.now) == (32, 32, 31)
+        assert (fast.now, fast.slave.now) == (32, 31)
+        assert (slow.now, slow.slave.now) == (32, 31)
         assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
 
     @pytest.mark.parametrize(
@@ -497,15 +473,11 @@ class TestSoCRunSlave:
             "command",
             "reply",
             "kernel_inbox",
-            "two_slave_steps_per_tick",
-            "event_next_tick",
             "halted_kernel",
         ],
     )
     def test_one_step_unless_quiet(self, blocker):
-        soc, kernel, bridge = _soc(
-            slave_steps_per_tick=2 if blocker == "two_slave_steps_per_tick" else 1
-        )
+        soc, kernel, bridge = _soc()
         request = ServiceRequest(service=ServiceCode.TCH, target=1, priority=7)
         if blocker == "live_master":
             soc.master.is_halted = lambda: False
@@ -521,32 +493,12 @@ class TestSoCRunSlave:
             assert soc.slave._reply_backlog
         elif blocker == "kernel_inbox":
             kernel.submit(request)
-        elif blocker == "event_next_tick":
-            soc.scheduler.schedule_at(soc.now + 1, lambda: None)
         elif blocker == "halted_kernel":
             kernel.panic("test")
         stepped = _counting_steps(soc)
         now = soc.now
         assert soc.run_slave(100) == 1
         assert (stepped, soc.now) == ([()], now + 1)
-
-    def test_never_passes_a_timed_event(self):
-        fired = []
-        socs = [_soc()[:2], _soc()[:2]]
-        for soc, kernel in socs:
-            soc.scheduler.schedule_at(
-                soc.now + 5,
-                lambda soc=soc, kernel=kernel: fired.append((soc.now, kernel.steps)),
-            )
-        (fast, fast_kernel), (slow, slow_kernel) = socs
-        stepped = _counting_steps(fast)
-        assert fast.run_slave(100) == 4
-        assert fast.run_slave(100) == 1
-        assert stepped == [()]
-        for _ in range(5):
-            slow.step()
-        assert fired[0] == fired[1] == (7, 7)
-        assert _kernel_state(fast_kernel) == _kernel_state(slow_kernel)
 
 
 # -- harness -----------------------------------------------------------------
@@ -899,17 +851,6 @@ def test_a_restart_run_sweeps_its_last_tick(max_ticks):
         (anomaly.kind, anomaly.detected_at)
         for anomaly in observed["result"].anomalies
     ] == [(AnomalyKind.CRASH, max_ticks)]
-
-
-def test_two_slave_steps_per_tick_fall_back_to_stepping(monkeypatch):
-    monkeypatch.setattr(
-        harness, "SoCConfig", partial(SoCConfig, slave_steps_per_tick=2)
-    )
-    build = partial(_variant, "clean_spin")
-    fast, skipped = _run(build, stepwise=False)
-    reference, _ = _run(build, stepwise=True)
-    assert skipped == 0
-    assert fast == reference
 
 
 def test_live_tasks_are_exactly_the_task_table():

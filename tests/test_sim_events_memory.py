@@ -1,104 +1,11 @@
-"""Tests for the simulated clock, event scheduler and shared memory."""
+"""Tests for the simulated shared memory."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import MemoryError_, SimulationError
-from repro.sim.events import EventScheduler, SimClock
+from repro.errors import MemoryError_
 from repro.sim.memory import OMAP5912_SRAM_BYTES, SharedMemory
-
-
-class TestClock:
-    def test_starts_at_zero_and_advances(self):
-        clock = SimClock()
-        assert clock.now == 0
-        clock.advance(5)
-        assert clock.now == 5
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(SimulationError):
-            SimClock().advance(-1)
-
-
-class TestEventScheduler:
-    def test_fires_in_time_order(self):
-        scheduler = EventScheduler()
-        fired: list[str] = []
-        scheduler.schedule_at(3, lambda: fired.append("late"))
-        scheduler.schedule_at(1, lambda: fired.append("early"))
-        scheduler.tick(5)
-        assert fired == ["early", "late"]
-
-    def test_ties_fire_in_insertion_order(self):
-        scheduler = EventScheduler()
-        fired: list[int] = []
-        for index in range(5):
-            scheduler.schedule_at(2, lambda i=index: fired.append(i))
-        scheduler.tick(2)
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_cancelled_events_are_skipped(self):
-        scheduler = EventScheduler()
-        fired = []
-        event = scheduler.schedule_at(1, lambda: fired.append("x"))
-        event.cancel()
-        scheduler.tick(3)
-        assert fired == []
-        assert scheduler.pending() == 0
-
-    def test_schedule_in_past_rejected(self):
-        scheduler = EventScheduler()
-        scheduler.tick(5)
-        with pytest.raises(SimulationError):
-            scheduler.schedule_at(2, lambda: None)
-
-    def test_schedule_after(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.tick(4)
-        scheduler.schedule_after(3, lambda: fired.append(scheduler.clock.now))
-        scheduler.tick(5)
-        assert fired == [7]
-
-    def test_callbacks_may_schedule_more(self):
-        scheduler = EventScheduler()
-        fired = []
-
-        def chain():
-            fired.append(scheduler.clock.now)
-            if len(fired) < 3:
-                scheduler.schedule_after(2, chain)
-
-        scheduler.schedule_at(1, chain)
-        scheduler.tick(10)
-        assert fired == [1, 3, 5]
-
-    def test_run_until_idle_jumps(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule_at(100, lambda: fired.append("a"))
-        scheduler.schedule_at(500, lambda: fired.append("b"))
-        elapsed = scheduler.run_until_idle()
-        assert fired == ["a", "b"]
-        assert elapsed == 500
-
-    def test_run_until_idle_detects_rearming_loop(self):
-        scheduler = EventScheduler()
-
-        def rearm():
-            scheduler.schedule_after(10, rearm)
-
-        scheduler.schedule_at(1, rearm)
-        with pytest.raises(SimulationError):
-            scheduler.run_until_idle(max_ticks=100)
-
-    def test_next_due_skips_cancelled(self):
-        scheduler = EventScheduler()
-        first = scheduler.schedule_at(1, lambda: None)
-        scheduler.schedule_at(7, lambda: None)
-        first.cancel()
-        assert scheduler.next_due() == 7
 
 
 class TestSharedMemory:
