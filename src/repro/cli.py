@@ -29,7 +29,8 @@ accepts on the wire (``campaign --spec file.json`` loads one,
 Exit codes: 0 success, 1 a bug was found (``run`` and friends), 2
 configuration error, 3 execution-fabric failure (a campaign's worker
 pool died or hung unrecoverably — see ``--cell-timeout`` /
-``--quarantine``).
+``--quarantine``), 141 stdout closed before the output was written
+(128 + SIGPIPE, as a shell reports a writer killed by a closed pipe).
 ``bench``          run the perf hot-path benchmark suite and print the
                    JSON artifact path plus headline speedups
 ``stress``         test case 1 (GC crash, with --fixed-gc control)
@@ -42,6 +43,7 @@ pool died or hung unrecoverably — see ``--cell-timeout`` /
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
@@ -123,10 +125,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "op": args.op,
         "max_ticks": args.max_ticks,
     }
-    config = PTestConfig(
-        seed=args.seed,
-        **{key: value for key, value in overrides.items() if value is not None},
-    )
+    try:
+        config = PTestConfig(
+            seed=args.seed,
+            **{key: value for key, value in overrides.items() if value is not None},
+        )
+    except ConfigError as error:
+        print(error)
+        return 2
     print(f"adaptive test: {config.describe()}")
     return _print_result(run_adaptive_test(config))
 
@@ -483,6 +489,9 @@ def _load_bench_main():
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        print(f"workers must be >= 1, got {args.workers}")
+        return 2
     bench_main = _load_bench_main()
     if bench_main is None:
         print(
@@ -528,6 +537,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if spec is None:
         print(f"unknown fault {args.fault!r}; try: {fault_names()}")
+        return 2
+    if args.seeds < 1:
+        print(f"seeds must be >= 1, got {args.seeds}")
         return 2
     found = 0
     for seed in range(args.seeds):
@@ -894,7 +906,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush here, not at interpreter exit, so a closed stdout
+        # surfaces below rather than as an ignored exception.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the exit
+        # flush cannot raise again, and exit as a writer killed by
+        # SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

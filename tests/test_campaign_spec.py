@@ -13,6 +13,7 @@ re-plumbing of the legacy entry points.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -378,14 +379,20 @@ def test_execute_spec_run_mode():
 # -- CLI round trip: --dump-spec / --spec ------------------------------
 
 
-def _repro(*args: str, timeout: int = 300):
+def _repro(*args: str, timeout: int = 300, stdout=subprocess.PIPE):
+    """Run ``python -m repro`` in a minimal environment that keeps the
+    caller's ``PYTHONDONTWRITEBYTECODE``, so a cache-free tree stays so."""
+    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=timeout,
         cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env=env,
     )
 
 
@@ -445,3 +452,27 @@ def test_cli_spec_and_scenario_together_is_config_error(tmp_path):
     )
     assert result.returncode == 2
     assert "not both" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "clean_spin"),
+        ("run", "quicksort_stress", "-p", "max_ticks=576"),
+        ("scenarios",),
+        ("campaign", "clean_spin", "--seeds", "2"),
+    ],
+    ids=["run-clean", "run-bug-found", "scenarios", "campaign"],
+)
+def test_cli_closed_stdout_exits_141_without_traceback(args):
+    """A reader gone before the first write ends the command as SIGPIPE
+    would end a writer: exit 141, no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _repro(*args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert "Traceback" not in result.stderr
+    assert "BrokenPipeError" not in result.stderr

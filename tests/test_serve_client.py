@@ -22,11 +22,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.client import Client, ServerError
+from repro.errors import ConfigError
 from repro.ptest.pool import shutdown_pools
 from repro.ptest.spec import CampaignSpec, execute_spec
-from repro.serve import MAX_LINE_BYTES, start_server_thread
+from repro.serve import MAX_LINE_BYTES, PROTOCOL_VERSION, start_server_thread
 from repro.workloads.registry import REGISTRY, build_scenario
 
 
@@ -309,6 +311,123 @@ def test_oversized_frames_end_in_an_error_frame(server, caplog):
     with Client(*server.address) as client:
         assert client.ping()
     assert "Unhandled exception" not in caplog.text
+
+
+#: Finite JSON, as a client can put it on the wire, plus the strings
+#: that reach deeper spec validation (registered and unknown scenario
+#: names, a policy name).
+FINITE_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+    | st.sampled_from(["philosophers", "clean_spin", "no_such_scenario", "replay"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+SPEC_KEYS = ("scenario", "mode", "seeds", "params", "grid", "rounds", "policy")
+OPS = ("run", "ping", "status", "shutdown")
+
+
+def _request(op, **fields):
+    return st.fixed_dictionaries(
+        {"op": op}, optional={"id": FINITE_JSON, **fields}
+    ).map(lambda message: json.dumps(message).encode())
+
+
+#: One input line of each kind the server must answer with one reply.
+SERVER_LINES = st.one_of(
+    st.binary(min_size=1, max_size=40).filter(
+        lambda line: b"\n" not in line and line.strip()
+    ),
+    FINITE_JSON.filter(lambda value: not isinstance(value, dict)).map(
+        lambda value: json.dumps(value).encode()
+    ),
+    st.dictionaries(
+        st.text(max_size=4).filter(lambda key: key != "op"),
+        FINITE_JSON,
+        max_size=3,
+    ).map(lambda message: json.dumps(message).encode()),
+    _request(FINITE_JSON.filter(lambda op: not isinstance(op, str))),
+    _request(st.text(max_size=8).filter(lambda op: op not in OPS)),
+    _request(st.sampled_from(["ping", "status"])),
+    _request(
+        st.just("run"),
+        spec=FINITE_JSON
+        | st.dictionaries(st.sampled_from(SPEC_KEYS), FINITE_JSON, max_size=4)
+        | st.fixed_dictionaries(
+            {"scenario": st.text(max_size=8)},
+            optional={
+                "mode": st.sampled_from(["run", "campaign", "adapt"]),
+                "seeds": st.lists(st.integers(0, 9), min_size=1, max_size=3),
+            },
+        ),
+        stream_cells=st.booleans(),
+    ),
+)
+
+
+def _would_execute(line: bytes) -> bool:
+    """Whether ``line`` would drain the server or run cells."""
+    try:
+        message = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(message, dict):
+        return False
+    if message.get("op") == "shutdown":
+        return True
+    if message.get("op") != "run":
+        return False
+    try:
+        spec = CampaignSpec.from_dict(message.get("spec"))
+    except ConfigError:
+        return False
+    return spec.scenario in REGISTRY
+
+
+def test_every_line_gets_exactly_one_well_formed_reply():
+    """Whatever one line carries, the server answers it with exactly one
+    terminal frame (``pong``, ``status``, ``error`` or ``done``), after
+    only progress frames of the same request, and the connection stays
+    usable."""
+    terminal = {"pong", "status", "error", "done"}
+    progress = {"accepted", "cell", "round"}
+    with start_server_thread() as handle, socket.create_connection(
+        handle.address, timeout=30
+    ) as sock, sock.makefile("rb") as reader:
+
+        def read_frame() -> dict:
+            frame = json.loads(reader.readline())
+            assert isinstance(frame, dict) and isinstance(frame.get("type"), str)
+            return frame
+
+        @settings(max_examples=200, deadline=None)
+        @given(line=SERVER_LINES)
+        def check(line: bytes) -> None:
+            assume(not _would_execute(line))
+            sock.sendall(line + b"\n")
+            frames = [read_frame()]
+            while frames[-1]["type"] not in terminal:
+                assert frames[-1]["type"] in progress, frames
+                frames.append(read_frame())
+            assert len({json.dumps(frame["id"]) for frame in frames}) == 1, frames
+            try:
+                message = json.loads(line)
+            except (ValueError, RecursionError):
+                message = None
+            if isinstance(message, dict) and message.get("id") is not None:
+                assert frames[-1]["id"] == message["id"], frames
+            sock.sendall(b'{"op": "ping", "id": "after"}\n')
+            assert read_frame() == {
+                "type": "pong",
+                "id": "after",
+                "version": PROTOCOL_VERSION,
+            }
+
+        check()
 
 
 @pytest.fixture()

@@ -256,6 +256,32 @@ class TestCli:
         assert main(["run", "barrier", "-p", "parties=1"]) == 2
         assert "parties must be >= 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["run", "-n", "0"], "pattern_count must be >= 1"),
+            (["run", "-n", "99"], "exceeds the kernel's max_tasks=16"),
+            (["run", "-s", "0"], "pattern_size must be >= 1"),
+            (["run", "--max-ticks", "0"], "max_ticks must be >= 1"),
+            (["bench", "--quick", "--workers", "0"], "workers must be >= 1"),
+            (["sweep", "cyclic_lock", "--seeds", "-1"], "seeds must be >= 1"),
+        ],
+        ids=[
+            "patterns-0",
+            "patterns-99",
+            "size-0",
+            "max-ticks-0",
+            "bench-workers-0",
+            "sweep-seeds-negative",
+        ],
+    )
+    def test_bad_config_flag_prints_one_line_and_exits_2(self, capsys, argv, message):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.count("\n") == 1 and message in output
+
     def test_campaign_repeated_grid_key_clean_error(self, capsys):
         from repro.cli import main
 
