@@ -29,7 +29,7 @@ accepts on the wire (``campaign --spec file.json`` loads one,
 Exit codes: 0 success, 1 a bug was found (``run`` and friends), 2
 configuration error, 3 execution-fabric failure (a campaign's worker
 pool died or hung unrecoverably — see ``--cell-timeout`` /
-``--quarantine``), 141 stdout closed before the output was written
+``--quarantine``), 141 stdout closed before all output was written
 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe).
 ``bench``          run the perf hot-path benchmark suite and print the
                    JSON artifact path plus headline speedups

@@ -111,21 +111,18 @@ class DualCoreSoC:
         run alone where that is exact (module docstring); the slave's
         first compute-only run may go on to ``reach`` ticks (at least
         ``limit``; default ``limit``), and a run that passes ``limit``
-        ends the call.  The slave core must offer ``run_alone(now,
-        limit, reach)``, as
-        :class:`~repro.bridge.bridge.SlaveBridgeAdapter` does, returning
-        early after a step on which it halted or parked.  When the slave
-        cannot run alone, one :meth:`step` is taken.  Returns the ticks
-        advanced."""
+        ends the call.  The slave core must offer ``run_alone(now, limit,
+        reach)``, as :class:`~repro.bridge.bridge.SlaveBridgeAdapter`
+        does, returning early after a step on which it halted or parked.
+        When the slave cannot run alone, one :meth:`step` is taken.
+        Returns the ticks advanced."""
         ticks = 0
         if (
             self.master is not None
             and self.slave is not None
             and self.master.is_halted()
         ):
-            ticks = self.slave.run_alone(
-                self.now, limit, limit if reach is None else reach
-            )
+            ticks = self.slave.run_alone(self.now, limit, reach)
         if not ticks:
             self.step()
             return 1

@@ -7,9 +7,9 @@ and every other step through ``step``, and returns after a step on
 which the kernel halted or parked; its first compute-only run may go on
 past its step bound to a second one, ``reach``, and then ends the call.
 ``DualCoreSoC.run_slave`` lets the kernel run so while the master is
-halted and the bridge is quiet, and otherwise steps one tick.  The kernel and SoC tests
-below check each of their bounds against a twin that takes the same
-steps one by one.
+halted and the bridge is quiet, and otherwise steps one tick.  The
+kernel and SoC tests below check each of their bounds against a twin
+that takes the same steps one by one.
 
 The harness drain makes one ``run_slave`` call per iteration: the slave
 runs alone up to the next sweep tick, and on a swept tick its first
