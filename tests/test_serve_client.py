@@ -369,13 +369,18 @@ SERVER_LINES = st.one_of(
 )
 
 
-def _would_execute(line: bytes) -> bool:
-    """Whether ``line`` would drain the server or run cells."""
+def _message(line: bytes) -> dict | None:
+    """``line`` as the server reads it, when that is a JSON object."""
     try:
         message = json.loads(line)
     except (ValueError, RecursionError):
-        return False
-    if not isinstance(message, dict):
+        return None
+    return message if isinstance(message, dict) else None
+
+
+def _would_execute(message: dict | None) -> bool:
+    """Whether ``message`` would drain the server or run cells."""
+    if message is None:
         return False
     if message.get("op") == "shutdown":
         return True
@@ -407,18 +412,15 @@ def test_every_line_gets_exactly_one_well_formed_reply():
         @settings(max_examples=200, deadline=None)
         @given(line=SERVER_LINES)
         def check(line: bytes) -> None:
-            assume(not _would_execute(line))
+            message = _message(line)
+            assume(not _would_execute(message))
             sock.sendall(line + b"\n")
             frames = [read_frame()]
             while frames[-1]["type"] not in terminal:
                 assert frames[-1]["type"] in progress, frames
                 frames.append(read_frame())
             assert len({json.dumps(frame["id"]) for frame in frames}) == 1, frames
-            try:
-                message = json.loads(line)
-            except (ValueError, RecursionError):
-                message = None
-            if isinstance(message, dict) and message.get("id") is not None:
+            if message is not None and message.get("id") is not None:
                 assert frames[-1]["id"] == message["id"], frames
             sock.sendall(b'{"op": "ping", "id": "after"}\n')
             assert read_frame() == {
