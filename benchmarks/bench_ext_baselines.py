@@ -2,11 +2,11 @@
 
 The paper's introduction positions pTest against ConTest (random
 interleaving noise) and CHESS (systematic exploration).  This bench
-runs all three on the fault catalogue's schedule-sensitive faults and
-reports detection rate and effort, plus the systematic explorer's
-state-space blow-up as pattern size grows (the "not efficient when
-searching infinite state spaces" point).  The benchmark times one
-pTest catalogue sweep entry.
+runs all three on the schedule-sensitive fault of the ``philosophers``
+scenario (its cyclic fork order) and reports detection rate and
+effort, plus the systematic explorer's state-space blow-up as pattern
+size grows (the "not efficient when searching infinite state spaces"
+point).  The benchmark times one cyclic pTest run of that scenario.
 """
 
 from __future__ import annotations

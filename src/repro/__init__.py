@@ -33,7 +33,7 @@ Subpackages: :mod:`repro.automata` (regex -> NFA -> PFA pipeline),
 :mod:`repro.sim` (the SoC), :mod:`repro.pcore` (the slave kernel),
 :mod:`repro.master`, :mod:`repro.bridge`, :mod:`repro.ptest` (the
 tool), :mod:`repro.baselines`, :mod:`repro.workloads`,
-:mod:`repro.faults`, :mod:`repro.analysis`.
+:mod:`repro.analysis`.
 """
 
 __version__ = "0.1.0"

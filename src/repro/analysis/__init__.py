@@ -1,9 +1,8 @@
-"""Coverage, detection metrics and profiling-based distribution learning.
+"""Coverage, duplication metrics and profiling-based distribution learning.
 
 Quantifies what the paper leaves qualitative: PFA-transition and
 service-pair coverage of a pattern batch (:mod:`repro.analysis.coverage`),
-fault-detection rates and times over seed sweeps
-(:mod:`repro.analysis.metrics`), pattern-duplication statistics (the
+pattern-duplication statistics (:mod:`repro.analysis.metrics`, the
 future-work concern about replicated patterns), and learning transition
 distributions from executed traces (:mod:`repro.analysis.profiling`).
 """
@@ -13,12 +12,7 @@ from repro.analysis.coverage import (
     pattern_transition_coverage,
     service_pair_coverage,
 )
-from repro.analysis.metrics import (
-    DetectionStats,
-    detection_sweep,
-    duplication_rate,
-    unique_pattern_fraction,
-)
+from repro.analysis.metrics import duplication_rate, unique_pattern_fraction
 from repro.analysis.convergence import (
     ConvergencePoint,
     align_states,
@@ -35,8 +29,6 @@ __all__ = [
     "CoverageReport",
     "pattern_transition_coverage",
     "service_pair_coverage",
-    "DetectionStats",
-    "detection_sweep",
     "duplication_rate",
     "unique_pattern_fraction",
     "learn_distribution_from_patterns",

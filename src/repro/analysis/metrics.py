@@ -1,84 +1,16 @@
-"""Detection-rate metrics over seed sweeps.
+"""Pattern-duplication metrics.
 
-The paper's future work: "identify the influence of probability
-distributions on the generation of test pattern" and "the replicated
-test patterns can reduce the effectiveness of pTest".  These helpers
-quantify both: run a scenario builder across seeds and aggregate
-detection outcomes; measure duplication within pattern batches.
+The paper's future work warns that "the replicated test patterns can
+reduce the effectiveness of pTest".  These helpers measure duplication
+within pattern batches, empirically and analytically.  Detection rates
+are campaign rows, scored against each scenario's registered
+expectation (:meth:`~repro.workloads.registry.ScenarioRef.expected`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-from repro.ptest.detector import AnomalyKind
-from repro.ptest.harness import AdaptiveTest, TestRunResult
-
-
-@dataclass(frozen=True)
-class DetectionStats:
-    """Aggregate of one detection sweep."""
-
-    runs: int
-    detections: int
-    expected_kind_hits: int
-    mean_ticks_to_detection: float
-    mean_commands_to_detection: float
-    false_kinds: tuple[str, ...]
-
-    @property
-    def rate(self) -> float:
-        return self.detections / self.runs if self.runs else 0.0
-
-    @property
-    def precision(self) -> float:
-        """Among detections, the share matching the expected kind."""
-        if not self.detections:
-            return 0.0
-        return self.expected_kind_hits / self.detections
-
-
-def detection_sweep(
-    builder: Callable[[int], AdaptiveTest],
-    seeds: Iterable[int],
-    expected: AnomalyKind | None,
-) -> DetectionStats:
-    """Run ``builder(seed)`` per seed; score against ``expected``.
-
-    With ``expected=None`` (healthy control) ``detections`` counts false
-    positives and the means stay NaN-free at 0.
-    """
-    runs = 0
-    detections = 0
-    hits = 0
-    tick_sum = 0.0
-    command_sum = 0.0
-    false_kinds: list[str] = []
-    for seed in seeds:
-        result: TestRunResult = builder(seed).run()
-        runs += 1
-        if not result.found_bug:
-            continue
-        detections += 1
-        primary = result.report.primary
-        tick_sum += primary.detected_at
-        command_sum += result.commands_issued
-        if expected is not None and primary.kind is expected:
-            hits += 1
-        else:
-            false_kinds.append(primary.kind.value)
-    mean_ticks = tick_sum / detections if detections else 0.0
-    mean_commands = command_sum / detections if detections else 0.0
-    return DetectionStats(
-        runs=runs,
-        detections=detections,
-        expected_kind_hits=hits,
-        mean_ticks_to_detection=mean_ticks,
-        mean_commands_to_detection=mean_commands,
-        false_kinds=tuple(false_kinds),
-    )
+from typing import Sequence
 
 
 def duplication_rate(patterns: Sequence[Sequence[str]]) -> float:

@@ -7,7 +7,7 @@ pure string formatting over the result dataclasses.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.ptest.campaign import CampaignRow
 from repro.ptest.harness import TestRunResult
@@ -75,30 +75,33 @@ def render_run(result: TestRunResult, markdown: bool = False) -> str:
 
 
 def render_campaign(
-    rows: Sequence[CampaignRow], markdown: bool = False
+    rows: Sequence[CampaignRow],
+    markdown: bool = False,
+    expected: Mapping[str, str] | None = None,
 ) -> str:
-    """A campaign's summary table."""
-    return render_table(
-        [
-            "variant",
-            "runs",
-            "detections",
-            "rate",
-            "kinds",
-            "mean ticks",
-            "mean commands",
-        ],
-        [
-            (
-                row.variant,
-                row.runs,
-                row.detections,
-                f"{row.rate:.2f}",
-                ",".join(row.kinds) or "-",
-                f"{row.mean_ticks_to_detection:.0f}",
-                f"{row.mean_commands:.0f}",
-            )
-            for row in rows
-        ],
-        markdown=markdown,
-    )
+    """A campaign's summary table.
+
+    ``expected`` (variant -> label) adds an ``expected`` column beside
+    the detected kinds; variants it does not name show ``-``.
+    """
+    headers = ["variant", "runs", "detections", "rate", "kinds"]
+    if expected is not None:
+        headers.append("expected")
+    headers += ["mean ticks", "mean commands"]
+    table = []
+    for row in rows:
+        cells = [
+            row.variant,
+            row.runs,
+            row.detections,
+            f"{row.rate:.2f}",
+            ",".join(row.kinds) or "-",
+        ]
+        if expected is not None:
+            cells.append(expected.get(row.variant, "-"))
+        cells += [
+            f"{row.mean_ticks_to_detection:.0f}",
+            f"{row.mean_commands:.0f}",
+        ]
+        table.append(cells)
+    return render_table(headers, table, markdown=markdown)

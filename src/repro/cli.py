@@ -8,7 +8,8 @@ Python:
                    or the explicit (n, s, op, seed) form
 ``campaign``       sweep a registered scenario over seeds (and an
                    optional parameter grid) through the batched
-                   process-pool executor
+                   process-pool executor; each row shows the verdict
+                   its scenario expects at that grid point
 ``adapt``          multi-round adaptive campaign: rounds run on one
                    warm worker pool and a refine policy (grid_zoom,
                    halving, replay, repeat) steers each next round's
@@ -18,7 +19,13 @@ Python:
                    newline-JSON socket protocol
 ``submit``         send one campaign/adapt spec to a running server
                    via :class:`repro.client.Client`
-``scenarios``      list the scenario registry with parameter specs
+``scenarios``      list the scenario registry with parameter specs and
+                   each scenario's expected verdict at its defaults
+``bench``          run the perf hot-path benchmark suite and print the
+                   JSON artifact path plus headline speedups
+``stress``         test case 1 (GC crash, with --fixed-gc control)
+``philosophers``   test case 2 (deadlock, choose --op / --ordered)
+``fig1``           the Fig. 1 example (--order good|bad)
 
 ``run``/``campaign``/``adapt`` all parse into one serializable
 :class:`~repro.ptest.spec.CampaignSpec` and dispatch through
@@ -31,13 +38,6 @@ configuration error, 3 execution-fabric failure (a campaign's worker
 pool died or hung unrecoverably — see ``--cell-timeout`` /
 ``--quarantine``), 141 stdout closed before all output was written
 (128 + SIGPIPE, as a shell reports a writer killed by a closed pipe).
-``bench``          run the perf hot-path benchmark suite and print the
-                   JSON artifact path plus headline speedups
-``stress``         test case 1 (GC crash, with --fixed-gc control)
-``philosophers``   test case 2 (deadlock, choose --op / --ordered)
-``fig1``           the Fig. 1 example (--order good|bad)
-``sweep``          detection-rate sweep of a catalogued fault over seeds
-``faults``         list the seeded-fault catalogue
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from concurrent.futures import CancelledError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigError, ReproError, WatchdogTimeout
-from repro.faults import FAULT_CATALOGUE, build_fault_scenario, fault_names
 from repro.ptest.config import PTestConfig
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
@@ -247,15 +246,35 @@ def _dump_spec(args: argparse.Namespace, spec) -> bool:
     return True
 
 
+def _expected_label(scenario, params=None) -> str:
+    """A scenario's expected verdict at ``params`` as the CLI prints
+    it: the anomaly kind, ``none`` for a clean run, or ``-`` when the
+    scenario was registered without ``expect=``."""
+    if scenario.expect is None:
+        return "-"
+    kind = scenario.expected(params)
+    return kind.value if kind is not None else "none"
+
+
 def _print_campaign_outcome(spec, outcome) -> None:
     from repro.analysis.text_report import render_campaign
+    from repro.ptest.spec import spec_variants
 
     print(
         f"campaign: {spec.scenario} over {len(spec.seeds)} seed(s), "
         f"workers={spec.workers}"
         + (f", batch_size={spec.batch_size}" if spec.batch_size else "")
     )
-    print(render_campaign(list(outcome.rows)))
+    expected = {}
+    # A server may know scenarios this process does not; their rows
+    # show "-".
+    if spec.scenario in REGISTRY:
+        scenario = REGISTRY.get(spec.scenario)
+        expected = {
+            name: _expected_label(scenario, dict(ref.params))
+            for name, ref in spec_variants(spec).items()
+        }
+    print(render_campaign(list(outcome.rows), expected=expected))
     _print_quarantine(outcome.quarantine)
 
 
@@ -382,6 +401,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.ptest.pool import shutdown_pools
     from repro.serve import serve
 
+    if not 0 <= args.port <= 65535:
+        print(f"port must be in 0-65535, got {args.port}")
+        return 2
+
     def ready(address: tuple[str, int]) -> None:
         host, port = address
         print(
@@ -417,6 +440,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.client import Client, ServerError
 
+    if not 0 <= args.port <= 65535:
+        print(f"port must be in 0-65535, got {args.port}")
+        return 2
     try:
         spec_path = getattr(args, "spec", None)
         if spec_path is not None:
@@ -460,6 +486,7 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
         print(spec.describe())
         if spec.description:
             print(f"    {spec.description}")
+        print(f"    expected at defaults: {_expected_label(spec)}")
     return 0
 
 
@@ -529,39 +556,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     for anomaly in result.anomalies:
         print(f"  {anomaly.describe()}")
     return 0 if result.terminated else 1
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = next(
-        (s for s in FAULT_CATALOGUE if s.name == args.fault), None
-    )
-    if spec is None:
-        print(f"unknown fault {args.fault!r}; try: {fault_names()}")
-        return 2
-    if args.seeds < 1:
-        print(f"seeds must be >= 1, got {args.seeds}")
-        return 2
-    found = 0
-    for seed in range(args.seeds):
-        result = build_fault_scenario(args.fault, seed=seed).run()
-        verdict = (
-            result.report.primary.kind.value if result.found_bug else "clean"
-        )
-        print(f"  seed {seed}: {verdict}")
-        found += int(result.found_bug)
-    expected = spec.expected.value if spec.expected else "none"
-    print(
-        f"{args.fault}: detected {found}/{args.seeds} "
-        f"(expected anomaly: {expected})"
-    )
-    return 0
-
-
-def _cmd_faults(_args: argparse.Namespace) -> int:
-    for spec in FAULT_CATALOGUE:
-        expected = spec.expected.value if spec.expected else "none"
-        print(f"{spec.name:>22}  [{expected:>10}]  {spec.description}")
-    return 0
 
 
 def _policy_choices() -> tuple[str, ...]:
@@ -892,14 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig1_p = sub.add_parser("fig1", help="the Fig. 1 example")
     fig1_p.add_argument("--order", choices=("good", "bad"), default="bad")
     fig1_p.set_defaults(func=_cmd_fig1)
-
-    sweep_p = sub.add_parser("sweep", help="fault detection sweep")
-    sweep_p.add_argument("fault", help="fault name (see `faults`)")
-    sweep_p.add_argument("--seeds", type=int, default=5)
-    sweep_p.set_defaults(func=_cmd_sweep)
-
-    faults_p = sub.add_parser("faults", help="list the fault catalogue")
-    faults_p.set_defaults(func=_cmd_faults)
     return parser
 
 

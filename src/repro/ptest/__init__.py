@@ -56,7 +56,6 @@ from repro.ptest.campaign import (
     DetectionCapture,
     DetectionSample,
     TeeSink,
-    compare_ops,
     grid_variants,
 )
 from repro.ptest.adaptive import (
@@ -142,7 +141,6 @@ __all__ = [
     "DetectionCapture",
     "DetectionSample",
     "TeeSink",
-    "compare_ops",
     "grid_variants",
     "AdaptiveCampaign",
     "AdaptiveResult",

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.ptest.chaos import ChaosSpec
-from repro.ptest.detector import AnomalyKind
 from repro.ptest.executor import (
     CellExecutor,
     QuarantineReport,
@@ -29,7 +28,7 @@ from repro.ptest.executor import (
     ScenarioBuilder,
     WorkCell,
 )
-from repro.ptest.harness import AdaptiveTest, TestRunResult
+from repro.ptest.harness import TestRunResult
 from repro.ptest.pool import WorkerPool
 from repro.workloads.registry import ScenarioRef, scenario_ref
 
@@ -357,71 +356,3 @@ class TeeSink:
     def accept(self, cell: WorkCell, result: TestRunResult) -> None:
         for sink in self.sinks:
             sink.accept(cell, result)
-
-
-def _op_variant_builder(
-    builder_for_op: Callable[[str, int], AdaptiveTest], op: str, seed: int
-) -> AdaptiveTest:
-    """Module-level adapter binding ``op`` for legacy ``compare_ops``
-    callables — picklable whenever ``builder_for_op`` is."""
-    return builder_for_op(op, seed)
-
-
-def compare_ops(
-    scenario: str | Callable[[str, int], AdaptiveTest],
-    ops: Iterable[str],
-    seeds: Iterable[int],
-    expected: AnomalyKind,
-    *,
-    workers: int | None = None,
-    batch_size: int | None = None,
-    pool: WorkerPool | None = None,
-    params: Mapping[str, Any] | None = None,
-) -> list[CampaignRow]:
-    """Convenience: one campaign variant per merge op, detections scored
-    against the expected anomaly class.
-
-    ``scenario`` is preferably a registry name whose builder takes an
-    ``op`` parameter (e.g. ``"philosophers"``) — the sweep then runs on
-    :class:`~repro.workloads.registry.ScenarioRef` grid variants and
-    parallelises cleanly at any ``workers``/``batch_size``.  A legacy
-    ``builder_for_op(op, seed)`` callable is also accepted (it must be
-    picklable itself to leave the serial path).
-    """
-    campaign = Campaign(
-        seeds=tuple(seeds), workers=workers, batch_size=batch_size, pool=pool
-    )
-    if isinstance(scenario, str):
-        for op in ops:
-            campaign.add_scenario(op, scenario, op=op, **(params or {}))
-    else:
-        if params:
-            raise ValueError(
-                "params are only supported with registry scenario names"
-            )
-        from functools import partial
-
-        for op in ops:
-            campaign.add_variant(
-                op, partial(_op_variant_builder, scenario, op)
-            )
-    rows = campaign.run()
-    # Re-score detections against the expected anomaly class.
-    rescored = []
-    for row in rows:
-        hits = sum(
-            1
-            for run in campaign.results[row.variant]
-            if run.found_bug and run.report.primary.kind is expected
-        )
-        rescored.append(
-            CampaignRow(
-                variant=row.variant,
-                runs=row.runs,
-                detections=hits,
-                kinds=row.kinds,
-                mean_ticks_to_detection=row.mean_ticks_to_detection,
-                mean_commands=row.mean_commands,
-            )
-        )
-    return rescored

@@ -5,11 +5,11 @@ The paper's machinery exists to surface hangs and deadlocks in the
 *execution fabric itself*, so every recovery invariant — watchdog
 timeouts, dead-worker respawn, poison-cell quarantine, checkpoint
 resume — is provable in ordinary tests instead of only under real
-production failures.  It is deliberately distinct from
-:mod:`repro.faults`, which plants bugs inside workloads for the
-detector to find: chaos faults happen *around* the workload, at the
-worker-batch boundary, and a correctly recovering executor produces
-results bit-identical to a chaos-free run.
+production failures.  It is deliberately distinct from the faulty
+scenarios of :mod:`repro.workloads.scenarios`, which plant bugs inside
+workloads for the detector to find: chaos faults happen *around* the
+workload, at the worker-batch boundary, and a correctly recovering
+executor produces results bit-identical to a chaos-free run.
 
 Two fault families, both derived from :class:`ChaosSpec` seeds alone
 (no wall clock, no ambient randomness), so a chaos run is replayable:

@@ -10,7 +10,7 @@ it:
 
 * **Warm pools.**  :class:`WorkerPool` wraps a lazily-created
   ``ProcessPoolExecutor`` that survives across ``run_cells`` /
-  ``Campaign.run`` / ``compare_ops`` calls.  :func:`get_pool` hands out
+  ``Campaign.run`` calls.  :func:`get_pool` hands out
   one shared pool per worker count; pools are health-checked on use
   (a dead worker breaks a process pool — the wrapper discards the
   broken executor and respawns a fresh one) and are explicitly

@@ -44,6 +44,7 @@ from repro.ptest.campaign import (
     DetectionCapture,
     DetectionSample,
     TeeSink,
+    grid_variants,
 )
 from repro.ptest.executor import (
     QuarantinedCell,
@@ -51,6 +52,7 @@ from repro.ptest.executor import (
     ResultSink,
 )
 from repro.ptest.harness import TestRunResult
+from repro.workloads.registry import ScenarioRef
 
 MODES = ("run", "campaign", "adapt")
 
@@ -482,13 +484,16 @@ def _capture_detections(
     )
 
 
-def _add_variants(campaign: Any, spec: CampaignSpec) -> None:
-    fixed = dict(spec.params)
+def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
+    """The spec's first-round variants, keyed as its rows name them:
+    one ref per grid point, or the bare scenario without a grid."""
     grid = {key: list(values) for key, values in spec.grid}
-    if grid:
-        campaign.add_grid(spec.scenario, spec.scenario, grid, **fixed)
-    else:
-        campaign.add_scenario(spec.scenario, spec.scenario, **fixed)
+    return grid_variants(spec.scenario, spec.scenario, grid, **dict(spec.params))
+
+
+def _add_variants(campaign: Any, spec: CampaignSpec) -> None:
+    for name, ref in spec_variants(spec).items():
+        campaign.add_variant(name, ref)
 
 
 def _execute_run(spec: CampaignSpec) -> SpecOutcome:

@@ -7,7 +7,8 @@ With the kernel's ``priority_inheritance`` switch on, the blocked
 high-priority waiter donates its priority to the low-priority owner,
 which then outruns the hog and releases promptly.
 
-Used by the priority-inheritance ablation (A2) and the fault catalogue.
+Used by the ``priority_inversion`` scenario and the priority-inheritance
+ablation (A2).
 """
 
 from __future__ import annotations

@@ -34,15 +34,26 @@ Three pieces:
 Builders registered here take ``(seed, **params)`` and return any
 object with a ``.run() -> TestRunResult`` method (normally an
 :class:`~repro.ptest.harness.AdaptiveTest`).
+
+A scenario may also carry its ground truth: ``expect=`` is a function
+of the scenario's parameters (defaults filled in) returning the
+:class:`~repro.ptest.detector.AnomalyKind` a correct detector reports,
+or ``None`` for a clean run.  ``ScenarioRef.expected()`` answers it for
+one parameter point, so detection rates are scored against the same
+registry that builds the runs.
 """
 
 from __future__ import annotations
 
 import inspect
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.ptest.detector import AnomalyKind
 
 #: Parameter types the spec knows how to coerce (CLI strings included).
 _COERCIBLE = (bool, int, float, str)
@@ -102,12 +113,18 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A registered scenario: builder + parameter spec + description."""
+    """A registered scenario: builder + parameter spec + description,
+    plus its expectation when registered with ``expect=``."""
 
     name: str
     builder: Callable[..., Any]
     params: tuple[ParamSpec, ...]
     description: str = ""
+    #: ``expect(**params)`` -> the anomaly kind a correct detector
+    #: reports at those parameters, or ``None`` for a clean run.  A
+    #: scenario registered without ``expect=`` has no expectation,
+    #: which is not the same as expecting a clean run.
+    expect: "Callable[..., AnomalyKind | None] | None" = None
 
     def param(self, name: str) -> ParamSpec:
         for spec in self.params:
@@ -122,6 +139,17 @@ class ScenarioSpec:
     def validate(self, params: Mapping[str, Any]) -> dict[str, Any]:
         """Coerce ``params`` against the spec; unknown names raise."""
         return {name: self.param(name).coerce(value) for name, value in params.items()}
+
+    def expected(
+        self, params: Mapping[str, Any] | None = None
+    ) -> "AnomalyKind | None":
+        """The anomaly kind ``expect`` gives at ``params`` over the
+        defaults; a scenario without ``expect=`` raises ConfigError."""
+        if self.expect is None:
+            raise ConfigError(f"scenario {self.name!r} has no expectation")
+        full = {spec.name: spec.default for spec in self.params}
+        full.update(self.validate(params or {}))
+        return self.expect(**full)
 
     def describe(self) -> str:
         signature = ", ".join(spec.describe() for spec in self.params)
@@ -186,12 +214,16 @@ class ScenarioRegistry:
         builder: Callable[..., Any] | None = None,
         *,
         description: str | None = None,
+        expect: "Callable[..., AnomalyKind | None] | None" = None,
     ):
         """Register ``builder`` under ``name`` (usable as a decorator).
 
-        Duplicate names raise ``ValueError`` — names are the public,
-        stable addressing scheme and silent replacement would make a
-        campaign's meaning depend on import order.
+        The description defaults to the docstring's first paragraph;
+        ``expect`` is the scenario's ground truth (see
+        :attr:`ScenarioSpec.expect`).  Duplicate names raise
+        ``ValueError`` — names are the public, stable addressing scheme
+        and silent replacement would make a campaign's meaning depend
+        on import order.
         """
 
         def add(fn: Callable[..., Any]) -> Callable[..., Any]:
@@ -199,12 +231,14 @@ class ScenarioRegistry:
                 raise ValueError(f"scenario {name!r} already registered")
             doc = description
             if doc is None:
-                doc = (inspect.getdoc(fn) or "").split("\n", 1)[0].strip()
+                paragraph = re.split(r"\n\s*\n", inspect.getdoc(fn) or "", 1)[0]
+                doc = " ".join(paragraph.split())
             self._specs[name] = ScenarioSpec(
                 name=name,
                 builder=fn,
                 params=_infer_params(fn),
                 description=doc,
+                expect=expect,
             )
             self.version += 1
             return fn
@@ -358,6 +392,12 @@ class ScenarioRef:
 
     def __call__(self, seed: int) -> Any:
         return self._registry().build(self.name, seed, dict(self.params))
+
+    def expected(self) -> "AnomalyKind | None":
+        """The anomaly kind a correct detector reports for this ref's
+        scenario at its parameters (``None``: a clean run); see
+        :meth:`ScenarioSpec.expected`."""
+        return self._registry().get(self.name).expected(dict(self.params))
 
     def with_params(self, **params: Any) -> "ScenarioRef":
         """A new ref with ``params`` overlaid on this ref's parameters."""

@@ -8,14 +8,20 @@ Every scenario here is also registered, by name, in the default
 :class:`~repro.workloads.registry.ScenarioRegistry` — the
 ``@scenario("...")`` decorators below are what make
 ``scenario_ref("philosophers", op="cyclic")`` resolvable in campaign
-worker processes, the CLI and downstream scripts.
+worker processes, the CLI and downstream scripts.  Each registration
+also states its ground truth (``expect=``): the anomaly kind a correct
+detector reports at the given parameters, or ``None`` for a clean run.
 """
 
 from __future__ import annotations
 
+from typing import Generator
+
 from repro.automata.pfa import PFA, Transition
 from repro.pcore.kernel import KernelConfig, PCoreKernel
+from repro.pcore.programs import Compute, Exit, Syscall, TaskContext, YieldCpu
 from repro.ptest.config import PTestConfig
+from repro.ptest.detector import AnomalyKind
 from repro.ptest.harness import AdaptiveTest
 from repro.workloads.barrier import make_barrier_program, setup_barrier
 from repro.workloads.philosophers import make_philosopher_program
@@ -62,7 +68,10 @@ def lifecycle_pfa(symbols: tuple[str, ...]) -> PFA:
     )
 
 
-@scenario("quicksort_stress")
+@scenario(
+    "quicksort_stress",
+    expect=lambda buggy_gc, **_: AnomalyKind.CRASH if buggy_gc else None,
+)
 def stress_case1(
     seed: int = 0,
     buggy_gc: bool = True,
@@ -110,7 +119,10 @@ def stress_case1(
     )
 
 
-@scenario("philosophers")
+@scenario(
+    "philosophers",
+    expect=lambda ordered, **_: None if ordered else AnomalyKind.DEADLOCK,
+)
 def philosophers_case2(
     seed: int = 0,
     op: str = "cyclic",
@@ -161,7 +173,7 @@ def philosophers_programs(count: int = 3, ordered: bool = False) -> dict:
     }
 
 
-@scenario("philosophers_random")
+@scenario("philosophers_random", expect=lambda **_: AnomalyKind.DEADLOCK)
 def build_philosophers_random(seed: int):
     """ConTest-style random noise on the philosophers scenario (same
     fault, unstructured interleaving)."""
@@ -173,7 +185,7 @@ def build_philosophers_random(seed: int):
     )
 
 
-@scenario("priority_inversion")
+@scenario("priority_inversion", expect=lambda **_: None)
 def priority_inversion_scenario(
     seed: int = 0,
     inheritance: bool = False,
@@ -189,8 +201,8 @@ def priority_inversion_scenario(
     boosted, releases promptly, and the high task completes ~20x
     earlier.  Use :func:`high_task_completion_tick` on the returned
     test's tracer after running to extract the metric.  The detector is
-    configured quiet here (waits are finite); the fault-catalogue's
-    ``priority_starvation`` entry covers the detection path.
+    configured quiet here (waits are finite); the
+    ``priority_starvation`` scenario covers the detection path.
     """
     from repro.workloads.priority_inversion import (
         make_high_waiter_program,
@@ -237,7 +249,10 @@ def high_task_completion_tick(test: AdaptiveTest) -> int | None:
     return None
 
 
-@scenario("producer_consumer")
+@scenario(
+    "producer_consumer",
+    expect=lambda faulty, **_: AnomalyKind.STARVATION if faulty else None,
+)
 def producer_consumer_scenario(
     seed: int = 0,
     items: int = 12,
@@ -278,7 +293,10 @@ def producer_consumer_scenario(
     )
 
 
-@scenario("barrier")
+@scenario(
+    "barrier",
+    expect=lambda faulty, **_: AnomalyKind.STARVATION if faulty else None,
+)
 def barrier_scenario(
     seed: int = 0,
     parties: int = 3,
@@ -318,7 +336,7 @@ def barrier_scenario(
     )
 
 
-@scenario("readers_writers")
+@scenario("readers_writers", expect=lambda **_: None)
 def readers_writers_scenario(
     seed: int = 0,
     readers: int = 2,
@@ -363,7 +381,7 @@ def readers_writers_scenario(
     )
 
 
-@scenario("pipeline")
+@scenario("pipeline", expect=lambda **_: None)
 def pipeline_scenario(
     seed: int = 0,
     stages: int = 2,
@@ -415,7 +433,7 @@ def pipeline_scenario(
     )
 
 
-@scenario("clean_spin")
+@scenario("clean_spin", expect=lambda **_: None)
 def clean_spin_scenario(
     seed: int = 0,
     tasks: int = 3,
@@ -450,3 +468,58 @@ def clean_spin_scenario(
         programs={"spinner": make_spin_program(total_steps, chunk=chunk)},
         pfa=lifecycle_pfa(("TC",)),
     )
+
+
+def _spin_hog_program(ctx: TaskContext) -> Generator[Syscall, object, None]:
+    """Computes forever without yielding: starves lower priorities."""
+    del ctx
+    while True:
+        yield Compute(50)
+
+
+def _polite_program(ctx: TaskContext) -> Generator[Syscall, object, None]:
+    """Computes a little, yields, exits — a well-behaved task."""
+    del ctx
+    for _ in range(40):
+        yield Compute(1)
+        yield YieldCpu()
+    yield Exit(0)
+
+
+@scenario("priority_starvation", expect=lambda **_: AnomalyKind.STARVATION)
+def priority_starvation_scenario(seed: int) -> AdaptiveTest:
+    """A high-priority task computes without yielding, so a lower
+    priority task never progresses: pair 1 (higher band = higher
+    priority) hogs the CPU and pair 0's polite task starves in READY."""
+    config = PTestConfig(
+        pattern_count=2,
+        pattern_size=1,
+        op="round_robin",
+        seed=seed,
+        program="polite",
+        pair_programs=("polite", "hog"),
+        max_ticks=10_000,
+        progress_window=400,
+        reply_timeout=20_000,
+    )
+    return AdaptiveTest(
+        config=config,
+        programs={"polite": _polite_program, "hog": _spin_hog_program},
+        pfa=lifecycle_pfa(("TC",)),
+    )
+
+
+@scenario("healthy_control", expect=lambda **_: None)
+def healthy_control_scenario(seed: int) -> AdaptiveTest:
+    """No fault: the full pCore PFA stress at moderate scale, with the
+    correct GC and polite tasks."""
+    config = PTestConfig(
+        pattern_count=4,
+        pattern_size=6,
+        op="round_robin",
+        seed=seed,
+        program="polite",
+        max_ticks=20_000,
+        kernel=KernelConfig(buggy_gc=False),
+    )
+    return AdaptiveTest(config=config, programs={"polite": _polite_program})

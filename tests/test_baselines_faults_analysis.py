@@ -1,4 +1,4 @@
-"""Tests for baselines, the fault catalogue and the analysis package."""
+"""Tests for the baselines and the analysis package."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.analysis.coverage import (
     service_pair_coverage,
 )
 from repro.analysis.metrics import (
-    detection_sweep,
     duplication_rate,
     expected_distinct_patterns,
     unique_pattern_fraction,
@@ -24,7 +23,6 @@ from repro.baselines.systematic import (
     interleavings,
     order_to_merged,
 )
-from repro.faults import FAULT_CATALOGUE, build_fault_scenario, fault_names
 from repro.ptest.config import PTestConfig
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.generator import PatternGenerator
@@ -116,28 +114,6 @@ class TestSystematic:
         assert result.executed == 2
 
 
-class TestFaultCatalogue:
-    def test_catalogue_names_unique(self):
-        names = fault_names()
-        assert len(names) == len(set(names))
-        assert "gc_leak" in names and "none" in names
-
-    def test_unknown_fault_rejected(self):
-        with pytest.raises(Exception):
-            build_fault_scenario("not_a_fault")
-
-    @pytest.mark.parametrize(
-        "spec", FAULT_CATALOGUE, ids=[s.name for s in FAULT_CATALOGUE]
-    )
-    def test_each_fault_detected_as_expected(self, spec):
-        result = spec.build(0).run()
-        if spec.expected is None:
-            assert not result.found_bug
-        else:
-            assert result.found_bug, spec.name
-            assert result.report.primary.kind is spec.expected
-
-
 class TestCoverage:
     def test_full_coverage_of_tiny_pfa(self):
         pfa = lifecycle_pfa(("TC", "TS", "TR"))
@@ -192,26 +168,6 @@ class TestMetrics:
         value = expected_distinct_patterns([0.5, 0.5], draws=100)
         assert value == pytest.approx(2.0, abs=1e-6)
         assert expected_distinct_patterns([0.5, 0.5], draws=1) == pytest.approx(1.0)
-
-    def test_detection_sweep_on_philosophers(self):
-        stats = detection_sweep(
-            lambda seed: philosophers_case2(seed=seed),
-            seeds=range(3),
-            expected=AnomalyKind.DEADLOCK,
-        )
-        assert stats.runs == 3
-        assert stats.rate == 1.0
-        assert stats.precision == 1.0
-        assert stats.mean_ticks_to_detection > 0
-
-    def test_detection_sweep_control_counts_false_positives(self):
-        stats = detection_sweep(
-            lambda seed: philosophers_case2(seed=seed, ordered=True),
-            seeds=range(2),
-            expected=None,
-        )
-        assert stats.detections == 0
-        assert stats.rate == 0.0
 
 
 class TestProfiling:

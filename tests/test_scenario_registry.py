@@ -2,20 +2,26 @@
 
 Covers the registry's typed parameter specs, ``ScenarioRef``
 round-trips (ref -> pickle -> worker-side build), batched-vs-unbatched
-campaign determinism, the result-sink streaming protocol, and the
-registered workload catalogue itself (all eight workloads runnable by
-name, ``clean_spin`` never detecting).
+campaign determinism, the result-sink streaming protocol, the
+registered workloads themselves (runnable by name, ``clean_spin``
+never detecting), and their ground truth: every built-in's
+``expect=`` against what the detector reports over eight seeds, and
+against the benchmark oracle's own verdict table.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import pickle
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.ptest.campaign import Campaign, compare_ops
+from repro.ptest.campaign import Campaign
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.workloads.registry import (
@@ -27,7 +33,7 @@ from repro.workloads.registry import (
     scenario_ref,
 )
 
-#: The eight first-class workloads the registry must always expose.
+#: The first-class workloads the registry must always expose.
 WORKLOADS = (
     "philosophers",
     "quicksort_stress",
@@ -37,6 +43,8 @@ WORKLOADS = (
     "readers_writers",
     "pipeline",
     "clean_spin",
+    "priority_starvation",
+    "healthy_control",
 )
 
 
@@ -374,35 +382,158 @@ class TestGridSweeps:
             )
 
 
-class TestCompareOps:
-    def test_registry_path_parallelises_and_scores(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            serial = compare_ops(
-                "philosophers",
-                ops=("cyclic", "burst"),
-                seeds=(0, 1),
-                expected=AnomalyKind.DEADLOCK,
-            )
-            parallel = compare_ops(
-                "philosophers",
-                ops=("cyclic", "burst"),
-                seeds=(0, 1),
-                expected=AnomalyKind.DEADLOCK,
-                workers=2,
-                batch_size=2,
-            )
-        assert serial == parallel
-        by_name = {row.variant: row for row in serial}
-        assert by_name["cyclic"].detections == 2
+def _builtins():
+    """The scenarios :mod:`repro.workloads.scenarios` registers."""
+    return [
+        spec
+        for spec in REGISTRY
+        if spec.builder.__module__ == "repro.workloads.scenarios"
+    ]
 
-    def test_legacy_callable_still_supported(self):
-        from repro.workloads.scenarios import philosophers_case2
 
-        rows = compare_ops(
-            lambda op, seed: philosophers_case2(seed=seed, op=op),
-            ops=("cyclic",),
-            seeds=(0,),
-            expected=AnomalyKind.DEADLOCK,
+class TestDescriptions:
+    def test_description_is_the_docstrings_first_paragraph(self):
+        builtins = _builtins()
+        assert len(builtins) == 11
+        for spec in builtins:
+            paragraph = inspect.getdoc(spec.builder).split("\n\n", 1)[0]
+            assert spec.description == " ".join(paragraph.split()), spec.name
+
+    def test_explicit_description_wins(self):
+        registry = ScenarioRegistry()
+
+        def build(seed):
+            """Docstring."""
+
+        registry.register("x", build, description="given")
+        assert registry.get("x").description == "given"
+
+
+#: ``(scenario, params, expected kind)`` for every built-in at its
+#: defaults and at each flip of a fault switch.
+EXPECTATIONS = (
+    ("quicksort_stress", {}, AnomalyKind.CRASH),
+    ("quicksort_stress", {"buggy_gc": False}, None),
+    ("philosophers", {}, AnomalyKind.DEADLOCK),
+    ("philosophers", {"op": "round_robin"}, AnomalyKind.DEADLOCK),
+    ("philosophers", {"ordered": True}, None),
+    ("philosophers_random", {}, AnomalyKind.DEADLOCK),
+    ("producer_consumer", {}, None),
+    ("producer_consumer", {"faulty": True}, AnomalyKind.STARVATION),
+    ("barrier", {}, None),
+    ("barrier", {"faulty": "true"}, AnomalyKind.STARVATION),
+    ("priority_starvation", {}, AnomalyKind.STARVATION),
+    ("clean_spin", {}, None),
+    ("pipeline", {}, None),
+    ("priority_inversion", {"inheritance": True}, None),
+    ("priority_inversion", {}, None),
+    ("readers_writers", {"greedy": True}, None),
+    ("readers_writers", {}, None),
+    ("healthy_control", {}, None),
+)
+
+
+class TestExpectations:
+    @pytest.mark.parametrize(
+        ("name", "params", "kind"),
+        EXPECTATIONS,
+        ids=[
+            "-".join([name, *(f"{key}={value}" for key, value in params.items())])
+            for name, params, _ in EXPECTATIONS
+        ],
+    )
+    def test_builtin_expectation(self, name, params, kind):
+        assert scenario_ref(name, **params).expected() is kind
+        assert REGISTRY.get(name).expected(params) is kind
+
+    def test_every_builtin_carries_an_expectation(self):
+        assert all(spec.expect is not None for spec in _builtins())
+
+    def test_no_expect_means_no_expectation_not_a_clean_run(self):
+        registry = ScenarioRegistry()
+        registry.register("bare", lambda seed, x=1: None)
+        registry.register("clean", lambda seed, x=1: None, expect=lambda **_: None)
+        assert registry.get("bare").expect is None
+        with pytest.raises(ConfigError, match="no expectation"):
+            registry.ref("bare").expected()
+        assert registry.ref("clean").expected() is None
+
+    def test_expect_sees_the_defaults_under_the_given_params(self):
+        seen = []
+        registry = ScenarioRegistry()
+        registry.register(
+            "s",
+            lambda seed, a=1, b="x": None,
+            expect=lambda **params: seen.append(params),
         )
-        assert rows[0].detections == 1
+        registry.ref("s", b="y").expected()
+        registry.get("s").expected()
+        assert seen == [{"a": 1, "b": "y"}, {"a": 1, "b": "x"}]
+
+
+#: Default flips that plant or remove a fault, run beside every
+#: registered scenario at its defaults.
+FLIPS = (
+    ("philosophers", {"ordered": True}),
+    ("philosophers", {"op": "random"}),
+    ("producer_consumer", {"faulty": True}),
+    ("barrier", {"faulty": True}),
+    ("quicksort_stress", {"buggy_gc": False, "max_ticks": 4_000}),
+    ("readers_writers", {"greedy": True}),
+    ("priority_inversion", {"inheritance": True}),
+)
+
+#: Detections of the expected kind over :data:`GATE_SEEDS` that each
+#: faulty case reaches today: a floor, never to fall.
+DETECTION_FLOORS = {
+    "philosophers": 8,
+    "philosophers[op=random]": 5,
+    "quicksort_stress": 8,
+    "priority_starvation": 8,
+    "producer_consumer[faulty=True]": 8,
+    "barrier[faulty=True]": 8,
+    # The random baseline carries the philosophers' deadlock and misses
+    # it on every seed: a known false negative, not a failure.
+    "philosophers_random": 0,
+}
+
+GATE_SEEDS = tuple(range(8))
+
+
+class TestGroundTruth:
+    def test_detections_agree_with_the_registry(self):
+        campaign = Campaign(seeds=GATE_SEEDS, workers=1, keep_results=False)
+        for name in scenario_names():
+            campaign.add_scenario(name, name)
+        for name, params in FLIPS:
+            label = ",".join(f"{key}={value}" for key, value in params.items())
+            campaign.add_scenario(f"{name}[{label}]", name, **params)
+        campaign.run()
+        for variant, ref in campaign.variants.items():
+            kind = ref.expected()
+            counts = campaign.kind_counts(variant)
+            if kind is None:
+                assert counts == {}, f"{variant}: false positives {counts}"
+                continue
+            wrong = {found: n for found, n in counts.items() if found != kind.value}
+            assert wrong == {}, f"{variant}: expected {kind.value}, got {wrong}"
+            hits = counts.get(kind.value, 0)
+            assert hits >= DETECTION_FLOORS[variant], (
+                f"{variant}: {hits}/{len(GATE_SEEDS)} {kind.value} detections"
+            )
+
+    def test_benchmark_verdicts_match_the_registry(self, monkeypatch):
+        # The benchmark keeps its own verdict table; load it by path
+        # (the benchmark is not a package of the library) so the two
+        # tables cannot drift apart.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+        spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+        oracle = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve their annotations through sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, oracle)
+        spec.loader.exec_module(oracle)
+        table = oracle.EXPECTED_VERDICT
+        assert len(table) == 8
+        for name, verdict in table.items():
+            kind = REGISTRY.get(name).expected()
+            assert verdict == (kind.value if kind else None), name

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ptest.campaign import Campaign, compare_ops
+from repro.ptest.campaign import Campaign
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.generator import PatternGenerator
 from repro.ptest.harness import AdaptiveTest
@@ -137,16 +137,6 @@ class TestCampaign:
         with pytest.raises(ValueError):
             campaign.add_variant("x", lambda seed: philosophers_case2(seed=seed))
 
-    def test_compare_ops_scores_expected_kind(self):
-        rows = compare_ops(
-            "philosophers",
-            ops=("cyclic", "burst"),
-            seeds=(0, 1),
-            expected=AnomalyKind.DEADLOCK,
-        )
-        by_name = {row.variant: row for row in rows}
-        assert by_name["cyclic"].detections == 2
-
     def test_campaign_scenario_variants(self):
         campaign = Campaign(seeds=(0, 1))
         campaign.add_scenario("buggy", "philosophers", op="cyclic")
@@ -157,13 +147,6 @@ class TestCampaign:
 
 
 class TestCli:
-    def test_faults_lists_catalogue(self, capsys):
-        from repro.cli import main
-
-        assert main(["faults"]) == 0
-        output = capsys.readouterr().out
-        assert "gc_leak" in output and "cyclic_lock" in output
-
     def test_philosophers_returns_failure_code_on_bug(self, capsys):
         from repro.cli import main
 
@@ -264,7 +247,12 @@ class TestCli:
             (["run", "-s", "0"], "pattern_size must be >= 1"),
             (["run", "--max-ticks", "0"], "max_ticks must be >= 1"),
             (["bench", "--quick", "--workers", "0"], "workers must be >= 1"),
-            (["sweep", "cyclic_lock", "--seeds", "-1"], "seeds must be >= 1"),
+            (["serve", "--port", "-1"], "port must be in 0-65535"),
+            (["serve", "--port", "70000"], "port must be in 0-65535"),
+            (
+                ["submit", "clean_spin", "--port", "70000"],
+                "port must be in 0-65535",
+            ),
         ],
         ids=[
             "patterns-0",
@@ -272,7 +260,9 @@ class TestCli:
             "size-0",
             "max-ticks-0",
             "bench-workers-0",
-            "sweep-seeds-negative",
+            "serve-port-negative",
+            "serve-port-70000",
+            "submit-port-70000",
         ],
     )
     def test_bad_config_flag_prints_one_line_and_exits_2(self, capsys, argv, message):
@@ -333,6 +323,71 @@ class TestCli:
         output = capsys.readouterr().out
         for name in ("philosophers", "barrier", "pipeline", "clean_spin"):
             assert name in output
+
+    def test_scenarios_show_the_expectation_at_defaults(self, capsys):
+        from repro.cli import main
+        from repro.workloads.registry import REGISTRY
+
+        assert main(["scenarios"]) == 0
+        expected, name = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith(" "):
+                name = line.split("(", 1)[0]
+            elif line.startswith("    expected at defaults: "):
+                expected[name] = line.rsplit(" ", 1)[1]
+        assert len(expected) == len(REGISTRY.names())
+        assert expected["quicksort_stress"] == "crash"
+        assert expected["philosophers"] == "deadlock"
+        assert expected["priority_starvation"] == "starvation"
+        assert expected["producer_consumer"] == "none"
+        assert expected["healthy_control"] == "none"
+
+    def test_campaign_table_shows_each_rows_expectation(self, capsys):
+        from repro.cli import main
+
+        argv = ["campaign", "producer_consumer", "-g", "faulty=false,true"]
+        assert main(argv + ["--seeds", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        column = header.index("expected")
+        expected = {
+            cells[0].strip(): cells[column].strip()
+            for cells in (line.split("|") for line in lines[3:5])
+        }
+        assert expected == {
+            "producer_consumer[faulty=false]": "none",
+            "producer_consumer[faulty=true]": "starvation",
+        }
+
+    def test_campaign_table_marks_a_scenario_without_expectation(
+        self, capsys
+    ):
+        from repro.cli import main
+        from repro.workloads.registry import REGISTRY, build_scenario
+
+        REGISTRY.register(
+            "cli_no_expectation",
+            lambda seed: build_scenario("clean_spin", seed, total_steps=40),
+        )
+        try:
+            argv = ["campaign", "cli_no_expectation", "--seeds", "1"]
+            assert main(argv) == 0
+        finally:
+            REGISTRY._specs.pop("cli_no_expectation")
+            REGISTRY.version += 1
+        lines = capsys.readouterr().out.splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        row = [cell.strip() for cell in lines[3].split("|")]
+        assert row[header.index("expected")] == "-"
+
+    @pytest.mark.parametrize("command", ["sweep", "faults"])
+    def test_removed_commands_are_unknown(self, capsys, command):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_campaign_command_with_grid(self, capsys):
         from repro.cli import main
@@ -477,17 +532,6 @@ class TestCli:
             == 2
         )
         assert "mutually exclusive" in capsys.readouterr().out
-
-    def test_sweep_unknown_fault(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "no_such_fault"]) == 2
-
-    def test_sweep_cyclic_lock(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "cyclic_lock", "--seeds", "2"]) == 0
-        assert "detected 2/2" in capsys.readouterr().out
 
     def test_campaign_shuts_shared_pool_down_by_default(self, capsys):
         from repro.cli import main
