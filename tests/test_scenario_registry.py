@@ -382,18 +382,13 @@ class TestGridSweeps:
             )
 
 
-def _builtins():
-    """The scenarios :mod:`repro.workloads.scenarios` registers."""
-    return [
-        spec
-        for spec in REGISTRY
-        if spec.builder.__module__ == "repro.workloads.scenarios"
-    ]
-
-
 class TestDescriptions:
     def test_description_is_the_docstrings_first_paragraph(self):
-        builtins = _builtins()
+        builtins = [
+            spec
+            for spec in REGISTRY
+            if spec.builder.__module__ == "repro.workloads.scenarios"
+        ]
         assert len(builtins) == 11
         for spec in builtins:
             paragraph = inspect.getdoc(spec.builder).split("\n\n", 1)[0]
@@ -445,9 +440,6 @@ class TestExpectations:
     def test_builtin_expectation(self, name, params, kind):
         assert scenario_ref(name, **params).expected() is kind
         assert REGISTRY.get(name).expected(params) is kind
-
-    def test_every_builtin_carries_an_expectation(self):
-        assert all(spec.expect is not None for spec in _builtins())
 
     def test_no_expect_means_no_expectation_not_a_clean_run(self):
         registry = ScenarioRegistry()

@@ -146,6 +146,15 @@ class TestCampaign:
         assert rows["fixed"].rate == 0.0
 
 
+def _expected_column(output: str) -> dict[str, str]:
+    """Variant -> ``expected`` cell of the campaign table in ``output``."""
+    lines = output.splitlines()
+    header = [cell.strip() for cell in lines[1].split("|")]
+    rows = [[cell.strip() for cell in line.split("|")] for line in lines[3:]]
+    column = header.index("expected")
+    return {row[0]: row[column] for row in rows if len(row) == len(header)}
+
+
 class TestCli:
     def test_philosophers_returns_failure_code_on_bug(self, capsys):
         from repro.cli import main
@@ -347,14 +356,7 @@ class TestCli:
 
         argv = ["campaign", "producer_consumer", "-g", "faulty=false,true"]
         assert main(argv + ["--seeds", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        header = [cell.strip() for cell in lines[1].split("|")]
-        column = header.index("expected")
-        expected = {
-            cells[0].strip(): cells[column].strip()
-            for cells in (line.split("|") for line in lines[3:5])
-        }
-        assert expected == {
+        assert _expected_column(capsys.readouterr().out) == {
             "producer_consumer[faulty=false]": "none",
             "producer_consumer[faulty=true]": "starvation",
         }
@@ -375,10 +377,22 @@ class TestCli:
         finally:
             REGISTRY._specs.pop("cli_no_expectation")
             REGISTRY.version += 1
-        lines = capsys.readouterr().out.splitlines()
-        header = [cell.strip() for cell in lines[1].split("|")]
-        row = [cell.strip() for cell in lines[3].split("|")]
-        assert row[header.index("expected")] == "-"
+        output = capsys.readouterr().out
+        assert _expected_column(output) == {"cli_no_expectation": "-"}
+
+    def test_campaign_table_of_a_scenario_only_a_server_knows(self, capsys):
+        # `repro submit` prints rows a server produced; a scenario
+        # registered only in the server process has no local entry.
+        from repro.cli import _print_campaign_outcome
+        from repro.ptest.campaign import CampaignRow
+        from repro.ptest.spec import CampaignSpec, RoundResult, SpecOutcome
+
+        spec = CampaignSpec(scenario="only_on_the_server", seeds=(0,))
+        row = CampaignRow("only_on_the_server", 1, 0, (), 0.0, 2.0)
+        rounds = (RoundResult(index=0, rows=(row,), detections=()),)
+        _print_campaign_outcome(spec, SpecOutcome(spec=spec, rounds=rounds))
+        output = capsys.readouterr().out
+        assert _expected_column(output) == {"only_on_the_server": "-"}
 
     @pytest.mark.parametrize("command", ["sweep", "faults"])
     def test_removed_commands_are_unknown(self, capsys, command):
