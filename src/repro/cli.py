@@ -23,8 +23,6 @@ Python:
                    each scenario's expected verdict at its defaults
 ``bench``          run the perf hot-path benchmark suite and print the
                    JSON artifact path plus headline speedups
-``stress``         test case 1 (GC crash, with --fixed-gc control)
-``philosophers``   test case 2 (deadlock, choose --op / --ordered)
 ``fig1``           the Fig. 1 example (--order good|bad)
 
 ``run``/``campaign``/``adapt`` all parse into one serializable
@@ -54,7 +52,6 @@ from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
 from repro.workloads.fig1 import run_fig1
 from repro.workloads.registry import REGISTRY
-from repro.workloads.scenarios import philosophers_case2, stress_case1
 
 
 def _print_result(result) -> int:
@@ -455,12 +452,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             # Flag form: the same campaign-shaped spec `repro campaign`
             # builds (use --spec for adapt/run submissions).
             spec = _build_spec(args, "campaign")
+        # Connects lazily: a bad --timeout is rejected here, before any
+        # socket exists.
+        client = Client(args.host, args.port, timeout=args.timeout)
     except (ReproError, ValueError) as error:
         print(error)
         return 2
     if _dump_spec(args, spec):
         return 0
-    client = Client(args.host, args.port, timeout=args.timeout)
     try:
         outcome = client.run(spec)
     except ServerError as error:
@@ -532,18 +531,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         argv.append("--quick")
     argv.extend(["--workers", str(args.workers)])
     return bench_main(argv)
-
-
-def _cmd_stress(args: argparse.Namespace) -> int:
-    test = stress_case1(seed=args.seed, buggy_gc=not args.fixed_gc)
-    return _print_result(test.run())
-
-
-def _cmd_philosophers(args: argparse.Namespace) -> int:
-    test = philosophers_case2(
-        seed=args.seed, op=args.op, ordered=args.ordered
-    )
-    return _print_result(test.run())
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
@@ -867,21 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool width for the campaign layers (default 4)",
     )
     bench_p.set_defaults(func=_cmd_bench)
-
-    stress_p = sub.add_parser("stress", help="test case 1 (GC crash)")
-    stress_p.add_argument("--seed", type=int, default=0)
-    stress_p.add_argument(
-        "--fixed-gc", action="store_true", help="run the control instead"
-    )
-    stress_p.set_defaults(func=_cmd_stress)
-
-    phil_p = sub.add_parser("philosophers", help="test case 2 (deadlock)")
-    phil_p.add_argument("--seed", type=int, default=0)
-    phil_p.add_argument("--op", choices=sorted(MERGE_OPS), default="cyclic")
-    phil_p.add_argument(
-        "--ordered", action="store_true", help="deadlock-free control"
-    )
-    phil_p.set_defaults(func=_cmd_philosophers)
 
     fig1_p = sub.add_parser("fig1", help="the Fig. 1 example")
     fig1_p.add_argument("--order", choices=("good", "bad"), default="bad")

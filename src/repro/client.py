@@ -20,12 +20,13 @@ a read that outlived ``timeout``.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, NoReturn
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import CampaignRow, DetectionSample
 from repro.ptest.executor import QuarantineReport
 from repro.ptest.spec import CampaignSpec, RoundResult, round_from_dict
@@ -114,8 +115,10 @@ class Client:
     submit`` subcommand without touching asyncio.  Connects lazily on
     first use; ``connect_timeout`` bounds how long to keep retrying the
     initial connection (covers the start-the-server-then-connect race
-    in scripts), ``timeout`` bounds each subsequent read.  Context
-    manager; one in-flight request per client instance.
+    in scripts), ``timeout`` bounds each subsequent read and must be a
+    positive, finite number of seconds (else
+    :class:`~repro.errors.ConfigError`).  Context manager; one
+    in-flight request per client instance.
     """
 
     def __init__(
@@ -126,6 +129,11 @@ class Client:
         timeout: float = 300.0,
         connect_timeout: float = 10.0,
     ):
+        if not 0 < timeout < math.inf:  # NaN compares false too
+            raise ConfigError(
+                f"timeout must be a positive, finite number of seconds, "
+                f"got {timeout}"
+            )
         self.host = host
         self.port = port
         self.timeout = timeout

@@ -19,8 +19,9 @@ the simulated OMAP platform:
 * :mod:`repro.ptest.pcore_model` — the pCore PFA of Fig. 5 with the
   paper's probabilities, and RE (2).
 * :mod:`repro.ptest.pool` — persistent, health-checked worker pools,
-  the deduped ScenarioRef-table batch wire format, and the worker-side
-  scenario/PFA/merged-pattern caches behind parallel campaign dispatch.
+  the deduped ref-table batch wire format, and the one cell path: the
+  cached scenario/PFA/merged-pattern resolution every campaign cell
+  runs through, in a worker or in-process.
 * :mod:`repro.ptest.adaptive` — multi-round adaptive campaigns on one
   warm pool: pluggable ``RefinePolicy`` (grid zoom, successive halving,
   merged-pattern replay focus) feeding detection results back into the
@@ -82,7 +83,6 @@ from repro.ptest.executor import (
     CollectSink,
     ResultSink,
     WorkCell,
-    run_cell,
 )
 from repro.ptest.pool import (
     WorkerPool,
@@ -161,7 +161,6 @@ __all__ = [
     "CollectSink",
     "ResultSink",
     "WorkCell",
-    "run_cell",
     "WorkerPool",
     "close_pool",
     "get_pool",

@@ -79,10 +79,9 @@ from repro.ptest.executor import (
     QuarantinedCell,
     QuarantineReport,
     ResultSink,
-    ScenarioBuilder,
 )
 from repro.ptest.merger import PatternMerger
-from repro.ptest.pool import WorkerPool, get_pool
+from repro.ptest.pool import Variant, WorkerPool, get_pool
 from repro.ptest.replay import ReplayRef, parse_merged_description, replay_ref
 from repro.workloads.registry import ScenarioRef, scenario_ref
 
@@ -97,7 +96,7 @@ class RoundObservation:
 
     index: int
     #: The variants this round ran, in row order.
-    variants: dict[str, ScenarioBuilder]
+    variants: dict[str, Variant]
     rows: tuple[CampaignRow, ...]
     #: Per-variant bounded sample of detecting cells (submission order).
     detections: dict[str, tuple[DetectionSample, ...]]
@@ -151,7 +150,7 @@ class RoundObservation:
 class RefinePolicy(Protocol):
     """Maps one round's observation to the next round's variants.
 
-    Return a (non-empty) ``name -> builder`` mapping to continue, or
+    Return a (non-empty) ``name -> ref`` mapping to continue, or
     ``None``/empty to stop the campaign early (converged, or nothing
     detected to steer by).  Implementations must be deterministic in
     the observation — that is what extends the campaign determinism
@@ -160,7 +159,7 @@ class RefinePolicy(Protocol):
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         """Produce the next round's variants (``None`` = stop)."""
         ...  # pragma: no cover - protocol
 
@@ -194,7 +193,7 @@ class GridZoom:
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         best = observation.best_variant()
         if best is None:
             return None
@@ -261,14 +260,14 @@ class GridZoom:
     @staticmethod
     def _refs(observation: RoundObservation) -> dict[str, ScenarioRef]:
         refs: dict[str, ScenarioRef] = {}
-        for name, builder in observation.variants.items():
-            if not isinstance(builder, ScenarioRef):
+        for name, ref in observation.variants.items():
+            if not isinstance(ref, ScenarioRef):
                 raise ConfigError(
                     f"GridZoom needs ScenarioRef variants to read "
                     f"parameters from; variant {name!r} is "
-                    f"{type(builder).__name__}"
+                    f"{type(ref).__name__}"
                 )
-            refs[name] = builder
+            refs[name] = ref
         return refs
 
     @staticmethod
@@ -301,7 +300,7 @@ class SuccessiveHalving:
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         if observation.total_detections == 0:
             return None
         rows = observation.rows
@@ -314,8 +313,8 @@ class SuccessiveHalving:
         )
         survivors = {rows[i].variant for i in ranked[:keep]}
         return {
-            name: builder
-            for name, builder in observation.variants.items()
+            name: ref
+            for name, ref in observation.variants.items()
             if name in survivors
         }
 
@@ -353,11 +352,11 @@ class ReplayFocus:
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         samples = list(observation.iter_samples())[: self.max_sources]
         if not samples:
             return None
-        refined: dict[str, ScenarioBuilder] = {}
+        refined: dict[str, Variant] = {}
         for sample_index, sample in enumerate(samples):
             base = self._base_ref(observation, sample.variant)
             sources = parse_merged_description(
@@ -388,16 +387,9 @@ class ReplayFocus:
     def _base_ref(
         observation: RoundObservation, variant: str
     ) -> ScenarioRef:
-        builder = observation.variants[variant]
-        if isinstance(builder, ReplayRef):
-            return builder.scenario  # replaying a replay: same base
-        if isinstance(builder, ScenarioRef):
-            return builder
-        raise ConfigError(
-            f"ReplayFocus needs ScenarioRef/ReplayRef variants to "
-            f"rebuild the platform from; variant {variant!r} is "
-            f"{type(builder).__name__}"
-        )
+        ref = observation.variants[variant]
+        # Replaying a replay keeps its base.
+        return ref.scenario if isinstance(ref, ReplayRef) else ref
 
 
 @dataclass
@@ -411,7 +403,7 @@ class Repeat:
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         return dict(observation.variants)
 
 
@@ -498,15 +490,18 @@ class AdaptiveCampaign:
     """Runs a campaign in policy-refined rounds on one warm pool.
 
     Seed the first round with :meth:`add_scenario` / :meth:`add_grid`
-    (or :meth:`add_variant` with any
-    :class:`~repro.ptest.executor.ScenarioBuilder`), pick a
-    :class:`RefinePolicy`, and :meth:`run`.  Execution knobs mirror
-    :class:`~repro.ptest.campaign.Campaign` — ``workers`` /
-    ``batch_size`` / ``pool`` — with one addition: the pool is acquired
-    **once**, before round 1, and every round's campaign dispatches
-    through that same :class:`~repro.ptest.pool.WorkerPool`, so rounds
-    2+ reuse warm worker processes and their scenario/PFA/merged-
-    pattern caches (``AdaptiveResult.pool_stable`` certifies it).
+    (or :meth:`add_variant` with a
+    :class:`~repro.workloads.registry.ScenarioRef` or
+    :class:`~repro.ptest.replay.ReplayRef`), pick a
+    :class:`RefinePolicy`, and :meth:`run`.  ``seeds`` is normalised to
+    a tuple at construction, so a generator feeds every round.
+    Execution knobs mirror :class:`~repro.ptest.campaign.Campaign` —
+    ``workers`` / ``batch_size`` / ``pool`` — with one addition: the
+    pool is acquired **once**, before round 1, and every round's
+    campaign dispatches through that same
+    :class:`~repro.ptest.pool.WorkerPool`, so rounds 2+ reuse warm
+    worker processes and their scenario/PFA/merged-pattern caches
+    (``AdaptiveResult.pool_stable`` certifies it).
 
     ``rounds`` caps the round count; the policy may stop earlier by
     returning no variants.  Results are identical at any ``(workers,
@@ -527,7 +522,7 @@ class AdaptiveCampaign:
     seeds: Iterable[int] = (0, 1, 2, 3, 4)
     rounds: int = 3
     policy: RefinePolicy | None = None
-    variants: dict[str, ScenarioBuilder] = field(default_factory=dict)
+    variants: dict[str, Variant] = field(default_factory=dict)
     workers: int | None = None
     batch_size: int | None = None
     pool: "WorkerPool | None" = None
@@ -556,11 +551,14 @@ class AdaptiveCampaign:
     #: observational; results cannot change.
     on_round: "Callable[[RoundObservation], None] | None" = None
 
-    def add_variant(self, name: str, builder: ScenarioBuilder) -> None:
+    def __post_init__(self) -> None:
+        self.seeds = tuple(self.seeds)
+
+    def add_variant(self, name: str, ref: Variant) -> None:
         """Register a round-1 variant under ``name``."""
         if name in self.variants:
             raise ValueError(f"variant {name!r} already registered")
-        self.variants[name] = builder
+        self.variants[name] = ref
 
     def add_scenario(self, name: str, scenario: str, **params: Any) -> None:
         """Register registry scenario ``scenario`` (with fixed
@@ -603,9 +601,6 @@ class AdaptiveCampaign:
             # One shared pool for every round — acquired here, not per
             # round, so refinement never leaves the warm workers.
             pool = get_pool(self.workers)
-        # Normalised once: a generator-valued ``seeds`` would otherwise
-        # be exhausted by round 1 and leave rounds 2+ with zero cells.
-        seeds = tuple(self.seeds)
         if self.resume and self.checkpoint is None:
             raise ConfigError("resume=True needs a checkpoint path")
         store: CampaignCheckpoint | None = None
@@ -613,9 +608,9 @@ class AdaptiveCampaign:
         if self.checkpoint is not None:
             store = CampaignCheckpoint(self.checkpoint)
             fingerprint = campaign_fingerprint(
-                seeds, self.variants, policy, self.capture_per_variant
+                self.seeds, self.variants, policy, self.capture_per_variant
             )
-        current: dict[str, ScenarioBuilder] = dict(self.variants)
+        current: dict[str, Variant] = dict(self.variants)
         observations: list[RoundObservation] = []
         stopped_early = False
         resumed_rounds = 0
@@ -646,7 +641,7 @@ class AdaptiveCampaign:
             if stopped_early:
                 break
             campaign = Campaign(
-                seeds=seeds,
+                seeds=self.seeds,
                 workers=self.workers,
                 batch_size=self.batch_size,
                 pool=pool,

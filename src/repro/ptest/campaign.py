@@ -6,11 +6,12 @@ produces summary rows — the machinery behind the comparison benches,
 exposed as a public API so downstream users can script their own
 studies.
 
-Variants are either raw builders (``builder(seed) -> AdaptiveTest``)
-or, preferably, :class:`~repro.workloads.registry.ScenarioRef` values
-added via :meth:`Campaign.add_scenario` /
-:meth:`Campaign.add_grid` — refs are picklable by construction, so a
-ref-only campaign always qualifies for process-pool dispatch.
+Variants are :class:`~repro.workloads.registry.ScenarioRef` values
+naming default-registry scenarios — added via
+:meth:`Campaign.add_scenario` / :meth:`Campaign.add_grid` — or
+merged-pattern :class:`~repro.ptest.replay.ReplayRef` cells over one.
+A scenario built by a lambda or closure takes part by being registered
+with :func:`~repro.workloads.registry.scenario` and added by name.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from repro.ptest.executor import (
     CellExecutor,
     QuarantineReport,
     ResultSink,
-    ScenarioBuilder,
     WorkCell,
 )
 from repro.ptest.harness import TestRunResult
-from repro.ptest.pool import WorkerPool
+from repro.ptest.pool import Variant, WorkerPool
 from repro.workloads.registry import ScenarioRef, scenario_ref
 
 
@@ -48,13 +48,17 @@ def grid_variants(
     behind :meth:`Campaign.add_grid` and the adaptive campaign's
     round-refinement policies (``GridZoom`` re-invokes it every round
     on a narrowed grid), so variant naming stays identical wherever a
-    grid is built.
+    grid is built.  An axis with no values raises
+    :class:`~repro.errors.ConfigError` (it would expand to no variant).
     """
     overlap = sorted(set(param_grid) & set(fixed))
     if overlap:
         raise ConfigError(
             f"parameters {overlap} appear both fixed and in the grid"
         )
+    for key, values in param_grid.items():
+        if not values:
+            raise ConfigError(f"grid parameter {key!r} has no values to sweep")
     keys = list(param_grid)
     variants: dict[str, ScenarioRef] = {}
     for combo in itertools.product(*(param_grid[key] for key in keys)):
@@ -209,11 +213,12 @@ class Campaign:
     aggregated in submission order, so the summary rows are identical
     at any ``(workers, batch_size)``, warm or cold.
 
-    Prefer :meth:`add_scenario` / :meth:`add_grid` (registry-backed
-    :class:`~repro.workloads.registry.ScenarioRef` variants, always
-    parallelisable) over :meth:`add_variant` with a raw callable —
-    callables that cannot be pickled force the serial path with a
-    :class:`RuntimeWarning`.
+    Variants are refs (:meth:`add_scenario` / :meth:`add_grid`, or
+    :meth:`add_variant` with a ``ScenarioRef``/``ReplayRef``); ``run``
+    rejects any other variant with a
+    :class:`~repro.errors.ConfigError` before a cell runs.  ``seeds``
+    is normalised to a tuple at construction, so a generator runs
+    every variant over every seed, on every :meth:`run`.
 
     ``keep_results=False`` drops per-run :class:`TestRunResult` objects
     after they are folded into the row accumulators, so huge sweeps run
@@ -221,7 +226,7 @@ class Campaign:
     """
 
     seeds: Iterable[int] = (0, 1, 2, 3, 4)
-    variants: dict[str, ScenarioBuilder] = field(default_factory=dict)
+    variants: dict[str, Variant] = field(default_factory=dict)
     results: dict[str, list[TestRunResult]] = field(default_factory=dict)
     workers: int | None = None
     batch_size: int | None = None
@@ -254,11 +259,14 @@ class Campaign:
         default_factory=dict, repr=False, init=False
     )
 
-    def add_variant(self, name: str, builder: ScenarioBuilder) -> None:
-        """Register a variant under ``name`` (builder or ScenarioRef)."""
+    def __post_init__(self) -> None:
+        self.seeds = tuple(self.seeds)
+
+    def add_variant(self, name: str, ref: Variant) -> None:
+        """Register a variant under ``name`` (a ScenarioRef or ReplayRef)."""
         if name in self.variants:
             raise ValueError(f"variant {name!r} already registered")
-        self.variants[name] = builder
+        self.variants[name] = ref
 
     def add_scenario(self, name: str, scenario: str, **params: Any) -> None:
         """Register registry scenario ``scenario`` (with fixed

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import ChaosInjectedError, ConfigError
 
 if TYPE_CHECKING:
-    from repro.ptest.executor import ScenarioBuilder
+    from repro.ptest.pool import Variant
     from repro.ptest.harness import TestRunResult
 
 #: Exit status used for injected worker kills — distinct from the 1 a
@@ -152,12 +152,10 @@ def transient_decisions(
     return kill, hang, delay
 
 
-def _poison_kind(
-    spec: ChaosSpec, builder: "ScenarioBuilder", seed: int
-) -> str | None:
-    """Which poison (if any) spec plants in cell ``(builder, seed)``."""
+def _poison_kind(spec: ChaosSpec, ref: "Variant", seed: int) -> str | None:
+    """Which poison (if any) spec plants in cell ``(ref, seed)``."""
     if spec.poison_scenario is not None:
-        if getattr(builder, "name", None) != spec.poison_scenario:
+        if getattr(ref, "name", None) != spec.poison_scenario:
             return None
     if seed in spec.kill_seeds:
         return "kill"
@@ -171,7 +169,7 @@ def _poison_kind(
 def run_chaos_batch(
     spec: ChaosSpec,
     attempt: int,
-    table: Sequence["ScenarioBuilder"],
+    table: Sequence["Variant"],
     jobs: Sequence[tuple[int, int]],
 ) -> list["TestRunResult"]:
     """Worker-side entry point: inject, then run the batch normally.

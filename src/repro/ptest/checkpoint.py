@@ -41,7 +41,7 @@ from repro.errors import CheckpointError
 
 if TYPE_CHECKING:
     from repro.ptest.adaptive import RefinePolicy, RoundObservation
-    from repro.ptest.executor import ScenarioBuilder
+    from repro.ptest.pool import Variant
 
 #: Bumped whenever the payload layout changes; a mismatch on load is a
 #: :class:`~repro.errors.CheckpointError`, never a silent misread.
@@ -66,7 +66,7 @@ def _policy_signature(policy: "RefinePolicy") -> str:
 
 def campaign_fingerprint(
     seeds: Iterable[int],
-    variants: Mapping[str, "ScenarioBuilder"],
+    variants: Mapping[str, "Variant"],
     policy: "RefinePolicy",
     capture_per_variant: int,
 ) -> str:
@@ -97,12 +97,15 @@ class CampaignCheckpoint:
     "finished"}`` — pickled because observations carry
     :class:`~repro.workloads.registry.ScenarioRef` /
     :class:`~repro.ptest.replay.ReplayRef` variants (the same values
-    the worker-pool wire format ships).  Variants that cannot pickle
-    cannot checkpoint, exactly as they cannot parallelise; the save
-    raises :class:`~repro.errors.CheckpointError` naming the problem
-    up front.  Other keys are ignored on load: checkpoints written
-    while adaptive campaigns still pre-warmed their pools carry that
-    counter too, and resume unchanged.
+    the worker-pool wire format ships).  A ref whose parameter values
+    cannot pickle cannot checkpoint, exactly as it cannot ride a pool
+    batch; the save raises :class:`~repro.errors.CheckpointError`
+    naming the problem up front.  Other keys are ignored on load:
+    checkpoints written while adaptive campaigns still pre-warmed their
+    pools carry that counter too, and resume unchanged, as do refs
+    pickled while they still carried a ``registry`` field (always
+    ``None`` for a campaign variant, and never part of equality or the
+    fingerprint).
     """
 
     def __init__(self, path: str | Path):
@@ -169,8 +172,8 @@ class CampaignCheckpoint:
         except Exception as error:
             raise CheckpointError(
                 f"campaign state cannot be pickled for checkpointing "
-                f"({type(error).__name__}: {error}); use ScenarioRef "
-                "variants"
+                f"({type(error).__name__}: {error}); scenario "
+                "parameters must be picklable"
             ) from error
         directory = self.path.parent
         try:

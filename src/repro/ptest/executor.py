@@ -5,22 +5,22 @@ which builds and runs one :class:`~repro.ptest.harness.AdaptiveTest`.
 Cells share no state — every run seeds its own RNG streams from the
 cell's seed — so they parallelise embarrassingly.
 
-:class:`CellExecutor` dispatches cells either in-process (``workers=1``,
-the deterministic serial fallback) or across a persistent
-:class:`~repro.ptest.pool.WorkerPool`.  Four properties define the
-execution model:
+:class:`CellExecutor` dispatches cells either in-process (``workers=1``)
+or across a persistent :class:`~repro.ptest.pool.WorkerPool`.  Four
+properties define the execution model:
 
-* **Portable variants.**  The preferred variant payload is a
+* **One cell path.**  A variant is a
   :class:`~repro.workloads.registry.ScenarioRef` — a picklable
-  ``(name, params)`` value that resolves its builder through the
-  scenario registry *inside the worker process*, so any scenario
-  (lambda-built, closure-built, whatever) parallelises.  Merged-pattern
-  replay cells (:class:`~repro.ptest.replay.ReplayRef`: a base ref plus
-  a rendered interleaving, what adaptive campaigns' ``ReplayFocus``
-  rounds are made of) are equally portable and dispatch identically.
-  Raw callables are still accepted; ones that cannot be pickled degrade
-  to the serial path with a :class:`RuntimeWarning` (detected up front
-  with a pickle probe, never mid-campaign).
+  ``(name, params)`` value naming a default-registry scenario — or a
+  merged-pattern replay cell over one
+  (:class:`~repro.ptest.replay.ReplayRef`, what adaptive campaigns'
+  ``ReplayFocus`` rounds are made of).  :meth:`CellExecutor.run_cells`
+  rejects anything else with a :class:`~repro.errors.ConfigError`
+  before any cell runs, at any worker count.  Every cell, in a pool
+  worker or in-process, is built and run by
+  :func:`~repro.ptest.pool._run_cached`; the serial path gives it a
+  scenario cache that lives for one :meth:`~CellExecutor.run_cells`
+  call.
 * **Warm pools.**  Parallel runs submit to a
   :class:`~repro.ptest.pool.WorkerPool` — either one passed explicitly
   (``pool=``) or the process-wide shared pool for the requested worker
@@ -34,11 +34,10 @@ execution model:
 * **Batching.**  Cells are grouped into per-worker batches
   (``batch_size``; ``None`` picks a heuristic from the cell count and
   worker count), amortising pickle/submission overhead that dominates
-  sub-10ms cells.  On the wire a batch is a deduped *ScenarioRef
-  table* — each distinct builder pickled once plus compact
-  ``(table_index, seed)`` rows (see :mod:`repro.ptest.pool`).
-  Batching never changes results — only how cells are packed into pool
-  submissions.
+  sub-10ms cells.  On the wire a batch is a deduped *ref table* — each
+  distinct ref pickled once plus compact ``(table_index, seed)`` rows
+  (see :mod:`repro.ptest.pool`).  Batching never changes results —
+  only how cells are packed into pool submissions.
 * **Streaming sinks.**  Pass a :class:`ResultSink` and each
   ``(cell, result)`` pair is delivered as soon as it is available — in
   *submission order*, never completion order, so downstream
@@ -80,8 +79,6 @@ identically to the parallel path.
 from __future__ import annotations
 
 import math
-import pickle
-import warnings
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
@@ -89,7 +86,6 @@ from dataclasses import dataclass, field
 from threading import TIMEOUT_MAX
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Mapping,
     Protocol,
     Sequence,
@@ -98,14 +94,19 @@ from typing import (
 
 from repro.errors import ConfigError, WatchdogTimeout
 from repro.ptest.chaos import ChaosSpec, run_chaos_batch
-from repro.ptest.pool import WorkerPool, get_pool, make_batch_table, run_table_batch
+from repro.ptest.pool import (
+    Variant,
+    WorkerPool,
+    _run_cached,
+    get_pool,
+    make_batch_table,
+    run_table_batch,
+)
+from repro.ptest.replay import ReplayRef
+from repro.workloads.registry import ScenarioRef
 
-if TYPE_CHECKING:  # circular at runtime: harness -> detector -> ...
-    from repro.ptest.harness import AdaptiveTest, TestRunResult
-
-#: Anything callable as ``builder(seed)`` yielding an object with a
-#: ``.run() -> TestRunResult`` method.  ScenarioRef satisfies this.
-ScenarioBuilder = Callable[[int], "AdaptiveTest"]
+if TYPE_CHECKING:
+    from repro.ptest.harness import TestRunResult
 
 #: Upper bound the batch-size heuristic will pick on its own; explicit
 #: ``batch_size`` values may exceed it.
@@ -143,19 +144,6 @@ class CollectSink:
     def accept(self, cell: WorkCell, result: "TestRunResult") -> None:
         self.cells.append(cell)
         self.results.append(result)
-
-
-def run_cell(builder: ScenarioBuilder, seed: int) -> "TestRunResult":
-    """Build and run one cell (module-level so it pickles to workers)."""
-    return builder(seed).run()
-
-
-def _picklable(value: object) -> bool:
-    try:
-        pickle.dumps(value)
-    except Exception:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -302,11 +290,10 @@ class CellExecutor:
         worker kills / hangs / delays at the pool boundary (testing
         and benchmarking only).  Never applied on the serial path.
 
-    After :meth:`run_cells` returns, ``ran_parallel`` records which
-    path executed — ``False`` plus a :class:`RuntimeWarning` when
-    parallelism was requested but a builder could not be pickled — and
-    ``last_batch_size`` / ``batches_submitted`` / ``last_pool_id``
-    record how the cells were packed and which pool ran them.  With
+    After :meth:`run_cells` returns, ``last_batch_size`` /
+    ``batches_submitted`` / ``last_pool_id`` record how the cells were
+    packed and which pool ran them (a serial run leaves them ``None``,
+    ``0`` and ``None``).  With
     ``quarantine=True``, ``last_quarantine`` carries the
     :class:`QuarantineReport`; ``timeouts_detected`` counts watchdog
     expiries observed (either mode).
@@ -318,8 +305,6 @@ class CellExecutor:
     cell_timeout: float | None = None
     quarantine: bool = False
     chaos: "ChaosSpec | None" = None
-    #: Which path the last :meth:`run_cells` took (None before any run).
-    ran_parallel: bool | None = None
     #: Effective batch size of the last parallel run (None = serial).
     last_batch_size: int | None = None
     #: Pool submissions made by the last parallel run.
@@ -336,13 +321,19 @@ class CellExecutor:
 
     def run_cells(
         self,
-        builders: Mapping[str, ScenarioBuilder],
+        variants: Mapping[str, Variant],
         cells: Sequence[WorkCell],
         *,
         batch_size: int | None = None,
         sink: ResultSink | None = None,
     ) -> list["TestRunResult"] | None:
         """Execute ``cells``; results align with ``cells`` by position.
+
+        Every variant must be a
+        :class:`~repro.workloads.registry.ScenarioRef` or a
+        :class:`~repro.ptest.replay.ReplayRef`; anything else raises
+        :class:`~repro.errors.ConfigError` naming it before any cell
+        runs.
 
         With ``sink`` given, every ``(cell, result)`` pair is instead
         *streamed* to it in submission order as execution proceeds and
@@ -356,8 +347,15 @@ class CellExecutor:
         accounting lands on ``last_quarantine``.
         """
         for cell in cells:
-            if cell.variant not in builders:
+            if cell.variant not in variants:
                 raise KeyError(f"no builder for variant {cell.variant!r}")
+        for name, ref in variants.items():
+            if not isinstance(ref, (ScenarioRef, ReplayRef)):
+                raise ConfigError(
+                    f"variant {name!r} is a {type(ref).__name__}, not a "
+                    "ScenarioRef or ReplayRef; register its builder with "
+                    "@scenario and add it by name"
+                )
         requested = batch_size if batch_size is not None else self.batch_size
         if requested is not None and requested < 1:
             # Reject on every path, not just when the pool would run.
@@ -386,24 +384,20 @@ class CellExecutor:
                 self.pool.workers if self.pool is not None else 1
             )
         if effective_workers > 1 and len(cells) > 1:
-            if self._portable(builders):
-                self.ran_parallel = True
-                return self._run_parallel(
-                    builders,
-                    cells,
-                    workers=effective_workers,
-                    batch_size=batch_size,
-                    sink=sink,
-                )
-            warnings.warn(
-                f"parallel dispatch over {effective_workers} workers "
-                "requested but a scenario builder cannot be pickled "
-                "(lambda/closure?); register it and pass a ScenarioRef "
-                "to parallelise — running cells serially",
-                RuntimeWarning,
-                stacklevel=2,
+            return self._run_parallel(
+                variants,
+                cells,
+                workers=effective_workers,
+                batch_size=batch_size,
+                sink=sink,
             )
-        self.ran_parallel = False
+        # A scenario cache per call, not the module's _WORKER_CACHE:
+        # `repro serve` runs serial requests on several threads and
+        # forks pool workers from them, so a shared cache would need a
+        # lock that a forked worker could inherit while it is held, and
+        # its entries would outlive a registry re-registration that the
+        # pool handles by respawning.
+        cache: dict = {}
         results = None if sink is not None else []
         quarantined: list[QuarantinedCell] = []
         for cell in cells:
@@ -413,7 +407,9 @@ class CellExecutor:
                 # it and keep going.  Hangs and worker kills have no
                 # serial counterpart (nothing to pre-empt or respawn).
                 try:
-                    result = run_cell(builders[cell.variant], cell.seed)
+                    result = _run_cached(
+                        variants[cell.variant], cell.seed, cache
+                    )
                 except Exception as error:
                     quarantined.append(
                         QuarantinedCell(
@@ -427,7 +423,7 @@ class CellExecutor:
                         results.append(None)
                     continue
             else:
-                result = run_cell(builders[cell.variant], cell.seed)
+                result = _run_cached(variants[cell.variant], cell.seed, cache)
             if sink is not None:
                 sink.accept(cell, result)
             else:
@@ -439,10 +435,6 @@ class CellExecutor:
                 completed=len(cells) - len(quarantined),
             )
         return results
-
-    def _portable(self, builders: Mapping[str, ScenarioBuilder]) -> bool:
-        """Whether every builder can be shipped to a worker process."""
-        return all(_picklable(builder) for builder in builders.values())
 
     def _resolve_batch_size(
         self, cell_count: int, batch_size: int | None, workers: int | None = None
@@ -470,7 +462,7 @@ class CellExecutor:
 
     def _run_parallel(
         self,
-        builders: Mapping[str, ScenarioBuilder],
+        variants: Mapping[str, Variant],
         cells: Sequence[WorkCell],
         *,
         workers: int,
@@ -515,13 +507,13 @@ class CellExecutor:
         def submit(
             batch: list[WorkCell], attempt: int = 0
         ) -> tuple["Future", int | None]:
-            # The wire format: each distinct builder once, then compact
+            # The wire format: each distinct ref once, then compact
             # (table_index, seed) rows — N same-variant cells pickle
-            # their ScenarioRef a single time.  The pool id tagged at
+            # their ref a single time.  The pool id tagged at
             # submission names the future's executor generation, so a
             # later break notification cannot tear down a fresh pool.
             table, jobs = make_batch_table(
-                [builders[cell.variant] for cell in batch],
+                [variants[cell.variant] for cell in batch],
                 [cell.seed for cell in batch],
             )
             if self.chaos is not None:

@@ -109,7 +109,7 @@ class PatternGenerator:
         the exact Fig. 5 automaton).
 
         Accepts a prebuilt :class:`CompiledPFA` too, so callers that
-        cache one compilation across many generators (the worker-side
+        cache one compilation across many generators (the scenario
         caches of :mod:`repro.ptest.pool`) skip the per-run
         recompilation; seeded output is identical either way.
         """

@@ -169,7 +169,7 @@ class AdaptiveTest:
         """The automaton the generator will walk, ``None`` for the regex
         pipeline.
 
-        This is the substitution point the worker-side cache of
+        This is the substitution point the scenario cache of
         :mod:`repro.ptest.pool` uses: it reads the PFA a freshly-built
         test would construct, compiles it once per ``ScenarioRef`` cache
         key, and assigns the compiled form back to ``self.pfa`` so every

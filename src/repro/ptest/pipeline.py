@@ -81,7 +81,7 @@ from typing import (
 
 from repro.errors import ConfigError
 from repro.ptest.adaptive import POLICIES, RefinePolicy, RoundObservation
-from repro.ptest.executor import ScenarioBuilder
+from repro.ptest.pool import Variant
 
 
 @runtime_checkable
@@ -266,7 +266,7 @@ class PolicyPipeline:
 
     def refine(
         self, observation: RoundObservation
-    ) -> Mapping[str, ScenarioBuilder] | None:
+    ) -> Mapping[str, Variant] | None:
         """Consume one round's observation; emit the next round's
         variants (``None`` ends the campaign: schedule exhausted)."""
         if observation.index == 0 or observation.index != self._next_round:

@@ -1,4 +1,5 @@
-"""Persistent worker pools and the ScenarioRef-table batch format.
+"""Persistent worker pools, the ref-table batch format, and the one
+function that turns a ref and a seed into a run.
 
 Before this subsystem existed every :meth:`CellExecutor.run_cells` call
 constructed (and tore down) its own ``ProcessPoolExecutor`` and shipped
@@ -18,28 +19,28 @@ it:
   module-level :func:`shutdown_pools` which also runs at interpreter
   exit.
 
-* **ScenarioRef batch tables.**  A batch crosses the process boundary
-  as ``(builders, jobs)`` where ``builders`` lists each *distinct*
-  builder once and ``jobs`` is a compact ``(builder_index, seed)``
-  table — N seeds of one variant pickle its
-  :class:`~repro.workloads.registry.ScenarioRef` once, not N times.
-  :func:`run_table_batch` is the worker-side entry point.
+* **Ref batch tables.**  A batch crosses the process boundary as
+  ``(table, jobs)`` where ``table`` lists each *distinct* ref once and
+  ``jobs`` is a compact ``(table_index, seed)`` table — N seeds of one
+  variant pickle its :class:`~repro.workloads.registry.ScenarioRef`
+  once, not N times.  :func:`run_table_batch` is the worker-side entry
+  point.
 
-* **Worker-side caches.**  Inside each worker process,
-  :func:`run_table_batch` memoizes per
-  :attr:`~repro.workloads.registry.ScenarioRef.cache_key` — i.e. per
+* **Scenario caches.**  :func:`_run_cached` is the only code that turns
+  a ref and a seed into a run, in a pool worker and at ``workers=1``
+  alike.  It memoizes per ref :attr:`cache_key` — i.e. per
   ``(scenario_name, sorted_params)`` — the resolved registry builder
   with its validated parameters, and the
   :class:`~repro.automata.compiled.CompiledPFA` of the scenario's
   pattern automaton.  N seeds of the same variant therefore pay
   registry resolution, parameter validation and PFA compilation once
-  per worker instead of N times.  A worker fills an entry in one place
-  only: the first cell of its key inside :func:`run_table_batch`.  The
-  cache never changes results: the compiled automaton is only
-  substituted after an equality check against the PFA the fresh test
-  actually built (a builder whose PFA varied — by seed, say — would
-  simply recompile), and compiled sampling is bit-identical to the
-  uncompiled walk by construction.
+  per cache instead of N times.  A pool worker keeps one cache for its
+  lifetime (:data:`_WORKER_CACHE`); the serial path passes a fresh dict
+  per ``run_cells`` call.  The cache never changes results: the
+  compiled automaton is only substituted after an equality check
+  against the PFA the fresh test actually built (a builder whose PFA
+  varied — by seed, say — would simply recompile), and compiled
+  sampling is bit-identical to the uncompiled walk by construction.
 
   Merged-pattern replay cells (:class:`~repro.ptest.replay.ReplayRef`,
   what the adaptive campaign's ``ReplayFocus`` policy emits) ride the
@@ -47,7 +48,7 @@ it:
   identical machinery and the parsed
   :class:`~repro.ptest.patterns.MergedPattern` is memoized per
   ``ReplayRef.cache_key``, so N replay seeds of one recorded
-  interleaving parse its description once per worker.  The parsed
+  interleaving parse its description once per cache.  The parsed
   pattern is read-only to the harness (the committer keeps its own
   cursor), so sharing one instance across runs cannot change results.
 
@@ -69,10 +70,15 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.ptest.harness import AdaptiveTest
+from repro.ptest.replay import ReplayRef
+from repro.workloads.registry import REGISTRY, ScenarioRef
 
 if TYPE_CHECKING:
-    from repro.ptest.executor import ScenarioBuilder
     from repro.ptest.harness import TestRunResult
+
+#: A campaign variant: a registry scenario, or a recorded interleaving
+#: replayed over one.
+Variant = ScenarioRef | ReplayRef
 
 #: Monotonic id source for pool spawns (process-local); lets callers
 #: observe "same warm pool" vs "respawned" without poking internals.
@@ -148,8 +154,6 @@ class WorkerPool:
         # used — relies on the ``fork`` start method copying the parent
         # registry; under ``spawn``/``forkserver`` only module-level
         # ``@scenario`` registrations reach workers, fresh or not.
-        from repro.workloads.registry import REGISTRY
-
         if (
             self._executor is not None
             and self._registry_version != REGISTRY.version
@@ -391,71 +395,50 @@ def shutdown_pools(wait: bool = True) -> None:
 atexit.register(shutdown_pools)
 
 
-# -- the ScenarioRef-table batch format ---------------------------------------
+# -- the ref-table batch format -----------------------------------------------
 
 
 def make_batch_table(
-    builders: Sequence["ScenarioBuilder"], seeds: Sequence[int]
-) -> tuple[tuple["ScenarioBuilder", ...], tuple[tuple[int, int], ...]]:
-    """Pack parallel ``builders``/``seeds`` into a deduped batch table.
+    refs: Sequence[Variant], seeds: Sequence[int]
+) -> tuple[tuple[Variant, ...], tuple[tuple[int, int], ...]]:
+    """Pack parallel ``refs``/``seeds`` into a deduped batch table.
 
-    Returns ``(table, jobs)`` where ``table`` holds each distinct
-    builder once (value-deduped when hashable — equal ``ScenarioRef``\\ s
-    collapse — with an identity fallback for unhashable callables) and
-    ``jobs`` is the ``(table_index, seed)`` row per cell, in cell order.
+    Returns ``(table, jobs)`` where ``table`` holds each distinct ref
+    once (equal refs collapse) and ``jobs`` is the ``(table_index,
+    seed)`` row per cell, in cell order.
 
-    Refs compare equal by ``(name, sorted(params))`` alone, but a ref
-    *bound* to a custom registry resolves through that registry, not
-    the default one — so the dedupe key also carries the bound
-    registry's identity, and a bound ref never collapses into an
-    equal-looking ref that would build a different scenario.
-
-    Table entries that present a ``cache_key`` (scenario refs, replay
-    refs) are probed for picklability as they enter the table: a ref
-    carrying an unpicklable payload — a hashable-but-unpicklable
-    parameter value, say — raises :class:`~repro.errors.ConfigError`
-    naming the offender here, instead of an opaque pickle crash deep
-    inside the pool submission machinery.  (Raw callables keep their
-    existing contract: the executor's up-front portability probe routes
-    unpicklable ones to the serial path before any table is built.)
+    Each table entry is probed for picklability as it enters the
+    table: a ref carrying an unpicklable payload — a hashable but
+    unpicklable parameter value, say — raises
+    :class:`~repro.errors.ConfigError` naming the offender here,
+    instead of an opaque pickle crash deep inside the pool submission
+    machinery.
     """
-    if len(builders) != len(seeds):
+    if len(refs) != len(seeds):
         raise ValueError(
-            f"builders and seeds must align cell-for-cell: "
-            f"got {len(builders)} builders, {len(seeds)} seeds"
+            f"refs and seeds must align cell-for-cell: "
+            f"got {len(refs)} refs, {len(seeds)} seeds"
         )
-    table: list["ScenarioBuilder"] = []
-    index: dict[Any, int] = {}
+    table: list[Variant] = []
+    index: dict[Variant, int] = {}
     jobs: list[tuple[int, int]] = []
-    for builder, seed in zip(builders, seeds):
-        bound = getattr(builder, "registry", None)
-        key = builder if bound is None else (id(bound), builder)
-        try:
-            position = index.get(key)
-        except TypeError:  # unhashable builder: ship it undeduped
-            position = None
+    for ref, seed in zip(refs, seeds):
+        position = index.get(ref)
         if position is None:
-            position = len(table)
-            if hasattr(builder, "cache_key"):
-                _check_ref_payload(builder)
-            table.append(builder)
-            try:
-                index[key] = position
-            except TypeError:
-                pass
+            position = index[ref] = len(table)
+            _check_ref_payload(ref)
+            table.append(ref)
         jobs.append((position, seed))
     return tuple(table), tuple(jobs)
 
 
-def _check_ref_payload(builder: Any) -> None:
-    """Reject a ref-like table entry whose payload cannot be pickled.
+def _check_ref_payload(ref: Variant) -> None:
+    """Reject a table entry whose payload cannot be pickled.
 
     Ref construction validates hashability only — a value can be
-    hashable yet unpicklable (a closure-held object, a binding to a
-    registry of lambdas).  The executor's up-front portability probe
-    shields its own dispatch path by degrading to serial, but anyone
-    driving :func:`make_batch_table`/:func:`run_table_batch` directly
-    (benches, embedders, future dispatchers) used to get a raw
+    hashable yet unpicklable (a closure-held object, say).  Anyone
+    driving :func:`make_batch_table`/:func:`run_table_batch` (the
+    executor, benches, embedders) would otherwise get a raw
     ``PicklingError`` from inside ``ProcessPoolExecutor.submit``; the
     table is the one place every batch passes through, so the explicit
     error lives here.  Probed once per *distinct* table entry — deduped
@@ -463,20 +446,19 @@ def _check_ref_payload(builder: Any) -> None:
     it predicts.
     """
     try:
-        pickle.dumps(builder)
+        pickle.dumps(ref)
     except Exception as error:
-        describe = getattr(builder, "describe", None)
-        label = describe() if callable(describe) else repr(builder)
         raise ConfigError(
-            f"batch-table entry {label} cannot be pickled to worker "
-            f"processes ({type(error).__name__}: {error}); ScenarioRef/"
-            "ReplayRef payloads must be picklable to ride the batch "
-            "wire format — run with workers=1 to keep it in-process"
+            f"batch-table entry {ref.describe()} cannot be pickled to "
+            f"worker processes ({type(error).__name__}: {error}); "
+            "ScenarioRef/ReplayRef payloads must be picklable to ride "
+            "the batch wire format — run with workers=1 to keep it "
+            "in-process"
         ) from error
 
 
 def run_table_batch(
-    table: Sequence["ScenarioBuilder"],
+    table: Sequence[Variant],
     jobs: Sequence[tuple[int, int]],
     # Ignored; perfbench/traced.py passes them (drop at re-cut).
     batch_sampling: bool | None = None,
@@ -484,30 +466,16 @@ def run_table_batch(
 ) -> list["TestRunResult"]:
     """Worker-side entry point: run one batch table's jobs, in order.
 
-    Module-level so it pickles to workers.  Builders that are portable
-    (default-registry) ``ScenarioRef``\\ s run through the worker cache —
-    resolution, parameter validation and PFA compilation are memoized
-    per :attr:`~repro.workloads.registry.ScenarioRef.cache_key` for the
-    life of the worker process.  Portable
-    :class:`~repro.ptest.replay.ReplayRef` replay cells likewise: their
-    base scenario resolves through the same cache and the parsed merged
-    pattern is memoized per replay key.  Everything else (raw
-    callables, refs bound to a custom registry) runs uncached exactly
-    as before.
+    Module-level so it pickles to workers.  Every job runs through
+    :func:`_run_cached` with this process's :data:`_WORKER_CACHE`, so
+    resolution, parameter validation, PFA compilation and (for
+    :class:`~repro.ptest.replay.ReplayRef` cells) merged-pattern
+    parsing are memoized per ref for the life of the worker process.
     """
-    from repro.ptest.replay import ReplayRef
-    from repro.workloads.registry import ScenarioRef
-
-    results = []
-    for position, seed in jobs:
-        builder = table[position]
-        if (isinstance(builder, ScenarioRef) and builder.registry is None) or (
-            isinstance(builder, ReplayRef) and builder.portable
-        ):
-            results.append(_run_cached(builder, seed))
-        else:
-            results.append(builder(seed).run())
-    return results
+    return [
+        _run_cached(table[position], seed, _WORKER_CACHE)
+        for position, seed in jobs
+    ]
 
 
 @dataclass
@@ -525,9 +493,10 @@ class _CacheEntry:
 
 
 #: Per-process memoization of resolved scenarios, keyed by
-#: ``ScenarioRef.cache_key``.  Its lifetime is the process's; pool
-#: workers run :func:`clear_worker_cache` as their initializer, so
-#: they always start cold even when forked from a parent that called
+#: ``ScenarioRef.cache_key``: the cache :func:`run_table_batch` runs
+#: through.  Its lifetime is the process's; pool workers run
+#: :func:`clear_worker_cache` as their initializer, so they always
+#: start cold even when forked from a parent that called
 #: :func:`run_table_batch` in-process.
 _WORKER_CACHE: dict[tuple, _CacheEntry] = {}
 
@@ -538,22 +507,21 @@ _WORKER_CACHE: dict[tuple, _CacheEntry] = {}
 MAX_WORKER_CACHE_ENTRIES = 512
 
 
-def _run_cached(ref: Any, seed: int) -> "TestRunResult":
-    """Run one cell of a portable ref through this process's cache.
+def _run_cached(
+    ref: Variant, seed: int, cache: dict[tuple, _CacheEntry]
+) -> "TestRunResult":
+    """Build and run one cell of ``ref`` through ``cache``.
 
-    The one place a worker fills its cache: the first cell of a
-    ``ref.cache_key`` resolves the registry builder, validates its
-    parameters and, for a :class:`~repro.ptest.replay.ReplayRef`,
-    parses the merged pattern (a replay slot is keyed by the replay
-    ref, distinct from the plain entry of its base scenario);
-    :func:`_prime_compiled_pfa` adds the compiled automaton.  Later
-    cells of the key reuse all of it.
+    The one place a cache is filled: the first cell of a
+    ``ref.cache_key`` resolves the builder through the default
+    registry, validates its parameters and, for a
+    :class:`~repro.ptest.replay.ReplayRef`, parses the merged pattern
+    (a replay slot is keyed by the replay ref, distinct from the plain
+    entry of its base scenario); :func:`_prime_compiled_pfa` adds the
+    compiled automaton.  Later cells of the key reuse all of it.
     """
-    from repro.ptest.replay import ReplayRef
-    from repro.workloads.registry import REGISTRY
-
     replay = isinstance(ref, ReplayRef)
-    entry = _WORKER_CACHE.get(ref.cache_key)
+    entry = cache.get(ref.cache_key)
     if entry is None:
         merged = ref.merged() if replay else None
         base = ref.scenario if replay else ref
@@ -563,16 +531,17 @@ def _run_cached(ref: Any, seed: int) -> "TestRunResult":
             params=spec.validate(dict(base.params)),
             merged=merged,
         )
-        while len(_WORKER_CACHE) >= MAX_WORKER_CACHE_ENTRIES:
-            _WORKER_CACHE.pop(next(iter(_WORKER_CACHE)))
-        _WORKER_CACHE[ref.cache_key] = entry
+        while len(cache) >= MAX_WORKER_CACHE_ENTRIES:
+            cache.pop(next(iter(cache)))
+        cache[ref.cache_key] = entry
     else:
         entry.hits += 1
     test = entry.builder(seed, **entry.params)
     if replay and not isinstance(test, AdaptiveTest):
         raise ConfigError(
             f"replay cell {ref.describe()} built "
-            f"{type(test).__name__}, not an AdaptiveTest"
+            f"{type(test).__name__}, not an AdaptiveTest; merged-"
+            "pattern replay needs the adaptive harness"
         )
     _prime_compiled_pfa(test, entry)
     if replay:

@@ -8,10 +8,10 @@ into a :class:`~repro.ptest.patterns.MergedPattern` and re-runs it with
 re-triggered today without the original process.
 
 :class:`ReplayRef` is the *campaign-grade* form of the same idea: a
-picklable ``(scenario ref, merged description)`` value object that is a
-:class:`~repro.ptest.executor.ScenarioBuilder`, so recorded
-interleavings ride the executor's deduped batch-table wire format and
-the worker-side caches exactly like registry scenarios do (see
+picklable ``(scenario ref, merged description)`` value object that is
+a campaign variant like a :class:`~repro.workloads.registry.ScenarioRef`,
+so recorded interleavings ride the executor's deduped batch-table wire
+format and the scenario caches exactly like registry scenarios do (see
 :mod:`repro.ptest.pool`).  The adaptive campaign's ``ReplayFocus``
 policy emits these to re-drive detecting interleavings across seeds.
 """
@@ -73,21 +73,21 @@ class ReplayRef:
     """A picklable merged-pattern replay cell.
 
     ``scenario`` names the base workload (platform config, programs,
-    setup hook) through the registry; ``description`` is a merged
+    setup hook) through the default registry; ``description`` is a merged
     pattern rendered by :meth:`MergedPattern.describe` — both plain
     values, so a replay ref crosses a process boundary as cheaply as a
-    :class:`~repro.workloads.registry.ScenarioRef` does.  Calling the
-    ref with a seed builds the base scenario for that seed and replays
-    exactly the recorded interleaving over it via ``merged_override``
-    (generation and merging are skipped; the seed still drives noise,
-    platform and detector randomness), so one recorded interleaving can
-    be swept across seeds like any other campaign variant.
+    :class:`~repro.workloads.registry.ScenarioRef` does.  A cell of the
+    ref builds the base scenario for its seed and replays exactly the
+    recorded interleaving over it via ``merged_override`` (generation
+    and merging are skipped; the seed still drives noise, platform and
+    detector randomness), so one recorded interleaving can be swept
+    across seeds like any other campaign variant.
 
     Refs are value objects — equality/hash cover ``(scenario,
     description)`` — so equal replay cells collapse to one batch-table
-    entry and one worker-cache slot (:attr:`cache_key`), with the
-    parsed :class:`~repro.ptest.patterns.MergedPattern` memoized
-    per worker alongside the resolved base scenario.  The description
+    entry and one cache slot (:attr:`cache_key`), with the parsed
+    :class:`~repro.ptest.patterns.MergedPattern` memoized alongside the
+    resolved base scenario.  The description
     is validated at construction, not first dispatch, so a malformed
     rendering fails in the process that minted it.
     """
@@ -121,13 +121,8 @@ class ReplayRef:
 
     @property
     def cache_key(self) -> tuple:
-        """Worker-cache key; disjoint from plain ScenarioRef keys."""
+        """Cache key; disjoint from plain ScenarioRef keys."""
         return ("replay", self.scenario.cache_key, self.description)
-
-    @property
-    def portable(self) -> bool:
-        """Whether workers can resolve this ref (default registry)."""
-        return self.scenario.registry is None
 
     def merged(self) -> MergedPattern:
         """The recorded interleaving, parsed (and memoized) on demand."""
@@ -136,17 +131,6 @@ class ReplayRef:
                 self, "_merged", parse_merged_description(self.description)
             )
         return self._merged
-
-    def __call__(self, seed: int) -> AdaptiveTest:
-        test = self.scenario(seed)
-        if not isinstance(test, AdaptiveTest):
-            raise ConfigError(
-                f"scenario {self.scenario.describe()} builds "
-                f"{type(test).__name__}, not an AdaptiveTest; merged-"
-                "pattern replay needs the adaptive harness"
-            )
-        test.merged_override = self.merged()
-        return test
 
     def describe(self) -> str:
         return f"replay({self.scenario.describe()}, {self.description!r})"

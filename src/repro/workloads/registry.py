@@ -13,17 +13,16 @@ Three pieces:
   function signature, so the registry validates and coerces parameters
   before a run ever starts.
 * :class:`ScenarioRef` — the *portable* form of "scenario ``name`` with
-  these parameters".  A ref is a frozen, picklable value object that is
-  also a :class:`~repro.ptest.executor.ScenarioBuilder`: calling
-  ``ref(seed)`` resolves the builder **inside the calling process**
-  through the registry.  Shipping refs (not callables) to worker
-  processes is what lets :class:`~repro.ptest.executor.CellExecutor`
-  parallelise any scenario — lambdas-wrapped-in-refs never cross the
-  process boundary, only ``(name, params)`` does.  Refs hash and
+  these parameters".  A ref is a frozen, picklable value object naming
+  a scenario of the default registry; campaigns are built from refs,
+  and whichever process runs a cell (a pool worker, or the caller at
+  ``workers=1``) resolves the builder through its own :data:`REGISTRY`
+  (:func:`repro.ptest.pool.run_table_batch`).  Only ``(name, params)``
+  crosses the process boundary, never a builder.  Refs hash and
   compare by ``(name, sorted(params))`` (see the class docstring), so
   they double as the dedupe keys of the executor's batch tables and
-  the per-process memoization keys of the worker-side scenario/PFA
-  caches in :mod:`repro.ptest.pool`.
+  the memoization keys of the scenario/PFA caches in
+  :mod:`repro.ptest.pool`.
 * The module-level default registry (:data:`REGISTRY`) plus the
   :func:`scenario` / :func:`scenario_ref` / :func:`build_scenario`
   conveniences.  The default registry lazily imports
@@ -279,23 +278,6 @@ class ScenarioRegistry:
         self._ensure_loaded()
         return iter([self._specs[name] for name in self.names()])
 
-    def ref(self, name: str, **params: Any) -> "ScenarioRef":
-        """A validated, portable reference to ``name`` with ``params``.
-
-        Refs from the default registry stay unbound (they resolve
-        through the process-global :data:`REGISTRY`, which is what a
-        worker process reconstructs); refs from a custom registry bind
-        to it, so they resolve against the registry that validated
-        them — at the cost of only being as picklable as that
-        registry's builders are.
-        """
-        validated = self.get(name).validate(params)
-        return ScenarioRef(
-            name=name,
-            params=tuple(sorted(validated.items())),
-            registry=None if self is REGISTRY else self,
-        )
-
     def build(
         self, name: str, seed: int, params: Mapping[str, Any] | None = None
     ) -> Any:
@@ -309,34 +291,29 @@ class ScenarioRegistry:
 class ScenarioRef:
     """A picklable ``(scenario name, parameters)`` pair.
 
-    Calling a ref with a seed builds the scenario through the default
-    registry *in the calling process* — this is the only thing campaign
-    workers ever unpickle, so no scenario builder (lambda, closure,
-    bound method, whatever) needs to cross a process boundary itself.
+    A ref names a scenario of the default registry; the process that
+    runs a cell resolves the builder there (see
+    :func:`repro.ptest.pool.run_table_batch`), so no scenario builder
+    (lambda, closure, bound method, whatever) ever crosses a process
+    boundary itself.
 
     **Cache-key contract.**  Refs are value objects: equality and hash
-    are defined over ``(name, sorted(params))`` and nothing else (the
-    minting registry is deliberately excluded), so two refs naming the
-    same scenario with the same parameters always collapse to one entry
-    in a dict/set.  This is what the batched wire format and the
-    worker-side caches of :mod:`repro.ptest.pool` key on: a batch table
-    ships each distinct ref once, and a worker memoizes its resolved
-    builder and compiled sampling automaton under :attr:`cache_key` —
-    so every parameter value must itself be hashable, which is enforced
-    at construction time rather than at first cache insert deep inside
-    a worker process.  Parameter order is canonicalised (sorted by
-    name) in ``__post_init__``, so hand-built refs dedupe exactly like
-    registry-minted ones.
+    are defined over ``(name, sorted(params))`` and nothing else, so
+    two refs naming the same scenario with the same parameters always
+    collapse to one entry in a dict/set.  This is what the batched wire
+    format and the scenario caches of :mod:`repro.ptest.pool` key on: a
+    batch table ships each distinct ref once, and a cache memoizes its
+    resolved builder and compiled sampling automaton under
+    :attr:`cache_key` — so every parameter value must itself be
+    hashable, which is enforced at construction time rather than at
+    first cache insert deep inside a worker process.  Parameter order
+    is canonicalised (sorted by name) in ``__post_init__``, so
+    hand-built refs dedupe exactly like registry-minted ones.
     """
 
     name: str
     #: Sorted ``(key, value)`` pairs — hashable and order-canonical.
     params: tuple[tuple[str, Any], ...] = ()
-    #: The registry that minted this ref; ``None`` (the portable common
-    #: case) means the process-global default registry.
-    registry: "ScenarioRegistry | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         raw = self.params
@@ -384,26 +361,20 @@ class ScenarioRef:
 
     @property
     def cache_key(self) -> tuple[str, tuple[tuple[str, Any], ...]]:
-        """The ``(name, sorted params)`` pair worker caches key on."""
+        """The ``(name, sorted params)`` pair scenario caches key on."""
         return (self.name, self.params)
-
-    def _registry(self) -> "ScenarioRegistry":
-        return self.registry if self.registry is not None else REGISTRY
-
-    def __call__(self, seed: int) -> Any:
-        return self._registry().build(self.name, seed, dict(self.params))
 
     def expected(self) -> "AnomalyKind | None":
         """The anomaly kind a correct detector reports for this ref's
         scenario at its parameters (``None``: a clean run); see
         :meth:`ScenarioSpec.expected`."""
-        return self._registry().get(self.name).expected(dict(self.params))
+        return REGISTRY.get(self.name).expected(dict(self.params))
 
     def with_params(self, **params: Any) -> "ScenarioRef":
         """A new ref with ``params`` overlaid on this ref's parameters."""
         merged = dict(self.params)
         merged.update(params)
-        return self._registry().ref(self.name, **merged)
+        return scenario_ref(self.name, **merged)
 
     def describe(self) -> str:
         rendered = ", ".join(f"{k}={v!r}" for k, v in self.params)
@@ -424,8 +395,10 @@ scenario = REGISTRY.register
 
 
 def scenario_ref(name: str, **params: Any) -> ScenarioRef:
-    """A validated :class:`ScenarioRef` from the default registry."""
-    return REGISTRY.ref(name, **params)
+    """A :class:`ScenarioRef` to ``name`` with ``params``, validated
+    against the default registry."""
+    validated = REGISTRY.get(name).validate(params)
+    return ScenarioRef(name=name, params=tuple(sorted(validated.items())))
 
 
 def build_scenario(name: str, seed: int = 0, **params: Any) -> Any:

@@ -99,3 +99,30 @@ def kernel() -> PCoreKernel:
     )
 
 
+
+
+@pytest.fixture
+def register_scenario():
+    """``register(name, builder, **params)``: register a test-local
+    scenario in the default registry and return a ref to it.
+
+    Campaign variants are refs to default-registry scenarios, so a
+    test that needs a purpose-built builder (one that raises, dies or
+    records) registers it here; every name is removed after the test,
+    since the registry refuses silent replacement by design.  Pool
+    workers forked afterwards see the registration: the version bump
+    respawns a warm pool.
+    """
+    from repro.workloads.registry import REGISTRY, scenario_ref
+
+    names = []
+
+    def register(name, builder, **params):
+        REGISTRY.register(name, builder)
+        names.append(name)
+        return scenario_ref(name, **params)
+
+    yield register
+    for name in names:
+        REGISTRY._specs.pop(name, None)
+        REGISTRY.version += 1

@@ -22,7 +22,9 @@ from repro.ptest.checkpoint import (
     campaign_fingerprint,
 )
 from repro.ptest.pipeline import parse_pipeline
-from repro.ptest.pool import shutdown_pools
+from repro.ptest.pool import clear_worker_cache, run_table_batch, shutdown_pools
+from repro.ptest.replay import replay_ref
+from repro.workloads.registry import scenario_ref
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +101,62 @@ class TestFingerprint:
         two = parse_pipeline("grid_zoom:2,replay:1")
         first = campaign_fingerprint((0,), {}, one, 4)
         assert first == campaign_fingerprint((0,), {}, two, 4)
+
+
+#: ``scenario_ref("philosophers", op="cyclic")`` and a replay ref over
+#: ``scenario_ref("philosophers")``, pickled (protocol 4) by a build
+#: whose refs still carried a ``registry`` field: each ScenarioRef's
+#: state holds ``registry: None``.
+_REGISTRY_FIELD_SCENARIO_REF = (
+    b"\x80\x04\x95q\x00\x00\x00\x00\x00\x00\x00\x8c\x18repro.workloads."
+    b"registry\x94\x8c\x0bScenarioRef\x94\x93\x94)\x81\x94}\x94(\x8c\x04"
+    b"name\x94\x8c\x0cphilosophers\x94\x8c\x06params\x94\x8c\x02op\x94"
+    b"\x8c\x06cyclic\x94\x86\x94\x85\x94\x8c\x08registry\x94Nub."
+)
+_REGISTRY_FIELD_REPLAY_REF = (
+    b"\x80\x04\x95\xa6\x00\x00\x00\x00\x00\x00\x00\x8c\x12repro.ptest."
+    b"replay\x94\x8c\tReplayRef\x94\x93\x94)\x81\x94\x8c\x18repro."
+    b"workloads.registry\x94\x8c\x0bScenarioRef\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\x04name\x94\x8c\x0cphilosophers\x94\x8c\x06params\x94)"
+    b"\x8c\x08registry\x94Nub\x8c\x1aTC[p0#1] TC[p1#1] TC[p2#1]\x94\x86"
+    b"\x94b."
+)
+
+
+class TestRefsFromEarlierCheckpoints:
+    def test_refs_pickled_with_a_registry_field_load_run_and_fingerprint(
+        self,
+    ):
+        fresh_ref = scenario_ref("philosophers", op="cyclic")
+        fresh_replay = replay_ref(
+            scenario_ref("philosophers"), "TC[p0#1] TC[p1#1] TC[p2#1]"
+        )
+        old_ref = pickle.loads(_REGISTRY_FIELD_SCENARIO_REF)
+        old_replay = pickle.loads(_REGISTRY_FIELD_REPLAY_REF)
+        assert old_ref == fresh_ref and hash(old_ref) == hash(fresh_ref)
+        assert old_replay == fresh_replay
+        assert hash(old_replay) == hash(fresh_replay)
+        jobs = ((0, 0), (0, 1), (1, 0), (1, 1))
+        clear_worker_cache()
+        try:
+            old_runs = run_table_batch((old_ref, old_replay), jobs)
+            clear_worker_cache()
+            fresh_runs = run_table_batch((fresh_ref, fresh_replay), jobs)
+        finally:
+            clear_worker_cache()
+        assert [(r.found_bug, r.ticks) for r in old_runs] == [
+            (r.found_bug, r.ticks) for r in fresh_runs
+        ]
+        # The digest that build wrote for this campaign: its checkpoint
+        # resumes here.
+        for variants in (
+            {"phil": old_ref, "replay": old_replay},
+            {"phil": fresh_ref, "replay": fresh_replay},
+        ):
+            assert (
+                campaign_fingerprint((0, 1), variants, Repeat(), 4)
+                == "bb26360d05db28ad993fcb08"
+            )
 
 
 class TestResumeBitIdentity:

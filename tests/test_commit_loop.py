@@ -428,12 +428,14 @@ class TestSharedMergeBatch:
     def test_harness_ignores_mismatched_merge_stream(self, compiled):
         """The harness takes no generator or merge stream: neither is a
         field, and an attribute of that name changes nothing."""
-        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        plain = ref(5).run()
+        def build() -> AdaptiveTest:
+            return build_scenario("clean_spin", 5, tasks=2, total_steps=40)
+
+        plain = build().run()
         for name in ("generator_override", "merge_override"):
             with pytest.raises(TypeError, match=name):
-                AdaptiveTest(config=ref(5).config, **{name: None})
-        test = ref(5)
+                AdaptiveTest(config=build().config, **{name: None})
+        test = build()
         stream = PatternGenerator.from_pfa(compiled, seed=5)
         test.generator_override = stream
         test.merge_override = stream

@@ -77,7 +77,7 @@ class _RaisesOnSeeds:
         return build_scenario("clean_spin", self.seed, tasks=2, total_steps=40).run()
 
 
-def _mixed_builder(bad: tuple[int, ...], seed: int) -> _RaisesOnSeeds:
+def _mixed_builder(seed: int, bad: tuple[int, ...] = ()) -> _RaisesOnSeeds:
     return _RaisesOnSeeds(bad, seed)
 
 
@@ -244,15 +244,15 @@ class TestPoisonQuarantine:
         with pytest.raises(ChaosInjectedError):
             campaign.run()
 
-    def test_serial_and_parallel_quarantine_reports_agree(self):
+    def test_serial_and_parallel_quarantine_reports_agree(
+        self, register_scenario
+    ):
         # The serial path quarantines raising cells with the same kind
         # and the same config-independent detail strings the parallel
         # bisection produces.
         bad = (1, 3)
         cells = [WorkCell(variant="mixed", seed=seed) for seed in range(5)]
-        from functools import partial
-
-        builders = {"mixed": partial(_mixed_builder, bad)}
+        builders = {"mixed": register_scenario("ft_mixed", _mixed_builder, bad=bad)}
         serial = CellExecutor(workers=1, quarantine=True)
         serial_results = serial.run_cells(builders, cells)
         with WorkerPool(2) as pool:
@@ -281,14 +281,16 @@ class TestPoisonQuarantine:
         parallel_ticks = [r.ticks for r in parallel_results if r is not None]
         assert serial_ticks == parallel_ticks
 
-    def test_sink_never_sees_quarantined_cells(self):
+    def test_sink_never_sees_quarantined_cells(self, register_scenario):
         sink = CollectSink()
         campaign_cells = [
             WorkCell(variant="bad", seed=seed) for seed in range(4)
         ]
         executor = CellExecutor(workers=1, quarantine=True)
         returned = executor.run_cells(
-            {"bad": _raising_builder}, campaign_cells, sink=sink
+            {"bad": register_scenario("ft_raising", _raising_builder)},
+            campaign_cells,
+            sink=sink,
         )
         assert returned is None
         assert sink.cells == []

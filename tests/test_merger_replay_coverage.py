@@ -22,6 +22,7 @@ from repro.ptest.merger import (
     _order_weighted,
     register_merge_op,
 )
+from repro.ptest.executor import CellExecutor, WorkCell
 from repro.ptest.patterns import TestPattern
 from repro.ptest.pool import (
     clear_worker_cache,
@@ -30,7 +31,7 @@ from repro.ptest.pool import (
     worker_cache_info,
 )
 from repro.ptest.replay import ReplayRef, parse_merged_description, replay_ref
-from repro.workloads.registry import ScenarioRegistry, scenario_ref
+from repro.workloads.registry import build_scenario, scenario_ref
 
 
 def make_patterns(symbol_lists) -> list[TestPattern]:
@@ -155,7 +156,7 @@ class TestParseMergedDescription:
 
 class TestReplayRef:
     def detecting_description(self) -> str:
-        result = scenario_ref("philosophers")(0).run()
+        result = build_scenario("philosophers", 0).run()
         assert result.found_bug
         return result.report.merged_description
 
@@ -166,7 +167,6 @@ class TestReplayRef:
         twin = replay_ref(base, description)
         assert ref == twin
         assert hash(ref) == hash(twin)
-        assert ref.portable
         assert ref.cache_key[0] == "replay"
         assert ref.cache_key != base.cache_key
         assert "replay(" in ref.describe()
@@ -199,19 +199,26 @@ class TestReplayRef:
 
     def test_non_adaptive_scenario_rejected_at_call(self):
         # philosophers_random builds a RandomTester, which has no
-        # merged_override to replay into.
+        # merged_override to replay into; in-process and in a pool
+        # worker alike, the cell fails with one ConfigError text.
         ref = replay_ref(
             scenario_ref("philosophers_random"), "TC[p0#1]"
         )
-        with pytest.raises(ConfigError, match="AdaptiveTest"):
-            ref(0)
+        cells = [WorkCell(variant="replay", seed=seed) for seed in (0, 1)]
+        messages = []
+        for workers in (1, 2):
+            executor = CellExecutor(workers=workers)
+            with pytest.raises(ConfigError, match="AdaptiveTest") as excinfo:
+                executor.run_cells({"replay": ref}, cells)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     def test_replay_reproduces_the_recorded_detection(self):
         base = scenario_ref("philosophers")
-        original = base(0).run()
+        original = build_scenario("philosophers", 0).run()
         ref = replay_ref(base, original.report.merged_description)
-        for seed in (0, 1):
-            replayed = ref(seed).run()
+        cells = [WorkCell(variant="replay", seed=seed) for seed in (0, 1)]
+        for replayed in CellExecutor(workers=1).run_cells({"replay": ref}, cells):
             assert replayed.found_bug
             assert (
                 replayed.report.primary.kind
@@ -236,7 +243,7 @@ class TestReplayRefOnTheWire:
 
     def test_table_path_caches_parse_and_matches_direct_build(self):
         base = scenario_ref("philosophers")
-        result = base(0).run()
+        result = build_scenario("philosophers", 0).run()
         ref = replay_ref(base, result.report.merged_description)
         clear_worker_cache()
         try:
@@ -245,7 +252,11 @@ class TestReplayRefOnTheWire:
             assert ref.cache_key in set(info["keys"])
             # Second job hit the cached parse + resolution.
             assert info["hits"][ref.cache_key] == 1
-            direct = [ref(0).run(), ref(1).run()]
+            direct = []
+            for seed in (0, 1):
+                test = build_scenario("philosophers", seed)
+                test.merged_override = ref.merged()
+                direct.append(test.run())
             assert [r.ticks for r in results] == [r.ticks for r in direct]
             assert [r.found_bug for r in results] == [
                 r.found_bug for r in direct
@@ -255,32 +266,13 @@ class TestReplayRefOnTheWire:
 
     def test_replay_and_scenario_entries_coexist_in_the_cache(self):
         base = scenario_ref("philosophers")
-        ref = replay_ref(base, base(0).run().report.merged_description)
+        detected = build_scenario("philosophers", 0).run()
+        ref = replay_ref(base, detected.report.merged_description)
         clear_worker_cache()
         try:
             run_table_batch((base, ref), ((0, 0), (1, 0)))
             keys = set(worker_cache_info()["keys"])
             assert base.cache_key in keys
             assert ref.cache_key in keys
-        finally:
-            clear_worker_cache()
-
-    def test_bound_registry_replay_ref_runs_uncached(self):
-        registry = ScenarioRegistry()
-
-        @registry.register("phil_copy")
-        def _phil(seed: int):
-            from repro.workloads.scenarios import philosophers_case2
-
-            return philosophers_case2(seed=seed)
-
-        bound = registry.ref("phil_copy")
-        ref = replay_ref(bound, "TC[p0#1] TC[p1#1] TC[p2#1]")
-        assert not ref.portable
-        clear_worker_cache()
-        try:
-            results = run_table_batch((ref,), ((0, 0),))
-            assert worker_cache_info()["entries"] == 0
-            assert len(results) == 1
         finally:
             clear_worker_cache()

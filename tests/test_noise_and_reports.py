@@ -84,7 +84,7 @@ class TestTextReport:
 
     def test_render_campaign(self):
         campaign = Campaign(seeds=(0,))
-        campaign.add_variant("buggy", lambda s: philosophers_case2(seed=s))
+        campaign.add_scenario("buggy", "philosophers")
         rows = campaign.run()
         text = render_campaign(rows)
         assert "buggy" in text
@@ -92,6 +92,6 @@ class TestTextReport:
 
     def test_render_campaign_markdown(self):
         campaign = Campaign(seeds=(0,))
-        campaign.add_variant("x", lambda s: philosophers_case2(seed=s, ordered=True))
+        campaign.add_scenario("x", "philosophers", ordered=True)
         text = render_campaign(campaign.run(), markdown=True)
         assert text.startswith("| variant")

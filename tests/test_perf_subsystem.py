@@ -19,12 +19,13 @@ import pytest
 from repro.automata.compiled import CompiledPFA
 from repro.automata.reference import legacy_sample, networkx_cycle_tids
 from repro.automata.sampling import PatternSampler
-from repro.errors import SamplingError
+from repro.errors import ConfigError, SamplingError
 from repro.ptest.campaign import Campaign
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
+from repro.workloads.registry import scenario_ref
 from repro.workloads.scenarios import philosophers_case2
 
 
@@ -152,6 +153,11 @@ class TestSeededEquivalence:
 # -- parallel campaigns --------------------------------------------------------
 
 
+def _record_build(calls: list, seed: int):  # pragma: no cover - never run
+    calls.append(seed)
+    return philosophers_case2(seed=seed)
+
+
 class TestCellExecutor:
     def test_unknown_variant_rejected(self):
         executor = CellExecutor(workers=1)
@@ -159,21 +165,54 @@ class TestCellExecutor:
             executor.run_cells({}, [WorkCell(variant="ghost", seed=0)])
 
     def test_serial_results_align_with_cells(self):
-        builders = {"cyclic": partial(philosophers_case2, op="cyclic")}
+        builders = {"cyclic": scenario_ref("philosophers", op="cyclic")}
         cells = [WorkCell(variant="cyclic", seed=s) for s in (0, 1)]
         results = CellExecutor(workers=1).run_cells(builders, cells)
         assert len(results) == 2
         assert all(r.found_bug for r in results)
 
-    def test_lambda_builders_fall_back_to_serial(self):
-        builders = {"lam": lambda seed: philosophers_case2(seed=seed)}
-        cells = [WorkCell(variant="lam", seed=s) for s in (0, 1)]
-        executor = CellExecutor(workers=4)
-        assert not executor._portable(builders)
-        with pytest.warns(RuntimeWarning, match="cannot be pickled"):
-            results = executor.run_cells(builders, cells)
-        assert executor.ran_parallel is False
-        assert [r.found_bug for r in results] == [True, True]
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["lambda", "partial"])
+    def test_non_ref_variant_rejected_before_any_cell(self, kind, workers):
+        # Only refs are campaign variants: a raw callable is named in a
+        # ConfigError before a single cell runs — the valid variant
+        # ahead of it included — at every worker count.
+        calls: list[int] = []
+        if kind == "lambda":
+            bad = lambda seed: _record_build(calls, seed)  # noqa: E731
+        else:
+            bad = partial(_record_build, calls)
+        variants = {
+            "good": scenario_ref("clean_spin", tasks=2, total_steps=40),
+            "bad": bad,
+        }
+        cells = [
+            WorkCell(variant=name, seed=seed)
+            for name in variants
+            for seed in (0, 1)
+        ]
+        sink = CollectSink()
+        executor = CellExecutor(workers=workers)
+        with pytest.raises(ConfigError, match="variant 'bad' is a "):
+            executor.run_cells(variants, cells, sink=sink)
+        assert sink.cells == [] and calls == []
+        assert executor.batches_submitted == 0
+
+    def test_serial_campaign_compiles_each_variant_once(self, monkeypatch):
+        # The serial path runs cells through the same scenario cache as
+        # pool workers: one PFA compilation per variant, not per seed.
+        compile_pfa = CompiledPFA.from_pfa.__func__
+        compiled: list[object] = []
+
+        def counting(cls, pfa):
+            compiled.append(pfa)
+            return compile_pfa(cls, pfa)
+
+        monkeypatch.setattr(CompiledPFA, "from_pfa", classmethod(counting))
+        campaign = Campaign(seeds=(0, 1, 2, 3), workers=1)
+        campaign.add_scenario("cyclic", "philosophers", op="cyclic")
+        assert campaign.run()[0].detections == 4
+        assert len(compiled) == 1
 
 
 class TestParallelCampaignDeterminism:
@@ -181,8 +220,8 @@ class TestParallelCampaignDeterminism:
         return Campaign(
             seeds=(0, 1, 2),
             variants={
-                "cyclic": partial(philosophers_case2, op="cyclic"),
-                "ordered": partial(philosophers_case2, ordered=True),
+                "cyclic": scenario_ref("philosophers", op="cyclic"),
+                "ordered": scenario_ref("philosophers", ordered=True),
             },
             workers=workers,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ptest.adaptive import AdaptiveCampaign, Repeat
 from repro.ptest.campaign import Campaign
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.generator import PatternGenerator
@@ -119,17 +120,30 @@ class TestShrinker:
 class TestCampaign:
     def test_campaign_aggregates(self):
         campaign = Campaign(seeds=(0, 1))
-        campaign.add_variant(
-            "buggy", lambda seed: philosophers_case2(seed=seed)
-        )
-        campaign.add_variant(
-            "fixed", lambda seed: philosophers_case2(seed=seed, ordered=True)
-        )
+        campaign.add_scenario("buggy", "philosophers")
+        campaign.add_scenario("fixed", "philosophers", ordered=True)
         rows = {row.variant: row for row in campaign.run()}
         assert rows["buggy"].rate == 1.0
         assert rows["fixed"].rate == 0.0
         assert rows["buggy"].kinds == ("deadlock",)
         assert campaign.kind_counts("buggy") == {"deadlock": 2}
+
+    def test_generator_seeds_are_normalised_at_construction(self):
+        # A generator is read once, when the campaign is built: every
+        # variant runs every seed, and so does a second run.
+        campaign = Campaign(seeds=(seed for seed in range(3)))
+        campaign.add_scenario("a", "clean_spin", tasks=2, total_steps=40)
+        campaign.add_scenario("b", "clean_spin", tasks=3, total_steps=40)
+        assert campaign.seeds == (0, 1, 2)
+        for _ in range(2):
+            assert [row.runs for row in campaign.run()] == [3, 3]
+        adaptive = AdaptiveCampaign(
+            seeds=(seed for seed in range(2)), rounds=1, policy=Repeat()
+        )
+        adaptive.add_scenario("a", "clean_spin", tasks=2, total_steps=40)
+        assert adaptive.seeds == (0, 1)
+        for _ in range(2):
+            assert adaptive.run().final_rows[0].runs == 2
 
     def test_duplicate_variant_rejected(self):
         campaign = Campaign()
@@ -159,13 +173,13 @@ class TestCli:
     def test_philosophers_returns_failure_code_on_bug(self, capsys):
         from repro.cli import main
 
-        assert main(["philosophers", "--seed", "0"]) == 1
+        assert main(["run", "philosophers", "--seed", "0"]) == 1
         assert "deadlock" in capsys.readouterr().out
 
     def test_philosophers_ordered_control_clean(self, capsys):
         from repro.cli import main
 
-        assert main(["philosophers", "--ordered"]) == 0
+        assert main(["run", "philosophers", "-p", "ordered=true"]) == 0
 
     def test_fig1_bad_order(self, capsys):
         from repro.cli import main
@@ -262,6 +276,18 @@ class TestCli:
                 ["submit", "clean_spin", "--port", "70000"],
                 "port must be in 0-65535",
             ),
+            (
+                ["submit", "clean_spin", "--port", "1", "--timeout", "-1"],
+                "timeout must be a positive, finite number",
+            ),
+            (
+                ["submit", "clean_spin", "--port", "1", "--timeout", "nan"],
+                "timeout must be a positive, finite number",
+            ),
+            (
+                ["submit", "clean_spin", "--port", "1", "--timeout", "inf"],
+                "timeout must be a positive, finite number",
+            ),
         ],
         ids=[
             "patterns-0",
@@ -272,6 +298,9 @@ class TestCli:
             "serve-port-negative",
             "serve-port-70000",
             "submit-port-70000",
+            "submit-timeout-negative",
+            "submit-timeout-nan",
+            "submit-timeout-inf",
         ],
     )
     def test_bad_config_flag_prints_one_line_and_exits_2(self, capsys, argv, message):
@@ -394,7 +423,9 @@ class TestCli:
         output = capsys.readouterr().out
         assert _expected_column(output) == {"only_on_the_server": "-"}
 
-    @pytest.mark.parametrize("command", ["sweep", "faults"])
+    @pytest.mark.parametrize(
+        "command", ["sweep", "faults", "stress", "philosophers"]
+    )
     def test_removed_commands_are_unknown(self, capsys, command):
         from repro.cli import main
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ from repro.ptest.pool import (
     shutdown_pools,
     worker_cache_info,
 )
-from repro.workloads.registry import scenario_ref
+from repro.workloads.registry import build_scenario, scenario_ref
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +77,7 @@ class _FlakyOnce:
         return _Marker(self.seed)
 
 
-def _flaky_builder(marker_path: str, seed: int) -> _FlakyOnce:
+def _flaky_builder(seed: int, marker_path: str = "") -> _FlakyOnce:
     return _FlakyOnce(marker_path, seed)
 
 
@@ -111,7 +110,7 @@ def _raising_builder(seed: int) -> _RaisesInRun:
 
 
 def _shadow_spin_builder(seed: int, tasks: int = 2, total_steps: int = 40):
-    """A custom-registry impostor for the built-in ``clean_spin``."""
+    """A scenario registered mid-run that no cell names."""
     raise AssertionError("must never run in this test")
 
 
@@ -154,9 +153,13 @@ class TestWorkerPoolLifecycle:
             assert pool.pool_id != first_id
             assert pool.spawns == 2
 
-    def test_executor_resubmits_batches_after_worker_death(self, tmp_path):
+    def test_executor_resubmits_batches_after_worker_death(
+        self, tmp_path, register_scenario
+    ):
         marker = str(tmp_path / "died-once")
-        builder = partial(_flaky_builder, marker)
+        builder = register_scenario(
+            "pool_flaky", _flaky_builder, marker_path=marker
+        )
         cells = [WorkCell(variant="flaky", seed=seed) for seed in range(4)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool, batch_size=2)
@@ -164,22 +167,26 @@ class TestWorkerPoolLifecycle:
             assert results == [_Marker(seed) for seed in range(4)]
             assert pool.spawns == 2  # the respawn happened mid-run
 
-    def test_deterministically_lethal_batch_surfaces(self):
+    def test_deterministically_lethal_batch_surfaces(self, register_scenario):
+        boom = register_scenario("pool_lethal", _lethal_builder)
         cells = [WorkCell(variant="boom", seed=seed) for seed in range(2)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool)
             with pytest.raises(BrokenProcessPool):
-                executor.run_cells({"boom": _lethal_builder}, cells)
+                executor.run_cells({"boom": boom}, cells)
 
-    def test_cell_exception_aborts_but_leaves_pool_usable(self):
+    def test_cell_exception_aborts_but_leaves_pool_usable(
+        self, register_scenario
+    ):
         # A raising cell propagates out of run_cells; queued batches
         # are cancelled rather than left burning the persistent pool,
         # and the same pool serves the next run.
+        bad = register_scenario("pool_raising", _raising_builder)
         cells = [WorkCell(variant="bad", seed=seed) for seed in range(8)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool, batch_size=1)
             with pytest.raises(ValueError, match="unrunnable"):
-                executor.run_cells({"bad": _raising_builder}, cells)
+                executor.run_cells({"bad": bad}, cells)
             assert pool.ping()  # no respawn, no wedged queue
             assert pool.spawns == 1
             good = _spin_campaign(workers=2, pool=pool)
@@ -343,7 +350,7 @@ class TestExplicitPoolRequestsParallelism:
         with WorkerPool(2) as pool:
             executor = CellExecutor(pool=pool)  # workers left unset
             parallel = executor.run_cells({"spin": ref}, cells)
-            assert executor.ran_parallel is True
+            assert executor.batches_submitted > 0
             assert executor.last_pool_id == pool.pool_id
         serial = CellExecutor().run_cells({"spin": ref}, cells)
         assert [r.ticks for r in parallel] == [r.ticks for r in serial]
@@ -356,7 +363,7 @@ class TestExplicitPoolRequestsParallelism:
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=1, pool=pool)
             executor.run_cells({"spin": ref}, cells)
-            assert executor.ran_parallel is False
+            assert executor.batches_submitted == 0
             assert executor.last_pool_id is None
             assert pool.spawns == 0  # the pool was never touched
             campaign = _spin_campaign(workers=None, pool=pool)
@@ -436,23 +443,6 @@ class TestBatchTable:
         assert table == (fast, slow)
         assert jobs == ((0, 0), (1, 0), (0, 1))
 
-    def test_bound_refs_never_collapse_into_equal_unbound_refs(self):
-        # A ref bound to a custom registry compares equal to a default
-        # ref with the same (name, params) — by the cache-key contract —
-        # but resolves through a different registry, so the table must
-        # keep both entries rather than silently running one builder
-        # for the other's cells.
-        from repro.workloads.registry import ScenarioRegistry
-
-        registry = ScenarioRegistry()
-        registry.register("clean_spin", _shadow_spin_builder)
-        bound = registry.ref("clean_spin", tasks=2, total_steps=40)
-        unbound = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        assert bound == unbound  # the identity contract holds...
-        table, jobs = make_batch_table([unbound, bound], [0, 0])
-        assert len(table) == 2  # ...but dispatch keeps them apart
-        assert jobs == ((0, 0), (1, 0))
-
     def test_misaligned_builders_and_seeds_rejected(self):
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         with pytest.raises(ValueError, match="cell-for-cell"):
@@ -460,39 +450,26 @@ class TestBatchTable:
 
     def test_unpicklable_ref_payload_rejected_explicitly(self):
         # A ref can satisfy construction-time validation (hashable
-        # params) yet carry an unpicklable payload — here a binding to
-        # a registry whose builder is a local closure.  Before the
-        # explicit probe this surfaced as a raw PicklingError from deep
-        # inside the pool submission machinery; the table must reject
-        # it by name instead.
+        # params) yet carry an unpicklable payload — here a local
+        # closure as a parameter value.  Before the explicit probe this
+        # surfaced as a raw PicklingError from deep inside the pool
+        # submission machinery; the table must reject it by name
+        # instead.
         from repro.errors import ConfigError
-        from repro.workloads.registry import ScenarioRegistry
+        from repro.workloads.registry import ScenarioRef
 
-        registry = ScenarioRegistry()
-        registry.register(
-            "unpicklable_payload", lambda seed, tasks=2: None
-        )
-        ref = registry.ref("unpicklable_payload", tasks=2)
-        with pytest.raises(ConfigError, match="cannot be pickled"):
+        ref = ScenarioRef(name="clean_spin", params=(("hook", lambda: None),))
+        with pytest.raises(ConfigError, match="clean_spin.*cannot be pickled"):
             make_batch_table([ref], [0])
-
-    def test_unhashable_builders_ship_undeduped(self):
-        class Unhashable:
-            __hash__ = None
-
-            def __call__(self, seed):  # pragma: no cover - never run
-                raise AssertionError
-
-        builder = Unhashable()
-        table, jobs = make_batch_table([builder, builder], [0, 1])
-        assert len(table) == 2  # identity entries, one per cell
-        assert jobs == ((0, 0), (1, 1))
 
     def test_run_table_batch_matches_direct_build(self):
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         try:
             results = run_table_batch((ref,), ((0, 0), (0, 1)))
-            direct = [ref(0).run(), ref(1).run()]
+            direct = [
+                build_scenario("clean_spin", seed, tasks=2, total_steps=40).run()
+                for seed in (0, 1)
+            ]
             assert [r.ticks for r in results] == [r.ticks for r in direct]
             info = worker_cache_info()
             assert ref.cache_key in set(info["keys"])
