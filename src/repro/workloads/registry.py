@@ -17,8 +17,8 @@ Three pieces:
   a scenario of the default registry; campaigns are built from refs,
   and whichever process runs a cell (a pool worker, or the caller at
   ``workers=1``) resolves the builder through its own :data:`REGISTRY`
-  (:func:`repro.ptest.pool.run_table_batch`).  Only ``(name, params)``
-  crosses the process boundary, never a builder.  Refs hash and
+  (see :mod:`repro.ptest.pool`).  Only ``(name, params)`` crosses the
+  process boundary, never a builder.  Refs hash and
   compare by ``(name, sorted(params))`` (see the class docstring), so
   they double as the dedupe keys of the executor's batch tables and
   the memoization keys of the scenario/PFA caches in
@@ -293,9 +293,8 @@ class ScenarioRef:
 
     A ref names a scenario of the default registry; the process that
     runs a cell resolves the builder there (see
-    :func:`repro.ptest.pool.run_table_batch`), so no scenario builder
-    (lambda, closure, bound method, whatever) ever crosses a process
-    boundary itself.
+    :mod:`repro.ptest.pool`), so no scenario builder (lambda, closure,
+    bound method, whatever) ever crosses a process boundary itself.
 
     **Cache-key contract.**  Refs are value objects: equality and hash
     are defined over ``(name, sorted(params))`` and nothing else, so
