@@ -26,7 +26,7 @@ from repro.bridge.protocol import (
     encode_result,
 )
 from repro.pcore.kernel import PCoreKernel
-from repro.pcore.services import ServiceRequest, ServiceResult
+from repro.pcore.services import SERVICE_NAMES, ServiceRequest, ServiceResult
 from repro.sim.mailbox import Mailbox, MailboxBank, MailboxMessage
 from repro.sim.trace import CATEGORY_COMMAND, Tracer
 
@@ -67,7 +67,7 @@ class BridgeMaster:
                 CATEGORY_COMMAND,
                 event="issue",
                 seq=sequence,
-                service=request.service.name,
+                service=SERVICE_NAMES[request.service],
                 target=request.target,
             )
         return sequence

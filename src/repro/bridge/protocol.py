@@ -51,9 +51,13 @@ MAX_PRIORITY = (1 << 10) - 2
 MAX_SEQ = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommandFrame:
-    """Out-of-band request metadata carried via shared memory."""
+    """Out-of-band request metadata carried via shared memory.
+
+    A slotted value, compared by value and not hashable; nothing
+    mutates one after construction.
+    """
 
     sequence: int
     program: str | None

@@ -515,8 +515,15 @@ def _load_bench_main():
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.ptest.pool import check_worker_cap
+
     if args.workers < 1:
         print(f"workers must be >= 1, got {args.workers}")
+        return 2
+    try:
+        check_worker_cap(args.workers)
+    except ConfigError as error:
+        print(error)
         return 2
     bench_main = _load_bench_main()
     if bench_main is None:

@@ -136,7 +136,6 @@ class PCoreKernel:
     memory: KernelMemory = field(init=False)
     gc: GarbageCollector = field(init=False)
     inbox: deque[ServiceRequest] = field(default_factory=deque)
-    completed: list[ServiceResult] = field(default_factory=list)
 
     panic_reason: str | None = None
     panicked_at: int | None = None
@@ -278,7 +277,6 @@ class PCoreKernel:
         self.inbox.append(request)
 
     def _reply(self, result: ServiceResult) -> None:
-        self.completed.append(result)
         self._trace(
             CATEGORY_SERVICE,
             service=SERVICE_NAMES[result.request.service],

@@ -18,6 +18,11 @@ kernel validates the request against the task state machine (e.g.
 "the task resuming operation can be performed only when the
 corresponding task is suspended") and answers with a
 :class:`ServiceResult`.
+
+:class:`ServiceCode` and :class:`ServiceStatus` hash by identity, which
+agrees with an enum's identity equality and keeps the per-command table
+lookups (the codec's opcodes, the kernel's handlers, the labels below)
+off the Python-level ``Enum.__hash__``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ class ServiceCode(enum.Enum):
     TR = "task_resume"
     TCH = "task_chanprio"
     TY = "task_yield"
+
+    __hash__ = object.__hash__
 
     @classmethod
     def from_abbreviation(cls, abbreviation: str) -> "ServiceCode":
@@ -71,6 +78,8 @@ class ServiceStatus(enum.Enum):
     #: The kernel has panicked; no services are possible.
     KERNEL_DOWN = "kernel_down"
 
+    __hash__ = object.__hash__
+
 
 #: Status -> its label (the enum value), precomputed like
 #: :data:`SERVICE_NAMES`.
@@ -79,13 +88,16 @@ STATUS_LABELS: dict[ServiceStatus, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServiceRequest:
     """A remote service invocation as carried by the bridge.
 
     ``target`` is the slave-side task id for TD/TS/TR/TCH; for TC it is
     the *requested* tid (the master names tasks so the one-to-one
     master-thread/slave-task correspondence holds); TY takes no target.
+
+    A slotted value, compared by value and not hashable; nothing
+    mutates one after construction.
     """
 
     service: ServiceCode
@@ -110,9 +122,13 @@ class ServiceRequest:
         return ":".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServiceResult:
-    """The kernel's reply to one :class:`ServiceRequest`."""
+    """The kernel's reply to one :class:`ServiceRequest`.
+
+    A slotted value, compared by value and not hashable; nothing
+    mutates one after construction.
+    """
 
     request: ServiceRequest
     status: ServiceStatus

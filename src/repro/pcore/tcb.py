@@ -8,6 +8,11 @@ field of the Definition 2 record.
 A :class:`TaskControlBlock` compares (and hashes) by identity: two TCBs
 with equal fields are still two tasks.  Ready-queue membership and
 removal therefore cost a pointer comparison, not a field-by-field one.
+
+:class:`TaskState` hashes by identity too, which agrees with an enum's
+identity equality: the per-transition :data:`LEGAL_TRANSITIONS` lookup
+and the recorder's :data:`STATE_LABELS` skip the Python-level
+``Enum.__hash__``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ class TaskState(enum.Enum):
     SLEEPING = "sleeping"
     #: Finished (exited, yielded via TY, or deleted).
     TERMINATED = "terminated"
+
+    __hash__ = object.__hash__
+
+
+#: State -> its label (the enum value), precomputed for the per-change
+#: recorder write: ``Enum.value`` is a Python-level descriptor.
+STATE_LABELS: dict[TaskState, str] = {state: state.value for state in TaskState}
 
 
 #: States from which a task can never run again.

@@ -80,6 +80,22 @@ if TYPE_CHECKING:
 #: replayed over one.
 Variant = ScenarioRef | ReplayRef
 
+#: Largest worker count a pool accepts.  Under ``fork`` a
+#: ``ProcessPoolExecutor`` starts all its workers at the first submit,
+#: so a count from a flag, a spec file or a served request must be
+#: bounded before any pool exists.
+MAX_WORKERS = 64
+
+
+def check_worker_cap(workers: int) -> None:
+    """Raise :class:`ConfigError` when ``workers`` exceeds
+    :data:`MAX_WORKERS`."""
+    if workers > MAX_WORKERS:
+        raise ConfigError(
+            f"workers must be <= {MAX_WORKERS} (MAX_WORKERS), got {workers}"
+        )
+
+
 #: Monotonic id source for pool spawns (process-local); lets callers
 #: observe "same warm pool" vs "respawned" without poking internals.
 _POOL_SEQ = 0
@@ -99,7 +115,8 @@ class WorkerPool:
     Parameters
     ----------
     workers:
-        Worker-process count of the underlying pool.
+        Worker-process count of the underlying pool, 1 to
+        :data:`MAX_WORKERS`.
 
     The wrapped ``ProcessPoolExecutor`` is created lazily on first
     :meth:`submit` and reused by every later submission — including
@@ -120,6 +137,7 @@ class WorkerPool:
     def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        check_worker_cap(workers)
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
         self._pool_id: int | None = None

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DetectorError
-from repro.pcore.tcb import TaskState
+from repro.pcore.tcb import STATE_LABELS, TaskState
 from repro.ptest.patterns import TestPattern
 
 
@@ -91,7 +91,7 @@ class ProcessStateRecorder:
         """Update the observed slave-task state for the pair."""
         tracking = self._tracking(pair_id)
         tracking.slave_state = (
-            state.value if isinstance(state, TaskState) else str(state)
+            STATE_LABELS[state] if isinstance(state, TaskState) else str(state)
         )
         if tid is not None:
             tracking.slave_tid = tid

@@ -52,6 +52,7 @@ from repro.ptest.executor import (
     ResultSink,
 )
 from repro.ptest.harness import TestRunResult
+from repro.ptest.pool import check_worker_cap
 from repro.workloads.registry import ScenarioRef
 
 MODES = ("run", "campaign", "adapt")
@@ -165,6 +166,7 @@ class CampaignSpec:
         _check_type("workers", self.workers, (int,), "an integer >= 1")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        check_worker_cap(self.workers)
         if self.batch_size is not None:
             _check_type(
                 "batch_size", self.batch_size, (int,), "an integer >= 1"

@@ -17,13 +17,17 @@ from typing import Iterator
 from repro.errors import MailboxError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MailboxMessage:
     """One word-sized message plus an optional out-of-band payload.
 
     Real mailboxes carry a single word; larger data travels through
     shared memory and the word is a descriptor.  ``payload`` models the
     descriptor's target without forcing every test to serialise bytes.
+
+    A slotted value, compared by value and not hashable; nothing
+    mutates one after construction, so the word checked at construction
+    stays a u32.
     """
 
     word: int

@@ -27,12 +27,15 @@ CATEGORY_DETECTOR = "detector"
 CATEGORY_MASTER = "master"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One timestamped event.
 
     ``core`` identifies where it happened (``"master"``, ``"slave"`` or a
     component name); ``payload`` is a small dict of primitives.
+
+    A slotted value, compared by value and not hashable; nothing
+    mutates one after construction.
     """
 
     time: int

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import Campaign
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
+from repro.ptest.pool import MAX_WORKERS
 from repro.ptest.spec import (
     CampaignSpec,
     RoundResult,
@@ -219,6 +220,7 @@ def test_round_result_wire_codec_round_trips():
         ({"scenario": "x", "mode": "adapt", "checkpoint": 5}, "checkpoint must be"),
         ({"scenario": "x", "cell_timeout": float("nan")}, "must be a finite"),
         ({"scenario": "x", "cell_timeout": float("inf")}, "must be a finite"),
+        ({"scenario": "x", "workers": MAX_WORKERS + 1}, "MAX_WORKERS"),
     ],
 )
 def test_validate_rejects(kwargs, match):
@@ -442,6 +444,21 @@ def test_cli_spec_nested_too_deeply_is_config_error(tmp_path):
     assert result.returncode == 2
     assert "not valid JSON" in result.stdout
     assert "Traceback" not in result.stdout + result.stderr
+
+
+def test_cli_spec_file_over_the_worker_cap_is_config_error(tmp_path, capsys):
+    from repro.cli import main
+
+    spec_file = tmp_path / "wide.json"
+    # One seed: even past the cap no pool would start.
+    spec_file.write_text(
+        json.dumps(
+            {"scenario": "clean_spin", "seeds": [0], "workers": MAX_WORKERS + 1}
+        )
+    )
+    assert main(["campaign", "--spec", str(spec_file)]) == 2
+    output = capsys.readouterr().out
+    assert output.count("\n") == 1 and "MAX_WORKERS" in output
 
 
 def test_cli_spec_and_scenario_together_is_config_error(tmp_path):

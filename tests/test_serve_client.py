@@ -26,7 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.client import Client, ServerError
 from repro.errors import ConfigError
-from repro.ptest.pool import shutdown_pools
+from repro.ptest.pool import MAX_WORKERS, shutdown_pools
 from repro.ptest.spec import CampaignSpec, execute_spec
 from repro.serve import MAX_LINE_BYTES, PROTOCOL_VERSION, start_server_thread
 from repro.workloads.registry import REGISTRY, build_scenario
@@ -250,8 +250,26 @@ def _adapt_spec(**field):
         ({}, "must be a JSON object"),
         ({"spec": {}}, "'scenario'"),
         ({"spec": []}, "must be a JSON object, got list"),
+        (
+            {
+                "spec": {
+                    "scenario": "clean_spin",
+                    "seeds": [0],
+                    "workers": MAX_WORKERS + 1,
+                }
+            },
+            "MAX_WORKERS",
+        ),
     ],
-    ids=["pipeline", "policy", "checkpoint", "no-spec", "empty-spec", "list-spec"],
+    ids=[
+        "pipeline",
+        "policy",
+        "checkpoint",
+        "no-spec",
+        "empty-spec",
+        "list-spec",
+        "workers-over-cap",
+    ],
 )
 def test_mistyped_spec_fields_get_one_config_error_frame(server, request_, message):
     with socket.create_connection(server.address, timeout=10) as sock:

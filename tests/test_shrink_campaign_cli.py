@@ -11,8 +11,12 @@ from repro.ptest.generator import PatternGenerator
 from repro.ptest.harness import AdaptiveTest
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import TestPattern
+from repro.ptest.pool import MAX_WORKERS
 from repro.ptest.shrink import PatternShrinker, truncate_merged
 from repro.workloads.scenarios import lifecycle_pfa, philosophers_case2
+
+#: A ``--workers`` value one past the cap; tests never pass a larger one.
+OVER_CAP = str(MAX_WORKERS + 1)
 
 
 def make_long_philosopher_merge(seed: int = 0):
@@ -288,6 +292,23 @@ class TestCli:
                 ["submit", "clean_spin", "--port", "1", "--timeout", "inf"],
                 "timeout must be a positive, finite number",
             ),
+            # One seed: even past the cap no pool would start.
+            (
+                ["campaign", "clean_spin", "--seeds", "1", "--workers", OVER_CAP],
+                f"workers must be <= {MAX_WORKERS}",
+            ),
+            (
+                ["adapt", "clean_spin", "--seeds", "1", "--workers", OVER_CAP],
+                f"workers must be <= {MAX_WORKERS}",
+            ),
+            (
+                ["submit", "clean_spin", "--port", "1", "--workers", OVER_CAP],
+                f"workers must be <= {MAX_WORKERS}",
+            ),
+            (
+                ["bench", "--quick", "--workers", OVER_CAP],
+                f"workers must be <= {MAX_WORKERS}",
+            ),
         ],
         ids=[
             "patterns-0",
@@ -301,6 +322,10 @@ class TestCli:
             "submit-timeout-negative",
             "submit-timeout-nan",
             "submit-timeout-inf",
+            "campaign-workers-over-cap",
+            "adapt-workers-over-cap",
+            "submit-workers-over-cap",
+            "bench-workers-over-cap",
         ],
     )
     def test_bad_config_flag_prints_one_line_and_exits_2(self, capsys, argv, message):

@@ -17,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.ptest.campaign import Campaign
 from repro.ptest.executor import CellExecutor, WorkCell
 from repro.ptest.pool import (
+    MAX_WORKERS,
     WorkerPool,
     active_pools,
     clear_worker_cache,
@@ -227,6 +229,15 @@ class TestWorkerPoolLifecycle:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(0)
+
+    def test_worker_count_over_the_cap_rejected(self):
+        # Rejected at construction; the executor is lazy anyway, so
+        # nothing is spawned either way.
+        with pytest.raises(ConfigError, match="MAX_WORKERS"):
+            WorkerPool(MAX_WORKERS + 1)
+        with pytest.raises(ConfigError, match="MAX_WORKERS"):
+            get_pool(MAX_WORKERS + 1)
+        assert all(pool.workers <= MAX_WORKERS for pool in active_pools())
 
 
 class TestShutdownRobustness:
@@ -455,7 +466,6 @@ class TestBatchTable:
         # surfaced as a raw PicklingError from deep inside the pool
         # submission machinery; the table must reject it by name
         # instead.
-        from repro.errors import ConfigError
         from repro.workloads.registry import ScenarioRef
 
         ref = ScenarioRef(name="clean_spin", params=(("hook", lambda: None),))
