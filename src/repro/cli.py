@@ -29,7 +29,11 @@ Python:
 :class:`~repro.ptest.spec.CampaignSpec` and dispatch through
 :func:`~repro.ptest.spec.execute_spec` — the same schema ``serve``
 accepts on the wire (``campaign --spec file.json`` loads one,
-``--dump-spec`` writes one without running).
+``--dump-spec`` writes one without running).  ``campaign``, ``adapt``
+and ``submit`` share one set of spec flags and one spec builder;
+``campaign`` and ``adapt`` share one handler, which differs between
+them only in the mode it asks for, and one printer renders local and
+submitted outcomes alike.
 
 Exit codes: 0 success, 1 a bug was found (``run`` and friends), 2
 configuration error, 3 execution-fabric failure (a campaign's worker
@@ -43,10 +47,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import CancelledError
-from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import ConfigError, ReproError, WatchdogTimeout
+from repro.errors import ConfigError, ReproError
 from repro.ptest.config import PTestConfig
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
@@ -133,20 +135,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _print_result(run_adaptive_test(config))
 
 
-def _executor_failure(error: BaseException, quarantine_flag: bool) -> int:
-    """One-line diagnosis (never a traceback) for a dead or hung
-    execution fabric: exit 3, distinct from "bug found" (1) and config
-    errors (2) so scripts can retry or escalate appropriately.  The
-    spelling is shared with ``repro serve``'s error frames (see
-    :func:`~repro.ptest.executor.executor_diagnosis`)."""
-    from repro.ptest.executor import QUARANTINE_HINT, executor_diagnosis
-
-    print(executor_diagnosis(error))
-    if not quarantine_flag:
-        print(QUARANTINE_HINT)
-    return 3
-
-
 def _print_quarantine(report) -> None:
     """Summarise a run's quarantine accounting.
 
@@ -175,13 +163,30 @@ def _load_spec_file(path: str):
     return CampaignSpec.from_json(text)
 
 
-def _build_spec(args: argparse.Namespace, mode: str):
+def _parse_grid(pairs: list[str] | None) -> dict[str, list[str]]:
+    """``key=v1,v2,...`` strings -> param grid (registry coerces types)."""
+    grid: dict[str, list[str]] = {}
+    for pair in pairs or []:
+        key, sep, values = pair.partition("=")
+        if not sep or not key or not values:
+            raise ConfigError(
+                f"malformed grid {pair!r}; expected key=v1,v2,..."
+            )
+        if key in grid:
+            raise ConfigError(f"grid parameter {key!r} given more than once")
+        grid[key] = values.split(",")
+    return grid
+
+
+def _build_spec(args: argparse.Namespace, mode: str | None):
     """The subcommand's :class:`~repro.ptest.spec.CampaignSpec` — from
     ``--spec FILE`` when given, otherwise from the parsed flags.
 
-    ``getattr`` defaults keep embedders that call the handlers with a
-    partial namespace (bypassing argparse) on the ConfigError path
-    rather than an AttributeError.
+    ``mode`` is the one a spec file must have; ``None`` (``repro
+    submit``) accepts a file of any mode and builds a campaign from
+    flags.  ``getattr`` defaults keep embedders that call the handlers
+    with a partial namespace (bypassing argparse) on the ConfigError
+    path rather than an AttributeError.
     """
     from repro.ptest.spec import CampaignSpec
 
@@ -192,7 +197,7 @@ def _build_spec(args: argparse.Namespace, mode: str):
                 "give a scenario name or --spec FILE, not both"
             )
         spec = _load_spec_file(spec_path)
-        if spec.mode != mode:
+        if mode is not None and spec.mode != mode:
             raise ConfigError(
                 f"spec file {spec_path!r} has mode {spec.mode!r}; "
                 f"`repro {mode}` runs mode {mode!r} specs "
@@ -201,11 +206,11 @@ def _build_spec(args: argparse.Namespace, mode: str):
         return spec
     if args.scenario is None:
         raise ConfigError(
-            f"`repro {mode}` needs a scenario name or --spec FILE"
+            f"`repro {mode or 'submit'}` needs a scenario name or --spec FILE"
         )
     common = dict(
         scenario=args.scenario,
-        mode=mode,
+        mode=mode or "campaign",
         params=tuple(_parse_params(args.param).items()),
         grid=tuple(
             (key, tuple(values))
@@ -306,27 +311,51 @@ def _print_adapt_outcome(spec, outcome) -> None:
         _print_quarantine(round_result.quarantine)
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
+def _print_outcome(spec, outcome) -> None:
+    """Render a spec's outcome, run here or on a server: per round for
+    an adapt spec, as one campaign table otherwise."""
+    if spec.mode == "adapt":
+        _print_adapt_outcome(spec, outcome)
+    else:
+        _print_campaign_outcome(spec, outcome)
+
+
+def _execute_locally(args: argparse.Namespace, mode: str) -> int:
+    """``repro campaign`` and ``repro adapt``: build the spec, run it
+    here, print it.
+
+    A dead or hung execution fabric gets a one-line diagnosis and exit
+    3, distinct from "bug found" (1) and config errors (2), in the
+    spelling ``repro serve``'s error frames use (see
+    :func:`~repro.ptest.executor.executor_diagnosis`).
+    """
+    from repro.ptest.executor import (
+        EXECUTOR_FAILURES,
+        QUARANTINE_HINT,
+        executor_diagnosis,
+    )
     from repro.ptest.pool import close_pool
     from repro.ptest.spec import execute_spec
 
     try:
-        spec = _build_spec(args, "campaign")
+        spec = _build_spec(args, mode)
     except (ReproError, ValueError) as error:
-        # Contradictory knobs, malformed --param/--grid, an unreadable
-        # --spec file — config problems, caught before any pool exists.
+        # Contradictory knobs, malformed --param/--grid, an unknown
+        # policy, an unreadable --spec file — config problems, caught
+        # before any pool exists.
         print(error)
         return 2
     if _dump_spec(args, spec):
         return 0
     try:
         outcome = execute_spec(spec)
-    except WatchdogTimeout as error:
-        # Before the (ReproError, ...) -> 2 arm: a hung batch is a
-        # fabric failure, not a config mistake.
-        return _executor_failure(error, spec.quarantine)
-    except (BrokenProcessPool, CancelledError) as error:
-        return _executor_failure(error, spec.quarantine)
+    except EXECUTOR_FAILURES as error:
+        # Before the ReproError arm: a hung batch (WatchdogTimeout) is
+        # a fabric failure, not a config mistake.
+        print(executor_diagnosis(error))
+        if not spec.quarantine:
+            print(QUARANTINE_HINT)
+        return 3
     except (ReproError, ValueError) as error:
         # ValueError covers duplicate variant names (e.g. a repeated
         # grid value); ReproError covers registry/param problems and
@@ -335,61 +364,21 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     finally:
         if not getattr(args, "keep_pool", False):
-            # Deterministic teardown of this campaign's shared pool
-            # only — an embedding caller's other warm pools survive.
-            # With --keep-pool even this one stays warm (the atexit
-            # hook reaps it eventually).
+            # Deterministic teardown of this run's shared pool only —
+            # an embedding caller's other warm pools survive.  With
+            # --keep-pool even this one stays warm (the atexit hook
+            # reaps it eventually).
             close_pool(spec.workers)
-    _print_campaign_outcome(spec, outcome)
+    _print_outcome(spec, outcome)
     return 0
 
 
-def _parse_grid(pairs: list[str] | None) -> dict[str, list[str]]:
-    """``key=v1,v2,...`` strings -> param grid (registry coerces types)."""
-    grid: dict[str, list[str]] = {}
-    for pair in pairs or []:
-        key, sep, values = pair.partition("=")
-        if not sep or not key or not values:
-            raise ConfigError(
-                f"malformed grid {pair!r}; expected key=v1,v2,..."
-            )
-        if key in grid:
-            raise ConfigError(f"grid parameter {key!r} given more than once")
-        grid[key] = values.split(",")
-    return grid
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    return _execute_locally(args, "campaign")
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    from repro.ptest.pool import close_pool
-    from repro.ptest.spec import execute_spec
-
-    try:
-        # Construct inside the try: policy/pipeline/param validation
-        # errors are config problems and must exit 2, not traceback.
-        spec = _build_spec(args, "adapt")
-    except (ReproError, ValueError) as error:
-        print(error)
-        return 2
-    if _dump_spec(args, spec):
-        return 0
-    try:
-        outcome = execute_spec(spec)
-    except WatchdogTimeout as error:
-        # A hung round the watchdog could not recover — fabric failure
-        # (exit 3), checked before the ReproError -> 2 arm.
-        return _executor_failure(error, spec.quarantine)
-    except (BrokenProcessPool, CancelledError) as error:
-        return _executor_failure(error, spec.quarantine)
-    except (ReproError, ValueError) as error:
-        # Config problems (unknown scenario/param, bad grid or rounds,
-        # a policy needing refs it did not get) — not found bugs.
-        print(error)
-        return 2
-    finally:
-        if not getattr(args, "keep_pool", False):
-            close_pool(spec.workers)
-    _print_adapt_outcome(spec, outcome)
-    return 0
+    return _execute_locally(args, "adapt")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -441,17 +430,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print(f"port must be in 0-65535, got {args.port}")
         return 2
     try:
-        spec_path = getattr(args, "spec", None)
-        if spec_path is not None:
-            if args.scenario is not None:
-                raise ConfigError(
-                    "give a scenario name or --spec FILE, not both"
-                )
-            spec = _load_spec_file(spec_path)
-        else:
-            # Flag form: the same campaign-shaped spec `repro campaign`
-            # builds (use --spec for adapt/run submissions).
-            spec = _build_spec(args, "campaign")
+        spec = _build_spec(args, None)
         # Connects lazily: a bad --timeout is rejected here, before any
         # socket exists.
         client = Client(args.host, args.port, timeout=args.timeout)
@@ -473,10 +452,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         client.close()
     queue_note = " [queued]" if outcome.queued else ""
     print(f"submitted to {args.host}:{args.port}{queue_note}")
-    if spec.mode == "adapt":
-        _print_adapt_outcome(spec, outcome)
-    else:
-        _print_campaign_outcome(spec, outcome)
+    _print_outcome(spec, outcome)
     return 0
 
 
@@ -592,100 +568,90 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--max-ticks", type=int, default=None)
     run_p.set_defaults(func=_cmd_run)
 
-    campaign_p = sub.add_parser(
-        "campaign", help="sweep a registered scenario over seeds"
-    )
-    campaign_p.add_argument(
+    # The spec flags, declared once: every subcommand that builds a
+    # CampaignSpec from flags takes them, and the ones that run it
+    # here take the local execution flags too.
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument(
         "scenario",
         nargs="?",
         default=None,
         help="registered scenario name (or give --spec FILE)",
     )
-    campaign_p.add_argument(
+    spec_flags.add_argument(
         "--spec",
         metavar="FILE",
         default=None,
-        help="load the whole campaign from a CampaignSpec JSON file "
-        "instead of flags (see --dump-spec)",
+        help="load the whole spec from a CampaignSpec JSON file instead "
+        "of flags (see --dump-spec; `submit` takes any mode)",
     )
-    campaign_p.add_argument(
+    spec_flags.add_argument(
         "--dump-spec",
         metavar="PATH",
         default=None,
         help="write the parsed CampaignSpec as JSON to PATH and exit "
         "without running (round-trips through --spec and `repro serve`)",
     )
-    campaign_p.add_argument("--seeds", type=int, default=5)
-    campaign_p.add_argument("--workers", type=int, default=1)
-    campaign_p.add_argument(
+    spec_flags.add_argument("--seeds", type=int, default=5)
+    spec_flags.add_argument("--workers", type=int, default=1)
+    spec_flags.add_argument(
         "--batch-size",
         type=int,
         default=None,
         help="cells per worker submission (default: auto)",
     )
-    campaign_p.add_argument(
+    spec_flags.add_argument(
         "--param",
         "-p",
         action="append",
         metavar="KEY=VALUE",
         help="fixed scenario parameter (repeatable)",
     )
-    campaign_p.add_argument(
+    spec_flags.add_argument(
         "--grid",
         "-g",
         action="append",
         metavar="KEY=V1,V2,...",
         help="sweep a parameter over several values (repeatable; "
-        "variants are the cartesian product)",
+        "variants are the cartesian product, which `adapt` refines "
+        "round by round)",
     )
-    campaign_p.add_argument(
+    local_flags = argparse.ArgumentParser(add_help=False)
+    local_flags.add_argument(
         "--keep-pool",
         action="store_true",
-        help="leave the shared worker pool warm after the campaign "
-        "instead of shutting it down (for embedding callers that will "
-        "dispatch again)",
+        help="leave the shared worker pool warm after the run instead of "
+        "shutting it down (for embedding callers that will dispatch "
+        "again)",
     )
-    campaign_p.add_argument(
+    local_flags.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
         help="watchdog deadline per cell: hung worker batches are "
-        "killed and retried instead of wedging the campaign "
+        "killed and retried instead of wedging the run "
         "(default: wait forever)",
     )
-    campaign_p.add_argument(
+    local_flags.add_argument(
         "--quarantine",
         action="store_true",
         help="bisect repeatedly-failing batches down to the poison "
         "cells and complete with partial results (reported per cell) "
         "instead of aborting",
     )
+
+    campaign_p = sub.add_parser(
+        "campaign",
+        parents=[spec_flags, local_flags],
+        help="sweep a registered scenario over seeds",
+    )
     campaign_p.set_defaults(func=_cmd_campaign)
 
     adapt_p = sub.add_parser(
         "adapt",
+        parents=[spec_flags, local_flags],
         help="multi-round adaptive campaign on one warm worker pool",
-    )
-    adapt_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="registered scenario name (or give --spec FILE)",
-    )
-    adapt_p.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="load the whole run from a CampaignSpec JSON file "
-        "instead of flags (see --dump-spec)",
-    )
-    adapt_p.add_argument(
-        "--dump-spec",
-        metavar="PATH",
-        default=None,
-        help="write the parsed CampaignSpec as JSON to PATH and exit "
-        "without running",
     )
     adapt_p.add_argument(
         "--rounds",
@@ -719,47 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="detections seeding each replay round (replay policy only)",
-    )
-    adapt_p.add_argument("--seeds", type=int, default=5)
-    adapt_p.add_argument("--workers", type=int, default=1)
-    adapt_p.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="cells per worker submission (default: auto)",
-    )
-    adapt_p.add_argument(
-        "--param",
-        "-p",
-        action="append",
-        metavar="KEY=VALUE",
-        help="fixed scenario parameter (repeatable)",
-    )
-    adapt_p.add_argument(
-        "--grid",
-        "-g",
-        action="append",
-        metavar="KEY=V1,V2,...",
-        help="round-1 parameter grid (repeatable; variants are the "
-        "cartesian product, which the policy then refines)",
-    )
-    adapt_p.add_argument(
-        "--keep-pool",
-        action="store_true",
-        help="leave the shared worker pool warm after the run",
-    )
-    adapt_p.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="watchdog deadline per cell (see `campaign --cell-timeout`)",
-    )
-    adapt_p.add_argument(
-        "--quarantine",
-        action="store_true",
-        help="bisect repeatedly-failing batches down to the poison "
-        "cells and keep going (see `campaign --quarantine`)",
     )
     adapt_p.add_argument(
         "--checkpoint",
@@ -800,27 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     submit_p = sub.add_parser(
         "submit",
-        help="submit a campaign to a running `repro serve` instance",
-    )
-    submit_p.add_argument(
-        "scenario",
-        nargs="?",
-        default=None,
-        help="registered scenario name for a campaign-mode submission "
-        "(use --spec for run/adapt specs)",
-    )
-    submit_p.add_argument(
-        "--spec",
-        metavar="FILE",
-        default=None,
-        help="CampaignSpec JSON file to submit (any mode)",
-    )
-    submit_p.add_argument(
-        "--dump-spec",
-        metavar="PATH",
-        default=None,
-        help="write the parsed CampaignSpec as JSON to PATH and exit "
-        "without submitting",
+        parents=[spec_flags],
+        help="submit a spec to a running `repro serve` instance: a "
+        "campaign from flags, any mode with --spec",
     )
     submit_p.add_argument("--host", default="127.0.0.1")
     submit_p.add_argument("--port", type=int, default=7341)
@@ -829,15 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         help="per-read socket timeout in seconds",
-    )
-    submit_p.add_argument("--seeds", type=int, default=5)
-    submit_p.add_argument("--workers", type=int, default=1)
-    submit_p.add_argument("--batch-size", type=int, default=None)
-    submit_p.add_argument(
-        "--param", "-p", action="append", metavar="KEY=VALUE"
-    )
-    submit_p.add_argument(
-        "--grid", "-g", action="append", metavar="KEY=V1,V2,..."
     )
     submit_p.set_defaults(func=_cmd_submit)
 

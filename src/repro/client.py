@@ -23,13 +23,16 @@ import json
 import math
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, NoReturn
 
 from repro.errors import ConfigError, ReproError
-from repro.ptest.campaign import CampaignRow, DetectionSample
-from repro.ptest.executor import QuarantineReport
-from repro.ptest.spec import CampaignSpec, RoundResult, round_from_dict
+from repro.ptest.spec import (
+    CampaignSpec,
+    RoundResult,
+    SpecOutcome,
+    round_from_dict,
+)
 
 DEFAULT_PORT = 7341
 
@@ -68,44 +71,21 @@ class CellEvent:
 
 
 @dataclass
-class RemoteOutcome:
-    """What one remote request produced, rebuilt from the wire.
+class RemoteOutcome(SpecOutcome):
+    """A :class:`~repro.ptest.spec.SpecOutcome` rebuilt from the wire,
+    plus the admission and cell frames.
 
-    ``rounds`` is the bit-identity payload —
-    :class:`~repro.ptest.spec.RoundResult` values equal to a direct
-    run's.  The rest is server telemetry: admission info from the
-    ``accepted`` frame, pool ids from the ``done`` frame (process-local
-    to the *server*, so never part of equality).
+    ``rounds`` compare *equal* to a direct run's (the bit-identity
+    payload); ``pool_ids`` are process-local to the *server*, so never
+    part of equality.  ``queued`` and ``queue_depth`` come from the
+    ``accepted`` frame, ``cells`` from the streamed ``cell`` frames.
+    ``run_result`` stays ``None``: a full run result does not cross
+    the wire.
     """
 
-    spec: CampaignSpec
-    rounds: tuple[RoundResult, ...]
-    stopped_early: bool = False
-    pool_ids: tuple[int | None, ...] = ()
-    resumed_rounds: int = 0
-    rounds_budget: int = 0
-    schedule: str = ""
     queued: bool = False
     queue_depth: int = 0
-    cells: tuple[CellEvent, ...] = field(default=())
-
-    @property
-    def rows(self) -> tuple[CampaignRow, ...]:
-        return self.rounds[-1].rows if self.rounds else ()
-
-    @property
-    def detections(self) -> tuple[DetectionSample, ...]:
-        return tuple(
-            sample for round_ in self.rounds for sample in round_.detections
-        )
-
-    @property
-    def quarantine(self) -> QuarantineReport | None:
-        return self.rounds[-1].quarantine if self.rounds else None
-
-    @property
-    def total_detections(self) -> int:
-        return sum(round_.total_detections for round_ in self.rounds)
+    cells: tuple[CellEvent, ...] = ()
 
 
 class Client:
@@ -115,8 +95,9 @@ class Client:
     submit`` subcommand without touching asyncio.  Connects lazily on
     first use; ``connect_timeout`` bounds how long to keep retrying the
     initial connection (covers the start-the-server-then-connect race
-    in scripts), ``timeout`` bounds each subsequent read and must be a
-    positive, finite number of seconds (else
+    in scripts; ``0`` makes one attempt), ``timeout`` bounds each
+    subsequent read.  ``timeout`` must be a positive, finite number of
+    seconds and ``connect_timeout`` a non-negative, finite one (else
     :class:`~repro.errors.ConfigError`).  Context manager; one
     in-flight request per client instance.
     """
@@ -133,6 +114,11 @@ class Client:
             raise ConfigError(
                 f"timeout must be a positive, finite number of seconds, "
                 f"got {timeout}"
+            )
+        if not 0 <= connect_timeout < math.inf:  # NaN compares false too
+            raise ConfigError(
+                f"connect_timeout must be a non-negative, finite number of "
+                f"seconds, got {connect_timeout}"
             )
         self.host = host
         self.port = port

@@ -42,7 +42,6 @@ from typing import Iterable
 from repro.bridge.bridge import BridgeMaster
 from repro.pcore.kernel import PCoreKernel
 from repro.pcore.tcb import TaskState
-from repro.ptest.recording import ProcessStateRecorder
 from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
 from repro.sim.trace import CATEGORY_DETECTOR, Tracer
 
@@ -90,7 +89,7 @@ class DetectorConfig:
 
 @dataclass
 class BugDetector:
-    """Sampled monitor over the kernel, bridge and state records.
+    """Sampled monitor over the kernel and bridge.
 
     Each :meth:`sweep` sets :attr:`alarm`: the first tick at which a
     later sweep could report, provided that until then only the running
@@ -111,7 +110,6 @@ class BugDetector:
     kernel: PCoreKernel
     bridge: BridgeMaster
     config: DetectorConfig = field(default_factory=DetectorConfig)
-    recorder: ProcessStateRecorder | None = None
     tracer: Tracer | None = None
     anomalies: list[Anomaly] = field(default_factory=list)
     sweeps: int = 0

@@ -411,12 +411,3 @@ def run_adaptive_test(
         setup=setup,
     ).run()
 
-
-def reproduce(report: BugReport) -> TestRunResult:
-    """Re-run a bug report's config; deterministic seeds re-find the bug.
-
-    Note: reproduction needs the same ``programs``/``setup`` the
-    original run used; for the built-in workloads use the scenario
-    helpers in :mod:`repro.workloads.scenarios`.
-    """
-    return run_adaptive_test(report.config)

@@ -47,9 +47,11 @@ from repro.ptest.campaign import (
     grid_variants,
 )
 from repro.ptest.executor import (
+    CellExecutor,
     QuarantinedCell,
     QuarantineReport,
     ResultSink,
+    WorkCell,
 )
 from repro.ptest.harness import TestRunResult
 from repro.ptest.pool import check_worker_cap
@@ -499,26 +501,16 @@ def _add_variants(campaign: Any, spec: CampaignSpec) -> None:
 
 
 def _execute_run(spec: CampaignSpec) -> SpecOutcome:
-    from repro.workloads.registry import build_scenario
-
-    test = build_scenario(spec.scenario, spec.seeds[0], **dict(spec.params))
-    result = test.run()
-    detections: tuple[DetectionSample, ...] = ()
-    if result.found_bug:
-        report = result.report
-        detections = (
-            DetectionSample(
-                variant=spec.scenario,
-                seed=spec.seeds[0],
-                kind=report.primary.kind.value,
-                merged_op=report.merged_op,
-                merged_description=report.merged_description,
-            ),
-        )
+    """One cell in-process, through the cell path every campaign
+    takes, keeping its full result."""
+    cell = WorkCell(spec.scenario, spec.seeds[0])
+    [result] = CellExecutor(workers=1).run_cells(spec_variants(spec), [cell])
+    capture = DetectionCapture()
+    capture.accept(cell, result)
     round_result = RoundResult(
         index=0,
         rows=(),
-        detections=detections,
+        detections=capture.for_variant(spec.scenario),
     )
     return SpecOutcome(
         spec=spec,

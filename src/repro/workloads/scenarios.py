@@ -165,14 +165,6 @@ def philosophers_case2(
     return AdaptiveTest(config=config, programs=programs, pfa=pfa)
 
 
-def philosophers_programs(count: int = 3, ordered: bool = False) -> dict:
-    """The per-seat philosopher programs, for custom harness wiring."""
-    return {
-        f"phil{seat}": make_philosopher_program(seat, count=count, ordered=ordered)
-        for seat in range(count)
-    }
-
-
 @scenario("philosophers_random", expect=lambda **_: AnomalyKind.DEADLOCK)
 def build_philosophers_random(seed: int):
     """ConTest-style random noise on the philosophers scenario (same

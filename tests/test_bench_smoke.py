@@ -8,8 +8,10 @@ workflow's steps.  Excluded from plain ``pytest`` runs via the marker
 CI and noise inside the regular suite.
 
 Floors and their skip conditions mirror the ``criteria`` block the
-bench writes into ``benchmarks/out/bench_perf_hotpaths.json`` — change
-them there and here together.
+bench writes into its JSON report — change them there and here
+together.  The smoke writes that report into pytest's base temporary
+directory (``--basetemp`` names it), never over the committed full-run
+``benchmarks/out/bench_perf_hotpaths.json``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ pytestmark = pytest.mark.benchsmoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "benchmarks" / "bench_perf_hotpaths.py"
-OUT_PATH = REPO_ROOT / "benchmarks" / "out" / "bench_perf_hotpaths.json"
 
 
 @pytest.fixture(scope="module")
-def report() -> dict:
+def report(tmp_path_factory) -> dict:
     """One quick bench run per session; later tests read its JSON."""
     spec = importlib.util.spec_from_file_location(
         "bench_perf_hotpaths_smoke", BENCH_PATH
@@ -38,8 +39,9 @@ def report() -> dict:
     spec.loader.exec_module(module)
     # --workers 2 matches the CI runner guidance: oversubscribing a
     # small machine only adds scheduling noise to the timing ratios.
-    assert module.main(["--quick", "--workers", "2"]) == 0
-    return json.loads(OUT_PATH.read_text())
+    out = tmp_path_factory.getbasetemp() / "bench_perf_hotpaths.json"
+    assert module.main(["--quick", "--workers", "2", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
 class TestCiFloors:

@@ -424,6 +424,93 @@ def test_cli_dump_spec_then_spec_round_trip(tmp_path):
     assert from_file.stdout == flags.stdout
 
 
+_SPEC_OPTIONS = set(
+    "-h --help --spec --dump-spec --seeds --workers --batch-size "
+    "--param -p --grid -g".split()
+)
+_LOCAL_OPTIONS = {"--keep-pool", "--cell-timeout", "--quarantine"}
+_ADAPT_OPTIONS = set(
+    "--rounds --policy --pipeline --max-sources --checkpoint --resume".split()
+)
+#: Per spec subcommand: its option strings, an invocation setting every
+#: flag that reaches the spec, and the spec that invocation dumps.
+_SPEC_SURFACES = {
+    "campaign": (
+        _SPEC_OPTIONS | _LOCAL_OPTIONS,
+        "philosophers --seeds 3 --workers 2 --batch-size 4 -p count=3 "
+        "--param op=round_robin -g chunk=1,2 --grid max_ticks=900,1200 "
+        "--cell-timeout 7.5 --quarantine --keep-pool",
+        {
+            "scenario": "philosophers",
+            "mode": "campaign",
+            "params": {"count": "3", "op": "round_robin"},
+            "grid": {"chunk": ["1", "2"], "max_ticks": ["900", "1200"]},
+            "seeds": [0, 1, 2],
+            "workers": 2,
+            "batch_size": 4,
+            "cell_timeout": 7.5,
+            "quarantine": True,
+        },
+    ),
+    "adapt": (
+        _SPEC_OPTIONS | _LOCAL_OPTIONS | _ADAPT_OPTIONS,
+        "philosophers --seeds 2 --workers 2 --batch-size 3 -p count=3 "
+        "-g chunk=1,2 --cell-timeout 5 --quarantine --keep-pool "
+        "--pipeline grid_zoom:2,replay:1 --rounds 4 --max-sources 3 "
+        "--checkpoint adapt.ckpt --resume",
+        {
+            "scenario": "philosophers",
+            "mode": "adapt",
+            "params": {"count": "3"},
+            "grid": {"chunk": ["1", "2"]},
+            "seeds": [0, 1],
+            "workers": 2,
+            "batch_size": 3,
+            "cell_timeout": 5.0,
+            "quarantine": True,
+            "pipeline": "grid_zoom:2,replay:1",
+            "rounds": 4,
+            "max_sources": 3,
+            "checkpoint": "adapt.ckpt",
+            "resume": True,
+        },
+    ),
+    "submit": (
+        _SPEC_OPTIONS | {"--host", "--port", "--timeout"},
+        "barrier --seeds 4 --workers 2 --batch-size 2 -p parties=3 "
+        "-g faulty=false,true --host 127.0.0.1 --port 1 --timeout 9.5",
+        {
+            "scenario": "barrier",
+            "mode": "campaign",
+            "params": {"parties": "3"},
+            "grid": {"faulty": ["false", "true"]},
+            "seeds": [0, 1, 2, 3],
+            "workers": 2,
+            "batch_size": 2,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SPEC_SURFACES))
+def test_cli_spec_subcommand_surface(command, tmp_path, capsys):
+    """Each spec subcommand's flags, and the spec an invocation that
+    sets every one of them writes (``submit`` never connects)."""
+    from repro.cli import build_parser, main
+
+    options, argv, expected = _SPEC_SURFACES[command]
+    subparsers = build_parser()._subparsers._group_actions[0]
+    parser = subparsers.choices[command]
+    assert set(parser._option_string_actions) == options
+    assert [a.dest for a in parser._actions if not a.option_strings] == [
+        "scenario"
+    ]
+    dump = tmp_path / f"{command}.json"
+    assert main([command, *argv.split(), "--dump-spec", str(dump)]) == 0
+    assert capsys.readouterr().out == f"spec written to {dump}\n"
+    assert json.loads(dump.read_text()) == expected
+
+
 def test_cli_spec_mode_mismatch_is_config_error(tmp_path):
     spec_file = tmp_path / "adapt.json"
     spec_file.write_text(

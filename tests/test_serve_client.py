@@ -483,6 +483,21 @@ def test_submit_read_timeout_exits_2_without_traceback(
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "connect_timeout",
+    [float("nan"), float("inf"), -1.0],
+    ids=["nan", "inf", "negative"],
+)
+def test_bad_connect_timeout_is_a_config_error(connect_timeout):
+    # Construction only: connect() retries until a deadline that a NaN
+    # or infinite connect_timeout never reaches.
+    with pytest.raises(
+        ConfigError, match="connect_timeout must be a non-negative, finite"
+    ):
+        Client("127.0.0.1", 1, connect_timeout=connect_timeout)
+    assert Client("127.0.0.1", 1, connect_timeout=0).connect_timeout == 0
+
+
 def test_quarantined_cells_survive_the_wire(server):
     name = _register("serve_poison", lambda seed: _Poison(seed))
     try:
