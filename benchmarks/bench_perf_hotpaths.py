@@ -38,7 +38,10 @@ ratios are startup noise there and CI floors skip them.
 Results are printed and persisted as machine-readable JSON at
 ``benchmarks/out/bench_perf_hotpaths.json`` (same directory as the text
 artifacts of the paper-figure benches) so future PRs have a trajectory
-to compare against.  ``--quick`` shrinks every layer for CI smoke runs.
+to compare against.  ``--quick`` shrinks every layer for CI smoke runs
+and writes ``bench_perf_hotpaths.quick.json`` beside it instead, so a
+smoke run never overwrites the committed full-run artifact; ``--out``
+overrides either path.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_hotpaths.py [--quick]
 """
@@ -71,6 +74,9 @@ from repro.ptest.waitgraph import IncrementalWaitForGraph
 from repro.workloads.registry import scenario_ref
 
 OUT_PATH = Path(__file__).parent / "out" / "bench_perf_hotpaths.json"
+#: Where ``--quick`` writes without ``--out``: beside the committed
+#: full-run artifact, never over it (and gitignored).
+QUICK_OUT_PATH = OUT_PATH.with_suffix(".quick.json")
 
 #: Interleaved clean/chaos pairs timed by :func:`bench_faults`.
 FAULT_PAIRS = 5
@@ -628,10 +634,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=OUT_PATH,
-        help="where to write the JSON artifact",
+        default=None,
+        help="where to write the JSON artifact (default: "
+        "benchmarks/out/bench_perf_hotpaths.json, or "
+        "bench_perf_hotpaths.quick.json beside it with --quick)",
     )
     args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = QUICK_OUT_PATH if args.quick else OUT_PATH
 
     results = {
         "bench": "perf_hotpaths",

@@ -25,15 +25,17 @@ Python:
                    JSON artifact path plus headline speedups
 ``fig1``           the Fig. 1 example (--order good|bad)
 
-``run``/``campaign``/``adapt`` all parse into one serializable
+``campaign``/``adapt`` parse into one serializable
 :class:`~repro.ptest.spec.CampaignSpec` and dispatch through
 :func:`~repro.ptest.spec.execute_spec` — the same schema ``serve``
 accepts on the wire (``campaign --spec file.json`` loads one,
-``--dump-spec`` writes one without running).  ``campaign``, ``adapt``
-and ``submit`` share one set of spec flags and one spec builder;
-``campaign`` and ``adapt`` share one handler, which differs between
-them only in the mode it asks for, and one printer renders local and
-submitted outcomes alike.
+``--dump-spec`` writes one without running).  ``run`` is no spec: it
+runs its one cell through the cell path every campaign takes
+(:class:`~repro.ptest.executor.CellExecutor`) and prints the full
+result.  ``campaign``, ``adapt`` and ``submit`` share one set of spec
+flags and one spec builder; ``campaign`` and ``adapt`` share one
+handler, which differs between them only in the mode it asks for, and
+one printer renders local and submitted outcomes alike.
 
 Exit codes: 0 success, 1 a bug was found (``run`` and friends), 2
 configuration error, 3 execution-fabric failure (a campaign's worker
@@ -50,10 +52,11 @@ import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.config import PTestConfig
+from repro.ptest.executor import CellExecutor, WorkCell
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
 from repro.workloads.fig1 import run_fig1
-from repro.workloads.registry import REGISTRY
+from repro.workloads.registry import REGISTRY, scenario_ref
 
 
 def _print_result(result) -> int:
@@ -96,23 +99,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "(see `repro scenarios`)"
             )
             return 2
-        from repro.ptest.spec import CampaignSpec, execute_spec
-
         try:
-            spec = CampaignSpec(
-                scenario=args.scenario,
-                mode="run",
-                params=tuple(_parse_params(args.param).items()),
-                seeds=(args.seed,),
+            # The one cell path every campaign takes (pool._run_cached).
+            ref = scenario_ref(args.scenario, **_parse_params(args.param))
+            [result] = CellExecutor(workers=1).run_cells(
+                {args.scenario: ref}, [WorkCell(args.scenario, args.seed)]
             )
-            outcome = execute_spec(spec)
         except ReproError as error:
             # Unknown scenario, bad param, or a builder rejecting an
             # out-of-range value — never exit 1 (that means "bug found").
             print(error)
             return 2
         print(f"scenario: {args.scenario} seed={args.seed}")
-        return _print_result(outcome.run_result)
+        return _print_result(result)
     if args.param:
         print("--param requires a scenario name (see `repro scenarios`)")
         return 2
@@ -237,13 +236,17 @@ def _build_spec(args: argparse.Namespace, mode: str | None):
 
 def _dump_spec(args: argparse.Namespace, spec) -> bool:
     """Handle ``--dump-spec PATH``: write the spec as JSON and skip
-    execution.  Returns whether the run should stop here."""
+    execution.  Returns whether the run should stop here; a path that
+    cannot be written is a config error, not a traceback."""
     path = getattr(args, "dump_spec", None)
     if path is None:
         return False
     from pathlib import Path
 
-    Path(path).write_text(spec.to_json(indent=2) + "\n")
+    try:
+        Path(path).write_text(spec.to_json(indent=2) + "\n")
+    except OSError as error:
+        raise ConfigError(f"cannot write spec file {path!r}: {error}")
     print(f"spec written to {path}")
     return True
 
@@ -339,14 +342,14 @@ def _execute_locally(args: argparse.Namespace, mode: str) -> int:
 
     try:
         spec = _build_spec(args, mode)
+        if _dump_spec(args, spec):
+            return 0
     except (ReproError, ValueError) as error:
         # Contradictory knobs, malformed --param/--grid, an unknown
-        # policy, an unreadable --spec file — config problems, caught
-        # before any pool exists.
+        # policy, an unreadable --spec file or unwritable --dump-spec
+        # path — config problems, caught before any pool exists.
         print(error)
         return 2
-    if _dump_spec(args, spec):
-        return 0
     try:
         outcome = execute_spec(spec)
     except EXECUTOR_FAILURES as error:
@@ -434,11 +437,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         # Connects lazily: a bad --timeout is rejected here, before any
         # socket exists.
         client = Client(args.host, args.port, timeout=args.timeout)
+        if _dump_spec(args, spec):
+            return 0
     except (ReproError, ValueError) as error:
         print(error)
         return 2
-    if _dump_spec(args, spec):
-        return 0
     try:
         outcome = client.run(spec)
     except ServerError as error:

@@ -79,8 +79,6 @@ class RemoteOutcome(SpecOutcome):
     payload); ``pool_ids`` are process-local to the *server*, so never
     part of equality.  ``queued`` and ``queue_depth`` come from the
     ``accepted`` frame, ``cells`` from the streamed ``cell`` frames.
-    ``run_result`` stays ``None``: a full run result does not cross
-    the wire.
     """
 
     queued: bool = False

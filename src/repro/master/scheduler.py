@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.master.thread import MasterThread, ThreadState
+from repro.master.thread import MasterThread
 
 
 @dataclass
@@ -31,9 +31,6 @@ class TimeSharingScheduler:
 
     def add(self, thread: MasterThread) -> None:
         self.threads.append(thread)
-
-    def runnable_threads(self) -> list[MasterThread]:
-        return [thread for thread in self.threads if thread.runnable]
 
     def all_done(self) -> bool:
         return all(thread.done for thread in self.threads)

@@ -182,15 +182,3 @@ def forever_program(ctx: TaskContext) -> Generator[Syscall, object, None]:
     while True:
         yield Compute(1)
         yield YieldCpu()
-
-
-def spin_exit_program(units: int) -> TaskProgram:
-    """A program that computes ``units`` steps then exits."""
-
-    def program(ctx: TaskContext) -> Generator[Syscall, object, None]:
-        del ctx
-        if units > 0:
-            yield Compute(units)
-        yield Exit(0)
-
-    return program

@@ -504,8 +504,11 @@ class AdaptiveCampaign:
     (``AdaptiveResult.pool_stable`` certifies it).
 
     ``rounds`` caps the round count; the policy may stop earlier by
-    returning no variants.  Results are identical at any ``(workers,
-    batch_size, warm/cold)`` — see the module docstring's contract.
+    returning no variants.  ``policy`` is needed only when ``rounds >
+    1``: the final round is never refined, so ``rounds=1`` with no
+    policy is one plain campaign round (how a campaign spec runs).
+    Results are identical at any ``(workers, batch_size, warm/cold)`` —
+    see the module docstring's contract.
 
     **Crash safety.**  ``checkpoint=`` names a file that receives the
     campaign's round-by-round progress (atomically, after every
@@ -591,9 +594,9 @@ class AdaptiveCampaign:
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         policy = self.policy
-        if policy is None:
+        if policy is None and self.rounds > 1:
             raise ConfigError(
-                f"adaptive campaign needs a refine policy "
+                f"adaptive campaign needs a refine policy for rounds > 1 "
                 f"(built-ins: {sorted(POLICIES)})"
             )
         pool = self.pool
@@ -610,70 +613,31 @@ class AdaptiveCampaign:
             fingerprint = campaign_fingerprint(
                 self.seeds, self.variants, policy, self.capture_per_variant
             )
+        # Completed rounds replay from disk: every stored observation
+        # goes back through ``policy.refine`` exactly as the live round
+        # did, so policy/pipeline state and the next round's variants
+        # are rebuilt without executing a cell.  Policies are pure
+        # functions of their observations (the determinism contract),
+        # which is why no policy state needs persisting.
+        stored: list[RoundObservation] = []
+        if self.resume and store is not None and store.exists():
+            stored = store.load(fingerprint)["observations"]
         current: dict[str, Variant] = dict(self.variants)
         observations: list[RoundObservation] = []
         stopped_early = False
         resumed_rounds = 0
-        if self.resume and store is not None and store.exists():
-            # Replay completed rounds from disk: every stored
-            # observation goes back through ``policy.refine`` exactly
-            # as the live rounds did, so policy/pipeline state and the
-            # next round's variants are rebuilt without executing a
-            # cell.  Policies are pure functions of their observations
-            # (the determinism contract), which is why no policy state
-            # needs persisting.
-            payload = store.load(fingerprint)
-            for observation in payload["observations"]:
-                if len(observations) >= self.rounds:
-                    break  # budget shrank below the stored progress
-                observations.append(observation)
+        for index in range(self.rounds):
+            executed = index >= len(stored)
+            if executed:
+                observation = self._run_round(index, current, pool, sink)
+            else:
+                observation = stored[index]
                 resumed_rounds += 1
-                if self.on_round is not None:
-                    self.on_round(observation)
-                if len(observations) == self.rounds:
-                    break
-                refined = policy.refine(observation)
-                if not refined:
-                    stopped_early = True
-                    break
-                current = dict(refined)
-        for index in range(len(observations), self.rounds):
-            if stopped_early:
-                break
-            campaign = Campaign(
-                seeds=self.seeds,
-                workers=self.workers,
-                batch_size=self.batch_size,
-                pool=pool,
-                keep_results=False,
-                cell_timeout=self.cell_timeout,
-                quarantine=self.quarantine,
-                chaos=self.chaos,
-            )
-            campaign.variants = dict(current)
-            capture = DetectionCapture(
-                limit_per_variant=self.capture_per_variant
-            )
-            round_sink: ResultSink = capture
-            if sink is not None:
-                round_sink = TeeSink((capture, sink))
-            rows = campaign.run(sink=round_sink)
-            observation = RoundObservation(
-                index=index,
-                variants=dict(current),
-                rows=tuple(rows),
-                detections={
-                    name: capture.for_variant(name) for name in current
-                    if capture.for_variant(name)
-                },
-                pool_id=campaign.last_pool_id,
-                quarantine=campaign.last_quarantine,
-            )
             observations.append(observation)
             if self.on_round is not None:
                 self.on_round(observation)
             final = index + 1 == self.rounds
-            if store is not None:
+            if executed and store is not None:
                 # Atomic per-round persistence: a crash after this
                 # point replays the round from disk instead of
                 # re-executing it.
@@ -688,7 +652,7 @@ class AdaptiveCampaign:
             refined = policy.refine(observation)
             if not refined:
                 stopped_early = True
-                if store is not None:
+                if executed and store is not None:
                     store.save(
                         fingerprint=fingerprint,
                         observations=observations,
@@ -701,4 +665,41 @@ class AdaptiveCampaign:
             rounds=observations,
             stopped_early=stopped_early,
             resumed_rounds=resumed_rounds,
+        )
+
+    def _run_round(
+        self,
+        index: int,
+        variants: dict[str, Variant],
+        pool: "WorkerPool | None",
+        sink: ResultSink | None,
+    ) -> RoundObservation:
+        """Execute one round's cells and observe them."""
+        campaign = Campaign(
+            seeds=self.seeds,
+            workers=self.workers,
+            batch_size=self.batch_size,
+            pool=pool,
+            keep_results=False,
+            cell_timeout=self.cell_timeout,
+            quarantine=self.quarantine,
+            chaos=self.chaos,
+        )
+        campaign.variants = dict(variants)
+        capture = DetectionCapture(limit_per_variant=self.capture_per_variant)
+        round_sink: ResultSink = capture
+        if sink is not None:
+            round_sink = TeeSink((capture, sink))
+        rows = campaign.run(sink=round_sink)
+        return RoundObservation(
+            index=index,
+            variants=dict(variants),
+            rows=tuple(rows),
+            detections={
+                name: capture.for_variant(name)
+                for name in variants
+                if capture.for_variant(name)
+            },
+            pool_id=campaign.last_pool_id,
+            quarantine=campaign.last_quarantine,
         )

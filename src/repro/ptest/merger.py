@@ -40,26 +40,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ConfigError
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
-
-
-class MergePolicy(Protocol):
-    """A merge op: repeatedly pick the pattern index to advance."""
-
-    def __call__(
-        self,
-        remaining: list[int],
-        cursor: dict[int, int],
-        rng: random.Random,
-        chunk: int,
-    ) -> list[int]:
-        """Return the full order of pattern ids (one entry per emitted
-        symbol).  ``remaining`` maps position->pattern_id of live
-        patterns; implementations below generate the order directly."""
-        ...  # pragma: no cover - protocol
 
 
 def _order_round_robin(

@@ -8,8 +8,11 @@ Campaign`, :class:`~repro.ptest.adaptive.AdaptiveCampaign` and three
 CLI subcommands.  This module collapses that plumbing into one frozen,
 validated value object with an exact ``to_json``/``from_json``
 round-trip, plus the single :func:`execute_spec` entry point that the
-CLI (``repro run|campaign|adapt``), the server (``repro serve``) and
-:class:`repro.client.Client` all dispatch through.
+CLI (``repro campaign|adapt``), the server (``repro serve``) and
+:class:`repro.client.Client` all dispatch through.  A spec has two
+modes, and one engine runs both: every spec is an
+:class:`~repro.ptest.adaptive.AdaptiveCampaign`, and a campaign is its
+one unrefined round.  (``repro run`` runs one cell, not a spec.)
 
 Validation lives in exactly one place — :meth:`CampaignSpec.validate`,
 run from ``__post_init__`` — so contradictory knob combinations
@@ -35,32 +38,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
-from repro.ptest.campaign import (
-    Campaign,
-    CampaignRow,
-    DetectionCapture,
-    DetectionSample,
-    TeeSink,
-    grid_variants,
-)
-from repro.ptest.executor import (
-    CellExecutor,
-    QuarantinedCell,
-    QuarantineReport,
-    ResultSink,
-    WorkCell,
-)
-from repro.ptest.harness import TestRunResult
+from repro.ptest.adaptive import POLICIES, AdaptiveCampaign
+from repro.ptest.campaign import CampaignRow, DetectionSample, grid_variants
+from repro.ptest.executor import QuarantinedCell, QuarantineReport, ResultSink
+from repro.ptest.pipeline import parse_pipeline
 from repro.ptest.pool import check_worker_cap
 from repro.workloads.registry import ScenarioRef
 
-MODES = ("run", "campaign", "adapt")
+MODES = ("campaign", "adapt")
 
 #: Knobs that only mean something on an adaptive (multi-round) run —
-#: :meth:`CampaignSpec.validate` rejects them on other modes so a
+#: :meth:`CampaignSpec.validate` rejects them on a campaign spec so a
 #: checkpoint on a plain campaign fails loudly instead of silently
 #: never persisting anything.
 _ADAPT_ONLY = (
@@ -85,14 +76,13 @@ def _check_type(name: str, value: Any, kinds: tuple[type, ...], hint: str) -> No
 class CampaignSpec:
     """A complete, serializable campaign description.
 
-    ``mode`` selects the engine: ``"run"`` executes one cell and keeps
-    its full :class:`~repro.ptest.harness.TestRunResult` (the CLI's
-    single-run form), ``"campaign"`` sweeps ``seeds`` × the variant set
-    once, ``"adapt"`` runs policy-refined rounds.  ``params`` are fixed
-    scenario parameters (stored sorted — order never matters);
-    ``grid`` maps parameters to value sweeps (order preserved — it
-    fixes the cartesian-product variant naming).  Everything else
-    mirrors the knob of the same name on
+    ``mode`` selects the schedule: ``"campaign"`` sweeps ``seeds`` ×
+    the variant set once (one round), ``"adapt"`` runs policy-refined
+    rounds; any other mode is a :class:`~repro.errors.ConfigError`.
+    ``params`` are fixed scenario parameters (stored sorted — order
+    never matters); ``grid`` maps parameters to value sweeps (order
+    preserved — it fixes the cartesian-product variant naming).
+    Everything else mirrors the knob of the same name on
     :class:`~repro.ptest.campaign.Campaign` /
     :class:`~repro.ptest.adaptive.AdaptiveCampaign`.
 
@@ -225,22 +215,6 @@ class CampaignSpec:
                 raise ConfigError(
                     f"grid parameter {key!r} has no values to sweep"
                 )
-        if self.mode == "run":
-            if len(self.seeds) != 1:
-                raise ConfigError(
-                    f"mode 'run' executes one cell, got {len(self.seeds)} "
-                    "seeds; use mode 'campaign' for a seed sweep"
-                )
-            if self.workers != 1:
-                raise ConfigError(
-                    "mode 'run' executes one cell in-process; "
-                    "workers only apply to campaign/adapt sweeps"
-                )
-            if self.grid:
-                raise ConfigError(
-                    "mode 'run' takes fixed params only; use mode "
-                    "'campaign' to sweep a grid"
-                )
         if self.mode != "adapt":
             given = [
                 name
@@ -282,14 +256,11 @@ class CampaignSpec:
                     "resume=True needs a checkpoint path "
                     "(CLI: --resume needs --checkpoint PATH)"
                 )
-            if self.policy is not None:
-                from repro.ptest.adaptive import POLICIES
-
-                if self.policy not in POLICIES:
-                    raise ConfigError(
-                        f"unknown policy {self.policy!r}; "
-                        f"known policies: {', '.join(sorted(POLICIES))}"
-                    )
+            if self.policy is not None and self.policy not in POLICIES:
+                raise ConfigError(
+                    f"unknown policy {self.policy!r}; "
+                    f"known policies: {', '.join(sorted(POLICIES))}"
+                )
             if self.pipeline is not None:
                 # Parsing validates stage names/bounds; an unbounded
                 # final stage needs the explicit rounds cap now, not
@@ -303,8 +274,6 @@ class CampaignSpec:
                     )
 
     def _parse_pipeline(self):
-        from repro.ptest.pipeline import parse_pipeline
-
         replay_kwargs = (
             {"max_sources": self.max_sources}
             if self.max_sources is not None
@@ -453,8 +422,6 @@ class SpecOutcome:
     #: Human-readable schedule, e.g. ``policy=grid_zoom`` or
     #: ``pipeline=grid_zoom:3 -> replay:2``.
     schedule: str = ""
-    #: Mode ``"run"`` only: the single cell's full result.
-    run_result: TestRunResult | None = None
 
     @property
     def rows(self) -> tuple[CampaignRow, ...]:
@@ -475,19 +442,6 @@ class SpecOutcome:
         return sum(round_.total_detections for round_ in self.rounds)
 
 
-def _capture_detections(
-    capture: DetectionCapture, rows: Iterable[CampaignRow]
-) -> tuple[DetectionSample, ...]:
-    """Flatten a round's capture in row order, then capture order —
-    the same deterministic order ``RoundObservation.iter_samples``
-    yields, so direct and spec-driven runs agree sample for sample."""
-    return tuple(
-        sample
-        for row in rows
-        for sample in capture.for_variant(row.variant)
-    )
-
-
 def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
     """The spec's first-round variants, keyed as its rows name them:
     one ref per grid point, or the bare scenario without a grid."""
@@ -495,65 +449,11 @@ def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
     return grid_variants(spec.scenario, spec.scenario, grid, **dict(spec.params))
 
 
-def _add_variants(campaign: Any, spec: CampaignSpec) -> None:
-    for name, ref in spec_variants(spec).items():
-        campaign.add_variant(name, ref)
-
-
-def _execute_run(spec: CampaignSpec) -> SpecOutcome:
-    """One cell in-process, through the cell path every campaign
-    takes, keeping its full result."""
-    cell = WorkCell(spec.scenario, spec.seeds[0])
-    [result] = CellExecutor(workers=1).run_cells(spec_variants(spec), [cell])
-    capture = DetectionCapture()
-    capture.accept(cell, result)
-    round_result = RoundResult(
-        index=0,
-        rows=(),
-        detections=capture.for_variant(spec.scenario),
-    )
-    return SpecOutcome(
-        spec=spec,
-        rounds=(round_result,),
-        pool_ids=(None,),
-        run_result=result,
-    )
-
-
-def _execute_campaign(
-    spec: CampaignSpec, sink: ResultSink | None
-) -> SpecOutcome:
-    campaign = Campaign(
-        seeds=spec.seeds,
-        workers=spec.workers,
-        batch_size=spec.batch_size,
-        keep_results=False,
-        cell_timeout=spec.cell_timeout,
-        quarantine=spec.quarantine,
-    )
-    _add_variants(campaign, spec)
-    capture = DetectionCapture(limit_per_variant=spec.capture_per_variant)
-    fan_out: ResultSink = capture
-    if sink is not None:
-        fan_out = TeeSink((capture, sink))
-    rows = campaign.run(sink=fan_out)
-    round_result = RoundResult(
-        index=0,
-        rows=tuple(rows),
-        detections=_capture_detections(capture, rows),
-        quarantine=campaign.last_quarantine,
-    )
-    return SpecOutcome(
-        spec=spec,
-        rounds=(round_result,),
-        pool_ids=(campaign.last_pool_id,),
-    )
-
-
 def _resolve_schedule(spec: CampaignSpec):
-    """The spec's refine policy, round budget and display string."""
-    from repro.ptest.adaptive import POLICIES
-
+    """The spec's refine policy, pipeline, round budget and display
+    string.  A campaign spec is one round, which no policy refines."""
+    if spec.mode == "campaign":
+        return None, None, None, ""
     if spec.pipeline is not None:
         pipeline = spec._parse_pipeline()
         rounds = spec.rounds
@@ -572,27 +472,29 @@ def _resolve_schedule(spec: CampaignSpec):
     return policy, None, rounds, f"policy={policy_name}"
 
 
-def _execute_adapt(
+def execute_spec(
     spec: CampaignSpec,
-    sink: ResultSink | None,
-    on_round: Callable[[RoundResult], None] | None,
+    sink: ResultSink | None = None,
+    *,
+    on_round: Callable[[RoundResult], None] | None = None,
 ) -> SpecOutcome:
-    from repro.ptest.adaptive import AdaptiveCampaign
+    """Execute ``spec`` and return its :class:`SpecOutcome`.
 
+    The one entry point behind ``repro campaign|adapt``, ``repro
+    serve`` and :class:`repro.client.Client`, and one engine: every
+    spec runs as an :class:`~repro.ptest.adaptive.AdaptiveCampaign`, a
+    campaign spec as its one unrefined round.  ``sink`` (if given)
+    receives every ``(cell, result)`` pair in submission order — the
+    streaming hook the server bridges over the socket.  ``on_round``
+    fires once per completed round with its :class:`RoundResult`
+    (a campaign is one round), enabling incremental round delivery
+    without waiting for the whole schedule.
+
+    Pool lifetime is the caller's: shared pools stay warm across calls
+    (that is the point of the server), so one-shot callers such as the
+    CLI close theirs afterwards.
+    """
     policy, pipeline, rounds, schedule = _resolve_schedule(spec)
-    campaign = AdaptiveCampaign(
-        seeds=spec.seeds,
-        rounds=rounds,
-        policy=policy,
-        workers=spec.workers,
-        batch_size=spec.batch_size,
-        capture_per_variant=spec.capture_per_variant,
-        cell_timeout=spec.cell_timeout,
-        quarantine=spec.quarantine,
-        checkpoint=spec.checkpoint,
-        resume=spec.resume,
-    )
-    _add_variants(campaign, spec)
     round_results: list[RoundResult] = []
 
     def observe(observation) -> None:
@@ -614,8 +516,20 @@ def _execute_adapt(
         if on_round is not None:
             on_round(round_result)
 
-    campaign.on_round = observe
-    result = campaign.run(sink=sink)
+    result = AdaptiveCampaign(
+        seeds=spec.seeds,
+        rounds=1 if rounds is None else rounds,
+        policy=policy,
+        variants=spec_variants(spec),
+        workers=spec.workers,
+        batch_size=spec.batch_size,
+        capture_per_variant=spec.capture_per_variant,
+        cell_timeout=spec.cell_timeout,
+        quarantine=spec.quarantine,
+        checkpoint=spec.checkpoint,
+        resume=spec.resume,
+        on_round=observe,
+    ).run(sink=sink)
     return SpecOutcome(
         spec=spec,
         rounds=tuple(round_results),
@@ -625,38 +539,6 @@ def _execute_adapt(
         rounds_budget=rounds,
         schedule=schedule,
     )
-
-
-def execute_spec(
-    spec: CampaignSpec,
-    sink: ResultSink | None = None,
-    *,
-    on_round: Callable[[RoundResult], None] | None = None,
-) -> SpecOutcome:
-    """Execute ``spec`` and return its :class:`SpecOutcome`.
-
-    The one entry point behind ``repro run|campaign|adapt``, ``repro
-    serve`` and :class:`repro.client.Client`.  ``sink`` (if given)
-    receives every ``(cell, result)`` pair in submission order — the
-    streaming hook the server bridges over the socket.  ``on_round``
-    fires once per completed round with its :class:`RoundResult`
-    (plain campaigns count as one round), enabling incremental round
-    delivery without waiting for the whole schedule.
-
-    Pool lifetime is the caller's: shared pools stay warm across calls
-    (that is the point of the server), so one-shot callers such as the
-    CLI close theirs afterwards.
-    """
-    if spec.mode == "run":
-        outcome = _execute_run(spec)
-    elif spec.mode == "campaign":
-        outcome = _execute_campaign(spec, sink)
-    else:
-        return _execute_adapt(spec, sink, on_round)
-    if on_round is not None:
-        for round_result in outcome.rounds:
-            on_round(round_result)
-    return outcome
 
 
 # -- wire codecs ---------------------------------------------------------------

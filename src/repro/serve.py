@@ -165,12 +165,6 @@ class CampaignServer:
         self._work.shutdown(wait=True)
         self._closed.set()
 
-    async def aclose(self) -> None:
-        """Graceful drain + close, awaitable form of
-        :meth:`request_shutdown`."""
-        self.request_shutdown()
-        await self.wait_closed()
-
     # -- connection handling -----------------------------------------
 
     async def _on_connection(

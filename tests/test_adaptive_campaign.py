@@ -414,6 +414,15 @@ class TestAdaptiveCampaignEngine:
                 "phil[chunk=1]", "philosophers"
             )
 
+    def test_one_round_needs_no_policy(self):
+        # The final round is never refined, so rounds=1 runs one plain
+        # campaign round without a policy (how a campaign spec runs).
+        result = philosophers_adaptive(policy=None, rounds=1).run()
+        [observation] = result.rounds
+        assert observation.index == 0
+        assert [row.runs for row in observation.rows] == [2, 2]
+        assert not result.stopped_early
+
     def test_round_history_and_early_stop(self):
         result = philosophers_adaptive(SuccessiveHalving()).run()
         assert result.variant_history() == [

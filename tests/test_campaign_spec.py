@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, ReproError
-from repro.ptest.campaign import Campaign
+from repro.ptest.campaign import Campaign, DetectionCapture
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
-from repro.ptest.pool import MAX_WORKERS
+from repro.ptest.executor import CollectSink, QuarantineReport
+from repro.ptest.pool import MAX_WORKERS, close_pool
 from repro.ptest.spec import (
     CampaignSpec,
     RoundResult,
@@ -43,7 +44,7 @@ REPO = Path(__file__).parent.parent
 
 ROUND_TRIP_SPECS = [
     CampaignSpec(scenario="philosophers"),
-    CampaignSpec(scenario="philosophers", mode="run", seeds=(7,)),
+    CampaignSpec(scenario="philosophers", seeds=(7,)),
     CampaignSpec(
         scenario="philosophers",
         params=(("count", "3"), ("hold_steps", "5")),
@@ -164,23 +165,15 @@ def test_round_result_wire_codec_round_trips():
             "both fixed and in the grid",
         ),
         ({"scenario": "x", "grid": (("k", ()),)}, "no values to sweep"),
+        # Mode "run" left the spec (`repro run` runs one cell, not a
+        # spec); a campaign runs on the adaptive engine as one round,
+        # yet takes no schedule or checkpoint.
         (
-            {"scenario": "x", "mode": "run", "seeds": (0, 1)},
-            "one cell",
+            {"scenario": "x", "mode": "run", "seeds": (0,)},
+            "mode must be one of campaign, adapt",
         ),
-        (
-            {"scenario": "x", "mode": "run", "seeds": (0,), "workers": 2},
-            "in-process",
-        ),
-        (
-            {
-                "scenario": "x",
-                "mode": "run",
-                "seeds": (0,),
-                "grid": (("k", ("1",)),),
-            },
-            "fixed params only",
-        ),
+        ({"scenario": "x", "policy": "repeat"}, "policy only apply"),
+        ({"scenario": "x", "resume": True}, "resume only apply"),
         (
             {"scenario": "x", "mode": "campaign", "rounds": 3},
             "only apply to mode 'adapt'",
@@ -307,10 +300,8 @@ def test_spec_files_with_removed_batch_knobs_still_load():
 
 
 def test_validate_runs_on_from_json_too():
-    payload = json.dumps(
-        {"scenario": "x", "mode": "run", "seeds": [0], "workers": 3}
-    )
-    with pytest.raises(ReproError, match="in-process"):
+    payload = json.dumps({"scenario": "x", "mode": "run", "seeds": [0]})
+    with pytest.raises(ConfigError, match="mode must be one of campaign, adapt"):
         CampaignSpec.from_json(payload)
 
 
@@ -366,16 +357,65 @@ def test_execute_spec_adapt_matches_hand_built_adaptive():
     assert outcome.schedule == "policy=grid_zoom"
 
 
-def test_execute_spec_run_mode():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_execute_spec_campaign_outcome_matches_hand_built_campaign(workers):
+    """A campaign spec is one unrefined round of the adaptive engine;
+    every field of its outcome equals a plain campaign's."""
+    seeds = (0, 1, 2)
     spec = CampaignSpec(
         scenario="philosophers",
-        mode="run",
+        params=(("count", "2"),),
+        grid=(("hold_steps", ("3", "5")),),
+        seeds=seeds,
+        workers=workers,
+        quarantine=True,
+        capture_per_variant=1,
+    )
+    direct = Campaign(seeds=seeds, workers=workers, quarantine=True)
+    direct.add_grid("philosophers", "philosophers", GRID, count="2")
+    capture = DetectionCapture(limit_per_variant=1)
+    seen, cells = [], CollectSink()
+    try:
+        rows = direct.run(sink=capture)
+        outcome = execute_spec(spec, cells, on_round=seen.append)
+    finally:
+        close_pool(workers)
+    assert list(outcome.rows) == rows
+    assert outcome.detections == tuple(
+        sample for row in rows for sample in capture.for_variant(row.variant)
+    )
+    assert len(outcome.detections) == 2  # one per variant, of 3 each
+    assert outcome.quarantine == QuarantineReport((), 6, 6)
+    [round_] = outcome.rounds
+    assert (round_.stage, round_.index) == (None, 0)
+    assert (
+        outcome.stopped_early,
+        outcome.resumed_rounds,
+        outcome.rounds_budget,
+        outcome.schedule,
+    ) == (False, 0, None, "")
+    assert seen == [round_]
+    assert [(cell.variant, cell.seed) for cell in cells.cells] == [
+        (row.variant, seed) for row in rows for seed in seeds
+    ]
+
+
+def test_execute_spec_run_mode():
+    """Mode ``run`` left the spec: the one cell it ran is a one-seed
+    campaign, whose one round holds that cell's row and detection."""
+    spec = CampaignSpec(
+        scenario="philosophers",
         params=(("count", "2"),),
         seeds=(0,),
     )
     outcome = execute_spec(spec)
-    assert outcome.run_result is not None
-    assert len(outcome.rounds) == 1
+    [round_] = outcome.rounds
+    assert [(row.variant, row.runs, row.detections) for row in round_.rows] == [
+        ("philosophers", 1, 1)
+    ]
+    assert [(s.variant, s.seed, s.kind) for s in outcome.detections] == [
+        ("philosophers", 0, "deadlock")
+    ]
 
 
 # -- CLI round trip: --dump-spec / --spec ------------------------------
@@ -509,6 +549,36 @@ def test_cli_spec_subcommand_surface(command, tmp_path, capsys):
     assert main([command, *argv.split(), "--dump-spec", str(dump)]) == 0
     assert capsys.readouterr().out == f"spec written to {dump}\n"
     assert json.loads(dump.read_text()) == expected
+
+
+@pytest.mark.parametrize("command", ["adapt", "campaign", "submit"])
+def test_cli_run_mode_spec_file_is_config_error(command, tmp_path, capsys):
+    """No flag makes a mode-"run" spec, and no subcommand takes one
+    from a file: one line, exit 2 (``submit`` never connects)."""
+    from repro.cli import main
+
+    spec_file = tmp_path / "run.json"
+    spec_file.write_text(
+        json.dumps({"scenario": "philosophers", "mode": "run", "seeds": [3]})
+    )
+    assert main([command, "--spec", str(spec_file)]) == 2
+    assert capsys.readouterr().out == (
+        "mode must be one of campaign, adapt, got 'run'\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["adapt", "campaign", "submit"])
+def test_cli_unwritable_dump_spec_is_config_error(command, tmp_path):
+    """A --dump-spec path that cannot be written is one line and exit
+    2, like an unreadable --spec file, never a traceback (exit 1 would
+    read as "bug found")."""
+    path = tmp_path / "missing" / "spec.json"
+    result = _repro(command, "philosophers", "--dump-spec", str(path))
+    assert result.returncode == 2
+    assert result.stdout.startswith(f"cannot write spec file {str(path)!r}: ")
+    assert result.stdout.count("\n") == 1
+    assert "Traceback" not in result.stdout + result.stderr
+    assert not path.parent.exists()
 
 
 def test_cli_spec_mode_mismatch_is_config_error(tmp_path):

@@ -15,12 +15,18 @@ import pickle
 import pytest
 
 from repro.errors import CheckpointError, ConfigError
-from repro.ptest.adaptive import AdaptiveCampaign, GridZoom, Repeat
+from repro.ptest.adaptive import (
+    AdaptiveCampaign,
+    GridZoom,
+    Repeat,
+    SuccessiveHalving,
+)
 from repro.ptest.checkpoint import (
     CHECKPOINT_VERSION,
     CampaignCheckpoint,
     campaign_fingerprint,
 )
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pipeline import parse_pipeline
 from repro.ptest.pool import clear_worker_cache, run_table_batch, shutdown_pools
 from repro.ptest.replay import replay_ref
@@ -66,6 +72,10 @@ def _result_signature(result):
         )
         for obs in result.rounds
     ]
+
+
+def _no_cell_may_run(*args, **kwargs):
+    raise AssertionError("a replayed round ran a cell")
 
 
 def _as_parent_wrote_it(source, destination) -> None:
@@ -209,6 +219,39 @@ class TestResumeBitIdentity:
             ).run()
             assert replayed.resumed_rounds == len(first.rounds) == 3
             assert _result_signature(replayed) == _result_signature(first)
+
+    def test_stopped_early_run_resumes_as_pure_replay(
+        self, tmp_path, monkeypatch
+    ):
+        # Four variants halve to two, then one; round 3's single
+        # variant stops the run inside its 4-round budget.
+        path = tmp_path / "early.ckpt"
+        first = _campaign(
+            SuccessiveHalving(), rounds=4, grid=True, checkpoint=path
+        ).run()
+        assert first.stopped_early and len(first.rounds) == 3
+        saved = path.read_bytes()
+        monkeypatch.setattr(CellExecutor, "run_cells", _no_cell_may_run)
+        replayed = _campaign(
+            SuccessiveHalving(), rounds=4, grid=True, checkpoint=path, resume=True
+        ).run()
+        assert replayed.stopped_early
+        assert replayed.resumed_rounds == 3
+        assert _result_signature(replayed) == _result_signature(first)
+        assert path.read_bytes() == saved
+
+    def test_budget_below_stored_progress_replays_only_the_budget(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "long.ckpt"
+        first = _campaign(Repeat(), checkpoint=path).run()
+        saved = path.read_bytes()
+        monkeypatch.setattr(CellExecutor, "run_cells", _no_cell_may_run)
+        short = _campaign(Repeat(), rounds=2, checkpoint=path, resume=True).run()
+        assert short.resumed_rounds == 2
+        assert not short.stopped_early
+        assert _result_signature(short) == _result_signature(first)[:2]
+        assert path.read_bytes() == saved
 
     def test_extending_rounds_continues_from_checkpoint(self, tmp_path):
         path = tmp_path / "extend.ckpt"

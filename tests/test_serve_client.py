@@ -260,6 +260,10 @@ def _adapt_spec(**field):
             },
             "MAX_WORKERS",
         ),
+        (
+            {"spec": {"scenario": "philosophers", "mode": "run", "seeds": [3]}},
+            "mode must be one of campaign, adapt, got 'run'",
+        ),
     ],
     ids=[
         "pipeline",
@@ -269,6 +273,7 @@ def _adapt_spec(**field):
         "empty-spec",
         "list-spec",
         "workers-over-cap",
+        "run-mode",
     ],
 )
 def test_mistyped_spec_fields_get_one_config_error_frame(server, request_, message):
