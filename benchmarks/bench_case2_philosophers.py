@@ -12,8 +12,9 @@ from __future__ import annotations
 import os
 import statistics
 
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.detector import AnomalyKind
+from repro.ptest.executor import CellExecutor, CollectSink
 from repro.workloads.scenarios import philosophers_case2
 
 from conftest import format_table
@@ -27,21 +28,31 @@ def test_case2_philosophers(benchmark, emit):
     # One campaign over every (op, seed) cell, dispatched through the
     # batched work-queue executor as registry ScenarioRef variants; a
     # second, tiny one for the ordered controls.
-    sweep = Campaign(seeds=tuple(SEEDS), workers=WORKERS)
+    executor = CellExecutor(workers=WORKERS)
+    sweep = AdaptiveCampaign(seeds=tuple(SEEDS), executor=executor)
     for op in OPS:
         sweep.add_scenario(op, "philosophers", op=op)
-    sweep.run()
-    controls = Campaign(seeds=(0,), workers=WORKERS)
+    sweep_runs = CollectSink()
+    sweep.run(sink=sweep_runs)
+    controls = AdaptiveCampaign(seeds=(0,), executor=executor)
     for op in OPS:
         controls.add_scenario(op, "philosophers", op=op, ordered=True)
-    controls.run()
+    control_runs = CollectSink()
+    controls.run(sink=control_runs)
+    results = {op: [] for op in OPS}
+    for cell, result in zip(sweep_runs.cells, sweep_runs.results):
+        results[cell.variant].append(result)
+    # One seed per control: its one run, by op.
+    control_results = dict(
+        zip((cell.variant for cell in control_runs.cells), control_runs.results)
+    )
 
     rows = []
     cyclic_found = 0
     for op in OPS:
         detections = [
             result
-            for result in sweep.results[op]
+            for result in results[op]
             if result.found_bug
             and result.report.primary.kind is AnomalyKind.DEADLOCK
         ]
@@ -49,7 +60,7 @@ def test_case2_philosophers(benchmark, emit):
         ticks = [r.report.primary.detected_at for r in detections]
         if op == "cyclic":
             cyclic_found = found
-        control = controls.results[op][0]
+        control = control_results[op]
         rows.append(
             (
                 op,
@@ -60,7 +71,7 @@ def test_case2_philosophers(benchmark, emit):
         )
 
     # The cyclic/seed-0 cell is deterministic; reuse the sweep's run.
-    sample = sweep.results["cyclic"][0]
+    sample = results["cyclic"][0]
     records = "\n".join(
         f"  {record.describe()}" for record in sample.report.state_records
     )

@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 
 from repro.baselines.systematic import SystematicExplorer, interleavings
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
+from repro.ptest.executor import CellExecutor, CollectSink
 from repro.ptest.generator import PatternGenerator
 from repro.ptest.patterns import TestPattern
 from repro.workloads.scenarios import lifecycle_pfa, philosophers_case2
@@ -28,16 +29,22 @@ WORKERS = min(4, os.cpu_count() or 1)
 def _sweep_rows():
     """pTest and random sweeps dispatched through the campaign executor
     as registry ScenarioRef variants (always process-pool portable)."""
-    campaign = Campaign(seeds=tuple(SEEDS), workers=WORKERS)
+    campaign = AdaptiveCampaign(
+        seeds=tuple(SEEDS), executor=CellExecutor(workers=WORKERS)
+    )
     campaign.add_scenario("ptest", "philosophers", op="cyclic")
     campaign.add_scenario("random", "philosophers_random")
-    campaign.run()
+    sink = CollectSink()
+    campaign.run(sink=sink)
     labels = {
         "ptest": "pTest (adaptive)",
         "random": "ConTest-style random",
     }
+    results = {variant: [] for variant in campaign.variants}
+    for cell, result in zip(sink.cells, sink.results):
+        results[cell.variant].append(result)
     rows = []
-    for variant, runs in campaign.results.items():
+    for variant, runs in results.items():
         found = sum(int(run.found_bug) for run in runs)
         commands = sum(run.commands_issued for run in runs)
         rows.append(

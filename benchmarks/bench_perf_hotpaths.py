@@ -65,7 +65,7 @@ from repro.pcore.kernel import KernelConfig, PCoreKernel
 from repro.pcore.programs import Acquire, Compute, Exit
 from repro.pcore.services import ServiceCode
 from repro.pcore.testkit import create_task, run_service
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign, Repeat
 from repro.ptest.chaos import ChaosSpec
 from repro.ptest.executor import CellExecutor, WorkCell
 from repro.ptest.pcore_model import pcore_pfa
@@ -130,8 +130,8 @@ def bench_sampling(quick: bool) -> dict:
 # -- layer 2: campaigns --------------------------------------------------------
 
 
-def _philosophers_campaign(seeds, workers) -> Campaign:
-    campaign = Campaign(seeds=tuple(seeds), workers=workers)
+def _philosophers_campaign(seeds, executor: CellExecutor) -> AdaptiveCampaign:
+    campaign = AdaptiveCampaign(seeds=tuple(seeds), executor=executor)
     campaign.add_scenario("cyclic", "philosophers", op="cyclic")
     campaign.add_scenario("round_robin", "philosophers", op="round_robin")
     campaign.add_scenario("ordered", "philosophers", ordered=True)
@@ -143,7 +143,7 @@ def bench_campaign(quick: bool, workers: int) -> dict:
     cells = 3 * len(seeds)
 
     def wall(n_workers: int) -> float:
-        campaign = _philosophers_campaign(seeds, n_workers)
+        campaign = _philosophers_campaign(seeds, CellExecutor(workers=n_workers))
         start = time.perf_counter()
         campaign.run()
         return time.perf_counter() - start
@@ -237,21 +237,19 @@ def bench_faults(quick: bool, workers: int) -> dict:
     cells = 3 * len(seeds)
 
     def run_once(chaos: "ChaosSpec | None") -> tuple[float, list]:
-        campaign = Campaign(
-            seeds=tuple(seeds),
+        executor = CellExecutor(
             workers=workers,
             chaos=chaos,
             cell_timeout=60.0 if chaos else None,
             quarantine=chaos is not None,
         )
-        campaign.add_scenario("cyclic", "philosophers", op="cyclic")
-        campaign.add_scenario("round_robin", "philosophers", op="round_robin")
-        campaign.add_scenario("ordered", "philosophers", ordered=True)
+        campaign = _philosophers_campaign(seeds, executor)
         start = time.perf_counter()
-        rows = campaign.run()
+        [observation] = campaign.run().rounds
         elapsed = time.perf_counter() - start
+        rows = observation.rows
         if chaos is not None:
-            report = campaign.last_quarantine
+            report = observation.quarantine
             assert report is not None and report.quarantined == 0, (
                 "transient-only chaos must never quarantine"
             )
@@ -296,7 +294,7 @@ def bench_pool(quick: bool, workers: int) -> dict:
 
     The cold run pays worker-process startup and per-variant scenario
     resolution/PFA compilation inside the timed window — what every
-    ``Campaign.run`` paid before the persistent pool existed.  The warm
+    campaign run paid before the persistent pool existed.  The warm
     run times the *second* dispatch through one reused
     :class:`WorkerPool`, whose workers already exist and already hold
     their caches.  Cell outcomes must be identical either way.
@@ -368,8 +366,6 @@ def bench_adaptive(quick: bool, workers: int) -> dict:
     means refinement left the warm pool, the exact regression the
     adaptive engine exists to prevent).
     """
-    from repro.ptest.adaptive import AdaptiveCampaign, Repeat
-
     rounds = 3
     seeds = tuple(range(8 if quick else 24))
     round_times: list[float] = []
@@ -386,8 +382,7 @@ def bench_adaptive(quick: bool, workers: int) -> dict:
             seeds=seeds,
             rounds=rounds,
             policy=_TimedRepeat(),
-            workers=workers,
-            pool=pool,
+            executor=CellExecutor(workers=workers, pool=pool),
         )
         campaign.add_scenario(
             "spin", "clean_spin", tasks=2, total_steps=40 if quick else 80

@@ -21,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import shutdown_pools
 
 ROUNDS = 3
@@ -32,7 +33,7 @@ def main() -> None:
         seeds=SEEDS,
         rounds=ROUNDS,
         policy=GridZoom(),
-        workers=2,
+        executor=CellExecutor(workers=2),
     )
     campaign.add_grid(
         "phil",

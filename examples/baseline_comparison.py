@@ -7,9 +7,10 @@ explosive).  This script runs all three against the same seeded faults
 and prints detection rate, commands spent, and wasted (error-reply)
 commands.
 
-The pTest and random sweeps dispatch through
-:class:`~repro.ptest.campaign.Campaign`'s batched work-queue executor
-as registry :class:`~repro.workloads.registry.ScenarioRef` variants, so
+The pTest and random sweeps run as one
+:class:`~repro.ptest.adaptive.AdaptiveCampaign` round on the batched
+work-queue :class:`~repro.ptest.executor.CellExecutor`, as registry
+:class:`~repro.workloads.registry.ScenarioRef` variants, so
 on a multi-core machine the (variant, seed) cells run in parallel; pass
 ``--workers 1`` to force the serial path (results are identical either
 way).
@@ -27,7 +28,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.baselines.systematic import SystematicExplorer
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
+from repro.ptest.executor import CellExecutor, CollectSink
 from repro.ptest.generator import PatternGenerator
 from repro.workloads.scenarios import lifecycle_pfa, philosophers_case2
 
@@ -36,16 +38,20 @@ SEEDS = tuple(range(5))
 
 def run_sweeps(workers: int) -> dict[str, tuple[int, int, int]]:
     """pTest and random sweeps as one campaign over the executor."""
-    campaign = Campaign(seeds=SEEDS, workers=workers)
+    campaign = AdaptiveCampaign(
+        seeds=SEEDS, executor=CellExecutor(workers=workers)
+    )
     campaign.add_scenario("ptest", "philosophers", op="cyclic")
     campaign.add_scenario("random", "philosophers_random")
-    campaign.run()
-    summary = {}
-    for variant, runs in campaign.results.items():
-        summary[variant] = (
-            sum(int(run.found_bug) for run in runs),
-            sum(run.commands_issued for run in runs),
-            sum(run.commands_failed for run in runs),
+    runs = CollectSink()
+    campaign.run(sink=runs)
+    summary = {variant: (0, 0, 0) for variant in campaign.variants}
+    for cell, run in zip(runs.cells, runs.results):
+        found, issued, failed = summary[cell.variant]
+        summary[cell.variant] = (
+            found + int(run.found_bug),
+            issued + run.commands_issued,
+            failed + run.commands_failed,
         )
     return summary
 

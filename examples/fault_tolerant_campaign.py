@@ -21,22 +21,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.chaos import ChaosSpec
+from repro.ptest.executor import CellExecutor
 
 SEEDS = tuple(range(6))
 HUNG_SEED = 3  # the planted poison cell: hangs every time it runs
 
 
-def build_campaign(chaos: ChaosSpec | None) -> Campaign:
-    campaign = Campaign(
-        seeds=SEEDS,
-        workers=2,
-        batch_size=1,
-        chaos=chaos,
-        cell_timeout=2.0 if chaos else None,
-        quarantine=chaos is not None,
+def build_campaign(chaos: ChaosSpec) -> AdaptiveCampaign:
+    executor = CellExecutor(
+        workers=2, batch_size=1, chaos=chaos, cell_timeout=2.0, quarantine=True
     )
+    campaign = AdaptiveCampaign(seeds=SEEDS, executor=executor)
     campaign.add_scenario("phil", "philosophers", ordered=False, max_ticks=600)
     return campaign
 
@@ -55,11 +52,10 @@ def main() -> None:
     print(f"chaos: {chaos.describe()}")
     print(f"watchdog: 2.0s/cell; quarantine: on; planted hang: seed {HUNG_SEED}")
 
-    campaign = build_campaign(chaos)
-    rows = campaign.run()
-    report = campaign.last_quarantine
+    [observation] = build_campaign(chaos).run().rounds
+    report = observation.quarantine
 
-    row = rows[0]
+    row = observation.rows[0]
     print(
         f"\nsurvived: {row.runs} of {len(SEEDS)} cells ran, "
         f"{row.detections} deadlock detection(s) [{row.kinds or '-'}]"
@@ -70,9 +66,9 @@ def main() -> None:
 
     # The invariant that makes chaos testing trustworthy: completed
     # cells are bit-identical to a clean run over the surviving seeds.
-    reference = Campaign(seeds=tuple(s for s in SEEDS if s != HUNG_SEED))
+    reference = AdaptiveCampaign(seeds=tuple(s for s in SEEDS if s != HUNG_SEED))
     reference.add_scenario("phil", "philosophers", ordered=False, max_ticks=600)
-    clean_row = reference.run()[0]
+    clean_row = reference.run().final_rows[0]
     identical = (row.runs, row.detections, row.kinds) == (
         clean_row.runs,
         clean_row.detections,

@@ -27,6 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom, ReplayFocus
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pipeline import PipelineStage, PolicyPipeline
 from repro.ptest.pool import shutdown_pools
 
@@ -48,7 +49,7 @@ def main() -> None:
         seeds=SEEDS,
         rounds=pipeline.total_rounds(),
         policy=pipeline,
-        workers=2,
+        executor=CellExecutor(workers=2),
     )
     campaign.add_grid(
         "phil",

@@ -17,7 +17,8 @@ Quick start::
     print(outcome.total_detections)
 
 The names in ``__all__`` below are the supported embedding API: the
-campaign entry points (:class:`Campaign`, :class:`AdaptiveCampaign`),
+campaign engine (:class:`AdaptiveCampaign` and the
+:class:`CellExecutor` its rounds run on),
 the serializable request schema (:class:`CampaignSpec`,
 :func:`execute_spec`), the scenario registry surface
 (:func:`scenario`, :class:`ScenarioRef`, :func:`scenario_ref`), the
@@ -42,8 +43,8 @@ __version__ = "0.1.0"
 # access so `import repro` pulls in nothing beyond this file.
 _EXPORTS = {
     "ReproError": "repro.errors",
-    "Campaign": "repro.ptest.campaign",
     "AdaptiveCampaign": "repro.ptest.adaptive",
+    "CellExecutor": "repro.ptest.executor",
     "CampaignSpec": "repro.ptest.spec",
     "RoundResult": "repro.ptest.spec",
     "SpecOutcome": "repro.ptest.spec",

@@ -73,7 +73,6 @@ def expected_pattern_length(pfa: PFA, max_condition: float = 1e12) -> float:
     if pfa.start in absorbing:
         return 0.0
     index = {state: i for i, state in enumerate(transient)}
-    full = transition_matrix(pfa)
     q = np.zeros((len(transient), len(transient)))
     for state in transient:
         for transition in pfa.outgoing(state):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.automata.regex_ast import (
-    Concat,
     Epsilon,
     Literal,
     Optional_,

@@ -52,7 +52,7 @@ import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.config import PTestConfig
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor, WorkCell, check_fabric
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
 from repro.workloads.fig1 import run_fig1
@@ -494,13 +494,8 @@ def _load_bench_main():
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.ptest.pool import check_worker_cap
-
-    if args.workers < 1:
-        print(f"workers must be >= 1, got {args.workers}")
-        return 2
     try:
-        check_worker_cap(args.workers)
+        check_fabric(workers=args.workers)
     except ConfigError as error:
         print(error)
         return 2

@@ -22,10 +22,11 @@ the simulated OMAP platform:
   the deduped ref-table batch wire format, and the one cell path: the
   cached scenario/PFA/merged-pattern resolution every campaign cell
   runs through, in a worker or in-process.
-* :mod:`repro.ptest.adaptive` — multi-round adaptive campaigns on one
-  warm pool: pluggable ``RefinePolicy`` (grid zoom, successive halving,
-  merged-pattern replay focus) feeding detection results back into the
-  next round's scenario refs.
+* :mod:`repro.ptest.adaptive` — the campaign engine: rounds of cells
+  on one ``CellExecutor`` and one warm pool (one round is a plain
+  sweep), with pluggable ``RefinePolicy`` (grid zoom, successive
+  halving, merged-pattern replay focus) feeding detection results back
+  into the next round's scenario refs.
 * :mod:`repro.ptest.pipeline` — composable refinement schedules:
   ``PolicyPipeline`` stages existing policies (zoom for N rounds, then
   replay once detections plateau) and is itself a ``RefinePolicy``,
@@ -52,11 +53,9 @@ from repro.ptest.report import BugReport
 from repro.ptest.harness import AdaptiveTest, TestRunResult, run_adaptive_test
 from repro.ptest.shrink import PatternShrinker, ShrinkResult, truncate_merged
 from repro.ptest.campaign import (
-    Campaign,
     CampaignRow,
     DetectionCapture,
     DetectionSample,
-    TeeSink,
     grid_variants,
 )
 from repro.ptest.adaptive import (
@@ -136,11 +135,9 @@ __all__ = [
     "PatternShrinker",
     "ShrinkResult",
     "truncate_merged",
-    "Campaign",
     "CampaignRow",
     "DetectionCapture",
     "DetectionSample",
-    "TeeSink",
     "grid_variants",
     "AdaptiveCampaign",
     "AdaptiveResult",

@@ -1,14 +1,17 @@
-"""Multi-round adaptive campaigns: generate → execute → detect → refine.
+"""Campaigns in rounds: generate → execute → detect → refine.
 
-A :class:`~repro.ptest.campaign.Campaign` sweeps a *fixed* variant set
-once.  :class:`AdaptiveCampaign` closes the loop the ROADMAP names —
-"multi-round adaptive campaigns that feed detection results back into
-ref parameters without leaving the warm pool": it runs a campaign in
-rounds on **one** shared :class:`~repro.ptest.pool.WorkerPool`
-(``pool_id`` constant across rounds — round 2+ never pays pool spawn),
-and between rounds hands each round's per-variant detection rates,
-bug-kind counts and sampled detecting interleavings to a pluggable
-:class:`RefinePolicy` that emits the next round's variants.
+:class:`AdaptiveCampaign` is the one campaign engine.  Each round
+sweeps its variants over the seeds on one
+:class:`~repro.ptest.executor.CellExecutor`; one unrefined round
+(``rounds=1``, the default) is a plain sweep.  With more rounds it
+closes the loop the ROADMAP names — "multi-round adaptive campaigns
+that feed detection results back into ref parameters without leaving
+the warm pool": every round runs on **one** shared
+:class:`~repro.ptest.pool.WorkerPool` (``pool_id`` constant across
+rounds — round 2+ never pays pool spawn), and between rounds each
+round's per-variant detection rates, bug-kind counts and sampled
+detecting interleavings go to a pluggable :class:`RefinePolicy` that
+emits the next round's variants.
 
 Built-in policies:
 
@@ -51,7 +54,7 @@ from the policy seed and round/sample indices alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -66,22 +69,23 @@ from pathlib import Path
 
 from repro.errors import ConfigError
 from repro.ptest.campaign import (
-    Campaign,
     CampaignRow,
     DetectionCapture,
     DetectionSample,
-    TeeSink,
+    _RoundSink,
+    _RowAccumulator,
     grid_variants,
 )
-from repro.ptest.chaos import ChaosSpec
 from repro.ptest.checkpoint import CampaignCheckpoint, campaign_fingerprint
 from repro.ptest.executor import (
+    CellExecutor,
     QuarantinedCell,
     QuarantineReport,
     ResultSink,
+    WorkCell,
 )
 from repro.ptest.merger import PatternMerger
-from repro.ptest.pool import Variant, WorkerPool, get_pool
+from repro.ptest.pool import Variant, get_pool
 from repro.ptest.replay import ReplayRef, parse_merged_description, replay_ref
 from repro.workloads.registry import ScenarioRef, scenario_ref
 
@@ -103,10 +107,10 @@ class RoundObservation:
     #: ``WorkerPool.pool_id`` the round dispatched through (``None`` for
     #: serial rounds) — constant across rounds certifies warm reuse.
     pool_id: int | None
-    #: Partial-result accounting of the round when the campaign ran with
-    #: ``quarantine=True`` (``None`` otherwise).  Quarantined cells are
-    #: configuration-independent, so this rides inside the determinism
-    #: contract rather than alongside it.
+    #: Partial-result accounting of the round when its executor ran
+    #: with ``quarantine=True`` (``None`` otherwise).  Quarantined
+    #: cells are configuration-independent, so this rides inside the
+    #: determinism contract rather than alongside it.
     quarantine: "QuarantineReport | None" = None
 
     @property
@@ -494,19 +498,22 @@ class AdaptiveCampaign:
     :class:`~repro.workloads.registry.ScenarioRef` or
     :class:`~repro.ptest.replay.ReplayRef`), pick a
     :class:`RefinePolicy`, and :meth:`run`.  ``seeds`` is normalised to
-    a tuple at construction, so a generator feeds every round.
-    Execution knobs mirror :class:`~repro.ptest.campaign.Campaign` —
-    ``workers`` / ``batch_size`` / ``pool`` — with one addition: the
-    pool is acquired **once**, before round 1, and every round's
-    campaign dispatches through that same
+    a tuple at construction, so a generator feeds every round.  Every
+    round runs on ``executor``, a
+    :class:`~repro.ptest.executor.CellExecutor` holding the fabric
+    settings (``workers``, ``batch_size``, ``pool``, ``cell_timeout``,
+    ``quarantine``, ``chaos``); the default runs serially.  :meth:`run`
+    works on its own copy of it, so the caller's executor is never
+    written, and at ``workers > 1`` pins that copy to one pool
+    **once**, before round 1: every round dispatches through that same
     :class:`~repro.ptest.pool.WorkerPool`, so rounds 2+ reuse warm
     worker processes and their scenario/PFA/merged-pattern caches
     (``AdaptiveResult.pool_stable`` certifies it).
 
     ``rounds`` caps the round count; the policy may stop earlier by
     returning no variants.  ``policy`` is needed only when ``rounds >
-    1``: the final round is never refined, so ``rounds=1`` with no
-    policy is one plain campaign round (how a campaign spec runs).
+    1``: the final round is never refined, so the default ``rounds=1``
+    with no policy is one plain sweep (how a campaign spec runs).
     Results are identical at any ``(workers, batch_size, warm/cold)`` —
     see the module docstring's contract.
 
@@ -523,22 +530,15 @@ class AdaptiveCampaign:
     """
 
     seeds: Iterable[int] = (0, 1, 2, 3, 4)
-    rounds: int = 3
+    rounds: int = 1
     policy: RefinePolicy | None = None
     variants: dict[str, Variant] = field(default_factory=dict)
-    workers: int | None = None
-    batch_size: int | None = None
-    pool: "WorkerPool | None" = None
+    #: The fabric every round's cells run on.  With ``quarantine=True``
+    #: each round's :class:`~repro.ptest.executor.QuarantineReport`
+    #: lands on its :class:`RoundObservation`.
+    executor: CellExecutor = field(default_factory=CellExecutor)
     #: Detecting cells sampled per variant per round (what policies see).
     capture_per_variant: int = 4
-    #: Per-cell watchdog deadline, forwarded to every round's campaign.
-    cell_timeout: float | None = None
-    #: Bisect repeatedly-failing batches instead of raising; each
-    #: round's :class:`~repro.ptest.executor.QuarantineReport` lands on
-    #: its :class:`RoundObservation`.
-    quarantine: bool = False
-    #: Seeded fault injection at the pool boundary (tests/benches only).
-    chaos: "ChaosSpec | None" = None
     #: File persisting round-by-round progress (``None`` = no
     #: checkpointing).  A fresh run overwrites any existing file.
     checkpoint: "str | Path | None" = None
@@ -599,11 +599,13 @@ class AdaptiveCampaign:
                 f"adaptive campaign needs a refine policy for rounds > 1 "
                 f"(built-ins: {sorted(POLICIES)})"
             )
-        pool = self.pool
-        if pool is None and self.workers is not None and self.workers > 1:
-            # One shared pool for every round — acquired here, not per
+        # A private copy: telemetry of this run never lands on the
+        # caller's executor, nor on another campaign sharing it.
+        executor = replace(self.executor)
+        if executor.pool is None and (executor.workers or 1) > 1:
+            # One shared pool for every round — pinned here, not per
             # round, so refinement never leaves the warm workers.
-            pool = get_pool(self.workers)
+            executor.pool = get_pool(executor.workers)
         if self.resume and self.checkpoint is None:
             raise ConfigError("resume=True needs a checkpoint path")
         store: CampaignCheckpoint | None = None
@@ -629,7 +631,7 @@ class AdaptiveCampaign:
         for index in range(self.rounds):
             executed = index >= len(stored)
             if executed:
-                observation = self._run_round(index, current, pool, sink)
+                observation = self._run_round(index, current, executor, sink)
             else:
                 observation = stored[index]
                 resumed_rounds += 1
@@ -671,35 +673,26 @@ class AdaptiveCampaign:
         self,
         index: int,
         variants: dict[str, Variant],
-        pool: "WorkerPool | None",
+        executor: CellExecutor,
         sink: ResultSink | None,
     ) -> RoundObservation:
         """Execute one round's cells and observe them."""
-        campaign = Campaign(
-            seeds=self.seeds,
-            workers=self.workers,
-            batch_size=self.batch_size,
-            pool=pool,
-            keep_results=False,
-            cell_timeout=self.cell_timeout,
-            quarantine=self.quarantine,
-            chaos=self.chaos,
-        )
-        campaign.variants = dict(variants)
+        accumulators = {name: _RowAccumulator(variant=name) for name in variants}
         capture = DetectionCapture(limit_per_variant=self.capture_per_variant)
-        round_sink: ResultSink = capture
-        if sink is not None:
-            round_sink = TeeSink((capture, sink))
-        rows = campaign.run(sink=round_sink)
+        executor.run_cells(
+            variants,
+            [WorkCell(name, seed) for name in variants for seed in self.seeds],
+            sink=_RoundSink(accumulators, capture, sink),
+        )
         return RoundObservation(
             index=index,
             variants=dict(variants),
-            rows=tuple(rows),
+            rows=tuple(accumulator.row() for accumulator in accumulators.values()),
             detections={
                 name: capture.for_variant(name)
                 for name in variants
                 if capture.for_variant(name)
             },
-            pool_id=campaign.last_pool_id,
-            quarantine=campaign.last_quarantine,
+            pool_id=executor.last_pool_id,
+            quarantine=executor.last_quarantine,
         )

@@ -25,12 +25,13 @@ properties define the execution model:
   :class:`~repro.ptest.pool.WorkerPool` — either one passed explicitly
   (``pool=``) or the process-wide shared pool for the requested worker
   count (:func:`~repro.ptest.pool.get_pool`) — so back-to-back
-  ``run_cells`` / ``Campaign.run`` calls reuse warm worker processes
-  (and their scenario caches, which a worker fills when a batch first
-  names a ref) instead of paying pool startup every time.  A pool
-  broken by a dying worker is respawned and the affected batches
-  resubmitted; only a batch that keeps killing its worker propagates
-  the failure.
+  ``run_cells`` calls, and every round of an
+  :class:`~repro.ptest.adaptive.AdaptiveCampaign`, reuse warm worker
+  processes (and their scenario caches, which a worker fills when a
+  batch first names a ref) instead of paying pool startup every time.
+  A pool broken by a dying worker is respawned and the affected
+  batches resubmitted; only a batch that keeps killing its worker
+  propagates the failure.
 * **Batching.**  Cells are grouped into per-worker batches
   (``batch_size``; ``None`` picks a heuristic from the cell count and
   worker count), amortising pickle/submission overhead that dominates
@@ -73,7 +74,12 @@ The serial path (``workers=1``) runs cells in-process, so there is no
 worker to kill, no deadline that can pre-empt a hung cell, and no pool
 boundary for chaos: ``cell_timeout`` and ``chaos`` are inert there,
 while ``quarantine`` still isolates *raising* cells (kind ``lethal``)
-identically to the parallel path.
+identically to the parallel path.  At ``workers > 1`` every run goes
+through the pool, a one-cell run included.
+
+The fabric settings are range-checked once, when a
+:class:`CellExecutor` is built (:func:`check_fabric`, which
+:class:`~repro.ptest.spec.CampaignSpec` validation calls too).
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ from repro.ptest.pool import (
     Variant,
     WorkerPool,
     _run_cached,
+    check_worker_cap,
     get_pool,
     make_batch_table,
     run_table_batch,
@@ -176,8 +183,8 @@ class QuarantineReport:
     ``attempted`` counts every cell the run was asked to execute,
     ``completed`` the ones that delivered a result; the difference is
     exactly ``len(cells)``.  Attached to
-    :class:`CellExecutor.last_quarantine` (and surfaced up through
-    ``Campaign`` / ``AdaptiveCampaign``) after every run with
+    :class:`CellExecutor.last_quarantine` (and surfaced on each
+    ``AdaptiveCampaign`` round's observation) after every run with
     ``quarantine=True`` — including fully clean ones, where ``cells``
     is empty, so "nothing was quarantined" is an explicit statement
     rather than a missing attribute.
@@ -241,6 +248,33 @@ QUARANTINE_HINT = (
 )
 
 
+def check_fabric(
+    workers: int | None = None,
+    batch_size: int | None = None,
+    cell_timeout: float | None = None,
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` unless the fabric
+    settings are in range: ``workers`` from 1 to
+    :data:`~repro.ptest.pool.MAX_WORKERS`, ``batch_size >= 1`` and a
+    finite ``cell_timeout > 0``.  ``None`` passes every check."""
+    if workers is not None:
+        if workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {workers}")
+        check_worker_cap(workers)
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if cell_timeout is not None:
+        if cell_timeout <= 0:
+            raise ConfigError(
+                f"cell_timeout must be > 0 seconds, got {cell_timeout}"
+            )
+        if not cell_timeout < math.inf:  # NaN compares false too
+            raise ConfigError(
+                f"cell_timeout must be a finite number of seconds, "
+                f"got {cell_timeout}"
+            )
+
+
 @dataclass
 class CellExecutor:
     """Runs campaign cells, serially or across worker processes.
@@ -253,8 +287,9 @@ class CellExecutor:
         *is* the parallelism request) and otherwise runs serially;
         ``1`` forces every cell in-process even when a pool is
         configured (debuggers, monkeypatched builders); ``n > 1`` fans
-        batches of cells out over up to ``n`` processes.  Whatever the
-        value, results are delivered in submission order, so output is
+        batches of cells out over up to ``n`` processes (at most
+        :data:`~repro.ptest.pool.MAX_WORKERS`).  Whatever the value,
+        results are delivered in submission order, so output is
         deterministic given the seeds.
     batch_size:
         Cells per pool submission.  ``None`` (the default) picks
@@ -290,6 +325,10 @@ class CellExecutor:
         worker kills / hangs / delays at the pool boundary (testing
         and benchmarking only).  Never applied on the serial path.
 
+    Out-of-range ``workers``, ``batch_size`` or ``cell_timeout`` raise
+    :class:`~repro.errors.ConfigError` at construction
+    (:func:`check_fabric`).
+
     After :meth:`run_cells` returns, ``last_batch_size`` /
     ``batches_submitted`` / ``last_pool_id`` record how the cells were
     packed and which pool ran them (a serial run leaves them ``None``,
@@ -319,12 +358,14 @@ class CellExecutor:
     #: Watchdog deadline expiries observed across the last run.
     timeouts_detected: int = 0
 
+    def __post_init__(self) -> None:
+        check_fabric(self.workers, self.batch_size, self.cell_timeout)
+
     def run_cells(
         self,
         variants: Mapping[str, Variant],
         cells: Sequence[WorkCell],
         *,
-        batch_size: int | None = None,
         sink: ResultSink | None = None,
     ) -> list["TestRunResult"] | None:
         """Execute ``cells``; results align with ``cells`` by position.
@@ -356,20 +397,6 @@ class CellExecutor:
                     "ScenarioRef or ReplayRef; register its builder with "
                     "@scenario and add it by name"
                 )
-        requested = batch_size if batch_size is not None else self.batch_size
-        if requested is not None and requested < 1:
-            # Reject on every path, not just when the pool would run.
-            raise ValueError(f"batch_size must be >= 1, got {requested}")
-        if self.cell_timeout is not None:
-            if self.cell_timeout <= 0:
-                raise ValueError(
-                    f"cell_timeout must be > 0, got {self.cell_timeout}"
-                )
-            if not self.cell_timeout < math.inf:  # NaN compares false too
-                raise ConfigError(
-                    f"cell_timeout must be a finite number of seconds, "
-                    f"got {self.cell_timeout}"
-                )
         self.last_batch_size = None
         self.batches_submitted = 0
         self.last_pool_id = None
@@ -383,13 +410,9 @@ class CellExecutor:
             effective_workers = (
                 self.pool.workers if self.pool is not None else 1
             )
-        if effective_workers > 1 and len(cells) > 1:
+        if effective_workers > 1:
             return self._run_parallel(
-                variants,
-                cells,
-                workers=effective_workers,
-                batch_size=batch_size,
-                sink=sink,
+                variants, cells, workers=effective_workers, sink=sink
             )
         # A scenario cache per call, not the module's _WORKER_CACHE:
         # `repro serve` runs serial requests on several threads and
@@ -436,18 +459,12 @@ class CellExecutor:
             )
         return results
 
-    def _resolve_batch_size(
-        self, cell_count: int, batch_size: int | None, workers: int | None = None
-    ) -> int:
-        effective = (
-            batch_size if batch_size is not None else self.batch_size
-        )
+    def _resolve_batch_size(self, cell_count: int, workers: int) -> int:
+        effective = self.batch_size
         if effective is None:
             # ~4 waves per worker: amortisation vs. load balance.
-            width = workers if workers is not None else (self.workers or 1)
-            effective = -(-cell_count // (4 * width))
-            effective = min(effective, MAX_AUTO_BATCH)
-        # run_cells already rejected explicit values < 1.
+            effective = min(-(-cell_count // (4 * workers)), MAX_AUTO_BATCH)
+        # Construction already rejected explicit values < 1.
         return max(1, min(effective, cell_count))
 
     #: Pool respawns tolerated without delivering a single batch in
@@ -466,7 +483,6 @@ class CellExecutor:
         cells: Sequence[WorkCell],
         *,
         workers: int,
-        batch_size: int | None,
         sink: ResultSink | None,
     ) -> list["TestRunResult"] | None:
         pool = self.pool if self.pool is not None else get_pool(workers)
@@ -474,7 +490,7 @@ class CellExecutor:
         # batch packing and the in-flight window follow it, not the
         # executor's own `workers` (they agree for shared pools).
         width = pool.workers
-        size = self._resolve_batch_size(len(cells), batch_size, width)
+        size = self._resolve_batch_size(len(cells), width)
         self.last_batch_size = size
         batches = [
             list(cells[start : start + size])

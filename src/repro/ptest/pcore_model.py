@@ -134,10 +134,6 @@ def reweighted_pcore_pfa(
     """Fig. 5 structure with custom ``(state_label, symbol)`` weights,
     normalised per state.  Weights must cover exactly the existing arcs'
     rows they mention; unmentioned rows stay at the paper's values."""
-    base = {
-        (source, symbol): probability
-        for source, symbol, _target, probability in PCORE_EDGES
-    }
     label_to_state = {label: state for state, label in _STATE_LABELS.items()}
     overrides: dict[tuple[int, str], float] = {}
     for (label, symbol), weight in weights.items():

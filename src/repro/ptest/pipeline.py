@@ -30,6 +30,7 @@ Example — zoom for three rounds, then replay the survivors' detecting
 interleavings once detections plateau::
 
     from repro.ptest.adaptive import AdaptiveCampaign, GridZoom, ReplayFocus
+    from repro.ptest.executor import CellExecutor
     from repro.ptest.pipeline import PipelineStage, Plateau, PolicyPipeline
 
     pipeline = PolicyPipeline(
@@ -42,7 +43,7 @@ interleavings once detections plateau::
         seeds=(0, 1, 2),
         rounds=pipeline.total_rounds(),
         policy=pipeline,
-        workers=4,
+        executor=CellExecutor(workers=4),
     )
     campaign.add_grid(
         "phil", "philosophers", {"ordered": [False, True], "chunk": [1, 2]}

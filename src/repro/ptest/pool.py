@@ -10,8 +10,8 @@ that overhead dominates the actual work.  Three amortisation layers fix
 it:
 
 * **Warm pools.**  :class:`WorkerPool` wraps a lazily-created
-  ``ProcessPoolExecutor`` that survives across ``run_cells`` /
-  ``Campaign.run`` calls.  :func:`get_pool` hands out
+  ``ProcessPoolExecutor`` that survives across ``run_cells`` calls
+  and campaign rounds.  :func:`get_pool` hands out
   one shared pool per worker count; pools are health-checked on use
   (a dead worker breaks a process pool — the wrapper discards the
   broken executor and respawns a fresh one) and are explicitly
@@ -120,7 +120,7 @@ class WorkerPool:
 
     The wrapped ``ProcessPoolExecutor`` is created lazily on first
     :meth:`submit` and reused by every later submission — including
-    across separate ``run_cells`` / ``Campaign.run`` calls — until
+    across separate ``run_cells`` calls and campaign rounds — until
     :meth:`close`.  A pool whose worker died (``BrokenProcessPool``) is
     discarded and respawned transparently on the next submission;
     callers draining in-flight futures report the break via
@@ -341,9 +341,10 @@ def get_pool(workers: int) -> WorkerPool:
 
     Executors and campaigns that were not handed an explicit pool
     acquire theirs here, which is what makes back-to-back
-    ``Campaign.run`` calls reuse one warm pool.  A shared pool that was
-    closed (directly or via :func:`shutdown_pools`) is replaced with a
-    fresh one on the next acquisition.
+    ``run_cells`` calls and campaign runs reuse one warm pool.  A
+    shared pool that was closed (directly or via
+    :func:`shutdown_pools`) is replaced with a fresh one on the next
+    acquisition.
     """
     with _SHARED_LOCK:
         pool = _SHARED.get(workers)

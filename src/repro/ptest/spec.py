@@ -1,18 +1,17 @@
 """`CampaignSpec`: one serializable description of a campaign.
 
-PRs 2-9 grew the execution knobs — ``workers``, ``batch_size``,
-``cell_timeout``, ``quarantine``, ``checkpoint``/``resume``,
-policy/pipeline schedules — and threaded
-them as near-duplicate kwargs through :class:`~repro.ptest.campaign.
-Campaign`, :class:`~repro.ptest.adaptive.AdaptiveCampaign` and three
-CLI subcommands.  This module collapses that plumbing into one frozen,
-validated value object with an exact ``to_json``/``from_json``
-round-trip, plus the single :func:`execute_spec` entry point that the
-CLI (``repro campaign|adapt``), the server (``repro serve``) and
+A spec is one frozen, validated value object holding every campaign
+knob — the fabric's ``workers``, ``batch_size``, ``cell_timeout`` and
+``quarantine``, ``checkpoint``/``resume``, policy/pipeline schedules —
+with an exact ``to_json``/``from_json`` round-trip, plus the single
+:func:`execute_spec` entry point that the CLI (``repro
+campaign|adapt``), the server (``repro serve``) and
 :class:`repro.client.Client` all dispatch through.  A spec has two
 modes, and one engine runs both: every spec is an
-:class:`~repro.ptest.adaptive.AdaptiveCampaign`, and a campaign is its
-one unrefined round.  (``repro run`` runs one cell, not a spec.)
+:class:`~repro.ptest.adaptive.AdaptiveCampaign` on one
+:class:`~repro.ptest.executor.CellExecutor` built from the spec's
+fabric fields, and a campaign is its one unrefined round.  (``repro
+run`` runs one cell, not a spec.)
 
 Validation lives in exactly one place — :meth:`CampaignSpec.validate`,
 run from ``__post_init__`` — so contradictory knob combinations
@@ -36,16 +35,20 @@ directly, at any ``(concurrent clients, workers, batch_size)``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
 from repro.ptest.adaptive import POLICIES, AdaptiveCampaign
 from repro.ptest.campaign import CampaignRow, DetectionSample, grid_variants
-from repro.ptest.executor import QuarantinedCell, QuarantineReport, ResultSink
+from repro.ptest.executor import (
+    CellExecutor,
+    QuarantinedCell,
+    QuarantineReport,
+    ResultSink,
+    check_fabric,
+)
 from repro.ptest.pipeline import parse_pipeline
-from repro.ptest.pool import check_worker_cap
 from repro.workloads.registry import ScenarioRef
 
 MODES = ("campaign", "adapt")
@@ -82,8 +85,9 @@ class CampaignSpec:
     ``params`` are fixed scenario parameters (stored sorted — order
     never matters); ``grid`` maps parameters to value sweeps (order
     preserved — it fixes the cartesian-product variant naming).
-    Everything else mirrors the knob of the same name on
-    :class:`~repro.ptest.campaign.Campaign` /
+    ``workers``, ``batch_size``, ``cell_timeout`` and ``quarantine``
+    build the :class:`~repro.ptest.executor.CellExecutor` every round
+    runs on; everything else mirrors the knob of the same name on
     :class:`~repro.ptest.adaptive.AdaptiveCampaign`.
 
     Instances validate on construction and are hashable; build
@@ -156,17 +160,10 @@ class CampaignSpec:
         for seed in self.seeds:
             _check_type("seeds", seed, (int,), "a sequence of integers")
         _check_type("workers", self.workers, (int,), "an integer >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        check_worker_cap(self.workers)
         if self.batch_size is not None:
             _check_type(
                 "batch_size", self.batch_size, (int,), "an integer >= 1"
             )
-            if self.batch_size < 1:
-                raise ConfigError(
-                    f"batch_size must be >= 1, got {self.batch_size}"
-                )
         if self.cell_timeout is not None:
             _check_type(
                 "cell_timeout",
@@ -174,15 +171,6 @@ class CampaignSpec:
                 (int, float),
                 "a positive number of seconds",
             )
-            if self.cell_timeout <= 0:
-                raise ConfigError(
-                    f"cell_timeout must be > 0 seconds, got {self.cell_timeout}"
-                )
-            if not self.cell_timeout < math.inf:  # NaN compares false too
-                raise ConfigError(
-                    f"cell_timeout must be a finite number of seconds, "
-                    f"got {self.cell_timeout}"
-                )
         for name, hint in (
             ("policy", "a policy name"),
             ("pipeline", "a pipeline string such as 'grid_zoom:2,replay:1'"),
@@ -198,6 +186,7 @@ class CampaignSpec:
             (int,),
             "an integer >= 0",
         )
+        check_fabric(self.workers, self.batch_size, self.cell_timeout)
         if self.capture_per_variant < 0:
             raise ConfigError(
                 f"capture_per_variant must be >= 0, got "
@@ -516,16 +505,19 @@ def execute_spec(
         if on_round is not None:
             on_round(round_result)
 
+    executor = CellExecutor(
+        workers=spec.workers,
+        batch_size=spec.batch_size,
+        cell_timeout=spec.cell_timeout,
+        quarantine=spec.quarantine,
+    )
     result = AdaptiveCampaign(
         seeds=spec.seeds,
         rounds=1 if rounds is None else rounds,
         policy=policy,
         variants=spec_variants(spec),
-        workers=spec.workers,
-        batch_size=spec.batch_size,
+        executor=executor,
         capture_per_variant=spec.capture_per_variant,
-        cell_timeout=spec.cell_timeout,
-        quarantine=spec.quarantine,
         checkpoint=spec.checkpoint,
         resume=spec.resume,
         on_round=observe,

@@ -23,9 +23,10 @@ from repro.ptest.adaptive import (
     SuccessiveHalving,
 )
 from repro.ptest.campaign import CampaignRow, DetectionSample, grid_variants
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import WorkerPool, get_pool, shutdown_pools
 from repro.ptest.replay import ReplayRef
-from repro.workloads.registry import ScenarioRef, scenario_ref
+from repro.workloads.registry import scenario_ref
 
 
 @pytest.fixture(autouse=True)
@@ -390,9 +391,14 @@ class TestPolicyRegistry:
 # -- the engine ----------------------------------------------------------------
 
 
-def philosophers_adaptive(policy, rounds=3, **kwargs) -> AdaptiveCampaign:
+def philosophers_adaptive(
+    policy, rounds=3, seeds=(0, 1), **fabric
+) -> AdaptiveCampaign:
     campaign = AdaptiveCampaign(
-        seeds=(0, 1), rounds=rounds, policy=policy, **kwargs
+        seeds=seeds,
+        rounds=rounds,
+        policy=policy,
+        executor=CellExecutor(**fabric),
     )
     campaign.add_grid("phil", "philosophers", {"chunk": [1, 2]})
     return campaign
@@ -549,6 +555,29 @@ class TestWarmPoolTelemetry:
         result = philosophers_adaptive(SuccessiveHalving()).run()
         assert result.pool_ids == (None, None)
         assert result.pool_stable  # trivially: nothing to churn
+
+    def test_one_cell_round_stays_on_the_pool(self):
+        # One seed, halved to one variant: round 2 is a single cell,
+        # and it still runs on the pool round 1 used.
+        result = philosophers_adaptive(
+            SuccessiveHalving(), seeds=(0,), workers=2
+        ).run()
+        assert [len(r.variants) for r in result.rounds] == [2, 1]
+        assert result.pool_ids[0] is not None
+        assert result.pool_stable
+
+    def test_callers_executor_is_never_written(self):
+        # run() pins the pool and records telemetry on its own copy, so
+        # campaigns sharing one executor never see each other's runs.
+        executor = CellExecutor(workers=2)
+        campaign = AdaptiveCampaign(seeds=(0, 1), executor=executor)
+        campaign.add_scenario("phil", "philosophers")
+        result = campaign.run()
+        assert result.pool_ids[0] is not None
+        assert campaign.executor is executor
+        assert executor.pool is None
+        assert executor.last_pool_id is None
+        assert executor.batches_submitted == 0
 
 
 class TestCrossConfigDeterminism:

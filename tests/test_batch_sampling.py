@@ -10,9 +10,8 @@ multi-word, negative, word-boundary), sizes, both ``on_final`` modes
 and multi-round continuations, then cover the plumbing around it: the
 compiled rows and their pickles, many interleaved generators sharing
 one compiled automaton, and campaign rows staying identical at every
-batch size.  Campaign sampling has one path, so ``Campaign``/
-``CellExecutor`` take no sampling knob and a spec's leftover knob is
-ignored.
+batch size.  Campaign sampling has one path, so ``CellExecutor``
+takes no sampling knob and a spec's leftover knob is ignored.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from repro.automata.compiled import CompiledPFA
 from repro.automata.reference import LegacySampler
 from repro.automata.sampling import PatternSampler
 from repro.errors import ConfigError
-from repro.ptest.campaign import Campaign
-from repro.ptest.executor import CellExecutor
+from repro.ptest.adaptive import AdaptiveCampaign
+from repro.ptest.executor import CellExecutor, CollectSink
 from repro.ptest.generator import PatternGenerator
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import shutdown_pools
@@ -156,12 +155,6 @@ class TestScalarFallback:
         with pytest.raises(TypeError, match="merge_batch"):
             CellExecutor(workers=2, merge_batch=True)
 
-    def test_campaign_rejects_explicit_batch_request(self):
-        with pytest.raises(TypeError, match="batch_sampling"):
-            Campaign(seeds=(0, 1), workers=2, batch_sampling=True)
-        with pytest.raises(TypeError, match="merge_batch"):
-            Campaign(seeds=(0, 1), workers=2, merge_batch=True)
-
 
 class TestPackedRows:
     def test_packing_mirrors_the_compiled_rows(self, compiled):
@@ -232,27 +225,28 @@ class TestCampaignBitIdentity:
         yield
         shutdown_pools()
 
-    def _campaign(self, workers, batch_size=None):
-        campaign = Campaign(seeds=(0, 1, 2), workers=workers, batch_size=batch_size)
+    def _run(self, workers, batch_size=None):
+        """The campaign's rows and every run's result, in cell order."""
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1, 2),
+            executor=CellExecutor(workers=workers, batch_size=batch_size),
+        )
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
         campaign.add_scenario("phil", "philosophers", op="cyclic")
-        return campaign
+        runs = CollectSink()
+        return campaign.run(sink=runs).final_rows, runs
 
     def test_rows_identical_at_every_batch_setting(self):
-        baseline = self._campaign(workers=1)
-        rows = baseline.run()
+        rows, baseline = self._run(workers=1)
         for workers, batch_size in [(2, None), (2, 1), (2, 3)]:
-            campaign = self._campaign(workers, batch_size)
-            assert campaign.run() == rows, (
+            actual_rows, runs = self._run(workers, batch_size)
+            assert actual_rows == rows, (
                 f"rows diverged at workers={workers}, batch_size={batch_size}"
             )
-            for variant in baseline.results:
-                expected = baseline.results[variant]
-                actual = campaign.results[variant]
-                assert [r.patterns for r in actual] == [r.patterns for r in expected]
-                assert [r.found_bug for r in actual] == [
-                    r.found_bug for r in expected
-                ]
-                assert [[a.kind for a in r.anomalies] for r in actual] == [
-                    [a.kind for a in r.anomalies] for r in expected
-                ]
+            assert runs.cells == baseline.cells
+            expected, actual = baseline.results, runs.results
+            assert [r.patterns for r in actual] == [r.patterns for r in expected]
+            assert [r.found_bug for r in actual] == [r.found_bug for r in expected]
+            assert [[a.kind for a in r.anomalies] for r in actual] == [
+                [a.kind for a in r.anomalies] for r in expected
+            ]

@@ -7,7 +7,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bridge.bridge import SlaveBridgeAdapter, build_bridge
+from repro.bridge.bridge import build_bridge
 from repro.bridge.protocol import (
     CommandFrame,
     MAX_PRIORITY,

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, ReproError
-from repro.ptest.campaign import Campaign, DetectionCapture
+from repro.ptest.campaign import DetectionCapture
 from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
-from repro.ptest.executor import CollectSink, QuarantineReport
+from repro.ptest.executor import CellExecutor, CollectSink, QuarantineReport
 from repro.ptest.pool import MAX_WORKERS, close_pool
 from repro.ptest.spec import (
     CampaignSpec,
@@ -328,9 +328,9 @@ def test_execute_spec_campaign_matches_hand_built_campaign():
         seeds=(0, 1),
     )
     outcome = execute_spec(spec)
-    direct = Campaign(seeds=(0, 1), workers=1)
+    direct = AdaptiveCampaign(seeds=(0, 1), executor=CellExecutor(workers=1))
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
-    assert list(outcome.rows) == list(direct.run())
+    assert outcome.rows == direct.run().final_rows
     assert isinstance(outcome, SpecOutcome)
     assert outcome.rounds and isinstance(outcome.rounds[0], RoundResult)
 
@@ -347,7 +347,10 @@ def test_execute_spec_adapt_matches_hand_built_adaptive():
     )
     outcome = execute_spec(spec)
     direct = AdaptiveCampaign(
-        seeds=(0, 1), workers=1, rounds=2, policy=GridZoom()
+        seeds=(0, 1),
+        executor=CellExecutor(workers=1),
+        rounds=2,
+        policy=GridZoom(),
     )
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
     result = direct.run()
@@ -371,16 +374,18 @@ def test_execute_spec_campaign_outcome_matches_hand_built_campaign(workers):
         quarantine=True,
         capture_per_variant=1,
     )
-    direct = Campaign(seeds=seeds, workers=workers, quarantine=True)
+    direct = AdaptiveCampaign(
+        seeds=seeds, executor=CellExecutor(workers=workers, quarantine=True)
+    )
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
     capture = DetectionCapture(limit_per_variant=1)
     seen, cells = [], CollectSink()
     try:
-        rows = direct.run(sink=capture)
+        rows = direct.run(sink=capture).final_rows
         outcome = execute_spec(spec, cells, on_round=seen.append)
     finally:
         close_pool(workers)
-    assert list(outcome.rows) == rows
+    assert outcome.rows == rows
     assert outcome.detections == tuple(
         sample for row in rows for sample in capture.for_variant(row.variant)
     )

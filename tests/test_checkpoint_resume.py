@@ -40,9 +40,15 @@ def _deterministic_pool_teardown():
     shutdown_pools()
 
 
-def _campaign(policy, rounds=3, grid=False, **kwargs) -> AdaptiveCampaign:
+def _campaign(
+    policy, rounds=3, grid=False, chaos=None, cell_timeout=None, **kwargs
+) -> AdaptiveCampaign:
     campaign = AdaptiveCampaign(
-        seeds=(0, 1, 2), rounds=rounds, policy=policy, workers=2, **kwargs
+        seeds=(0, 1, 2),
+        rounds=rounds,
+        policy=policy,
+        executor=CellExecutor(workers=2, chaos=chaos, cell_timeout=cell_timeout),
+        **kwargs,
     )
     if grid:
         campaign.add_grid(
@@ -301,8 +307,7 @@ class TestResumeBitIdentity:
             seeds=(0, 1, 2),
             rounds=3,
             policy=Repeat(),
-            workers=1,
-            batch_size=1,
+            executor=CellExecutor(workers=1, batch_size=1),
             checkpoint=path,
             resume=True,
         )
@@ -358,7 +363,7 @@ class TestCheckpointHygiene:
             seeds=(7, 8),
             rounds=2,
             policy=Repeat(),
-            workers=2,
+            executor=CellExecutor(workers=2),
             checkpoint=path,
             resume=True,
         )

@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.errors import WatchdogTimeout
 from repro.ptest import adaptive as adaptive_module
-from repro.ptest import campaign as campaign_module
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import shutdown_pools
 
 
@@ -27,10 +27,10 @@ def _deterministic_pool_teardown():
 
 class TestExecutorFailureExitCode:
     def test_campaign_broken_pool_exits_3(self, capsys, monkeypatch):
-        def _boom(self, sink=None):
+        def _boom(self, variants, cells, *, sink=None):
             raise BrokenProcessPool("worker died mid-campaign")
 
-        monkeypatch.setattr(campaign_module.Campaign, "run", _boom)
+        monkeypatch.setattr(CellExecutor, "run_cells", _boom)
         assert main(["campaign", "philosophers", "--workers", "2"]) == 3
         out = capsys.readouterr().out
         assert "executor failure: BrokenProcessPool" in out
@@ -39,10 +39,10 @@ class TestExecutorFailureExitCode:
     def test_campaign_watchdog_timeout_exits_3_not_2(self, capsys, monkeypatch):
         # WatchdogTimeout subclasses ReproError; it must hit the
         # executor-failure arm (exit 3), not the config-error arm.
-        def _hang(self, sink=None):
+        def _hang(self, variants, cells, *, sink=None):
             raise WatchdogTimeout("batch exceeded 0.5s/cell")
 
-        monkeypatch.setattr(campaign_module.Campaign, "run", _hang)
+        monkeypatch.setattr(CellExecutor, "run_cells", _hang)
         assert main(["campaign", "philosophers", "--cell-timeout", "0.5"]) == 3
         assert "executor failure: WatchdogTimeout" in capsys.readouterr().out
 
@@ -53,10 +53,10 @@ class TestExecutorFailureExitCode:
         assert "cell_timeout must be a finite number" in capsys.readouterr().out
 
     def test_hint_suppressed_when_quarantine_already_on(self, capsys, monkeypatch):
-        def _boom(self, sink=None):
+        def _boom(self, variants, cells, *, sink=None):
             raise BrokenProcessPool("boom")
 
-        monkeypatch.setattr(campaign_module.Campaign, "run", _boom)
+        monkeypatch.setattr(CellExecutor, "run_cells", _boom)
         assert main(["campaign", "philosophers", "--quarantine"]) == 3
         assert "--quarantine to bisect" not in capsys.readouterr().out
 

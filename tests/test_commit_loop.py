@@ -25,10 +25,10 @@ import pytest
 from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.pcore.services import ServiceCode, ServiceResult, ServiceStatus
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.chaos import run_chaos_batch
 from repro.ptest.committer import Committer
-from repro.ptest.executor import CellExecutor
+from repro.ptest.executor import CellExecutor, CollectSink
 from repro.ptest.generator import PatternGenerator
 from repro.ptest.harness import AdaptiveTest
 from repro.ptest.merger import PatternMerger
@@ -502,30 +502,31 @@ class TestCampaignMergeBatchIdentity:
         yield
         shutdown_pools()
 
-    def _campaign(self, workers, batch_size=None):
-        campaign = Campaign(seeds=(0, 1, 2), workers=workers, batch_size=batch_size)
+    def _run(self, workers, batch_size=None):
+        """The campaign's rows and every run's result, in cell order."""
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1, 2),
+            executor=CellExecutor(workers=workers, batch_size=batch_size),
+        )
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
         campaign.add_grid(
             "phil", "philosophers", {"op": ["cyclic", "random", "round_robin"]}
         )
-        return campaign
+        runs = CollectSink()
+        return campaign.run(sink=runs).final_rows, runs
 
     def test_rows_identical_at_every_merge_setting(self):
         """Every merge op, serial or pooled at any batch size: the same
         rows, detections and anomaly kinds."""
-        baseline = self._campaign(workers=1)
-        rows = baseline.run()
+        rows, baseline = self._run(workers=1)
         for workers, batch_size in [(2, None), (2, 1)]:
-            campaign = self._campaign(workers, batch_size)
-            assert campaign.run() == rows, (
+            actual_rows, runs = self._run(workers, batch_size)
+            assert actual_rows == rows, (
                 f"rows diverged at workers={workers}, batch_size={batch_size}"
             )
-            for variant in baseline.results:
-                expected = baseline.results[variant]
-                actual = campaign.results[variant]
-                assert [r.found_bug for r in actual] == [
-                    r.found_bug for r in expected
-                ]
-                assert [
-                    [a.kind for a in r.anomalies] for r in actual
-                ] == [[a.kind for a in r.anomalies] for r in expected]
+            assert runs.cells == baseline.cells
+            expected, actual = baseline.results, runs.results
+            assert [r.found_bug for r in actual] == [r.found_bug for r in expected]
+            assert [[a.kind for a in r.anomalies] for r in actual] == [
+                [a.kind for a in r.anomalies] for r in expected
+            ]

@@ -65,7 +65,7 @@ class TestDetectorDebounce:
 
         kernel.register_program("g1", grab("ra", "rb"))
         kernel.register_program("g2", grab("rb", "ra"))
-        t1 = create_task(kernel, priority=1, program="g1").value
+        create_task(kernel, priority=1, program="g1")
         t2 = create_task(kernel, priority=2, program="g2").value
         for tick in range(3):
             kernel.step(tick)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import ChaosInjectedError, ConfigError, WatchdogTimeout
 from repro.ptest.adaptive import AdaptiveCampaign, Repeat
-from repro.ptest.campaign import Campaign
 from repro.ptest.chaos import CHAOS_EXIT_STATUS, ChaosSpec, transient_decisions
 from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.pool import WorkerPool, shutdown_pools
@@ -32,13 +31,14 @@ def _deterministic_pool_teardown():
     shutdown_pools()
 
 
-def _spin_campaign(seeds=(0, 1, 2, 3, 4, 5), **kwargs) -> Campaign:
-    campaign = Campaign(seeds=tuple(seeds), **kwargs)
+def _spin_campaign(seeds=(0, 1, 2, 3, 4, 5), **fabric) -> AdaptiveCampaign:
+    campaign = AdaptiveCampaign(seeds=tuple(seeds), executor=CellExecutor(**fabric))
     campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
     return campaign
 
 
-def _sig(rows):
+def _sig(result):
+    """The final rows of a campaign run, field by field."""
     return [
         (
             row.variant,
@@ -48,7 +48,7 @@ def _sig(rows):
             row.mean_ticks_to_detection,
             row.mean_commands,
         )
-        for row in rows
+        for row in result.final_rows
     ]
 
 
@@ -192,9 +192,9 @@ class TestPoisonQuarantine:
                 quarantine=True,
                 cell_timeout=60.0,
             )
-            rows = campaign.run()
-            assert _sig(rows) == reference, (workers, batch_size)
-            report = campaign.last_quarantine
+            result = campaign.run()
+            assert _sig(result) == reference, (workers, batch_size)
+            report = result.rounds[0].quarantine
             assert report.attempted == 6 and report.completed == 4
             reports.append(
                 tuple((c.variant, c.seed, c.kind, c.detail) for c in report.cells)
@@ -214,12 +214,12 @@ class TestPoisonQuarantine:
             quarantine=True,
             cell_timeout=60.0,
         )
-        rows = campaign.run()
-        report = campaign.last_quarantine
+        result = campaign.run()
+        report = result.rounds[0].quarantine
         assert [(c.seed, c.kind) for c in report.cells] == [(3, "crash")]
         assert report.cells[0].detail == "worker process died"
-        assert rows[0].runs == 5
-        assert _sig(rows) == _sig(
+        assert result.final_rows[0].runs == 5
+        assert _sig(result) == _sig(
             _spin_campaign(seeds=(0, 1, 2, 4, 5), workers=2).run()
         )
 
@@ -230,11 +230,11 @@ class TestPoisonQuarantine:
             quarantine=True,
             cell_timeout=0.8,
         )
-        rows = campaign.run()
-        report = campaign.last_quarantine
+        result = campaign.run()
+        report = result.rounds[0].quarantine
         assert [(c.seed, c.kind) for c in report.cells] == [(1, "timeout")]
         assert "0.8" in report.cells[0].detail
-        assert rows[0].runs == 5
+        assert result.final_rows[0].runs == 5
 
     def test_poison_propagates_with_quarantine_off(self):
         campaign = _spin_campaign(
@@ -298,10 +298,10 @@ class TestPoisonQuarantine:
         assert executor.last_quarantine.completed == 0
 
     def test_clean_quarantine_run_reports_explicit_zero(self):
-        campaign = _spin_campaign(workers=2, quarantine=True)
+        result = _spin_campaign(workers=2, quarantine=True).run()
         clean = _sig(_spin_campaign(workers=2).run())
-        assert _sig(campaign.run()) == clean  # quarantine on is free
-        report = campaign.last_quarantine
+        assert _sig(result) == clean  # quarantine on is free
+        report = result.rounds[0].quarantine
         assert report.quarantined == 0 and report.completed == 6
         assert report.describe() == "quarantine: 0 of 6 cells"
 
@@ -331,20 +331,36 @@ class TestWatchdog:
         assert executor.timeouts_detected >= 2
 
     def test_cell_timeout_validated(self):
-        executor = CellExecutor(workers=1, cell_timeout=0.0)
-        with pytest.raises(ValueError, match="cell_timeout"):
-            executor.run_cells({}, [])
+        # Rejected when the executor is built, before any cell exists.
+        with pytest.raises(ConfigError, match="cell_timeout must be > 0"):
+            CellExecutor(workers=1, cell_timeout=0.0)
         for value in (float("nan"), float("inf")):
-            executor = CellExecutor(workers=1, cell_timeout=value)
             with pytest.raises(ConfigError, match="cell_timeout must be a finite"):
-                executor.run_cells({}, [])
+                CellExecutor(workers=1, cell_timeout=value)
+
+    def test_one_cell_run_is_watched_on_the_pool(self):
+        # A lone cell at workers > 1 goes through the pool like any
+        # other: chaos hangs it, the watchdog fires, quarantine isolates.
+        executor = CellExecutor(
+            workers=2,
+            cell_timeout=0.5,
+            quarantine=True,
+            chaos=ChaosSpec(seed=1, hang_seeds=frozenset({0}), hang_s=3.0),
+        )
+        ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
+        results = executor.run_cells({"spin": ref}, [WorkCell("spin", 0)])
+        assert results == [None]
+        assert executor.last_pool_id is not None
+        report = executor.last_quarantine
+        assert [(c.seed, c.kind) for c in report.cells] == [(0, "timeout")]
+        assert (report.attempted, report.completed) == (1, 0)
 
     def test_no_deadline_means_no_watchdog(self):
         # cell_timeout=None is the pre-watchdog behaviour: futures are
         # waited on without a deadline (nothing here to hang on).
         campaign = _spin_campaign(workers=2)
-        assert campaign.cell_timeout is None
-        assert campaign.run()[0].runs == 6
+        assert campaign.executor.cell_timeout is None
+        assert campaign.run().final_rows[0].runs == 6
 
 
 class TestAdaptiveQuarantine:
@@ -353,10 +369,12 @@ class TestAdaptiveQuarantine:
             seeds=(0, 1, 2, 3),
             rounds=2,
             policy=Repeat(),
-            workers=2,
-            quarantine=True,
-            cell_timeout=60.0,
-            chaos=ChaosSpec(seed=1, raise_seeds=frozenset({2})),
+            executor=CellExecutor(
+                workers=2,
+                quarantine=True,
+                cell_timeout=60.0,
+                chaos=ChaosSpec(seed=1, raise_seeds=frozenset({2})),
+            ),
         )
         campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
         result = campaign.run()

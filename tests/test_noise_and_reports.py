@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.text_report import render_campaign, render_run, render_table
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.config import PTestConfig
 from repro.ptest.harness import run_adaptive_test
 from repro.workloads.scenarios import philosophers_case2
@@ -83,15 +83,15 @@ class TestTextReport:
         assert "bug report" in text
 
     def test_render_campaign(self):
-        campaign = Campaign(seeds=(0,))
+        campaign = AdaptiveCampaign(seeds=(0,))
         campaign.add_scenario("buggy", "philosophers")
-        rows = campaign.run()
+        rows = campaign.run().final_rows
         text = render_campaign(rows)
         assert "buggy" in text
         assert "1.00" in text
 
     def test_render_campaign_markdown(self):
-        campaign = Campaign(seeds=(0,))
+        campaign = AdaptiveCampaign(seeds=(0,))
         campaign.add_scenario("x", "philosophers", ordered=True)
-        text = render_campaign(campaign.run(), markdown=True)
+        text = render_campaign(campaign.run().final_rows, markdown=True)
         assert text.startswith("| variant")

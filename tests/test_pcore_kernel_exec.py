@@ -14,7 +14,7 @@ from repro.pcore.programs import (
     Sleep,
     YieldCpu,
 )
-from repro.pcore.services import ServiceCode, ServiceStatus
+from repro.pcore.services import ServiceCode
 from repro.pcore.tcb import TaskState
 from repro.sim.memory import SharedMemory
 

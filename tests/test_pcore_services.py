@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.pcore.kernel import PCoreKernel
 from repro.pcore.services import (
     SERVICE_ABBREVIATIONS,
     ServiceCode,

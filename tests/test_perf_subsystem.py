@@ -20,7 +20,7 @@ from repro.automata.compiled import CompiledPFA
 from repro.automata.reference import legacy_sample, networkx_cycle_tids
 from repro.automata.sampling import PatternSampler
 from repro.errors import ConfigError, SamplingError
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.pcore_model import pcore_pfa
@@ -209,47 +209,51 @@ class TestCellExecutor:
             return compile_pfa(cls, pfa)
 
         monkeypatch.setattr(CompiledPFA, "from_pfa", classmethod(counting))
-        campaign = Campaign(seeds=(0, 1, 2, 3), workers=1)
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1, 2, 3), executor=CellExecutor(workers=1)
+        )
         campaign.add_scenario("cyclic", "philosophers", op="cyclic")
-        assert campaign.run()[0].detections == 4
+        assert campaign.run().final_rows[0].detections == 4
         assert len(compiled) == 1
 
 
 class TestParallelCampaignDeterminism:
     def _campaign(self, workers):
-        return Campaign(
+        return AdaptiveCampaign(
             seeds=(0, 1, 2),
             variants={
                 "cyclic": scenario_ref("philosophers", op="cyclic"),
                 "ordered": scenario_ref("philosophers", ordered=True),
             },
-            workers=workers,
+            executor=CellExecutor(workers=workers),
         )
 
     def test_parallel_rows_equal_serial_rows(self):
-        serial = self._campaign(workers=1)
-        parallel = self._campaign(workers=2)
-        serial_rows = serial.run()
-        parallel_rows = parallel.run()
-        assert serial_rows == parallel_rows
+        serial_runs, parallel_runs = CollectSink(), CollectSink()
+        serial_rows = self._campaign(workers=1).run(sink=serial_runs).final_rows
+        parallel = self._campaign(workers=2).run(sink=parallel_runs)
+        assert serial_rows == parallel.final_rows
         # Per-run outcomes agree too, not just the summaries.
-        for variant in serial.variants:
-            serial_runs = serial.results[variant]
-            parallel_runs = parallel.results[variant]
-            assert [r.found_bug for r in serial_runs] == [
-                r.found_bug for r in parallel_runs
-            ]
-            assert [r.ticks for r in serial_runs] == [
-                r.ticks for r in parallel_runs
-            ]
-            assert [r.commands_issued for r in serial_runs] == [
-                r.commands_issued for r in parallel_runs
-            ]
+        assert serial_runs.cells == parallel_runs.cells
+        serial_results, parallel_results = serial_runs.results, parallel_runs.results
+        assert [r.found_bug for r in serial_results] == [
+            r.found_bug for r in parallel_results
+        ]
+        assert [r.ticks for r in serial_results] == [
+            r.ticks for r in parallel_results
+        ]
+        assert [r.commands_issued for r in serial_results] == [
+            r.commands_issued for r in parallel_results
+        ]
 
     def test_run_workers_override(self):
+        # The fabric is one value: swapping the executor between runs
+        # moves the next run onto the pool.
         campaign = self._campaign(workers=1)
-        rows = campaign.run(workers=2)
-        assert rows[0].detections == 3
+        campaign.executor = CellExecutor(workers=2)
+        result = campaign.run()
+        assert result.final_rows[0].detections == 3
+        assert result.pool_ids[0] is not None
 
 
 # -- incremental deadlock detection --------------------------------------------
@@ -400,7 +404,7 @@ class TestIncrementalDetectorEquivalence:
 
         kernel.register_program("g1", grab("ra", "rb"))
         kernel.register_program("g2", grab("rb", "ra"))
-        t1 = create_task(kernel, priority=1, program="g1").value
+        create_task(kernel, priority=1, program="g1")
         t2 = create_task(kernel, priority=2, program="g2").value
         for tick in range(3):
             kernel.step(tick)

@@ -23,6 +23,7 @@ from repro.ptest.adaptive import (
     RoundObservation,
 )
 from repro.ptest.campaign import CampaignRow, DetectionSample
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pipeline import (
     PipelineStage,
     Plateau,
@@ -396,9 +397,7 @@ def pipeline_campaign(workers=None, batch_size=None, pool=None) -> AdaptiveCampa
         seeds=(0, 1),
         rounds=4,
         policy=zoom_then_replay(),
-        workers=workers,
-        batch_size=batch_size,
-        pool=pool,
+        executor=CellExecutor(workers=workers, batch_size=batch_size, pool=pool),
     )
     campaign.add_grid("phil", "philosophers", {"chunk": [1, 2]})
     return campaign

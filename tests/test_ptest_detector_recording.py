@@ -7,7 +7,7 @@ import pytest
 from repro.bridge.bridge import build_bridge
 from repro.errors import DetectorError
 from repro.pcore.kernel import KernelConfig, PCoreKernel
-from repro.pcore.programs import Acquire, Compute, Exit, YieldCpu
+from repro.pcore.programs import Acquire, Compute, Exit
 from repro.pcore.services import ServiceCode, ServiceRequest
 from repro.pcore.tcb import TaskState
 from repro.ptest.detector import AnomalyKind, BugDetector, DetectorConfig

@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
+from repro.ptest.pool import MAX_WORKERS
 from repro.workloads.registry import (
     REGISTRY,
     ScenarioRef,
@@ -214,8 +215,9 @@ class TestWorkloadCatalogue:
 
 
 def _ref_campaign(workers=1, batch_size=None, seeds=(0, 1, 2)):
-    campaign = Campaign(
-        seeds=seeds, workers=workers, batch_size=batch_size
+    campaign = AdaptiveCampaign(
+        seeds=seeds,
+        executor=CellExecutor(workers=workers, batch_size=batch_size),
     )
     campaign.add_scenario("cyclic", "philosophers", op="cyclic")
     campaign.add_scenario("ordered", "philosophers", ordered=True)
@@ -224,18 +226,17 @@ def _ref_campaign(workers=1, batch_size=None, seeds=(0, 1, 2)):
 
 class TestBatchedDeterminism:
     def test_rows_identical_at_any_workers_and_batch_size(self):
-        baseline_campaign = _ref_campaign()
-        baseline = baseline_campaign.run()
+        baseline_runs = CollectSink()
+        baseline = _ref_campaign().run(sink=baseline_runs).final_rows
         for workers, batch_size in [(2, 1), (2, 2), (2, 100), (3, None)]:
-            campaign = _ref_campaign(workers, batch_size)
-            assert campaign.run() == baseline, (workers, batch_size)
+            runs = CollectSink()
+            rows = _ref_campaign(workers, batch_size).run(sink=runs).final_rows
+            assert rows == baseline, (workers, batch_size)
             # Per-run outcomes agree too, not just the summaries.
-            for variant in campaign.variants:
-                assert [
-                    r.ticks for r in campaign.results[variant]
-                ] == [
-                    r.ticks for r in baseline_campaign.results[variant]
-                ]
+            assert runs.cells == baseline_runs.cells
+            assert [r.ticks for r in runs.results] == [
+                r.ticks for r in baseline_runs.results
+            ]
 
     def test_ref_variants_always_parallelise(self):
         campaign = _ref_campaign(workers=2, seeds=(0, 1))
@@ -256,20 +257,26 @@ class TestBatchedDeterminism:
         executor.run_cells(variants, cells)
         assert executor.last_batch_size == 2
         assert executor.batches_submitted == 3
-        executor.run_cells(variants, cells, batch_size=4)
+        executor = CellExecutor(workers=2, batch_size=4)
+        executor.run_cells(variants, cells)
         assert executor.last_batch_size == 4
         assert executor.batches_submitted == 2
 
     def test_bad_batch_size_rejected(self):
-        variants = {"spin": scenario_ref("clean_spin", total_steps=50)}
-        cells = [WorkCell(variant="spin", seed=s) for s in range(2)]
-        with pytest.raises(ValueError, match="batch_size"):
-            CellExecutor(workers=2, batch_size=0).run_cells(variants, cells)
-        # The serial path rejects it too (no silent acceptance).
-        with pytest.raises(ValueError, match="batch_size"):
-            CellExecutor(workers=1).run_cells(
-                variants, cells, batch_size=-3
-            )
+        # Rejected when the executor is built, before any cell exists;
+        # the serial path rejects it too (no silent acceptance).
+        for workers in (2, 1):
+            with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+                CellExecutor(workers=workers, batch_size=0)
+        with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+            CellExecutor(batch_size=-3)
+
+    @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1])
+    def test_bad_worker_count_rejected(self, workers):
+        # Never silently serial: an out-of-range count is a config error
+        # at construction, so no campaign can be built on it.
+        with pytest.raises(ConfigError, match="workers must be"):
+            CellExecutor(workers=workers)
 
 
 class TestResultSinks:
@@ -288,17 +295,24 @@ class TestResultSinks:
                 r.ticks for r in reference
             ]
 
-    def test_campaign_streams_without_materializing(self):
-        campaign = _ref_campaign(workers=2, seeds=(0, 1))
-        campaign.keep_results = False
-        rows = campaign.run()
-        assert campaign.results == {}
-        reference = _ref_campaign(seeds=(0, 1)).run()
-        assert rows == reference
-        # The accessors read the streaming accumulators, not results.
-        assert campaign.detection_rate("cyclic") == 1.0
-        assert campaign.detection_rate("ordered") == 0.0
-        assert campaign.kind_counts("cyclic") == {"deadlock": 2}
+    def test_campaign_streams_without_materializing(self, monkeypatch):
+        # A round folds each result into its row as it streams off the
+        # executor: run_cells is handed a sink and returns no list.
+        run_cells = CellExecutor.run_cells
+        returned = []
+
+        def spy(self, variants, cells, *, sink=None):
+            returned.append(run_cells(self, variants, cells, sink=sink))
+
+        monkeypatch.setattr(CellExecutor, "run_cells", spy)
+        observation = _ref_campaign(workers=2, seeds=(0, 1)).run().rounds[0]
+        assert returned == [None]
+        monkeypatch.undo()
+        reference = _ref_campaign(seeds=(0, 1)).run().final_rows
+        assert observation.rows == reference
+        assert observation.rate("cyclic") == 1.0
+        assert observation.rate("ordered") == 0.0
+        assert observation.kind_counts() == {"deadlock": 2}
 
     def test_campaign_forwards_to_external_sink(self):
         campaign = _ref_campaign(seeds=(0, 1))
@@ -312,7 +326,7 @@ class TestResultSinks:
 
 class TestGridSweeps:
     def test_add_grid_products_and_fixed_params(self):
-        campaign = Campaign(seeds=(0,))
+        campaign = AdaptiveCampaign(seeds=(0,))
         names = campaign.add_grid(
             "phil",
             "philosophers",
@@ -329,16 +343,18 @@ class TestGridSweeps:
             assert dict(campaign.variants[name].params)["hold_steps"] == 30
 
     def test_grid_campaign_detects_only_buggy_variants(self):
-        campaign = Campaign(seeds=(0, 1), workers=2)
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1), executor=CellExecutor(workers=2)
+        )
         campaign.add_grid(
             "phil", "philosophers", {"ordered": [False, True]}
         )
-        rows = {row.variant: row for row in campaign.run()}
+        rows = {row.variant: row for row in campaign.run().final_rows}
         assert rows["phil[ordered=False]"].rate == 1.0
         assert rows["phil[ordered=True]"].rate == 0.0
 
     def test_grid_duplicate_names_rejected(self):
-        campaign = Campaign()
+        campaign = AdaptiveCampaign()
         campaign.add_grid("p", "philosophers", {"ordered": [True]})
         with pytest.raises(ValueError, match="already registered"):
             campaign.add_grid("p", "philosophers", {"ordered": [True]})
@@ -346,13 +362,13 @@ class TestGridSweeps:
     def test_grid_empty_axis_rejected(self):
         # An axis with no values would expand to no variant at all, and
         # the campaign would silently run nothing.
-        campaign = Campaign()
+        campaign = AdaptiveCampaign()
         with pytest.raises(ConfigError, match="'op' has no values"):
             campaign.add_grid("x", "philosophers", {"op": []})
         assert campaign.variants == {}
 
     def test_grid_fixed_param_overlap_rejected(self):
-        campaign = Campaign()
+        campaign = AdaptiveCampaign()
         with pytest.raises(ConfigError, match="both fixed and in the grid"):
             campaign.add_grid(
                 "p", "philosophers", {"ordered": [False, True]}, ordered=True
@@ -471,22 +487,23 @@ GATE_SEEDS = tuple(range(8))
 
 class TestGroundTruth:
     def test_detections_agree_with_the_registry(self):
-        campaign = Campaign(seeds=GATE_SEEDS, workers=1, keep_results=False)
+        campaign = AdaptiveCampaign(seeds=GATE_SEEDS)
         for name in scenario_names():
             campaign.add_scenario(name, name)
         for name, params in FLIPS:
             label = ",".join(f"{key}={value}" for key, value in params.items())
             campaign.add_scenario(f"{name}[{label}]", name, **params)
-        campaign.run()
+        observation = campaign.run().rounds[0]
         for variant, ref in campaign.variants.items():
             kind = ref.expected()
-            counts = campaign.kind_counts(variant)
+            row = observation.row(variant)
             if kind is None:
-                assert counts == {}, f"{variant}: false positives {counts}"
+                assert row.detections == 0, f"{variant}: false positives {row.kinds}"
                 continue
-            wrong = {found: n for found, n in counts.items() if found != kind.value}
-            assert wrong == {}, f"{variant}: expected {kind.value}, got {wrong}"
-            hits = counts.get(kind.value, 0)
+            wrong = [found for found in row.kinds if found != kind.value]
+            assert wrong == [], f"{variant}: expected {kind.value}, got {wrong}"
+            # No wrong kind: every detection is of the expected kind.
+            hits = row.detections
             assert hits >= DETECTION_FLOORS[variant], (
                 f"{variant}: {hits}/{len(GATE_SEEDS)} {kind.value} detections"
             )

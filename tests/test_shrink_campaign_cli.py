@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ptest.adaptive import AdaptiveCampaign, Repeat
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.detector import AnomalyKind
 from repro.ptest.generator import PatternGenerator
 from repro.ptest.harness import AdaptiveTest
@@ -123,43 +122,37 @@ class TestShrinker:
 
 class TestCampaign:
     def test_campaign_aggregates(self):
-        campaign = Campaign(seeds=(0, 1))
+        campaign = AdaptiveCampaign(seeds=(0, 1))
         campaign.add_scenario("buggy", "philosophers")
         campaign.add_scenario("fixed", "philosophers", ordered=True)
-        rows = {row.variant: row for row in campaign.run()}
+        observation = campaign.run().rounds[0]
+        rows = {row.variant: row for row in observation.rows}
         assert rows["buggy"].rate == 1.0
         assert rows["fixed"].rate == 0.0
         assert rows["buggy"].kinds == ("deadlock",)
-        assert campaign.kind_counts("buggy") == {"deadlock": 2}
+        assert observation.kind_counts() == {"deadlock": 2}
 
     def test_generator_seeds_are_normalised_at_construction(self):
         # A generator is read once, when the campaign is built: every
         # variant runs every seed, and so does a second run.
-        campaign = Campaign(seeds=(seed for seed in range(3)))
+        campaign = AdaptiveCampaign(seeds=(seed for seed in range(3)))
         campaign.add_scenario("a", "clean_spin", tasks=2, total_steps=40)
         campaign.add_scenario("b", "clean_spin", tasks=3, total_steps=40)
         assert campaign.seeds == (0, 1, 2)
         for _ in range(2):
-            assert [row.runs for row in campaign.run()] == [3, 3]
-        adaptive = AdaptiveCampaign(
-            seeds=(seed for seed in range(2)), rounds=1, policy=Repeat()
-        )
-        adaptive.add_scenario("a", "clean_spin", tasks=2, total_steps=40)
-        assert adaptive.seeds == (0, 1)
-        for _ in range(2):
-            assert adaptive.run().final_rows[0].runs == 2
+            assert [row.runs for row in campaign.run().final_rows] == [3, 3]
 
     def test_duplicate_variant_rejected(self):
-        campaign = Campaign()
+        campaign = AdaptiveCampaign()
         campaign.add_variant("x", lambda seed: philosophers_case2(seed=seed))
         with pytest.raises(ValueError):
             campaign.add_variant("x", lambda seed: philosophers_case2(seed=seed))
 
     def test_campaign_scenario_variants(self):
-        campaign = Campaign(seeds=(0, 1))
+        campaign = AdaptiveCampaign(seeds=(0, 1))
         campaign.add_scenario("buggy", "philosophers", op="cyclic")
         campaign.add_scenario("fixed", "philosophers", ordered=True)
-        rows = {row.variant: row for row in campaign.run()}
+        rows = {row.variant: row for row in campaign.run().final_rows}
         assert rows["buggy"].rate == 1.0
         assert rows["fixed"].rate == 0.0
 

@@ -1,7 +1,7 @@
 """Tests for the persistent worker-pool subsystem.
 
 Covers the :class:`~repro.ptest.pool.WorkerPool` lifecycle (warm reuse
-across ``Campaign.run`` calls, dead-worker respawn, deterministic
+across campaign runs, dead-worker respawn, deterministic
 shutdown), the deduped ScenarioRef-table batch wire format, and the
 worker-side scenario/PFA cache — per-variant keying, fork-safety (no
 cross-variant leakage between refs differing only in params), and
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigError
-from repro.ptest.campaign import Campaign
+from repro.ptest.adaptive import AdaptiveCampaign
 from repro.ptest.executor import CellExecutor, WorkCell
 from repro.ptest.pool import (
     MAX_WORKERS,
@@ -43,8 +43,10 @@ def _deterministic_pool_teardown():
     shutdown_pools()
 
 
-def _spin_campaign(workers=1, pool=None, seeds=(0, 1, 2)) -> Campaign:
-    campaign = Campaign(seeds=seeds, workers=workers, pool=pool)
+def _spin_campaign(workers=1, pool=None, seeds=(0, 1, 2)) -> AdaptiveCampaign:
+    campaign = AdaptiveCampaign(
+        seeds=seeds, executor=CellExecutor(workers=workers, pool=pool)
+    )
     campaign.add_scenario("spin", "clean_spin", tasks=2, total_steps=40)
     return campaign
 
@@ -121,26 +123,21 @@ class TestWorkerPoolLifecycle:
         with WorkerPool(2) as pool:
             campaign = _spin_campaign(workers=2, pool=pool)
             first = campaign.run()
-            first_id = campaign.last_pool_id
             second = campaign.run()
-            assert first == second
-            assert first_id is not None
-            assert campaign.last_pool_id == first_id  # same warm pool
+            assert first.final_rows == second.final_rows
+            assert first.pool_ids[0] is not None
+            assert second.pool_ids == first.pool_ids  # same warm pool
             assert pool.spawns == 1
 
     def test_shared_pool_reused_across_separate_campaigns(self):
-        a = _spin_campaign(workers=2)
-        b = _spin_campaign(workers=2)
-        rows_a = a.run()
-        rows_b = b.run()
-        assert rows_a == rows_b
-        assert a.last_pool_id == b.last_pool_id is not None
+        a = _spin_campaign(workers=2).run()
+        b = _spin_campaign(workers=2).run()
+        assert a.final_rows == b.final_rows
+        assert a.pool_ids[0] == b.pool_ids[0] is not None
         assert get_pool(2).spawns == 1
 
     def test_serial_run_reports_no_pool(self):
-        campaign = _spin_campaign(workers=1)
-        campaign.run()
-        assert campaign.last_pool_id is None
+        assert _spin_campaign(workers=1).run().pool_ids == (None,)
         assert active_pools() == []
 
     def test_dead_worker_respawn_at_pool_level(self):
@@ -192,7 +189,7 @@ class TestWorkerPoolLifecycle:
             assert pool.ping()  # no respawn, no wedged queue
             assert pool.spawns == 1
             good = _spin_campaign(workers=2, pool=pool)
-            assert good.run()[0].runs == 3
+            assert good.run().final_rows[0].runs == 3
 
     def test_stale_break_notification_is_a_no_op(self):
         with WorkerPool(2) as pool:
@@ -314,7 +311,7 @@ class TestPrewarmRespawnRace:
             with pytest.raises(BrokenProcessPool):
                 pool.submit(_exit_worker).result()
             campaign = _spin_campaign(workers=2, pool=pool)
-            assert campaign.run() == _spin_campaign().run()
+            assert campaign.run().final_rows == _spin_campaign().run().final_rows
             assert pool.pool_id != first
             assert pool.spawns == 2
 
@@ -343,9 +340,11 @@ class TestLateRegistration:
                 )
 
             try:
-                late = Campaign(seeds=(0, 1), workers=2, pool=pool)
+                late = AdaptiveCampaign(
+                    seeds=(0, 1), executor=CellExecutor(workers=2, pool=pool)
+                )
                 late.add_scenario("late", name)
-                rows = late.run()
+                rows = late.run().final_rows
                 assert rows[0].runs == 2
                 assert pool.spawns == 2  # stale workers were retired
             finally:
@@ -377,11 +376,12 @@ class TestExplicitPoolRequestsParallelism:
             assert executor.batches_submitted == 0
             assert executor.last_pool_id is None
             assert pool.spawns == 0  # the pool was never touched
-            campaign = _spin_campaign(workers=None, pool=pool)
-            serial_rows = campaign.run(workers=1)
-            assert campaign.last_pool_id is None
-            assert campaign.run() == serial_rows  # pool path agrees
-            assert campaign.last_pool_id == pool.pool_id
+            serial = _spin_campaign(workers=1, pool=pool).run()
+            assert serial.pool_ids == (None,)
+            assert pool.spawns == 0
+            parallel = _spin_campaign(workers=None, pool=pool).run()
+            assert parallel.final_rows == serial.final_rows  # pool agrees
+            assert parallel.pool_ids == (pool.pool_id,)
 
 
 class TestMidRunRegistration:
@@ -402,20 +402,20 @@ class TestMidRunRegistration:
 
         try:
             with WorkerPool(2) as pool:
-                campaign = Campaign(
-                    seeds=tuple(range(6)), workers=2,
-                    batch_size=1, pool=pool,
+                campaign = AdaptiveCampaign(
+                    seeds=tuple(range(6)),
+                    executor=CellExecutor(workers=2, batch_size=1, pool=pool),
                 )
                 campaign.add_scenario(
                     "spin", "clean_spin", tasks=2, total_steps=40
                 )
-                rows = campaign.run(sink=_RegisteringSink())
+                rows = campaign.run(sink=_RegisteringSink()).final_rows
             assert rows[0].runs == 6
-            serial = Campaign(seeds=tuple(range(6)))
+            serial = AdaptiveCampaign(seeds=tuple(range(6)))
             serial.add_scenario(
                 "spin", "clean_spin", tasks=2, total_steps=40
             )
-            assert serial.run() == rows
+            assert serial.run().final_rows == rows
         finally:
             REGISTRY._specs.pop(name, None)
 
@@ -518,24 +518,26 @@ class TestWorkerSideCache:
         # Same scenario name, params differing only in one flag, packed
         # into the same batches: the buggy variant must still detect and
         # the control must still stay clean (cache keyed on params).
-        campaign = Campaign(
-            seeds=(0, 1), workers=2, batch_size=4, pool=None
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1), executor=CellExecutor(workers=2, batch_size=4)
         )
         campaign.add_grid("phil", "philosophers", {"ordered": [False, True]})
-        rows = {row.variant: row for row in campaign.run()}
+        rows = {row.variant: row for row in campaign.run().final_rows}
         assert rows["phil[ordered=False]"].rate == 1.0
         assert rows["phil[ordered=True]"].rate == 0.0
 
     def test_rows_identical_across_warm_cold_and_serial(self):
-        campaign = Campaign(seeds=(0, 1))
+        campaign = AdaptiveCampaign(seeds=(0, 1))
         campaign.add_scenario("cyclic", "philosophers", op="cyclic")
         campaign.add_scenario("ordered", "philosophers", ordered=True)
-        serial_rows = campaign.run(workers=1)
+        serial_rows = campaign.run().final_rows
         with WorkerPool(2) as pool:
-            warm = Campaign(seeds=(0, 1), workers=2, pool=pool)
+            warm = AdaptiveCampaign(
+                seeds=(0, 1), executor=CellExecutor(workers=2, pool=pool)
+            )
             warm.add_scenario("cyclic", "philosophers", op="cyclic")
             warm.add_scenario("ordered", "philosophers", ordered=True)
-            cold_rows = warm.run()  # first dispatch: cold pool
-            warm_rows = warm.run()  # second dispatch: warm + cached
+            cold_rows = warm.run().final_rows  # first dispatch: cold pool
+            warm_rows = warm.run().final_rows  # second: warm + cached
         assert cold_rows == serial_rows
         assert warm_rows == serial_rows

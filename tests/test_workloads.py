@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.pcore.kernel import KernelConfig, PCoreKernel
-from repro.pcore.services import ServiceRequest
 from repro.pcore.tcb import TaskState
 from repro.sim.memory import SharedMemory
 from repro.workloads.fig1 import run_fig1
@@ -152,7 +151,7 @@ class TestProducerConsumer:
         kernel.register_program("prod", make_producer_program(10, ring_slots=4))
         kernel.register_program("cons", make_consumer_program(10, ring_slots=4))
         create_task(kernel, priority=2, program="prod")
-        consumer = create_task(kernel, priority=1, program="cons").value
+        create_task(kernel, priority=1, program="cons")
         final = run_until_empty(kernel, max_ticks=5000)
         assert final < 5000  # both exited: order verified inside consumer
 
