@@ -67,7 +67,7 @@ from repro.pcore.services import ServiceCode
 from repro.pcore.testkit import create_task, run_service
 from repro.ptest.adaptive import AdaptiveCampaign, Repeat
 from repro.ptest.chaos import ChaosSpec
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.pcore_model import pcore_pfa
 from repro.ptest.pool import WorkerPool, shutdown_pools
 from repro.ptest.waitgraph import IncrementalWaitForGraph
@@ -185,9 +185,10 @@ def bench_campaign_batched(quick: bool, workers: int) -> dict:
     cells = [WorkCell(variant="spin", seed=seed) for seed in range(cell_count)]
 
     def timed(executor: CellExecutor) -> tuple[float, list]:
+        sink = CollectSink()
         start = time.perf_counter()
-        results = executor.run_cells(variants, cells)
-        return cell_count / (time.perf_counter() - start), results
+        executor.run_cells(variants, cells, sink)
+        return cell_count / (time.perf_counter() - start), sink.results
 
     per_cell = CellExecutor(workers=workers, batch_size=1)
     batched = CellExecutor(workers=workers)
@@ -309,9 +310,10 @@ def bench_pool(quick: bool, workers: int) -> dict:
     cells = [WorkCell(variant="spin", seed=seed) for seed in range(cell_count)]
 
     def dispatch(executor: CellExecutor) -> tuple[float, list]:
+        sink = CollectSink()
         start = time.perf_counter()
-        results = executor.run_cells(variants, cells)
-        return time.perf_counter() - start, results
+        executor.run_cells(variants, cells, sink)
+        return time.perf_counter() - start, sink.results
 
     cold_best = warm_best = float("inf")
     cold_results = warm_results = []

@@ -44,14 +44,18 @@ SPEC = CampaignSpec(
 )
 
 
+def detections(outcome) -> int:
+    return sum(round_.total_detections for round_ in outcome.rounds)
+
+
 def main() -> None:
     print(f"spec: {SPEC.to_json()}")
 
     # The reference: the same spec, executed directly in this process.
     direct = execute_spec(SPEC)
     print(
-        f"direct run: {len(direct.rows)} row(s), "
-        f"{direct.total_detections} detection(s)"
+        f"direct run: {len(direct.final_rows)} row(s), "
+        f"{detections(direct)} detection(s)"
     )
 
     handle = start_server_thread()
@@ -76,7 +80,7 @@ def main() -> None:
             match = remote is not None and remote.rounds == direct.rounds
             queued = " (queued)" if remote and remote.queued else ""
             print(
-                f"client {index}: {remote.total_detections} detection(s)"
+                f"client {index}: {detections(remote)} detection(s)"
                 f"{queued}, bit-identical to direct: {match}"
             )
 

@@ -14,7 +14,7 @@ Quick start::
 
     spec = CampaignSpec(scenario="philosophers", seeds=(0, 1, 2))
     outcome = execute_spec(spec)
-    print(outcome.total_detections)
+    print(outcome.describe())
 
 The names in ``__all__`` below are the supported embedding API: the
 campaign engine (:class:`AdaptiveCampaign` and the
@@ -46,7 +46,7 @@ _EXPORTS = {
     "AdaptiveCampaign": "repro.ptest.adaptive",
     "CellExecutor": "repro.ptest.executor",
     "CampaignSpec": "repro.ptest.spec",
-    "RoundResult": "repro.ptest.spec",
+    "RoundObservation": "repro.ptest.adaptive",
     "SpecOutcome": "repro.ptest.spec",
     "execute_spec": "repro.ptest.spec",
     "Client": "repro.client",

@@ -52,7 +52,7 @@ import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.config import PTestConfig
-from repro.ptest.executor import CellExecutor, WorkCell, check_fabric
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell, check_fabric
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
 from repro.workloads.fig1 import run_fig1
@@ -102,9 +102,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             # The one cell path every campaign takes (pool._run_cached).
             ref = scenario_ref(args.scenario, **_parse_params(args.param))
-            [result] = CellExecutor(workers=1).run_cells(
-                {args.scenario: ref}, [WorkCell(args.scenario, args.seed)]
+            sink = CollectSink()
+            CellExecutor(workers=1).run_cells(
+                {args.scenario: ref}, [WorkCell(args.scenario, args.seed)], sink
             )
+            [result] = sink.results
         except ReproError as error:
             # Unknown scenario, bad param, or a builder rejecting an
             # out-of-range value — never exit 1 (that means "bug found").
@@ -279,8 +281,8 @@ def _print_campaign_outcome(spec, outcome) -> None:
             name: _expected_label(scenario, dict(ref.params))
             for name, ref in spec_variants(spec).items()
         }
-    print(render_campaign(list(outcome.rows), expected=expected))
-    _print_quarantine(outcome.quarantine)
+    print(render_campaign(list(outcome.final_rows), expected=expected))
+    _print_quarantine(outcome.rounds[-1].quarantine)
 
 
 def _print_adapt_outcome(spec, outcome) -> None:
@@ -297,21 +299,18 @@ def _print_adapt_outcome(spec, outcome) -> None:
             else ""
         )
     )
-    pool_ids = outcome.pool_ids or (None,) * len(outcome.rounds)
-    for round_result, pool_id in zip(outcome.rounds, pool_ids):
-        pool_note = f" pool_id={pool_id}" if pool_id is not None else ""
-        stage_note = (
-            f" stage={round_result.stage}"
-            if round_result.stage is not None
-            else ""
+    for round_ in outcome.rounds:
+        pool_note = (
+            f" pool_id={round_.pool_id}" if round_.pool_id is not None else ""
         )
+        stage_note = f" stage={round_.stage}" if round_.stage is not None else ""
         print(
-            f"-- round {round_result.index + 1}: "
-            f"{round_result.total_detections} detection(s)"
+            f"-- round {round_.index + 1}: "
+            f"{round_.total_detections} detection(s)"
             f"{stage_note}{pool_note}"
         )
-        print(render_campaign(list(round_result.rows)))
-        _print_quarantine(round_result.quarantine)
+        print(render_campaign(list(round_.rows)))
+        _print_quarantine(round_.quarantine)
 
 
 def _print_outcome(spec, outcome) -> None:

@@ -6,7 +6,9 @@ server's frames come back line by line, and :meth:`Client.run` rebuilds
 them into a :class:`RemoteOutcome` whose ``rounds`` compare *equal* to
 a direct :func:`~repro.ptest.spec.execute_spec` of the same spec — the
 serve bit-identity contract, exercised end to end by
-``tests/test_serve_client.py`` and ``examples/serve_client.py``.
+``tests/test_serve_client.py`` and ``examples/serve_client.py``.  Each
+rebuilt round carries the server's pool id from the ``done`` frame,
+which, like a direct round's, never takes part in equality.
 
 Server-reported failures surface as :class:`ServerError` carrying the
 structured frame's kind (``config`` / ``executor`` / ``protocol``),
@@ -23,16 +25,12 @@ import json
 import math
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, NoReturn
 
 from repro.errors import ConfigError, ReproError
-from repro.ptest.spec import (
-    CampaignSpec,
-    RoundResult,
-    SpecOutcome,
-    round_from_dict,
-)
+from repro.ptest.adaptive import RoundObservation
+from repro.ptest.spec import CampaignSpec, SpecOutcome, round_from_dict
 
 DEFAULT_PORT = 7341
 
@@ -76,9 +74,10 @@ class RemoteOutcome(SpecOutcome):
     plus the admission and cell frames.
 
     ``rounds`` compare *equal* to a direct run's (the bit-identity
-    payload); ``pool_ids`` are process-local to the *server*, so never
-    part of equality.  ``queued`` and ``queue_depth`` come from the
-    ``accepted`` frame, ``cells`` from the streamed ``cell`` frames.
+    payload); their ``pool_id`` values are process-local to the
+    *server*, so never part of equality.  ``queued`` and
+    ``queue_depth`` come from the ``accepted`` frame, ``cells`` from
+    the streamed ``cell`` frames.
     """
 
     queued: bool = False
@@ -253,7 +252,7 @@ class Client:
         Raises :class:`ServerError` on an ``error`` frame (config
         mistakes, executor failures — same taxonomy as CLI exit codes).
         """
-        rounds: list[RoundResult] = []
+        rounds: list[RoundObservation] = []
         cells: list[CellEvent] = []
         queued = False
         queue_depth = 0
@@ -281,11 +280,16 @@ class Client:
                     hint=frame.get("hint"),
                 )
             elif kind == "done":
+                # A short or missing list leaves a round's pool_id None.
+                pool_ids = list(frame.get("pool_ids") or ())
+                pool_ids += [None] * (len(rounds) - len(pool_ids))
                 return RemoteOutcome(
                     spec=spec,
-                    rounds=tuple(rounds),
+                    rounds=tuple(
+                        replace(round_, pool_id=pool_id)
+                        for round_, pool_id in zip(rounds, pool_ids)
+                    ),
                     stopped_early=frame.get("stopped_early", False),
-                    pool_ids=tuple(frame.get("pool_ids", ())),
                     resumed_rounds=frame.get("resumed_rounds", 0),
                     rounds_budget=frame.get("rounds_budget", len(rounds)),
                     schedule=frame.get("schedule", ""),

@@ -92,18 +92,8 @@ from repro.ptest.pool import (
     shutdown_pools,
 )
 from repro.ptest.waitgraph import IncrementalWaitForGraph, find_cycle_edges
-from repro.ptest.replay import (
-    ReplayRef,
-    parse_merged_description,
-    replay_ref,
-    replay_report_dict,
-)
-from repro.ptest.spec import (
-    CampaignSpec,
-    RoundResult,
-    SpecOutcome,
-    execute_spec,
-)
+from repro.ptest.replay import ReplayRef, parse_merged_description, replay_ref
+from repro.ptest.spec import CampaignSpec, SpecOutcome, execute_spec
 from repro.ptest.pcore_model import (
     PCORE_REGULAR_EXPRESSION,
     PCORE_SERVICES,
@@ -167,13 +157,11 @@ __all__ = [
     "IncrementalWaitForGraph",
     "find_cycle_edges",
     "CampaignSpec",
-    "RoundResult",
     "SpecOutcome",
     "execute_spec",
     "ReplayRef",
     "parse_merged_description",
     "replay_ref",
-    "replay_report_dict",
     "PCORE_REGULAR_EXPRESSION",
     "PCORE_SERVICES",
     "pcore_distribution",

@@ -43,6 +43,10 @@ over its cells; a refined round's new refs are resolved and compiled by
 the workers inside that round's first batches, exactly as a plain
 campaign's are.
 
+Every round lands as one :class:`RoundObservation`: the record a
+policy refines, the checkpoint stores, ``execute_spec`` returns and
+``repro serve`` ships as a ``round`` frame.
+
 **Determinism contract.**  For a fixed seed set and policy, the
 round-by-round variant sets and every round's rows are bit-identical at
 any ``(workers, batch_size, warm/cold)`` execution configuration:
@@ -92,26 +96,50 @@ from repro.workloads.registry import ScenarioRef, scenario_ref
 
 @dataclass(frozen=True)
 class RoundObservation:
-    """What one round produced — the policy's whole world.
+    """One executed (or checkpoint-replayed) round: what a refine
+    policy sees, what a caller audits and what the wire carries.
 
-    Also the per-round record kept in :class:`AdaptiveResult`, so what
-    a policy saw and what the caller can audit are the same object.
+    The compared fields are frozen dataclasses of JSON-safe scalars
+    (Python floats survive a JSON round-trip exactly), so a round
+    rebuilt by :func:`~repro.ptest.spec.round_from_dict` on the far
+    side of a socket compares *equal* to the original — the unit of the
+    serve bit-identity contract.  ``variants`` and ``pool_id`` are
+    process-local: they stay off the wire and out of equality.
     """
 
     index: int
-    #: The variants this round ran, in row order.
-    variants: dict[str, Variant]
     rows: tuple[CampaignRow, ...]
-    #: Per-variant bounded sample of detecting cells (submission order).
-    detections: dict[str, tuple[DetectionSample, ...]]
-    #: ``WorkerPool.pool_id`` the round dispatched through (``None`` for
-    #: serial rounds) — constant across rounds certifies warm reuse.
-    pool_id: int | None
+    #: Bounded sample of detecting cells (``capture_per_variant`` per
+    #: variant): row order, then capture order, which is submission
+    #: order.
+    detections: tuple[DetectionSample, ...]
     #: Partial-result accounting of the round when its executor ran
     #: with ``quarantine=True`` (``None`` otherwise).  Quarantined
     #: cells are configuration-independent, so this rides inside the
     #: determinism contract rather than alongside it.
     quarantine: "QuarantineReport | None" = None
+    #: Pipeline stage label that owned this round (``None`` without a
+    #: pipeline) — part of the schedule, so part of the contract;
+    #: :func:`~repro.ptest.spec.execute_spec` stamps it.
+    stage: str | None = None
+    #: The variants this round ran, in row order.
+    variants: dict[str, Variant] = field(default_factory=dict, compare=False)
+    #: ``WorkerPool.pool_id`` the round dispatched through (``None`` for
+    #: serial rounds) — constant across rounds certifies warm reuse.
+    pool_id: int | None = field(default=None, compare=False)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Checkpoints written before the round record was one type
+        # stored detections per variant and no stage.
+        detections = state["detections"]
+        if isinstance(detections, dict):
+            state["detections"] = tuple(
+                sample
+                for row in state["rows"]
+                for sample in detections.get(row.variant, ())
+            )
+        state.setdefault("stage", None)
+        self.__dict__.update(state)
 
     @property
     def total_detections(self) -> int:
@@ -129,9 +157,8 @@ class RoundObservation:
     def kind_counts(self) -> dict[str, int]:
         """Bug-kind histogram over this round's sampled detections."""
         counts: dict[str, int] = {}
-        for samples in self.detections.values():
-            for sample in samples:
-                counts[sample.kind] = counts.get(sample.kind, 0) + 1
+        for sample in self.detections:
+            counts[sample.kind] = counts.get(sample.kind, 0) + 1
         return counts
 
     def best_variant(self) -> str | None:
@@ -143,11 +170,6 @@ class RoundObservation:
             if row.detections and row.rate > best_rate:
                 best, best_rate = row.variant, row.rate
         return best
-
-    def iter_samples(self) -> Iterable[DetectionSample]:
-        """Detection samples in row order, then capture order."""
-        for row in self.rows:
-            yield from self.detections.get(row.variant, ())
 
 
 @runtime_checkable
@@ -357,7 +379,7 @@ class ReplayFocus:
     def refine(
         self, observation: RoundObservation
     ) -> Mapping[str, Variant] | None:
-        samples = list(observation.iter_samples())[: self.max_sources]
+        samples = observation.detections[: self.max_sources]
         if not samples:
             return None
         refined: dict[str, Variant] = {}
@@ -424,7 +446,7 @@ POLICIES: dict[str, type] = {
 class AdaptiveResult:
     """Everything an adaptive run produced, round by round."""
 
-    rounds: list[RoundObservation]
+    rounds: tuple[RoundObservation, ...]
     #: True when the policy ended the campaign before ``rounds`` ran.
     stopped_early: bool
     #: Rounds replayed from a checkpoint instead of executed (0 on a
@@ -664,7 +686,7 @@ class AdaptiveCampaign:
                 break
             current = dict(refined)
         return AdaptiveResult(
-            rounds=observations,
+            rounds=tuple(observations),
             stopped_early=stopped_early,
             resumed_rounds=resumed_rounds,
         )
@@ -686,13 +708,11 @@ class AdaptiveCampaign:
         )
         return RoundObservation(
             index=index,
-            variants=dict(variants),
             rows=tuple(accumulator.row() for accumulator in accumulators.values()),
-            detections={
-                name: capture.for_variant(name)
-                for name in variants
-                if capture.for_variant(name)
-            },
-            pool_id=executor.last_pool_id,
+            detections=tuple(
+                sample for name in variants for sample in capture.for_variant(name)
+            ),
             quarantine=executor.last_quarantine,
+            variants=dict(variants),
+            pool_id=executor.last_pool_id,
         )

@@ -29,6 +29,22 @@ from repro.ptest.harness import TestRunResult
 from repro.workloads.registry import ScenarioRef, scenario_ref
 
 
+def check_grid(
+    param_grid: Mapping[str, Sequence[Any]], fixed: Mapping[str, Any]
+) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for a parameter both
+    fixed and swept, or for an axis with no values (it would expand to
+    no variant); grid expansion and spec validation share it."""
+    overlap = sorted(set(param_grid) & set(fixed))
+    if overlap:
+        raise ConfigError(
+            f"parameters {overlap} appear both fixed and in the grid"
+        )
+    for key, values in param_grid.items():
+        if not values:
+            raise ConfigError(f"grid parameter {key!r} has no values to sweep")
+
+
 def grid_variants(
     name: str,
     scenario: str,
@@ -44,18 +60,10 @@ def grid_variants(
     behind :meth:`~repro.ptest.adaptive.AdaptiveCampaign.add_grid`,
     the spec's variants and the round-refinement policies
     (``GridZoom`` re-invokes it every round on a narrowed grid), so
-    variant naming stays identical wherever a grid is built.  An axis
-    with no values raises :class:`~repro.errors.ConfigError` (it would
-    expand to no variant).
+    variant naming stays identical wherever a grid is built.  The grid
+    must pass :func:`check_grid`.
     """
-    overlap = sorted(set(param_grid) & set(fixed))
-    if overlap:
-        raise ConfigError(
-            f"parameters {overlap} appear both fixed and in the grid"
-        )
-    for key, values in param_grid.items():
-        if not values:
-            raise ConfigError(f"grid parameter {key!r} has no values to sweep")
+    check_grid(param_grid, fixed)
     keys = list(param_grid)
     variants: dict[str, ScenarioRef] = {}
     for combo in itertools.product(*(param_grid[key] for key in keys)):

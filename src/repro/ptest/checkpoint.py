@@ -94,18 +94,21 @@ class CampaignCheckpoint:
 
     The payload is a plain dict —
     ``{"version", "fingerprint", "observations", "stopped_early",
-    "finished"}`` — pickled because observations carry
-    :class:`~repro.workloads.registry.ScenarioRef` /
+    "finished"}`` — whose observations are the campaign's
+    :class:`~repro.ptest.adaptive.RoundObservation` records, pickled
+    because they carry :class:`~repro.workloads.registry.ScenarioRef` /
     :class:`~repro.ptest.replay.ReplayRef` variants (the same values
     the worker-pool wire format ships).  A ref whose parameter values
     cannot pickle cannot checkpoint, exactly as it cannot ride a pool
     batch; the save raises :class:`~repro.errors.CheckpointError`
-    naming the problem up front.  Other keys are ignored on load:
-    checkpoints written while adaptive campaigns still pre-warmed their
-    pools carry that counter too, and resume unchanged, as do refs
-    pickled while they still carried a ``registry`` field (always
+    naming the problem up front.  Older payloads resume unchanged:
+    other keys are ignored on load (checkpoints written while adaptive
+    campaigns still pre-warmed their pools carry that counter too),
+    refs pickled while they still carried a ``registry`` field (always
     ``None`` for a campaign variant, and never part of equality or the
-    fingerprint).
+    fingerprint) load as today's refs, and observations stored with
+    per-variant ``detections`` and no ``stage`` load as flat, row-order
+    samples with ``stage`` ``None``.
     """
 
     def __init__(self, path: str | Path):

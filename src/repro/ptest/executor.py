@@ -39,12 +39,14 @@ properties define the execution model:
   distinct ref pickled once plus compact ``(table_index, seed)`` rows
   (see :mod:`repro.ptest.pool`).  Batching never changes results —
   only how cells are packed into pool submissions.
-* **Streaming sinks.**  Pass a :class:`ResultSink` and each
-  ``(cell, result)`` pair is delivered as soon as it is available — in
-  *submission order*, never completion order, so downstream
-  aggregation is identical whichever path (or batch packing) ran, and
-  nothing requires materialising every
-  :class:`~repro.ptest.harness.TestRunResult` at once.
+* **Streaming sinks.**  :meth:`CellExecutor.run_cells` returns
+  nothing: each ``(cell, result)`` pair goes to the caller's
+  :class:`ResultSink` as soon as it is available — in *submission
+  order*, never completion order, so downstream aggregation is
+  identical whichever path (or batch packing) ran, and nothing
+  requires materialising every
+  :class:`~repro.ptest.harness.TestRunResult` at once
+  (:class:`CollectSink` keeps them all when a caller wants a list).
 
 On top of the execution model sits the fault-tolerance layer (this is
 the machinery a future multi-host tier will reuse for host loss):
@@ -60,10 +62,11 @@ the machinery a future multi-host tier will reuse for host loss):
   keeps failing — killing its worker, blowing its deadline, or raising
   — is *bisected* in isolation down to the offending ``(variant,
   seed)`` cells.  Innocent cells from the batch are delivered normally
-  (still in submission order); the guilty ones are recorded in a
-  :class:`QuarantineReport` (kind ``crash`` / ``timeout`` / ``lethal``)
-  and the run completes with explicit partial-result accounting
-  instead of raising away every row already computed.
+  (still in submission order); the guilty ones are never delivered,
+  but recorded in a :class:`QuarantineReport` (kind ``crash`` /
+  ``timeout`` / ``lethal``), and the run completes with explicit
+  partial-result accounting instead of raising away every row already
+  computed.
 * **Chaos injection.**  ``chaos=`` swaps the worker entry point for
   :func:`~repro.ptest.chaos.run_chaos_batch`, which injects seeded
   worker kills, forced hangs and batch delays at the pool boundary —
@@ -92,6 +95,7 @@ from dataclasses import dataclass, field
 from threading import TIMEOUT_MAX
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Mapping,
     Protocol,
     Sequence,
@@ -174,6 +178,11 @@ class QuarantinedCell:
 
     def describe(self) -> str:
         return f"{self.variant} seed={self.seed}: {self.kind} ({self.detail})"
+
+
+def _detail(error: BaseException) -> str:
+    """The ``detail`` of a ``lethal`` cell: its exception, rendered."""
+    return f"{type(error).__name__}: {error}"
 
 
 @dataclass(frozen=True)
@@ -365,27 +374,21 @@ class CellExecutor:
         self,
         variants: Mapping[str, Variant],
         cells: Sequence[WorkCell],
-        *,
-        sink: ResultSink | None = None,
-    ) -> list["TestRunResult"] | None:
-        """Execute ``cells``; results align with ``cells`` by position.
+        sink: ResultSink,
+    ) -> None:
+        """Execute ``cells``, streaming each ``(cell, result)`` pair to
+        ``sink`` in submission order as execution proceeds.
 
         Every variant must be a
         :class:`~repro.workloads.registry.ScenarioRef` or a
         :class:`~repro.ptest.replay.ReplayRef`; anything else raises
         :class:`~repro.errors.ConfigError` naming it before any cell
-        runs.
+        runs.  No result list is materialised, so an aggregating sink
+        runs arbitrarily large campaigns in memory bounded by the
+        in-flight batches, not the cell count.
 
-        With ``sink`` given, every ``(cell, result)`` pair is instead
-        *streamed* to it in submission order as execution proceeds and
-        the method returns ``None`` — no result list is materialised,
-        so an aggregating sink runs arbitrarily large campaigns in
-        memory bounded by the in-flight batches, not the cell count.
-
-        With ``quarantine=True``, isolated cells occupy their position
-        in the returned list as ``None`` (so alignment with ``cells``
-        is preserved) and are never delivered to ``sink``; the full
-        accounting lands on ``last_quarantine``.
+        With ``quarantine=True``, isolated cells are never delivered to
+        ``sink``; the full accounting lands on ``last_quarantine``.
         """
         for cell in cells:
             if cell.variant not in variants:
@@ -402,6 +405,14 @@ class CellExecutor:
         self.last_pool_id = None
         self.last_quarantine = None
         self.timeouts_detected = 0
+        quarantined: list[QuarantinedCell] = []
+        completed = 0
+
+        def deliver(cell: WorkCell, result: "TestRunResult") -> None:
+            nonlocal completed
+            sink.accept(cell, result)
+            completed += 1
+
         # workers=None defers to the pool: handing over a multi-worker
         # pool is itself the parallelism request.  An explicit 1 always
         # wins — in-process execution stays reachable for debugging.
@@ -411,53 +422,42 @@ class CellExecutor:
                 self.pool.workers if self.pool is not None else 1
             )
         if effective_workers > 1:
-            return self._run_parallel(
-                variants, cells, workers=effective_workers, sink=sink
+            self._run_parallel(
+                variants, cells, effective_workers, deliver, quarantined
             )
-        # A scenario cache per call, not the module's _WORKER_CACHE:
-        # `repro serve` runs serial requests on several threads and
-        # forks pool workers from them, so a shared cache would need a
-        # lock that a forked worker could inherit while it is held, and
-        # its entries would outlive a registry re-registration that the
-        # pool handles by respawning.
-        cache: dict = {}
-        results = None if sink is not None else []
-        quarantined: list[QuarantinedCell] = []
-        for cell in cells:
-            if self.quarantine:
-                # The serial analogue of lethal-batch bisection: a
-                # raising cell is already perfectly isolated, so record
-                # it and keep going.  Hangs and worker kills have no
-                # serial counterpart (nothing to pre-empt or respawn).
+        else:
+            # A scenario cache per call, not the module's _WORKER_CACHE:
+            # `repro serve` runs serial requests on several threads and
+            # forks pool workers from them, so a shared cache would need
+            # a lock that a forked worker could inherit while it is
+            # held, and its entries would outlive a registry
+            # re-registration that the pool handles by respawning.
+            cache: dict = {}
+            for cell in cells:
                 try:
                     result = _run_cached(
                         variants[cell.variant], cell.seed, cache
                     )
                 except Exception as error:
+                    if not self.quarantine:
+                        raise
+                    # The serial analogue of lethal-batch bisection: a
+                    # raising cell is already perfectly isolated.  Hangs
+                    # and worker kills have no serial counterpart
+                    # (nothing to pre-empt or respawn).
                     quarantined.append(
                         QuarantinedCell(
-                            cell.variant,
-                            cell.seed,
-                            kind="lethal",
-                            detail=f"{type(error).__name__}: {error}",
+                            cell.variant, cell.seed, "lethal", _detail(error)
                         )
                     )
-                    if results is not None:
-                        results.append(None)
                     continue
-            else:
-                result = _run_cached(variants[cell.variant], cell.seed, cache)
-            if sink is not None:
-                sink.accept(cell, result)
-            else:
-                results.append(result)
+                deliver(cell, result)
         if self.quarantine:
             self.last_quarantine = QuarantineReport(
                 cells=tuple(quarantined),
                 attempted=len(cells),
-                completed=len(cells) - len(quarantined),
+                completed=completed,
             )
-        return results
 
     def _resolve_batch_size(self, cell_count: int, workers: int) -> int:
         effective = self.batch_size
@@ -481,10 +481,10 @@ class CellExecutor:
         self,
         variants: Mapping[str, Variant],
         cells: Sequence[WorkCell],
-        *,
         workers: int,
-        sink: ResultSink | None,
-    ) -> list["TestRunResult"] | None:
+        deliver: Callable[[WorkCell, "TestRunResult"], None],
+        quarantined: list[QuarantinedCell],
+    ) -> None:
         pool = self.pool if self.pool is not None else get_pool(workers)
         # An explicit pool's width governs the actual process count, so
         # batch packing and the in-flight window follow it, not the
@@ -497,28 +497,6 @@ class CellExecutor:
             for start in range(0, len(cells), size)
         ]
         self.batches_submitted = len(batches)
-        results: list["TestRunResult"] | None = (
-            None if sink is not None else []
-        )
-
-        # With quarantine on, positional results need a slot per cell
-        # even when some never complete; record each cell's index once
-        # so delivery (from the main drain or from bisection screening)
-        # can land results in place.
-        position = {id(cell): index for index, cell in enumerate(cells)}
-        if results is not None and self.quarantine:
-            results.extend([None] * len(cells))
-        delivered = [False] * len(cells)
-        quarantined: list[QuarantinedCell] = []
-
-        def deliver(cell: WorkCell, result: "TestRunResult") -> None:
-            if sink is not None:
-                sink.accept(cell, result)
-            elif self.quarantine:
-                results[position[id(cell)]] = result
-            else:
-                results.append(result)
-            delivered[position[id(cell)]] = True
 
         def submit(
             batch: list[WorkCell], attempt: int = 0
@@ -549,12 +527,42 @@ class CellExecutor:
             self.last_pool_id = pool_id
             return future, pool_id
 
-        def deadline_for(batch: list[WorkCell]) -> float | None:
-            if self.cell_timeout is None:
-                return None
-            # Huge finite budgets would overflow the lock wait inside
-            # Future.result; past TIMEOUT_MAX they all mean "forever".
-            return min(self.cell_timeout * max(1, len(batch)), TIMEOUT_MAX)
+        def wait(
+            batch: list[WorkCell], future: "Future", pool_id: int | None
+        ) -> tuple[str, object]:
+            """Wait for one batch and classify it: ``("ok", results)``,
+            or ``(kind, error)`` with kind ``"lethal"`` (a cell raised),
+            ``"timeout"`` (the watchdog deadline expired) or ``"crash"``
+            (the pool died or was retired under us).
+
+            A hung worker never honours a graceful shutdown, so a
+            timeout kills the executor's processes outright; a crash
+            discards the broken executor.  Either way every other
+            future on that pool is doomed, which the caller handles.
+            """
+            deadline = None
+            if self.cell_timeout is not None:
+                # Huge finite budgets would overflow the lock wait
+                # inside Future.result; past TIMEOUT_MAX they all mean
+                # "forever".
+                deadline = min(
+                    self.cell_timeout * max(1, len(batch)), TIMEOUT_MAX
+                )
+            try:
+                return "ok", future.result(timeout=deadline)
+            except TimeoutError as error:
+                if future.done():
+                    # The *cell* raised TimeoutError; the deadline never
+                    # fired.  Lethal, like any other cell exception.
+                    return "lethal", error
+                self.timeouts_detected += 1
+                pool.terminate(pool_id)
+                return "timeout", error
+            except (BrokenProcessPool, CancelledError) as error:
+                pool.notify_broken(pool_id)
+                return "crash", error
+            except Exception as error:
+                return "lethal", error
 
         def screen(group: list[WorkCell]) -> None:
             """Bisect ``group`` in isolation down to its poison cells.
@@ -565,58 +573,26 @@ class CellExecutor:
             chaos or a real one-off crash deserves a second chance —
             and quarantined only when it fails twice in a row.
             """
-
-            def attempt_once(
-                part: list[WorkCell], attempt: int
-            ) -> tuple[str, object]:
-                future, pool_id = submit(part, attempt)
-                try:
-                    return "ok", future.result(timeout=deadline_for(part))
-                except TimeoutError as error:
-                    if future.done():
-                        # The *cell* raised TimeoutError; the deadline
-                        # never fired.  Classify as lethal, like any
-                        # other cell-raised exception.
-                        return (
-                            "lethal",
-                            f"{type(error).__name__}: {error}",
-                        )
-                    self.timeouts_detected += 1
-                    pool.terminate(pool_id)
-                    return (
-                        "timeout",
-                        f"exceeded {self.cell_timeout}s/cell watchdog "
-                        "deadline",
-                    )
-                except (BrokenProcessPool, CancelledError):
-                    pool.notify_broken(pool_id)
-                    return "crash", "worker process died"
-                except Exception as error:
-                    return "lethal", f"{type(error).__name__}: {error}"
-
-            outcome, payload = attempt_once(group, 0)
-            if outcome == "ok":
-                for cell, result in zip(group, payload):
-                    deliver(cell, result)
-                return
-            if len(group) == 1:
-                outcome, payload = attempt_once(group, 1)
+            for attempt in (0, 1):
+                outcome, payload = wait(group, *submit(group, attempt))
                 if outcome == "ok":
                     for cell, result in zip(group, payload):
                         deliver(cell, result)
                     return
-                quarantined.append(
-                    QuarantinedCell(
-                        group[0].variant,
-                        group[0].seed,
-                        kind=outcome,
-                        detail=str(payload),
-                    )
-                )
-                return
-            mid = len(group) // 2
-            screen(group[:mid])
-            screen(group[mid:])
+                if len(group) > 1:
+                    mid = len(group) // 2
+                    screen(group[:mid])
+                    screen(group[mid:])
+                    return
+            if outcome == "timeout":
+                detail = f"exceeded {self.cell_timeout}s/cell watchdog deadline"
+            elif outcome == "crash":
+                detail = "worker process died"
+            else:
+                detail = _detail(payload)
+            quarantined.append(
+                QuarantinedCell(group[0].variant, group[0].seed, outcome, detail)
+            )
 
         # Keep at most ~2 batches per worker in flight: enough queued
         # work that no worker idles between batches, while undrained
@@ -661,35 +637,27 @@ class CellExecutor:
         try:
             while pending:
                 batch, attempt, future, submitted_to = pending.popleft()
-                try:
-                    batch_results = future.result(
-                        timeout=deadline_for(batch)
-                    )
-                except TimeoutError as error:
-                    if future.done():
-                        # Not the watchdog: the cell itself raised
-                        # TimeoutError.  Same handling as any other
-                        # cell-raised exception below.
-                        if not self.quarantine:
-                            raise
-                        screen(batch)
-                        respawns_without_progress = 0
-                        top_up()
-                        continue
-                    # Watchdog expiry: the batch is hung.  A hung
-                    # worker never honours a graceful shutdown, so
-                    # kill the executor's processes outright, then
-                    # either bisect the batch (quarantine) or resubmit
-                    # it within the respawn budget.
-                    self.timeouts_detected += 1
-                    pool.terminate(submitted_to)
-                    if self.quarantine:
-                        screen(batch)
+                outcome, payload = wait(batch, future, submitted_to)
+                spent = respawns_without_progress >= self.MAX_POOL_RESPAWNS
+                if outcome == "ok":
+                    respawns_without_progress = 0
+                    for cell, result in zip(batch, payload):
+                        deliver(cell, result)
+                elif self.quarantine and (outcome != "crash" or spent):
+                    # Bisect the batch in isolation.  A crash gets the
+                    # respawn budget first: the parent cannot tell which
+                    # in-flight batch killed the worker, so the poison
+                    # may ride another pending batch, which then spends
+                    # its own budget at the head of the queue.  A hang
+                    # or a spent crash also doomed every pending future.
+                    screen(batch)
+                    if outcome != "lethal":
                         pending = resubmit_pending(None, 0)
-                        respawns_without_progress = 0
-                        top_up()
-                        continue
-                    if respawns_without_progress >= self.MAX_POOL_RESPAWNS:
+                    respawns_without_progress = 0
+                elif outcome == "lethal":
+                    raise payload
+                elif spent:
+                    if outcome == "timeout":
                         raise WatchdogTimeout(
                             f"batch of {len(batch)} cells "
                             f"({batch[0].variant} seed={batch[0].seed}, "
@@ -699,53 +667,17 @@ class CellExecutor:
                             f"{self.MAX_POOL_RESPAWNS} worker respawns; "
                             "pass quarantine=True to bisect out the "
                             "hung cell instead"
-                        ) from error
+                        ) from payload
+                    raise payload
+                else:
+                    # A hung or dead pool: respawn and resubmit every
+                    # pending batch (deterministic cells re-run
+                    # identically).  Pending futures that survived on a
+                    # younger pool are cancelled first — their batches
+                    # are resubmitted, so letting the originals run
+                    # would only burn the shared workers twice.
                     respawns_without_progress += 1
                     pending = resubmit_pending(batch, attempt)
-                    continue
-                except (BrokenProcessPool, CancelledError):
-                    # A worker died, killing its pool and every future
-                    # still on it — or the executor was retired under
-                    # us (a mid-run registry version bump), cancelling
-                    # queued futures.  Either way: respawn and resubmit
-                    # all pending batches (deterministic cells re-run
-                    # identically), within the
-                    # MAX_POOL_RESPAWNS-without-progress budget.
-                    # Pending futures that survived on a younger pool
-                    # are cancelled first — their batches are
-                    # resubmitted, so letting the originals run would
-                    # only burn the shared workers twice.
-                    if respawns_without_progress >= self.MAX_POOL_RESPAWNS:
-                        if not self.quarantine:
-                            raise
-                        # The head batch keeps breaking fresh pools:
-                        # bisect it in isolation.  If the poison rides
-                        # a *different* pending batch, this screening
-                        # delivers the head cleanly (progress) and the
-                        # guilty batch exhausts its own budget when it
-                        # reaches the head of the queue.
-                        pool.notify_broken(submitted_to)
-                        screen(batch)
-                        pending = resubmit_pending(None, 0)
-                        respawns_without_progress = 0
-                        top_up()
-                        continue
-                    respawns_without_progress += 1
-                    pool.notify_broken(submitted_to)
-                    pending = resubmit_pending(batch, attempt)
-                    continue
-                except Exception:
-                    # A cell raised inside the batch (delivered intact
-                    # over the pool): lethal, not a worker death.
-                    if not self.quarantine:
-                        raise
-                    screen(batch)
-                    respawns_without_progress = 0
-                    top_up()
-                    continue
-                respawns_without_progress = 0
-                for cell, result in zip(batch, batch_results):
-                    deliver(cell, result)
                 top_up()
         except BaseException:
             # Aborting (a cell raised, retries exhausted, KeyboardInt):
@@ -755,10 +687,3 @@ class CellExecutor:
             for _batch, _attempt, future, _id in pending:
                 future.cancel()
             raise
-        if self.quarantine:
-            self.last_quarantine = QuarantineReport(
-                cells=tuple(quarantined),
-                attempted=len(cells),
-                completed=sum(delivered),
-            )
-        return results

@@ -16,7 +16,9 @@ wraps one policy and ends when *any* of its limits trips:
 * ``until=...`` — a :class:`StageCondition` over the stage's observed
   :class:`~repro.ptest.adaptive.RoundObservation` history says stop
   (:class:`Until` adapts a plain predicate over the latest observation;
-  :class:`Plateau` stops once detections stop improving);
+  :class:`Plateau` stops once detections stop improving).  The history
+  holds the same round records the campaign returns and
+  ``execute_spec`` ships, so a condition reads what a caller reads;
 * the stage's own policy returns no variants (it converged).
 
 When a stage ends, the *next* stage's policy refines the same

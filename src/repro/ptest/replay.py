@@ -1,32 +1,23 @@
-"""Replaying serialized bug reports and portable merged-pattern refs.
+"""Replaying recorded interleavings as portable merged-pattern refs.
 
-A :class:`~repro.ptest.report.BugReport` serialises to a plain dict
-(``to_dict``), including the merged pattern rendered as
-``"TC[p0#1] TS[p0#2] ..."``.  This module parses that rendering back
-into a :class:`~repro.ptest.patterns.MergedPattern` and re-runs it with
-``merged_override`` — so a bug found yesterday and saved as JSON can be
-re-triggered today without the original process.
-
-:class:`ReplayRef` is the *campaign-grade* form of the same idea: a
-picklable ``(scenario ref, merged description)`` value object that is
-a campaign variant like a :class:`~repro.workloads.registry.ScenarioRef`,
-so recorded interleavings ride the executor's deduped batch-table wire
-format and the scenario caches exactly like registry scenarios do (see
-:mod:`repro.ptest.pool`).  The adaptive campaign's ``ReplayFocus``
-policy emits these to re-drive detecting interleavings across seeds.
+:class:`ReplayRef` is the one replay path: a picklable ``(scenario
+ref, merged description)`` value object that is a campaign variant like
+a :class:`~repro.workloads.registry.ScenarioRef`, so a recorded
+interleaving — a bug report's merged pattern, rendered as
+``"TC[p0#1] TS[p0#2] ..."`` and parsed back by
+:func:`parse_merged_description` — rides the executor's deduped
+batch-table wire format and the scenario caches exactly like registry
+scenarios do (see :mod:`repro.ptest.pool`).  The adaptive campaign's
+``ReplayFocus`` policy emits these to re-drive detecting interleavings
+across seeds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 from repro.errors import ConfigError
-from repro.pcore.kernel import PCoreKernel
-from repro.pcore.programs import TaskProgram
-from repro.ptest.config import PTestConfig
-from repro.ptest.harness import AdaptiveTest, TestRunResult
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
 from repro.workloads.registry import ScenarioRef
 
@@ -146,25 +137,3 @@ def replay_ref(
     )
     return ReplayRef(scenario=scenario, description=description)
 
-
-def replay_report_dict(
-    report_dict: dict,
-    config: PTestConfig,
-    programs: Mapping[str, TaskProgram] | None = None,
-    setup: Callable[[PCoreKernel], None] | None = None,
-) -> TestRunResult:
-    """Re-run the exact merged pattern a serialized report recorded.
-
-    ``config`` supplies the platform (kernel switches, detector
-    thresholds, seed) — everything the dict's scalar fields cannot carry
-    as live objects; its seed is overridden from the dict so the replay
-    matches the original run's randomness.
-    """
-    merged = parse_merged_description(report_dict["merged_pattern"])
-    seeded = config.with_seed(int(report_dict["seed"]))
-    return AdaptiveTest(
-        config=seeded,
-        programs=programs or {},
-        setup=setup,
-        merged_override=merged,
-    ).run()

@@ -25,11 +25,15 @@ load and run unchanged: ``batch_sampling`` and ``merge_batch`` must be
 booleans or null and are stored as ``None``; ``prewarm`` must be a
 boolean and is dropped by :meth:`CampaignSpec.from_dict`.
 
-**Determinism.**  :class:`RoundResult` values carry only frozen
-dataclasses of JSON-safe scalars (Python floats survive a JSON
-round-trip exactly), so a spec executed remotely and rebuilt from the
-wire compares equal — bit-identical — to the same spec executed
-directly, at any ``(concurrent clients, workers, batch_size)``.
+**Determinism.**  A :class:`SpecOutcome` is the engine's
+:class:`~repro.ptest.adaptive.AdaptiveResult` plus the spec and its
+schedule, and its ``rounds`` are the engine's
+:class:`~repro.ptest.adaptive.RoundObservation` records.  Their compared
+fields carry only frozen dataclasses of JSON-safe scalars (Python
+floats survive a JSON round-trip exactly), so a spec executed remotely
+and rebuilt from the wire (:func:`round_from_dict`) compares equal —
+bit-identical — to the same spec executed directly, at any
+``(concurrent clients, workers, batch_size)``.
 """
 
 from __future__ import annotations
@@ -39,8 +43,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
-from repro.ptest.adaptive import POLICIES, AdaptiveCampaign
-from repro.ptest.campaign import CampaignRow, DetectionSample, grid_variants
+from repro.ptest.adaptive import (
+    POLICIES,
+    AdaptiveCampaign,
+    AdaptiveResult,
+    RoundObservation,
+)
+from repro.ptest.campaign import CampaignRow, DetectionSample, check_grid, grid_variants
 from repro.ptest.executor import (
     CellExecutor,
     QuarantinedCell,
@@ -192,18 +201,7 @@ class CampaignSpec:
                 f"capture_per_variant must be >= 0, got "
                 f"{self.capture_per_variant}"
             )
-        overlap = sorted(
-            set(dict(self.grid)) & {key for key, _v in self.params}
-        )
-        if overlap:
-            raise ConfigError(
-                f"parameters {overlap} appear both fixed and in the grid"
-            )
-        for key, values in self.grid:
-            if not values:
-                raise ConfigError(
-                    f"grid parameter {key!r} has no values to sweep"
-                )
+        check_grid(dict(self.grid), dict(self.params))
         if self.mode != "adapt":
             given = [
                 name
@@ -365,70 +363,23 @@ class CampaignSpec:
 # -- execution results ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundResult:
-    """One executed (or checkpoint-replayed) round, wire-portable.
-
-    Every field is a frozen dataclass of JSON-safe scalars, so a value
-    rebuilt from :func:`round_from_dict` on the far side of a socket
-    compares *equal* to the locally-produced original — this is the
-    unit of the serve bit-identity contract.  Telemetry that is honest
-    but process-local (pool ids, timings) deliberately lives outside.
-    """
-
-    index: int
-    rows: tuple[CampaignRow, ...]
-    detections: tuple[DetectionSample, ...]
-    quarantine: QuarantineReport | None = None
-    #: Pipeline stage label that owned this round (``None`` without a
-    #: pipeline) — part of the schedule, so part of the contract.
-    stage: str | None = None
-
-    @property
-    def total_detections(self) -> int:
-        return sum(row.detections for row in self.rows)
-
-
-@dataclass
-class SpecOutcome:
-    """Everything :func:`execute_spec` produced for one spec.
+@dataclass(kw_only=True)
+class SpecOutcome(AdaptiveResult):
+    """Everything :func:`execute_spec` produced for one spec: the
+    engine's :class:`~repro.ptest.adaptive.AdaptiveResult` plus the
+    spec and its resolved schedule.
 
     ``rounds`` is the determinism-contract payload (one entry for a
-    plain campaign, one per round for adapt); the remaining fields are
-    telemetry and mode-specific extras the CLI renders.
+    plain campaign, one per round for adapt); each round's ``pool_id``
+    is process-local telemetry, never part of equality.
     """
 
     spec: CampaignSpec
-    rounds: tuple[RoundResult, ...]
-    stopped_early: bool = False
-    #: Per-round ``WorkerPool.pool_id`` telemetry, aligned with
-    #: ``rounds`` (``None`` entries for serial rounds).  Process-local:
-    #: never part of the bit-identity payload.
-    pool_ids: tuple[int | None, ...] = ()
-    resumed_rounds: int = 0
     #: The resolved round budget (adapt mode; ``None`` otherwise).
     rounds_budget: int | None = None
     #: Human-readable schedule, e.g. ``policy=grid_zoom`` or
     #: ``pipeline=grid_zoom:3 -> replay:2``.
     schedule: str = ""
-
-    @property
-    def rows(self) -> tuple[CampaignRow, ...]:
-        return self.rounds[-1].rows if self.rounds else ()
-
-    @property
-    def detections(self) -> tuple[DetectionSample, ...]:
-        return tuple(
-            sample for round_ in self.rounds for sample in round_.detections
-        )
-
-    @property
-    def quarantine(self) -> QuarantineReport | None:
-        return self.rounds[-1].quarantine if self.rounds else None
-
-    @property
-    def total_detections(self) -> int:
-        return sum(round_.total_detections for round_ in self.rounds)
 
 
 def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
@@ -465,7 +416,7 @@ def execute_spec(
     spec: CampaignSpec,
     sink: ResultSink | None = None,
     *,
-    on_round: Callable[[RoundResult], None] | None = None,
+    on_round: Callable[[RoundObservation], None] | None = None,
 ) -> SpecOutcome:
     """Execute ``spec`` and return its :class:`SpecOutcome`.
 
@@ -475,7 +426,8 @@ def execute_spec(
     campaign spec as its one unrefined round.  ``sink`` (if given)
     receives every ``(cell, result)`` pair in submission order — the
     streaming hook the server bridges over the socket.  ``on_round``
-    fires once per completed round with its :class:`RoundResult`
+    fires once per completed round with its
+    :class:`~repro.ptest.adaptive.RoundObservation`, ``stage`` stamped
     (a campaign is one round), enabling incremental round delivery
     without waiting for the whole schedule.
 
@@ -484,26 +436,20 @@ def execute_spec(
     CLI close theirs afterwards.
     """
     policy, pipeline, rounds, schedule = _resolve_schedule(spec)
-    round_results: list[RoundResult] = []
+    stamped: list[RoundObservation] = []
 
-    def observe(observation) -> None:
+    def observe(observation: RoundObservation) -> None:
         # Called the moment each observation lands (executed *and*
         # checkpoint-replayed), before the policy refines it — so
         # ``pipeline.current_stage`` is still the stage that owned the
         # round, exactly what ``stage_log`` will record.
-        stage = None
         if pipeline is not None and pipeline.current_stage is not None:
-            stage = pipeline.current_stage.label
-        round_result = RoundResult(
-            index=observation.index,
-            rows=observation.rows,
-            detections=tuple(observation.iter_samples()),
-            quarantine=observation.quarantine,
-            stage=stage,
-        )
-        round_results.append(round_result)
+            observation = replace(
+                observation, stage=pipeline.current_stage.label
+            )
+        stamped.append(observation)
         if on_round is not None:
-            on_round(round_result)
+            on_round(observation)
 
     executor = CellExecutor(
         workers=spec.workers,
@@ -523,11 +469,10 @@ def execute_spec(
         on_round=observe,
     ).run(sink=sink)
     return SpecOutcome(
-        spec=spec,
-        rounds=tuple(round_results),
+        rounds=tuple(stamped),
         stopped_early=result.stopped_early,
-        pool_ids=result.pool_ids,
         resumed_rounds=result.resumed_rounds,
+        spec=spec,
         rounds_budget=rounds,
         schedule=schedule,
     )
@@ -621,7 +566,7 @@ def quarantine_from_dict(
     )
 
 
-def round_to_dict(round_result: RoundResult) -> dict[str, Any]:
+def round_to_dict(round_result: RoundObservation) -> dict[str, Any]:
     return {
         "index": round_result.index,
         "rows": [row_to_dict(row) for row in round_result.rows],
@@ -633,8 +578,8 @@ def round_to_dict(round_result: RoundResult) -> dict[str, Any]:
     }
 
 
-def round_from_dict(payload: Mapping[str, Any]) -> RoundResult:
-    return RoundResult(
+def round_from_dict(payload: Mapping[str, Any]) -> RoundObservation:
+    return RoundObservation(
         index=payload["index"],
         rows=tuple(row_from_dict(row) for row in payload["rows"]),
         detections=tuple(

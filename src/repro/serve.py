@@ -373,6 +373,7 @@ class CampaignServer:
         if error is not None:
             frames.put_nowait(_classify_error(request_id, spec, error))
             return
+        quarantine = outcome.rounds[-1].quarantine
         frames.put_nowait(
             {
                 "type": "done",
@@ -382,12 +383,12 @@ class CampaignServer:
                 "pool_ids": list(outcome.pool_ids),
                 "resumed_rounds": outcome.resumed_rounds,
                 "rounds_budget": outcome.rounds_budget,
-                "total_detections": outcome.total_detections,
+                "total_detections": sum(
+                    round_.total_detections for round_ in outcome.rounds
+                ),
                 "schedule": outcome.schedule,
                 "quarantine": (
-                    outcome.quarantine.describe()
-                    if outcome.quarantine is not None
-                    else None
+                    quarantine.describe() if quarantine is not None else None
                 ),
             }
         )

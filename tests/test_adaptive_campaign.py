@@ -66,20 +66,17 @@ def make_observation(
     rows = tuple(
         make_row(name, runs, hits.get(name, 0)) for name in variants
     )
-    detections = {
-        name: tuple(
-            DetectionSample(
-                variant=name,
-                seed=seed,
-                kind="deadlock",
-                merged_op="cyclic",
-                merged_description=SAMPLE_DESCRIPTION,
-            )
-            for seed in range(hits.get(name, 0))
+    detections = tuple(
+        DetectionSample(
+            variant=name,
+            seed=seed,
+            kind="deadlock",
+            merged_op="cyclic",
+            merged_description=SAMPLE_DESCRIPTION,
         )
         for name in variants
-        if hits.get(name, 0)
-    }
+        for seed in range(hits.get(name, 0))
+    )
     return RoundObservation(
         index=index,
         variants=dict(variants),
@@ -102,7 +99,7 @@ class TestRoundObservation:
         assert observation.rate("spin[total_steps=40]") == 0.0
         assert observation.best_variant() == "spin[total_steps=50]"
         assert observation.kind_counts() == {"deadlock": 3}
-        assert len(list(observation.iter_samples())) == 3
+        assert len(observation.detections) == 3
         with pytest.raises(KeyError):
             observation.row("nope")
 
@@ -472,13 +469,13 @@ class TestAdaptiveCampaignEngine:
             assert len(result.rounds) == 1
             assert result.stopped_early
             assert result.rounds[0].total_detections == 0
-            assert result.rounds[0].detections == {}
+            assert result.rounds[0].detections == ()
 
     def test_detections_feed_the_observation(self):
         result = philosophers_adaptive(Repeat(), rounds=1).run()
         observation = result.rounds[0]
         assert observation.total_detections == 4
-        samples = list(observation.iter_samples())
+        samples = observation.detections
         assert [s.seed for s in samples] == [0, 1, 0, 1]
         assert {s.kind for s in samples} == {"deadlock"}
         assert all(s.merged_description for s in samples)
@@ -492,7 +489,7 @@ class TestAdaptiveCampaignEngine:
         )
         campaign.add_scenario("phil", "philosophers")
         result = campaign.run()
-        assert len(result.rounds[0].detections["phil"]) == 1
+        assert [s.variant for s in result.rounds[0].detections] == ["phil"]
         assert result.rounds[0].row("phil").detections == 3
 
     def test_user_sink_sees_every_round(self):

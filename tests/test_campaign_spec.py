@@ -24,12 +24,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.campaign import DetectionCapture
-from repro.ptest.adaptive import AdaptiveCampaign, GridZoom
+from repro.ptest.adaptive import AdaptiveCampaign, GridZoom, RoundObservation
 from repro.ptest.executor import CellExecutor, CollectSink, QuarantineReport
 from repro.ptest.pool import MAX_WORKERS, close_pool
 from repro.ptest.spec import (
     CampaignSpec,
-    RoundResult,
     SpecOutcome,
     execute_spec,
     round_from_dict,
@@ -330,9 +329,9 @@ def test_execute_spec_campaign_matches_hand_built_campaign():
     outcome = execute_spec(spec)
     direct = AdaptiveCampaign(seeds=(0, 1), executor=CellExecutor(workers=1))
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
-    assert outcome.rows == direct.run().final_rows
+    assert outcome.final_rows == direct.run().final_rows
     assert isinstance(outcome, SpecOutcome)
-    assert outcome.rounds and isinstance(outcome.rounds[0], RoundResult)
+    assert outcome.rounds and isinstance(outcome.rounds[0], RoundObservation)
 
 
 def test_execute_spec_adapt_matches_hand_built_adaptive():
@@ -375,23 +374,28 @@ def test_execute_spec_campaign_outcome_matches_hand_built_campaign(workers):
         capture_per_variant=1,
     )
     direct = AdaptiveCampaign(
-        seeds=seeds, executor=CellExecutor(workers=workers, quarantine=True)
+        seeds=seeds,
+        executor=CellExecutor(workers=workers, quarantine=True),
+        capture_per_variant=1,
     )
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
     capture = DetectionCapture(limit_per_variant=1)
     seen, cells = [], CollectSink()
     try:
-        rows = direct.run(sink=capture).final_rows
+        result = direct.run(sink=capture)
         outcome = execute_spec(spec, cells, on_round=seen.append)
     finally:
         close_pool(workers)
-    assert outcome.rows == rows
-    assert outcome.detections == tuple(
+    rows = result.final_rows
+    assert outcome.rounds == result.rounds
+    [round_] = outcome.rounds
+    assert round_.rows == rows
+    assert round_.detections == tuple(
         sample for row in rows for sample in capture.for_variant(row.variant)
     )
-    assert len(outcome.detections) == 2  # one per variant, of 3 each
-    assert outcome.quarantine == QuarantineReport((), 6, 6)
-    [round_] = outcome.rounds
+    assert len(round_.detections) == 2  # one per variant, of 3 each
+    assert round_.quarantine == QuarantineReport((), 6, 6)
+    assert outcome.pool_ids == result.pool_ids
     assert (round_.stage, round_.index) == (None, 0)
     assert (
         outcome.stopped_early,
@@ -418,7 +422,7 @@ def test_execute_spec_run_mode():
     assert [(row.variant, row.runs, row.detections) for row in round_.rows] == [
         ("philosophers", 1, 1)
     ]
-    assert [(s.variant, s.seed, s.kind) for s in outcome.detections] == [
+    assert [(s.variant, s.seed, s.kind) for s in round_.detections] == [
         ("philosophers", 0, "deadlock")
     ]
 

@@ -71,10 +71,7 @@ def _result_signature(result):
                 (row.variant, row.runs, row.detections, row.kinds)
                 for row in obs.rows
             ],
-            {
-                name: tuple(s.seed for s in samples)
-                for name, samples in obs.detections.items()
-            },
+            tuple((s.variant, s.seed) for s in obs.detections),
         )
         for obs in result.rounds
     ]
@@ -173,6 +170,75 @@ class TestRefsFromEarlierCheckpoints:
                 campaign_fingerprint((0, 1), variants, Repeat(), 4)
                 == "bb26360d05db28ad993fcb08"
             )
+
+
+#: The checkpoint of a finished 2-round ``Repeat`` campaign, variant
+#: ``phil`` = ``scenario_ref("philosophers", count=2)`` over seeds 0-1,
+#: as written (997 bytes) by a build whose round records kept their
+#: detection samples in a per-variant dict and had no ``stage``.
+_PER_VARIANT_DETECTIONS_CHECKPOINT = (
+    b"\x80\x04\x95\xda\x03\x00\x00\x00\x00\x00\x00}\x94(\x8c\x07version"
+    b"\x94K\x01\x8c\x0bfingerprint\x94\x8c\x18b46fd9c8239bc644a1640652"
+    b"\x94\x8c\x0cobservations\x94]\x94(\x8c\x14repro.ptest.adaptive"
+    b"\x94\x8c\x10RoundObservation\x94\x93\x94)\x81\x94}\x94(\x8c\x05in"
+    b"dex\x94K\x00\x8c\x08variants\x94}\x94\x8c\x04phil\x94\x8c\x18repr"
+    b"o.workloads.registry\x94\x8c\x0bScenarioRef\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\x04name\x94\x8c\x0cphilosophers\x94\x8c\x06params\x94"
+    b"\x8c\x05count\x94K\x02\x86\x94\x85\x94ubs\x8c\x04rows\x94\x8c\x14"
+    b"repro.ptest.campaign\x94\x8c\x0bCampaignRow\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\x07variant\x94h\x0e\x8c\x04runs\x94K\x02\x8c\ndetection"
+    b"s\x94K\x02\x8c\x05kinds\x94\x8c\x08deadlock\x94\x85\x94\x8c\x17me"
+    b"an_ticks_to_detection\x94G@a\x00\x00\x00\x00\x00\x00\x8c\rmean_co"
+    b"mmands\x94G@\x18\x00\x00\x00\x00\x00\x00ub\x85\x94h\"}\x94h\x0eh"
+    b"\x1b\x8c\x0fDetectionSample\x94\x93\x94)\x81\x94}\x94(h h\x0e\x8c"
+    b"\x04seed\x94K\x00\x8c\x04kind\x94h$\x8c\tmerged_op\x94\x8c\x06cyc"
+    b"lic\x94\x8c\x12merged_description\x94\x8c5TC[p0#1] TS[p0#2] TC[p1"
+    b"#1] TS[p1#2] TR[p0#3] TR[p1#3]\x94ubh+)\x81\x94}\x94(h h\x0eh.K"
+    b"\x01h/h$h0h1h2\x8c5TC[p0#1] TS[p0#2] TC[p1#1] TS[p1#2] TR[p0#3] T"
+    b"R[p1#3]\x94ub\x86\x94s\x8c\x07pool_id\x94N\x8c\nquarantine\x94Nub"
+    b"h\x08)\x81\x94}\x94(h\x0bK\x01h\x0c}\x94h\x0eh\x12sh\x1ah\x1d)"
+    b"\x81\x94}\x94(h h\x0eh!K\x02h\"K\x02h#h$\x85\x94h&G@a\x00\x00\x00"
+    b"\x00\x00\x00h'G@\x18\x00\x00\x00\x00\x00\x00ub\x85\x94h\"}\x94h"
+    b"\x0eh+)\x81\x94}\x94(h h\x0eh.K\x00h/h$h0h1h2\x8c5TC[p0#1] TS[p0#"
+    b"2] TC[p1#1] TS[p1#2] TR[p0#3] TR[p1#3]\x94ubh+)\x81\x94}\x94(h h"
+    b"\x0eh.K\x01h/h$h0h1h2\x8c5TC[p0#1] TS[p0#2] TC[p1#1] TS[p1#2] TR["
+    b"p0#3] TR[p1#3]\x94ub\x86\x94sh8Nh9Nube\x8c\rstopped_early\x94\x89"
+    b"\x8c\x08finished\x94\x88u."
+)
+
+
+class TestObservationsFromEarlierCheckpoints:
+    def test_per_variant_detections_resume_to_a_straight_run(
+        self, tmp_path, monkeypatch
+    ):
+        def campaign(**kwargs) -> AdaptiveCampaign:
+            campaign = AdaptiveCampaign(
+                seeds=(0, 1), rounds=3, policy=Repeat(), **kwargs
+            )
+            campaign.add_scenario("phil", "philosophers", count=2)
+            return campaign
+
+        straight = campaign().run()
+        path = tmp_path / "earlier.ckpt"
+        path.write_bytes(_PER_VARIANT_DETECTIONS_CHECKPOINT)
+        runs = []
+        run_cells = CellExecutor.run_cells
+
+        def counting_run_cells(self, variants, cells, sink):
+            runs.append(len(cells))
+            run_cells(self, variants, cells, sink)
+
+        monkeypatch.setattr(CellExecutor, "run_cells", counting_run_cells)
+        resumed = campaign(checkpoint=path, resume=True).run()
+        # Rounds 1-2 replay from disk; only round 3 runs its 2 cells.
+        assert runs == [2]
+        assert resumed.resumed_rounds == 2
+        assert resumed.rounds == straight.rounds
+        assert not resumed.stopped_early and not straight.stopped_early
+        assert [
+            (s.variant, s.seed, s.kind) for s in resumed.rounds[0].detections
+        ] == [("phil", 0, "deadlock"), ("phil", 1, "deadlock")]
+        assert {r.stage for r in resumed.rounds} == {None}
 
 
 class TestResumeBitIdentity:

@@ -18,7 +18,13 @@ import pytest
 from repro.errors import ChaosInjectedError, ConfigError, WatchdogTimeout
 from repro.ptest.adaptive import AdaptiveCampaign, Repeat
 from repro.ptest.chaos import CHAOS_EXIT_STATUS, ChaosSpec, transient_decisions
-from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
+from repro.ptest.executor import (
+    CellExecutor,
+    CollectSink,
+    QuarantinedCell,
+    QuarantineReport,
+    WorkCell,
+)
 from repro.ptest.pool import WorkerPool, shutdown_pools
 from repro.workloads.registry import scenario_ref
 
@@ -79,6 +85,22 @@ class _RaisesOnSeeds:
 
 def _mixed_builder(seed: int, bad: tuple[int, ...] = ()) -> _RaisesOnSeeds:
     return _RaisesOnSeeds(bad, seed)
+
+
+class _GivesUpOnSeedOne:
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def run(self):
+        if self.seed == 1:
+            raise TimeoutError("cell gave up")
+        from repro.workloads.registry import build_scenario
+
+        return build_scenario("clean_spin", self.seed, tasks=2, total_steps=40).run()
+
+
+def _gives_up_builder(seed: int) -> _GivesUpOnSeedOne:
+    return _GivesUpOnSeedOne(seed)
 
 
 class TestChaosSpec:
@@ -253,11 +275,12 @@ class TestPoisonQuarantine:
         bad = (1, 3)
         cells = [WorkCell(variant="mixed", seed=seed) for seed in range(5)]
         builders = {"mixed": register_scenario("ft_mixed", _mixed_builder, bad=bad)}
+        serial_sink, parallel_sink = CollectSink(), CollectSink()
         serial = CellExecutor(workers=1, quarantine=True)
-        serial_results = serial.run_cells(builders, cells)
+        serial.run_cells(builders, cells, serial_sink)
         with WorkerPool(2) as pool:
             parallel = CellExecutor(workers=2, pool=pool, batch_size=2, quarantine=True)
-            parallel_results = parallel.run_cells(builders, cells)
+            parallel.run_cells(builders, cells, parallel_sink)
         serial_cells = [
             (c.variant, c.seed, c.kind, c.detail)
             for c in serial.last_quarantine.cells
@@ -269,17 +292,13 @@ class TestPoisonQuarantine:
         assert serial_cells == parallel_cells
         assert {c[1] for c in serial_cells} == set(bad)
         assert all(c[2] == "lethal" for c in serial_cells)
-        # Positional alignment: quarantined slots hold None, survivors
-        # hold equal results on both paths.
-        assert [r is None for r in serial_results] == [
-            seed in bad for seed in range(5)
+        # Both paths deliver exactly the survivors, in submission order,
+        # with equal results.
+        survivors = [cell for cell in cells if cell.seed not in bad]
+        assert serial_sink.cells == parallel_sink.cells == survivors
+        assert [r.ticks for r in serial_sink.results] == [
+            r.ticks for r in parallel_sink.results
         ]
-        assert [r is None for r in parallel_results] == [
-            r is None for r in serial_results
-        ]
-        serial_ticks = [r.ticks for r in serial_results if r is not None]
-        parallel_ticks = [r.ticks for r in parallel_results if r is not None]
-        assert serial_ticks == parallel_ticks
 
     def test_sink_never_sees_quarantined_cells(self, register_scenario):
         sink = CollectSink()
@@ -305,6 +324,20 @@ class TestPoisonQuarantine:
         assert report.quarantined == 0 and report.completed == 6
         assert report.describe() == "quarantine: 0 of 6 cells"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_cell_instance_counts_every_delivery(self, workers):
+        # One WorkCell object three times is three cells: three
+        # deliveries, and the report counts each of them.
+        cell = WorkCell("spin", 0)
+        sink = CollectSink()
+        executor = CellExecutor(workers=workers, quarantine=True)
+        executor.run_cells(
+            {"spin": scenario_ref("clean_spin")}, [cell, cell, cell], sink
+        )
+        assert sink.cells == [cell, cell, cell]
+        assert len(sink.results) == 3
+        assert executor.last_quarantine == QuarantineReport((), 3, 3)
+
 
 class TestWatchdog:
     def test_hang_without_quarantine_raises_watchdog_timeout(self):
@@ -326,7 +359,7 @@ class TestWatchdog:
         )
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         cells = [WorkCell(variant="spin", seed=seed) for seed in range(3)]
-        executor.run_cells({"spin": ref}, cells)
+        executor.run_cells({"spin": ref}, cells, CollectSink())
         # Main drain + at least one screening attempt saw the hang.
         assert executor.timeouts_detected >= 2
 
@@ -348,8 +381,9 @@ class TestWatchdog:
             chaos=ChaosSpec(seed=1, hang_seeds=frozenset({0}), hang_s=3.0),
         )
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        results = executor.run_cells({"spin": ref}, [WorkCell("spin", 0)])
-        assert results == [None]
+        sink = CollectSink()
+        executor.run_cells({"spin": ref}, [WorkCell("spin", 0)], sink)
+        assert sink.cells == []
         assert executor.last_pool_id is not None
         report = executor.last_quarantine
         assert [(c.seed, c.kind) for c in report.cells] == [(0, "timeout")]
@@ -361,6 +395,39 @@ class TestWatchdog:
         campaign = _spin_campaign(workers=2)
         assert campaign.executor.cell_timeout is None
         assert campaign.run().final_rows[0].runs == 6
+
+
+class TestCellRaisedTimeout:
+    """A cell's own ``TimeoutError`` is a cell failure like any other
+    exception, never a watchdog expiry, at every worker count."""
+
+    @staticmethod
+    def _run(register_scenario, workers, quarantine, sink):
+        executor = CellExecutor(
+            workers=workers, cell_timeout=30, batch_size=4, quarantine=quarantine
+        )
+        executor.run_cells(
+            {"t": register_scenario("ft_gives_up", _gives_up_builder)},
+            [WorkCell("t", seed) for seed in range(4)],
+            sink,
+        )
+        return executor
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quarantined_as_lethal(self, register_scenario, workers):
+        sink = CollectSink()
+        executor = self._run(register_scenario, workers, True, sink)
+        assert [cell.seed for cell in sink.cells] == [0, 2, 3]
+        assert executor.last_quarantine.cells == (
+            QuarantinedCell("t", 1, "lethal", "TimeoutError: cell gave up"),
+        )
+        assert executor.timeouts_detected == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_propagates_without_quarantine(self, register_scenario, workers):
+        # A TimeoutError, not the executor's WatchdogTimeout.
+        with pytest.raises(TimeoutError, match="cell gave up"):
+            self._run(register_scenario, workers, False, CollectSink())
 
 
 class TestAdaptiveQuarantine:

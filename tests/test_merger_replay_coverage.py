@@ -22,7 +22,7 @@ from repro.ptest.merger import (
     _order_weighted,
     register_merge_op,
 )
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.patterns import TestPattern
 from repro.ptest.pool import (
     clear_worker_cache,
@@ -209,7 +209,7 @@ class TestReplayRef:
         for workers in (1, 2):
             executor = CellExecutor(workers=workers)
             with pytest.raises(ConfigError, match="AdaptiveTest") as excinfo:
-                executor.run_cells({"replay": ref}, cells)
+                executor.run_cells({"replay": ref}, cells, CollectSink())
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
 
@@ -218,7 +218,9 @@ class TestReplayRef:
         original = build_scenario("philosophers", 0).run()
         ref = replay_ref(base, original.report.merged_description)
         cells = [WorkCell(variant="replay", seed=seed) for seed in (0, 1)]
-        for replayed in CellExecutor(workers=1).run_cells({"replay": ref}, cells):
+        sink = CollectSink()
+        CellExecutor(workers=1).run_cells({"replay": ref}, cells, sink)
+        for replayed in sink.results:
             assert replayed.found_bug
             assert (
                 replayed.report.primary.kind

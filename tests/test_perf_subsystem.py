@@ -162,14 +162,17 @@ class TestCellExecutor:
     def test_unknown_variant_rejected(self):
         executor = CellExecutor(workers=1)
         with pytest.raises(KeyError):
-            executor.run_cells({}, [WorkCell(variant="ghost", seed=0)])
+            executor.run_cells(
+                {}, [WorkCell(variant="ghost", seed=0)], CollectSink()
+            )
 
     def test_serial_results_align_with_cells(self):
         builders = {"cyclic": scenario_ref("philosophers", op="cyclic")}
         cells = [WorkCell(variant="cyclic", seed=s) for s in (0, 1)]
-        results = CellExecutor(workers=1).run_cells(builders, cells)
-        assert len(results) == 2
-        assert all(r.found_bug for r in results)
+        sink = CollectSink()
+        CellExecutor(workers=1).run_cells(builders, cells, sink)
+        assert sink.cells == cells
+        assert all(r.found_bug for r in sink.results)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", ["lambda", "partial"])

@@ -74,20 +74,17 @@ def make_observation(
     rows = tuple(
         make_row(name, runs, hits.get(name, 0)) for name in variants
     )
-    detections = {
-        name: tuple(
-            DetectionSample(
-                variant=name,
-                seed=seed,
-                kind="deadlock",
-                merged_op="cyclic",
-                merged_description=SAMPLE_DESCRIPTION,
-            )
-            for seed in range(hits.get(name, 0))
+    detections = tuple(
+        DetectionSample(
+            variant=name,
+            seed=seed,
+            kind="deadlock",
+            merged_op="cyclic",
+            merged_description=SAMPLE_DESCRIPTION,
         )
         for name in variants
-        if hits.get(name, 0)
-    }
+        for seed in range(hits.get(name, 0))
+    )
     return RoundObservation(
         index=index,
         variants=dict(variants),

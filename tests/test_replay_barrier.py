@@ -8,12 +8,14 @@ from repro.errors import ConfigError, ReproError
 from repro.pcore.kernel import KernelConfig, PCoreKernel
 from repro.pcore.tcb import TaskState
 from repro.ptest.detector import AnomalyKind
-from repro.ptest.replay import parse_merged_description, replay_report_dict
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
+from repro.ptest.replay import parse_merged_description, replay_ref
 from repro.sim.memory import SharedMemory
 from repro.workloads.barrier import (
     make_barrier_program,
     setup_barrier,
 )
+from repro.workloads.registry import scenario_ref
 from repro.workloads.scenarios import philosophers_case2
 
 from repro.pcore.testkit import create_task
@@ -42,33 +44,24 @@ class TestParseMergedDescription:
 
 class TestReplay:
     def test_replayed_report_refinds_the_deadlock(self):
-        scenario = philosophers_case2(seed=3)
-        original = scenario.run()
+        original = philosophers_case2(seed=3).run()
         assert original.found_bug
-        serialized = original.report.to_dict()
-        # A "new process" replays from the dict alone + the scenario env.
-        fresh = philosophers_case2(seed=3)  # supplies config/programs
-        replayed = replay_report_dict(
-            serialized,
-            config=fresh.config,
-            programs=dict(fresh.programs),
+        # A "new process" replays from the recorded interleaving alone,
+        # as a ReplayRef cell on the one cell path.
+        ref = replay_ref(
+            scenario_ref("philosophers"), original.report.merged_description
         )
+        sink = CollectSink()
+        CellExecutor(workers=1).run_cells(
+            {"replay": ref}, [WorkCell("replay", 3)], sink
+        )
+        [replayed] = sink.results
         assert replayed.found_bug
         assert replayed.report.primary.kind is AnomalyKind.DEADLOCK
         assert (
             replayed.report.primary.detected_at
             == original.report.primary.detected_at
         )
-
-    def test_replay_preserves_seed_from_dict(self):
-        scenario = philosophers_case2(seed=7)
-        original = scenario.run()
-        serialized = original.report.to_dict()
-        fresh = philosophers_case2(seed=0)  # wrong seed in the config
-        replayed = replay_report_dict(
-            serialized, config=fresh.config, programs=dict(fresh.programs)
-        )
-        assert replayed.found_bug  # dict's seed=7 wins
 
 
 def fresh_kernel() -> PCoreKernel:

@@ -119,8 +119,11 @@ class TestScenarioRef:
         direct = build_scenario(
             "philosophers", 0, op="cyclic", hold_steps=30
         ).run()
-        cells = [WorkCell(variant="clone", seed=0)]
-        (via_ref,) = CellExecutor(workers=1).run_cells({"clone": clone}, cells)
+        sink = CollectSink()
+        CellExecutor(workers=1).run_cells(
+            {"clone": clone}, [WorkCell(variant="clone", seed=0)], sink
+        )
+        (via_ref,) = sink.results
         assert via_ref.found_bug == direct.found_bug
         assert via_ref.ticks == direct.ticks
         assert via_ref.commands_issued == direct.commands_issued
@@ -246,7 +249,7 @@ class TestBatchedDeterminism:
             for name in campaign.variants
             for seed in (0, 1)
         ]
-        executor.run_cells(campaign.variants, cells)
+        executor.run_cells(campaign.variants, cells, CollectSink())
         assert executor.batches_submitted > 0
         assert executor.last_pool_id is not None
 
@@ -254,11 +257,11 @@ class TestBatchedDeterminism:
         variants = {"spin": scenario_ref("clean_spin", total_steps=50, tasks=2)}
         cells = [WorkCell(variant="spin", seed=s) for s in range(6)]
         executor = CellExecutor(workers=2, batch_size=2)
-        executor.run_cells(variants, cells)
+        executor.run_cells(variants, cells, CollectSink())
         assert executor.last_batch_size == 2
         assert executor.batches_submitted == 3
         executor = CellExecutor(workers=2, batch_size=4)
-        executor.run_cells(variants, cells)
+        executor.run_cells(variants, cells, CollectSink())
         assert executor.last_batch_size == 4
         assert executor.batches_submitted == 2
 
@@ -283,16 +286,17 @@ class TestResultSinks:
     def test_sink_receives_cells_in_submission_order(self):
         variants = {"spin": scenario_ref("clean_spin", total_steps=50, tasks=2)}
         cells = [WorkCell(variant="spin", seed=s) for s in range(5)]
-        reference = CellExecutor(workers=1).run_cells(variants, cells)
+        reference = CollectSink()
+        CellExecutor(workers=1).run_cells(variants, cells, reference)
         for workers, batch_size in [(1, None), (2, 2)]:
             sink = CollectSink()
             returned = CellExecutor(
                 workers=workers, batch_size=batch_size
-            ).run_cells(variants, cells, sink=sink)
-            assert returned is None  # streaming mode materialises nothing
+            ).run_cells(variants, cells, sink)
+            assert returned is None  # streaming materialises nothing
             assert sink.cells == cells
             assert [r.ticks for r in sink.results] == [
-                r.ticks for r in reference
+                r.ticks for r in reference.results
             ]
 
     def test_campaign_streams_without_materializing(self, monkeypatch):
@@ -301,8 +305,8 @@ class TestResultSinks:
         run_cells = CellExecutor.run_cells
         returned = []
 
-        def spy(self, variants, cells, *, sink=None):
-            returned.append(run_cells(self, variants, cells, sink=sink))
+        def spy(self, variants, cells, sink):
+            returned.append(run_cells(self, variants, cells, sink))
 
         monkeypatch.setattr(CellExecutor, "run_cells", spy)
         observation = _ref_campaign(workers=2, seeds=(0, 1)).run().rounds[0]

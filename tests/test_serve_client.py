@@ -26,8 +26,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.client import Client, ServerError
 from repro.errors import ConfigError
+from repro.ptest.adaptive import RoundObservation
 from repro.ptest.pool import MAX_WORKERS, shutdown_pools
-from repro.ptest.spec import CampaignSpec, execute_spec
+from repro.ptest.spec import CampaignSpec, execute_spec, round_to_dict
 from repro.serve import MAX_LINE_BYTES, PROTOCOL_VERSION, start_server_thread
 from repro.workloads.registry import REGISTRY, build_scenario
 
@@ -75,8 +76,29 @@ def test_single_client_matches_direct_execution(server):
     with Client(*server.address) as client:
         remote = client.run(PHIL_SPEC)
     assert remote.rounds == direct.rounds
-    assert list(remote.rows) == list(direct.rows)
-    assert remote.total_detections == direct.total_detections
+    assert remote.final_rows == direct.final_rows
+    assert [r.detections for r in remote.rounds] == [
+        r.detections for r in direct.rounds
+    ]
+    # The done frame's pool ids land on the rebuilt rounds.
+    assert len(remote.pool_ids) == len(remote.rounds)
+    assert all(isinstance(pool_id, int) for pool_id in remote.pool_ids)
+
+
+@pytest.mark.parametrize(
+    "done", [{"pool_ids": [7]}, {}], ids=["short", "missing"]
+)
+def test_done_frame_pool_ids_never_drop_a_round(monkeypatch, done):
+    frames = [
+        {"type": "round", "round": round_to_dict(RoundObservation(index, (), ()))}
+        for index in range(2)
+    ]
+    frames.append({"type": "done", **done})
+    client = Client("127.0.0.1", 1)
+    monkeypatch.setattr(client, "stream", lambda spec, stream_cells: frames)
+    remote = client.run(PHIL_SPEC)
+    assert [r.index for r in remote.rounds] == [0, 1]
+    assert remote.pool_ids == ((7, None) if done else (None, None))
 
 
 def test_concurrent_clients_bit_identical(server):
@@ -513,9 +535,10 @@ def test_quarantined_cells_survive_the_wire(server):
         with Client(*server.address) as client:
             remote = client.run(spec)
         assert remote.rounds == direct.rounds
-        assert remote.quarantine is not None
-        assert [(c.seed, c.kind) for c in remote.quarantine.cells] == [
-            (c.seed, c.kind) for c in direct.quarantine.cells
+        [remote_round], [direct_round] = remote.rounds, direct.rounds
+        assert remote_round.quarantine is not None
+        assert [(c.seed, c.kind) for c in remote_round.quarantine.cells] == [
+            (c.seed, c.kind) for c in direct_round.quarantine.cells
         ]
     finally:
         _unregister(name)

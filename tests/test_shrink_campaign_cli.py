@@ -432,12 +432,15 @@ class TestCli:
         # registered only in the server process has no local entry.
         from repro.cli import _print_campaign_outcome
         from repro.ptest.campaign import CampaignRow
-        from repro.ptest.spec import CampaignSpec, RoundResult, SpecOutcome
+        from repro.ptest.adaptive import RoundObservation
+        from repro.ptest.spec import CampaignSpec, SpecOutcome
 
         spec = CampaignSpec(scenario="only_on_the_server", seeds=(0,))
         row = CampaignRow("only_on_the_server", 1, 0, (), 0.0, 2.0)
-        rounds = (RoundResult(index=0, rows=(row,), detections=()),)
-        _print_campaign_outcome(spec, SpecOutcome(spec=spec, rounds=rounds))
+        rounds = (RoundObservation(index=0, rows=(row,), detections=()),)
+        _print_campaign_outcome(
+            spec, SpecOutcome(rounds, stopped_early=False, spec=spec)
+        )
         output = capsys.readouterr().out
         assert _expected_column(output) == {"only_on_the_server": "-"}
 

@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.ptest.adaptive import AdaptiveCampaign
-from repro.ptest.executor import CellExecutor, WorkCell
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.pool import (
     MAX_WORKERS,
     WorkerPool,
@@ -162,8 +162,9 @@ class TestWorkerPoolLifecycle:
         cells = [WorkCell(variant="flaky", seed=seed) for seed in range(4)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool, batch_size=2)
-            results = executor.run_cells({"flaky": builder}, cells)
-            assert results == [_Marker(seed) for seed in range(4)]
+            sink = CollectSink()
+            executor.run_cells({"flaky": builder}, cells, sink)
+            assert sink.results == [_Marker(seed) for seed in range(4)]
             assert pool.spawns == 2  # the respawn happened mid-run
 
     def test_deterministically_lethal_batch_surfaces(self, register_scenario):
@@ -172,7 +173,7 @@ class TestWorkerPoolLifecycle:
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool)
             with pytest.raises(BrokenProcessPool):
-                executor.run_cells({"boom": boom}, cells)
+                executor.run_cells({"boom": boom}, cells, CollectSink())
 
     def test_cell_exception_aborts_but_leaves_pool_usable(
         self, register_scenario
@@ -185,7 +186,7 @@ class TestWorkerPoolLifecycle:
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=2, pool=pool, batch_size=1)
             with pytest.raises(ValueError, match="unrunnable"):
-                executor.run_cells({"bad": bad}, cells)
+                executor.run_cells({"bad": bad}, cells, CollectSink())
             assert pool.ping()  # no respawn, no wedged queue
             assert pool.spawns == 1
             good = _spin_campaign(workers=2, pool=pool)
@@ -359,11 +360,15 @@ class TestExplicitPoolRequestsParallelism:
         cells = [WorkCell(variant="spin", seed=seed) for seed in range(4)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(pool=pool)  # workers left unset
-            parallel = executor.run_cells({"spin": ref}, cells)
+            parallel = CollectSink()
+            executor.run_cells({"spin": ref}, cells, parallel)
             assert executor.batches_submitted > 0
             assert executor.last_pool_id == pool.pool_id
-        serial = CellExecutor().run_cells({"spin": ref}, cells)
-        assert [r.ticks for r in parallel] == [r.ticks for r in serial]
+        serial = CollectSink()
+        CellExecutor().run_cells({"spin": ref}, cells, serial)
+        assert [r.ticks for r in parallel.results] == [
+            r.ticks for r in serial.results
+        ]
 
     def test_explicit_workers_one_forces_in_process_execution(self):
         # workers=1 must stay an honoured in-process escape hatch
@@ -372,7 +377,7 @@ class TestExplicitPoolRequestsParallelism:
         cells = [WorkCell(variant="spin", seed=seed) for seed in range(2)]
         with WorkerPool(2) as pool:
             executor = CellExecutor(workers=1, pool=pool)
-            executor.run_cells({"spin": ref}, cells)
+            executor.run_cells({"spin": ref}, cells, CollectSink())
             assert executor.batches_submitted == 0
             assert executor.last_pool_id is None
             assert pool.spawns == 0  # the pool was never touched
@@ -503,16 +508,18 @@ class TestWorkerSideCache:
         ]
         with WorkerPool(1) as pool:
             executor = CellExecutor(workers=2, pool=pool)
-            parallel = executor.run_cells({"fast": fast, "slow": slow}, cells)
+            parallel = CollectSink()
+            executor.run_cells({"fast": fast, "slow": slow}, cells, parallel)
             info = pool.submit(worker_cache_info).result()
         assert set(info["keys"]) == {fast.cache_key, slow.cache_key}
         # One PFA compilation per variant, however many seeds ran.
         assert info["compilations"][fast.cache_key] == 1
         assert info["compilations"][slow.cache_key] == 1
-        serial = CellExecutor(workers=1).run_cells(
-            {"fast": fast, "slow": slow}, cells
-        )
-        assert [r.ticks for r in parallel] == [r.ticks for r in serial]
+        serial = CollectSink()
+        CellExecutor(workers=1).run_cells({"fast": fast, "slow": slow}, cells, serial)
+        assert [r.ticks for r in parallel.results] == [
+            r.ticks for r in serial.results
+        ]
 
     def test_no_cross_variant_leakage_between_param_twins(self):
         # Same scenario name, params differing only in one flag, packed
