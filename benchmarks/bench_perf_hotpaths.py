@@ -18,8 +18,8 @@ this machine:
    registry's ``clean_spin`` workload.
 4. **Warm-pool dispatch** — cells/sec of a campaign dispatched through
    a cold (freshly spawned) worker pool vs. the second run on a warm
-   persistent pool whose workers already hold their scenario/PFA
-   caches (the ``WorkerPool`` reuse lever).
+   persistent pool whose workers already exist (the ``WorkerPool``
+   reuse lever).
 5. **Adaptive rounds** — rounds/sec of a multi-round
    :class:`AdaptiveCampaign` on one persistent pool: the cold first
    round (pool spawn inside the timed window) vs. the mean warm round
@@ -293,12 +293,11 @@ def bench_faults(quick: bool, workers: int) -> dict:
 def bench_pool(quick: bool, workers: int) -> dict:
     """Cold-pool vs warm-pool dispatch over a 2-run campaign sequence.
 
-    The cold run pays worker-process startup and per-variant scenario
-    resolution/PFA compilation inside the timed window — what every
-    campaign run paid before the persistent pool existed.  The warm
-    run times the *second* dispatch through one reused
-    :class:`WorkerPool`, whose workers already exist and already hold
-    their caches.  Cell outcomes must be identical either way.
+    The cold run pays worker-process startup inside the timed window —
+    what every campaign run paid before the persistent pool existed.
+    The warm run times the *second* dispatch through one reused
+    :class:`WorkerPool`, whose workers already exist.  Cell outcomes
+    must be identical either way.
     """
     cell_count = 32 if quick else 96
     reps = 3
@@ -327,7 +326,7 @@ def bench_pool(quick: bool, workers: int) -> dict:
         cold_best = min(cold_best, elapsed)
         with WorkerPool(workers) as pool:
             executor = CellExecutor(workers=workers, pool=pool)
-            dispatch(executor)  # warms workers + worker-side caches
+            dispatch(executor)  # spawns and warms the workers
             first_pool_id = executor.last_pool_id
             elapsed, warm_results = dispatch(executor)
             pool_reused = pool_reused and (
@@ -432,8 +431,8 @@ def bench_serve(quick: bool, workers: int) -> dict:
 
     The serve tentpole's number: a long-lived ``repro serve`` process
     answers campaign requests from concurrent clients on shared warm
-    worker pools, so request N never pays interpreter start, imports,
-    pool spawn or worker-cache warm-up.  The warm leg times ``requests``
+    worker pools, so request N never pays interpreter start, imports
+    or pool spawn.  The warm leg times ``requests``
     identical small clean_spin campaigns issued by ``clients``
     concurrent socket clients against one in-process server (one
     untimed warm-up request first — the server's pool spawn, paid once
@@ -475,7 +474,7 @@ def bench_serve(quick: bool, workers: int) -> dict:
     lock = threading.Lock()
     try:
         with Client(*handle.address) as warmup:
-            warmup.run(spec)  # pool spawn + worker caches, untimed
+            warmup.run(spec)  # pool spawn, untimed
 
         def client_loop() -> None:
             with Client(*handle.address) as client:
@@ -504,7 +503,7 @@ def bench_serve(quick: bool, workers: int) -> dict:
     )
 
     # Cold baseline: what each request costs without the service —
-    # a fresh interpreter, fresh imports, fresh pool, cold caches.
+    # a fresh interpreter, fresh imports, fresh pool.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.NamedTemporaryFile(

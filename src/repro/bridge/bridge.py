@@ -30,6 +30,13 @@ from repro.pcore.services import SERVICE_NAMES, ServiceRequest, ServiceResult
 from repro.sim.mailbox import Mailbox, MailboxBank, MailboxMessage
 from repro.sim.trace import CATEGORY_COMMAND, Tracer
 
+#: Commands moved from the mailbox per step (poll burst).
+POLL_BURST = 4
+#: Kernel software-queue depth: the adapter stops polling while the
+#: kernel inbox holds this many requests, so backpressure reaches
+#: the hardware FIFO instead of hiding in an unbounded list.
+INBOX_LIMIT = 2
+
 
 @dataclass
 class BridgeMaster:
@@ -116,12 +123,6 @@ class SlaveBridgeAdapter:
     command_box: Mailbox
     reply_box: Mailbox
     name: str = "dsp"
-    #: Commands moved from the mailbox per step (poll burst).
-    poll_burst: int = 4
-    #: Kernel software-queue depth: the adapter stops polling while the
-    #: kernel inbox holds this many requests, so backpressure reaches
-    #: the hardware FIFO instead of hiding in an unbounded list.
-    inbox_limit: int = 2
     #: Replies the reply mailbox refused; retried next step.
     _reply_backlog: deque[ServiceResult] = field(default_factory=deque)
     delivered: int = 0
@@ -169,10 +170,10 @@ class SlaveBridgeAdapter:
 
     def _poll_commands(self) -> bool:
         moved = False
-        for _ in range(self.poll_burst):
+        for _ in range(POLL_BURST):
             if self.kernel.is_halted():
                 break  # a crashed kernel stops polling: commands pile up
-            if len(self.kernel.inbox) >= self.inbox_limit:
+            if len(self.kernel.inbox) >= INBOX_LIMIT:
                 break  # software queue full: leave commands in the FIFO
             message = self.command_box.poll()
             if message is None:

@@ -21,8 +21,6 @@ Python:
                    via :class:`repro.client.Client`
 ``scenarios``      list the scenario registry with parameter specs and
                    each scenario's expected verdict at its defaults
-``bench``          run the perf hot-path benchmark suite and print the
-                   JSON artifact path plus headline speedups
 ``fig1``           the Fig. 1 example (--order good|bad)
 
 ``campaign``/``adapt`` parse into one serializable
@@ -52,7 +50,7 @@ import sys
 
 from repro.errors import ConfigError, ReproError
 from repro.ptest.config import PTestConfig
-from repro.ptest.executor import CellExecutor, CollectSink, WorkCell, check_fabric
+from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.harness import run_adaptive_test
 from repro.ptest.merger import MERGE_OPS
 from repro.workloads.fig1 import run_fig1
@@ -100,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            # The one cell path every campaign takes (pool._run_cached).
+            # The one cell path every campaign takes (pool.run_cell).
             ref = scenario_ref(args.scenario, **_parse_params(args.param))
             sink = CollectSink()
             CellExecutor(workers=1).run_cells(
@@ -467,52 +465,6 @@ def _cmd_scenarios(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bench_main():
-    """Import ``benchmarks/bench_perf_hotpaths.py`` from the repo tree.
-
-    The bench suite lives beside the package, not inside it, so the CLI
-    locates it relative to the source checkout; returns ``None`` when
-    the tree is not there (e.g. an installed wheel without benchmarks).
-    """
-    import importlib.util
-    from pathlib import Path
-
-    script = (
-        Path(__file__).resolve().parents[2]
-        / "benchmarks"
-        / "bench_perf_hotpaths.py"
-    )
-    if not script.is_file():
-        return None
-    spec = importlib.util.spec_from_file_location(
-        "repro_bench_perf_hotpaths", script
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        check_fabric(workers=args.workers)
-    except ConfigError as error:
-        print(error)
-        return 2
-    bench_main = _load_bench_main()
-    if bench_main is None:
-        print(
-            "benchmarks/bench_perf_hotpaths.py not found; `repro bench` "
-            "needs the source checkout (the bench suite is not installed "
-            "with the package)"
-        )
-        return 2
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    argv.extend(["--workers", str(args.workers)])
-    return bench_main(argv)
-
-
 def _cmd_fig1(args: argparse.Namespace) -> int:
     result = run_fig1(args.order)
     outcome = "terminated" if result.terminated else "wedged"
@@ -740,22 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scenarios", help="list the scenario registry"
     )
     scenarios_p.set_defaults(func=_cmd_scenarios)
-
-    bench_p = sub.add_parser(
-        "bench", help="run the perf hot-path benchmark suite"
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="small iteration counts (the CI smoke configuration)",
-    )
-    bench_p.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="process-pool width for the campaign layers (default 4)",
-    )
-    bench_p.set_defaults(func=_cmd_bench)
 
     fig1_p = sub.add_parser("fig1", help="the Fig. 1 example")
     fig1_p.add_argument("--order", choices=("good", "bad"), default="bad")

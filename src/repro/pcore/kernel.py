@@ -92,7 +92,6 @@ class KernelConfig:
     """
 
     max_tasks: int = 16
-    stack_bytes: int = DEFAULT_STACK_BYTES
     memory_bytes: int = PCORE_INTERNAL_MEMORY_BYTES
     gc_interval: int = 32
     buggy_gc: bool = False
@@ -110,7 +109,7 @@ class KernelConfig:
             raise KernelError("max_tasks must be >= 1")
         if self.context_switch_cost < 0:
             raise KernelError("context_switch_cost must be >= 0")
-        needed = self.max_tasks * (self.stack_bytes + TCB_BYTES)
+        needed = self.max_tasks * (DEFAULT_STACK_BYTES + TCB_BYTES)
         if needed > self.memory_bytes:
             raise KernelError(
                 f"memory_bytes={self.memory_bytes} cannot hold "
@@ -347,7 +346,7 @@ class PCoreKernel:
             )
         tcb_block = self.memory.allocate(TCB_BYTES, tag="tcb")
         stack_block = (
-            self.memory.allocate(self.config.stack_bytes, tag="stack")
+            self.memory.allocate(DEFAULT_STACK_BYTES, tag="stack")
             if tcb_block is not None
             else None
         )

@@ -19,9 +19,9 @@ the simulated OMAP platform:
 * :mod:`repro.ptest.pcore_model` — the pCore PFA of Fig. 5 with the
   paper's probabilities, and RE (2).
 * :mod:`repro.ptest.pool` — persistent, health-checked worker pools,
-  the deduped ref-table batch wire format, and the one cell path: the
-  cached scenario/PFA/merged-pattern resolution every campaign cell
-  runs through, in a worker or in-process.
+  the deduped ref-table batch wire format, and the one cell path,
+  ``run_cell``, that builds and runs every campaign cell, in a worker
+  or in-process.
 * :mod:`repro.ptest.adaptive` — the campaign engine: rounds of cells
   on one ``CellExecutor`` and one warm pool (one round is a plain
   sweep), with pluggable ``RefinePolicy`` (grid zoom, successive

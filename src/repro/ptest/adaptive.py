@@ -29,7 +29,7 @@ Built-in policies:
     the policy's ops via :meth:`PatternMerger.merge_symbols` and
     shipped as picklable :class:`~repro.ptest.replay.ReplayRef`
     variants — riding the executor's deduped batch-table wire format
-    and worker-side merged-pattern cache like any registry scenario.
+    and the one cell path like any registry scenario.
 :class:`Repeat`
     Re-emits the same variants every round — the stability/benchmark
     baseline (rounds differ only in warm-up state, never in results).
@@ -529,8 +529,7 @@ class AdaptiveCampaign:
     written, and at ``workers > 1`` pins that copy to one pool
     **once**, before round 1: every round dispatches through that same
     :class:`~repro.ptest.pool.WorkerPool`, so rounds 2+ reuse warm
-    worker processes and their scenario/PFA/merged-pattern caches
-    (``AdaptiveResult.pool_stable`` certifies it).
+    worker processes (``AdaptiveResult.pool_stable`` certifies it).
 
     ``rounds`` caps the round count; the policy may stop earlier by
     returning no variants.  ``policy`` is needed only when ``rounds >

@@ -62,9 +62,6 @@ class ChaosSpec:
     seed sets are exact per-cell triggers.  ``hang_s`` must comfortably
     exceed the executor's ``cell_timeout`` — the injected hang is meant
     to be *detected and killed* by the watchdog, never to finish.
-    ``poison_scenario`` (when given) restricts the seed-set triggers to
-    cells whose table entry is a :class:`ScenarioRef` of that scenario,
-    so one poisoned variant can ride inside a mixed campaign.
     """
 
     seed: int = 0
@@ -88,9 +85,6 @@ class ChaosSpec:
     #: Cells (by seed) that raise :class:`ChaosInjectedError` — the
     #: deterministically lethal-batch shape, without a worker death.
     raise_seeds: frozenset[int] = field(default_factory=frozenset)
-    #: Restrict the seed-set triggers to this registry scenario's refs
-    #: (``None`` = any cell with a matching seed).
-    poison_scenario: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("kill_rate", "hang_rate", "delay_rate"):
@@ -152,11 +146,8 @@ def transient_decisions(
     return kill, hang, delay
 
 
-def _poison_kind(spec: ChaosSpec, ref: "Variant", seed: int) -> str | None:
-    """Which poison (if any) spec plants in cell ``(ref, seed)``."""
-    if spec.poison_scenario is not None:
-        if getattr(ref, "name", None) != spec.poison_scenario:
-            return None
+def _poison_kind(spec: ChaosSpec, seed: int) -> str | None:
+    """Which poison (if any) spec plants in the cells of ``seed``."""
     if seed in spec.kill_seeds:
         return "kill"
     if seed in spec.hang_seeds:
@@ -192,8 +183,8 @@ def run_chaos_batch(
     if delay:
         time.sleep(spec.delay_s)
     if spec.has_poison:
-        for position, seed in jobs:
-            kind = _poison_kind(spec, table[position], seed)
+        for _position, seed in jobs:
+            kind = _poison_kind(spec, seed)
             if kind == "kill":
                 os._exit(CHAOS_EXIT_STATUS)
             elif kind == "hang":

@@ -24,7 +24,8 @@ class PTestConfig:
     Attributes
     ----------
     regex:
-        The service regular expression RE.
+        The service regular expression RE.  RE (2) is sampled with the
+        Fig. 5 probabilities; any other regex with uniform rows.
     pattern_count:
         The paper's ``n`` — number of patterns = number of pairs.
     pattern_size:
@@ -33,9 +34,6 @@ class PTestConfig:
         The merge policy name.
     seed:
         Master seed; all component streams derive from it.
-    use_paper_distribution:
-        Attach the Fig. 5 probabilities (when the regex is RE (2));
-        otherwise rows are uniform.
     program:
         Slave program registered under this name runs in created tasks.
     lockstep:
@@ -65,7 +63,6 @@ class PTestConfig:
     pattern_size: int = 8
     op: str = "round_robin"
     seed: int = 0
-    use_paper_distribution: bool = True
     program: str = "idle"
     lockstep: bool = True
     restart_patterns: bool = False

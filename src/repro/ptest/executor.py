@@ -18,17 +18,15 @@ properties define the execution model:
   rejects anything else with a :class:`~repro.errors.ConfigError`
   before any cell runs, at any worker count.  Every cell, in a pool
   worker or in-process, is built and run by
-  :func:`~repro.ptest.pool._run_cached`; the serial path gives it a
-  scenario cache that lives for one :meth:`~CellExecutor.run_cells`
-  call.
+  :func:`~repro.ptest.pool.run_cell`, which keeps nothing between
+  cells.
 * **Warm pools.**  Parallel runs submit to a
   :class:`~repro.ptest.pool.WorkerPool` — either one passed explicitly
   (``pool=``) or the process-wide shared pool for the requested worker
   count (:func:`~repro.ptest.pool.get_pool`) — so back-to-back
   ``run_cells`` calls, and every round of an
   :class:`~repro.ptest.adaptive.AdaptiveCampaign`, reuse warm worker
-  processes (and their scenario caches, which a worker fills when a
-  batch first names a ref) instead of paying pool startup every time.
+  processes instead of paying pool startup every time.
   A pool broken by a dying worker is respawned and the affected
   batches resubmitted; only a batch that keeps killing its worker
   propagates the failure.
@@ -107,10 +105,10 @@ from repro.ptest.chaos import ChaosSpec, run_chaos_batch
 from repro.ptest.pool import (
     Variant,
     WorkerPool,
-    _run_cached,
-    check_worker_cap,
+    check_workers,
     get_pool,
     make_batch_table,
+    run_cell,
     run_table_batch,
 )
 from repro.ptest.replay import ReplayRef
@@ -267,9 +265,7 @@ def check_fabric(
     :data:`~repro.ptest.pool.MAX_WORKERS`, ``batch_size >= 1`` and a
     finite ``cell_timeout > 0``.  ``None`` passes every check."""
     if workers is not None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        check_worker_cap(workers)
+        check_workers(workers)
     if batch_size is not None and batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if cell_timeout is not None:
@@ -426,18 +422,9 @@ class CellExecutor:
                 variants, cells, effective_workers, deliver, quarantined
             )
         else:
-            # A scenario cache per call, not the module's _WORKER_CACHE:
-            # `repro serve` runs serial requests on several threads and
-            # forks pool workers from them, so a shared cache would need
-            # a lock that a forked worker could inherit while it is
-            # held, and its entries would outlive a registry
-            # re-registration that the pool handles by respawning.
-            cache: dict = {}
             for cell in cells:
                 try:
-                    result = _run_cached(
-                        variants[cell.variant], cell.seed, cache
-                    )
+                    result = run_cell(variants[cell.variant], cell.seed)
                 except Exception as error:
                     if not self.quarantine:
                         raise

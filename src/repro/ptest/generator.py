@@ -108,10 +108,8 @@ class PatternGenerator:
         """Bypass the RE pipeline and sample a hand-built PFA (used for
         the exact Fig. 5 automaton).
 
-        Accepts a prebuilt :class:`CompiledPFA` too, so callers that
-        cache one compilation across many generators (the scenario
-        caches of :mod:`repro.ptest.pool`) skip the per-run
-        recompilation; seeded output is identical either way.
+        Accepts a prebuilt :class:`CompiledPFA` too; seeded output is
+        identical either way.
         """
         generator = cls.__new__(cls)
         generator.regex = ""

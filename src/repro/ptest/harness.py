@@ -77,7 +77,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from repro.automata.compiled import CompiledPFA
 from repro.automata.pfa import PFA
 from repro.bridge.bridge import build_bridge
 from repro.pcore.kernel import PCoreKernel
@@ -144,12 +143,9 @@ class AdaptiveTest:
         Extra slave task programs to register, by name; the config's
         ``program`` field selects which one created tasks run.
     pfa:
-        Override the generator's automaton — a hand-built PFA, or an
-        already-compiled :class:`CompiledPFA` (cached pool workers
-        substitute one here to skip per-run recompilation; sampling is
-        bit-identical).  By default RE (2) with
-        ``use_paper_distribution`` uses the Fig. 5 PFA, anything else
-        goes through the regex pipeline with uniform rows.
+        Override the generator's automaton with a hand-built PFA.  By
+        default RE (2) uses the Fig. 5 PFA; any other regex goes
+        through the regex pipeline with uniform rows.
     setup:
         Optional hook called with the kernel before the run starts
         (pre-creating semaphores, seeding shared memory, ...).
@@ -157,7 +153,7 @@ class AdaptiveTest:
 
     config: PTestConfig
     programs: Mapping[str, TaskProgram] = field(default_factory=dict)
-    pfa: PFA | CompiledPFA | None = None
+    pfa: PFA | None = None
     setup: Callable[[PCoreKernel], None] | None = None
     tracer: Tracer = field(default_factory=Tracer)
     #: When set, skip generation/merging and replay exactly this merged
@@ -165,22 +161,13 @@ class AdaptiveTest:
     #: baseline and by reproduction of externally crafted interleavings.
     merged_override: "MergedPattern | None" = None
 
-    def pattern_pfa(self) -> PFA | CompiledPFA | None:
-        """The automaton the generator will walk, ``None`` for the regex
-        pipeline.
-
-        This is the substitution point the scenario cache of
-        :mod:`repro.ptest.pool` uses: it reads the PFA a freshly-built
-        test would construct, compiles it once per ``ScenarioRef`` cache
-        key, and assigns the compiled form back to ``self.pfa`` so every
-        later seed of the same variant skips recompilation.
-        """
+    def pattern_pfa(self) -> PFA | None:
+        """The automaton the generator will walk: ``pfa`` when set, the
+        Fig. 5 PFA for RE (2), otherwise ``None`` (the regex
+        pipeline)."""
         if self.pfa is not None:
             return self.pfa
-        if (
-            self.config.use_paper_distribution
-            and self.config.regex == PCORE_REGULAR_EXPRESSION
-        ):
+        if self.config.regex == PCORE_REGULAR_EXPRESSION:
             return pcore_pfa()
         return None
 

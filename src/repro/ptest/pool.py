@@ -3,11 +3,9 @@ function that turns a ref and a seed into a run.
 
 Before this subsystem existed every :meth:`CellExecutor.run_cells` call
 constructed (and tore down) its own ``ProcessPoolExecutor`` and shipped
-each cell as a fresh ``(builder, seed)`` pickle, and every worker
-re-resolved its scenario and recompiled its sampling automaton from
-scratch on every cell.  For campaign cells in the low-millisecond range
-that overhead dominates the actual work.  Three amortisation layers fix
-it:
+each cell as a fresh ``(builder, seed)`` pickle.  For campaign cells in
+the low-millisecond range that overhead dominates the actual work.  Two
+amortisation layers fix it:
 
 * **Warm pools.**  :class:`WorkerPool` wraps a lazily-created
   ``ProcessPoolExecutor`` that survives across ``run_cells`` calls
@@ -26,31 +24,14 @@ it:
   once, not N times.  :func:`run_table_batch` is the worker-side entry
   point.
 
-* **Scenario caches.**  :func:`_run_cached` is the only code that turns
-  a ref and a seed into a run, in a pool worker and at ``workers=1``
-  alike.  It memoizes per ref :attr:`cache_key` — i.e. per
-  ``(scenario_name, sorted_params)`` — the resolved registry builder
-  with its validated parameters, and the
-  :class:`~repro.automata.compiled.CompiledPFA` of the scenario's
-  pattern automaton.  N seeds of the same variant therefore pay
-  registry resolution, parameter validation and PFA compilation once
-  per cache instead of N times.  A pool worker keeps one cache for its
-  lifetime (:data:`_WORKER_CACHE`); the serial path passes a fresh dict
-  per ``run_cells`` call.  The cache never changes results: the
-  compiled automaton is only substituted after an equality check
-  against the PFA the fresh test actually built (a builder whose PFA
-  varied — by seed, say — would simply recompile), and compiled
-  sampling is bit-identical to the uncompiled walk by construction.
-
-  Merged-pattern replay cells (:class:`~repro.ptest.replay.ReplayRef`,
-  what the adaptive campaign's ``ReplayFocus`` policy emits) ride the
-  same path: the ref's base :class:`ScenarioRef` resolves through the
-  identical machinery and the parsed
-  :class:`~repro.ptest.patterns.MergedPattern` is memoized per
-  ``ReplayRef.cache_key``, so N replay seeds of one recorded
-  interleaving parse its description once per cache.  The parsed
-  pattern is read-only to the harness (the committer keeps its own
-  cursor), so sharing one instance across runs cannot change results.
+:func:`run_cell` is the only code that turns a ref and a seed into a
+run, in a pool worker and at ``workers=1`` alike.  A cell keeps
+nothing between cells: each one resolves and validates its scenario
+through the default registry, builds it for its seed and runs it, so
+no process holds per-ref state.  A
+:class:`~repro.ptest.replay.ReplayRef` cell parses its merged pattern
+through the ref's own memo, so a batch table's one copy of the ref
+parses once for all of its seeds.
 
 Every layer preserves the executor's correctness bar: campaign output
 is row-for-row identical at any ``(workers, batch_size, warm/cold)``
@@ -64,10 +45,8 @@ import pickle
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.automata.compiled import CompiledPFA
 from repro.errors import ConfigError
 from repro.ptest.harness import AdaptiveTest
 from repro.ptest.replay import ReplayRef
@@ -87,9 +66,11 @@ Variant = ScenarioRef | ReplayRef
 MAX_WORKERS = 64
 
 
-def check_worker_cap(workers: int) -> None:
-    """Raise :class:`ConfigError` when ``workers`` exceeds
+def check_workers(workers: int) -> None:
+    """Raise :class:`ConfigError` unless ``workers`` is from 1 to
     :data:`MAX_WORKERS`."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers > MAX_WORKERS:
         raise ConfigError(
             f"workers must be <= {MAX_WORKERS} (MAX_WORKERS), got {workers}"
@@ -135,9 +116,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        check_worker_cap(workers)
+        check_workers(workers)
         self.workers = workers
         self._executor: ProcessPoolExecutor | None = None
         self._pool_id: int | None = None
@@ -183,14 +162,7 @@ class WorkerPool:
             # here already includes the load's registrations.
             REGISTRY.names()
             self._registry_version = REGISTRY.version
-            # clear_worker_cache as initializer: forked workers would
-            # otherwise inherit whatever cache the *parent* built by
-            # calling run_table_batch in-process, which the registry
-            # version bump cannot invalidate.  Workers always start
-            # cold and build their own entries.
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=clear_worker_cache
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
             self._pool_id = _next_pool_id()
             self._spawns += 1
         return self._executor
@@ -483,134 +455,38 @@ def run_table_batch(
     batch_sampling: bool | None = None,
     merge_batch: bool | None = None,
 ) -> list["TestRunResult"]:
-    """Worker-side entry point: run one batch table's jobs, in order.
+    """Worker-side entry point: run one batch table's jobs, in order,
+    each through :func:`run_cell`.  Module-level so it pickles to
+    workers."""
+    return [run_cell(table[position], seed) for position, seed in jobs]
 
-    Module-level so it pickles to workers.  Every job runs through
-    :func:`_run_cached` with this process's :data:`_WORKER_CACHE`, so
-    resolution, parameter validation, PFA compilation and (for
-    :class:`~repro.ptest.replay.ReplayRef` cells) merged-pattern
-    parsing are memoized per ref for the life of the worker process.
+
+def run_cell(ref: Variant, seed: int) -> "TestRunResult":
+    """Build and run one cell: ``ref`` at ``seed``.
+
+    A :class:`~repro.ptest.replay.ReplayRef` first parses its merged
+    pattern (memoized on the ref), then builds its base scenario and
+    replays the pattern over it; a base that builds no
+    :class:`AdaptiveTest` is a :class:`ConfigError`.  Either kind
+    resolves, validates and builds through :meth:`REGISTRY.build
+    <repro.workloads.registry.ScenarioRegistry.build>`.
     """
-    return [
-        _run_cached(table[position], seed, _WORKER_CACHE)
-        for position, seed in jobs
-    ]
-
-
-@dataclass
-class _CacheEntry:
-    """One worker-cache slot: the resolved builder and its artifacts."""
-
-    builder: Callable[..., Any]
-    params: dict[str, Any]
-    compiled: CompiledPFA | None = None
-    #: Parsed merged pattern of a replay cell (``None`` for plain
-    #: scenario entries) — read-only to the harness, safely shared.
-    merged: Any = None
-    hits: int = 0
-    compilations: int = 0
-
-
-#: Per-process memoization of resolved scenarios, keyed by
-#: ``ScenarioRef.cache_key``: the cache :func:`run_table_batch` runs
-#: through.  Its lifetime is the process's; pool workers run
-#: :func:`clear_worker_cache` as their initializer, so they always
-#: start cold even when forked from a parent that called
-#: :func:`run_table_batch` in-process.
-_WORKER_CACHE: dict[tuple, _CacheEntry] = {}
-
-#: Entry cap: warm workers live for the embedding process's lifetime,
-#: so an unbounded cache would grow with every distinct grid point ever
-#: dispatched.  Eviction is oldest-inserted (batches access their
-#: variants locally, so FIFO loses almost nothing over LRU here).
-MAX_WORKER_CACHE_ENTRIES = 512
-
-
-def _run_cached(
-    ref: Variant, seed: int, cache: dict[tuple, _CacheEntry]
-) -> "TestRunResult":
-    """Build and run one cell of ``ref`` through ``cache``.
-
-    The one place a cache is filled: the first cell of a
-    ``ref.cache_key`` resolves the builder through the default
-    registry, validates its parameters and, for a
-    :class:`~repro.ptest.replay.ReplayRef`, parses the merged pattern
-    (a replay slot is keyed by the replay ref, distinct from the plain
-    entry of its base scenario); :func:`_prime_compiled_pfa` adds the
-    compiled automaton.  Later cells of the key reuse all of it.
-    """
-    replay = isinstance(ref, ReplayRef)
-    entry = cache.get(ref.cache_key)
-    if entry is None:
-        merged = ref.merged() if replay else None
-        base = ref.scenario if replay else ref
-        spec = REGISTRY.get(base.name)
-        entry = _CacheEntry(
-            builder=spec.builder,
-            params=spec.validate(dict(base.params)),
-            merged=merged,
-        )
-        while len(cache) >= MAX_WORKER_CACHE_ENTRIES:
-            cache.pop(next(iter(cache)))
-        cache[ref.cache_key] = entry
-    else:
-        entry.hits += 1
-    test = entry.builder(seed, **entry.params)
-    if replay and not isinstance(test, AdaptiveTest):
+    if not isinstance(ref, ReplayRef):
+        return REGISTRY.build(ref.name, seed, dict(ref.params)).run()
+    merged = ref.merged()
+    base = ref.scenario
+    test = REGISTRY.build(base.name, seed, dict(base.params))
+    if not isinstance(test, AdaptiveTest):
         raise ConfigError(
             f"replay cell {ref.describe()} built "
             f"{type(test).__name__}, not an AdaptiveTest; merged-"
             "pattern replay needs the adaptive harness"
         )
-    _prime_compiled_pfa(test, entry)
-    if replay:
-        test.merged_override = entry.merged
+    test.merged_override = merged
     return test.run()
 
 
-def _prime_compiled_pfa(test: Any, entry: _CacheEntry) -> None:
-    """Substitute the cached :class:`CompiledPFA` into a fresh test.
-
-    Only applies to :class:`AdaptiveTest` instances whose pattern
-    automaton is an explicit (or default Fig. 5) PFA.  The cached
-    compilation is reused only when its source PFA *equals* the one
-    this test just built — a builder producing seed-dependent automata
-    falls back to a fresh compilation, trading the speedup for
-    unconditional correctness.
-    """
-    if not isinstance(test, AdaptiveTest):
-        return
-    source = test.pattern_pfa()
-    if source is None or isinstance(source, CompiledPFA):
-        return
-    compiled = entry.compiled
-    if compiled is None or compiled.source != source:
-        compiled = CompiledPFA.from_pfa(source)
-        entry.compiled = compiled
-        entry.compilations += 1
-    test.pfa = compiled
-
-
-def worker_cache_info() -> dict[str, Any]:
-    """Introspection snapshot of *this process's* worker cache.
-
-    Submit through a pool (``pool.submit(worker_cache_info)``) to
-    observe a worker's cache; used by the lifecycle tests to verify
-    per-variant keying and fork-safety.
-    """
-    return {
-        "entries": len(_WORKER_CACHE),
-        "keys": sorted(_WORKER_CACHE, key=repr),
-        "hits": {key: entry.hits for key, entry in _WORKER_CACHE.items()},
-        "compilations": {
-            key: entry.compilations
-            for key, entry in _WORKER_CACHE.items()
-        },
-    }
-
-
 def clear_worker_cache() -> int:
-    """Drop every worker-cache entry (returns how many were held)."""
-    count = len(_WORKER_CACHE)
-    _WORKER_CACHE.clear()
-    return count
+    """No-op that returns 0; perfbench/traced.py calls it (drop at
+    re-cut)."""
+    return 0

@@ -6,7 +6,7 @@ a :class:`~repro.workloads.registry.ScenarioRef`, so a recorded
 interleaving — a bug report's merged pattern, rendered as
 ``"TC[p0#1] TS[p0#2] ..."`` and parsed back by
 :func:`parse_merged_description` — rides the executor's deduped
-batch-table wire format and the scenario caches exactly like registry
+batch-table wire format and the one cell path exactly like registry
 scenarios do (see :mod:`repro.ptest.pool`).  The adaptive campaign's
 ``ReplayFocus`` policy emits these to re-drive detecting interleavings
 across seeds.
@@ -76,18 +76,17 @@ class ReplayRef:
 
     Refs are value objects — equality/hash cover ``(scenario,
     description)`` — so equal replay cells collapse to one batch-table
-    entry and one cache slot (:attr:`cache_key`), with the parsed
-    :class:`~repro.ptest.patterns.MergedPattern` memoized alongside the
-    resolved base scenario.  The description
-    is validated at construction, not first dispatch, so a malformed
+    entry, and the parsed :class:`~repro.ptest.patterns.MergedPattern`
+    is memoized on the ref (:meth:`merged`).  The description is
+    validated at construction, not first dispatch, so a malformed
     rendering fails in the process that minted it.
     """
 
     scenario: ScenarioRef
     description: str
     #: Parsed eagerly in the minting process (validation), lazily after
-    #: unpickling — a worker parses only on a cache miss, so N batches
-    #: carrying the same ref cost one parse per worker, not per batch.
+    #: unpickling — a batch table carries one copy of the ref, so a
+    #: worker parses it once per batch, not once per seed.
     _merged: MergedPattern | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -109,11 +108,6 @@ class ReplayRef:
         object.__setattr__(self, "scenario", state[0])
         object.__setattr__(self, "description", state[1])
         object.__setattr__(self, "_merged", None)
-
-    @property
-    def cache_key(self) -> tuple:
-        """Cache key; disjoint from plain ScenarioRef keys."""
-        return ("replay", self.scenario.cache_key, self.description)
 
     def merged(self) -> MergedPattern:
         """The recorded interleaving, parsed (and memoized) on demand."""

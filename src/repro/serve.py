@@ -1,10 +1,9 @@
 """``repro serve``: campaign-as-a-service on a newline-JSON protocol.
 
 One long-lived process answers many concurrent campaign/adapt requests,
-so request N never pays what PRs 3-9 made cacheable: worker pools stay
-warm across requests (one :class:`~repro.ptest.pool.WorkerPool` per
-worker count per server process), and the worker-side scenario/PFA/
-merged-pattern caches persist with them.
+so request N never pays pool startup again: worker pools stay warm
+across requests (one :class:`~repro.ptest.pool.WorkerPool` per worker
+count per server process).
 
 **Protocol.**  Stdlib ``asyncio.start_server``; each line is one JSON
 object of at most :data:`MAX_LINE_BYTES`.  Client → server operations:

@@ -58,12 +58,9 @@ class Tracer:
     capacity:
         Ring size, at least 1; the oldest events are discarded beyond
         it.  Large enough by default to hold a whole stress-test run.
-    enabled_categories:
-        When non-empty, only these categories are recorded.
     """
 
     capacity: int = 100_000
-    enabled_categories: frozenset[str] = frozenset()
     events: deque[TraceEvent] = field(default_factory=deque, repr=False)
     recorded: int = 0
     discarded: int = 0
@@ -75,12 +72,10 @@ class Tracer:
     def record(
         self, time: int, core: str, category: str, **payload: object
     ) -> None:
-        """Append an event (cheap no-op when the category is filtered).
+        """Append an event.
 
         ``payload`` is already a fresh dict per call, so the event keeps
         it as is."""
-        if self.enabled_categories and category not in self.enabled_categories:
-            return
         if len(self.events) >= self.capacity:
             self.events.popleft()
             self.discarded += 1

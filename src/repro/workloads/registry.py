@@ -20,8 +20,7 @@ Three pieces:
   (see :mod:`repro.ptest.pool`).  Only ``(name, params)`` crosses the
   process boundary, never a builder.  Refs hash and
   compare by ``(name, sorted(params))`` (see the class docstring), so
-  they double as the dedupe keys of the executor's batch tables and
-  the memoization keys of the scenario/PFA caches in
+  they double as the dedupe keys of the executor's batch tables in
   :mod:`repro.ptest.pool`.
 * The module-level default registry (:data:`REGISTRY`) plus the
   :func:`scenario` / :func:`scenario_ref` / :func:`build_scenario`
@@ -296,18 +295,16 @@ class ScenarioRef:
     :mod:`repro.ptest.pool`), so no scenario builder (lambda, closure,
     bound method, whatever) ever crosses a process boundary itself.
 
-    **Cache-key contract.**  Refs are value objects: equality and hash
-    are defined over ``(name, sorted(params))`` and nothing else, so
-    two refs naming the same scenario with the same parameters always
-    collapse to one entry in a dict/set.  This is what the batched wire
-    format and the scenario caches of :mod:`repro.ptest.pool` key on: a
-    batch table ships each distinct ref once, and a cache memoizes its
-    resolved builder and compiled sampling automaton under
-    :attr:`cache_key` — so every parameter value must itself be
-    hashable, which is enforced at construction time rather than at
-    first cache insert deep inside a worker process.  Parameter order
-    is canonicalised (sorted by name) in ``__post_init__``, so
-    hand-built refs dedupe exactly like registry-minted ones.
+    **Batch-table equality contract.**  Refs are value objects:
+    equality and hash are defined over ``(name, sorted(params))`` and
+    nothing else, so two refs naming the same scenario with the same
+    parameters always collapse to one entry in a dict/set.  The batched
+    wire format of :mod:`repro.ptest.pool` keys on this: a batch table
+    ships each distinct ref once — so every parameter value must itself
+    be hashable, which is enforced at construction time rather than at
+    the first table insert.  Parameter order is canonicalised (sorted
+    by name) in ``__post_init__``, so hand-built refs dedupe exactly
+    like registry-minted ones.
     """
 
     name: str
@@ -347,7 +344,7 @@ class ScenarioRef:
                     f"scenario parameter {key!r} of {self.name!r} has "
                     f"unhashable value {value!r} ({type(value).__name__}); "
                     "ScenarioRef parameters must be hashable to serve as "
-                    "batch-table and worker-cache keys"
+                    "batch-table keys"
                 ) from None
 
     def __eq__(self, other: object) -> bool:
@@ -357,11 +354,6 @@ class ScenarioRef:
 
     def __hash__(self) -> int:
         return hash((self.name, self.params))
-
-    @property
-    def cache_key(self) -> tuple[str, tuple[tuple[str, Any], ...]]:
-        """The ``(name, sorted params)`` pair scenario caches key on."""
-        return (self.name, self.params)
 
     def expected(self) -> "AnomalyKind | None":
         """The anomaly kind a correct detector reports for this ref's

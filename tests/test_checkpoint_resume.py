@@ -28,7 +28,7 @@ from repro.ptest.checkpoint import (
 )
 from repro.ptest.executor import CellExecutor
 from repro.ptest.pipeline import parse_pipeline
-from repro.ptest.pool import clear_worker_cache, run_table_batch, shutdown_pools
+from repro.ptest.pool import run_table_batch, shutdown_pools
 from repro.ptest.replay import replay_ref
 from repro.workloads.registry import scenario_ref
 
@@ -150,13 +150,8 @@ class TestRefsFromEarlierCheckpoints:
         assert old_replay == fresh_replay
         assert hash(old_replay) == hash(fresh_replay)
         jobs = ((0, 0), (0, 1), (1, 0), (1, 1))
-        clear_worker_cache()
-        try:
-            old_runs = run_table_batch((old_ref, old_replay), jobs)
-            clear_worker_cache()
-            fresh_runs = run_table_batch((fresh_ref, fresh_replay), jobs)
-        finally:
-            clear_worker_cache()
+        old_runs = run_table_batch((old_ref, old_replay), jobs)
+        fresh_runs = run_table_batch((fresh_ref, fresh_replay), jobs)
         assert [(r.found_bug, r.ticks) for r in old_runs] == [
             (r.found_bug, r.ticks) for r in fresh_runs
         ]

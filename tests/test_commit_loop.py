@@ -34,12 +34,7 @@ from repro.ptest.harness import AdaptiveTest
 from repro.ptest.merger import PatternMerger
 from repro.ptest.patterns import MergedPattern, PatternCommand, TestPattern
 from repro.ptest.pcore_model import pcore_pfa
-from repro.ptest.pool import (
-    clear_worker_cache,
-    make_batch_table,
-    run_table_batch,
-    shutdown_pools,
-)
+from repro.ptest.pool import make_batch_table, run_table_batch, shutdown_pools
 from repro.ptest.recording import ProcessStateRecorder, StateRecord
 from repro.sim.trace import Tracer
 from repro.workloads.registry import build_scenario, scenario_ref
@@ -447,12 +442,6 @@ class TestWorkerMergeBatch:
     """`run_table_batch` in process: its two trailing knobs are
     accepted and ignored."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        clear_worker_cache()
-        yield
-        clear_worker_cache()
-
     def _table(self):
         refs = [scenario_ref("clean_spin", tasks=2, total_steps=40)] * 4 + [
             scenario_ref("philosophers", op="cyclic")
@@ -464,7 +453,6 @@ class TestWorkerMergeBatch:
         table, jobs = self._table()
         baseline = run_table_batch(table, jobs)
         for merge_batch in (False, None, True):
-            clear_worker_cache()
             assert run_table_batch(table, jobs, None, merge_batch) == (
                 baseline
             ), f"rows diverged at merge_batch={merge_batch}"
@@ -473,7 +461,6 @@ class TestWorkerMergeBatch:
         table, jobs = self._table()
         baseline = run_table_batch(table, jobs)
         for knobs in ((False, None), (False, True), (True, False)):
-            clear_worker_cache()
             assert run_table_batch(table, jobs, *knobs) == baseline, knobs
 
     def test_executor_rejects_explicit_merge_batch(self):
@@ -489,7 +476,6 @@ class TestWorkerMergeBatch:
     def test_rows_identical_with_numpy_masked(self, monkeypatch):
         table, jobs = self._table()
         unmasked = run_table_batch(table, jobs)
-        clear_worker_cache()
         # From here on `import numpy` fails: the cell path never needs it.
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert run_table_batch(table, jobs) == unmasked

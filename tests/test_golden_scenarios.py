@@ -42,7 +42,7 @@ from pathlib import Path
 import pytest
 
 from repro.ptest.harness import AdaptiveTest
-from repro.ptest.pool import clear_worker_cache, make_batch_table, run_table_batch
+from repro.ptest.pool import make_batch_table, run_table_batch
 from repro.sim.soc import DualCoreSoC
 from repro.workloads.registry import build_scenario, scenario_names, scenario_ref
 
@@ -185,11 +185,7 @@ def test_variants_match_golden(name):
 def test_worker_batch_matches_golden(name):
     expected = _golden()[name]
     table, jobs = make_batch_table([scenario_ref(name)] * len(SEEDS), SEEDS)
-    clear_worker_cache()
-    try:
-        results = run_table_batch(table, jobs)
-    finally:
-        clear_worker_cache()
+    results = run_table_batch(table, jobs)
     for seed, result in zip(SEEDS, results):
         want = expected[str(seed)]
         got = result_digest(result)

@@ -4,7 +4,7 @@ The burst/weighted order functions, ``register_merge_op`` error paths,
 ``parse_merged_description`` round-trips and :class:`ReplayRef` only
 got incidental coverage through the pattern-merger integration tests;
 this suite pins their contracts down directly — including the replay
-refs' ride through the batch-table wire format and worker cache.
+refs' ride through the batch-table wire format.
 """
 
 from __future__ import annotations
@@ -24,12 +24,8 @@ from repro.ptest.merger import (
 )
 from repro.ptest.executor import CellExecutor, CollectSink, WorkCell
 from repro.ptest.patterns import TestPattern
-from repro.ptest.pool import (
-    clear_worker_cache,
-    make_batch_table,
-    run_table_batch,
-    worker_cache_info,
-)
+from repro.ptest import replay
+from repro.ptest.pool import make_batch_table, run_table_batch
 from repro.ptest.replay import ReplayRef, parse_merged_description, replay_ref
 from repro.workloads.registry import build_scenario, scenario_ref
 
@@ -167,8 +163,7 @@ class TestReplayRef:
         twin = replay_ref(base, description)
         assert ref == twin
         assert hash(ref) == hash(twin)
-        assert ref.cache_key[0] == "replay"
-        assert ref.cache_key != base.cache_key
+        assert ref != base
         assert "replay(" in ref.describe()
 
     def test_pickle_round_trip_reparses_the_pattern(self):
@@ -176,8 +171,8 @@ class TestReplayRef:
         ref = replay_ref(base, self.detecting_description())
         loaded = pickle.loads(pickle.dumps(ref))
         assert loaded == ref
-        # Unpickling defers the parse (workers only pay it on a cache
-        # miss); the first merged() call parses and memoizes.
+        # Unpickling defers the parse to the first merged() call,
+        # which parses and memoizes.
         assert loaded._merged is None
         assert loaded.merged().describe() == ref.merged().describe()
         assert loaded._merged is not None
@@ -197,7 +192,7 @@ class TestReplayRef:
         with pytest.raises(ConfigError, match="ScenarioRef"):
             ReplayRef(scenario="philosophers", description="TC[p0#1]")
 
-    def test_non_adaptive_scenario_rejected_at_call(self):
+    def test_non_adaptive_scenario_rejected_when_run(self):
         # philosophers_random builds a RandomTester, which has no
         # merged_override to replay into; in-process and in a pool
         # worker alike, the cell fails with one ConfigError text.
@@ -243,38 +238,43 @@ class TestReplayRefOnTheWire:
         assert table == (ref, other)
         assert jobs == ((0, 0), (0, 1), (1, 0))
 
-    def test_table_path_caches_parse_and_matches_direct_build(self):
+    def test_table_path_caches_parse_and_matches_direct_build(self, monkeypatch):
+        # A worker gets the ref unpickled, its pattern not yet parsed:
+        # the ref's own memo parses it once for every seed of the table.
         base = scenario_ref("philosophers")
         result = build_scenario("philosophers", 0).run()
         ref = replay_ref(base, result.report.merged_description)
-        clear_worker_cache()
-        try:
-            results = run_table_batch((ref,), ((0, 0), (0, 1)))
-            info = worker_cache_info()
-            assert ref.cache_key in set(info["keys"])
-            # Second job hit the cached parse + resolution.
-            assert info["hits"][ref.cache_key] == 1
-            direct = []
-            for seed in (0, 1):
-                test = build_scenario("philosophers", seed)
-                test.merged_override = ref.merged()
-                direct.append(test.run())
-            assert [r.ticks for r in results] == [r.ticks for r in direct]
-            assert [r.found_bug for r in results] == [
-                r.found_bug for r in direct
-            ]
-        finally:
-            clear_worker_cache()
+        loaded = pickle.loads(pickle.dumps(ref))
+        parse = replay.parse_merged_description
+        parses = []
+
+        def counting(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(replay, "parse_merged_description", counting)
+        results = run_table_batch((loaded,), ((0, 0), (0, 1)))
+        assert parses == [ref.description]
+        monkeypatch.undo()
+        direct = []
+        for seed in (0, 1):
+            test = build_scenario("philosophers", seed)
+            test.merged_override = ref.merged()
+            direct.append(test.run())
+        assert results == direct
 
     def test_replay_and_scenario_entries_coexist_in_the_cache(self):
+        # One table carrying a scenario ref and its replay ref runs
+        # each entry as its own direct build.
         base = scenario_ref("philosophers")
         detected = build_scenario("philosophers", 0).run()
         ref = replay_ref(base, detected.report.merged_description)
-        clear_worker_cache()
-        try:
-            run_table_batch((base, ref), ((0, 0), (1, 0)))
-            keys = set(worker_cache_info()["keys"])
-            assert base.cache_key in keys
-            assert ref.cache_key in keys
-        finally:
-            clear_worker_cache()
+        results = run_table_batch((base, ref), ((0, 0), (1, 0), (0, 1)))
+        replayed = build_scenario("philosophers", 0)
+        replayed.merged_override = ref.merged()
+        direct = [
+            build_scenario("philosophers", 0).run(),
+            replayed.run(),
+            build_scenario("philosophers", 1).run(),
+        ]
+        assert results == direct

@@ -166,7 +166,7 @@ class TestCellExecutor:
                 {}, [WorkCell(variant="ghost", seed=0)], CollectSink()
             )
 
-    def test_serial_results_align_with_cells(self):
+    def test_serial_sink_receives_every_cell_in_order(self):
         builders = {"cyclic": scenario_ref("philosophers", op="cyclic")}
         cells = [WorkCell(variant="cyclic", seed=s) for s in (0, 1)]
         sink = CollectSink()
@@ -201,24 +201,6 @@ class TestCellExecutor:
         assert sink.cells == [] and calls == []
         assert executor.batches_submitted == 0
 
-    def test_serial_campaign_compiles_each_variant_once(self, monkeypatch):
-        # The serial path runs cells through the same scenario cache as
-        # pool workers: one PFA compilation per variant, not per seed.
-        compile_pfa = CompiledPFA.from_pfa.__func__
-        compiled: list[object] = []
-
-        def counting(cls, pfa):
-            compiled.append(pfa)
-            return compile_pfa(cls, pfa)
-
-        monkeypatch.setattr(CompiledPFA, "from_pfa", classmethod(counting))
-        campaign = AdaptiveCampaign(
-            seeds=(0, 1, 2, 3), executor=CellExecutor(workers=1)
-        )
-        campaign.add_scenario("cyclic", "philosophers", op="cyclic")
-        assert campaign.run().final_rows[0].detections == 4
-        assert len(compiled) == 1
-
 
 class TestParallelCampaignDeterminism:
     def _campaign(self, workers):
@@ -249,7 +231,7 @@ class TestParallelCampaignDeterminism:
             r.commands_issued for r in parallel_results
         ]
 
-    def test_run_workers_override(self):
+    def test_swapped_executor_runs_on_the_pool(self):
         # The fabric is one value: swapping the executor between runs
         # moves the next run onto the pool.
         campaign = self._campaign(workers=1)

@@ -145,7 +145,7 @@ class TestScenarioRef:
         assert ref.describe() == "clean_spin(tasks=2)"
 
     def test_hash_eq_follow_name_and_sorted_params(self):
-        # The worker-cache key contract: equality/hash over
+        # The batch-table equality contract: equality/hash over
         # (name, sorted(params)) only — hand-built refs with scrambled
         # param order dedupe exactly like registry-minted ones.
         minted = scenario_ref("clean_spin", tasks=2, total_steps=40)
@@ -155,7 +155,6 @@ class TestScenarioRef:
         )
         assert hand_built == minted
         assert hash(hand_built) == hash(minted)
-        assert hand_built.cache_key == minted.cache_key
         assert len({hand_built, minted}) == 1
         assert minted != scenario_ref("clean_spin", tasks=3, total_steps=40)
         assert minted != "clean_spin"  # foreign types never equal
@@ -299,7 +298,7 @@ class TestResultSinks:
                 r.ticks for r in reference.results
             ]
 
-    def test_campaign_streams_without_materializing(self, monkeypatch):
+    def test_round_rows_fold_from_the_stream(self, monkeypatch):
         # A round folds each result into its row as it streams off the
         # executor: run_cells is handed a sink and returns no list.
         run_cells = CellExecutor.run_cells

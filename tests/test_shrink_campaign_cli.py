@@ -266,7 +266,10 @@ class TestCli:
             (["run", "-n", "99"], "exceeds the kernel's max_tasks=16"),
             (["run", "-s", "0"], "pattern_size must be >= 1"),
             (["run", "--max-ticks", "0"], "max_ticks must be >= 1"),
-            (["bench", "--quick", "--workers", "0"], "workers must be >= 1"),
+            (
+                ["campaign", "clean_spin", "--seeds", "1", "--workers", "0"],
+                "workers must be >= 1",
+            ),
             (["serve", "--port", "-1"], "port must be in 0-65535"),
             (["serve", "--port", "70000"], "port must be in 0-65535"),
             (
@@ -298,17 +301,13 @@ class TestCli:
                 ["submit", "clean_spin", "--port", "1", "--workers", OVER_CAP],
                 f"workers must be <= {MAX_WORKERS}",
             ),
-            (
-                ["bench", "--quick", "--workers", OVER_CAP],
-                f"workers must be <= {MAX_WORKERS}",
-            ),
         ],
         ids=[
             "patterns-0",
             "patterns-99",
             "size-0",
             "max-ticks-0",
-            "bench-workers-0",
+            "campaign-workers-0",
             "serve-port-negative",
             "serve-port-70000",
             "submit-port-70000",
@@ -318,7 +317,6 @@ class TestCli:
             "campaign-workers-over-cap",
             "adapt-workers-over-cap",
             "submit-workers-over-cap",
-            "bench-workers-over-cap",
         ],
     )
     def test_bad_config_flag_prints_one_line_and_exits_2(self, capsys, argv, message):
@@ -647,31 +645,3 @@ class TestCli:
             assert len(warm) == 1 and not warm[0].closed
         finally:
             shutdown_pools()
-
-    def test_bench_forwards_flags_to_the_suite(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        calls = []
-        monkeypatch.setattr(
-            cli, "_load_bench_main", lambda: lambda argv: calls.append(argv) or 0
-        )
-        assert cli.main(["bench", "--quick"]) == 0
-        assert cli.main(["bench", "--workers", "3"]) == 0
-        assert calls == [
-            ["--quick", "--workers", "4"],
-            ["--workers", "3"],
-        ]
-
-    def test_bench_locates_the_real_suite(self):
-        # The loader must resolve benchmarks/bench_perf_hotpaths.py in
-        # the source checkout (the suite itself runs in CI, not here).
-        from repro.cli import _load_bench_main
-
-        assert callable(_load_bench_main())
-
-    def test_bench_missing_suite_is_a_clean_error(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "_load_bench_main", lambda: None)
-        assert cli.main(["bench"]) == 2
-        assert "not found" in capsys.readouterr().out

@@ -129,12 +129,6 @@ class TestTracer:
             assert kept == [3, 4][-capacity:]
             assert tracer.tail(50) == list(tracer.events)
 
-    def test_category_filtering_at_record_time(self):
-        tracer = Tracer(enabled_categories=frozenset({"task"}))
-        tracer.record(0, "x", "command", seq=1)
-        tracer.record(0, "x", "task", tid=1)
-        assert len(tracer.events) == 1
-
     def test_tail_and_dump(self):
         tracer = Tracer()
         for index in range(10):

@@ -2,10 +2,9 @@
 
 Covers the :class:`~repro.ptest.pool.WorkerPool` lifecycle (warm reuse
 across campaign runs, dead-worker respawn, deterministic
-shutdown), the deduped ScenarioRef-table batch wire format, and the
-worker-side scenario/PFA cache — per-variant keying, fork-safety (no
-cross-variant leakage between refs differing only in params), and
-result identity against the serial path.
+shutdown), the deduped ScenarioRef-table batch wire format, and
+parameter twins — refs differing only in params, packed into the same
+batches — whose results match the serial path.
 """
 
 from __future__ import annotations
@@ -24,13 +23,11 @@ from repro.ptest.pool import (
     MAX_WORKERS,
     WorkerPool,
     active_pools,
-    clear_worker_cache,
     close_pool,
     get_pool,
     make_batch_table,
     run_table_batch,
     shutdown_pools,
-    worker_cache_info,
 )
 from repro.workloads.registry import build_scenario, scenario_ref
 
@@ -225,8 +222,10 @@ class TestWorkerPoolLifecycle:
         assert replacement is not pool and not replacement.closed
 
     def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
             WorkerPool(0)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            get_pool(0)
 
     def test_worker_count_over_the_cap_rejected(self):
         # Rejected at construction; the executor is lazy anyway, so
@@ -301,8 +300,8 @@ class TestShutdownRobustness:
             assert pool.terminate() == 0
 
 
-class TestPrewarmRespawnRace:
-    def test_prewarm_after_worker_death_respawns_then_runs(self):
+class TestSubmitAfterWorkerDeath:
+    def test_campaign_after_worker_death_respawns(self):
         # A worker died and nobody called notify_broken: the campaign's
         # first submissions hit the broken executor and must ride the
         # submit-time respawn instead of wedging or surfacing the break.
@@ -426,25 +425,6 @@ class TestMidRunRegistration:
 
 
 class TestBatchTable:
-    def test_worker_cache_entries_are_capped(self, monkeypatch):
-        import repro.ptest.pool as pool_mod
-
-        clear_worker_cache()
-        monkeypatch.setattr(pool_mod, "MAX_WORKER_CACHE_ENTRIES", 2)
-        try:
-            refs = [
-                scenario_ref("clean_spin", tasks=2, total_steps=steps)
-                for steps in (40, 50, 60)
-            ]
-            for ref in refs:
-                run_table_batch((ref,), ((0, 0),))
-            info = worker_cache_info()
-            assert info["entries"] == 2
-            # Oldest-inserted entry was the one evicted.
-            assert refs[0].cache_key not in set(info["keys"])
-        finally:
-            clear_worker_cache()
-
     def test_equal_refs_collapse_to_one_table_entry(self):
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
         twin = scenario_ref("clean_spin", total_steps=40, tasks=2)
@@ -479,26 +459,18 @@ class TestBatchTable:
 
     def test_run_table_batch_matches_direct_build(self):
         ref = scenario_ref("clean_spin", tasks=2, total_steps=40)
-        try:
-            results = run_table_batch((ref,), ((0, 0), (0, 1)))
-            direct = [
-                build_scenario("clean_spin", seed, tasks=2, total_steps=40).run()
-                for seed in (0, 1)
-            ]
-            assert [r.ticks for r in results] == [r.ticks for r in direct]
-            info = worker_cache_info()
-            assert ref.cache_key in set(info["keys"])
-            # Both jobs shared one resolution and one compilation.
-            assert info["hits"][ref.cache_key] == 1
-            assert info["compilations"][ref.cache_key] == 1
-        finally:
-            clear_worker_cache()  # ran in-process: leave no residue
+        results = run_table_batch((ref,), ((0, 0), (0, 1)))
+        direct = [
+            build_scenario("clean_spin", seed, tasks=2, total_steps=40).run()
+            for seed in (0, 1)
+        ]
+        assert [r.ticks for r in results] == [r.ticks for r in direct]
 
 
-class TestWorkerSideCache:
-    def test_cache_keys_are_per_variant(self):
-        # A single-process pool makes the worker cache observable
-        # deterministically (every batch lands in the same worker).
+class TestParamTwins:
+    def test_one_worker_runs_both_twins_like_the_serial_path(self):
+        # A single-process pool runs every batch of both twins in the
+        # same worker, one after the other.
         fast = scenario_ref("clean_spin", tasks=2, total_steps=40)
         slow = scenario_ref("clean_spin", tasks=2, total_steps=80)
         cells = [
@@ -510,11 +482,6 @@ class TestWorkerSideCache:
             executor = CellExecutor(workers=2, pool=pool)
             parallel = CollectSink()
             executor.run_cells({"fast": fast, "slow": slow}, cells, parallel)
-            info = pool.submit(worker_cache_info).result()
-        assert set(info["keys"]) == {fast.cache_key, slow.cache_key}
-        # One PFA compilation per variant, however many seeds ran.
-        assert info["compilations"][fast.cache_key] == 1
-        assert info["compilations"][slow.cache_key] == 1
         serial = CollectSink()
         CellExecutor(workers=1).run_cells({"fast": fast, "slow": slow}, cells, serial)
         assert [r.ticks for r in parallel.results] == [
@@ -524,7 +491,7 @@ class TestWorkerSideCache:
     def test_no_cross_variant_leakage_between_param_twins(self):
         # Same scenario name, params differing only in one flag, packed
         # into the same batches: the buggy variant must still detect and
-        # the control must still stay clean (cache keyed on params).
+        # the control must still stay clean.
         campaign = AdaptiveCampaign(
             seeds=(0, 1), executor=CellExecutor(workers=2, batch_size=4)
         )
@@ -545,6 +512,6 @@ class TestWorkerSideCache:
             warm.add_scenario("cyclic", "philosophers", op="cyclic")
             warm.add_scenario("ordered", "philosophers", ordered=True)
             cold_rows = warm.run().final_rows  # first dispatch: cold pool
-            warm_rows = warm.run().final_rows  # second: warm + cached
+            warm_rows = warm.run().final_rows  # second: warm pool
         assert cold_rows == serial_rows
         assert warm_rows == serial_rows
