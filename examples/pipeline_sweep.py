@@ -8,13 +8,12 @@ cell.  Stage 2 (``replay``, 2 rounds) then takes the zoomed-in round's
 recorded deadlock interleavings, re-merges them, and re-drives them as
 merged-pattern replay cells across every seed.
 
-The :class:`PolicyPipeline` is itself a ``RefinePolicy``, so the
-engine, the warm worker pool and the determinism contract are exactly
-those of a single-policy adaptive campaign.  Each refined round's new
-refs (the zoomed grid, then the replay cells) reach the workers with
-that round's first batches, which resolve and compile them once per
-worker.  Watch ``pool_id`` stay constant: the whole schedule runs on
-one pool spawn.
+The adaptive engine steps through the :class:`PolicyPipeline` itself,
+so the warm worker pool and the determinism contract are exactly those
+of a single-policy adaptive campaign, and each round names the stage
+that owned it.  Each refined round's new refs (the zoomed grid, then
+the replay cells) reach the workers with that round's batches.  Watch
+``pool_id`` stay constant: the whole schedule runs on one pool spawn.
 
 Run:  python examples/pipeline_sweep.py
 """
@@ -26,9 +25,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ptest.adaptive import AdaptiveCampaign, GridZoom, ReplayFocus
+from repro.ptest.adaptive import (
+    AdaptiveCampaign,
+    GridZoom,
+    PipelineStage,
+    PolicyPipeline,
+    ReplayFocus,
+)
 from repro.ptest.executor import CellExecutor
-from repro.ptest.pipeline import PipelineStage, PolicyPipeline
 from repro.ptest.pool import shutdown_pools
 
 SEEDS = (0, 1, 2)
@@ -61,13 +65,10 @@ def main() -> None:
         f"({pipeline.total_rounds()} rounds max)"
     )
     result = campaign.run()
-    stage_labels = dict(pipeline.stage_log)
     for observation in result.rounds:
-        stage = stage_labels.get(observation.index)
-        stage_note = f", stage={stage}" if stage else ""
         print(
             f"\nround {observation.index + 1} "
-            f"(pool_id={observation.pool_id}{stage_note}): "
+            f"(pool_id={observation.pool_id}, stage={observation.stage}): "
             f"{len(observation.rows)} variant(s), "
             f"{observation.total_detections} detection(s)"
         )

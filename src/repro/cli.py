@@ -632,8 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     adapt_p.add_argument(
         "--max-sources",
         type=int,
-        default=2,
-        help="detections seeding each replay round (replay policy only)",
+        default=None,
+        help="detections seeding each replay round (replay policy or "
+        "replay stages only; default 2)",
     )
     adapt_p.add_argument(
         "--checkpoint",

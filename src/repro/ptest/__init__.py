@@ -26,11 +26,9 @@ the simulated OMAP platform:
   on one ``CellExecutor`` and one warm pool (one round is a plain
   sweep), with pluggable ``RefinePolicy`` (grid zoom, successive
   halving, merged-pattern replay focus) feeding detection results back
-  into the next round's scenario refs.
-* :mod:`repro.ptest.pipeline` — composable refinement schedules:
-  ``PolicyPipeline`` stages existing policies (zoom for N rounds, then
-  replay once detections plateau) and is itself a ``RefinePolicy``,
-  so composed schedules run on the same warm pool.
+  into the next round's scenario refs.  A ``PolicyPipeline`` stages
+  existing policies (zoom for N rounds, then replay), and the engine
+  steps through it on the same warm pool.
 * :mod:`repro.ptest.spec` — the frozen, JSON-serializable
   ``CampaignSpec`` request schema and ``execute_spec``, the single
   execution entry point shared by the CLI subcommands, ``repro serve``
@@ -63,18 +61,13 @@ from repro.ptest.adaptive import (
     AdaptiveResult,
     GridZoom,
     POLICIES,
+    PipelineStage,
+    PolicyPipeline,
     RefinePolicy,
     Repeat,
     ReplayFocus,
     RoundObservation,
     SuccessiveHalving,
-)
-from repro.ptest.pipeline import (
-    PipelineStage,
-    Plateau,
-    PolicyPipeline,
-    StageCondition,
-    Until,
     parse_pipeline,
 )
 from repro.ptest.executor import (
@@ -139,10 +132,7 @@ __all__ = [
     "RoundObservation",
     "SuccessiveHalving",
     "PipelineStage",
-    "Plateau",
     "PolicyPipeline",
-    "StageCondition",
-    "Until",
     "parse_pipeline",
     "CellExecutor",
     "CollectSink",

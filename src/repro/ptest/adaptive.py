@@ -35,13 +35,11 @@ Built-in policies:
     baseline (rounds differ only in warm-up state, never in results).
 
 Policies compose into staged schedules (zoom for three rounds, then
-replay once detections plateau) via
-:class:`~repro.ptest.pipeline.PolicyPipeline` — itself a
-:class:`RefinePolicy`, so composed schedules run through this engine
-unchanged.  Each round is one generate → merge → commit → detect pass
-over its cells; a refined round's new refs are resolved and compiled by
-the workers inside that round's first batches, exactly as a plain
-campaign's are.
+replay) as a :class:`PolicyPipeline`: a value listing
+:class:`PipelineStage` policies and their round caps, which
+:meth:`AdaptiveCampaign.run` steps through itself.  Each round is one
+generate → merge → commit → detect pass over its cells; a refined
+round's refs ride that round's batches like any other cell's.
 
 Every round lands as one :class:`RoundObservation`: the record a
 policy refines, the checkpoint stores, ``execute_spec`` returns and
@@ -118,9 +116,9 @@ class RoundObservation:
     #: cells are configuration-independent, so this rides inside the
     #: determinism contract rather than alongside it.
     quarantine: "QuarantineReport | None" = None
-    #: Pipeline stage label that owned this round (``None`` without a
-    #: pipeline) — part of the schedule, so part of the contract;
-    #: :func:`~repro.ptest.spec.execute_spec` stamps it.
+    #: Label of the :class:`PipelineStage` that owned this round
+    #: (``None`` without a pipeline) — part of the schedule, so part of
+    #: the contract; :meth:`AdaptiveCampaign.run` sets it.
     stage: str | None = None
     #: The variants this round ran, in row order.
     variants: dict[str, Variant] = field(default_factory=dict, compare=False)
@@ -442,6 +440,160 @@ POLICIES: dict[str, type] = {
 }
 
 
+@dataclass(frozen=True)
+class PipelineStage:
+    """One stage of a :class:`PolicyPipeline`.
+
+    ``policy`` steers the rounds this stage owns; ``rounds`` caps how
+    many it owns.  Every stage but the last needs a cap, or later
+    stages never run; the final stage may run unbounded under the
+    campaign's own ``rounds`` budget.  ``name`` labels the stage's
+    rounds (defaults to the policy class name).
+    """
+
+    policy: RefinePolicy
+    rounds: int | None = None
+    name: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.policy, RefinePolicy):
+            raise ConfigError(
+                f"PipelineStage.policy needs a refine(observation) "
+                f"method; got {type(self.policy).__name__}"
+            )
+        if self.rounds is not None and self.rounds < 1:
+            raise ConfigError(
+                f"PipelineStage rounds must be >= 1, got {self.rounds}"
+            )
+
+    @property
+    def label(self) -> str:
+        """Log/CLI display name of this stage."""
+        return self.name or type(self.policy).__name__
+
+    def describe(self) -> str:
+        bound = f":{self.rounds}" if self.rounds is not None else ""
+        return f"{self.label}{bound}"
+
+
+@dataclass(frozen=True)
+class PolicyPipeline:
+    """A composed schedule: :class:`PipelineStage` policies in order.
+
+    A value with no run state; :meth:`AdaptiveCampaign.run` steps
+    through it.  A stage owns rounds until its round cap, or until its
+    policy returns no variants.  Later stages then refine that same
+    observation, and the first to return variants owns the next round,
+    so a zoom stage's final detections seed a replay stage directly and
+    a stage with nothing to do is skipped.  When no stage is left the
+    campaign stops.  Zoom for three rounds, then replay for two::
+
+        pipeline = PolicyPipeline(
+            (
+                PipelineStage(GridZoom(), rounds=3),
+                PipelineStage(ReplayFocus(ops=("cyclic",)), rounds=2),
+            )
+        )
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1, 2), rounds=pipeline.total_rounds(), policy=pipeline
+        )
+
+    :func:`parse_pipeline` builds one from the CLI's compact
+    ``"grid_zoom:3,replay:2"`` spelling (``repro adapt --pipeline``).
+    """
+
+    stages: tuple[PipelineStage, ...]
+
+    def __post_init__(self) -> None:
+        stages = tuple(self.stages)
+        object.__setattr__(self, "stages", stages)
+        if not stages:
+            raise ConfigError("PolicyPipeline needs at least one stage")
+        for position, stage in enumerate(stages):
+            if not isinstance(stage, PipelineStage):
+                raise ConfigError(
+                    f"PolicyPipeline stages must be PipelineStage values, "
+                    f"got {type(stage).__name__} at position {position}"
+                )
+            if position < len(stages) - 1 and stage.rounds is None:
+                raise ConfigError(
+                    f"stage {stage.describe()!r} (position {position}) has "
+                    "no rounds cap; every stage before the last needs one, "
+                    "or later stages never run"
+                )
+
+    def total_rounds(self) -> int | None:
+        """Executed rounds a full schedule needs: the sum of the stage
+        round caps, or ``None`` when any stage is unbounded.  Feed it
+        to ``AdaptiveCampaign(rounds=...)`` so the campaign budget and
+        the schedule agree."""
+        total = 0
+        for stage in self.stages:
+            if stage.rounds is None:
+                return None
+            total += stage.rounds
+        return total
+
+    def describe(self) -> str:
+        return " -> ".join(stage.describe() for stage in self.stages)
+
+
+def parse_pipeline(
+    spec: str,
+    policy_kwargs: Mapping[str, Mapping[str, Any]] | None = None,
+) -> PolicyPipeline:
+    """Build a pipeline from the CLI spelling ``"name:rounds,..."``.
+
+    Each comma-separated entry is ``policy:rounds`` with ``policy`` a
+    :data:`POLICIES` key; ``:rounds`` may be omitted on the final entry
+    only (that stage then runs unbounded under the campaign's
+    ``rounds`` budget).  ``policy_kwargs`` maps policy names to
+    constructor keyword arguments (a spec routes ``max_sources`` to
+    ``replay`` stages this way).  Unknown policy names raise
+    :class:`~repro.errors.ConfigError` listing the registry, same as
+    ``repro adapt --policy``.
+    """
+    entries = [entry.strip() for entry in spec.split(",") if entry.strip()]
+    if not entries:
+        raise ConfigError(
+            f"empty pipeline spec {spec!r}; expected "
+            '"policy:rounds,..." e.g. "grid_zoom:3,replay:2"'
+        )
+    stages = []
+    for position, entry in enumerate(entries):
+        name, sep, rounds_text = entry.partition(":")
+        name = name.strip()
+        factory = POLICIES.get(name)
+        if factory is None:
+            raise ConfigError(
+                f"unknown pipeline policy {name!r}; "
+                f"known policies: {', '.join(sorted(POLICIES))}"
+            )
+        rounds: int | None = None
+        if sep:
+            try:
+                rounds = int(rounds_text)
+            except ValueError:
+                raise ConfigError(
+                    f"pipeline stage {entry!r}: rounds must be an "
+                    f"integer, got {rounds_text!r}"
+                ) from None
+            if rounds < 1:
+                raise ConfigError(
+                    f"pipeline stage {entry!r}: rounds must be >= 1"
+                )
+        elif position != len(entries) - 1:
+            raise ConfigError(
+                f"pipeline stage {entry!r} has no round count; only the "
+                "final stage may omit :rounds"
+            )
+        kwargs = dict((policy_kwargs or {}).get(name, {}))
+        stages.append(
+            PipelineStage(policy=factory(**kwargs), rounds=rounds, name=name)
+        )
+    return PolicyPipeline(stages)
+
+
 @dataclass
 class AdaptiveResult:
     """Everything an adaptive run produced, round by round."""
@@ -519,7 +671,9 @@ class AdaptiveCampaign:
     (or :meth:`add_variant` with a
     :class:`~repro.workloads.registry.ScenarioRef` or
     :class:`~repro.ptest.replay.ReplayRef`), pick a
-    :class:`RefinePolicy`, and :meth:`run`.  ``seeds`` is normalised to
+    :class:`RefinePolicy` or a :class:`PolicyPipeline`, and :meth:`run`.
+    A bare policy is one unlabelled stage with no round cap, so its
+    rounds keep ``stage=None``.  ``seeds`` is normalised to
     a tuple at construction, so a generator feeds every round.  Every
     round runs on ``executor``, a
     :class:`~repro.ptest.executor.CellExecutor` holding the fabric
@@ -542,17 +696,17 @@ class AdaptiveCampaign:
     campaign's round-by-round progress (atomically, after every
     executed round).  With ``resume=True`` a matching checkpoint's
     completed rounds are *replayed* from disk — each stored
-    observation runs back through ``policy.refine``, rebuilding
-    policy/pipeline state exactly as the original rounds did, without
-    executing a single cell — and execution continues at the first
-    uncovered round, bit-identical to a never-interrupted run.  The
-    round budget is not part of the checkpoint identity, so raising
-    ``rounds`` and resuming extends a finished study.
+    observation steps through the schedule exactly as the original
+    round did, which rebuilds the stage position and the next round's
+    variants without executing a single cell — and execution continues
+    at the first uncovered round, bit-identical to a never-interrupted
+    run.  The round budget is not part of the checkpoint identity, so
+    raising ``rounds`` and resuming extends a finished study.
     """
 
     seeds: Iterable[int] = (0, 1, 2, 3, 4)
     rounds: int = 1
-    policy: RefinePolicy | None = None
+    policy: RefinePolicy | PolicyPipeline | None = None
     variants: dict[str, Variant] = field(default_factory=dict)
     #: The fabric every round's cells run on.  With ``quarantine=True``
     #: each round's :class:`~repro.ptest.executor.QuarantineReport`
@@ -637,24 +791,34 @@ class AdaptiveCampaign:
                 self.seeds, self.variants, policy, self.capture_per_variant
             )
         # Completed rounds replay from disk: every stored observation
-        # goes back through ``policy.refine`` exactly as the live round
-        # did, so policy/pipeline state and the next round's variants
-        # are rebuilt without executing a cell.  Policies are pure
-        # functions of their observations (the determinism contract),
-        # which is why no policy state needs persisting.
+        # steps through the schedule exactly as the live round did, so
+        # the stage position and the next round's variants are rebuilt
+        # without executing a cell.  Policies are pure functions of
+        # their observations (the determinism contract), which is why
+        # no schedule state needs persisting.
         stored: list[RoundObservation] = []
         if self.resume and store is not None and store.exists():
             stored = store.load(fingerprint)["observations"]
+        # The schedule as (policy, round cap, label) stages; a bare
+        # policy is one unlabelled stage with no cap.
+        if isinstance(policy, PolicyPipeline):
+            stages = [(s.policy, s.rounds, s.label) for s in policy.stages]
+        else:
+            stages = [(policy, None, None)]
+        stage = owned = 0  # the stage owning this round; rounds it ran
         current: dict[str, Variant] = dict(self.variants)
         observations: list[RoundObservation] = []
         stopped_early = False
         resumed_rounds = 0
         for index in range(self.rounds):
+            stage_policy, cap, label = stages[stage]
             executed = index >= len(stored)
             if executed:
-                observation = self._run_round(index, current, executor, sink)
+                observation = self._run_round(
+                    index, current, executor, sink, label
+                )
             else:
-                observation = stored[index]
+                observation = replace(stored[index], stage=label)
                 resumed_rounds += 1
             observations.append(observation)
             if self.on_round is not None:
@@ -672,7 +836,16 @@ class AdaptiveCampaign:
                 )
             if final:
                 break
-            refined = policy.refine(observation)
+            owned += 1
+            refined = None
+            if cap is None or owned < cap:
+                refined = stage_policy.refine(observation)
+            # The stage ended at its cap or converged: later stages
+            # refine the same observation, the first with variants
+            # takes over, and none left stops the campaign.
+            while not refined and stage + 1 < len(stages):
+                stage, owned = stage + 1, 0
+                refined = stages[stage][0].refine(observation)
             if not refined:
                 stopped_early = True
                 if executed and store is not None:
@@ -696,6 +869,7 @@ class AdaptiveCampaign:
         variants: dict[str, Variant],
         executor: CellExecutor,
         sink: ResultSink | None,
+        stage: str | None,
     ) -> RoundObservation:
         """Execute one round's cells and observe them."""
         accumulators = {name: _RowAccumulator(variant=name) for name in variants}
@@ -712,6 +886,7 @@ class AdaptiveCampaign:
                 sample for name in variants for sample in capture.for_variant(name)
             ),
             quarantine=executor.last_quarantine,
+            stage=stage,
             variants=dict(variants),
             pool_id=executor.last_pool_id,
         )

@@ -6,7 +6,7 @@ determinism contract in :mod:`repro.ptest.adaptive`).  That makes the
 round boundary a natural checkpoint: persist each
 :class:`~repro.ptest.adaptive.RoundObservation` as it completes and a
 killed campaign can *resume* — completed rounds replay from disk
-through the refine policy (rebuilding policy/pipeline state without
+through the refine schedule (rebuilding the stage position without
 re-executing a single cell) and execution picks up at the first round
 the checkpoint does not cover, producing results bit-identical to an
 uninterrupted run.
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.errors import CheckpointError
 
 if TYPE_CHECKING:
-    from repro.ptest.adaptive import RefinePolicy, RoundObservation
+    from repro.ptest.adaptive import PolicyPipeline, RefinePolicy, RoundObservation
     from repro.ptest.pool import Variant
 
 #: Bumped whenever the payload layout changes; a mismatch on load is a
@@ -48,15 +48,16 @@ if TYPE_CHECKING:
 CHECKPOINT_VERSION = 1
 
 
-def _policy_signature(policy: "RefinePolicy") -> str:
+def _policy_signature(policy: "RefinePolicy | PolicyPipeline") -> str:
     """A stable textual identity for ``policy``.
 
-    Built-in policies are dataclasses whose reprs are deterministic;
-    :class:`~repro.ptest.pipeline.PolicyPipeline` is not, but exposes
-    ``describe()`` ("grid_zoom:3 -> replay:2"), which is.  Custom
-    policies should provide one or the other — an identity that drifts
-    between runs merely makes resume refuse with a fingerprint
-    mismatch, it can never corrupt results.
+    Built-in policies are dataclasses whose reprs are deterministic.  A
+    :class:`~repro.ptest.adaptive.PolicyPipeline` signs with its
+    ``describe()`` ("grid_zoom:3 -> replay:2"), the identity its
+    checkpoints have always carried.  Custom policies should provide
+    one or the other — an identity that drifts between runs merely
+    makes resume refuse with a fingerprint mismatch, it can never
+    corrupt results.
     """
     describe = getattr(policy, "describe", None)
     if callable(describe):
@@ -67,7 +68,7 @@ def _policy_signature(policy: "RefinePolicy") -> str:
 def campaign_fingerprint(
     seeds: Iterable[int],
     variants: Mapping[str, "Variant"],
-    policy: "RefinePolicy",
+    policy: "RefinePolicy | PolicyPipeline",
     capture_per_variant: int,
 ) -> str:
     """Digest of the campaign identity a checkpoint belongs to.

@@ -47,7 +47,10 @@ from repro.ptest.adaptive import (
     POLICIES,
     AdaptiveCampaign,
     AdaptiveResult,
+    PolicyPipeline,
+    RefinePolicy,
     RoundObservation,
+    parse_pipeline,
 )
 from repro.ptest.campaign import CampaignRow, DetectionSample, check_grid, grid_variants
 from repro.ptest.executor import (
@@ -57,7 +60,6 @@ from repro.ptest.executor import (
     ResultSink,
     check_fabric,
 )
-from repro.ptest.pipeline import parse_pipeline
 from repro.workloads.registry import ScenarioRef
 
 MODES = ("campaign", "adapt")
@@ -248,27 +250,9 @@ class CampaignSpec:
                     f"unknown policy {self.policy!r}; "
                     f"known policies: {', '.join(sorted(POLICIES))}"
                 )
-            if self.pipeline is not None:
-                # Parsing validates stage names/bounds; an unbounded
-                # final stage needs the explicit rounds cap now, not
-                # after round 1 has already run.
-                pipeline = self._parse_pipeline()
-                if pipeline.total_rounds() is None and self.rounds is None:
-                    raise ConfigError(
-                        f"pipeline {self.pipeline!r} has an unbounded "
-                        "final stage; give rounds= to cap the campaign "
-                        "(CLI: --rounds)"
-                    )
-
-    def _parse_pipeline(self):
-        replay_kwargs = (
-            {"max_sources": self.max_sources}
-            if self.max_sources is not None
-            else {}
-        )
-        return parse_pipeline(
-            self.pipeline, policy_kwargs={"replay": replay_kwargs}
-        )
+            # Builds the schedule once to check it: policy and stage
+            # names, stage bounds, and a cap for an unbounded pipeline.
+            _resolve_schedule(self)
 
     # -- serialization -----------------------------------------------
 
@@ -389,27 +373,36 @@ def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
     return grid_variants(spec.scenario, spec.scenario, grid, **dict(spec.params))
 
 
-def _resolve_schedule(spec: CampaignSpec):
-    """The spec's refine policy, pipeline, round budget and display
-    string.  A campaign spec is one round, which no policy refines."""
+def _resolve_schedule(
+    spec: CampaignSpec,
+) -> tuple[RefinePolicy | PolicyPipeline | None, int | None, str]:
+    """The spec's refine policy or pipeline, round budget and display
+    string; ``max_sources`` reaches every replay policy here.  A
+    campaign spec is one round, which no policy refines."""
     if spec.mode == "campaign":
-        return None, None, None, ""
-    if spec.pipeline is not None:
-        pipeline = spec._parse_pipeline()
-        rounds = spec.rounds
-        if rounds is None:
-            rounds = pipeline.total_rounds()
-        return pipeline, pipeline, rounds, f"pipeline={pipeline.describe()}"
-    policy_name = spec.policy if spec.policy is not None else "grid_zoom"
+        return None, None, ""
     replay_kwargs = (
         {"max_sources": spec.max_sources}
         if spec.max_sources is not None
         else {}
     )
+    if spec.pipeline is not None:
+        pipeline = parse_pipeline(
+            spec.pipeline, policy_kwargs={"replay": replay_kwargs}
+        )
+        rounds = spec.rounds if spec.rounds is not None else pipeline.total_rounds()
+        if rounds is None:
+            # validate() raises this, before any round has run.
+            raise ConfigError(
+                f"pipeline {spec.pipeline!r} has an unbounded final "
+                "stage; give rounds= to cap the campaign (CLI: --rounds)"
+            )
+        return pipeline, rounds, f"pipeline={pipeline.describe()}"
+    policy_name = spec.policy if spec.policy is not None else "grid_zoom"
     policy_kwargs = replay_kwargs if policy_name == "replay" else {}
     policy = POLICIES[policy_name](**policy_kwargs)
     rounds = spec.rounds if spec.rounds is not None else 3
-    return policy, None, rounds, f"policy={policy_name}"
+    return policy, rounds, f"policy={policy_name}"
 
 
 def execute_spec(
@@ -427,30 +420,15 @@ def execute_spec(
     receives every ``(cell, result)`` pair in submission order — the
     streaming hook the server bridges over the socket.  ``on_round``
     fires once per completed round with its
-    :class:`~repro.ptest.adaptive.RoundObservation`, ``stage`` stamped
-    (a campaign is one round), enabling incremental round delivery
-    without waiting for the whole schedule.
+    :class:`~repro.ptest.adaptive.RoundObservation` (a campaign is one
+    round), enabling incremental round delivery without waiting for
+    the whole schedule.
 
     Pool lifetime is the caller's: shared pools stay warm across calls
     (that is the point of the server), so one-shot callers such as the
     CLI close theirs afterwards.
     """
-    policy, pipeline, rounds, schedule = _resolve_schedule(spec)
-    stamped: list[RoundObservation] = []
-
-    def observe(observation: RoundObservation) -> None:
-        # Called the moment each observation lands (executed *and*
-        # checkpoint-replayed), before the policy refines it — so
-        # ``pipeline.current_stage`` is still the stage that owned the
-        # round, exactly what ``stage_log`` will record.
-        if pipeline is not None and pipeline.current_stage is not None:
-            observation = replace(
-                observation, stage=pipeline.current_stage.label
-            )
-        stamped.append(observation)
-        if on_round is not None:
-            on_round(observation)
-
+    policy, rounds, schedule = _resolve_schedule(spec)
     executor = CellExecutor(
         workers=spec.workers,
         batch_size=spec.batch_size,
@@ -466,10 +444,10 @@ def execute_spec(
         capture_per_variant=spec.capture_per_variant,
         checkpoint=spec.checkpoint,
         resume=spec.resume,
-        on_round=observe,
+        on_round=on_round,
     ).run(sink=sink)
     return SpecOutcome(
-        rounds=tuple(stamped),
+        rounds=result.rounds,
         stopped_early=result.stopped_early,
         resumed_rounds=result.resumed_rounds,
         spec=spec,

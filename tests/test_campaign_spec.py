@@ -560,6 +560,24 @@ def test_cli_spec_subcommand_surface(command, tmp_path, capsys):
     assert json.loads(dump.read_text()) == expected
 
 
+def test_cli_adapt_spec_carries_only_the_flags_given(tmp_path, capsys):
+    """An unset --max-sources stays out of the spec (a replay policy
+    keeps its own default), so the dumped spec equals the one built by
+    hand from the same settings."""
+    from repro.cli import main
+
+    dump = tmp_path / "s.json"
+    argv = "adapt philosophers -g ordered=false,true --seeds 2 --dump-spec"
+    assert main([*argv.split(), str(dump)]) == 0
+    capsys.readouterr()
+    assert CampaignSpec.from_json(dump.read_text()) == CampaignSpec(
+        scenario="philosophers",
+        mode="adapt",
+        grid=(("ordered", ("false", "true")),),
+        seeds=(0, 1),
+    )
+
+
 @pytest.mark.parametrize("command", ["adapt", "campaign", "submit"])
 def test_cli_run_mode_spec_file_is_config_error(command, tmp_path, capsys):
     """No flag makes a mode-"run" spec, and no subcommand takes one

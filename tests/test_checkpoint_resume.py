@@ -11,6 +11,7 @@ run.  Tampered, mismatched or torn checkpoints are refused with
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.ptest.adaptive import (
     GridZoom,
     Repeat,
     SuccessiveHalving,
+    parse_pipeline,
 )
 from repro.ptest.checkpoint import (
     CHECKPOINT_VERSION,
@@ -27,7 +29,6 @@ from repro.ptest.checkpoint import (
     campaign_fingerprint,
 )
 from repro.ptest.executor import CellExecutor
-from repro.ptest.pipeline import parse_pipeline
 from repro.ptest.pool import run_table_batch, shutdown_pools
 from repro.ptest.replay import replay_ref
 from repro.workloads.registry import scenario_ref
@@ -114,6 +115,18 @@ class TestFingerprint:
         two = parse_pipeline("grid_zoom:2,replay:1")
         first = campaign_fingerprint((0,), {}, one, 4)
         assert first == campaign_fingerprint((0,), {}, two, 4)
+
+    def test_pipeline_fingerprint_is_pinned(self):
+        # Checkpoints written by earlier builds must keep resuming.
+        assert (
+            campaign_fingerprint(
+                (0, 1),
+                {"phil": scenario_ref("philosophers", count=2)},
+                parse_pipeline("grid_zoom:2,replay:1"),
+                4,
+            )
+            == "a3d08bc47cc14a7116bed813"
+        )
 
 
 #: ``scenario_ref("philosophers", op="cyclic")`` and a replay ref over
@@ -256,8 +269,8 @@ class TestResumeBitIdentity:
             assert "resumed: 1 round(s) replayed" in resumed.describe()
 
     def test_resume_rebuilds_pipeline_stage_state(self, tmp_path):
-        # PolicyPipeline keeps cross-round schedule state; replay must
-        # reconstruct it so the handoff round refines identically.
+        # The engine's stage position lives in the run; replay must
+        # rebuild it so the handoff round refines identically.
         path = tmp_path / "pipeline.ckpt"
         straight = _campaign(parse_pipeline("grid_zoom:2,replay:1"), grid=True).run()
         _campaign(
@@ -274,6 +287,29 @@ class TestResumeBitIdentity:
         ).run()
         assert resumed.resumed_rounds == 2
         assert _result_signature(resumed) == _result_signature(straight)
+
+    def test_pipeline_checkpoint_without_stages_resumes(self, tmp_path):
+        # Earlier builds stored every round with stage=None; resume
+        # labels replayed rounds from the schedule, as a straight run
+        # labels executed ones.
+        pipeline = parse_pipeline("grid_zoom:2,replay:1")
+        straight = _campaign(pipeline, grid=True).run()
+        path = tmp_path / "pipeline.ckpt"
+        _campaign(pipeline, rounds=2, grid=True, checkpoint=path).run()
+        payload = pickle.loads(path.read_bytes())
+        payload["observations"] = [
+            replace(observation, stage=None)
+            for observation in payload["observations"]
+        ]
+        path.write_bytes(pickle.dumps(payload))
+        resumed = _campaign(
+            pipeline, grid=True, checkpoint=path, resume=True
+        ).run()
+        assert resumed.resumed_rounds == 2
+        assert [r.stage for r in resumed.rounds] == [
+            "grid_zoom", "grid_zoom", "replay",
+        ]
+        assert resumed.rounds == straight.rounds
 
     def test_finished_run_resumes_as_pure_replay(self, tmp_path):
         path = tmp_path / "done.ckpt"

@@ -4,6 +4,7 @@ that breaks them must fail CI."""
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,9 +60,12 @@ def test_adaptive_sweep():
 def test_pipeline_sweep():
     output = run_example("pipeline_sweep.py")
     assert "pipeline sweep: zoom:2 -> replay:2" in output
-    # Stage 1 zooms the grid, stage 2 re-drives recorded deadlocks.
-    assert "stage=zoom" in output
-    assert "stage=replay" in output
+    # Stage 1 zooms the grid, stage 2 re-drives recorded deadlocks;
+    # every round names its stage, the final one included.
+    stages = re.findall(r"^round (\d) \(pool_id=\d+, stage=(\w+)\)", output, re.M)
+    assert stages == [
+        ("1", "zoom"), ("2", "zoom"), ("3", "replay"), ("4", "replay")
+    ]
     assert "replay[phil[" in output
     assert "pool stable across the composed schedule: True" in output
 

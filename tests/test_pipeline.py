@@ -1,15 +1,16 @@
 """Tests for composed refinement pipelines.
 
-Covers :mod:`repro.ptest.pipeline` (stage scheduling, stop conditions,
-spec parsing, CLI integration), including the acceptance matrix: a
-``GridZoom -> ReplayFocus`` pipeline yields bit-identical
-round-by-round variants, rows and detections at any ``(workers,
-batch_size, warm/cold)`` configuration, with one pool spawn across the
-whole composed schedule.
+Covers :class:`~repro.ptest.adaptive.PolicyPipeline` (construction,
+the engine's stage scheduling, spec parsing, CLI integration),
+including the acceptance matrix: a ``GridZoom -> ReplayFocus``
+pipeline yields bit-identical round-by-round variants, rows,
+detections and stages at any ``(workers, batch_size, warm/cold)``
+configuration, with one pool spawn across the whole composed schedule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
@@ -18,21 +19,16 @@ from repro.errors import ConfigError
 from repro.ptest.adaptive import (
     AdaptiveCampaign,
     GridZoom,
+    PipelineStage,
+    PolicyPipeline,
     Repeat,
     ReplayFocus,
-    RoundObservation,
-)
-from repro.ptest.campaign import CampaignRow, DetectionSample
-from repro.ptest.executor import CellExecutor
-from repro.ptest.pipeline import (
-    PipelineStage,
-    Plateau,
-    PolicyPipeline,
-    Until,
     parse_pipeline,
 )
+from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import WorkerPool, shutdown_pools
 from repro.ptest.replay import ReplayRef
+from repro.ptest.spec import CampaignSpec, execute_spec
 from repro.workloads.registry import scenario_ref
 
 
@@ -42,63 +38,6 @@ def _deterministic_pool_teardown():
     shutdown_pools()
     yield
     shutdown_pools()
-
-
-# -- observation builders -------------------------------------------------------
-
-
-def make_row(variant: str, runs: int, detections: int) -> CampaignRow:
-    return CampaignRow(
-        variant=variant,
-        runs=runs,
-        detections=detections,
-        kinds=("deadlock",) if detections else (),
-        mean_ticks_to_detection=200.0 if detections else 0.0,
-        mean_commands=9.0,
-    )
-
-
-#: A parseable, re-mergeable interleaving of 2 philosopher-style pairs.
-SAMPLE_DESCRIPTION = (
-    "TC[p0#1] TC[p1#1] TS[p0#2] TS[p1#2] TR[p0#3] TR[p1#3]"
-)
-
-
-def make_observation(
-    variants: dict[str, object],
-    hits: dict[str, int] | None = None,
-    runs: int = 4,
-    index: int = 0,
-) -> RoundObservation:
-    hits = hits or {}
-    rows = tuple(
-        make_row(name, runs, hits.get(name, 0)) for name in variants
-    )
-    detections = tuple(
-        DetectionSample(
-            variant=name,
-            seed=seed,
-            kind="deadlock",
-            merged_op="cyclic",
-            merged_description=SAMPLE_DESCRIPTION,
-        )
-        for name in variants
-        for seed in range(hits.get(name, 0))
-    )
-    return RoundObservation(
-        index=index,
-        variants=dict(variants),
-        rows=rows,
-        detections=detections,
-        pool_id=None,
-    )
-
-
-def spin_observation(index: int = 0, detections: int = 0) -> RoundObservation:
-    variants = {"spin": scenario_ref("clean_spin", total_steps=40)}
-    return make_observation(
-        variants, {"spin": detections}, index=index
-    )
 
 
 @dataclass
@@ -120,47 +59,6 @@ class _EmitTag:
         }
 
 
-# -- stop conditions ------------------------------------------------------------
-
-
-class TestUntil:
-    def test_predicate_sees_latest_observation(self):
-        until = Until(lambda obs: obs.total_detections >= 3)
-        history = (spin_observation(0, 1), spin_observation(1, 3))
-        assert not until.met(history[:1])
-        assert until.met(history)
-
-    def test_non_callable_predicate_rejected(self):
-        with pytest.raises(ConfigError, match="callable"):
-            Until(predicate="nope")
-
-
-class TestPlateau:
-    def history(self, *totals: int):
-        return tuple(
-            spin_observation(index, detections)
-            for index, detections in enumerate(totals)
-        )
-
-    def test_needs_a_baseline_round_first(self):
-        assert not Plateau(rounds=2).met(self.history(5))
-        assert not Plateau(rounds=2).met(self.history(5, 5))
-
-    def test_met_when_no_recent_improvement(self):
-        plateau = Plateau(rounds=2)
-        assert plateau.met(self.history(5, 5, 4))
-        assert plateau.met(self.history(2, 5, 5, 5))
-
-    def test_not_met_while_still_improving(self):
-        plateau = Plateau(rounds=2)
-        assert not plateau.met(self.history(2, 3, 4))
-        assert not plateau.met(self.history(5, 4, 6))
-
-    def test_rounds_validated(self):
-        with pytest.raises(ConfigError, match=">= 1"):
-            Plateau(rounds=0)
-
-
 # -- stages and pipeline construction -------------------------------------------
 
 
@@ -169,13 +67,13 @@ class TestPipelineStage:
         with pytest.raises(ConfigError, match="refine"):
             PipelineStage(policy=object())
 
+    def test_a_pipeline_is_not_a_stage_policy(self):
+        with pytest.raises(ConfigError, match="refine"):
+            PipelineStage(policy=parse_pipeline("repeat:1"))
+
     def test_rounds_validated(self):
         with pytest.raises(ConfigError, match=">= 1"):
             PipelineStage(policy=Repeat(), rounds=0)
-
-    def test_until_must_be_a_condition(self):
-        with pytest.raises(ConfigError, match="met"):
-            PipelineStage(policy=Repeat(), until=object())
 
     def test_label_and_describe(self):
         stage = PipelineStage(policy=GridZoom(), rounds=3)
@@ -222,14 +120,32 @@ class TestPolicyPipelineConstruction:
         assert pipeline.total_rounds() == 5
         assert pipeline.describe() == "zoom:3 -> replay:2"
 
+    def test_a_pipeline_is_a_value_without_run_state(self):
+        pipeline = parse_pipeline("grid_zoom:2,replay:1")
+        assert not hasattr(pipeline, "refine")
+        assert [f.name for f in dataclasses.fields(pipeline)] == ["stages"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pipeline.stages = ()
+        assert pipeline == parse_pipeline("grid_zoom:2,replay:1")
 
-# -- scheduling semantics (driven by hand) --------------------------------------
+
+# -- scheduling semantics (engine runs over stub policies) ----------------------
+
+
+def run_schedule(policy, rounds: int):
+    """Run ``policy`` over one cheap seed; returns each round's variant
+    names and stage, and whether the schedule stopped early."""
+    campaign = AdaptiveCampaign(seeds=(0,), rounds=rounds, policy=policy)
+    campaign.add_scenario("spin", "clean_spin", total_steps=40)
+    result = campaign.run()
+    return (
+        [list(names) for names in result.variant_history()],
+        [observation.stage for observation in result.rounds],
+        result.stopped_early,
+    )
 
 
 class TestPipelineScheduling:
-    def tags(self, refined):
-        return list(refined) if refined else None
-
     def test_rounds_bound_hands_over_to_next_stage(self):
         pipeline = PolicyPipeline(
             (
@@ -237,44 +153,15 @@ class TestPipelineScheduling:
                 PipelineStage(_EmitTag("b"), rounds=2, name="B"),
             )
         )
-        assert self.tags(pipeline.refine(spin_observation(0))) == ["a1"]
-        # Stage A's budget (2 consumed rounds) trips here: stage B
-        # refines the same observation and owns the next round.
-        assert self.tags(pipeline.refine(spin_observation(1))) == ["b2"]
-        assert self.tags(pipeline.refine(spin_observation(2))) == ["b3"]
-        # B's budget trips, no stage remains: the campaign stops.
-        assert pipeline.refine(spin_observation(3)) is None
-        assert pipeline.current_stage is None
-        assert pipeline.stage_log == [(0, "A"), (1, "A"), (2, "B"), (3, "B")]
-
-    def test_until_condition_hands_over_early(self):
-        pipeline = PolicyPipeline(
-            (
-                PipelineStage(
-                    _EmitTag("a"),
-                    rounds=10,
-                    until=Until(lambda obs: obs.total_detections >= 4),
-                    name="A",
-                ),
-                PipelineStage(_EmitTag("b"), rounds=2, name="B"),
-            )
+        # Stage A's budget (2 rounds) trips after round 2: stage B
+        # refines the same observation and owns the next round.  After
+        # B's two rounds no stage remains: the campaign stops inside
+        # its 5-round budget.
+        assert run_schedule(pipeline, rounds=5) == (
+            [["spin"], ["a1"], ["b2"], ["b3"]],
+            ["A", "A", "B", "B"],
+            True,
         )
-        assert self.tags(pipeline.refine(spin_observation(0, 1))) == ["a1"]
-        assert self.tags(pipeline.refine(spin_observation(1, 4))) == ["b2"]
-
-    def test_plateau_condition_hands_over(self):
-        pipeline = PolicyPipeline(
-            (
-                PipelineStage(
-                    _EmitTag("a"), until=Plateau(rounds=1), name="A"
-                ),
-                PipelineStage(_EmitTag("b"), rounds=2, name="B"),
-            )
-        )
-        assert self.tags(pipeline.refine(spin_observation(0, 2))) == ["a1"]
-        assert self.tags(pipeline.refine(spin_observation(1, 3))) == ["a2"]
-        # No improvement over the stage's best: plateau, B takes over.
-        assert self.tags(pipeline.refine(spin_observation(2, 3))) == ["b3"]
 
     def test_converged_policy_hands_over_before_its_budget(self):
         pipeline = PolicyPipeline(
@@ -283,10 +170,13 @@ class TestPipelineScheduling:
                 PipelineStage(_EmitTag("b"), rounds=2, name="B"),
             )
         )
-        assert self.tags(pipeline.refine(spin_observation(0))) == ["a1"]
         # A's policy returns None at index 1 — B refines the same
         # observation rather than the campaign stopping.
-        assert self.tags(pipeline.refine(spin_observation(1))) == ["b2"]
+        assert run_schedule(pipeline, rounds=4) == (
+            [["spin"], ["a1"], ["b2"], ["b3"]],
+            ["A", "A", "B", "B"],
+            False,
+        )
 
     def test_stage_with_nothing_to_do_is_skipped(self):
         pipeline = PolicyPipeline(
@@ -296,9 +186,13 @@ class TestPipelineScheduling:
                 PipelineStage(_EmitTag("c"), rounds=2, name="C"),
             )
         )
-        # A's budget trips immediately; B has nothing to emit for this
-        # observation, so C takes over in the same refine call.
-        assert self.tags(pipeline.refine(spin_observation(0))) == ["c1"]
+        # A's budget trips after round 1; B has nothing to emit for
+        # that observation, so C takes over in the same step.
+        assert run_schedule(pipeline, rounds=5) == (
+            [["spin"], ["c1"], ["c2"]],
+            ["A", "C", "C"],
+            True,
+        )
 
     def test_every_stage_empty_stops_campaign(self):
         pipeline = PolicyPipeline(
@@ -307,33 +201,27 @@ class TestPipelineScheduling:
                 PipelineStage(_EmitTag("b", stop_at=0), rounds=2, name="B"),
             )
         )
-        assert pipeline.refine(spin_observation(0)) is None
+        assert run_schedule(pipeline, rounds=3) == ([["spin"]], ["A"], True)
 
-    def test_round_zero_observation_resets_the_schedule(self):
+    def test_one_pipeline_drives_consecutive_runs(self):
+        # The schedule position lives in the run, not the pipeline: one
+        # pipeline value drives consecutive runs identically.
         pipeline = PolicyPipeline(
             (
                 PipelineStage(_EmitTag("a"), rounds=2, name="A"),
                 PipelineStage(_EmitTag("b"), rounds=2, name="B"),
             )
         )
+        first = run_schedule(pipeline, rounds=5)
+        assert run_schedule(pipeline, rounds=5) == first
+        assert first[1] == ["A", "A", "B", "B"]
 
-        def drive():
-            emitted = [
-                self.tags(pipeline.refine(spin_observation(index)))
-                for index in range(4)
-            ]
-            return emitted
-
-        first = drive()
-        second = drive()  # same instance, next campaign run
-        assert first == second == [["a1"], ["b2"], ["b3"], None]
-
-    def test_exhausted_pipeline_stays_stopped_mid_sequence(self):
-        pipeline = PolicyPipeline(
-            (PipelineStage(_EmitTag("a"), rounds=1, name="A"),)
+    def test_bare_policy_rounds_carry_no_stage(self):
+        assert run_schedule(_EmitTag("a", stop_at=2), rounds=4) == (
+            [["spin"], ["a1"], ["a2"]],
+            [None, None, None],
+            True,
         )
-        assert pipeline.refine(spin_observation(0)) is None
-        assert pipeline.refine(spin_observation(1)) is None
 
 
 # -- spec parsing ---------------------------------------------------------------
@@ -405,6 +293,7 @@ def fingerprint(result):
         [dict(r.variants) for r in result.rounds],
         [r.rows for r in result.rounds],
         [r.detections for r in result.rounds],
+        [r.stage for r in result.rounds],
         result.stopped_early,
     )
 
@@ -425,19 +314,30 @@ class TestComposedPipelineThroughEngine:
         )
         assert all(row.rate == 1.0 for row in result.final_rows)
 
-    def test_stage_log_matches_round_ownership(self):
-        pipeline = zoom_then_replay()
-        campaign = AdaptiveCampaign(
-            seeds=(0, 1), rounds=4, policy=pipeline
-        )
-        campaign.add_grid("phil", "philosophers", {"chunk": [1, 2]})
-        campaign.run()
-        assert pipeline.stage_log == [
-            (0, "zoom"), (1, "zoom"), (2, "replay"),
+    def test_round_stages_match_round_ownership(self):
+        result = pipeline_campaign(workers=1).run()
+        assert [r.stage for r in result.rounds] == [
+            "zoom", "zoom", "replay", "replay",
         ]
 
+    def test_hand_built_campaign_equals_execute_spec(self):
+        spec = CampaignSpec(
+            scenario="philosophers",
+            mode="adapt",
+            seeds=(0, 1),
+            grid=(("chunk", ("1", "2")),),
+            pipeline="grid_zoom:1,repeat:1",
+        )
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1), rounds=2, policy=parse_pipeline("grid_zoom:1,repeat:1")
+        )
+        campaign.add_grid("philosophers", "philosophers", {"chunk": ["1", "2"]})
+        built = campaign.run()
+        assert [r.stage for r in built.rounds] == ["grid_zoom", "repeat"]
+        assert built.rounds == execute_spec(spec).rounds
 
-class TestPipelinePrewarmDeterminismMatrix:
+
+class TestPipelineDeterminismMatrix:
     """GridZoom -> ReplayFocus composed rounds are bit-identical at any
     (workers, batch_size, warm/cold), with one pool spawn per composed
     schedule."""
