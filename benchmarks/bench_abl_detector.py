@@ -1,5 +1,5 @@
-"""A4 — ablation: detector thresholds (the design choice DESIGN.md
-calls out).
+"""A4 — ablation: detector thresholds (the starvation monitor's
+hand-set progress window).
 
 The starvation monitor's ``progress_window`` trades detection latency
 against false positives: too small and ordinary priority waits are

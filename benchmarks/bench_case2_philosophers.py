@@ -1,7 +1,7 @@
 """E6 — Test case 2: the dining-philosophers deadlock.
 
 Regenerates the paper's second fault-discovery study and extends it
-into the merge-op ablation DESIGN.md calls for: detection rate and
+into a merge-op ablation: detection rate and
 time-to-detection per merge policy on the buggy (cyclic-acquisition)
 workload, with the ordered-acquisition control staying clean under
 every policy.  The benchmark times one cyclic-op deadlock discovery.

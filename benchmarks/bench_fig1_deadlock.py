@@ -44,7 +44,7 @@ def test_fig1_orders(benchmark, emit):
         + f"{'yes' if {'d', 'e', 'i', 'j'} <= bad.unreachable else 'NO'}"
         + "\n(modelling note: under strict priority scheduling the wedge"
         + "\nmanifests as S2 spinning and S1 starving — a livelock, which"
-        + "\nthe detector reports as starvation; see DESIGN.md)"
+        + "\nthe detector reports as starvation)"
     )
     emit("E4_fig1_deadlock", text)
 

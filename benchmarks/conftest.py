@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark/experiment harness.
 
-Every bench regenerates one of the paper's tables or figures (see
-DESIGN.md's experiment index) and both prints the rows and writes them
-under ``benchmarks/out/`` so EXPERIMENTS.md can quote them.
+Every bench regenerates one of the paper's tables or figures and both
+prints the rows and writes them under ``benchmarks/out/``, one text
+file per experiment id.
 """
 
 from __future__ import annotations

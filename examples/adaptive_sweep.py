@@ -8,7 +8,9 @@ highest-detection cell: the clean ``ordered=True`` half is pinned away
 after round 1 and the ``hold_steps`` window halves every round, so by
 round 3 every seed in the budget runs inside the deadlocking region.
 All rounds dispatch through one warm worker pool (watch ``pool_id``
-stay constant — round 2+ never pays pool spawn).
+stay constant — round 2+ never pays pool spawn).  The bare policy runs
+as a one-stage schedule, so every round names its stage,
+``grid_zoom``.
 
 Run:  python examples/adaptive_sweep.py
 """
@@ -48,7 +50,7 @@ def main() -> None:
     for observation in result.rounds:
         print(
             f"\nround {observation.index + 1} "
-            f"(pool_id={observation.pool_id}): "
+            f"(pool_id={observation.pool_id}, stage={observation.stage}): "
             f"{len(observation.rows)} variant(s), "
             f"{observation.total_detections} detection(s)"
         )

@@ -1,19 +1,23 @@
 #!/usr/bin/env python
-"""Zoom-then-replay: a composed refinement pipeline on one warm pool.
+"""Zoom-then-replay: a composed refinement schedule on one warm pool.
 
+The schedule is one text, ``grid_zoom:2,replay(max_sources=1):2`` —
+the value ``repro adapt --schedule`` and a spec's ``schedule`` carry.
 Stage 1 (``grid_zoom``, 2 rounds) sweeps the dining philosophers over a
 2 x 3 grid — buggy cyclic acquisition vs the ordered control, across
 three fork-hold durations — and narrows toward the highest-detection
-cell.  Stage 2 (``replay``, 2 rounds) then takes the zoomed-in round's
-recorded deadlock interleavings, re-merges them, and re-drives them as
-merged-pattern replay cells across every seed.
+cell.  Stage 2 (``replay``, 2 rounds) then takes the latest round's
+first recorded deadlock interleaving, re-merges it under each of its
+merge ops, and re-drives the results as merged-pattern replay cells
+across every seed.
 
-The adaptive engine steps through the :class:`PolicyPipeline` itself,
-so the warm worker pool and the determinism contract are exactly those
-of a single-policy adaptive campaign, and each round names the stage
-that owned it.  Each refined round's new refs (the zoomed grid, then
-the replay cells) reach the workers with that round's batches.  Watch
-``pool_id`` stay constant: the whole schedule runs on one pool spawn.
+The adaptive engine steps through the :class:`PolicyPipeline` the text
+parses to, so the warm worker pool and the determinism contract are
+exactly those of a single-policy adaptive campaign, and each round
+names the stage that owned it.  Each refined round's new refs (the
+zoomed grid, then the replay cells) reach the workers with that
+round's batches.  Watch ``pool_id`` stay constant: the whole schedule
+runs on one pool spawn.
 
 Run:  python examples/pipeline_sweep.py
 """
@@ -25,30 +29,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.ptest.adaptive import (
-    AdaptiveCampaign,
-    GridZoom,
-    PipelineStage,
-    PolicyPipeline,
-    ReplayFocus,
-)
+from repro.ptest.adaptive import AdaptiveCampaign, parse_pipeline
 from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import shutdown_pools
 
 SEEDS = (0, 1, 2)
+SCHEDULE = "grid_zoom:2,replay(max_sources=1):2"
 
 
 def main() -> None:
-    pipeline = PolicyPipeline(
-        (
-            PipelineStage(GridZoom(), rounds=2, name="zoom"),
-            PipelineStage(
-                ReplayFocus(ops=("cyclic",), max_sources=2),
-                rounds=2,
-                name="replay",
-            ),
-        )
-    )
+    pipeline = parse_pipeline(SCHEDULE)
     campaign = AdaptiveCampaign(
         seeds=SEEDS,
         rounds=pipeline.total_rounds(),
@@ -61,7 +51,7 @@ def main() -> None:
         {"ordered": [False, True], "hold_steps": [15, 30, 60]},
     )
     print(
-        f"pipeline sweep: {pipeline.describe()} x {len(SEEDS)} seeds "
+        f"schedule sweep: {pipeline.describe()} x {len(SEEDS)} seeds "
         f"({pipeline.total_rounds()} rounds max)"
     )
     result = campaign.run()

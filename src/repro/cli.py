@@ -11,8 +11,9 @@ Python:
                    process-pool executor; each row shows the verdict
                    its scenario expects at that grid point
 ``adapt``          multi-round adaptive campaign: rounds run on one
-                   warm worker pool and a refine policy (grid_zoom,
-                   halving, replay, repeat) steers each next round's
+                   warm worker pool and a refine schedule
+                   (``--schedule``, stages of grid_zoom, halving,
+                   replay and repeat) steers each next round's
                    variants from the previous round's detections
 ``serve``          long-running campaign server: many concurrent
                    requests multiplexed onto shared warm pools over a
@@ -224,10 +225,8 @@ def _build_spec(args: argparse.Namespace, mode: str | None):
     if mode == "adapt":
         return CampaignSpec(
             **common,
-            policy=args.policy,
-            pipeline=args.pipeline,
+            schedule=args.schedule,
             rounds=args.rounds,
-            max_sources=args.max_sources,
             checkpoint=getattr(args, "checkpoint", None),
             resume=getattr(args, "resume", False),
         )
@@ -288,7 +287,8 @@ def _print_adapt_outcome(spec, outcome) -> None:
 
     print(
         f"adaptive campaign: {spec.scenario} x {len(spec.seeds)} seed(s), "
-        f"{outcome.schedule}, {len(outcome.rounds)}/{outcome.rounds_budget} "
+        f"schedule={outcome.schedule}, "
+        f"{len(outcome.rounds)}/{outcome.rounds_budget} "
         f"round(s), workers={spec.workers}"
         + (" [stopped early]" if outcome.stopped_early else "")
         + (
@@ -301,11 +301,10 @@ def _print_adapt_outcome(spec, outcome) -> None:
         pool_note = (
             f" pool_id={round_.pool_id}" if round_.pool_id is not None else ""
         )
-        stage_note = f" stage={round_.stage}" if round_.stage is not None else ""
         print(
             f"-- round {round_.index + 1}: "
-            f"{round_.total_detections} detection(s)"
-            f"{stage_note}{pool_note}"
+            f"{round_.total_detections} detection(s) stage={round_.stage}"
+            f"{pool_note}"
         )
         print(render_campaign(list(round_.rows)))
         _print_quarantine(round_.quarantine)
@@ -342,9 +341,10 @@ def _execute_locally(args: argparse.Namespace, mode: str) -> int:
         if _dump_spec(args, spec):
             return 0
     except (ReproError, ValueError) as error:
-        # Contradictory knobs, malformed --param/--grid, an unknown
-        # policy, an unreadable --spec file or unwritable --dump-spec
-        # path — config problems, caught before any pool exists.
+        # Contradictory knobs, malformed --param/--grid, a malformed
+        # --schedule, an unreadable --spec file or unwritable
+        # --dump-spec path — config problems, caught before any pool
+        # exists.
         print(error)
         return 2
     try:
@@ -477,13 +477,6 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
     return 0 if result.terminated else 1
 
 
-def _policy_choices() -> tuple[str, ...]:
-    """Adapt-policy names, straight from the registry (one source)."""
-    from repro.ptest.adaptive import POLICIES
-
-    return tuple(sorted(POLICIES))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -606,35 +599,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--rounds",
         type=int,
         default=None,
-        help="maximum refinement rounds (policy may stop earlier; "
-        "default 3, or the pipeline's own total when --pipeline is "
-        "given)",
+        help="maximum refinement rounds (the schedule may stop earlier; "
+        "default: the sum of the stage round counts when every stage "
+        "has one, else 3)",
     )
     adapt_p.add_argument(
-        "--policy",
-        choices=_policy_choices(),
+        "--schedule",
+        metavar="TEXT",
         default=None,
-        help="refine policy steering each next round (default grid_zoom: "
-        "narrow the grid around the highest-detection cell; halving: "
-        "drop the bottom half of variants; replay: re-merge detecting "
-        "interleavings into replay cells; repeat: rerun unchanged)",
-    )
-    adapt_p.add_argument(
-        "--pipeline",
-        metavar="NAME:ROUNDS,...",
-        default=None,
-        help='composed policy schedule, e.g. "grid_zoom:3,replay:2" — '
-        "run each stage's policy for its round count, handing the "
-        "latest round's detections to the next stage (mutually "
-        "exclusive with --policy; only the final stage may omit "
-        ":rounds, capped by --rounds)",
-    )
-    adapt_p.add_argument(
-        "--max-sources",
-        type=int,
-        default=None,
-        help="detections seeding each replay round (replay policy or "
-        "replay stages only; default 2)",
+        help="refine schedule steering each next round: stages joined "
+        'by commas, each name[(max_sources=N)][:rounds], e.g. '
+        '"grid_zoom:2,replay(max_sources=3):1" (default grid_zoom).  '
+        "A stage runs its policy for its round count, or until it has "
+        "nothing to refine, then hands the latest round to the next; "
+        "only the final stage may omit :rounds.  grid_zoom narrows the "
+        "grid around the highest-detection cell; halving drops the "
+        "bottom half of variants; replay re-merges detecting "
+        "interleavings into replay cells (max_sources: detections "
+        "seeding each round, default 2); repeat reruns unchanged",
     )
     adapt_p.add_argument(
         "--checkpoint",

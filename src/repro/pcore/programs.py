@@ -4,7 +4,7 @@ A task program is a Python generator function taking a
 :class:`TaskContext` and yielding :class:`Syscall` values.  The kernel
 resumes the generator for one syscall at a time, so *every* interleaving
 of task progress is an explicit scheduling decision — the substitution
-this reproduction makes for real hardware nondeterminism (see DESIGN.md).
+this reproduction makes for real hardware nondeterminism.
 
 Example::
 

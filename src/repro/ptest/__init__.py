@@ -28,7 +28,8 @@ the simulated OMAP platform:
   halving, merged-pattern replay focus) feeding detection results back
   into the next round's scenario refs.  A ``PolicyPipeline`` stages
   existing policies (zoom for N rounds, then replay), and the engine
-  steps through it on the same warm pool.
+  steps through it on the same warm pool; its text form is a spec's
+  ``schedule``.
 * :mod:`repro.ptest.spec` — the frozen, JSON-serializable
   ``CampaignSpec`` request schema and ``execute_spec``, the single
   execution entry point shared by the CLI subcommands, ``repro serve``

@@ -34,18 +34,21 @@ Built-in policies:
     Re-emits the same variants every round — the stability/benchmark
     baseline (rounds differ only in warm-up state, never in results).
 
-Policies compose into staged schedules (zoom for three rounds, then
-replay) as a :class:`PolicyPipeline`: a value listing
-:class:`PipelineStage` policies and their round caps, which
-:meth:`AdaptiveCampaign.run` steps through itself.  Each round is one
-generate → merge → commit → detect pass over its cells; a refined
-round's refs ride that round's batches like any other cell's.
+A schedule is one value, a :class:`PolicyPipeline`: the
+:class:`PipelineStage` policies in order with their round caps (zoom
+for three rounds, then replay), which :meth:`AdaptiveCampaign.run`
+steps through itself; a bare policy is a one-stage pipeline.  Its text
+form, ``grid_zoom:3,replay(max_sources=1):2``, is what a spec and
+``repro adapt --schedule`` carry (:func:`parse_pipeline`,
+:meth:`PolicyPipeline.describe`).  Each round is one generate → merge →
+commit → detect pass over its cells; a refined round's refs ride that
+round's batches like any other cell's.
 
 Every round lands as one :class:`RoundObservation`: the record a
 policy refines, the checkpoint stores, ``execute_spec`` returns and
 ``repro serve`` ships as a ``round`` frame.
 
-**Determinism contract.**  For a fixed seed set and policy, the
+**Determinism contract.**  For a fixed seed set and schedule, the
 round-by-round variant sets and every round's rows are bit-identical at
 any ``(workers, batch_size, warm/cold)`` execution configuration:
 campaign rows already are, detection samples are captured in submission
@@ -56,6 +59,7 @@ from the policy seed and round/sample indices alone).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -117,27 +121,15 @@ class RoundObservation:
     #: determinism contract rather than alongside it.
     quarantine: "QuarantineReport | None" = None
     #: Label of the :class:`PipelineStage` that owned this round
-    #: (``None`` without a pipeline) — part of the schedule, so part of
-    #: the contract; :meth:`AdaptiveCampaign.run` sets it.
+    #: (``None`` only for a one-round campaign without a schedule) —
+    #: part of the schedule, so part of the contract;
+    #: :meth:`AdaptiveCampaign.run` sets it.
     stage: str | None = None
     #: The variants this round ran, in row order.
     variants: dict[str, Variant] = field(default_factory=dict, compare=False)
     #: ``WorkerPool.pool_id`` the round dispatched through (``None`` for
     #: serial rounds) — constant across rounds certifies warm reuse.
     pool_id: int | None = field(default=None, compare=False)
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # Checkpoints written before the round record was one type
-        # stored detections per variant and no stage.
-        detections = state["detections"]
-        if isinstance(detections, dict):
-            state["detections"] = tuple(
-                sample
-                for row in state["rows"]
-                for sample in detections.get(row.variant, ())
-            )
-        state.setdefault("stage", None)
-        self.__dict__.update(state)
 
     @property
     def total_detections(self) -> int:
@@ -431,13 +423,26 @@ class Repeat:
         return dict(observation.variants)
 
 
-#: CLI/script-friendly registry of the built-in policy constructors.
+#: The built-in policy constructors, by the name a schedule text uses.
 POLICIES: dict[str, type] = {
     "grid_zoom": GridZoom,
     "halving": SuccessiveHalving,
     "replay": ReplayFocus,
     "repeat": Repeat,
 }
+
+#: The one argument a schedule text can set, per :data:`POLICIES` key;
+#: every other argument keeps its default there.
+_TEXT_ARGUMENT: dict[str, str] = {"replay": "max_sources"}
+
+
+def _policy_key(policy: RefinePolicy) -> str:
+    """The :data:`POLICIES` key of ``policy``'s type, or its class name
+    for a custom policy."""
+    for key, factory in POLICIES.items():
+        if type(policy) is factory:
+            return key
+    return type(policy).__name__
 
 
 @dataclass(frozen=True)
@@ -448,7 +453,8 @@ class PipelineStage:
     many it owns.  Every stage but the last needs a cap, or later
     stages never run; the final stage may run unbounded under the
     campaign's own ``rounds`` budget.  ``name`` labels the stage's
-    rounds (defaults to the policy class name).
+    rounds (defaults to the policy's :data:`POLICIES` key, or its class
+    name for a custom policy).
     """
 
     policy: RefinePolicy
@@ -468,17 +474,26 @@ class PipelineStage:
 
     @property
     def label(self) -> str:
-        """Log/CLI display name of this stage."""
-        return self.name or type(self.policy).__name__
+        """The ``stage`` every round this stage owns carries."""
+        return self.name or _policy_key(self.policy)
 
     def describe(self) -> str:
-        bound = f":{self.rounds}" if self.rounds is not None else ""
-        return f"{self.label}{bound}"
+        """This stage in the schedule text,
+        ``name[(max_sources=N)][:rounds]``; an argument at its default
+        is left out."""
+        text = _policy_key(self.policy)
+        argument = _TEXT_ARGUMENT.get(text)
+        if argument is not None:
+            value = getattr(self.policy, argument)
+            # A dataclass keeps each field's default as a class attribute.
+            if value != getattr(type(self.policy), argument):
+                text += f"({argument}={value})"
+        return text + (f":{self.rounds}" if self.rounds is not None else "")
 
 
 @dataclass(frozen=True)
 class PolicyPipeline:
-    """A composed schedule: :class:`PipelineStage` policies in order.
+    """A schedule: :class:`PipelineStage` policies in order.
 
     A value with no run state; :meth:`AdaptiveCampaign.run` steps
     through it.  A stage owns rounds until its round cap, or until its
@@ -498,8 +513,10 @@ class PolicyPipeline:
             seeds=(0, 1, 2), rounds=pipeline.total_rounds(), policy=pipeline
         )
 
-    :func:`parse_pipeline` builds one from the CLI's compact
-    ``"grid_zoom:3,replay:2"`` spelling (``repro adapt --pipeline``).
+    :func:`parse_pipeline` builds one from its text form,
+    ``"grid_zoom:3,replay:2"``, which a spec and ``repro adapt
+    --schedule`` carry and :meth:`describe` prints.  Its ``repr`` holds
+    every argument of every stage, so a checkpoint signs it whole.
     """
 
     stages: tuple[PipelineStage, ...]
@@ -524,9 +541,7 @@ class PolicyPipeline:
 
     def total_rounds(self) -> int | None:
         """Executed rounds a full schedule needs: the sum of the stage
-        round caps, or ``None`` when any stage is unbounded.  Feed it
-        to ``AdaptiveCampaign(rounds=...)`` so the campaign budget and
-        the schedule agree."""
+        round caps, or ``None`` when any stage is unbounded."""
         total = 0
         for stage in self.stages:
             if stage.rounds is None:
@@ -535,62 +550,81 @@ class PolicyPipeline:
         return total
 
     def describe(self) -> str:
-        return " -> ".join(stage.describe() for stage in self.stages)
+        """The schedule text :func:`parse_pipeline` reads back.  It
+        names policies, not stage labels, and carries only the
+        arguments the text can set."""
+        return ",".join(stage.describe() for stage in self.stages)
 
 
-def parse_pipeline(
-    spec: str,
-    policy_kwargs: Mapping[str, Mapping[str, Any]] | None = None,
-) -> PolicyPipeline:
-    """Build a pipeline from the CLI spelling ``"name:rounds,..."``.
+#: One stage of a schedule text: ``name[(argument=value)][:rounds]``.
+#: No two adjacent parts can match the same character, so a malformed
+#: stage from a served request fails in linear time; ``int`` strips
+#: the whitespace ``value`` and ``rounds`` keep.
+_STAGE_TEXT = re.compile(
+    r"(?P<name>\w+)\s*"
+    r"(?:\(\s*(?P<argument>\w+)\s*=(?P<value>[^()]*)\)\s*)?"
+    r"(?::(?P<rounds>.*))?"
+)
 
-    Each comma-separated entry is ``policy:rounds`` with ``policy`` a
-    :data:`POLICIES` key; ``:rounds`` may be omitted on the final entry
-    only (that stage then runs unbounded under the campaign's
-    ``rounds`` budget).  ``policy_kwargs`` maps policy names to
-    constructor keyword arguments (a spec routes ``max_sources`` to
-    ``replay`` stages this way).  Unknown policy names raise
-    :class:`~repro.errors.ConfigError` listing the registry, same as
-    ``repro adapt --policy``.
+
+def _stage_count(entry: str, what: str, text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(
+            f"schedule stage {entry!r}: {what} must be an integer >= 1, "
+            f"got {text!r}"
+        )
+    return count
+
+
+def parse_pipeline(text: str) -> PolicyPipeline:
+    """Build a pipeline from its schedule text.
+
+    The text is stages joined by commas, each
+    ``name[(max_sources=N)][:rounds]`` with ``name`` a :data:`POLICIES`
+    key, e.g. ``"grid_zoom:2,replay(max_sources=3):1"``.  ``:rounds``
+    may be omitted on the final stage only (it then runs under the
+    campaign's ``rounds`` budget); ``max_sources`` on ``replay`` is the
+    one argument the text can set.  Any other spelling raises
+    :class:`~repro.errors.ConfigError`; an unknown name lists the
+    registry.
     """
-    entries = [entry.strip() for entry in spec.split(",") if entry.strip()]
+    entries = [entry.strip() for entry in text.split(",") if entry.strip()]
     if not entries:
         raise ConfigError(
-            f"empty pipeline spec {spec!r}; expected "
-            '"policy:rounds,..." e.g. "grid_zoom:3,replay:2"'
+            f"empty schedule {text!r}; expected stages such as "
+            '"grid_zoom:3,replay(max_sources=1):2"'
         )
     stages = []
-    for position, entry in enumerate(entries):
-        name, sep, rounds_text = entry.partition(":")
-        name = name.strip()
+    for entry in entries:
+        match = _STAGE_TEXT.fullmatch(entry)
+        if match is None:
+            raise ConfigError(
+                f"schedule stage {entry!r} is not "
+                "name[(max_sources=N)][:rounds]"
+            )
+        name, argument, value, rounds = match.group(
+            "name", "argument", "value", "rounds"
+        )
         factory = POLICIES.get(name)
         if factory is None:
             raise ConfigError(
-                f"unknown pipeline policy {name!r}; "
+                f"unknown policy {name!r} in schedule stage {entry!r}; "
                 f"known policies: {', '.join(sorted(POLICIES))}"
             )
-        rounds: int | None = None
-        if sep:
-            try:
-                rounds = int(rounds_text)
-            except ValueError:
+        kwargs = {}
+        if argument is not None:
+            if argument != _TEXT_ARGUMENT.get(name):
                 raise ConfigError(
-                    f"pipeline stage {entry!r}: rounds must be an "
-                    f"integer, got {rounds_text!r}"
-                ) from None
-            if rounds < 1:
-                raise ConfigError(
-                    f"pipeline stage {entry!r}: rounds must be >= 1"
+                    f"schedule stage {entry!r}: the schedule text sets "
+                    "only max_sources, and only on replay"
                 )
-        elif position != len(entries) - 1:
-            raise ConfigError(
-                f"pipeline stage {entry!r} has no round count; only the "
-                "final stage may omit :rounds"
-            )
-        kwargs = dict((policy_kwargs or {}).get(name, {}))
-        stages.append(
-            PipelineStage(policy=factory(**kwargs), rounds=rounds, name=name)
-        )
+            kwargs[argument] = _stage_count(entry, argument, value)
+        cap = None if rounds is None else _stage_count(entry, "rounds", rounds)
+        stages.append(PipelineStage(factory(**kwargs), rounds=cap))
     return PolicyPipeline(stages)
 
 
@@ -671,10 +705,12 @@ class AdaptiveCampaign:
     (or :meth:`add_variant` with a
     :class:`~repro.workloads.registry.ScenarioRef` or
     :class:`~repro.ptest.replay.ReplayRef`), pick a
-    :class:`RefinePolicy` or a :class:`PolicyPipeline`, and :meth:`run`.
-    A bare policy is one unlabelled stage with no round cap, so its
-    rounds keep ``stage=None``.  ``seeds`` is normalised to
-    a tuple at construction, so a generator feeds every round.  Every
+    :class:`PolicyPipeline` or a bare :class:`RefinePolicy`, and
+    :meth:`run`.  Construction wraps a bare policy into a one-stage
+    pipeline with no round cap, so ``policy`` holds a pipeline or
+    ``None``, and every round carries its stage's label.  ``seeds`` is
+    normalised to a tuple at construction, so a generator feeds every
+    round.  Every
     round runs on ``executor``, a
     :class:`~repro.ptest.executor.CellExecutor` holding the fabric
     settings (``workers``, ``batch_size``, ``pool``, ``cell_timeout``,
@@ -685,10 +721,11 @@ class AdaptiveCampaign:
     :class:`~repro.ptest.pool.WorkerPool`, so rounds 2+ reuse warm
     worker processes (``AdaptiveResult.pool_stable`` certifies it).
 
-    ``rounds`` caps the round count; the policy may stop earlier by
+    ``rounds`` caps the round count; the schedule may stop earlier by
     returning no variants.  ``policy`` is needed only when ``rounds >
     1``: the final round is never refined, so the default ``rounds=1``
-    with no policy is one plain sweep (how a campaign spec runs).
+    with no policy is one plain sweep (how a campaign spec runs), and
+    its round's ``stage`` is ``None``.
     Results are identical at any ``(workers, batch_size, warm/cold)`` —
     see the module docstring's contract.
 
@@ -706,7 +743,9 @@ class AdaptiveCampaign:
 
     seeds: Iterable[int] = (0, 1, 2, 3, 4)
     rounds: int = 1
-    policy: RefinePolicy | PolicyPipeline | None = None
+    #: The schedule; a bare policy given here is wrapped into a
+    #: one-stage :class:`PolicyPipeline` at construction.
+    policy: PolicyPipeline | RefinePolicy | None = None
     variants: dict[str, Variant] = field(default_factory=dict)
     #: The fabric every round's cells run on.  With ``quarantine=True``
     #: each round's :class:`~repro.ptest.executor.QuarantineReport`
@@ -731,6 +770,10 @@ class AdaptiveCampaign:
 
     def __post_init__(self) -> None:
         self.seeds = tuple(self.seeds)
+        if self.policy is not None and not isinstance(
+            self.policy, PolicyPipeline
+        ):
+            self.policy = PolicyPipeline((PipelineStage(self.policy),))
 
     def add_variant(self, name: str, ref: Variant) -> None:
         """Register a round-1 variant under ``name``."""
@@ -768,8 +811,7 @@ class AdaptiveCampaign:
             raise ConfigError("adaptive campaign has no variants")
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        policy = self.policy
-        if policy is None and self.rounds > 1:
+        if self.policy is None and self.rounds > 1:
             raise ConfigError(
                 f"adaptive campaign needs a refine policy for rounds > 1 "
                 f"(built-ins: {sorted(POLICIES)})"
@@ -788,7 +830,7 @@ class AdaptiveCampaign:
         if self.checkpoint is not None:
             store = CampaignCheckpoint(self.checkpoint)
             fingerprint = campaign_fingerprint(
-                self.seeds, self.variants, policy, self.capture_per_variant
+                self.seeds, self.variants, self.policy, self.capture_per_variant
             )
         # Completed rounds replay from disk: every stored observation
         # steps through the schedule exactly as the live round did, so
@@ -799,26 +841,22 @@ class AdaptiveCampaign:
         stored: list[RoundObservation] = []
         if self.resume and store is not None and store.exists():
             stored = store.load(fingerprint)["observations"]
-        # The schedule as (policy, round cap, label) stages; a bare
-        # policy is one unlabelled stage with no cap.
-        if isinstance(policy, PolicyPipeline):
-            stages = [(s.policy, s.rounds, s.label) for s in policy.stages]
-        else:
-            stages = [(policy, None, None)]
+        # No schedule means one round, which nothing refines.
+        stages = self.policy.stages if self.policy is not None else ()
         stage = owned = 0  # the stage owning this round; rounds it ran
         current: dict[str, Variant] = dict(self.variants)
         observations: list[RoundObservation] = []
         stopped_early = False
         resumed_rounds = 0
         for index in range(self.rounds):
-            stage_policy, cap, label = stages[stage]
             executed = index >= len(stored)
             if executed:
+                label = stages[stage].label if stages else None
                 observation = self._run_round(
                     index, current, executor, sink, label
                 )
             else:
-                observation = replace(stored[index], stage=label)
+                observation = stored[index]
                 resumed_rounds += 1
             observations.append(observation)
             if self.on_round is not None:
@@ -837,15 +875,16 @@ class AdaptiveCampaign:
             if final:
                 break
             owned += 1
+            cap = stages[stage].rounds
             refined = None
             if cap is None or owned < cap:
-                refined = stage_policy.refine(observation)
+                refined = stages[stage].policy.refine(observation)
             # The stage ended at its cap or converged: later stages
             # refine the same observation, the first with variants
             # takes over, and none left stops the campaign.
             while not refined and stage + 1 < len(stages):
                 stage, owned = stage + 1, 0
-                refined = stages[stage][0].refine(observation)
+                refined = stages[stage].policy.refine(observation)
             if not refined:
                 stopped_early = True
                 if executed and store is not None:

@@ -20,10 +20,12 @@ Two properties do the heavy lifting:
   torn file.  (A stray ``*.tmp`` neighbour after a crash is dead weight,
   not state.)
 * **Fingerprinting.**  The payload embeds a digest of the campaign's
-  identity — seeds, initial variants, policy, capture limit — and
+  identity — seeds, initial variants, schedule, capture limit — and
   :meth:`CampaignCheckpoint.load` refuses (with
   :class:`~repro.errors.CheckpointError`) to hand observations from one
-  campaign to a differently-configured resume.  The round budget is
+  campaign to a differently-configured resume.  The schedule signs as
+  its :class:`~repro.ptest.adaptive.PolicyPipeline`'s ``repr``, which
+  holds every argument of every stage.  The round budget is
   deliberately *not* fingerprinted: extending ``rounds`` and resuming
   is the supported way to continue a finished study.
 """
@@ -40,35 +42,20 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.errors import CheckpointError
 
 if TYPE_CHECKING:
-    from repro.ptest.adaptive import PolicyPipeline, RefinePolicy, RoundObservation
+    from repro.ptest.adaptive import PolicyPipeline, RoundObservation
     from repro.ptest.pool import Variant
 
-#: Bumped whenever the payload layout changes; a mismatch on load is a
+#: Bumped whenever the payload layout or the fingerprint's rule
+#: changes; a mismatch on load is a
 #: :class:`~repro.errors.CheckpointError`, never a silent misread.
-CHECKPOINT_VERSION = 1
-
-
-def _policy_signature(policy: "RefinePolicy | PolicyPipeline") -> str:
-    """A stable textual identity for ``policy``.
-
-    Built-in policies are dataclasses whose reprs are deterministic.  A
-    :class:`~repro.ptest.adaptive.PolicyPipeline` signs with its
-    ``describe()`` ("grid_zoom:3 -> replay:2"), the identity its
-    checkpoints have always carried.  Custom policies should provide
-    one or the other — an identity that drifts between runs merely
-    makes resume refuse with a fingerprint mismatch, it can never
-    corrupt results.
-    """
-    describe = getattr(policy, "describe", None)
-    if callable(describe):
-        return f"{type(policy).__name__}({describe()})"
-    return repr(policy)
+#: Version 1 signed a pipeline without its stage policies' arguments.
+CHECKPOINT_VERSION = 2
 
 
 def campaign_fingerprint(
     seeds: Iterable[int],
     variants: Mapping[str, "Variant"],
-    policy: "RefinePolicy | PolicyPipeline",
+    pipeline: "PolicyPipeline | None",
     capture_per_variant: int,
 ) -> str:
     """Digest of the campaign identity a checkpoint belongs to.
@@ -77,13 +64,17 @@ def campaign_fingerprint(
     execution knobs (workers, batch size, warm/cold, chaos) are not —
     the determinism contract guarantees they cannot change results, so
     a campaign may legitimately resume under a different execution
-    configuration than it started with.
+    configuration than it started with.  The schedule signs as
+    ``repr(pipeline)``: built-in policies are dataclasses with
+    deterministic reprs.  A custom policy whose repr drifts between
+    runs merely makes resume refuse with a fingerprint mismatch; it can
+    never corrupt results.
     """
     description = repr(
         (
             tuple(seeds),
             tuple((name, repr(b)) for name, b in variants.items()),
-            _policy_signature(policy),
+            repr(pipeline),
             capture_per_variant,
         )
     )
@@ -102,14 +93,7 @@ class CampaignCheckpoint:
     the worker-pool wire format ships).  A ref whose parameter values
     cannot pickle cannot checkpoint, exactly as it cannot ride a pool
     batch; the save raises :class:`~repro.errors.CheckpointError`
-    naming the problem up front.  Older payloads resume unchanged:
-    other keys are ignored on load (checkpoints written while adaptive
-    campaigns still pre-warmed their pools carry that counter too),
-    refs pickled while they still carried a ``registry`` field (always
-    ``None`` for a campaign variant, and never part of equality or the
-    fingerprint) load as today's refs, and observations stored with
-    per-variant ``detections`` and no ``stage`` load as flat, row-order
-    samples with ``stage`` ``None``.
+    naming the problem up front.
     """
 
     def __init__(self, path: str | Path):
@@ -150,7 +134,7 @@ class CampaignCheckpoint:
         if payload.get("fingerprint") != expected_fingerprint:
             raise CheckpointError(
                 f"checkpoint {self.path} belongs to a different campaign "
-                "(seeds, initial variants, policy or capture limit "
+                "(seeds, initial variants, schedule or capture limit "
                 "changed); delete it to start fresh"
             )
         return payload

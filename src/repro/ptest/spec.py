@@ -2,8 +2,9 @@
 
 A spec is one frozen, validated value object holding every campaign
 knob — the fabric's ``workers``, ``batch_size``, ``cell_timeout`` and
-``quarantine``, ``checkpoint``/``resume``, policy/pipeline schedules —
-with an exact ``to_json``/``from_json`` round-trip, plus the single
+``quarantine``, ``checkpoint``/``resume``, the refine ``schedule`` and
+its ``rounds`` cap — with an exact ``to_json``/``from_json``
+round-trip, plus the single
 :func:`execute_spec` entry point that the CLI (``repro
 campaign|adapt``), the server (``repro serve``) and
 :class:`repro.client.Client` all dispatch through.  A spec has two
@@ -13,12 +14,13 @@ modes, and one engine runs both: every spec is an
 fabric fields, and a campaign is its one unrefined round.  (``repro
 run`` runs one cell, not a spec.)
 
-Validation lives in exactly one place — :meth:`CampaignSpec.validate`,
-run from ``__post_init__`` — so contradictory knob combinations
-(``resume`` without ``checkpoint``, a checkpoint on a plain campaign,
-``policy`` and ``pipeline`` together) are rejected with actionable
-messages before any pool is touched, identically whether the spec
-arrived from CLI flags, a ``--spec file.json``, or a socket.
+Validation runs once, at construction — :meth:`CampaignSpec.validate`,
+then the parse that stores the schedule text in canonical form — so
+contradictory knob combinations (``resume`` without ``checkpoint``, a
+schedule or checkpoint on a plain campaign, a malformed schedule text)
+are rejected with actionable messages before any pool is touched,
+identically whether the spec arrived from CLI flags, a ``--spec
+file.json``, or a socket.
 
 Spec files and server requests may still carry removed knobs, and
 load and run unchanged: ``batch_sampling`` and ``merge_batch`` must be
@@ -44,11 +46,8 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
 from repro.ptest.adaptive import (
-    POLICIES,
     AdaptiveCampaign,
     AdaptiveResult,
-    PolicyPipeline,
-    RefinePolicy,
     RoundObservation,
     parse_pipeline,
 )
@@ -68,14 +67,12 @@ MODES = ("campaign", "adapt")
 #: :meth:`CampaignSpec.validate` rejects them on a campaign spec so a
 #: checkpoint on a plain campaign fails loudly instead of silently
 #: never persisting anything.
-_ADAPT_ONLY = (
-    "policy",
-    "pipeline",
-    "rounds",
-    "checkpoint",
-    "resume",
-    "max_sources",
-)
+_ADAPT_ONLY = ("schedule", "rounds", "checkpoint", "resume")
+
+#: An adapt spec without a ``schedule`` zooms its grid.
+_DEFAULT_SCHEDULE = "grid_zoom"
+#: The round budget of a schedule with an uncapped stage.
+_DEFAULT_ROUNDS = 3
 
 
 def _check_type(name: str, value: Any, kinds: tuple[type, ...], hint: str) -> None:
@@ -98,8 +95,12 @@ class CampaignSpec:
     preserved — it fixes the cartesian-product variant naming).
     ``workers``, ``batch_size``, ``cell_timeout`` and ``quarantine``
     build the :class:`~repro.ptest.executor.CellExecutor` every round
-    runs on; everything else mirrors the knob of the same name on
-    :class:`~repro.ptest.adaptive.AdaptiveCampaign`.
+    runs on.  ``schedule`` is the refine schedule's text (see
+    :func:`~repro.ptest.adaptive.parse_pipeline`), stored in canonical
+    form; ``None`` means ``grid_zoom``.  ``rounds`` caps the rounds,
+    and defaults to the sum of the stage round counts when every stage
+    has one, else 3.  Everything else mirrors the knob of the same name
+    on :class:`~repro.ptest.adaptive.AdaptiveCampaign`.
 
     Instances validate on construction and are hashable; build
     variations with :func:`dataclasses.replace`.
@@ -119,10 +120,8 @@ class CampaignSpec:
     quarantine: bool = False
     capture_per_variant: int = 4
     # -- adapt-only schedule knobs ----------------------------------
-    policy: str | None = None
-    pipeline: str | None = None
+    schedule: str | None = None
     rounds: int | None = None
-    max_sources: int | None = None
     checkpoint: str | None = None
     resume: bool = False
 
@@ -148,6 +147,12 @@ class CampaignSpec:
                 _check_type(name, value, (bool,), "a boolean or null")
             object.__setattr__(self, name, None)
         self.validate()
+        if self.schedule is not None:
+            # Stored canonical, as params are: equal schedules give
+            # equal specs and equal JSON.
+            object.__setattr__(
+                self, "schedule", parse_pipeline(self.schedule).describe()
+            )
 
     # -- validation --------------------------------------------------
 
@@ -183,8 +188,7 @@ class CampaignSpec:
                 "a positive number of seconds",
             )
         for name, hint in (
-            ("policy", "a policy name"),
-            ("pipeline", "a pipeline string such as 'grid_zoom:2,replay:1'"),
+            ("schedule", "a schedule text such as 'grid_zoom:2,replay:1'"),
             ("checkpoint", "a file path"),
         ):
             if getattr(self, name) is not None:
@@ -218,41 +222,17 @@ class CampaignSpec:
                     "would never take effect"
                 )
         else:
-            if self.policy is not None and self.pipeline is not None:
-                raise ConfigError(
-                    "policy and pipeline are mutually exclusive; a "
-                    "pipeline is itself the policy schedule"
-                )
             if self.rounds is not None:
                 _check_type("rounds", self.rounds, (int,), "an integer >= 1")
                 if self.rounds < 1:
                     raise ConfigError(
                         f"rounds must be >= 1, got {self.rounds}"
                     )
-            if self.max_sources is not None:
-                _check_type(
-                    "max_sources",
-                    self.max_sources,
-                    (int,),
-                    "an integer >= 1",
-                )
-                if self.max_sources < 1:
-                    raise ConfigError(
-                        f"max_sources must be >= 1, got {self.max_sources}"
-                    )
             if self.resume and self.checkpoint is None:
                 raise ConfigError(
                     "resume=True needs a checkpoint path "
                     "(CLI: --resume needs --checkpoint PATH)"
                 )
-            if self.policy is not None and self.policy not in POLICIES:
-                raise ConfigError(
-                    f"unknown policy {self.policy!r}; "
-                    f"known policies: {', '.join(sorted(POLICIES))}"
-                )
-            # Builds the schedule once to check it: policy and stage
-            # names, stage bounds, and a cap for an unbounded pipeline.
-            _resolve_schedule(self)
 
     # -- serialization -----------------------------------------------
 
@@ -272,10 +252,8 @@ class CampaignSpec:
             "cell_timeout",
             "quarantine",
             "capture_per_variant",
-            "policy",
-            "pipeline",
+            "schedule",
             "rounds",
-            "max_sources",
             "checkpoint",
             "resume",
         ):
@@ -361,8 +339,8 @@ class SpecOutcome(AdaptiveResult):
     spec: CampaignSpec
     #: The resolved round budget (adapt mode; ``None`` otherwise).
     rounds_budget: int | None = None
-    #: Human-readable schedule, e.g. ``policy=grid_zoom`` or
-    #: ``pipeline=grid_zoom:3 -> replay:2``.
+    #: The schedule text that ran, e.g. ``grid_zoom`` or
+    #: ``grid_zoom:3,replay(max_sources=1):2`` (``""`` for a campaign).
     schedule: str = ""
 
 
@@ -371,38 +349,6 @@ def spec_variants(spec: CampaignSpec) -> dict[str, ScenarioRef]:
     one ref per grid point, or the bare scenario without a grid."""
     grid = {key: list(values) for key, values in spec.grid}
     return grid_variants(spec.scenario, spec.scenario, grid, **dict(spec.params))
-
-
-def _resolve_schedule(
-    spec: CampaignSpec,
-) -> tuple[RefinePolicy | PolicyPipeline | None, int | None, str]:
-    """The spec's refine policy or pipeline, round budget and display
-    string; ``max_sources`` reaches every replay policy here.  A
-    campaign spec is one round, which no policy refines."""
-    if spec.mode == "campaign":
-        return None, None, ""
-    replay_kwargs = (
-        {"max_sources": spec.max_sources}
-        if spec.max_sources is not None
-        else {}
-    )
-    if spec.pipeline is not None:
-        pipeline = parse_pipeline(
-            spec.pipeline, policy_kwargs={"replay": replay_kwargs}
-        )
-        rounds = spec.rounds if spec.rounds is not None else pipeline.total_rounds()
-        if rounds is None:
-            # validate() raises this, before any round has run.
-            raise ConfigError(
-                f"pipeline {spec.pipeline!r} has an unbounded final "
-                "stage; give rounds= to cap the campaign (CLI: --rounds)"
-            )
-        return pipeline, rounds, f"pipeline={pipeline.describe()}"
-    policy_name = spec.policy if spec.policy is not None else "grid_zoom"
-    policy_kwargs = replay_kwargs if policy_name == "replay" else {}
-    policy = POLICIES[policy_name](**policy_kwargs)
-    rounds = spec.rounds if spec.rounds is not None else 3
-    return policy, rounds, f"policy={policy_name}"
 
 
 def execute_spec(
@@ -428,7 +374,11 @@ def execute_spec(
     (that is the point of the server), so one-shot callers such as the
     CLI close theirs afterwards.
     """
-    policy, rounds, schedule = _resolve_schedule(spec)
+    # A campaign spec is one round, which no schedule refines.
+    pipeline = rounds = None
+    if spec.mode == "adapt":
+        pipeline = parse_pipeline(spec.schedule or _DEFAULT_SCHEDULE)
+        rounds = spec.rounds or pipeline.total_rounds() or _DEFAULT_ROUNDS
     executor = CellExecutor(
         workers=spec.workers,
         batch_size=spec.batch_size,
@@ -438,7 +388,7 @@ def execute_spec(
     result = AdaptiveCampaign(
         seeds=spec.seeds,
         rounds=1 if rounds is None else rounds,
-        policy=policy,
+        policy=pipeline,
         variants=spec_variants(spec),
         executor=executor,
         capture_per_variant=spec.capture_per_variant,
@@ -452,7 +402,7 @@ def execute_spec(
         resumed_rounds=result.resumed_rounds,
         spec=spec,
         rounds_budget=rounds,
-        schedule=schedule,
+        schedule=pipeline.describe() if pipeline is not None else "",
     )
 
 

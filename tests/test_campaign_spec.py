@@ -58,15 +58,14 @@ ROUND_TRIP_SPECS = [
     CampaignSpec(
         scenario="clean_spin",
         mode="adapt",
-        policy="grid_zoom",
+        schedule="grid_zoom",
         rounds=4,
         seeds=(0, 1),
     ),
     CampaignSpec(
         scenario="philosophers",
         mode="adapt",
-        pipeline="grid_zoom:2,replay:1",
-        max_sources=3,
+        schedule="grid_zoom:2,replay(max_sources=3):1",
         checkpoint="/tmp/ck.json",
         resume=True,
         seeds=(5, 6),
@@ -129,7 +128,45 @@ def test_with_seeds():
     assert spec.with_seeds(3).seeds == (0, 1, 2)
 
 
-def test_round_result_wire_codec_round_trips():
+def test_schedule_is_stored_canonical():
+    """Equal schedules give equal specs and equal JSON, as fixed params
+    do, and the canonical text round-trips through spec JSON."""
+    spellings = (
+        "grid_zoom:2,replay(max_sources=3):1",
+        " grid_zoom : 2 ,, replay ( max_sources = 3 ) : 1 ",
+    )
+    specs = [
+        CampaignSpec(scenario="philosophers", mode="adapt", schedule=text)
+        for text in spellings
+    ]
+    assert specs[0] == specs[1] and specs[0].to_json() == specs[1].to_json()
+    assert specs[0].schedule == spellings[0]
+    assert CampaignSpec.from_json(specs[1].to_json()) == specs[0]
+    # A replay argument at its default is left out.
+    default = CampaignSpec(
+        scenario="philosophers", mode="adapt", schedule="replay(max_sources=2)"
+    )
+    assert default.schedule == "replay"
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("policy", "replay"),
+        ("pipeline", "grid_zoom:2,replay:1"),
+        ("max_sources", 3),
+    ],
+)
+def test_removed_schedule_fields_name_the_schedule(field, value):
+    """Spec JSON with a schedule field that left the spec is one config
+    error whose message lists ``schedule`` among the known fields."""
+    payload = {"scenario": "philosophers", "mode": "adapt", field: value}
+    message = rf"field\(s\) \['{field}'\]; known fields: .*\bschedule\b"
+    with pytest.raises(ConfigError, match=message):
+        CampaignSpec.from_json(json.dumps(payload))
+
+
+def test_round_wire_codec_round_trips():
     spec = CampaignSpec(
         scenario="philosophers",
         params=(("count", "2"),),
@@ -171,7 +208,7 @@ def test_round_result_wire_codec_round_trips():
             {"scenario": "x", "mode": "run", "seeds": (0,)},
             "mode must be one of campaign, adapt",
         ),
-        ({"scenario": "x", "policy": "repeat"}, "policy only apply"),
+        ({"scenario": "x", "schedule": "repeat"}, "schedule only apply"),
         ({"scenario": "x", "resume": True}, "resume only apply"),
         (
             {"scenario": "x", "mode": "campaign", "rounds": 3},
@@ -182,17 +219,12 @@ def test_round_result_wire_codec_round_trips():
             "never take effect",
         ),
         (
-            {
-                "scenario": "x",
-                "mode": "adapt",
-                "policy": "grid_zoom",
-                "pipeline": "replay",
-            },
-            "mutually exclusive",
+            {"scenario": "x", "mode": "adapt", "schedule": "halving(max_sources=3)"},
+            "only max_sources",
         ),
         ({"scenario": "x", "mode": "adapt", "rounds": 0}, "rounds must be"),
         (
-            {"scenario": "x", "mode": "adapt", "max_sources": 0},
+            {"scenario": "x", "mode": "adapt", "schedule": "replay(max_sources=0)"},
             "max_sources must be",
         ),
         (
@@ -200,15 +232,18 @@ def test_round_result_wire_codec_round_trips():
             "needs a checkpoint",
         ),
         (
-            {"scenario": "x", "mode": "adapt", "policy": "nope"},
+            {"scenario": "x", "mode": "adapt", "schedule": "nope"},
             "unknown policy",
         ),
         (
-            {"scenario": "x", "mode": "adapt", "pipeline": "grid_zoom"},
-            "unbounded",
+            {"scenario": "x", "mode": "adapt", "schedule": "grid_zoom,replay:2"},
+            "before the last",
         ),
-        ({"scenario": "x", "mode": "adapt", "pipeline": 5}, "pipeline must be"),
-        ({"scenario": "x", "mode": "adapt", "policy": [1]}, "policy must be"),
+        ({"scenario": "x", "mode": "adapt", "schedule": 5}, "schedule must be"),
+        (
+            {"scenario": "x", "mode": "adapt", "schedule": "grid_zoom:x"},
+            "rounds must be an integer",
+        ),
         ({"scenario": "x", "mode": "adapt", "checkpoint": 5}, "checkpoint must be"),
         ({"scenario": "x", "cell_timeout": float("nan")}, "must be a finite"),
         ({"scenario": "x", "cell_timeout": float("inf")}, "must be a finite"),
@@ -231,7 +266,7 @@ def test_huge_finite_cell_timeout_means_no_deadline():
 
 
 #: Arbitrary JSON, plus the strings that reach deeper validation
-#: (policy names, pipeline spellings, scenario names, file paths).
+#: (schedule texts, scenario names, file paths).
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -239,7 +274,14 @@ JSON_VALUES = st.recursive(
     | st.floats()
     | st.text(max_size=8)
     | st.sampled_from(
-        ["grid_zoom", "replay", "grid_zoom:2,replay:1", "replay:0", "ck.json"]
+        [
+            "grid_zoom",
+            "replay",
+            "grid_zoom:2,replay(max_sources=3):1",
+            "halving(max_sources=3)",
+            "replay:0",
+            "ck.json",
+        ]
     ),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=4), children, max_size=3),
@@ -275,7 +317,7 @@ def test_spec_files_with_removed_batch_knobs_still_load():
     ``prewarm``; they load, ignore them, and run exactly as the same
     spec without them."""
     plain = {"scenario": "clean_spin", "params": {"tasks": 2}, "seeds": [0, 1]}
-    adapt = dict(plain, mode="adapt", policy="repeat", rounds=2)
+    adapt = dict(plain, mode="adapt", schedule="repeat", rounds=2)
     for base, removed in (
         (plain, {"batch_sampling": True, "merge_batch": False}),
         (plain, {"prewarm": True}),
@@ -319,7 +361,7 @@ def test_serial_quarantine_and_timeout_stay_legal():
 GRID = {"hold_steps": ["3", "5"]}
 
 
-def test_execute_spec_campaign_matches_hand_built_campaign():
+def test_execute_spec_campaign_matches_one_round_adaptive_campaign():
     spec = CampaignSpec(
         scenario="philosophers",
         params=(("count", "2"),),
@@ -341,7 +383,7 @@ def test_execute_spec_adapt_matches_hand_built_adaptive():
         params=(("count", "2"),),
         grid=(("hold_steps", ("3", "5")),),
         seeds=(0, 1),
-        policy="grid_zoom",
+        schedule="grid_zoom",
         rounds=2,
     )
     outcome = execute_spec(spec)
@@ -353,14 +395,16 @@ def test_execute_spec_adapt_matches_hand_built_adaptive():
     )
     direct.add_grid("philosophers", "philosophers", GRID, count="2")
     result = direct.run()
-    assert [list(r.rows) for r in outcome.rounds] == [
-        list(obs.rows) for obs in result.rounds
-    ]
-    assert outcome.schedule == "policy=grid_zoom"
+    # Whole rounds: rows, detections, quarantine and stages.
+    assert outcome.rounds == result.rounds
+    assert [r.stage for r in outcome.rounds] == ["grid_zoom", "grid_zoom"]
+    assert outcome.schedule == "grid_zoom"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_execute_spec_campaign_outcome_matches_hand_built_campaign(workers):
+def test_execute_spec_campaign_outcome_matches_one_round_adaptive_campaign(
+    workers,
+):
     """A campaign spec is one unrefined round of the adaptive engine;
     every field of its outcome equals a plain campaign's."""
     seeds = (0, 1, 2)
@@ -409,9 +453,9 @@ def test_execute_spec_campaign_outcome_matches_hand_built_campaign(workers):
     ]
 
 
-def test_execute_spec_run_mode():
-    """Mode ``run`` left the spec: the one cell it ran is a one-seed
-    campaign, whose one round holds that cell's row and detection."""
+def test_execute_spec_one_seed_campaign():
+    """A one-seed campaign (what the removed mode ``run`` ran) is one
+    round holding that cell's row and detection."""
     spec = CampaignSpec(
         scenario="philosophers",
         params=(("count", "2"),),
@@ -473,14 +517,37 @@ def test_cli_dump_spec_then_spec_round_trip(tmp_path):
     assert from_file.stdout == flags.stdout
 
 
+def test_cli_schedule_round_trips_through_dump_spec(tmp_path, capsys):
+    from repro.cli import main
+
+    dump = tmp_path / "adapt.json"
+    argv = [
+        "adapt",
+        "philosophers",
+        "--seeds",
+        "2",
+        "-g",
+        "chunk=1,2",
+        "--schedule",
+        "grid_zoom:1, replay(max_sources=1):1",
+    ]
+    assert main([*argv, "--dump-spec", str(dump)]) == 0
+    spec = CampaignSpec.from_json(dump.read_text())
+    assert spec.schedule == "grid_zoom:1,replay(max_sources=1):1"
+    capsys.readouterr()
+    assert main(argv) == 0
+    from_flags = capsys.readouterr().out
+    assert main(["adapt", "--spec", str(dump)]) == 0
+    assert capsys.readouterr().out == from_flags
+    assert "schedule=grid_zoom:1,replay(max_sources=1):1, 2/2 round(s)" in from_flags
+
+
 _SPEC_OPTIONS = set(
     "-h --help --spec --dump-spec --seeds --workers --batch-size "
     "--param -p --grid -g".split()
 )
 _LOCAL_OPTIONS = {"--keep-pool", "--cell-timeout", "--quarantine"}
-_ADAPT_OPTIONS = set(
-    "--rounds --policy --pipeline --max-sources --checkpoint --resume".split()
-)
+_ADAPT_OPTIONS = set("--rounds --schedule --checkpoint --resume".split())
 #: Per spec subcommand: its option strings, an invocation setting every
 #: flag that reaches the spec, and the spec that invocation dumps.
 _SPEC_SURFACES = {
@@ -505,7 +572,7 @@ _SPEC_SURFACES = {
         _SPEC_OPTIONS | _LOCAL_OPTIONS | _ADAPT_OPTIONS,
         "philosophers --seeds 2 --workers 2 --batch-size 3 -p count=3 "
         "-g chunk=1,2 --cell-timeout 5 --quarantine --keep-pool "
-        "--pipeline grid_zoom:2,replay:1 --rounds 4 --max-sources 3 "
+        "--schedule grid_zoom:2,replay(max_sources=3):1 --rounds 4 "
         "--checkpoint adapt.ckpt --resume",
         {
             "scenario": "philosophers",
@@ -517,9 +584,8 @@ _SPEC_SURFACES = {
             "batch_size": 3,
             "cell_timeout": 5.0,
             "quarantine": True,
-            "pipeline": "grid_zoom:2,replay:1",
+            "schedule": "grid_zoom:2,replay(max_sources=3):1",
             "rounds": 4,
-            "max_sources": 3,
             "checkpoint": "adapt.ckpt",
             "resume": True,
         },
@@ -561,9 +627,9 @@ def test_cli_spec_subcommand_surface(command, tmp_path, capsys):
 
 
 def test_cli_adapt_spec_carries_only_the_flags_given(tmp_path, capsys):
-    """An unset --max-sources stays out of the spec (a replay policy
-    keeps its own default), so the dumped spec equals the one built by
-    hand from the same settings."""
+    """An unset --schedule or --rounds stays out of the spec (the spec
+    resolves its own defaults), so the dumped spec equals the one built
+    by hand from the same settings."""
     from repro.cli import main
 
     dump = tmp_path / "s.json"

@@ -11,7 +11,6 @@ run.  Tampered, mismatched or torn checkpoints are refused with
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -31,6 +30,7 @@ from repro.ptest.checkpoint import (
 from repro.ptest.executor import CellExecutor
 from repro.ptest.pool import run_table_batch, shutdown_pools
 from repro.ptest.replay import replay_ref
+from repro.ptest.spec import CampaignSpec, execute_spec
 from repro.workloads.registry import scenario_ref
 
 
@@ -82,33 +82,38 @@ def _no_cell_may_run(*args, **kwargs):
     raise AssertionError("a replayed round ran a cell")
 
 
-def _as_parent_wrote_it(source, destination) -> None:
-    """Copy checkpoint ``source`` to ``destination`` in the layout that
-    builds which still pre-warmed pools wrote: the same payload plus
-    their pre-warm counter (its key is split so no live spelling of the
-    removed name is left in the tree)."""
-    payload = pickle.loads(source.read_bytes())
-    payload["prewarm" "ed_refs"] = 3
-    destination.write_bytes(pickle.dumps(payload))
-
-
 class TestFingerprint:
     def test_sensitive_to_identity_not_execution(self):
         base = _campaign(Repeat())
         fp = campaign_fingerprint(
-            base.seeds, base.variants, Repeat(), base.capture_per_variant
+            base.seeds, base.variants, base.policy, base.capture_per_variant
         )
         # Execution knobs are excluded by design: resume may change
         # workers/batch/chaos without invalidating the checkpoint.
         assert fp == campaign_fingerprint(
-            base.seeds, base.variants, Repeat(), base.capture_per_variant
+            base.seeds, base.variants, parse_pipeline("repeat"), 4
         )
         assert fp != campaign_fingerprint(
-            (9, 10), base.variants, Repeat(), base.capture_per_variant
+            (9, 10), base.variants, base.policy, base.capture_per_variant
         )
         assert fp != campaign_fingerprint(
-            base.seeds, base.variants, GridZoom(), base.capture_per_variant
+            base.seeds,
+            base.variants,
+            parse_pipeline("grid_zoom"),
+            base.capture_per_variant,
         )
+        # A stage policy's arguments change results, so they change the
+        # identity even where the stage labels agree.
+        signed = {
+            campaign_fingerprint((0,), {}, parse_pipeline(text), 4)
+            for text in (
+                "grid_zoom:1,replay(max_sources=1):2",
+                "grid_zoom:1,replay(max_sources=3):2",
+                "grid_zoom:1,replay:2",
+                "grid_zoom:1,replay:3",
+            )
+        }
+        assert len(signed) == 4
 
     def test_pipeline_policies_have_stable_signatures(self):
         one = parse_pipeline("grid_zoom:2,replay:1")
@@ -117,7 +122,8 @@ class TestFingerprint:
         assert first == campaign_fingerprint((0,), {}, two, 4)
 
     def test_pipeline_fingerprint_is_pinned(self):
-        # Checkpoints written by earlier builds must keep resuming.
+        # A checkpoint keeps resuming on every build that reads its
+        # CHECKPOINT_VERSION.
         assert (
             campaign_fingerprint(
                 (0, 1),
@@ -125,7 +131,7 @@ class TestFingerprint:
                 parse_pipeline("grid_zoom:2,replay:1"),
                 4,
             )
-            == "a3d08bc47cc14a7116bed813"
+            == "913599dc1bc64ac9751b638f"
         )
 
 
@@ -168,22 +174,24 @@ class TestRefsFromEarlierCheckpoints:
         assert [(r.found_bug, r.ticks) for r in old_runs] == [
             (r.found_bug, r.ticks) for r in fresh_runs
         ]
-        # The digest that build wrote for this campaign: its checkpoint
-        # resumes here.
+        # Old and fresh refs sign alike, under the schedule the engine
+        # signs for a bare Repeat().
+        schedule = AdaptiveCampaign(policy=Repeat()).policy
         for variants in (
             {"phil": old_ref, "replay": old_replay},
             {"phil": fresh_ref, "replay": fresh_replay},
         ):
             assert (
-                campaign_fingerprint((0, 1), variants, Repeat(), 4)
-                == "bb26360d05db28ad993fcb08"
+                campaign_fingerprint((0, 1), variants, schedule, 4)
+                == "97b0f9d3cf213afff1b51f3e"
             )
 
 
 #: The checkpoint of a finished 2-round ``Repeat`` campaign, variant
 #: ``phil`` = ``scenario_ref("philosophers", count=2)`` over seeds 0-1,
-#: as written (997 bytes) by a build whose round records kept their
-#: detection samples in a per-variant dict and had no ``stage``.
+#: as written (997 bytes, checkpoint version 1) by a build whose round
+#: records kept their detection samples in a per-variant dict and had
+#: no ``stage``.
 _PER_VARIANT_DETECTIONS_CHECKPOINT = (
     b"\x80\x04\x95\xda\x03\x00\x00\x00\x00\x00\x00}\x94(\x8c\x07version"
     b"\x94K\x01\x8c\x0bfingerprint\x94\x8c\x18b46fd9c8239bc644a1640652"
@@ -216,37 +224,24 @@ _PER_VARIANT_DETECTIONS_CHECKPOINT = (
 
 
 class TestObservationsFromEarlierCheckpoints:
-    def test_per_variant_detections_resume_to_a_straight_run(
-        self, tmp_path, monkeypatch
-    ):
-        def campaign(**kwargs) -> AdaptiveCampaign:
-            campaign = AdaptiveCampaign(
-                seeds=(0, 1), rounds=3, policy=Repeat(), **kwargs
-            )
-            campaign.add_scenario("phil", "philosophers", count=2)
-            return campaign
-
-        straight = campaign().run()
-        path = tmp_path / "earlier.ckpt"
-        path.write_bytes(_PER_VARIANT_DETECTIONS_CHECKPOINT)
-        runs = []
-        run_cells = CellExecutor.run_cells
-
-        def counting_run_cells(self, variants, cells, sink):
-            runs.append(len(cells))
-            run_cells(self, variants, cells, sink)
-
-        monkeypatch.setattr(CellExecutor, "run_cells", counting_run_cells)
-        resumed = campaign(checkpoint=path, resume=True).run()
-        # Rounds 1-2 replay from disk; only round 3 runs its 2 cells.
-        assert runs == [2]
-        assert resumed.resumed_rounds == 2
-        assert resumed.rounds == straight.rounds
-        assert not resumed.stopped_early and not straight.stopped_early
-        assert [
-            (s.variant, s.seed, s.kind) for s in resumed.rounds[0].detections
-        ] == [("phil", 0, "deadlock"), ("phil", 1, "deadlock")]
-        assert {r.stage for r in resumed.rounds} == {None}
+    def test_version_1_checkpoint_is_refused(self, tmp_path, monkeypatch):
+        # Version 1 signed a pipeline without its stages' arguments, so
+        # its checkpoints could resume under other arguments.
+        campaign = AdaptiveCampaign(
+            seeds=(0, 1),
+            rounds=3,
+            policy=Repeat(),
+            checkpoint=tmp_path / "earlier.ckpt",
+            resume=True,
+        )
+        campaign.add_scenario("phil", "philosophers", count=2)
+        campaign.checkpoint.write_bytes(_PER_VARIANT_DETECTIONS_CHECKPOINT)
+        monkeypatch.setattr(CellExecutor, "run_cells", _no_cell_may_run)
+        with pytest.raises(
+            CheckpointError, match="has version 1, this build reads version 2"
+        ):
+            campaign.run()
+        assert CHECKPOINT_VERSION == 2
 
 
 class TestResumeBitIdentity:
@@ -257,16 +252,14 @@ class TestResumeBitIdentity:
         # Interrupted run: only one round completes before the "crash".
         _campaign(GridZoom(), rounds=1, grid=True, checkpoint=path).run()
         assert path.exists()
-        parent = tmp_path / "parent.ckpt"
-        _as_parent_wrote_it(path, parent)
 
-        for checkpoint in (path, parent):
-            resumed = _campaign(
-                GridZoom(), grid=True, checkpoint=checkpoint, resume=True
-            ).run()
-            assert resumed.resumed_rounds == 1
-            assert _result_signature(resumed) == _result_signature(straight)
-            assert "resumed: 1 round(s) replayed" in resumed.describe()
+        resumed = _campaign(
+            GridZoom(), grid=True, checkpoint=path, resume=True
+        ).run()
+        assert resumed.resumed_rounds == 1
+        assert _result_signature(resumed) == _result_signature(straight)
+        assert resumed.rounds == straight.rounds
+        assert "resumed: 1 round(s) replayed" in resumed.describe()
 
     def test_resume_rebuilds_pipeline_stage_state(self, tmp_path):
         # The engine's stage position lives in the run; replay must
@@ -288,40 +281,13 @@ class TestResumeBitIdentity:
         assert resumed.resumed_rounds == 2
         assert _result_signature(resumed) == _result_signature(straight)
 
-    def test_pipeline_checkpoint_without_stages_resumes(self, tmp_path):
-        # Earlier builds stored every round with stage=None; resume
-        # labels replayed rounds from the schedule, as a straight run
-        # labels executed ones.
-        pipeline = parse_pipeline("grid_zoom:2,replay:1")
-        straight = _campaign(pipeline, grid=True).run()
-        path = tmp_path / "pipeline.ckpt"
-        _campaign(pipeline, rounds=2, grid=True, checkpoint=path).run()
-        payload = pickle.loads(path.read_bytes())
-        payload["observations"] = [
-            replace(observation, stage=None)
-            for observation in payload["observations"]
-        ]
-        path.write_bytes(pickle.dumps(payload))
-        resumed = _campaign(
-            pipeline, grid=True, checkpoint=path, resume=True
-        ).run()
-        assert resumed.resumed_rounds == 2
-        assert [r.stage for r in resumed.rounds] == [
-            "grid_zoom", "grid_zoom", "replay",
-        ]
-        assert resumed.rounds == straight.rounds
-
     def test_finished_run_resumes_as_pure_replay(self, tmp_path):
         path = tmp_path / "done.ckpt"
         first = _campaign(Repeat(), checkpoint=path).run()
-        parent = tmp_path / "parent.ckpt"
-        _as_parent_wrote_it(path, parent)
-        for checkpoint in (path, parent):
-            replayed = _campaign(
-                Repeat(), checkpoint=checkpoint, resume=True
-            ).run()
-            assert replayed.resumed_rounds == len(first.rounds) == 3
-            assert _result_signature(replayed) == _result_signature(first)
+        replayed = _campaign(Repeat(), checkpoint=path, resume=True).run()
+        assert replayed.resumed_rounds == len(first.rounds) == 3
+        assert _result_signature(replayed) == _result_signature(first)
+        assert replayed.rounds == first.rounds
 
     def test_stopped_early_run_resumes_as_pure_replay(
         self, tmp_path, monkeypatch
@@ -413,6 +379,52 @@ class TestResumeBitIdentity:
         assert _result_signature(result) == _result_signature(_campaign(Repeat()).run())
 
 
+def _spec_ckpt(schedule: str, path, **kwargs) -> CampaignSpec:
+    return CampaignSpec(
+        scenario="philosophers",
+        mode="adapt",
+        seeds=(0, 1, 2),
+        grid=(("chunk", ("1", "2")),),
+        schedule=schedule,
+        checkpoint=str(path),
+        **kwargs,
+    )
+
+
+class TestScheduleSignedWhole:
+    """A checkpoint of ``grid_zoom:1,replay(max_sources=1):2`` cut after
+    two rounds; version 1 resumed it under ``max_sources=3`` to rounds
+    of 2, 2 and 6 variants, which neither straight run returns."""
+
+    CUT = "grid_zoom:1,replay(max_sources=1):2"
+
+    def test_resume_under_other_max_sources_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "cut.ckpt"
+        execute_spec(_spec_ckpt(self.CUT, path, rounds=2))
+        monkeypatch.setattr(CellExecutor, "run_cells", _no_cell_may_run)
+        other = _spec_ckpt(
+            "grid_zoom:1,replay(max_sources=3):2", path, resume=True
+        )
+        with pytest.raises(CheckpointError, match="different campaign"):
+            execute_spec(other)
+
+    def test_resume_under_the_same_schedule_equals_a_straight_run(
+        self, tmp_path
+    ):
+        straight = execute_spec(_spec_ckpt(self.CUT, tmp_path / "straight.ckpt"))
+        path = tmp_path / "cut.ckpt"
+        execute_spec(_spec_ckpt(self.CUT, path, rounds=2))
+        resumed = execute_spec(_spec_ckpt(self.CUT, path, resume=True))
+        assert resumed.resumed_rounds == 2
+        assert resumed.rounds == straight.rounds
+        assert [len(r.rows) for r in resumed.rounds] == [2, 2, 2]
+        assert [r.stage for r in resumed.rounds] == [
+            "grid_zoom", "replay", "replay",
+        ]
+
+
 class TestCheckpointHygiene:
     def test_save_is_atomic_no_temp_left_behind(self, tmp_path):
         path = tmp_path / "atomic.ckpt"
@@ -426,9 +438,6 @@ class TestCheckpointHygiene:
         class _StopNow:
             def refine(self, observation):
                 return None
-
-            def describe(self):
-                return "stop-now"
 
         campaign = _campaign(_StopNow(), checkpoint=path)
         result = campaign.run()

@@ -119,7 +119,7 @@ class TestAdaptCheckpointFlow:
             "3",
             "--rounds",
             "2",
-            "--policy",
+            "--schedule",
             "repeat",
             "--checkpoint",
             path,

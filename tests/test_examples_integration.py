@@ -54,17 +54,20 @@ def test_adaptive_sweep():
     # The zoom pins away the ordered control and narrows hold_steps.
     assert "ordered=True" in output  # swept in round 1...
     assert "phil[hold_steps=15]" in output  # ...zoomed to 1 cell by round 3
+    # A bare policy is one stage, labelled by its POLICIES key.
+    stages = re.findall(r"^round (\d) \(pool_id=\d+, stage=(\w+)\)", output, re.M)
+    assert stages == [("1", "grid_zoom"), ("2", "grid_zoom"), ("3", "grid_zoom")]
     assert "pool stable across rounds: True" in output
 
 
 def test_pipeline_sweep():
     output = run_example("pipeline_sweep.py")
-    assert "pipeline sweep: zoom:2 -> replay:2" in output
+    assert "schedule sweep: grid_zoom:2,replay(max_sources=1):2" in output
     # Stage 1 zooms the grid, stage 2 re-drives recorded deadlocks;
     # every round names its stage, the final one included.
     stages = re.findall(r"^round (\d) \(pool_id=\d+, stage=(\w+)\)", output, re.M)
     assert stages == [
-        ("1", "zoom"), ("2", "zoom"), ("3", "replay"), ("4", "replay")
+        ("1", "grid_zoom"), ("2", "grid_zoom"), ("3", "replay"), ("4", "replay")
     ]
     assert "replay[phil[" in output
     assert "pool stable across the composed schedule: True" in output

@@ -1,7 +1,7 @@
 """Tests for composed refinement pipelines.
 
 Covers :class:`~repro.ptest.adaptive.PolicyPipeline` (construction,
-the engine's stage scheduling, spec parsing, CLI integration),
+the engine's stage scheduling, the schedule text, CLI integration),
 including the acceptance matrix: a ``GridZoom -> ReplayFocus``
 pipeline yields bit-identical round-by-round variants, rows,
 detections and stages at any ``(workers, batch_size, warm/cold)``
@@ -11,12 +11,15 @@ configuration, with one pool spawn across the whole composed schedule.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.ptest.adaptive import (
+    POLICIES,
     AdaptiveCampaign,
     GridZoom,
     PipelineStage,
@@ -77,10 +80,13 @@ class TestPipelineStage:
 
     def test_label_and_describe(self):
         stage = PipelineStage(policy=GridZoom(), rounds=3)
-        assert stage.label == "GridZoom"
-        assert stage.describe() == "GridZoom:3"
+        assert stage.label == "grid_zoom"
+        assert stage.describe() == "grid_zoom:3"
+        # A name relabels the rounds; the text still names the policy.
         named = PipelineStage(policy=GridZoom(), name="zoom")
-        assert named.describe() == "zoom"
+        assert (named.label, named.describe()) == ("zoom", "grid_zoom")
+        custom = PipelineStage(policy=_EmitTag("a"), rounds=1)
+        assert (custom.label, custom.describe()) == ("_EmitTag", "_EmitTag:1")
 
 
 class TestPolicyPipelineConstruction:
@@ -118,7 +124,7 @@ class TestPolicyPipelineConstruction:
             )
         )
         assert pipeline.total_rounds() == 5
-        assert pipeline.describe() == "zoom:3 -> replay:2"
+        assert pipeline.describe() == "grid_zoom:3,replay:2"
 
     def test_a_pipeline_is_a_value_without_run_state(self):
         pipeline = parse_pipeline("grid_zoom:2,replay:1")
@@ -216,10 +222,13 @@ class TestPipelineScheduling:
         assert run_schedule(pipeline, rounds=5) == first
         assert first[1] == ["A", "A", "B", "B"]
 
-    def test_bare_policy_rounds_carry_no_stage(self):
-        assert run_schedule(_EmitTag("a", stop_at=2), rounds=4) == (
+    def test_bare_policy_is_one_stage_labelled_by_its_policy(self):
+        policy = _EmitTag("a", stop_at=2)
+        campaign = AdaptiveCampaign(policy=policy)
+        assert campaign.policy == PolicyPipeline((PipelineStage(policy),))
+        assert run_schedule(policy, rounds=4) == (
             [["spin"], ["a1"], ["a2"]],
-            [None, None, None],
+            ["_EmitTag", "_EmitTag", "_EmitTag"],
             True,
         )
 
@@ -227,38 +236,97 @@ class TestPipelineScheduling:
 # -- spec parsing ---------------------------------------------------------------
 
 
-class TestParsePipeline:
+class TestScheduleText:
     def test_parses_stages_with_rounds(self):
         pipeline = parse_pipeline("grid_zoom:3,replay:2")
-        assert pipeline.describe() == "grid_zoom:3 -> replay:2"
+        assert pipeline.describe() == "grid_zoom:3,replay:2"
         assert pipeline.total_rounds() == 5
         assert isinstance(pipeline.stages[0].policy, GridZoom)
         assert isinstance(pipeline.stages[1].policy, ReplayFocus)
+        assert [stage.label for stage in pipeline.stages] == [
+            "grid_zoom", "replay",
+        ]
 
     def test_final_stage_may_omit_rounds(self):
         pipeline = parse_pipeline("grid_zoom:2,repeat")
         assert pipeline.stages[-1].rounds is None
         assert pipeline.total_rounds() is None
 
-    def test_policy_kwargs_route_by_name(self):
-        pipeline = parse_pipeline(
-            "replay:1", policy_kwargs={"replay": {"max_sources": 1}}
-        )
-        assert pipeline.stages[0].policy.max_sources == 1
+    def test_max_sources_sets_the_replay_argument(self):
+        pipeline = parse_pipeline(" grid_zoom : 2 , replay ( max_sources = 3 ) ")
+        assert pipeline.stages[1].policy == ReplayFocus(max_sources=3)
+        assert pipeline.describe() == "grid_zoom:2,replay(max_sources=3)"
+        # An argument at its default is left out of the text.
+        assert parse_pipeline("replay(max_sources=2):1").describe() == "replay:1"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["halving(max_sources=3)", "grid_zoom(max_sources=1):2", "replay(seed=1)"],
+    )
+    def test_max_sources_is_the_only_argument_and_only_on_replay(self, text):
+        with pytest.raises(ConfigError, match="only max_sources"):
+            parse_pipeline(text)
 
     def test_unknown_policy_lists_registry(self):
         with pytest.raises(ConfigError, match="grid_zoom.*replay"):
             parse_pipeline("grid_zoom:2,bogus:1")
 
     def test_malformed_specs_rejected(self):
-        with pytest.raises(ConfigError, match="empty pipeline spec"):
+        with pytest.raises(ConfigError, match="empty schedule"):
             parse_pipeline(" , ")
         with pytest.raises(ConfigError, match="integer"):
             parse_pipeline("grid_zoom:x")
         with pytest.raises(ConfigError, match=">= 1"):
             parse_pipeline("grid_zoom:0")
-        with pytest.raises(ConfigError, match="final stage"):
+        with pytest.raises(ConfigError, match="max_sources must be"):
+            parse_pipeline("replay(max_sources=0)")
+        with pytest.raises(ConfigError, match="before the last"):
             parse_pipeline("grid_zoom,replay:2")
+        with pytest.raises(ConfigError, match="is not name"):
+            parse_pipeline("replay(max_sources=1")
+        with pytest.raises(ConfigError, match="integer"):
+            parse_pipeline("replay(max_sources=1 0)")
+
+    def test_long_malformed_stage_fails_fast(self):
+        # A served request's schedule text is outside input.  A stage
+        # pattern that can split this run of spaces many ways backtracks
+        # cubically: seconds here, hours at ten times the length.
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="is not name"):
+            parse_pipeline("replay(max_sources=" + " " * 2_500 + "x")
+        assert time.perf_counter() - started < 1.0
+
+    @given(
+        stages=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(POLICIES)),
+                st.integers(1, 4),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        final_cap=st.integers(1, 4) | st.none(),
+    )
+    def test_text_round_trips(self, stages, final_cap):
+        """``describe()`` prints text ``parse_pipeline`` reads back to an
+        equal value, and reading it again changes nothing."""
+        # Only the final stage may run uncapped.
+        caps = [cap for _name, _sources, cap in stages[:-1]] + [final_cap]
+        pipeline = PolicyPipeline(
+            tuple(
+                PipelineStage(
+                    ReplayFocus(max_sources=sources)
+                    if name == "replay"
+                    else POLICIES[name](),
+                    rounds=cap,
+                )
+                for (name, sources, _cap), cap in zip(stages, caps)
+            )
+        )
+        text = pipeline.describe()
+        assert parse_pipeline(text) == pipeline
+        assert parse_pipeline(text).describe() == text
 
 
 # -- the acceptance matrix ------------------------------------------------------
@@ -321,20 +389,36 @@ class TestComposedPipelineThroughEngine:
         ]
 
     def test_hand_built_campaign_equals_execute_spec(self):
-        spec = CampaignSpec(
-            scenario="philosophers",
-            mode="adapt",
-            seeds=(0, 1),
-            grid=(("chunk", ("1", "2")),),
-            pipeline="grid_zoom:1,repeat:1",
-        )
-        campaign = AdaptiveCampaign(
-            seeds=(0, 1), rounds=2, policy=parse_pipeline("grid_zoom:1,repeat:1")
-        )
-        campaign.add_grid("philosophers", "philosophers", {"chunk": ["1", "2"]})
-        built = campaign.run()
-        assert [r.stage for r in built.rounds] == ["grid_zoom", "repeat"]
-        assert built.rounds == execute_spec(spec).rounds
+        # A pipeline, and a bare policy (one uncapped stage under the
+        # spec's default budget of 3 rounds).
+        for schedule, policy, rounds, stages in (
+            (
+                "grid_zoom:1,repeat:1",
+                parse_pipeline("grid_zoom:1,repeat:1"),
+                2,
+                ["grid_zoom", "repeat"],
+            ),
+            (
+                "replay(max_sources=3)",
+                ReplayFocus(max_sources=3),
+                3,
+                ["replay"] * 3,
+            ),
+        ):
+            spec = CampaignSpec(
+                scenario="philosophers",
+                mode="adapt",
+                seeds=(0, 1),
+                grid=(("chunk", ("1", "2")),),
+                schedule=schedule,
+            )
+            campaign = AdaptiveCampaign(seeds=(0, 1), rounds=rounds, policy=policy)
+            campaign.add_grid(
+                "philosophers", "philosophers", {"chunk": ["1", "2"]}
+            )
+            built = campaign.run()
+            assert [r.stage for r in built.rounds] == stages
+            assert built.rounds == execute_spec(spec).rounds
 
 
 class TestPipelineDeterminismMatrix:
@@ -377,8 +461,8 @@ class TestPipelineDeterminismMatrix:
 # -- CLI integration ------------------------------------------------------------
 
 
-class TestPipelineCli:
-    def test_adapt_pipeline_prints_stages(self, capsys):
+class TestScheduleCli:
+    def test_adapt_schedule_prints_stages(self, capsys):
         from repro.cli import main
 
         assert (
@@ -388,10 +472,8 @@ class TestPipelineCli:
                     "philosophers",
                     "--seeds",
                     "2",
-                    "--pipeline",
-                    "grid_zoom:2,replay:1",
-                    "--max-sources",
-                    "1",
+                    "--schedule",
+                    "grid_zoom:2,replay(max_sources=1):1",
                     "--grid",
                     "chunk=1,2",
                 ]
@@ -399,31 +481,32 @@ class TestPipelineCli:
             == 0
         )
         output = capsys.readouterr().out
-        assert "pipeline=grid_zoom:2 -> replay:1" in output
+        assert "schedule=grid_zoom:2,replay(max_sources=1):1" in output
         assert "3/3 round(s)" in output  # rounds default to the sum
         assert "stage=grid_zoom" in output
         assert "stage=replay" in output
         assert "replay[" in output
 
-    def test_adapt_pipeline_unknown_policy_clean_error(self, capsys):
+    def test_adapt_schedule_unknown_policy_clean_error(self, capsys):
         from repro.cli import main
 
         assert (
-            main(["adapt", "philosophers", "--pipeline", "bogus:2"]) == 2
+            main(["adapt", "philosophers", "--schedule", "bogus:2"]) == 2
         )
         output = capsys.readouterr().out
-        assert "unknown pipeline policy 'bogus'" in output
+        assert "unknown policy 'bogus'" in output
         assert "grid_zoom" in output
 
-    def test_adapt_unbounded_pipeline_needs_rounds(self, capsys):
+    def test_adapt_uncapped_schedule_runs_three_rounds(self, capsys):
         from repro.cli import main
 
         assert (
-            main(["adapt", "philosophers", "--pipeline", "repeat"]) == 2
+            main(["adapt", "philosophers", "--seeds", "2", "--schedule", "repeat"])
+            == 0
         )
-        assert "--rounds" in capsys.readouterr().out
+        assert "3/3 round(s)" in capsys.readouterr().out
 
-    def test_adapt_unbounded_pipeline_with_rounds_runs(self, capsys):
+    def test_adapt_uncapped_schedule_with_rounds_runs(self, capsys):
         from repro.cli import main
 
         assert (
@@ -433,7 +516,7 @@ class TestPipelineCli:
                     "philosophers",
                     "--seeds",
                     "2",
-                    "--pipeline",
+                    "--schedule",
                     "repeat",
                     "--rounds",
                     "2",

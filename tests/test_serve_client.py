@@ -143,14 +143,14 @@ def test_adapt_spec_bit_identical(server):
         params=(("count", "2"),),
         grid=(("hold_steps", ("3", "5")),),
         seeds=(0, 1),
-        policy="grid_zoom",
+        schedule="grid_zoom",
         rounds=2,
     )
     direct = execute_spec(spec)
     with Client(*server.address) as client:
         remote = client.run(spec)
     assert remote.rounds == direct.rounds
-    assert remote.schedule == "policy=grid_zoom"
+    assert remote.schedule == direct.schedule == "grid_zoom"
     assert remote.rounds_budget == direct.rounds_budget
 
 
@@ -266,8 +266,11 @@ def _adapt_spec(**field):
 @pytest.mark.parametrize(
     ("request_", "message"),
     [
-        (_adapt_spec(pipeline=5), "pipeline must be"),
-        (_adapt_spec(policy=[1]), "policy must be"),
+        # Schedule fields that left the spec: the error lists schedule.
+        (_adapt_spec(pipeline="grid_zoom:2,replay:1"), "schedule"),
+        (_adapt_spec(policy="replay"), "schedule"),
+        (_adapt_spec(max_sources=3), "schedule"),
+        (_adapt_spec(schedule=5), "schedule must be"),
         (_adapt_spec(checkpoint=5), "checkpoint must be"),
         ({}, "must be a JSON object"),
         ({"spec": {}}, "'scenario'"),
@@ -290,6 +293,8 @@ def _adapt_spec(**field):
     ids=[
         "pipeline",
         "policy",
+        "max_sources",
+        "schedule",
         "checkpoint",
         "no-spec",
         "empty-spec",

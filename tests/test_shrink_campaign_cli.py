@@ -498,7 +498,7 @@ class TestCli:
             == 0
         )
         output = capsys.readouterr().out
-        assert "policy=grid_zoom" in output
+        assert "schedule=grid_zoom" in output
         assert "-- round 1" in output and "-- round 2" in output
         # Round 1 sweeps both halves; the zoom pins the buggy one.
         assert "philosophers[ordered=true]" in output
@@ -517,16 +517,14 @@ class TestCli:
                     "2",
                     "--rounds",
                     "2",
-                    "--policy",
-                    "replay",
-                    "--max-sources",
-                    "1",
+                    "--schedule",
+                    "replay(max_sources=1)",
                 ]
             )
             == 0
         )
         output = capsys.readouterr().out
-        assert "policy=replay" in output
+        assert "schedule=replay(max_sources=1)" in output
         assert "replay[philosophers@s0/cyclic]" in output
 
     def test_adapt_unknown_scenario_clean_error(self, capsys):
@@ -544,19 +542,18 @@ class TestCli:
     def test_adapt_unknown_policy_exits_listing_choices(self, capsys):
         from repro.cli import main
 
-        # argparse rejects the name up front: clean usage error (exit
-        # 2) naming every registered policy, never a KeyError traceback.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["adapt", "philosophers", "--policy", "nope"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
+        # The schedule text is checked before any pool exists: one
+        # line, exit 2, naming every registered policy.
+        assert main(["adapt", "philosophers", "--schedule", "nope"]) == 2
+        output = capsys.readouterr().out
+        assert output.count("\n") == 1
         for name in ("grid_zoom", "halving", "replay", "repeat"):
-            assert name in err
+            assert name in output
 
     def test_adapt_unknown_policy_via_embedding_call(self, capsys):
-        # Embedders invoking the handler with an unvalidated namespace
-        # (bypassing argparse choices) get the ConfigError path: exit 2
-        # and the POLICIES keys listed, not a KeyError.
+        # Embedders invoking the handler with a namespace they built
+        # (bypassing argparse) get the ConfigError path: exit 2 and the
+        # POLICIES keys listed, not a KeyError.
         import argparse
 
         from repro.cli import _cmd_adapt
@@ -564,9 +561,7 @@ class TestCli:
         args = argparse.Namespace(
             scenario="philosophers",
             rounds=None,
-            policy="nope",
-            pipeline=None,
-            max_sources=2,
+            schedule="nope",
             seeds=2,
             workers=1,
             batch_size=None,
@@ -579,23 +574,14 @@ class TestCli:
         assert "unknown policy 'nope'" in output
         assert "grid_zoom" in output and "replay" in output
 
-    def test_adapt_policy_and_pipeline_mutually_exclusive(self, capsys):
+    def test_adapt_schedule_argument_on_halving_exits_2(self, capsys):
         from repro.cli import main
 
-        assert (
-            main(
-                [
-                    "adapt",
-                    "philosophers",
-                    "--policy",
-                    "repeat",
-                    "--pipeline",
-                    "repeat:2",
-                ]
-            )
-            == 2
-        )
-        assert "mutually exclusive" in capsys.readouterr().out
+        argv = ["adapt", "philosophers", "--schedule", "halving(max_sources=3)"]
+        assert main(argv) == 2
+        output = capsys.readouterr().out
+        assert output.count("\n") == 1
+        assert "only max_sources, and only on replay" in output
 
     def test_campaign_shuts_shared_pool_down_by_default(self, capsys):
         from repro.cli import main
